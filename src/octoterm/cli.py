@@ -36,7 +36,6 @@ from .grammar import (
 )
 from .linarith import LE, LinTerm
 from .octagon import Octagon, oct_decode, oct_eq, oct_exists, tight_close
-from .oracle import BoxDomain, live_points
 from .presburger import Conj, Dnf, DivAtom
 from .program import (
     Budgets,
@@ -224,7 +223,7 @@ def cmd_rel(args) -> int:
         payload = {"status": "ok", "command": "wnt", "wnt": out}
         text = out
         if args.box:
-            from .oracle import eval_membership
+            from .oracle import BoxDomain, eval_membership, live_points
 
             box = BoxDomain.cube(n, -args.box, args.box)
             live = live_points(tight_close(rel), n, box)
@@ -374,13 +373,19 @@ def cmd_affine(args) -> int:
 
 
 def _octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
-    """Deterministic octagonal relations (x' = +-x + c per variable) convert."""
+    """Deterministic octagonal relations (x' = +-x + c per variable) convert.
+
+    The update rows come from the tight closure, or from the encoded
+    relation when its guard is unsatisfiable; the guard is then the empty
+    set (the single row 0 >= 1).
+    """
     from .affine import mat
 
-    o = tight_close(o)
-    if o.is_bottom:
+    closed = tight_close(o)
+    src = o if closed.is_bottom else closed
+    if src.is_bottom:
         return None
-    rows = o.dbm.rows
+    rows = src.dbm.rows
     a = []
     b = []
     for i in range(n):
@@ -405,8 +410,10 @@ def _octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
         row[j] = s
         a.append(tuple(row))
         b.append(c)
+    if closed.is_bottom:
+        return AffineRel(n, mat(a), tuple(b), (((0,) * n, 1),))
     guard = []
-    proj = oct_exists(o, range(n, 2 * n))
+    proj = oct_exists(closed, range(n, 2 * n))
     for si, i, sj, j, c in oct_decode(proj):
         gr = [0] * n
         gr[i] -= si

@@ -25,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .dbm import INF, Dbm, dbm_compose
+from .dbm import INF, Dbm, compose_closed
 from .octagon import (
     Octagon,
     bottom,
+    halving_consistent,
     oct_compose,
     pre_image_set,
     tight_close,
+    tighten,
     top,
 )
 from .pdbm import ExtParamDbm, ParamTerm, entry_min_equals, param_fw
@@ -141,35 +143,6 @@ class _PowerCache:
             self.d[1] = t.dbm
             self.t[1] = t.dbm  # already tight
 
-    def _halving_ok(self, m: Dbm) -> bool:
-        rows = m.rows
-        for p in range(m.dim):
-            a = rows[p][p ^ 1]
-            b = rows[p ^ 1][p]
-            if a == INF or b == INF:
-                continue
-            if a // 2 + b // 2 < 0:
-                return False
-        return True
-
-    def _tighten(self, m: Dbm) -> Dbm:
-        rows = m.rows
-        dim = m.dim
-        halves = [INF if rows[p][p ^ 1] == INF else rows[p][p ^ 1] // 2 for p in range(dim)]
-        out = []
-        for p in range(dim):
-            hp = halves[p]
-            row = []
-            for q in range(dim):
-                v = rows[p][q]
-                if hp != INF and halves[q ^ 1] != INF:
-                    cand = hp + halves[q ^ 1]
-                    if v == INF or cand < v:
-                        v = cand
-                row.append(v)
-            out.append(row)
-        return Dbm(out)
-
     def ensure(self, n: int) -> bool:
         """Compute D/T up to n; False if some power <= n is inconsistent."""
         if self.dead is not None and self.dead <= n:
@@ -178,13 +151,13 @@ class _PowerCache:
         while top_n < n:
             if self.cancel is not None and self.cancel():
                 raise OperationCancelled()
-            nxt = dbm_compose(self.d[top_n], self.base)
+            nxt = compose_closed(self.d[top_n], self.base)
             top_n += 1
-            if nxt is None or not self._halving_ok(nxt):
+            if nxt is None or not halving_consistent(nxt):
                 self.dead = top_n
                 return False
             self.d[top_n] = nxt
-            self.t[top_n] = self._tighten(nxt)
+            self.t[top_n] = tighten(nxt)
         return True
 
     def tight(self, n: int) -> Dbm:
@@ -562,7 +535,8 @@ def detect_period(
 def kleene_pre_sequence(rel: Octagon, n: int, n_program_vars: int) -> list[Octagon]:
     """[pre^1 .. pre^n] of the universal set, as octagons over the unprimed."""
     out = []
-    power = tight_close(rel)
+    rel = tight_close(rel)
+    power = rel
     for _ in range(n):
         out.append(pre_image_set(power, n_program_vars) if not power.is_bottom
                    else bottom(n_program_vars))
@@ -611,7 +585,6 @@ def wnt_via_closed_form(rel: Octagon, n_program_vars: int, max_b: int = 64, max_
         return cf
     if any(d < 0 for (_, d) in cf.terms.values()):
         return bottom(n_program_vars)
-    power = tight_close(rel)
     seq = kleene_pre_sequence(rel, cf.b, n_program_vars)
     return seq[cf.b - 1]
 
@@ -631,8 +604,9 @@ def reflexive_transitive_closure(
     N = n_program_vars
     res = detect_period(rel, N, max_b, max_c, cancel)
     members: list = []
+    rel = tight_close(rel)
     if isinstance(res, NotStarConsistent):
-        power = tight_close(rel)
+        power = rel
         for _ in range(1, res.power):
             if power.is_bottom:
                 break
@@ -641,7 +615,7 @@ def reflexive_transitive_closure(
         return ParamOctUnion(N, members, reflexive=True, exact=True)
     if isinstance(res, NotFound):
         return ParamOctUnion(N, [top(2 * N)], reflexive=True, exact=False)
-    power = tight_close(rel)
+    power = rel
     for _ in range(1, res.b):
         members.append(power)
         power = oct_compose(power, rel, N)

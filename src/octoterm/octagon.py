@@ -25,10 +25,10 @@ from typing import Iterable, Sequence
 from .dbm import (
     INF,
     Dbm,
+    close_glued,
     dbm_project,
     ext_min,
     fw_close,
-    compose_matrix,
 )
 
 # Atom kinds: (sign_i, i, sign_j, j, c) encodes  sign_i*x_i + sign_j*x_j <= c.
@@ -129,7 +129,7 @@ def is_coherent(o: Octagon) -> bool:
     )
 
 
-def _halving_consistent(closed: Dbm) -> bool:
+def halving_consistent(closed: Dbm) -> bool:
     rows = closed.rows
     for p in range(closed.dim):
         a = rows[p][_bar(p)]
@@ -141,22 +141,17 @@ def _halving_consistent(closed: Dbm) -> bool:
     return True
 
 
-def _tighten(closed: Dbm) -> Dbm:
+def tighten(closed: Dbm) -> Dbm:
     rows = closed.rows
-    dim = closed.dim
-    halves = [INF if rows[p][_bar(p)] == INF else rows[p][_bar(p)] // 2 for p in range(dim)]
+    halves = [INF if r[_bar(p)] == INF else r[_bar(p)] // 2 for p, r in enumerate(rows)]
+    bar_halves = [halves[_bar(q)] for q in range(closed.dim)]
     out = []
-    for p in range(dim):
-        hp = halves[p]
-        row = []
-        for q in range(dim):
-            v = rows[p][q]
-            if hp != INF:
-                hq = halves[_bar(q)]
-                if hq != INF:
-                    v = ext_min(v, hp + hq)
-            row.append(v)
-        out.append(row)
+    for r, hp in zip(rows, halves):
+        if hp == INF:
+            out.append(r)
+            continue
+        out.append([v if hq == INF or v <= hp + hq else hp + hq
+                    for v, hq in zip(r, bar_halves)])
     return Dbm(out)
 
 
@@ -171,9 +166,9 @@ def tight_close(o: Octagon) -> Octagon:
     if o.tight:
         return o
     closed = fw_close(o.dbm)
-    if closed is None or not _halving_consistent(closed):
+    if closed is None or not halving_consistent(closed):
         return bottom(o.num_vars)
-    return Octagon(o.num_vars, _tighten(closed), tight=True)
+    return Octagon(o.num_vars, tighten(closed), tight=True)
 
 
 def is_consistent_oct(o: Octagon) -> bool:
@@ -241,22 +236,24 @@ def oct_meet_raw(a: Octagon, b: Octagon) -> Octagon:
 def oct_compose(a: Octagon, b: Octagon, n_program_vars: int) -> Octagon:
     """Relational composition of octagonal relations over (x, x').
 
-    Both inputs are octagons over 2*n_program_vars variables.  The glued
-    3-block dual matrix is tightly closed before the middle block is erased,
-    which keeps the result integer-exact.
+    Both inputs are octagons over 2*n_program_vars variables; they are
+    tightly closed first (a no-op on tight ones), so the glued 3-block dual
+    matrix closes through its middle block alone.  The closed glued matrix
+    is checked for halving consistency, the middle block is erased and the
+    rest tightened, which keeps the result integer-exact.
     """
     N = n_program_vars
     if a.num_vars != 2 * N or b.num_vars != 2 * N:
         raise ValueError("relation octagons must span (x, x')")
+    a = tight_close(a)
+    b = tight_close(b)
     if a.is_bottom or b.is_bottom:
         return bottom(2 * N)
-    glued = compose_matrix(a.dbm, b.dbm, 2 * N)
-    closed = fw_close(glued)
-    if closed is None or not _halving_consistent(closed):
+    closed = close_glued(a.dbm, b.dbm)
+    if closed is None or not halving_consistent(closed):
         return bottom(2 * N)
-    tight = _tighten(closed)
     keep = list(range(2 * N)) + list(range(4 * N, 6 * N))
-    return Octagon(2 * N, dbm_project(tight, keep), tight=True)
+    return Octagon(2 * N, tighten(dbm_project(closed, keep)), tight=True)
 
 
 def identity_relation(n_program_vars: int) -> Octagon:

@@ -3,9 +3,9 @@
 The Kleene chain of pre-image sets of an octagonal relation over N
 variables either never stabilizes (then the relation is well founded) or
 stabilizes within 5^(2N) steps.  Comparing the pre-image sets of the
-powers 5^(2N) and 5^(2N)+1 therefore decides everything; both powers are
+powers 5^(2N) and 5^(2N)+1 therefore decides everything; the first is
 reached with logarithmically many tight compositions by binary
-exponentiation.
+exponentiation, the second with one more.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def wnt(rel: Octagon, n_program_vars: int) -> WntResult:
     """Exact weakest non-termination set of an octagonal relation."""
     N = n_program_vars
     n1 = 5 ** (2 * N)
+    rel = tight_close(rel)
     v = fast_power(rel, n1, N)
-    w = fast_power(rel, n1 + 1, N)
+    w = oct_compose(v, rel, N)
     if w.is_bottom:
         return WntResult(bottom(N), (n1, n1 + 1), False, False)
     pv = pre_image_set(v, N)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import octoterm
 from octoterm.cli import main
 from octoterm.grammar import parse_condition
 
@@ -91,6 +96,28 @@ def test_affine_commands(capsys):
                        "x' == x + y && y' == y + z && z' == z && x >= 0")
     assert code == 0
     assert "(z <= -1)" in out
+    # an unsatisfiable guard: the body is empty, every start terminates
+    loop = "x' == -x && y' == y && x >= 1 && x <= 0"
+    code, out, _ = run(capsys, "affine", "check", loop)
+    assert code == 0 and "finite monoid: yes" in out and "polynomially bounded: yes" in out
+    code, out, _ = run(capsys, "affine", "wnt", loop)
+    assert code == 0 and out == "false"
+    code, out, _ = run(capsys, "rel", "wnt", loop)
+    assert code == 0 and out == "false"
+    code, out, _ = run(capsys, "--format", "json", "affine", "terminate", loop)
+    assert code == 0
+    assert json.loads(out)["sufficient_termination"] == [{"atoms": [], "divisibility": []}]
+
+
+def test_startup_does_not_import_numpy():
+    src = str(Path(octoterm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, octoterm, octoterm.cli; assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 def test_affine_fragment_error(capsys):

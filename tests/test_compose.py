@@ -1,0 +1,199 @@
+"""Composition closes the glued matrix through its middle block only.
+
+The reference here is the plain algorithm: close the whole glued 3-block
+matrix with Floyd-Warshall, then tighten (octagons) and erase the middle
+block.  ``dbm_compose`` and ``oct_compose`` must give exactly its matrices,
+on raw and closed operands alike.
+"""
+
+import random
+
+from octoterm.dbm import (
+    INF,
+    Dbm,
+    close_glued,
+    compose_closed,
+    compose_matrix,
+    dbm_compose,
+    dbm_project,
+    fw_close,
+)
+from octoterm.octagon import (
+    Octagon,
+    bottom,
+    halving_consistent,
+    oct_compose,
+    oct_encode,
+    oct_eq,
+    pre_image_set,
+    tight_close,
+    tighten,
+)
+from octoterm.term_oct import WntResult, fast_power, wnt
+
+from helpers import random_guarded_relation, random_oct_relation
+
+BIG = (1 << 62) + 12345
+
+
+def _keep(n):
+    return list(range(n)) + list(range(2 * n, 3 * n))
+
+
+def ref_dbm_compose(a: Dbm, b: Dbm):
+    n = a.dim // 2
+    glued = fw_close(compose_matrix(a, b, n))
+    return None if glued is None else dbm_project(glued, _keep(n))
+
+
+def ref_oct_compose(a: Octagon, b: Octagon, N: int) -> Octagon:
+    if a.is_bottom or b.is_bottom:
+        return bottom(2 * N)
+    closed = fw_close(compose_matrix(a.dbm, b.dbm, 2 * N))
+    if closed is None or not halving_consistent(closed):
+        return bottom(2 * N)
+    return Octagon(2 * N, dbm_project(tighten(closed), _keep(2 * N)), tight=True)
+
+
+def ref_wnt(rel: Octagon, N: int) -> WntResult:
+    """wnt with R^(n1+1) from a second binary exponentiation."""
+    n1 = 5 ** (2 * N)
+    v = fast_power(rel, n1, N)
+    w = fast_power(rel, n1 + 1, N)
+    if w.is_bottom:
+        return WntResult(bottom(N), (n1, n1 + 1), False, False)
+    pv = pre_image_set(v, N)
+    pw = pre_image_set(w, N)
+    if not oct_eq(pv, pw):
+        return WntResult(bottom(N), (n1, n1 + 1), False, True)
+    return WntResult(pv, (n1, n1 + 1), True, True)
+
+
+def rows_of(x):
+    if x is None:
+        return None
+    if isinstance(x, Octagon):
+        return None if x.is_bottom else x.dbm.rows
+    return x.rows
+
+
+def rand_dbm(rng, dim, density=0.4, lo=-3, hi=5, scale=1, offset=0):
+    rows = [[INF] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = 0
+        for j in range(dim):
+            if i != j and rng.random() < density:
+                rows[i][j] = rng.randint(lo, hi) * scale + offset
+    return Dbm(rows)
+
+
+def scaled(o: Octagon, factor: int, shift: int) -> Octagon:
+    """A raw octagon with every finite off-diagonal bound v -> v*factor + shift."""
+    rows = [
+        [v if p == q or v == INF else v * factor + shift for q, v in enumerate(r)]
+        for p, r in enumerate(o.dbm.rows)
+    ]
+    return Octagon(o.num_vars, Dbm(rows), tight=False)
+
+
+def test_dbm_compose_matches_full_closure():
+    rng = random.Random(21)
+    misses = 0
+    for trial in range(600):
+        n = rng.randint(1, 3)
+        big = trial % 3 == 0
+        kw = {"scale": BIG, "offset": 7} if big else {}
+        a = rand_dbm(rng, 2 * n, **kw)
+        b = rand_dbm(rng, 2 * n, **kw)
+        want = ref_dbm_compose(a, b)
+        assert rows_of(dbm_compose(a, b)) == rows_of(want)
+        ca, cb = fw_close(a), fw_close(b)
+        if ca is None or cb is None:
+            assert want is None
+            continue
+        assert rows_of(compose_closed(ca, cb)) == rows_of(want)
+        # the middle block alone is not enough on raw operands
+        if rows_of(compose_closed(a, b)) != rows_of(want):
+            misses += 1
+    assert misses > 0, "raw operands never exercised the closing of operands"
+
+
+def test_close_glued_is_the_full_closure():
+    rng = random.Random(22)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        a = fw_close(rand_dbm(rng, 2 * n))
+        b = fw_close(rand_dbm(rng, 2 * n))
+        if a is None or b is None:
+            continue
+        full = fw_close(compose_matrix(a, b, n))
+        assert rows_of(close_glued(a, b)) == rows_of(full)
+
+
+def test_oct_compose_matches_full_closure():
+    rng = random.Random(23)
+    misses = 0
+    for trial in range(400):
+        N = 1 + trial % 3
+        gen = random_guarded_relation if trial % 2 else random_oct_relation
+        raw_a, raw_b = gen(rng, N), gen(rng, N)
+        if trial % 5 == 0:
+            raw_a = scaled(raw_a, BIG, 3)
+            raw_b = scaled(raw_b, BIG, -5)
+        for a, b in (
+            (raw_a, raw_b),
+            (tight_close(raw_a), tight_close(raw_b)),
+            (raw_a, tight_close(raw_b)),
+            (tight_close(raw_a), raw_b),
+        ):
+            want = ref_oct_compose(a, b, N)
+            got = oct_compose(a, b, N)
+            assert got.is_bottom == want.is_bottom
+            assert rows_of(got) == rows_of(want)
+        if raw_a.is_bottom or raw_b.is_bottom:
+            continue
+        middle_only = close_glued(raw_a.dbm, raw_b.dbm)
+        full = fw_close(compose_matrix(raw_a.dbm, raw_b.dbm, 2 * N))
+        if rows_of(middle_only) != rows_of(full):
+            misses += 1
+    assert misses > 0, "raw operands never exercised the closing of operands"
+
+
+def test_oct_compose_inconsistent_pairs():
+    # x >= 1 && x <= 0 (empty), composed either way with the identity
+    empty = oct_encode([(-1, 0, -1, 0, -1), (1, 0, 1, 0, 0)], 2)
+    ident = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 2)
+    assert tight_close(empty).is_bottom
+    assert oct_compose(empty, ident, 1).is_bottom
+    assert oct_compose(ident, empty, 1).is_bottom
+    # consistent operands, empty composition: x' >= 1, then x <= 0
+    up = oct_encode([(-1, 1, -1, 1, -1)], 2)
+    down = oct_encode([(1, 0, 1, 0, 0)], 2)
+    assert ref_oct_compose(up, down, 1).is_bottom
+    assert oct_compose(up, down, 1).is_bottom
+    # rationally consistent, integer-empty only in the middle block:
+    # x0' + x1' == 1, then x0 == x1, so 2*x0 == 1
+    a = oct_encode([(1, 2, 1, 3, 1), (-1, 2, -1, 3, -1)], 4)
+    b = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 4)
+    assert fw_close(compose_matrix(tight_close(a).dbm, tight_close(b).dbm, 4)) is not None
+    assert ref_oct_compose(tight_close(a), tight_close(b), 2).is_bottom
+    assert oct_compose(a, b, 2).is_bottom
+    rng = random.Random(24)
+    seen = 0
+    for _ in range(300):
+        N = rng.randint(1, 2)
+        a, b = random_oct_relation(rng, N), random_oct_relation(rng, N)
+        want = ref_oct_compose(a, b, N)
+        if want.is_bottom:
+            seen += 1
+            assert oct_compose(a, b, N).is_bottom
+    assert seen > 20
+
+
+def test_wnt_matches_second_exponentiation():
+    rng = random.Random(25)
+    for trial in range(60):
+        N = 1 + trial % 3
+        gen = random_guarded_relation if trial % 2 else random_oct_relation
+        r = gen(rng, N)
+        assert wnt(r, N) == ref_wnt(r, N)
