@@ -494,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="periodicity detection period budget")
     ap.add_argument("--max-disjuncts", type=int, default=256,
                     help="summary disjunct cap before hull-merge")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized cross-checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     rel = sub.add_parser("rel", help="analyze one octagonal relation")

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .linarith import EQ, LE, LinTerm
-from .octagon import Octagon, oct_encode
+from .octagon import Octagon, bottom, oct_encode
 from .affine import AffineRel, mat
 
 
@@ -272,6 +272,7 @@ def _as_octagon(rows, variables: list[str]) -> Octagon | None:
     index = {v: i for i, v in enumerate(variables)}
     index.update({v + "'": n + i for i, v in enumerate(variables)})
     atoms = []
+    empty = False
     for t, rel in rows:
         if rel.startswith("%"):
             return None
@@ -282,10 +283,7 @@ def _as_octagon(rows, variables: list[str]) -> Octagon | None:
                 return None
             c0 = -tt.const.numerator
             if len(entries) == 0:
-                if c0 < 0:
-                    from .octagon import bottom
-
-                    return bottom(2 * n)  # unsatisfiable constant row
+                empty = empty or c0 < 0  # an unsatisfiable constant row
                 continue
             if len(entries) == 1:
                 v, c = entries[0]
@@ -306,7 +304,14 @@ def _as_octagon(rows, variables: list[str]) -> Octagon | None:
                 atoms.append((c1, index[v1], c2, index[v2], c0))
             else:
                 return None
-    return oct_encode(atoms, 2 * n)
+    if empty and not atoms:
+        return bottom(2 * n)
+    o = oct_encode(atoms, 2 * n)
+    if empty:
+        # keep the other atoms (the update rows) readable and mark the guard
+        # empty: a negative diagonal entry makes every closure bottom
+        o.dbm.rows[0][0] = -1
+    return o
 
 
 def _as_affine(rows, variables: list[str]) -> AffineRel | None:

@@ -1,16 +1,21 @@
 """Exact rational linear arithmetic: terms, systems, LP, and Farkas search.
 
-Everything is computed over ``fractions.Fraction`` -- no floating point.
-The solver is a two-phase primal simplex with Bland's rule, so it always
-terminates.  Strict inequalities are handled symbolically: constants are
-pairs ``a + b*eps`` for an infinitesimal ``eps``, compared lexicographically,
-which makes feasibility of mixed strict/non-strict systems exact.
+There is no floating point.  Terms, models and optima are
+``fractions.Fraction``s.  The solver is a two-phase primal simplex with
+Bland's rule, so it always terminates.  Its tableau keeps each row as
+integers over one positive row denominator, reduced to lowest terms (the
+fraction-free idea of Bareiss elimination), so no ``Fraction`` is built
+inside the pivot loop; the results are still exact rationals.  Strict
+inequalities are handled symbolically: constants are pairs ``a + b*eps``
+for an infinitesimal ``eps``, compared lexicographically, which makes
+feasibility of mixed strict/non-strict systems exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -72,11 +77,7 @@ class LinTerm:
 
     def scale_to_integers(self) -> "LinTerm":
         """Multiply by the positive lcm of denominators."""
-        denoms = [self.const.denominator] + [c.denominator for c in self.coeffs.values()]
-        mult = 1
-        for d in denoms:
-            mult = mult * d // _gcd(mult, d)
-        return mult * self
+        return lcm(self.const.denominator, *(c.denominator for c in self.coeffs.values())) * self
 
     def __add__(self, other):
         if isinstance(other, LinTerm):
@@ -123,12 +124,6 @@ class LinTerm:
         if self.const != 0 or not parts:
             parts.append(str(self.const))
         return " + ".join(parts)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 Row = tuple[LinTerm, str]
@@ -178,7 +173,7 @@ class LinSys:
 
 
 class Eps:
-    """Constant ``a + b*eps`` with eps an infinitesimal; lexicographic order."""
+    """Constant ``a + b*eps`` with eps an infinitesimal."""
 
     __slots__ = ("a", "b")
 
@@ -186,38 +181,8 @@ class Eps:
         self.a = _frac(a)
         self.b = _frac(b)
 
-    def __add__(self, o):
-        return Eps(self.a + o.a, self.b + o.b)
-
     def __sub__(self, o):
         return Eps(self.a - o.a, self.b - o.b)
-
-    def __neg__(self):
-        return Eps(-self.a, -self.b)
-
-    def scale(self, k: Fraction) -> "Eps":
-        return Eps(self.a * k, self.b * k)
-
-    def key(self):
-        return (self.a, self.b)
-
-    def __eq__(self, o):
-        return self.a == o.a and self.b == o.b
-
-    def __lt__(self, o):
-        return self.key() < o.key()
-
-    def __le__(self, o):
-        return self.key() <= o.key()
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self):
-        return f"{self.a}+{self.b}e" if self.b else str(self.a)
-
-
-_EPS0 = Eps(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,97 +190,130 @@ _EPS0 = Eps(0, 0)
 # ---------------------------------------------------------------------------
 
 
+def _int_row(coeffs: Mapping[int, Fraction], a, b) -> tuple[dict[int, int], int, int, int]:
+    """``coeffs`` and the bound ``a + b*eps`` as integers over their least
+    common denominator, which leaves them in lowest terms."""
+    den = lcm(a.denominator, b.denominator, *(v.denominator for v in coeffs.values()))
+    row = {j: v.numerator * (den // v.denominator) for j, v in coeffs.items() if v}
+    return row, den, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+
+
 class _Tableau:
-    """Dense-free primal simplex: rows are sparse column->value dicts."""
+    """Primal simplex over sparse integer rows.
+
+    Row ``i`` stands for ``sum a[i][j]/den[i] * x_j = (ra[i] + rb[i]*eps)/den[i]``
+    with ``den[i] > 0``, kept in lowest terms; the basic column of a row holds
+    ``den[i]``.  Row ``m`` is the objective: its entries are the reduced
+    costs and its right-hand side is ``-objval``.
+    """
 
     def __init__(self, ncols: int, rows_a: list[dict[int, Fraction]], rhs: list[Eps]):
         self.n = ncols
         self.m = len(rows_a)
         # columns: 0..n-1 structural, n..n+m-1 slacks, n+m auxiliary
         self.width = self.n + self.m + 1
-        self.a: list[dict[int, Fraction]] = []
-        for i, row in enumerate(rows_a):
-            full = {j: v for j, v in row.items() if v != 0}
-            full[self.n + i] = Fraction(1)
-            self.a.append(full)
-        self.rhs = list(rhs)
+        rows = [_int_row(row, bound.a, bound.b) for row, bound in zip(rows_a, rhs)]
+        rows.append(({}, 1, 0, 0))  # the objective row
+        self.a, self.den, self.ra, self.rb = map(list, zip(*rows))
+        for i in range(self.m):
+            self.a[i][self.n + i] = self.den[i]
         self.basis = [self.n + i for i in range(self.m)]
-        self.obj: dict[int, Fraction] = {}
-        self.objval = Eps(0, 0)
+
+    def _reduce(self, i: int) -> None:
+        """Divide row ``i`` by the gcd of its entries, rhs and denominator."""
+        den = self.den[i]
+        if den == 1:
+            return
+        g = gcd(den, self.ra[i], self.rb[i], *self.a[i].values())
+        if g != 1:
+            row = self.a[i]
+            for j in row:
+                row[j] //= g
+            self.den[i] = den // g
+            self.ra[i] //= g
+            self.rb[i] //= g
+
+    def _eliminate(self, i: int, r: int, c: int) -> None:
+        """Clear column ``c`` of row ``i`` with row ``r``, whose basic column is ``c``."""
+        row = self.a[i]
+        t = row.pop(c)
+        p = self.den[r]
+        g = gcd(p, t)
+        if g != 1:
+            p //= g
+            t //= g
+        if p != 1:
+            for j in row:
+                row[j] *= p
+            self.den[i] *= p
+            self.ra[i] *= p
+            self.rb[i] *= p
+        for j, v in self.a[r].items():
+            if j == c:
+                continue
+            nv = row.get(j, 0) - t * v
+            if nv:
+                row[j] = nv
+            else:
+                row.pop(j, None)
+        self.ra[i] -= t * self.ra[r]
+        self.rb[i] -= t * self.rb[r]
+        self._reduce(i)
 
     def set_objective(self, coefs: dict[int, Fraction]) -> None:
-        obj = {j: c for j, c in coefs.items() if c != 0}
-        val = Eps(0, 0)
+        row, den, _, _ = _int_row(coefs, 0, 0)
+        m = self.m
+        self.a[m], self.den[m], self.ra[m], self.rb[m] = row, den, 0, 0
         for i, bv in enumerate(self.basis):
-            c = obj.pop(bv, Fraction(0))
-            if c == 0:
-                continue
-            for j, v in self.a[i].items():
-                if j == bv:
-                    continue
-                nv = obj.get(j, Fraction(0)) - c * v
-                if nv:
-                    obj[j] = nv
-                else:
-                    obj.pop(j, None)
-            val = val + self.rhs[i].scale(c)
-        self.obj = obj
-        self.objval = val
+            if bv in row:
+                self._eliminate(m, i, bv)
+
+    @property
+    def objval(self) -> Eps:
+        den = self.den[self.m]
+        return Eps(Fraction(-self.ra[self.m], den), Fraction(-self.rb[self.m], den))
 
     def pivot(self, r: int, c: int) -> None:
         row = self.a[r]
-        piv = row[c]
-        if piv != 1:
-            inv = 1 / piv
-            row = {j: v * inv for j, v in row.items()}
-            self.a[r] = row
-            self.rhs[r] = self.rhs[r].scale(inv)
-        for i in range(self.m):
-            if i == r:
-                continue
-            tgt = self.a[i]
-            f = tgt.get(c)
-            if not f:
-                continue
-            for j, v in row.items():
-                nv = tgt.get(j, Fraction(0)) - f * v
-                if nv:
-                    tgt[j] = nv
-                else:
-                    tgt.pop(j, None)
-            self.rhs[i] = self.rhs[i] - self.rhs[r].scale(f)
-        f = self.obj.get(c)
-        if f:
-            obj = self.obj
-            for j, v in row.items():
-                nv = obj.get(j, Fraction(0)) - f * v
-                if nv:
-                    obj[j] = nv
-                else:
-                    obj.pop(j, None)
-            self.objval = self.objval + self.rhs[r].scale(f)
+        p = row[c]
+        if p < 0:
+            for j in row:
+                row[j] = -row[j]
+            self.ra[r] = -self.ra[r]
+            self.rb[r] = -self.rb[r]
+            p = -p
+        # dividing row r by its pivot value p/den[r] leaves denominator p
+        self.den[r] = p
+        self._reduce(r)
+        for i in range(self.m + 1):
+            if i != r and c in self.a[i]:
+                self._eliminate(i, r, c)
         self.basis[r] = c
 
     def _leave_for(self, c: int) -> int | None:
+        # ratio (ra[i] + rb[i]*eps) / a[i][c]: the row denominators cancel
+        a, ra, rb, basis = self.a, self.ra, self.rb, self.basis
         best = None
-        best_ratio = None
         for i in range(self.m):
-            aic = self.a[i].get(c)
-            if aic and aic > 0:
-                ratio = self.rhs[i].scale(1 / aic)
-                if (
-                    best is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < self.basis[best])
-                ):
-                    best = i
-                    best_ratio = ratio
+            aic = a[i].get(c)
+            if aic is None or aic <= 0:
+                continue
+            if best is None:
+                best, abc = i, aic
+                continue
+            d = ra[i] * abc - ra[best] * aic
+            if d == 0:
+                d = rb[i] * abc - rb[best] * aic
+                if d == 0 and basis[i] < basis[best]:
+                    d = -1
+            if d < 0:
+                best, abc = i, aic
         return best
 
     def maximize(self, allowed_width: int) -> str:
         while True:
             enter = None
-            for j, v in self.obj.items():
+            for j, v in self.a[self.m].items():
                 if j < allowed_width and v > 0 and (enter is None or j < enter):
                     enter = j  # Bland: smallest eligible index
             if enter is None:
@@ -325,11 +323,39 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
-    def solution(self) -> list[Eps]:
-        vals = [Eps(0, 0) for _ in range(self.width)]
-        for i, bv in enumerate(self.basis):
-            vals[bv] = self.rhs[i]
-        return vals
+    def phase1(self) -> bool:
+        """Reach a feasible basis with the auxiliary column; False if empty."""
+        m, ra, rb, den = self.m, self.ra, self.rb, self.den
+        if not any(ra[i] < 0 or (ra[i] == 0 and rb[i] < 0) for i in range(m)):
+            return True
+        aux = self.n + m
+        for i in range(m):
+            self.a[i][aux] = -den[i]
+        self.set_objective({aux: Fraction(-1)})
+        worst = 0
+        for i in range(1, m):
+            d = ra[i] * den[worst] - ra[worst] * den[i]
+            if d < 0 or (d == 0 and rb[i] * den[worst] < rb[worst] * den[i]):
+                worst = i
+        self.pivot(worst, aux)
+        status = self.maximize(self.width)
+        assert status == "optimal"
+        if ra[m] or rb[m]:
+            return False
+        if aux in self.basis:
+            r = self.basis.index(aux)
+            self.pivot(r, min(j for j in self.a[r] if j != aux))
+        for i in range(m + 1):
+            if self.a[i].pop(aux, None) is not None:
+                self._reduce(i)
+        return True
+
+    def solution(self) -> dict[int, Eps]:
+        """Values of the basic columns; every other column is zero."""
+        return {
+            bv: Eps(Fraction(self.ra[i], self.den[i]), Fraction(self.rb[i], self.den[i]))
+            for i, bv in enumerate(self.basis)
+        }
 
 
 def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
@@ -374,27 +400,8 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
 def _solve(sys: LinSys, objective: LinTerm | None, extra_nonneg: Sequence[str] = ()):
     names, cols, col_of, rows_a, rhs = _build(sys, extra_nonneg)
     tab = _Tableau(len(cols), rows_a, rhs)
-    aux = tab.n + tab.m
-    neg = [i for i in range(tab.m) if rhs[i] < _EPS0]
-    if neg:
-        for i in range(tab.m):
-            tab.a[i][aux] = Fraction(-1)
-        tab.set_objective({aux: Fraction(-1)})
-        worst = min(range(tab.m), key=lambda i: tab.rhs[i].key())
-        tab.pivot(worst, aux)
-        status = tab.maximize(tab.width)
-        assert status == "optimal"
-        if not tab.objval.is_zero():
-            return "infeasible", None, None
-        if aux in tab.basis:
-            r = tab.basis.index(aux)
-            for j in sorted(tab.a[r]):
-                if j != aux and tab.a[r][j] != 0:
-                    tab.pivot(r, j)
-                    break
-        for i in range(tab.m):
-            tab.a[i].pop(aux, None)
-        tab.obj.pop(aux, None)
+    if not tab.phase1():
+        return "infeasible", None, None
     coefs: dict[int, Fraction] = {}
     if objective is not None:
         for v, c in objective.coeffs.items():
@@ -405,14 +412,15 @@ def _solve(sys: LinSys, objective: LinTerm | None, extra_nonneg: Sequence[str] =
             if len(idx) == 2:
                 coefs[idx[1]] = coefs.get(idx[1], Fraction(0)) - c
     tab.set_objective(coefs)
-    status = tab.maximize(aux)
+    status = tab.maximize(tab.n + tab.m)
     vals = tab.solution()
+    zero = Eps()
     model: dict[str, Eps] = {}
     for v in names:
         idx = col_of[v]
-        val = vals[idx[0]]
+        val = vals.get(idx[0], zero)
         if len(idx) == 2:
-            val = val - vals[idx[1]]
+            val = val - vals.get(idx[1], zero)
         model[v] = val
     if status == "unbounded":
         return "unbounded", None, model
@@ -433,30 +441,8 @@ class PolyhedronLP:
         names, cols, col_of, rows_a, rhs = _build(sys, extra_nonneg)
         self.col_of = col_of
         self.tab = _Tableau(len(cols), rows_a, rhs)
-        tab = self.tab
-        aux = tab.n + tab.m
-        self.aux = aux
-        self.feasible = True
-        if any(r < _EPS0 for r in rhs):
-            for i in range(tab.m):
-                tab.a[i][aux] = Fraction(-1)
-            tab.set_objective({aux: Fraction(-1)})
-            worst = min(range(tab.m), key=lambda i: tab.rhs[i].key())
-            tab.pivot(worst, aux)
-            status = tab.maximize(tab.width)
-            assert status == "optimal"
-            if not tab.objval.is_zero():
-                self.feasible = False
-                return
-            if aux in tab.basis:
-                r = tab.basis.index(aux)
-                for j in sorted(tab.a[r]):
-                    if j != aux and tab.a[r][j] != 0:
-                        tab.pivot(r, j)
-                        break
-            for i in range(tab.m):
-                tab.a[i].pop(aux, None)
-            tab.obj.pop(aux, None)
+        self.aux = self.tab.n + self.tab.m
+        self.feasible = self.tab.phase1()
 
     def sup(self, obj: LinTerm):
         if not self.feasible:

@@ -994,10 +994,6 @@ def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, 
     return out, exact
 
 
-def _wnt_of_octagon_member(o: Octagon, n: int) -> Octagon:
-    return oct_wnt(o, n).set
-
-
 @dataclass
 class PrecondResult:
     program: Program
@@ -1078,7 +1074,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             method = "single-cycle"
             kind, payload = single
             if kind == "octagon":
-                w = _wnt_of_octagon_member(payload, n)
+                w = oct_wnt(payload, n).set
                 for c in _set_to_conjs(w, variables):
                     w_dnf.add(c)
             else:
@@ -1104,7 +1100,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 o = _hull_member(m)
                 if o.is_bottom:
                     continue
-                w = _wnt_of_octagon_member(o, n)
+                w = oct_wnt(o, n).set
                 for c in _set_to_conjs(w, variables):
                     w_dnf.add(c)
         members_star, ex2 = transitive_relation(p, p.init, q, budgets)
@@ -1168,6 +1164,3 @@ def eliminate_params(u: ParamOctUnion, variables) -> Dnf:
             for conj in eliminate_all(m.conj, list(m.params), nonneg=list(m.params)):
                 out.add(conj)
     return out
-
-
-eliminate_params_union = eliminate_params

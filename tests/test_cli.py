@@ -107,6 +107,16 @@ def test_affine_commands(capsys):
     code, out, _ = run(capsys, "--format", "json", "affine", "terminate", loop)
     assert code == 0
     assert json.loads(out)["sufficient_termination"] == [{"atoms": [], "divisibility": []}]
+    # a constant-false row empties the guard the same way
+    loop = "x' == -x && 1 <= 0"
+    code, out, _ = run(capsys, "affine", "check", loop)
+    assert code == 0 and "finite monoid: yes" in out and "polynomially bounded: yes" in out
+    code, out, _ = run(capsys, "affine", "wnt", loop)
+    assert code == 0 and out == "false"
+    code, out, _ = run(capsys, "rel", "wnt", loop)
+    assert code == 0 and out == "false"
+    code, out, _ = run(capsys, "affine", "terminate", loop)
+    assert code == 0 and out == "true"
 
 
 def test_startup_does_not_import_numpy():

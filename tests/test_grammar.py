@@ -60,6 +60,12 @@ def test_true_false_literals():
     assert not tight_close(ds[0].relation).is_bottom
     ds = parse_formula("false", ["x"])
     assert ds[0].relation.is_bottom
+    # a constant-false row keeps the other atoms, in either order
+    for text in ("x' == -x && 1 <= 0", "1 <= 0 && x' == -x"):
+        o = parse_formula(text, ["x"])[0].relation
+        assert not o.is_bottom and tight_close(o).is_bottom
+    for text in ("x' == 2*x && 1 <= 0", "1 <= 0 && x' == 2*x"):
+        assert isinstance(parse_formula(text, ["x"])[0], AffLabel)
 
 
 def test_strict_and_reversed_ops():

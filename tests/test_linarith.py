@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from octoterm import linarith
 from octoterm.linarith import (
     EQ,
     LE,
@@ -145,3 +147,373 @@ def test_farkas_template_no_witness():
         TemplateRow({"v": LinTerm({"a": -1})}, LinTerm({"h": 1})),
     ]
     assert farkas_template(sys, rows) is None
+
+
+# ---------------------------------------------------------------------------
+# the integer-row tableau against the Fraction tableau it replaced
+# ---------------------------------------------------------------------------
+
+
+class _RefEps:
+    """``a + b*eps`` over Fractions, as the Fraction tableau kept it."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def __add__(self, o):
+        return _RefEps(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return _RefEps(self.a - o.a, self.b - o.b)
+
+    def scale(self, k):
+        return _RefEps(self.a * k, self.b * k)
+
+    def key(self):
+        return (self.a, self.b)
+
+    def __eq__(self, o):
+        return self.a == o.a and self.b == o.b
+
+    def __lt__(self, o):
+        return self.key() < o.key()
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+
+class _RefTableau:
+    """The Fraction tableau: every entry a Fraction, pivot rows divided out."""
+
+    def __init__(self, ncols, rows_a, rhs):
+        self.n = ncols
+        self.m = len(rows_a)
+        self.width = self.n + self.m + 1
+        self.a = []
+        for i, row in enumerate(rows_a):
+            full = {j: v for j, v in row.items() if v != 0}
+            full[self.n + i] = Fraction(1)
+            self.a.append(full)
+        self.rhs = [_RefEps(r.a, r.b) for r in rhs]
+        self.basis = [self.n + i for i in range(self.m)]
+        self.obj = {}
+        self.objval = _RefEps(0, 0)
+        self.log = []
+
+    def set_objective(self, coefs):
+        obj = {j: c for j, c in coefs.items() if c != 0}
+        val = _RefEps(0, 0)
+        for i, bv in enumerate(self.basis):
+            c = obj.pop(bv, Fraction(0))
+            if c == 0:
+                continue
+            for j, v in self.a[i].items():
+                if j == bv:
+                    continue
+                nv = obj.get(j, Fraction(0)) - c * v
+                if nv:
+                    obj[j] = nv
+                else:
+                    obj.pop(j, None)
+            val = val + self.rhs[i].scale(c)
+        self.obj = obj
+        self.objval = val
+
+    def pivot(self, r, c):
+        self.log.append((r, c))
+        row = self.a[r]
+        piv = row[c]
+        if piv != 1:
+            inv = 1 / piv
+            row = {j: v * inv for j, v in row.items()}
+            self.a[r] = row
+            self.rhs[r] = self.rhs[r].scale(inv)
+        for i in range(self.m):
+            if i == r:
+                continue
+            tgt = self.a[i]
+            f = tgt.get(c)
+            if not f:
+                continue
+            for j, v in row.items():
+                nv = tgt.get(j, Fraction(0)) - f * v
+                if nv:
+                    tgt[j] = nv
+                else:
+                    tgt.pop(j, None)
+            self.rhs[i] = self.rhs[i] - self.rhs[r].scale(f)
+        f = self.obj.get(c)
+        if f:
+            obj = self.obj
+            for j, v in row.items():
+                nv = obj.get(j, Fraction(0)) - f * v
+                if nv:
+                    obj[j] = nv
+                else:
+                    obj.pop(j, None)
+            self.objval = self.objval + self.rhs[r].scale(f)
+        self.basis[r] = c
+
+    def _leave_for(self, c):
+        best = None
+        best_ratio = None
+        for i in range(self.m):
+            aic = self.a[i].get(c)
+            if aic and aic > 0:
+                ratio = self.rhs[i].scale(1 / aic)
+                if (
+                    best is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and self.basis[i] < self.basis[best])
+                ):
+                    best = i
+                    best_ratio = ratio
+        return best
+
+    def maximize(self, allowed_width):
+        while True:
+            enter = None
+            for j, v in self.obj.items():
+                if j < allowed_width and v > 0 and (enter is None or j < enter):
+                    enter = j
+            if enter is None:
+                return "optimal"
+            leave = self._leave_for(enter)
+            if leave is None:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def phase1(self):
+        aux = self.n + self.m
+        if not any(r < _RefEps(0, 0) for r in self.rhs):
+            return True
+        for i in range(self.m):
+            self.a[i][aux] = Fraction(-1)
+        self.set_objective({aux: Fraction(-1)})
+        worst = min(range(self.m), key=lambda i: self.rhs[i].key())
+        self.pivot(worst, aux)
+        status = self.maximize(self.width)
+        assert status == "optimal"
+        if not self.objval.is_zero():
+            return False
+        if aux in self.basis:
+            r = self.basis.index(aux)
+            for j in sorted(self.a[r]):
+                if j != aux and self.a[r][j] != 0:
+                    self.pivot(r, j)
+                    break
+        for i in range(self.m):
+            self.a[i].pop(aux, None)
+        self.obj.pop(aux, None)
+        return True
+
+    def solution(self):
+        return {bv: self.rhs[i] for i, bv in enumerate(self.basis)}
+
+
+class _LoggedTableau(linarith._Tableau):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def pivot(self, r, c):
+        self.log.append((r, c))
+        assert len(self.log) < 1000, "Bland's rule cycles"
+        super().pivot(r, c)
+
+
+def _objective_columns(col_of, obj):
+    coefs = {}
+    for v, c in obj.coeffs.items():
+        idx = col_of[v]
+        coefs[idx[0]] = coefs.get(idx[0], Fraction(0)) + c
+        if len(idx) == 2:
+            coefs[idx[1]] = coefs.get(idx[1], Fraction(0)) - c
+    return coefs
+
+
+def _run(cls, sys, objectives, nonneg=()):
+    """Phase 1, then each objective in turn on one warm tableau.
+
+    Returns the pivot log, the feasibility verdict and, per objective, the
+    status, the optimum, the values of the basic columns and the basis.
+    """
+    _, cols, col_of, rows_a, rhs = linarith._build(sys, nonneg)
+    tab = cls(len(cols), rows_a, rhs)
+    feasible = tab.phase1()
+    results = []
+    if feasible:
+        for obj in objectives:
+            tab.set_objective(_objective_columns(col_of, obj))
+            status = tab.maximize(tab.n + tab.m)
+            vals = {j: (e.a, e.b) for j, e in tab.solution().items()}
+            results.append((status, (tab.objval.a, tab.objval.b), vals, list(tab.basis)))
+    return tab.log, feasible, results
+
+
+def _rand_coef(rng, kind):
+    if kind == "frac":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    if kind == "big" and rng.random() < 0.3:
+        return rng.choice((-1, 1)) * rng.randint(2**62, 2**64)
+    return rng.randint(-3, 3)
+
+
+def _rand_system(rng, kind):
+    names = ["x", "y", "z", "w"][: rng.randint(1, 4)]
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        coeffs = {v: _rand_coef(rng, kind) for v in names if rng.random() < 0.8}
+        const = 0 if kind == "degenerate" and rng.random() < 0.7 else _rand_coef(rng, kind)
+        rows.append((LinTerm(coeffs, const), rng.choice((LE, LE, LT, EQ))))
+    return LinSys(rows, names)
+
+
+def _rand_objective(rng, names, kind):
+    return LinTerm({v: _rand_coef(rng, kind) for v in names if rng.random() < 0.7},
+                   _rand_coef(rng, kind))
+
+
+@pytest.mark.parametrize("kind", ["small", "frac", "big", "degenerate"])
+def test_integer_tableau_pivots_like_fraction_tableau(kind):
+    rng = random.Random(kind)
+    seen_feasible = seen_infeasible = 0
+    for _ in range(150):
+        sys = _rand_system(rng, kind)
+        objectives = [_rand_objective(rng, sys.variables, kind) for _ in range(3)]
+        nonneg = [v for v in sys.variables if rng.random() < 0.3]
+        ref = _run(_RefTableau, sys, objectives, nonneg)
+        new = _run(_LoggedTableau, sys, objectives, nonneg)
+        assert new == ref, sys
+        seen_feasible += ref[1]
+        seen_infeasible += not ref[1]
+    assert seen_feasible > 20 and seen_infeasible > 10
+
+
+def _ref_lp_feasible(sys, nonneg=()):
+    names, cols, col_of, rows_a, rhs = linarith._build(sys, nonneg)
+    tab = _RefTableau(len(cols), rows_a, rhs)
+    if not tab.phase1():
+        return Infeasible()
+    tab.set_objective({})
+    tab.maximize(tab.n + tab.m)
+    vals = tab.solution()
+    zero = _RefEps()
+    model = {}
+    for v in names:
+        idx = col_of[v]
+        val = vals.get(idx[0], zero)
+        if len(idx) == 2:
+            val = val - vals.get(idx[1], zero)
+        model[v] = val
+    return Feasible(linarith._materialize(model, sys))
+
+
+@pytest.fixture
+def capped(monkeypatch):
+    """Run the public entry points on the logged tableau, so cycling fails."""
+    monkeypatch.setattr(linarith, "_Tableau", _LoggedTableau)
+    return monkeypatch
+
+
+def test_lp_feasible_and_sup_match_fraction_tableau(capped):
+    rng = random.Random(11)
+    for kind in ("small", "frac", "big", "degenerate"):
+        for _ in range(60):
+            sys = _rand_system(rng, kind)
+            assert lp_feasible(sys) == _ref_lp_feasible(sys), sys
+            obj = _rand_objective(rng, sys.variables, kind)
+            _, feasible, results = _run(_RefTableau, sys, [obj])
+            res = lp_sup(sys, obj)
+            if not feasible:
+                assert isinstance(res, Infeasible)
+            elif results[0][0] == "unbounded":
+                assert isinstance(res, Unbounded)
+            else:
+                assert res == Value(results[0][1][0] + obj.const)
+
+
+def test_polyhedron_sup_sequence_matches_fraction_tableau(capped):
+    rng = random.Random(12)
+    for kind in ("small", "frac", "big", "degenerate"):
+        for _ in range(40):
+            sys = _rand_system(rng, kind)
+            objectives = [_rand_objective(rng, sys.variables, kind) for _ in range(6)]
+            _, feasible, results = _run(_RefTableau, sys, objectives)
+            poly = PolyhedronLP(sys)
+            assert poly.feasible == feasible
+            for obj, ref in zip(objectives, results):
+                res = poly.sup(obj)
+                if ref[0] == "unbounded":
+                    assert isinstance(res, Unbounded)
+                else:
+                    assert res == Value(ref[1][0] + obj.const)
+
+
+def test_farkas_template_matches_fraction_tableau(capped):
+    # linear ranking templates f(v) = sum a_v * v on random transitions
+    rng = random.Random(13)
+    cases = []
+    for _ in range(80):
+        names = ["v", "w"][: rng.randint(1, 2)]
+        primed = [v + "'" for v in names]
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            t = LinTerm({v: rng.randint(-2, 2) for v in names + primed}, rng.randint(-3, 3))
+            rows.append((t, rng.choice((LE, LE, EQ))))
+        sys = LinSys(rows, names + primed)
+        decrease = {v: LinTerm({"a_" + v: -1}) for v in names}
+        decrease.update({v + "'": LinTerm({"a_" + v: 1}) for v in names})
+        bounded = {v: LinTerm({"a_" + v: -1}) for v in names}
+        trows = [TemplateRow(decrease, LinTerm({}, Fraction(rng.randint(1, 3), 2))),
+                 TemplateRow(bounded, LinTerm({"h": 1}))]
+        cases.append((sys, trows))
+    ours = [farkas_template(s, t) for s, t in cases]
+    capped.setattr(linarith, "lp_feasible", _ref_lp_feasible)
+    ref = [farkas_template(s, t) for s, t in cases]
+    assert ours == ref
+    assert sum(w is not None for w in ours) > 10 and sum(w is None for w in ours) > 10
+
+
+def _assert_rows_reduced(tab):
+    """Integer entries over a positive denominator, in lowest terms, with
+    the denominator in the basic column."""
+    for i, row in enumerate(tab.a):
+        den = tab.den[i]
+        entries = [den, tab.ra[i], tab.rb[i], *row.values()]
+        assert all(type(v) is int for v in entries), (i, entries)
+        assert den > 0 and 0 not in row.values(), (i, entries)
+        assert math.gcd(*entries) == 1, (i, entries)
+        if i < tab.m:
+            assert row[tab.basis[i]] == den, (i, row, den)
+
+
+class _CheckedTableau(_LoggedTableau):
+    def pivot(self, r, c):
+        super().pivot(r, c)
+        _assert_rows_reduced(self)
+
+
+def test_tableau_rows_stay_integer_and_reduced(capped):
+    capped.setattr(linarith, "_Tableau", _CheckedTableau)
+    half = Fraction(1, 2)
+    sys = LinSys([
+        (LinTerm({"x": half, "y": Fraction(-1, 3)}, -1), LE),
+        (LinTerm({"x": -1, "y": Fraction(2, 5)}, Fraction(1, 7)), LT),
+        (LinTerm({"x": Fraction(3, 4), "y": 1, "z": -1}, -2), EQ),
+        (LinTerm({"y": -3, "z": Fraction(5, 6)}, 1), LT),
+        (LinTerm({"z": -1}, Fraction(-1, 3)), LE),
+    ])
+    poly = PolyhedronLP(sys)
+    assert poly.feasible
+    sups = [poly.sup(LinTerm({"x": 1, "z": half})), poly.sup(LinTerm({"y": -1})),
+            poly.sup(LinTerm({"z": Fraction(-2, 3), "x": -1}))]
+    assert any(isinstance(s, Value) for s in sups)
+    assert any(bv < poly.tab.n for bv in poly.tab.basis)  # structural columns pivoted in
+    _assert_rows_reduced(poly.tab)
+    rng = random.Random(14)
+    for _ in range(40):
+        lp_feasible(_rand_system(rng, "frac"))
