@@ -478,7 +478,7 @@ def cmd_prog(args) -> int:
         for st, method, w in res.per_state:
             text_lines.append(f"  state {st} ({method}): {render_dnf_text(w)}")
         _emit(args, payload, "\n".join(text_lines))
-        return EXIT_OK if res.exact or res.flat or True else EXIT_BUDGET
+        return EXIT_BUDGET if res.budget_exhausted else EXIT_OK
     raise AssertionError(args.subcommand)
 
 

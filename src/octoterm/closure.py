@@ -96,7 +96,6 @@ class ParamOct:
     """
 
     n_program_vars: int
-    param: str
     base: Dbm
     rate: Dbm
 
@@ -116,14 +115,6 @@ class ParamOctUnion:
     members: list
     reflexive: bool = False
     exact: bool = True
-
-
-_param_counter = [0]
-
-
-def _fresh_param() -> str:
-    _param_counter[0] += 1
-    return f"k{_param_counter[0]}"
 
 
 class _PowerCache:
@@ -620,7 +611,5 @@ def reflexive_transitive_closure(
         members.append(power)
         power = oct_compose(power, rel, N)
     for i in range(res.c):
-        members.append(
-            ParamOct(N, _fresh_param(), res.bases[i], res.rates[i])
-        )
+        members.append(ParamOct(N, res.bases[i], res.rates[i]))
     return ParamOctUnion(N, members, reflexive=True, exact=True)

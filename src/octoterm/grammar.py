@@ -5,8 +5,10 @@ Formulas are boolean combinations (&&, ||, parentheses) of linear atoms
     <expr> <= <expr> | < | >= | > | == | !=
 
 over integer variables; ``x'`` is the primed copy of ``x`` and ``id(a, b)``
-abbreviates ``a' == a && b' == b``.  Strict comparisons and ``!=`` are
-normalized away over the integers at parse time.  A program file is
+abbreviates ``a' == a && b' == b``.  Variable names may not start with
+``_``, which the analyses reserve for their own names.  Strict
+comparisons and ``!=`` are normalized away over the integers at parse
+time.  A program file is
 
     vars x, y;
     init l1;
@@ -144,9 +146,9 @@ class _Parser:
         self.take("(")
         rows = []
         while True:
-            name = self.take(kind="name").text
-            if name not in self.vars:
-                raise ParseError(f"unknown variable {name!r}")
+            tok = self.take(kind="name")
+            name = tok.text
+            self._check_var(name, tok)
             rows.append((LinTerm({name + "'": 1, name: -1}), EQ))
             if self.at_op(","):
                 self.take(",")
@@ -237,8 +239,18 @@ class _Parser:
 
     def _check_var(self, name: str, tok: _Tok) -> None:
         base = name[:-1] if name.endswith("'") else name
+        _check_reserved(base, tok)
         if base not in self.vars:
             raise ParseError(f"undeclared variable {base!r}", tok.line, tok.col)
+
+
+def _check_reserved(name: str, tok: _Tok) -> None:
+    """Names starting with '_' are the analyses' own (parameters _p0, _p1,
+    ..., midpoints, split variables); a program variable may not take one."""
+    if name.startswith("_"):
+        raise ParseError(
+            f"variable {name!r} starts with '_', which is reserved", tok.line, tok.col
+        )
 
 
 def _dnf(node) -> list[list[tuple[LinTerm, str]]]:
@@ -444,11 +456,16 @@ def parse_program_text(text: str) -> ProgramText:
         i += 1
         return t
 
+    def declare() -> str:
+        t = take(kind="name")
+        _check_reserved(t.text, t)
+        return t.text
+
     take("vars")
-    variables = [take(kind="name").text]
+    variables = [declare()]
     while toks[i].text == ",":
         take(",")
-        variables.append(take(kind="name").text)
+        variables.append(declare())
     take(";")
     take("init")
     init = take(kind="name").text

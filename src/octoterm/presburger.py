@@ -26,14 +26,6 @@ from .linarith import (
     lp_feasible,
 )
 
-_fresh_counter = [0]
-
-
-def _fresh(prefix: str) -> str:
-    _fresh_counter[0] += 1
-    return f"_{prefix}{_fresh_counter[0]}"
-
-
 def _int_term(t: LinTerm) -> LinTerm:
     """Scale a row term to integer coefficients (positive multiplier)."""
     t = t.scale_to_integers()
@@ -337,6 +329,9 @@ class Dnf:
     def eval(self, valuation: Mapping[str, int]) -> bool:
         return any(c.eval(valuation) for c in self.conjs)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dnf) and self.conjs == other.conjs
+
     @property
     def is_false(self) -> bool:
         return not self.conjs
@@ -492,7 +487,9 @@ def _ielim(rows: list[IRow], divs: list[IDiv], v: str, depth: int = 0):
     if div_mods:
         m = lcm(*div_mods)
         out = []
-        w = _fresh("q")
+        # v = m*w + r; the calls below eliminate w before they return, so
+        # one name per depth never meets another split's variable
+        w = f"_q{depth}"
         for r in range(m):
             srows, sdivs = _isubst(rows, divs, v, {w: m}, r)
             out.extend(_ielim(srows, sdivs, w, depth + 1))

@@ -9,7 +9,9 @@ a single octagonal-hull closure only when the budget is exhausted.
 
 All summary members are kept as linear-row systems over the program
 variables, their primed copies, and nonnegative integer parameters (one
-per accelerated loop on the path), plus divisibility atoms.  Tight
+per accelerated loop on the path), plus divisibility atoms.  The
+parameters are named ``_p0, _p1, ...`` by position, so equal relations are
+equal members and the memo tables below serve every later call.  Tight
 octagons are integer-hull exact, so composing members by exact integer
 elimination of the midpoint variables loses nothing.
 
@@ -22,6 +24,7 @@ through the reflexive-transitive summary from the initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .affine import AffineRel, Matrix, is_finite_monoid, mat_mul, mat_pow, mat_vec, power_cycle, trajectory_offsets
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
@@ -45,18 +48,16 @@ from .octagon import (
 from .presburger import Conj, Dnf, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
-_mid_counter = [0]
-_param_counter = [0]
+# Entries per memo table.  One round of the `programs` benchmark fills at
+# most about 440 (member_subsumed), so a round evicts nothing while a
+# long-lived process stays bounded.
+_MEMO = 1024
 
 
-def _fresh_mid(v: str) -> str:
-    _mid_counter[0] += 1
-    return f"_m{_mid_counter[0]}_{v}"
-
-
-def _fresh_param() -> str:
-    _param_counter[0] += 1
-    return f"_p{_param_counter[0]}"
+def _param_names(n: int) -> tuple[str, ...]:
+    """Canonical parameter names: a member's params are ``_p0 .. _p{n-1}``,
+    so equal relations are equal members whatever the call history."""
+    return tuple(f"_p{i}" for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -72,29 +73,20 @@ class LinRel:
     conj: Conj
     params: tuple[str, ...] = ()
 
-    def is_identity(self) -> bool:
-        return self == identity_member(self.variables)
-
-    def pre_names(self) -> list[str]:
-        return list(self.variables)
-
-    def post_names(self) -> list[str]:
-        return [v + "'" for v in self.variables]
-
     def rationally_feasible(self) -> bool:
         rows = list(self.conj.rows) + [
             (LinTerm({p: -1}), LE) for p in self.params
         ]
         return isinstance(lp_feasible(LinSys(rows)), Feasible)
 
-    def eval(self, pre, post) -> bool:
-        """Membership with explicit parameter search is the caller's job;
-        only valid for parameter-free members."""
-        if self.params:
-            raise ValueError("parametric member needs parameter elimination")
-        val = {v: a for v, a in zip(self.variables, pre)}
-        val.update({v + "'": a for v, a in zip(self.variables, post)})
-        return self.conj.eval(val)
+
+def _canonical(variables, conj: Conj, params) -> LinRel:
+    """The member over the params that conj uses, renamed to positions."""
+    used = [p for p in params if p in conj.variables()]
+    names = _param_names(len(used))
+    if used != list(names):
+        conj = conj.subst({p: LinTerm({q: 1}) for p, q in zip(used, names)})
+    return LinRel(tuple(variables), conj, names)
 
 
 def identity_member(variables: tuple[str, ...]) -> LinRel:
@@ -119,7 +111,6 @@ def member_from_param_oct(po: ParamOct, variables: tuple[str, ...]) -> LinRel:
     from .pdbm import ParamTerm
 
     names = list(variables) + [v + "'" for v in variables]
-    k = _fresh_param()
     dim = po.base.dim
     entries = []
     for p in range(dim):
@@ -132,7 +123,7 @@ def member_from_param_oct(po: ParamOct, variables: tuple[str, ...]) -> LinRel:
                 r = po.rate.rows[p][q]
                 row.append((ParamTerm((r,), b),))
         entries.append(row)
-    m = _member_from_entries(entries, [k], variables, names)
+    m = _member_from_entries(entries, 1, variables, names)
     assert m is not None
     return m
 
@@ -149,97 +140,60 @@ def member_from_affine_step(a: AffineRel, variables: tuple[str, ...]) -> LinRel 
     return None if conj is None else LinRel(variables, conj)
 
 
-_subsume_cache: dict = {}
-_cases_cache: dict = {}
-
-
+@lru_cache(maxsize=_MEMO)
 def member_cases(m: LinRel) -> tuple[Conj, ...]:
-    """Parameter-free cases of the member (exact elimination, cached)."""
-    hit = _cases_cache.get(m)
-    if hit is None:
-        if not m.params:
-            hit = (m.conj,)
-        else:
-            dnf = eliminate_all(m.conj, list(m.params), nonneg=list(m.params))
-            hit = tuple(dnf)
-        _cases_cache[m] = hit
-    return hit
+    """Parameter-free cases of the member (exact elimination)."""
+    if not m.params:
+        return (m.conj,)
+    return tuple(eliminate_all(m.conj, list(m.params), nonneg=list(m.params)))
 
 
+@lru_cache(maxsize=_MEMO)
 def member_subsumed(a: LinRel, b: LinRel) -> bool:
     """Sound check that a's relation is contained in b's."""
-    key = (a, b)
-    hit = _subsume_cache.get(key)
-    if hit is None:
-        if not a.params and not b.params:
-            hit = conj_implies(a.conj, b.conj)
-        else:
-            cb = member_cases(b)
-            hit = all(
-                any(conj_implies(ca, c) for c in cb) for ca in member_cases(a)
-            )
-        _subsume_cache[key] = hit
-    return hit
+    if not a.params and not b.params:
+        return conj_implies(a.conj, b.conj)
+    cb = member_cases(b)
+    return all(any(conj_implies(ca, c) for c in cb) for ca in member_cases(a))
 
 
-_compose_cache: dict = {}
-_norm_cache: dict = {}
-
-
-def _normalize_member(m: LinRel) -> list[LinRel]:
+@lru_cache(maxsize=_MEMO)
+def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
     """Trade the parametric form for parameter-free cases when every case
     is octagonal: those compose and compare through the DBM fast paths.
     Members whose projection leaves the octagonal fragment (coupled loop
     counters) stay parametric."""
     if not m.params:
-        return [m]
-    hit = _norm_cache.get(m)
-    if hit is not None:
-        return hit
+        return (m,)
     outs = []
     for c in member_cases(m):
         lr = LinRel(m.variables, c)
         _, exact = member_to_octagon(lr, exact_only=True)
         if not exact:
-            outs = [m]
-            break
+            return (m,)
         outs.append(lr)
-    _norm_cache[m] = outs
-    return outs
+    return tuple(outs)
 
 
-def compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
-    """Exact relational composition; a list because integer elimination of
-    the midpoint variables may split into finitely many cases."""
-    key = (a, b)
-    hit = _compose_cache.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=_MEMO)
+def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
+    """Exact relational composition; several members because integer
+    elimination of the midpoint variables may split into finitely many
+    cases."""
     out = _compose_param_oct(a, b)
     if out is None:
         out = _compose_members(a, b)
-    out = [n for m in out for n in _normalize_member(m)]
-    _compose_cache[key] = out
-    return out
+    return tuple(n for m in out for n in _normalize_member(m))
 
 
 # -- parametric-octagonal composition via the parametric closure ------------
 
 
-_matrix_cache: dict = {}
-
-
+@lru_cache(maxsize=_MEMO)
 def _member_param_matrix(m: LinRel):
-    """Dual 4N matrix of ParamTerm tuples when every row is octagonal with
-    parameters only in the bounds; None otherwise.  Cached per member."""
-    if m in _matrix_cache:
-        return _matrix_cache[m]
-    res = _build_param_matrix(m)
-    _matrix_cache[m] = res
-    return res
-
-
-def _build_param_matrix(m: LinRel):
+    """Dual 4N matrix of ParamTerm tuples, one rate per parameter of m,
+    when every row is octagonal with parameters only in the bounds; None
+    otherwise."""
     from .pdbm import ParamTerm, min_terms
 
     if m.conj.divs:
@@ -247,9 +201,8 @@ def _build_param_matrix(m: LinRel):
     variables = m.variables
     names = list(variables) + [v + "'" for v in variables]
     index = {v: i for i, v in enumerate(names)}
-    params = list(m.params)
-    pidx = {p: i for i, p in enumerate(params)}
-    np_ = len(params)
+    pidx = {p: i for i, p in enumerate(m.params)}
+    np_ = len(m.params)
     dim = 2 * len(names)
     cells: list[list[list]] = [[[] for _ in range(dim)] for _ in range(dim)]
 
@@ -301,8 +254,8 @@ def _build_param_matrix(m: LinRel):
             if p == q:
                 terms.append(zero)
             row.append(min_terms(terms))
-        entries.append(row)
-    return tuple(params), entries
+        entries.append(tuple(row))
+    return tuple(entries)  # shared by every caller of the memo
 
 
 def _tighten_param_entries(entries, nparams: int, dim: int):
@@ -368,34 +321,21 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     """Composition through the parametric closure; None when not eligible."""
     from .pdbm import ExtParamDbm, ParamTerm, min_terms, param_fw
 
-    ma = _member_param_matrix(a)
-    if ma is None:
+    ea = _member_param_matrix(a)
+    if ea is None:
         return None
-    mb = _member_param_matrix(b)
-    if mb is None:
+    eb = _member_param_matrix(b)
+    if eb is None:
         return None
-    params_a, ea = ma
-    params_b, eb = mb
-    rename = {}
-    params = list(params_a)
-    for p in params_b:
-        if p in params:
-            rename[p] = _fresh_param()
-            params.append(rename[p])
-        else:
-            params.append(p)
-    np_ = len(params)
-    na = len(params_a)
+    # a's parameters first, then b's: positions keep them apart
+    na, nb = len(a.params), len(b.params)
+    np_ = na + nb
 
     def lift_a(t: ParamTerm) -> ParamTerm:
-        return ParamTerm(tuple(t.rates) + (0,) * (np_ - na), t.const)
+        return ParamTerm(tuple(t.rates) + (0,) * nb, t.const)
 
     def lift_b(t: ParamTerm) -> ParamTerm:
-        rates = [0] * np_
-        for i, p in enumerate(params_b):
-            name = rename.get(p, p)
-            rates[params.index(name)] = t.rates[i]
-        return ParamTerm(tuple(rates), t.const)
+        return ParamTerm((0,) * na + tuple(t.rates), t.const)
 
     # dual matrix dim is 4N over (x, x'); the unprimed block is 2N wide
     blk = 2 * len(a.variables)
@@ -426,18 +366,19 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     names = list(variables) + [v + "'" for v in variables]
     for _, entries in cases:
         erased = [[entries[p][q] for q in keep] for p in keep]
-        mem = _member_from_entries(erased, params, variables, names)
+        mem = _member_from_entries(erased, np_, variables, names)
         if mem is not None and mem.rationally_feasible():
             out.append(mem)
     return out
 
 
-def _member_from_entries(entries, params, variables, names) -> LinRel | None:
+def _member_from_entries(entries, nparams, variables, names) -> LinRel | None:
     """Member rows from a closed tight parametric dual matrix (reduced)."""
     from .pdbm import reduce_closed_entries
 
     dim = len(entries)
-    entries = reduce_closed_entries(entries, dim, len(params))
+    params = _param_names(nparams)
+    entries = reduce_closed_entries(entries, dim, nparams)
     rows = []
     for p in range(dim):
         for q in range(dim):
@@ -456,10 +397,7 @@ def _member_from_entries(entries, params, variables, names) -> LinRel | None:
                     continue
                 rows.append((row, LE))
     conj = Conj.make(rows)
-    if conj is None:
-        return None
-    used = tuple(p for p in params if p in conj.variables())
-    return LinRel(tuple(variables), conj, used)
+    return None if conj is None else _canonical(variables, conj, params)
 
 
 def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
@@ -474,43 +412,28 @@ def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
                 composed = oct_compose(oa, ob, len(variables))
                 m = member_from_octagon(composed, variables)
                 return [] if m is None else [m]
-    mids = {v: _fresh_mid(v) for v in variables}
+    # the midpoints are eliminated below, so their names never leave here
+    mids = {v: f"_m_{v}" for v in variables}
     sub_a = {v + "'": LinTerm({mids[v]: 1}) for v in variables}
     sub_b = {v: LinTerm({mids[v]: 1}) for v in variables}
     ca = a.conj.subst(sub_a)
-    # rename b params on collision
-    b_params = []
-    sub_bp = dict(sub_b)
-    for p in b.params:
-        if p in a.params:
-            np_ = _fresh_param()
-            sub_bp[p] = LinTerm({np_: 1})
-            b_params.append(np_)
-        else:
-            b_params.append(p)
-    cb = b.conj.subst(sub_bp)
+    # b's parameters follow a's: _p<i> becomes _p<len(a.params) + i>
+    params = _param_names(len(a.params) + len(b.params))
+    shifted = params[len(a.params):]
+    sub_b.update({p: LinTerm({q: 1}) for p, q in zip(b.params, shifted)})
+    cb = b.conj.subst(sub_b)
     if ca is None or cb is None:
         return []
     merged = Conj.make(ca.rows + cb.rows, ca.divs + cb.divs)
     if merged is None:
         return []
     dnf = eliminate_all(merged, list(mids.values()))
-    params = tuple(a.params) + tuple(b_params)
     out = []
     for conj in dnf:
-        used = tuple(p for p in params if p in conj.variables())
-        m = LinRel(variables, conj, used)
+        m = _canonical(variables, conj, params)
         if m.rationally_feasible():
             out.append(m)
     return out
-
-
-def eliminate_member_params(m: LinRel) -> list[LinRel]:
-    """Replace a parametric member by parameter-free cases when exact."""
-    if not m.params:
-        return [m]
-    dnf = eliminate_all(m.conj, list(m.params), nonneg=list(m.params))
-    return [LinRel(m.variables, c) for c in dnf]
 
 
 def member_to_octagon(m: LinRel, exact_only: bool = False) -> tuple[Octagon, bool]:
@@ -580,9 +503,6 @@ def _hull_member(m: LinRel) -> Octagon:
 # ---------------------------------------------------------------------------
 
 
-Label = list  # list of OctLabel | AffLabel disjuncts
-
-
 @dataclass(frozen=True)
 class Transition:
     source: str
@@ -615,7 +535,8 @@ def parse_program(text: str) -> Program:
     return Program(variables, tuple(states), init, tuple(transitions))
 
 
-def _label_members(label, variables) -> list[LinRel]:
+@lru_cache(maxsize=_MEMO)
+def _label_members(label: tuple, variables: tuple[str, ...]) -> tuple[LinRel, ...]:
     out = []
     for d in label:
         if isinstance(d, OctLabel):
@@ -624,7 +545,7 @@ def _label_members(label, variables) -> list[LinRel]:
             m = member_from_affine_step(d.relation, variables)
         if m is not None and m.rationally_feasible():
             out.append(m)
-    return out
+    return tuple(out)
 
 
 # -- elementary cycles -------------------------------------------------------
@@ -776,9 +697,9 @@ def _affine_closure_members(rel: AffineRel, variables) -> list[LinRel]:
             m = LinRel(tuple(variables), conj)
             if m.rationally_feasible():
                 members.append(m)
-    # families n = B + i + (1+m)C for m >= 0
+    # families n = B + i + (1+m)C for m >= 0, one parameter each
+    (par,) = _param_names(1)
     for i in range(C):
-        par = _fresh_param()
         power = mat_pow(rel.a, B + i)
         drift = mat_vec(power, s[C])
         extra = [LinTerm({par: drift[j]}, drift[j]) for j in range(rel.n_vars)]
@@ -808,19 +729,22 @@ def _affine_closure_members(rel: AffineRel, variables) -> list[LinRel]:
 # -- self-loop closure and state elimination ----------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Budgets:
     max_prefix: int = 64
     max_period: int = 64
     max_disjuncts: int = 256
 
 
-def _accelerate_member(m: LinRel, budgets: Budgets) -> tuple[list[LinRel], bool]:
-    """Members of m^+; exact flag."""
+def _accelerate_member(
+    m: LinRel, budgets: Budgets
+) -> tuple[list[LinRel], bool, bool]:
+    """Members of m^+; exact flag; whether the closure was left uncertified
+    when the period budget ran out."""
     variables = m.variables
     o, exact = member_to_octagon(m)
     if o.is_bottom:
-        return [], True
+        return [], True, False
     n = len(variables)
     rtc = reflexive_transitive_closure(
         o, n, budgets.max_prefix, budgets.max_period
@@ -833,18 +757,22 @@ def _accelerate_member(m: LinRel, budgets: Budgets) -> tuple[list[LinRel], bool]
                 out.append(conv)
         else:
             out.extend(_normalize_member(member_from_param_oct(mem, variables)))
-    return out, exact and rtc.exact
+    return out, exact and rtc.exact, not rtc.exact
 
 
+@lru_cache(maxsize=_MEMO)
 def _star_members(
-    loops: list[LinRel], variables, budgets: Budgets
-) -> tuple[list[LinRel], bool]:
-    """Members of (union of loops)^+ by saturation; exact flag."""
+    loops: tuple[LinRel, ...], variables: tuple[str, ...], budgets: Budgets
+) -> tuple[tuple[LinRel, ...], bool, bool]:
+    """Members of (union of loops)^+ by saturation; exact flag; whether a
+    budget ran out."""
     exact = True
+    exhausted = False
     base: list[LinRel] = []
     for m in loops:
-        acc, ex = _accelerate_member(m, budgets)
+        acc, ex, bx = _accelerate_member(m, budgets)
         exact = exact and ex
+        exhausted = exhausted or bx
         for a in acc:
             if a.rationally_feasible():
                 base.append(a)
@@ -866,7 +794,7 @@ def _star_members(
                             continue
                         new.append(cand)
         if not new:
-            return _dedupe(members), exact
+            return tuple(_dedupe(members)), exact, exhausted
         members = _dedupe(members + new)
         frontier = new
         if len(members) > budgets.max_disjuncts:
@@ -884,7 +812,7 @@ def _star_members(
                 out.append(conv)
         else:
             out.append(member_from_param_oct(mem, variables))
-    return out, False
+    return tuple(out), False, True
 
 
 def transitive_relation(
@@ -895,7 +823,15 @@ def transitive_relation(
     Exact whenever every self-loop closure certified and no budget fallback
     fired (always the case on flat programs within budget).
     """
-    budgets = budgets or Budgets()
+    members, exact, _ = _summary(p, q_in, q_out, budgets or Budgets())
+    return members, exact
+
+
+def _summary(
+    p: Program, q_in: str, q_out: str, budgets: Budgets
+) -> tuple[list[LinRel], bool, bool]:
+    """transitive_relation's members and exact flag, and whether an
+    acceleration or disjunct budget ran out on the way."""
     variables = p.variables
     IN, OUT = "__in__", "__out__"
     edges: dict[tuple[str, str], list[LinRel]] = {}
@@ -918,6 +854,7 @@ def transitive_relation(
     add_edge(q_out, OUT, [ident_out])
 
     exact = True
+    exhausted = False
     remaining = [s for s in p.states]
     while remaining:
         remaining.sort(
@@ -930,8 +867,9 @@ def transitive_relation(
         q = remaining.pop(0)
         loops = edges.pop((q, q), [])
         if loops:
-            t_members, ex = _star_members(loops, variables, budgets)
+            t_members, ex, bx = _star_members(tuple(loops), variables, budgets)
             exact = exact and ex
+            exhausted = exhausted or bx
         else:
             t_members = []
         incoming = [(a, ms) for (a, b), ms in list(edges.items()) if b == q]
@@ -974,24 +912,31 @@ def transitive_relation(
                     )
                     combined = [hulled] if hulled is not None else []
                     exact = False
+                    exhausted = True
                 add_edge(a, b, combined)
-    return edges.get((IN, OUT), []), exact
+    return edges.get((IN, OUT), []), exact, exhausted
 
 
 def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
     """Post-image of the universal set under P*(init, q), as a DNF over x."""
     members, exact = transitive_relation(p, p.init, q, budgets)
+    return _post_image(p, q, members), exact
+
+
+def _post_image(p: Program, q: str, members: list[LinRel]) -> Dnf:
+    """Post-image of the universal set under the members of P+(init, q),
+    plus the identity when q is the initial state."""
     out = Dnf()
     if q == p.init:
         out.add(Conj.make([]))
-        return out, exact
+        return out
     for m in members:
         dnf = eliminate_all(m.conj, list(p.variables) + list(m.params),
                             nonneg=list(m.params))
         for conj in dnf:
             renamed = conj.subst({v + "'": LinTerm({v: 1}) for v in p.variables})
             out.add(renamed)
-    return out, exact
+    return out
 
 
 @dataclass
@@ -1001,6 +946,9 @@ class PrecondResult:
     per_state: list  # (state, method, Dnf over x)
     flat: bool
     exact: bool
+    # an acceleration or disjunct budget ran out, or a closure was left
+    # uncertified: the result is still sound
+    budget_exhausted: bool = False
 
 
 def _set_to_conjs(o: Octagon, variables) -> list[Conj]:
@@ -1046,6 +994,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     result = Dnf()
     per_state = []
     exact = True
+    exhausted = False
     # Every infinite run visits some analyzed state infinitely often as
     # long as the analyzed set hits every elementary cycle, so a greedy
     # cycle cover keeps both soundness and the flat-exactness argument.
@@ -1067,6 +1016,9 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
         q_cycles = [c for c in cycles if any(t.source == q for t in c)]
         if not q_cycles:
             continue
+        members_star, ex, bx = _summary(p, p.init, q, budgets)
+        exact = exact and ex
+        exhausted = exhausted or bx
         w_dnf = Dnf()
         method = "tinv"
         single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
@@ -1083,11 +1035,10 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 for c in finite_monoid_wnt(payload):
                     w_dnf.add(c)
         else:
-            members, ex = transitive_relation(p, q, q, budgets)
+            members, ex, bx = _summary(p, q, q, budgets)
             exact = exact and ex
-            reach, rex = reach_set(p, q, budgets)
-            exact = exact and rex
-            reach_oct = _dnf_hull(reach, variables)
+            exhausted = exhausted or bx
+            reach_oct = _dnf_hull(_post_image(p, q, members_star), variables)
             restricted = []
             for m in members:
                 rsys = _set_to_conjs(reach_oct, variables)
@@ -1103,8 +1054,6 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 w = oct_wnt(o, n).set
                 for c in _set_to_conjs(w, variables):
                     w_dnf.add(c)
-        members_star, ex2 = transitive_relation(p, p.init, q, budgets)
-        exact = exact and ex2
         contrib = _preimage_dnf(members_star, w_dnf, variables, include_identity=(q == p.init))
         per_state.append((q, method, w_dnf))
         for c in contrib:
@@ -1112,7 +1061,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     # the precision claim of the method only covers flat inputs with every
     # closure certified; the flag under-approximates actual exactness
     flat = isinstance(flatness, Flat)
-    return PrecondResult(p, result, per_state, flat, exact and flat)
+    return PrecondResult(p, result, per_state, flat, exact and flat, exhausted)
 
 
 def _rotate_to(q: str, cycle: list[Transition]) -> list[Transition]:

@@ -192,3 +192,41 @@ def test_prog_analyze_two_phase_json_roundtrip(tmp_path, capsys):
             for n in range(-5, 6):
                 got = parsed.eval({"x": x, "y": 0, "y0": 0, "m": m, "n": n})
                 assert got == golden(x, m, n)
+
+
+COUPLED = """
+vars x, y;
+init l0;
+l0 -> l0 : x < 10 && x' == x + 1 && y' == y + 2;
+l0 -> l1 : x >= 10 && id(x, y);
+"""
+
+
+def test_json_output_does_not_depend_on_process_history(capsys):
+    # the coupled counters keep their loop parameter in the summary
+    summary = ["--format", "json", "prog", "summary", "--from", "l0", "--to", "l1", COUPLED]
+    closure = ["--format", "json", "rel", "closure", "x >= 0 && x' == x - 1"]
+    first = [run(capsys, *summary), run(capsys, *closure)]
+    second = [run(capsys, *summary), run(capsys, *closure)]
+    assert first == second
+    assert any("exists _p0 >= 0" in m for m in json.loads(first[0][1])["members"])
+    assert any("exists _p0 >= 0" in m for m in json.loads(first[1][1])["members"])
+
+
+def test_reserved_variable_name_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "prog", "analyze", COUPLED.replace("x", "_p1"))
+    assert code == 2 and "reserved" in err
+    code, _, err = run(capsys, "rel", "wnt", "_p1' == _p1 + 1 && _p1 <= 9")
+    assert code == 2 and "reserved" in err
+
+
+def test_prog_analyze_exit_codes(capsys):
+    code, out, _ = run(capsys, "--format", "json", "prog", "analyze", TWO_PHASE_PROGRAM)
+    assert code == 0 and json.loads(out)["exact"] is True
+    # one disjunct is not enough for the saturation: the hull fallback is
+    # sound, inexact, and says a budget ran out
+    code, out, _ = run(capsys, "--format", "json", "--max-disjuncts", "1",
+                       "prog", "analyze", TWO_PHASE_PROGRAM)
+    assert code == 4 and json.loads(out)["exact"] is False
+    # (test_prog_commands pins exit 0 for BRANCHING, inexact only because
+    # it is not flat)

@@ -55,6 +55,19 @@ def test_undeclared_variable():
         parse_formula("w <= 1", ["x"])
 
 
+def test_underscore_names_are_reserved():
+    # the analyses name their parameters _p0, _p1, ...: a program variable
+    # spelled like one would be captured by them
+    with pytest.raises(ParseError, match="reserved"):
+        parse_program_text("vars _p1, y;\ninit l0;\nl0 -> l0 : y' == y;\n")
+    with pytest.raises(ParseError, match="reserved"):
+        parse_formula("_p1' == _p1 + 1", ["_p1"])
+    with pytest.raises(ParseError, match="reserved"):
+        parse_formula("id(_m)", ["_m"])
+    with pytest.raises(ParseError, match="reserved"):
+        parse_condition("_q0 >= 1", ["_q0"])
+
+
 def test_true_false_literals():
     ds = parse_formula("true", ["x"])
     assert not tight_close(ds[0].relation).is_bottom

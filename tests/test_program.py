@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from octoterm import program as program_module
 from octoterm.grammar import FragmentError, ParseError
 from octoterm.program import (
     Budgets,
@@ -279,3 +280,128 @@ def test_eliminate_params_of_closure_union():
             want = (x2 == x) or (x >= 0 and x2 < x and x2 >= -1)
             # k steps from x: x' = x-1-k with x >= k: x' ranges x-1 down to -1
             assert dnf.eval({"x": x, "x'": x2}) == want, (x, x2)
+
+
+def _ramp(step: str) -> str:
+    """A one-phase ramp: x climbs to m0 while y moves by step 1."""
+    return (
+        "vars x, y, y0, m0;\n"
+        "init l0;\n"
+        "l0 -> l1 : y0' == y && id(x, y, m0);\n"
+        f"l1 -> l1 : x < m0 && x' == x + 1 && y' == y {step} 1 && id(y0, m0);\n"
+        "l1 -> l2 : x >= m0 && id(x, y, y0, m0);\n"
+        "l2 -> l2 : y == y0 && id(x, y, y0, m0);\n"
+        "l2 -> l3 : y != y0 && id(x, y, y0, m0);\n"
+    )
+
+
+# two loops with coupled counters: their members keep loop parameters
+COUPLED_PROGRAM = """
+vars x, y;
+init l0;
+l0 -> l0 : x < 10 && x' == x + 1 && y' == y + 2;
+l0 -> l1 : x >= 10 && id(x, y);
+l1 -> l1 : y > 0 && y' == y - 3 && x' == x + 2;
+l1 -> l2 : y <= 0 && id(x, y);
+l2 -> l2 : x' == x;
+"""
+
+# the swap has period 2: a period budget of 1 leaves its closure uncertified
+SWAP_PROGRAM = """
+vars x, y;
+init l0;
+l0 -> l1 : id(x, y);
+l1 -> l1 : x >= 0 && x' == y && y' == x;
+l1 -> l2 : x < 0 && id(x, y);
+"""
+
+
+def _clear_memos():
+    for fn in vars(program_module).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "text, head",
+    [
+        (BRANCHING_PROGRAM, "l1"),
+        (TWO_PHASE_PROGRAM, "l2"),
+        (_ramp("+"), "l1"),
+        (_ramp("-"), "l1"),
+        (COUPLED_PROGRAM, "l2"),
+        (SWAP_PROGRAM, "l1"),
+    ],
+    ids=["branching", "two-phase", "ramp-up", "ramp-down", "coupled", "swap"],
+)
+def test_memo_tables_do_not_change_results(text, head):
+    p = parse_program(text)
+    budgets = [Budgets(), Budgets(max_period=1), Budgets(max_disjuncts=1)]
+
+    def analyze(b):
+        return (
+            nt_program(p, b),
+            transitive_relation(p, head, head, b),
+            transitive_relation(p, p.init, head, b),
+        )
+
+    # each run meets the tables the runs before it filled: a key that left
+    # out the budgets would hand it their summaries
+    warm = [analyze(b) for b in budgets]
+    for b, want in zip(budgets, warm):
+        _clear_memos()
+        assert analyze(b) == want
+    for _, *summaries in warm:
+        for members, _ in summaries:
+            for m in members:
+                assert m.params == tuple(f"_p{i}" for i in range(len(m.params)))
+    assert not warm[0][0].budget_exhausted
+    assert warm[2][0].budget_exhausted
+
+
+def test_swap_period_budget_is_exhausted():
+    p = parse_program(SWAP_PROGRAM)
+    assert not nt_program(p).budget_exhausted
+    res = nt_program(p, Budgets(max_period=1))
+    assert res.budget_exhausted and not res.exact
+
+
+def test_members_are_named_by_position():
+    from octoterm.closure import ParamOct, reflexive_transitive_closure
+    from octoterm.octagon import oct_encode
+    from octoterm.program import member_from_param_oct
+
+    dec = oct_encode([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)
+    fams = [
+        m for m in reflexive_transitive_closure(dec, 1).members
+        if isinstance(m, ParamOct)
+    ]
+    assert fams
+    for f in fams:
+        assert member_from_param_oct(f, ("x",)).params == ("_p0",)
+    p = parse_program(COUPLED_PROGRAM)
+    members, exact = transitive_relation(p, "l0", "l2")
+    assert exact
+    assert sorted(m.params for m in members) == [(), ("_p0",), ("_p0",), ("_p0", "_p1")]
+    # a second call builds equal members, not renamed copies
+    assert transitive_relation(p, "l0", "l2") == (members, exact)
+
+
+@pytest.mark.parametrize("divisible", [False, True], ids=["param-oct", "elimination"])
+def test_composed_parameters_stay_apart(divisible):
+    # x' = x + 2k then x' = x + 3j: every step but 1 is reachable.  A
+    # divisibility atom sends the composition through integer elimination
+    # instead of the parametric closure.
+    from octoterm.linarith import EQ, LinTerm
+    from octoterm.presburger import Conj, DivAtom
+
+    x, x1, p0 = LinTerm.var("x"), LinTerm.var("x'"), LinTerm.var("_p0")
+    divs = [DivAtom(3, x)] if divisible else []
+    a = LinRel(("x",), Conj.make([(x1 - x - 2 * p0, EQ)], divs), ("_p0",))
+    b = LinRel(("x",), Conj.make([(x1 - x - 3 * p0, EQ)]), ("_p0",))
+    out = compose_members(a, b)
+    assert [m.params for m in out] == [("_p0", "_p1")] * len(out)
+    for start in range(-3, 4):
+        for step in range(-2, 12):
+            want = step != 1 and step >= 0 and (start % 3 == 0 or not divisible)
+            assert union_eval(out, {"x": start, "x'": start + step}) == want
