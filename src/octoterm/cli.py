@@ -39,9 +39,9 @@ from .octagon import Octagon, oct_decode, oct_eq, oct_exists, tight_close
 from .presburger import Conj, Dnf, DivAtom
 from .program import (
     Budgets,
+    _summary,
     nt_program,
     parse_program,
-    transitive_relation,
     is_flat,
     Flat,
 )
@@ -100,10 +100,10 @@ def _coef_str(c: int, v: str) -> str:
     return f"{c}*{v}"
 
 
-def _row_str(t: LinTerm, rel: str) -> str:
-    terms = sorted(t.coeffs.items())
+def _terms_str(t: LinTerm) -> str:
+    """The variable part of a term, by name, with signed coefficients."""
     out = ""
-    for i, (v, c) in enumerate(terms):
+    for i, (v, c) in enumerate(sorted(t.coeffs.items())):
         c = int(c)
         if i == 0:
             out = _coef_str(c, v)
@@ -111,23 +111,17 @@ def _row_str(t: LinTerm, rel: str) -> str:
             out += f" + {_coef_str(c, v)}"
         else:
             out += f" - {_coef_str(-c, v)}"
+    return out
+
+
+def _row_str(t: LinTerm, rel: str) -> str:
     op = "<=" if rel == LE else "=="
-    return f"{out} {op} {int(-t.const)}"
+    return f"{_terms_str(t)} {op} {int(-t.const)}"
 
 
 def _div_str(d: DivAtom) -> str:
-    terms = sorted(d.term.coeffs.items())
-    out = ""
-    for i, (v, c) in enumerate(terms):
-        c = int(c)
-        if i == 0:
-            out = _coef_str(c, v)
-        elif c >= 0:
-            out += f" + {_coef_str(c, v)}"
-        else:
-            out += f" - {_coef_str(-c, v)}"
     r = int((-d.term.const) % d.modulus)
-    return f"{out} % {d.modulus} == {r}"
+    return f"{_terms_str(d.term)} % {d.modulus} == {r}"
 
 
 def _conj_strs(c: Conj) -> tuple[list[str], list[str]]:
@@ -443,7 +437,7 @@ def cmd_prog(args) -> int:
         _emit(args, payload, "flat" if flat else f"not flat: {res.reason}")
         return EXIT_OK
     if args.subcommand == "summary":
-        members, exact = transitive_relation(
+        members, exact, exhausted = _summary(
             program, args.source, args.target, budgets
         )
         lines = [render_member(m, names) for m in members]
@@ -453,7 +447,7 @@ def cmd_prog(args) -> int:
             "members": lines,
         }
         _emit(args, payload, "\n".join(lines) if lines else "false")
-        return EXIT_OK if exact else EXIT_BUDGET
+        return EXIT_BUDGET if exhausted else EXIT_OK
     if args.subcommand == "analyze":
         res = nt_program(program, budgets)
         payload = {

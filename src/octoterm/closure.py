@@ -36,8 +36,7 @@ from .octagon import (
     tighten,
     top,
 )
-from .pdbm import ExtParamDbm, ParamTerm, entry_min_equals, param_fw
-from . import pdbm as _pdbm
+from .pdbm import ExtParamDbm, ParamTerm, entry_min_equals, glue, param_fw
 
 
 class OperationCancelled(Exception):
@@ -199,37 +198,19 @@ def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]
     Accepts iff, for each residue, composing the parametric matrix with D_c
     yields exactly base + (k+1)*rate as the pointwise minimum for all k >= 0.
     """
-    dc = cache.plain(c)
-    half = dc.dim // 2
+    const = ExtParamDbm.from_dbm(cache.plain(c), 1)
+    half = const.dim // 2
     for i in range(c):
         base = cache.plain(b + i)
         rate = rates[i]
-        pm = ExtParamDbm.affine(base, [rate])
-        const = ExtParamDbm.from_dbm(dc, 1)
-        dim3 = 3 * half
-        entries = [[() for _ in range(dim3)] for _ in range(dim3)]
-        for x in range(half):
-            for y in range(half):
-                entries[x][y] = pm.entries[x][y]
-                entries[x][half + y] = pm.entries[x][half + y]
-                entries[half + x][y] = pm.entries[half + x][y]
-                mid = _pdbm.min_terms(
-                    pm.entries[half + x][half + y] + const.entries[x][y]
-                )
-                entries[half + x][half + y] = mid
-                entries[half + x][2 * half + y] = const.entries[x][half + y]
-                entries[2 * half + x][half + y] = const.entries[half + x][y]
-                entries[2 * half + x][2 * half + y] = const.entries[half + x][half + y]
-        glued = ExtParamDbm(dim3, 1, entries)
-        closed = param_fw(glued)
+        closed = param_fw(glue(ExtParamDbm.affine(base, [rate]), const))
         if closed.capped:
             return False
-        target_base = cache.plain(b + i)
-        keep = list(range(half)) + list(range(2 * half, dim3))
+        keep = list(range(half)) + list(range(2 * half, 3 * half))
         for a_idx, p in enumerate(keep):
             for b_idx, q in enumerate(keep):
                 terms = closed.entries[p][q]
-                tb = target_base.rows[a_idx][b_idx]
+                tb = base.rows[a_idx][b_idx]
                 tr = rate.rows[a_idx][b_idx]
                 if tb == INF:
                     if terms:
@@ -483,7 +464,8 @@ def detect_period(
 
     for c in range(1, max_c + 1):
         for b in range(1, max_b + 1):
-            need = b + 3 * c
+            # _scan_candidate reads powers up to b + 4c - 1
+            need = b + 4 * c - 1
             if not cache.ensure(need):
                 return NotStarConsistent(cache.dead)
             rates_d = _scan_candidate(cache.plain, b, c)

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .linarith import EQ, LE, LinTerm
-from .octagon import Octagon, bottom, oct_encode
+from .octagon import Octagon, bottom, oct_encode, rows_to_atoms
 from .affine import AffineRel, mat
 
 
@@ -283,39 +283,21 @@ def _as_octagon(rows, variables: list[str]) -> Octagon | None:
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
     index.update({v + "'": n + i for i, v in enumerate(variables)})
-    atoms = []
+    varying = []
     empty = False
     for t, rel in rows:
         if rel.startswith("%"):
             return None
-        pairs = [(t, LE)] if rel == LE else [(t, LE), (-t, LE)]
-        for tt, _ in pairs:
-            entries = [(v, c) for v, c in tt.coeffs.items()]
-            if tt.const.denominator != 1 or any(c.denominator != 1 for _, c in entries):
-                return None
-            c0 = -tt.const.numerator
-            if len(entries) == 0:
-                empty = empty or c0 < 0  # an unsatisfiable constant row
-                continue
-            if len(entries) == 1:
-                v, c = entries[0]
-                c = c.numerator
-                if c in (1, -1):
-                    si = 1 if c == 1 else -1
-                    atoms.append((si, index[v], si, index[v], 2 * c0))
-                elif c in (2, -2):
-                    si = 1 if c == 2 else -1
-                    atoms.append((si, index[v], si, index[v], c0))
-                else:
-                    return None
-            elif len(entries) == 2:
-                (v1, c1), (v2, c2) = entries
-                c1, c2 = c1.numerator, c2.numerator
-                if abs(c1) != 1 or abs(c2) != 1:
-                    return None
-                atoms.append((c1, index[v1], c2, index[v2], c0))
-            else:
-                return None
+        if t.const.denominator != 1 or any(c.denominator != 1 for c in t.coeffs.values()):
+            return None
+        if t.is_constant():
+            # an unsatisfiable constant row
+            empty = empty or (t.const > 0 if rel == LE else t.const != 0)
+        else:
+            varying.append((t, rel))
+    atoms = rows_to_atoms(varying, index)
+    if atoms is None:
+        return None
     if empty and not atoms:
         return bottom(2 * n)
     o = oct_encode(atoms, 2 * n)

@@ -15,6 +15,11 @@ projects variables away exactly.
 
 Relations over N program variables are octagons over 2N variables, ordered
 x_0..x_{N-1}, x'_0..x'_{N-1}.
+
+Linear rows become atoms through ``row_atom`` (the one octagonal-row
+classifier) and atoms become dual entries through ``atom_entry``;
+``oct_rows`` turns an octagon back into rows, and ``oct_hull`` is the one
+octagonal hull of octagons and polyhedra.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .dbm import (
     ext_min,
     fw_close,
 )
+from .linarith import LE, LinSys, LinTerm, PolyhedronLP, Row, Unbounded, term_of_pair
 
 # Atom kinds: (sign_i, i, sign_j, j, c) encodes  sign_i*x_i + sign_j*x_j <= c.
 # Unary bounds sign*x_i <= c are written with i == j as 2*sign*x_i <= 2c.
@@ -73,6 +79,46 @@ def top(num_vars: int) -> Octagon:
     return Octagon(num_vars, Dbm.unconstrained(2 * num_vars), tight=True)
 
 
+def row_atom(coeffs: Sequence[tuple[int, int]], bound):
+    """The atom of the row ``sum c*x_i <= bound``, given as pairs (i, c),
+    when the row is octagonal: one variable with coefficient +-1 or +-2, or
+    two variables with +-1.  None otherwise.  ``bound`` is an int or any
+    value with ``+`` (a unit coefficient doubles it)."""
+    if len(coeffs) == 1:
+        ((i, c),) = coeffs
+        if c == 1 or c == -1:
+            return (int(c), i, int(c), i, bound + bound)
+        if c == 2 or c == -2:
+            s = 1 if c > 0 else -1
+            return (s, i, s, i, bound)
+    elif len(coeffs) == 2:
+        (i, c1), (j, c2) = coeffs
+        if (c1 == 1 or c1 == -1) and (c2 == 1 or c2 == -1):
+            return (int(c1), i, int(c2), j, bound)
+    return None
+
+
+def rows_to_atoms(rows: Iterable[Row], index: dict[str, int]) -> list[OctAtom] | None:
+    """Atoms of integer rows ``t <= 0`` / ``t == 0`` over the variables
+    numbered by ``index``; None when some row is not octagonal."""
+    atoms = []
+    for t, rel in rows:
+        for tt in (t,) if rel == LE else (t, -t):
+            atom = row_atom([(index[v], c) for v, c in tt.coeffs.items()],
+                            -tt.const.numerator)
+            if atom is None:
+                return None
+            atoms.append(atom)
+    return atoms
+
+
+def atom_entry(si: int, i: int, sj: int, j: int) -> tuple[int, int]:
+    """Dual entry (p, q) of ``si*x_i + sj*x_j``: u_p - u_q with
+    p = dual(si, i) and q = dual(-sj, j); its coherent twin is
+    (bar q, bar p)."""
+    return (_pos(i) if si == 1 else _neg(i)), (_pos(j) if sj == -1 else _neg(j))
+
+
 def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
     """Build the (raw, unclosed) coherent DBM of a list of octagonal atoms."""
     m = Dbm.unconstrained(2 * num_vars)
@@ -84,10 +130,7 @@ def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
             raise ValueError("atom signs must be +-1")
         if i == j and si != sj:
             raise ValueError("x_i - x_i atoms are not octagonal constraints")
-        # si*x_i + sj*x_j <= c  <=>  u_p - u_q <= c  with p = dual(si, i),
-        # q = dual(-sj, j): u_p = si*x_i and u_q = -sj*x_j.
-        p = _pos(i) if si == 1 else _neg(i)
-        q = _pos(j) if sj == -1 else _neg(j)
+        p, q = atom_entry(si, i, sj, j)
         for a, b in ((p, q), (_bar(q), _bar(p))):
             if a == b:
                 if c < 0:
@@ -98,11 +141,8 @@ def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
     return Octagon(num_vars, m, tight=False)
 
 
-def oct_decode(o: Octagon) -> list[OctAtom]:
-    """All finite atoms of a (coherent) octagon, one per coherent entry pair."""
-    if o.is_bottom:
-        raise ValueError("cannot decode the empty octagon")
-    atoms: list[OctAtom] = []
+def _finite_entries(o: Octagon):
+    """(p, q, bound) of each finite off-diagonal entry, one per coherent pair."""
     rows = o.dbm.rows
     dim = o.dbm.dim
     for p in range(dim):
@@ -111,22 +151,26 @@ def oct_decode(o: Octagon) -> list[OctAtom]:
                 continue
             if (_bar(q), _bar(p)) < (p, q):
                 continue  # coherent twin already emitted
-            i, si = p // 2, 1 if p % 2 == 0 else -1
-            j, sj = q // 2, -1 if q % 2 == 0 else 1
-            atoms.append((si, i, sj, j, rows[p][q]))
-    return atoms
+            yield p, q, rows[p][q]
 
 
-def is_coherent(o: Octagon) -> bool:
+def oct_decode(o: Octagon) -> list[OctAtom]:
+    """All finite atoms of a (coherent) octagon, one per coherent entry pair."""
     if o.is_bottom:
-        return True
-    rows = o.dbm.rows
-    dim = o.dbm.dim
-    return all(
-        rows[p][q] == rows[_bar(q)][_bar(p)]
-        for p in range(dim)
-        for q in range(dim)
-    )
+        raise ValueError("cannot decode the empty octagon")
+    return [
+        (1 if p % 2 == 0 else -1, p // 2, -1 if q % 2 == 0 else 1, q // 2, c)
+        for p, q, c in _finite_entries(o)
+    ]
+
+
+def oct_rows(o: Octagon, names: Sequence[str]) -> list[Row]:
+    """Rows ``u_p - u_q - c <= 0`` of the finite atoms over the named
+    variables, one per coherent entry pair; the empty octagon is the single
+    row ``1 <= 0``."""
+    if o.is_bottom:
+        return [(LinTerm.of(1), LE)]
+    return [(term_of_pair(p, q, names) - c, LE) for p, q, c in _finite_entries(o)]
 
 
 def halving_consistent(closed: Dbm) -> bool:
@@ -169,10 +213,6 @@ def tight_close(o: Octagon) -> Octagon:
     if closed is None or not halving_consistent(closed):
         return bottom(o.num_vars)
     return Octagon(o.num_vars, tighten(closed), tight=True)
-
-
-def is_consistent_oct(o: Octagon) -> bool:
-    return not tight_close(o).is_bottom
 
 
 def _require_tight(o: Octagon, what: str) -> None:
@@ -296,16 +336,14 @@ def max_coef(o: Octagon) -> int:
     return best
 
 
-def _sys_dual_sups(sys, num_vars: int, dim: int, names=None):
-    """Per-dual-entry integer suprema of a linear system; None if infeasible."""
-    from .linarith import PolyhedronLP, Unbounded, term_of_pair
-
+def _sys_dual_sups(sys: LinSys, names: Sequence[str]):
+    """Integer suprema of the octagonal terms of the named variables over a
+    linear system, per dual entry; None if the system is infeasible."""
     poly = PolyhedronLP(sys)
     if not poly.feasible:
         return None
-    if names is None:
-        names = sys.variables
-    entry = [[0 if p == q else None for q in range(dim)] for p in range(dim)]
+    dim = 2 * len(names)
+    entry = [[0] * dim for _ in range(dim)]
     for p in range(dim):
         for q in range(dim):
             if p == q:
@@ -318,23 +356,23 @@ def _sys_dual_sups(sys, num_vars: int, dim: int, names=None):
     return entry
 
 
-def oct_hull(items: Sequence) -> Octagon:
+def oct_hull(items: Sequence, names: Sequence[str] | None = None) -> Octagon:
     """Smallest octagon containing every item; bottom for an empty union.
 
-    Items are ``Octagon`` values or ``linarith.LinSys`` polyhedra over an
-    ordered variable list; inconsistent items are skipped.  Per octagonal
-    term the bound is the max over items of the tight entry (octagons) or
-    the floored rational supremum (systems); the result is tightly closed.
+    Items are ``Octagon`` values or ``linarith.LinSys`` polyhedra.  A system
+    is hulled over ``names`` when given, which projects its other variables
+    (loop parameters, say) away, and over its own variables otherwise;
+    inconsistent items are skipped.  Per octagonal term the bound is the
+    max over items of the tight entry (octagons) or the floored rational
+    supremum (systems); the result is tightly closed.
     """
-    from .linarith import LinSys
-
-    num_vars = None
+    num_vars = None if names is None else len(names)
     sups = []
     for it in items:
         if isinstance(it, Octagon):
             arity = it.num_vars
         elif isinstance(it, LinSys):
-            arity = len(it.variables)
+            arity = len(it.variables if names is None else names)
         else:
             raise TypeError(f"cannot hull {type(it).__name__}")
         if num_vars is None:
@@ -350,7 +388,7 @@ def oct_hull(items: Sequence) -> Octagon:
             if not t.is_bottom:
                 sups.append(t.dbm.rows)
         else:
-            entry = _sys_dual_sups(it, num_vars, dim)
+            entry = _sys_dual_sups(it, it.variables if names is None else names)
             if entry is not None:
                 sups.append(entry)
     if not sups:

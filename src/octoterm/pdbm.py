@@ -45,9 +45,6 @@ class ParamTerm:
     def eval(self, valuation: Sequence[int]) -> int:
         return self.const + sum(r * v for r, v in zip(self.rates, valuation))
 
-    def is_const(self) -> bool:
-        return all(r == 0 for r in self.rates)
-
     def __repr__(self):
         bits = [f"{r}*k{i}" for i, r in enumerate(self.rates) if r]
         bits.append(str(self.const))
@@ -116,8 +113,26 @@ class ExtParamDbm:
             e.append(row)
         return cls(base.dim, nparams, e)
 
-    def copy_entries(self):
-        return [list(r) for r in self.entries]
+
+def glue(a: ExtParamDbm, b: ExtParamDbm) -> ExtParamDbm:
+    """The 3-block matrix over (x, x', x'') of the composition of two
+    relation matrices over (x, x') with the same parameters: a on the first
+    two blocks, b on the last two, and the middle block the pointwise
+    minimum of a's primed and b's unprimed block."""
+    blk = a.dim // 2
+    ea, eb = a.entries, b.entries
+    dim3 = 3 * blk
+    glued = [[() for _ in range(dim3)] for _ in range(dim3)]
+    for i in range(blk):
+        for j in range(blk):
+            glued[i][j] = ea[i][j]
+            glued[i][blk + j] = ea[i][blk + j]
+            glued[blk + i][j] = ea[blk + i][j]
+            glued[blk + i][blk + j] = min_terms(ea[blk + i][blk + j] + eb[i][j])
+            glued[blk + i][2 * blk + j] = eb[i][blk + j]
+            glued[2 * blk + i][blk + j] = eb[blk + i][j]
+            glued[2 * blk + i][2 * blk + j] = eb[blk + i][blk + j]
+    return ExtParamDbm(dim3, a.nparams, glued)
 
 
 def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:

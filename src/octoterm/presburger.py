@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .linarith import (
     PolyhedronLP,
     lp_feasible,
 )
+from .octagon import oct_encode, oct_leq, rows_to_atoms, tight_close
 
 def _int_term(t: LinTerm) -> LinTerm:
     """Scale a row term to integer coefficients (positive multiplier)."""
@@ -185,74 +187,34 @@ class Conj:
         return " & ".join(bits) if bits else "true"
 
 
-TRUE_CONJ = Conj((), ())
+# Entries per memo table, as in ``program``.  Three rounds of the `programs`
+# benchmark fill at most 188 (the octagon memo), so they evict nothing
+# while a long-lived process stays bounded.
+_MEMO = 1024
 
 
-_oct_cache: dict = {}
-
-
+@lru_cache(maxsize=_MEMO)
 def _conj_octagon(c: Conj):
     """(variable order, tight octagon) when every row is octagonal; None
     otherwise.  Cached per conjunct; integer-exact via tight closure."""
-    hit = _oct_cache.get(c)
-    if hit is not None:
-        return hit if hit != "no" else None
-    from .octagon import oct_encode, tight_close
-
-    names = sorted(c.variables())
-    index = {v: i for i, v in enumerate(names)}
-    atoms = []
-    ok = True
-    for t, rel in c.rows:
-        pairs = [(t,)] if rel == LE else [(t,), (-t,)]
-        for (tt,) in pairs:
-            ent = list(tt.coeffs.items())
-            c0 = -tt.const.numerator
-            if len(ent) == 1 and abs(ent[0][1]) == 1:
-                v, cc = ent[0]
-                s = 1 if cc > 0 else -1
-                atoms.append((s, index[v], s, index[v], 2 * c0))
-            elif len(ent) == 1 and abs(ent[0][1]) == 2:
-                v, cc = ent[0]
-                s = 1 if cc > 0 else -1
-                atoms.append((s, index[v], s, index[v], c0))
-            elif len(ent) == 2 and all(abs(cc) == 1 for _, cc in ent):
-                (v1, c1), (v2, c2) = ent
-                atoms.append((int(c1), index[v1], int(c2), index[v2], c0))
-            else:
-                ok = False
-                break
-        if not ok:
-            break
-    if not ok:
-        _oct_cache[c] = "no"
+    names = tuple(sorted(c.variables()))
+    atoms = rows_to_atoms(c.rows, {v: i for i, v in enumerate(names)})
+    if atoms is None:
         return None
-    res = (tuple(names), tight_close(oct_encode(atoms, len(names))))
-    _oct_cache[c] = res
-    return res
+    return names, tight_close(oct_encode(atoms, len(names)))
 
 
-_witness_cache: dict = {}
-_poly_cache: dict = {}
-
-
+@lru_cache(maxsize=_MEMO)
 def _rational_witness(c: Conj):
     """A cached rational model of the rows (None when infeasible)."""
-    if c in _witness_cache:
-        return _witness_cache[c]
     res = lp_feasible(c.to_linsys())
-    w = res.model if isinstance(res, Feasible) else None
-    _witness_cache[c] = w
-    return w
+    return res.model if isinstance(res, Feasible) else None
 
 
+@lru_cache(maxsize=_MEMO)
 def conj_poly(c: Conj) -> PolyhedronLP:
     """Cached warm-start LP over the conjunct's rows."""
-    p = _poly_cache.get(c)
-    if p is None:
-        p = PolyhedronLP(c.to_linsys())
-        _poly_cache[c] = p
-    return p
+    return PolyhedronLP(c.to_linsys())
 
 
 def conj_implies(a: Conj, b: Conj) -> bool:
@@ -263,31 +225,15 @@ def conj_implies(a: Conj, b: Conj) -> bool:
     if not all(d in adivs for d in b.divs):
         return False
     oa = _conj_octagon(a)
-    ob = _conj_octagon(b)
-    if oa is not None and ob is not None:
-        from .octagon import oct_leq
-
+    if oa is not None and _conj_octagon(b) is not None:
         names_a, oct_a = oa
-        names_b, oct_b = ob
         if oct_a.is_bottom:
             return True
-        if set(names_b) <= set(names_a):
-            # align b onto a's variable order by re-encoding
-            from .octagon import oct_decode, oct_encode, tight_close
-
-            if oct_b.is_bottom:
-                return False
-            idx = {v: i for i, v in enumerate(names_a)}
-            atoms = []
-            fits = True
-            for si, i, sj, j, cc in oct_decode(oct_b):
-                if names_b[i] not in idx or names_b[j] not in idx:
-                    fits = False
-                    break
-                atoms.append((si, idx[names_b[i]], sj, idx[names_b[j]], cc))
-            if fits:
-                lifted = tight_close(oct_encode(atoms, len(names_a)))
-                return oct_leq(oct_a, lifted)
+        index = {v: i for i, v in enumerate(names_a)}
+        if b.variables() <= index.keys():
+            # b's rows encoded in a's variable order
+            lifted = oct_encode(rows_to_atoms(b.rows, index), len(names_a))
+            return oct_leq(oct_a, tight_close(lifted))
     # cheap rejection: a rational point of a must satisfy b's rows
     w = _rational_witness(a)
     if w is not None:

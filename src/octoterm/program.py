@@ -28,21 +28,23 @@ from functools import lru_cache
 
 from .affine import AffineRel, Matrix, is_finite_monoid, mat_mul, mat_pow, mat_vec, power_cycle, trajectory_offsets
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
-from .dbm import INF
 from .grammar import (
     AffLabel,
     OctLabel,
     parse_formula,
     parse_program_text,
 )
-from .linarith import EQ, LE, Feasible, LinSys, LinTerm, lp_feasible
+from .linarith import EQ, LE, Feasible, LinSys, LinTerm, lp_feasible, term_of_pair
 from .octagon import (
     Octagon,
+    atom_entry,
     bottom,
     oct_compose,
-    oct_decode,
     oct_encode,
     oct_hull,
+    oct_rows,
+    row_atom,
+    rows_to_atoms,
     tight_close,
 )
 from .presburger import Conj, Dnf, conj_implies, eliminate_all
@@ -60,6 +62,11 @@ def _param_names(n: int) -> tuple[str, ...]:
     return tuple(f"_p{i}" for i in range(n))
 
 
+def _relation_names(variables) -> list[str]:
+    """The variables of a relation in dual-matrix order: x, then x'."""
+    return list(variables) + [v + "'" for v in variables]
+
+
 # ---------------------------------------------------------------------------
 # summary members
 # ---------------------------------------------------------------------------
@@ -73,11 +80,12 @@ class LinRel:
     conj: Conj
     params: tuple[str, ...] = ()
 
+    def system(self) -> LinSys:
+        """The rows together with ``p >= 0`` for each parameter."""
+        return LinSys(list(self.conj.rows) + [(LinTerm({p: -1}), LE) for p in self.params])
+
     def rationally_feasible(self) -> bool:
-        rows = list(self.conj.rows) + [
-            (LinTerm({p: -1}), LE) for p in self.params
-        ]
-        return isinstance(lp_feasible(LinSys(rows)), Feasible)
+        return isinstance(lp_feasible(self.system()), Feasible)
 
 
 def _canonical(variables, conj: Conj, params) -> LinRel:
@@ -95,35 +103,14 @@ def identity_member(variables: tuple[str, ...]) -> LinRel:
 
 
 def member_from_octagon(o: Octagon, variables: tuple[str, ...]) -> LinRel | None:
-    o = tight_close(o)
-    if o.is_bottom:
-        return None
-    names = list(variables) + [v + "'" for v in variables]
-    rows = []
-    for si, i, sj, j, c in oct_decode(o):
-        t = LinTerm({}, -c) + LinTerm({names[i]: si}) + LinTerm({names[j]: sj})
-        rows.append((t, LE))
-    conj = Conj.make(rows)
+    conj = Conj.make(oct_rows(tight_close(o), _relation_names(variables)))
     return None if conj is None else LinRel(variables, conj)
 
 
 def member_from_param_oct(po: ParamOct, variables: tuple[str, ...]) -> LinRel:
-    from .pdbm import ParamTerm
+    from .pdbm import ExtParamDbm
 
-    names = list(variables) + [v + "'" for v in variables]
-    dim = po.base.dim
-    entries = []
-    for p in range(dim):
-        row = []
-        for q in range(dim):
-            b = po.base.rows[p][q]
-            if b == INF:
-                row.append(())
-            else:
-                r = po.rate.rows[p][q]
-                row.append((ParamTerm((r,), b),))
-        entries.append(row)
-    m = _member_from_entries(entries, 1, variables, names)
+    m = _member_from_entries(ExtParamDbm.affine(po.base, [po.rate]).entries, 1, variables)
     assert m is not None
     return m
 
@@ -198,53 +185,33 @@ def _member_param_matrix(m: LinRel):
 
     if m.conj.divs:
         return None
-    variables = m.variables
-    names = list(variables) + [v + "'" for v in variables]
-    index = {v: i for i, v in enumerate(names)}
+    index = {v: i for i, v in enumerate(_relation_names(m.variables))}
     pidx = {p: i for i, p in enumerate(m.params)}
     np_ = len(m.params)
-    dim = 2 * len(names)
+    dim = 2 * len(index)
     cells: list[list[list]] = [[[] for _ in range(dim)] for _ in range(dim)]
-
-    def bar(p):
-        return p ^ 1
-
-    def add(p, q, term):
-        cells[p][q].append(term)
-        cells[bar(q)][bar(p)].append(term)
-
     for t, rel in m.conj.rows:
-        forms = [(t,)] if rel == LE else [(t,), (-t,)]
-        for (tt,) in forms:
+        for tt in (t,) if rel == LE else (t, -t):
             var_part = []
             rates = [0] * np_
             for v, c in tt.coeffs.items():
                 if v in pidx:
                     rates[pidx[v]] = -c.numerator
                 elif v in index:
-                    var_part.append((v, c.numerator))
+                    var_part.append((index[v], c.numerator))
                 else:
                     return None
-            c0 = -tt.const.numerator
-            if len(var_part) == 0:
+            bound = ParamTerm(tuple(rates), -tt.const.numerator)
+            if not var_part:
                 # pure parameter constraint 0 <= bound, kept on a diagonal
-                cells[0][0].append(ParamTerm(tuple(rates), c0))
+                cells[0][0].append(bound)
                 continue
-            if len(var_part) == 1 and abs(var_part[0][1]) == 1:
-                v, c = var_part[0]
-                p = 2 * index[v] + (0 if c > 0 else 1)
-                add(p, bar(p), ParamTerm(tuple(r * 2 for r in rates), 2 * c0))
-            elif len(var_part) == 1 and abs(var_part[0][1]) == 2:
-                v, c = var_part[0]
-                p = 2 * index[v] + (0 if c > 0 else 1)
-                add(p, bar(p), ParamTerm(tuple(rates), c0))
-            elif len(var_part) == 2 and all(abs(c) == 1 for _, c in var_part):
-                (v1, c1), (v2, c2) = var_part
-                p = 2 * index[v1] + (0 if c1 > 0 else 1)
-                q = 2 * index[v2] + (1 if c2 > 0 else 0)
-                add(p, q, ParamTerm(tuple(rates), c0))
-            else:
+            atom = row_atom(var_part, bound)
+            if atom is None:
                 return None
+            p, q = atom_entry(*atom[:4])
+            cells[p][q].append(atom[4])
+            cells[q ^ 1][p ^ 1].append(atom[4])
     entries = []
     zero = ParamTerm((0,) * np_, 0)
     for p in range(dim):
@@ -319,7 +286,7 @@ def _tighten_param_entries(entries, nparams: int, dim: int):
 
 def _compose_param_oct(a: LinRel, b: LinRel):
     """Composition through the parametric closure; None when not eligible."""
-    from .pdbm import ExtParamDbm, ParamTerm, min_terms, param_fw
+    from .pdbm import ExtParamDbm, ParamTerm, glue, param_fw
 
     ea = _member_param_matrix(a)
     if ea is None:
@@ -331,52 +298,36 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     na, nb = len(a.params), len(b.params)
     np_ = na + nb
 
-    def lift_a(t: ParamTerm) -> ParamTerm:
-        return ParamTerm(tuple(t.rates) + (0,) * nb, t.const)
+    def lift(entries, before: int, after: int) -> ExtParamDbm:
+        return ExtParamDbm(len(entries), np_, [
+            [tuple(ParamTerm((0,) * before + t.rates + (0,) * after, t.const) for t in cell)
+             for cell in row]
+            for row in entries
+        ])
 
-    def lift_b(t: ParamTerm) -> ParamTerm:
-        return ParamTerm((0,) * na + tuple(t.rates), t.const)
-
+    closed = param_fw(glue(lift(ea, 0, nb), lift(eb, na, 0)))
+    if closed.capped:
+        return None
     # dual matrix dim is 4N over (x, x'); the unprimed block is 2N wide
     blk = 2 * len(a.variables)
     dim3 = 3 * blk
-    glued = [[() for _ in range(dim3)] for _ in range(dim3)]
-    for i in range(blk):
-        for j in range(blk):
-            glued[i][j] = tuple(lift_a(t) for t in ea[i][j])
-            glued[i][blk + j] = tuple(lift_a(t) for t in ea[i][blk + j])
-            glued[blk + i][j] = tuple(lift_a(t) for t in ea[blk + i][j])
-            mid = [lift_a(t) for t in ea[blk + i][blk + j]] + [
-                lift_b(t) for t in eb[i][j]
-            ]
-            glued[blk + i][blk + j] = min_terms(mid)
-            glued[blk + i][2 * blk + j] = tuple(lift_b(t) for t in eb[i][blk + j])
-            glued[2 * blk + i][blk + j] = tuple(lift_b(t) for t in eb[blk + i][j])
-            glued[2 * blk + i][2 * blk + j] = tuple(
-                lift_b(t) for t in eb[blk + i][blk + j]
-            )
-    pm = ExtParamDbm(dim3, np_, glued)
-    closed = param_fw(pm)
-    if closed.capped:
-        return None
     cases = _tighten_param_entries(closed.entries, np_, dim3)
     keep = list(range(blk)) + list(range(2 * blk, dim3))
     out = []
-    variables = a.variables
-    names = list(variables) + [v + "'" for v in variables]
     for _, entries in cases:
         erased = [[entries[p][q] for q in keep] for p in keep]
-        mem = _member_from_entries(erased, np_, variables, names)
+        mem = _member_from_entries(erased, np_, a.variables)
         if mem is not None and mem.rationally_feasible():
             out.append(mem)
     return out
 
 
-def _member_from_entries(entries, nparams, variables, names) -> LinRel | None:
+def _member_from_entries(entries, nparams, variables) -> LinRel | None:
     """Member rows from a closed tight parametric dual matrix (reduced)."""
     from .pdbm import reduce_closed_entries
 
     dim = len(entries)
+    names = _relation_names(variables)
     params = _param_names(nparams)
     entries = reduce_closed_entries(entries, dim, nparams)
     rows = []
@@ -384,13 +335,7 @@ def _member_from_entries(entries, nparams, variables, names) -> LinRel | None:
         for q in range(dim):
             for t in entries[p][q]:
                 bound = LinTerm({params[i]: r for i, r in enumerate(t.rates)}, t.const)
-                if p == q:
-                    row = -bound
-                else:
-                    sp = 1 if p % 2 == 0 else -1
-                    sq = 1 if q % 2 == 0 else -1
-                    lhs = LinTerm({names[p // 2]: sp}) - LinTerm({names[q // 2]: sq})
-                    row = lhs - bound
+                row = -bound if p == q else term_of_pair(p, q, names) - bound
                 if row.is_constant():
                     if row.const > 0:
                         return None
@@ -441,61 +386,18 @@ def member_to_octagon(m: LinRel, exact_only: bool = False) -> tuple[Octagon, boo
 
     Parameter-free members whose rows are all octagonal convert exactly;
     anything else is hulled by rational suprema of the octagonal terms
-    over the lifted polyhedron (parameters kept nonnegative), floored.
+    over the lifted polyhedron (parameters kept nonnegative), floored,
+    which equal the suprema over its projection.  Either way the result is
+    the tight hull of the member's integer points.
     """
-    variables = m.variables
-    names = list(variables) + [v + "'" for v in variables]
-    index = {v: i for i, v in enumerate(names)}
-    n2 = len(names)
+    names = _relation_names(m.variables)
     if not m.params and not m.conj.divs:
-        atoms = []
-        octagonal = True
-        for t, rel in m.conj.rows:
-            pairs = [(t, LE)] if rel == LE else [(t, LE), (-t, LE)]
-            for tt, _ in pairs:
-                ent = list(tt.coeffs.items())
-                c0 = -tt.const.numerator
-                if len(ent) == 1 and abs(ent[0][1]) == 1:
-                    v, c = ent[0]
-                    s = 1 if c > 0 else -1
-                    atoms.append((s, index[v], s, index[v], 2 * c0))
-                elif len(ent) == 1 and abs(ent[0][1]) == 2:
-                    v, c = ent[0]
-                    s = 1 if c > 0 else -1
-                    atoms.append((s, index[v], s, index[v], c0))
-                elif len(ent) == 2 and all(abs(c) == 1 for _, c in ent):
-                    (v1, c1), (v2, c2) = ent
-                    atoms.append((int(c1), index[v1], int(c2), index[v2], c0))
-                else:
-                    octagonal = False
-                    break
-            if not octagonal:
-                break
-        if octagonal:
-            return tight_close(oct_encode(atoms, n2)), True
+        atoms = rows_to_atoms(m.conj.rows, {v: i for i, v in enumerate(names)})
+        if atoms is not None:
+            return tight_close(oct_encode(atoms, len(names))), True
     if exact_only:
-        return bottom(n2), False
-    return _hull_member(m), False
-
-
-def _hull_member(m: LinRel) -> Octagon:
-    """Octagonal hull of a member: suprema of the dual terms over the
-    lifted polyhedron (parameters nonnegative), floored.  Suprema over the
-    lifted polyhedron equal suprema over its projection."""
-    from .dbm import Dbm
-    from .octagon import _sys_dual_sups
-
-    variables = m.variables
-    names = list(variables) + [v + "'" for v in variables]
-    rows = list(m.conj.rows) + [(LinTerm({p: -1}), LE) for p in m.params]
-    extra = [p for p in m.params if p not in names]
-    sys = LinSys(rows, names + extra)
-    dim = 2 * len(names)
-    entry = _sys_dual_sups(sys, len(names), dim, names)
-    if entry is None:
-        return bottom(len(names))
-    grid = [[0 if p == q else entry[p][q] for q in range(dim)] for p in range(dim)]
-    return tight_close(Octagon(len(names), Dbm(grid), tight=False))
+        return bottom(len(names)), False
+    return oct_hull([m.system()], names), False
 
 
 # ---------------------------------------------------------------------------
@@ -749,15 +651,22 @@ def _accelerate_member(
     rtc = reflexive_transitive_closure(
         o, n, budgets.max_prefix, budgets.max_period
     )
-    out = []
-    for mem in rtc.members:
-        if isinstance(mem, Octagon):
-            conv = member_from_octagon(mem, variables)
-            if conv is not None:
-                out.append(conv)
-        else:
-            out.extend(_normalize_member(member_from_param_oct(mem, variables)))
+    out = [x for mem in _union_members(rtc, variables) for x in _normalize_member(mem)]
     return out, exact and rtc.exact, not rtc.exact
+
+
+def _union_members(u: ParamOctUnion, variables: tuple[str, ...]) -> list[LinRel]:
+    """Summary members of a closure's plain and parametric octagons (the
+    identity of a reflexive closure left out)."""
+    out = []
+    for mem in u.members:
+        if isinstance(mem, Octagon):
+            m = member_from_octagon(mem, variables)
+            if m is not None:
+                out.append(m)
+        else:
+            out.append(member_from_param_oct(mem, variables))
+    return out
 
 
 @lru_cache(maxsize=_MEMO)
@@ -800,19 +709,11 @@ def _star_members(
         if len(members) > budgets.max_disjuncts:
             break
     # budget exhausted: sound fallback via one hulled closure
-    hull = oct_hull([_hull_member(m) for m in loops])
+    hull = oct_hull([member_to_octagon(m)[0] for m in loops])
     closure = reflexive_transitive_closure(
         hull, len(variables), budgets.max_prefix, budgets.max_period
     )
-    out = []
-    for mem in closure.members:
-        if isinstance(mem, Octagon):
-            conv = member_from_octagon(mem, variables)
-            if conv is not None:
-                out.append(conv)
-        else:
-            out.append(member_from_param_oct(mem, variables))
-    return tuple(out), False, True
+    return tuple(_union_members(closure, variables)), False, True
 
 
 def transitive_relation(
@@ -908,7 +809,7 @@ def _summary(
                 combined = _dedupe(combined)
                 if len(combined) > budgets.max_disjuncts:
                     hulled = member_from_octagon(
-                        oct_hull([_hull_member(m) for m in combined]), variables
+                        oct_hull([member_to_octagon(m)[0] for m in combined]), variables
                     )
                     combined = [hulled] if hulled is not None else []
                     exact = False
@@ -949,17 +850,6 @@ class PrecondResult:
     # an acceleration or disjunct budget ran out, or a closure was left
     # uncertified: the result is still sound
     budget_exhausted: bool = False
-
-
-def _set_to_conjs(o: Octagon, variables) -> list[Conj]:
-    if o.is_bottom:
-        return []
-    rows = []
-    names = list(variables)
-    for si, i, sj, j, c in oct_decode(o):
-        rows.append((LinTerm({}, -c) + LinTerm({names[i]: si}) + LinTerm({names[j]: sj}), LE))
-    conj = Conj.make(rows)
-    return [] if conj is None else [conj]
 
 
 def _preimage_dnf(members: list[LinRel], target: Dnf, variables, include_identity: bool) -> Dnf:
@@ -1026,9 +916,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             method = "single-cycle"
             kind, payload = single
             if kind == "octagon":
-                w = oct_wnt(payload, n).set
-                for c in _set_to_conjs(w, variables):
-                    w_dnf.add(c)
+                w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, n).set, variables)))
             else:
                 from .affine import finite_monoid_wnt
 
@@ -1038,22 +926,16 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             members, ex, bx = _summary(p, q, q, budgets)
             exact = exact and ex
             exhausted = exhausted or bx
-            reach_oct = _dnf_hull(_post_image(p, q, members_star), variables)
-            restricted = []
-            for m in members:
-                rsys = _set_to_conjs(reach_oct, variables)
-                if not rsys:
+            reach_dnf = _post_image(p, q, members_star)
+            reach_oct = oct_hull([c.to_linsys() for c in reach_dnf], variables)
+            reach = Conj.make(oct_rows(reach_oct, variables))
+            for m in members if reach is not None else []:
+                merged = Conj.make(m.conj.rows + reach.rows, m.conj.divs)
+                if merged is None:
                     continue
-                merged = Conj.make(m.conj.rows + rsys[0].rows, m.conj.divs)
-                if merged is not None:
-                    restricted.append(LinRel(variables, merged, m.params))
-            for m in restricted:
-                o = _hull_member(m)
-                if o.is_bottom:
-                    continue
-                w = oct_wnt(o, n).set
-                for c in _set_to_conjs(w, variables):
-                    w_dnf.add(c)
+                o, _ = member_to_octagon(LinRel(variables, merged, m.params))
+                if not o.is_bottom:
+                    w_dnf.add(Conj.make(oct_rows(oct_wnt(o, n).set, variables)))
         contrib = _preimage_dnf(members_star, w_dnf, variables, include_identity=(q == p.init))
         per_state.append((q, method, w_dnf))
         for c in contrib:
@@ -1069,47 +951,13 @@ def _rotate_to(q: str, cycle: list[Transition]) -> list[Transition]:
     return cycle[idx:] + cycle[:idx]
 
 
-def _dnf_hull(dnf: Dnf, variables) -> Octagon:
-    """Octagonal hull of a DNF of conjuncts over the program variables."""
-    from .dbm import Dbm
-    from .octagon import _sys_dual_sups
-
-    dim = 2 * len(variables)
-    sups = []
-    for conj in dnf:
-        extra = [v for v in conj.variables() if v not in variables]
-        sys = LinSys(conj.rows, list(variables) + extra)
-        entry = _sys_dual_sups(sys, len(variables), dim, list(variables))
-        if entry is not None:
-            sups.append(entry)
-    if not sups:
-        return bottom(len(variables))
-    rows = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            if a == b:
-                row.append(0)
-            else:
-                vals = [e[a][b] for e in sups]
-                row.append(INF if any(v == INF for v in vals) else max(vals))
-        rows.append(row)
-    return tight_close(Octagon(len(variables), Dbm(rows), tight=False))
-
-
 def eliminate_params(u: ParamOctUnion, variables) -> Dnf:
     """Quantifier-free DNF equivalent to the union of a closure's members."""
     out = Dnf()
     if u.reflexive:
         ident = identity_member(tuple(variables))
         out.add(ident.conj)
-    for mem in u.members:
-        if isinstance(mem, Octagon):
-            m = member_from_octagon(mem, tuple(variables))
-            if m is not None:
-                out.add(m.conj)
-        else:
-            m = member_from_param_oct(mem, tuple(variables))
-            for conj in eliminate_all(m.conj, list(m.params), nonneg=list(m.params)):
-                out.add(conj)
+    for m in _union_members(u, tuple(variables)):
+        for conj in member_cases(m):
+            out.add(conj)
     return out

@@ -220,6 +220,30 @@ def test_reserved_variable_name_is_a_parse_error(capsys):
     assert code == 2 and "reserved" in err
 
 
+# an affine loop: its summary hulls it, which is inexact, and accelerates
+# the hull
+DOUBLING = (
+    "vars x; init l0; l0 -> l0 : x' == 2x && x >= 1 && x <= {b}; "
+    "l0 -> l1 : x > {b} && id(x);"
+)
+
+
+def test_prog_summary_exit_code_reports_exhausted_budgets(capsys):
+    summary = ["prog", "summary", "--from", "l0", "--to", "l1", DOUBLING.format(b=10)]
+    code, out, _ = run(capsys, "--format", "json", *summary)
+    assert code == 0 and json.loads(out)["exact"] is False
+    for tiny in (["--max-prefix", "1", "--max-period", "1"], ["--max-disjuncts", "1"]):
+        code, out, _ = run(capsys, "--format", "json", *tiny, *summary)
+        assert code == 4 and json.loads(out)["exact"] is False
+
+
+def test_prog_hull_that_dies_past_the_prefix_budget(capsys):
+    text = DOUBLING.format(b=100)
+    for cmd in (["prog", "summary", "--from", "l0", "--to", "l1", text], ["prog", "analyze", text]):
+        code, out, _ = run(capsys, "--format", "json", *cmd)
+        assert code in (0, 4) and json.loads(out)["status"] == "ok"
+
+
 def test_prog_analyze_exit_codes(capsys):
     code, out, _ = run(capsys, "--format", "json", "prog", "analyze", TWO_PHASE_PROGRAM)
     assert code == 0 and json.loads(out)["exact"] is True

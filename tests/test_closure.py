@@ -155,6 +155,22 @@ def test_rtc_finite_union_when_powers_die():
     assert all(isinstance(m, Octagon) for m in u.members)
 
 
+@pytest.mark.parametrize("bound", [66, 70])
+def test_rtc_dying_counter_past_the_prefix_budget(bound):
+    # 0 <= x <= bound and x' == x - 1: R^n is non-empty up to n = bound + 1,
+    # which the period scan meets only past the prefix budget of 64
+    r = oct_encode(
+        [(-1, 0, -1, 0, 0), (1, 0, 1, 0, 2 * bound), (1, 1, -1, 0, -1), (-1, 1, 1, 0, 1)], 2
+    )
+    u = reflexive_transitive_closure(r, 1)
+    assert u.exact and len(u.members) == bound + 1
+    power = tight_close(r)
+    for m in u.members:
+        assert oct_eq(m, power)
+        power = oct_compose(power, r, 1)
+    assert power.is_bottom
+
+
 def test_rtc_budget_fallback_is_sound():
     u = reflexive_transitive_closure(periodic_relation(), 4, max_b=1, max_c=1)
     assert not u.exact

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from octoterm.dbm import INF
-from octoterm.linarith import LE, LinSys, LinTerm
+from octoterm.linarith import EQ, LE, LinSys, LinTerm
 from octoterm.octagon import (
     Octagon,
     bottom,
@@ -17,10 +17,14 @@ from octoterm.octagon import (
     oct_exists,
     oct_hull,
     oct_leq,
+    oct_rows,
     pre_image_set,
+    rows_to_atoms,
     tight_close,
     top,
 )
+
+from octoterm.presburger import Conj, eliminate_all
 
 from helpers import (
     TIGHT_EXAMPLE_GOLDEN,
@@ -217,6 +221,60 @@ def test_hull_of_linear_system():
     pts = oct_points(h, -1, 7)
     assert (0, 0) in pts and (6, 3) in pts
     assert (7, 3) not in pts
+
+
+def test_hull_over_names_is_the_hull_of_the_exact_projection():
+    # x' = x + k and y' = y + 2k over a loop parameter k >= 0: the
+    # projection onto the program variables couples x' - x and y' - y
+    xs = [LinTerm.var(v) for v in ("x", "y", "x'", "y'")]
+    x, y, xp, yp = xs
+    k = LinTerm.var("k")
+    rows = [(xp - x - k, EQ), (yp - y - 2 * k, EQ), (-k, LE),
+            (-x, LE), (x - 3, LE), (y, LE), (xp - 8, LE)]
+    names = ["x", "y", "x'", "y'"]
+    h = oct_hull([LinSys(rows)], names)
+    projection = eliminate_all(Conj.make(rows), ["k"], nonneg=["k"])
+    assert len(projection) >= 1
+    assert oct_eq(h, oct_hull([c.to_linsys() for c in projection], names))
+    assert oct_eq(oct_hull([], names), bottom(4))
+
+
+def _row_holds(t, rel, point, names):
+    v = t.eval(dict(zip(names, point)))
+    return v <= 0 if rel == LE else v == 0
+
+
+def test_row_classifier_accepts_exactly_the_octagonal_rows():
+    # rows with coefficients -3..3 on at most 3 variables; octagonal means
+    # one variable with coefficient +-1 or +-2, or two with +-1
+    rng = random.Random(7)
+    names = ["x", "y", "z"]
+    index = {v: i for i, v in enumerate(names)}
+    box = list(itertools.product(range(-3, 4), repeat=3))
+    accepted = 0
+    for _ in range(400):
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = {v: rng.randint(-3, 3) for v in rng.sample(names, rng.randint(1, 3))}
+            rows.append((LinTerm(coeffs, rng.randint(-4, 4)), rng.choice((LE, EQ))))
+        rows = [(t, rel) for t, rel in rows if not t.is_constant()]
+        if not rows:
+            continue
+        octagonal = all(
+            sorted(abs(c) for c in t.coeffs.values()) in ([1], [2], [1, 1]) for t, _ in rows
+        )
+        atoms = rows_to_atoms(rows, index)
+        assert (atoms is not None) == octagonal
+        if atoms is None:
+            continue
+        accepted += 1
+        o = oct_encode(atoms, 3)
+        want = {pt for pt in box if all(_row_holds(t, rel, pt, names) for t, rel in rows)}
+        assert oct_points(o, -3, 3) == want
+        assert oct_points(oct_encode(oct_decode(o), 3), -3, 3) == want
+        back = oct_rows(o, names)
+        assert {pt for pt in box if all(_row_holds(t, rel, pt, names) for t, rel in back)} == want
+    assert accepted >= 50
 
 
 def test_hull_empty_is_bottom():

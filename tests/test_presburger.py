@@ -1,5 +1,6 @@
 import random
 
+from octoterm import presburger
 from octoterm.linarith import EQ, LE, LT, LinTerm
 from octoterm.presburger import (
     Conj,
@@ -110,6 +111,16 @@ def test_conj_implies_octagonal_and_general():
     g1 = Conj.make([(2 * x - 3 * y, EQ), (x - 3, LE)])
     g2 = Conj.make([(2 * x - 3 * y - 1, LE)])
     assert conj_implies(g1, g2)
+    # b over fewer variables than a is read in a's variable order
+    a3 = Conj.make([(x - 1, LE), (y - k, EQ), (k - 1, LE)])
+    assert conj_implies(a3, Conj.make([(x + y - 2, LE)]))
+    assert not conj_implies(a3, Conj.make([(x + y - 1, LE)]))
+    assert conj_implies(a3, Conj.make([(2 * k - 2, LE)]))
+
+
+def test_memos_are_bounded():
+    for fn in (presburger._conj_octagon, presburger._rational_witness, presburger.conj_poly):
+        assert fn.cache_info().maxsize is not None
 
 
 def test_dnf_pruning():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from octoterm import program as program_module
+from octoterm import presburger as presburger_module
 from octoterm.grammar import FragmentError, ParseError
 from octoterm.program import (
     Budgets,
@@ -317,9 +318,10 @@ l1 -> l2 : x < 0 && id(x, y);
 
 
 def _clear_memos():
-    for fn in vars(program_module).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
+    for module in (program_module, presburger_module):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
 
 
 @pytest.mark.parametrize(
