@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .affine import (
     AffineRel,
@@ -231,7 +230,7 @@ def cmd_rel(args) -> int:
         return EXIT_OK
     if args.subcommand == "rank":
         res = prove_termination(rel, n)
-        from .ranking import NotWellFounded, WellFounded
+        from .ranking import NotWellFounded
 
         if isinstance(res, NotWellFounded):
             out = render_octagon(res.wnt_set, names)
@@ -273,7 +272,7 @@ def cmd_rel(args) -> int:
         rtc = reflexive_transitive_closure(
             rel, n, args.max_prefix, args.max_period
         )
-        from .program import member_from_octagon, member_from_param_oct
+        from .program import member_from_param_oct
 
         lines = ["identity"]
         members_json = ["identity"]

@@ -36,7 +36,7 @@ from .octagon import (
     tighten,
     top,
 )
-from .pdbm import ExtParamDbm, ParamTerm, entry_min_equals, glue, param_fw
+from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw
 
 
 class OperationCancelled(Exception):
@@ -216,7 +216,7 @@ def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]
                     if terms:
                         return False
                     continue
-                target = ParamTerm((tr,), tb + tr)  # value at k+1
+                target = (tb + tr, tr)  # value at k+1
                 if not terms or not entry_min_equals(terms, target):
                     return False
     return True

@@ -82,8 +82,8 @@ def top(num_vars: int) -> Octagon:
 def row_atom(coeffs: Sequence[tuple[int, int]], bound):
     """The atom of the row ``sum c*x_i <= bound``, given as pairs (i, c),
     when the row is octagonal: one variable with coefficient +-1 or +-2, or
-    two variables with +-1.  None otherwise.  ``bound`` is an int or any
-    value with ``+`` (a unit coefficient doubles it)."""
+    two variables with +-1.  None otherwise.  A unit coefficient doubles
+    ``bound``, so ``row_atom(coeffs, 1)`` gives the scale of the bound."""
     if len(coeffs) == 1:
         ((i, c),) = coeffs
         if c == 1 or c == -1:

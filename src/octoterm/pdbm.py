@@ -1,19 +1,31 @@
-"""Parametric DBMs: entries are sets of affine terms over nonneg parameters.
+"""Parametric DBMs: entries are antichains of affine terms over nonneg parameters.
 
-An entry ``{a1*k+b1, a2*k+b2, ...}`` bounds a difference by the pointwise
-minimum of its terms; the empty set is "no bound".  The closure keeps, per
-entry, the antichain of term/path-length pairs for paths of length at most
-dim+1, which is enough to agree with the plain Floyd-Warshall closure at
-every parameter valuation where the instantiated matrix is consistent; at
-inconsistent valuations some diagonal entry evaluates negative.
+A term ``c + r1*k1 + ... + rn*kn`` is the plain int tuple ``(c, r1, ...,
+rn)``.  An entry is a tuple of terms and bounds a difference by the
+pointwise minimum of its terms; the empty tuple is "no bound".  A term is
+redundant in an entry when another term is <= it in every component, since
+then it is never smaller at a nonneg valuation; ``min_terms`` keeps the
+minimal ones, sorted lexicographically.
 
-The partial order on terms compares rate vectors and constants
-componentwise; ``min_terms`` prunes dominated terms.
+The closure works on pairs ``(c, r1, ..., rn, length)``: a term with the
+length of the path that produced it, so one ``map(add, a, b)`` adds both
+the terms and the lengths of two paths.  Per entry it keeps the antichain
+of pairs for paths of length at most dim+1, which is enough to agree with
+the plain Floyd-Warshall closure at every parameter valuation where the
+instantiated matrix is consistent; at inconsistent valuations some
+diagonal entry evaluates negative.
+
+``min_terms`` is one sorted Pareto sweep for both terms and pairs.  It
+sorts the unique tuples and compares each one only with the tuples already
+kept.  That is exact: lexicographic order extends componentwise <=, so a
+tuple's dominators all come before it; and domination is transitive, so a
+dominator that was itself dropped has a kept dominator of its own, which
+also dominates the tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add, le, mul
 from typing import Iterable, Sequence
 
 from .dbm import INF, Dbm
@@ -22,48 +34,30 @@ from .presburger import Conj, Dnf, eliminate_all
 
 MAX_ANTICHAIN = 64
 
-
-@dataclass(frozen=True)
-class ParamTerm:
-    """rates . params + const, with integer rates and constant."""
-
-    rates: tuple[int, ...]
-    const: int
-
-    def __add__(self, other: "ParamTerm") -> "ParamTerm":
-        return ParamTerm(
-            tuple(a + b for a, b in zip(self.rates, other.rates)),
-            self.const + other.const,
-        )
-
-    def dominates(self, other: "ParamTerm") -> bool:
-        """self >= other pointwise on the nonneg orthant (so self is redundant)."""
-        return self.const >= other.const and all(
-            a >= b for a, b in zip(self.rates, other.rates)
-        )
-
-    def eval(self, valuation: Sequence[int]) -> int:
-        return self.const + sum(r * v for r, v in zip(self.rates, valuation))
-
-    def __repr__(self):
-        bits = [f"{r}*k{i}" for i, r in enumerate(self.rates) if r]
-        bits.append(str(self.const))
-        return "+".join(bits)
+Term = tuple[int, ...]  # (const, *rates); a closure pair appends a length
 
 
-def const_term(c: int, nparams: int) -> ParamTerm:
-    return ParamTerm((0,) * nparams, c)
+def min_terms(items: Iterable[Term]) -> tuple[Term, ...]:
+    """The componentwise-minimal tuples among ``items``, duplicates removed,
+    in lexicographic order."""
+    keep: list[Term] = []
+    for t in sorted(set(items)):
+        for s in keep:
+            if all(map(le, s, t)):  # _leq(s, t), inlined in the hot loop
+                break
+        else:
+            keep.append(t)
+    return tuple(keep)
 
 
-def min_terms(terms: Iterable[ParamTerm]) -> tuple[ParamTerm, ...]:
-    """The antichain of minimal terms (duplicates removed).
+def _leq(a: Term, b: Term) -> bool:
+    """a <= b in every component, so b is redundant next to a."""
+    return all(map(le, a, b))
 
-    A term is redundant when some other term is <= it in every component;
-    after deduplication mutual domination is impossible.
-    """
-    uniq = list(dict.fromkeys(terms))
-    keep = [t for t in uniq if not any(s is not t and t.dominates(s) for s in uniq)]
-    return tuple(sorted(keep, key=lambda t: (t.const, t.rates)))
+
+def term_bound(t: Term, param_names: Sequence[str]) -> LinTerm:
+    """The term as a linear term over the named parameters."""
+    return LinTerm(dict(zip(param_names, t[1:])), t[0])
 
 
 class ExtParamDbm:
@@ -71,47 +65,32 @@ class ExtParamDbm:
 
     __slots__ = ("dim", "nparams", "entries", "capped")
 
-    def __init__(self, dim: int, nparams: int, entries=None, capped: bool = False):
+    def __init__(self, dim: int, nparams: int, entries, capped: bool = False):
         self.dim = dim
         self.nparams = nparams
-        if entries is None:
-            entries = [
-                [(() if i != j else (const_term(0, nparams),)) for j in range(dim)]
-                for i in range(dim)
-            ]
         self.entries = entries
         self.capped = capped
 
     @classmethod
     def from_dbm(cls, m: Dbm, nparams: int = 0) -> "ExtParamDbm":
-        e = [
-            [
-                (() if m.rows[i][j] == INF else (const_term(m.rows[i][j], nparams),))
-                for j in range(m.dim)
-            ]
-            for i in range(m.dim)
-        ]
+        rates = (0,) * nparams
+        e = [[(() if v == INF else ((v,) + rates,)) for v in row] for row in m.rows]
         return cls(m.dim, nparams, e)
 
     @classmethod
     def affine(cls, base: Dbm, rates: Sequence[Dbm]) -> "ExtParamDbm":
         """base + sum_p k_p * rates[p]; rate ignored where base is INF."""
-        nparams = len(rates)
         e = []
-        for i in range(base.dim):
+        for i, brow in enumerate(base.rows):
             row = []
-            for j in range(base.dim):
-                b = base.rows[i][j]
+            for j, b in enumerate(brow):
                 if b == INF:
                     row.append(())
                 else:
-                    rs = []
-                    for r in rates:
-                        v = r.rows[i][j]
-                        rs.append(0 if v == INF else v)
-                    row.append((ParamTerm(tuple(rs), b),))
+                    rs = [r.rows[i][j] for r in rates]
+                    row.append(((b, *(0 if v == INF else v for v in rs)),))
             e.append(row)
-        return cls(base.dim, nparams, e)
+        return cls(base.dim, len(rates), e)
 
 
 def glue(a: ExtParamDbm, b: ExtParamDbm) -> ExtParamDbm:
@@ -140,10 +119,13 @@ def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
     if len(valuation) != m.nparams:
         raise ValueError("valuation arity mismatch")
     rows = []
-    for i in range(m.dim):
+    for erow in m.entries:
         row = []
-        for terms in m.entries[i]:
-            row.append(min(t.eval(valuation) for t in terms) if terms else INF)
+        for terms in erow:
+            row.append(
+                min(sum(map(mul, t[1:], valuation), t[0]) for t in terms)
+                if terms else INF
+            )
         rows.append(row)
     return Dbm(rows)
 
@@ -152,80 +134,99 @@ def param_fw(m: ExtParamDbm) -> ExtParamDbm:
     """Parametric shortest-path closure over paths of length <= dim+1.
 
     Keeps (term, length) pairs: lengths cap composed paths at k+1 during
-    round k, equal terms keep their shortest length, and dominated terms
-    are dropped.  For every nonneg valuation where the instantiated matrix
-    is consistent this agrees with ``fw_close``; otherwise some diagonal
-    entry evaluates negative at that valuation.
+    round k, equal terms keep their shortest length, and a pair is dropped
+    only when another pair has a pointwise <= term AND a <= length.  A
+    weight-dominated but shorter path must survive, because the length cap
+    may later admit only the short representative (matters for matrices
+    that are inconsistent at most parameter valuations).  An entry longer
+    than ``MAX_ANTICHAIN`` keeps its least pairs and sets ``capped``.
+
+    For every nonneg valuation where the instantiated matrix is consistent
+    this agrees with ``fw_close``; otherwise some diagonal entry evaluates
+    negative at that valuation.
     """
     dim = m.dim
     capped = m.capped
-    work: list[list[tuple[tuple[ParamTerm, int], ...]]] = []
-    for i in range(dim):
+    origin = (0,) * (m.nparams + 2)  # the empty path: zero term, length 0
+    work: list[list[tuple[Term, ...]]] = []
+    for i, erow in enumerate(m.entries):
         row = []
-        for j, terms in enumerate(m.entries[i]):
-            pairs = tuple((t, 1) for t in terms)
+        for j, terms in enumerate(erow):
+            pairs = [t + (1,) for t in terms]
             if i == j:
-                pairs = pairs + ((const_term(0, m.nparams), 0),)
-            row.append(_prune(pairs))
+                pairs.append(origin)
+            row.append(min_terms(pairs))
         work.append(row)
     for k in range(dim):
+        cap = k + 2
+        rowk = work[k]
         for i in range(dim):
             wik = work[i][k]
             if not wik:
                 continue
+            rowi = work[i]
             for j in range(dim):
-                wkj = work[k][j]
+                wkj = rowk[j]
                 if not wkj:
                     continue
-                t1 = work[i][j]
-                t2 = []
-                for (a, da) in wik:
-                    for (b, db) in wkj:
-                        if da + db <= k + 2:
-                            t2.append((a + b, da + db))
-                merged = _prune(t1 + tuple(t2))
-                if len(merged) > MAX_ANTICHAIN:
-                    merged = merged[:MAX_ANTICHAIN]
+                cell = rowi[j]
+                new = [
+                    tuple(map(add, a, b))
+                    for a in wik
+                    for b in wkj
+                    if a[-1] + b[-1] <= cap
+                ]
+                if new:
+                    cell = min_terms(cell + tuple(new))
+                if len(cell) > MAX_ANTICHAIN:
+                    cell = cell[:MAX_ANTICHAIN]
                     capped = True
-                work[i][j] = merged
-    entries = [
-        [tuple(t for t, _ in cell) for cell in row] for row in work
-    ]
+                rowi[j] = cell
+    entries = [[tuple(p[:-1] for p in cell) for cell in row] for row in work]
     return ExtParamDbm(dim, m.nparams, entries, capped)
 
 
-def _prune(pairs: tuple[tuple[ParamTerm, int], ...]):
-    """Pareto frontier over (term domination, path length).
+def param_tighten(entries, dim: int) -> list:
+    """Parametric tight closure of closed entries, one matrix per case.
 
-    A pair is dropped only when another pair has a pointwise <= term AND a
-    <= length: a weight-dominated but shorter path must survive, because
-    the length cap may later admit only the short representative (matters
-    for matrices that are inconsistent at most parameter valuations).
+    Tightening halves the (p, bar p) entries: m[p][q] = min(m[p][q],
+    floor(m[p][bar p] / 2) + floor(m[bar q][q] / 2)).  Halving a term with
+    an odd rate needs the parameter's parity, so such parameters are split
+    (k -> 2k+r, one case per residue r), which keeps every floor exact.
     """
-    best_len: dict[ParamTerm, int] = {}
-    for t, d in pairs:
-        if t not in best_len or d < best_len[t]:
-            best_len[t] = d
-    items = list(best_len.items())
-    keep = []
-    for t, d in items:
-        dominated = False
-        for s, ds in items:
-            if s != t and t.dominates(s) and ds <= d:
-                dominated = True
-                break
-        if not dominated:
-            keep.append((t, d))
-    keep.sort(key=lambda td: (td[0].const, td[0].rates, td[1]))
-    return tuple(keep)
+    for p in range(dim):
+        for t in entries[p][p ^ 1]:
+            for pi in range(1, len(t)):
+                if t[pi] % 2 != 0:
+                    cases = []
+                    for r in (0, 1):
+                        sub = [
+                            [tuple((u[0] + u[pi] * r, *u[1:pi], 2 * u[pi], *u[pi + 1:])
+                                   for u in cell) for cell in row]
+                            for row in entries
+                        ]
+                        cases.extend(param_tighten(sub, dim))
+                    return cases
+    halves = [[tuple(x // 2 for x in t) for t in entries[p][p ^ 1]] for p in range(dim)]
+    tightened = []
+    for p in range(dim):
+        row = []
+        for q in range(dim):
+            terms = list(entries[p][q])
+            for h1 in halves[p]:
+                for h2 in halves[q ^ 1]:
+                    terms.append(tuple(map(add, h1, h2)))
+            row.append(min_terms(terms))
+        tightened.append(row)
+    return [tightened]
 
 
-def entry_min_equals(terms: Sequence[ParamTerm], target: ParamTerm) -> bool:
+def entry_min_equals(terms: Sequence[Term], target: Term) -> bool:
     """Does min(terms) equal target at every nonneg valuation?
 
     True iff target is one of the terms and every term dominates it.
     """
-    return any(t == target for t in terms) and all(t.dominates(target) for t in terms)
+    return target in terms and all(_leq(target, t) for t in terms)
 
 
 def reduce_closed_entries(entries, dim: int, nparams: int):
@@ -251,7 +252,7 @@ def reduce_closed_entries(entries, dim: int, nparams: int):
                         continue
                     for t1 in entries[p][r]:
                         for t2 in entries[r][q]:
-                            if t.dominates(t1 + t2):
+                            if _leq(map(add, t1, t2), t):
                                 drop = True
                                 break
                         if drop:
@@ -268,7 +269,7 @@ def reduce_closed_entries(entries, dim: int, nparams: int):
     for p in range(dim):
         for q in range(dim):
             for t in entries[p][q]:
-                if not any(t.dominates(s) for s in closed.entries[p][q]):
+                if not any(_leq(s, t) for s in closed.entries[p][q]):
                     return entries  # over-dropped around a tie; keep original
     return reduced
 
@@ -296,10 +297,7 @@ def param_exists_k(
                 continue
             lhs = index_terms[i] - index_terms[j]
             for t in terms:
-                bound = LinTerm(
-                    {param_names[p]: r for p, r in enumerate(t.rates)}, t.const
-                )
-                row = lhs - bound
+                row = lhs - term_bound(t, param_names)
                 if row.is_constant() and row.const <= 0:
                     continue
                 rows.append((row, "<="))

@@ -47,6 +47,15 @@ from .octagon import (
     rows_to_atoms,
     tight_close,
 )
+from .pdbm import (
+    ExtParamDbm,
+    glue,
+    min_terms,
+    param_fw,
+    param_tighten,
+    reduce_closed_entries,
+    term_bound,
+)
 from .presburger import Conj, Dnf, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
@@ -108,8 +117,6 @@ def member_from_octagon(o: Octagon, variables: tuple[str, ...]) -> LinRel | None
 
 
 def member_from_param_oct(po: ParamOct, variables: tuple[str, ...]) -> LinRel:
-    from .pdbm import ExtParamDbm
-
     m = _member_from_entries(ExtParamDbm.affine(po.base, [po.rate]).entries, 1, variables)
     assert m is not None
     return m
@@ -178,116 +185,46 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def _member_param_matrix(m: LinRel):
-    """Dual 4N matrix of ParamTerm tuples, one rate per parameter of m,
-    when every row is octagonal with parameters only in the bounds; None
-    otherwise."""
-    from .pdbm import ParamTerm, min_terms
-
+    """Dual 4N matrix of term tuples ``(const, *rates)``, one rate per
+    parameter of m, when every row is octagonal with parameters only in the
+    bounds; None otherwise."""
     if m.conj.divs:
         return None
     index = {v: i for i, v in enumerate(_relation_names(m.variables))}
-    pidx = {p: i for i, p in enumerate(m.params)}
-    np_ = len(m.params)
+    pidx = {p: i + 1 for i, p in enumerate(m.params)}
     dim = 2 * len(index)
     cells: list[list[list]] = [[[] for _ in range(dim)] for _ in range(dim)]
     for t, rel in m.conj.rows:
         for tt in (t,) if rel == LE else (t, -t):
             var_part = []
-            rates = [0] * np_
+            bound = [-tt.const.numerator] + [0] * len(pidx)
             for v, c in tt.coeffs.items():
                 if v in pidx:
-                    rates[pidx[v]] = -c.numerator
+                    bound[pidx[v]] = -c.numerator
                 elif v in index:
                     var_part.append((index[v], c.numerator))
                 else:
                     return None
-            bound = ParamTerm(tuple(rates), -tt.const.numerator)
             if not var_part:
                 # pure parameter constraint 0 <= bound, kept on a diagonal
-                cells[0][0].append(bound)
+                cells[0][0].append(tuple(bound))
                 continue
-            atom = row_atom(var_part, bound)
+            atom = row_atom(var_part, 1)  # the bound's scale: 1, or 2 for a unit row
             if atom is None:
                 return None
             p, q = atom_entry(*atom[:4])
-            cells[p][q].append(atom[4])
-            cells[q ^ 1][p ^ 1].append(atom[4])
-    entries = []
-    zero = ParamTerm((0,) * np_, 0)
+            term = tuple(atom[4] * c for c in bound)
+            cells[p][q].append(term)
+            cells[q ^ 1][p ^ 1].append(term)
+    zero = (0,) * (len(pidx) + 1)
     for p in range(dim):
-        row = []
-        for q in range(dim):
-            terms = list(cells[p][q])
-            if p == q:
-                terms.append(zero)
-            row.append(min_terms(terms))
-        entries.append(tuple(row))
-    return tuple(entries)  # shared by every caller of the memo
-
-
-def _tighten_param_entries(entries, nparams: int, dim: int):
-    """Parametric tight closure cases: [(substitution, tightened entries)].
-
-    Halving a term with an odd rate needs the parameter's parity, so such
-    parameters are split (k -> 2k+r), which keeps every floor exact.
-    """
-    from .pdbm import ParamTerm, min_terms
-
-    # find a parameter with an odd rate on some (p, bar p) entry
-    for p in range(dim):
-        for t in entries[p][p ^ 1]:
-            for pi, r in enumerate(t.rates):
-                if r % 2 != 0:
-                    cases = []
-                    for residue in (0, 1):
-                        sub = [
-                            [
-                                tuple(
-                                    ParamTerm(
-                                        tuple(
-                                            rr * 2 if qi == pi else rr
-                                            for qi, rr in enumerate(tt.rates)
-                                        ),
-                                        tt.const + tt.rates[pi] * residue,
-                                    )
-                                    for tt in cell
-                                )
-                                for cell in row
-                            ]
-                            for row in entries
-                        ]
-                        for subcase in _tighten_param_entries(sub, nparams, dim):
-                            subst, tightened = subcase
-                            cases.append(((pi, residue, subst), tightened))
-                    return cases
-    halves = []
-    for p in range(dim):
-        hs = []
-        for t in entries[p][p ^ 1]:
-            hs.append(
-                ParamTerm(tuple(r // 2 for r in t.rates), t.const // 2)
-                if all(r % 2 == 0 for r in t.rates)
-                else None
-            )
-        assert all(h is not None for h in hs)
-        halves.append(hs)
-    tightened = []
-    for p in range(dim):
-        row = []
-        for q in range(dim):
-            terms = list(entries[p][q])
-            for h1 in halves[p]:
-                for h2 in halves[q ^ 1]:
-                    terms.append(h1 + h2)
-            row.append(min_terms(terms))
-        tightened.append(row)
-    return [(None, tightened)]
+        cells[p][p].append(zero)
+    # shared by every caller of the memo
+    return tuple(tuple(min_terms(cell) for cell in row) for row in cells)
 
 
 def _compose_param_oct(a: LinRel, b: LinRel):
     """Composition through the parametric closure; None when not eligible."""
-    from .pdbm import ExtParamDbm, ParamTerm, glue, param_fw
-
     ea = _member_param_matrix(a)
     if ea is None:
         return None
@@ -299,9 +236,9 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     np_ = na + nb
 
     def lift(entries, before: int, after: int) -> ExtParamDbm:
+        pad_a, pad_b = (0,) * before, (0,) * after
         return ExtParamDbm(len(entries), np_, [
-            [tuple(ParamTerm((0,) * before + t.rates + (0,) * after, t.const) for t in cell)
-             for cell in row]
+            [tuple((t[0], *pad_a, *t[1:], *pad_b) for t in cell) for cell in row]
             for row in entries
         ])
 
@@ -311,10 +248,9 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     # dual matrix dim is 4N over (x, x'); the unprimed block is 2N wide
     blk = 2 * len(a.variables)
     dim3 = 3 * blk
-    cases = _tighten_param_entries(closed.entries, np_, dim3)
     keep = list(range(blk)) + list(range(2 * blk, dim3))
     out = []
-    for _, entries in cases:
+    for entries in param_tighten(closed.entries, dim3):
         erased = [[entries[p][q] for q in keep] for p in keep]
         mem = _member_from_entries(erased, np_, a.variables)
         if mem is not None and mem.rationally_feasible():
@@ -324,8 +260,6 @@ def _compose_param_oct(a: LinRel, b: LinRel):
 
 def _member_from_entries(entries, nparams, variables) -> LinRel | None:
     """Member rows from a closed tight parametric dual matrix (reduced)."""
-    from .pdbm import reduce_closed_entries
-
     dim = len(entries)
     names = _relation_names(variables)
     params = _param_names(nparams)
@@ -334,7 +268,7 @@ def _member_from_entries(entries, nparams, variables) -> LinRel | None:
     for p in range(dim):
         for q in range(dim):
             for t in entries[p][q]:
-                bound = LinTerm({params[i]: r for i, r in enumerate(t.rates)}, t.const)
+                bound = term_bound(t, params)
                 row = -bound if p == q else term_of_pair(p, q, names) - bound
                 if row.is_constant():
                     if row.const > 0:

@@ -1,0 +1,54 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import octoterm
+
+PACKAGE = Path(octoterm.__file__).parent
+
+
+def _imported(tree: ast.AST) -> dict[str, int]:
+    """Bound name -> line, for every import in the module (any depth)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names read anywhere, quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names |= _referenced(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # the package's re-exports
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _referenced(tree)
+        for name, line in _imported(tree).items():
+            if name not in used:
+                unused.append(f"{path.name}:{line}: {name}")
+    assert not unused, unused

@@ -13,7 +13,7 @@ from octoterm.octagon import (
     oct_eq,
     tight_close,
 )
-from octoterm.pdbm import ParamTerm, min_terms
+from octoterm.pdbm import min_terms
 
 from helpers import random_oct_relation
 
@@ -102,13 +102,13 @@ def test_closure_uniqueness_for_equivalent_syntaxes():
     )
 )
 def test_min_terms_pointwise_and_size_bound(pairs):
-    terms = [ParamTerm((a,), b) for a, b in pairs]
+    terms = [(b, a) for a, b in pairs]  # (const, rate)
     mt = min_terms(terms)
     assert min_terms(mt) == mt
     for n in range(0, 21):
-        assert min(t.eval((n,)) for t in terms) == min(t.eval((n,)) for t in mt)
-    rates = [t.rates[0] for t in terms]
-    consts = [t.const for t in terms]
+        assert min(c + r * n for c, r in terms) == min(c + r * n for c, r in mt)
+    rates = [r for _, r in terms]
+    consts = [c for c, _ in terms]
     spread = min(max(rates) - min(rates), max(consts) - min(consts))
     assert len(mt) <= spread + 1
 
