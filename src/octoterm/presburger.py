@@ -217,12 +217,36 @@ def conj_poly(c: Conj) -> PolyhedronLP:
     return PolyhedronLP(c.to_linsys())
 
 
+def _div_implied(a: Conj, d: DivAtom) -> bool:
+    """Sound: a implies m | t when, for s = 0 or the term of an atom m' | s
+    of a with m | m', a's rows fix t - s (less the coefficients m divides,
+    which are multiples of m at every integer point) to a constant c with
+    m | c.  Then t = s + c (mod m) at every integer point of a."""
+    w = _rational_witness(a)
+    if w is None:
+        return True  # no rational point, so no integer point
+    m = d.modulus
+    for s in [LinTerm()] + [e.term for e in a.divs if e.modulus % m == 0]:
+        diff = d.term - s
+        diff = LinTerm({v: c for v, c in diff.coeffs.items() if c.numerator % m}, diff.const)
+        if any(v not in w for v in diff.coeffs):
+            continue  # a's rows leave the variable free
+        c = diff.eval(w)
+        if c.denominator != 1 or c.numerator % m:
+            continue
+        poly = conj_poly(a)
+        if poly.entails_le(diff - c) and poly.entails_le(c - diff):
+            return True
+    return False
+
+
 def conj_implies(a: Conj, b: Conj) -> bool:
     """Sound, incomplete: integer octagonal entailment when both conjuncts
-    are octagonal, rational row entailment otherwise; divisibility atoms
-    must match syntactically."""
+    are octagonal, rational row entailment otherwise.  A divisibility atom
+    of b holds when a has it syntactically or a's rows entail it
+    (``_div_implied``)."""
     adivs = set(a.divs)
-    if not all(d in adivs for d in b.divs):
+    if not all(d in adivs or _div_implied(a, d) for d in b.divs):
         return False
     oa = _conj_octagon(a)
     if oa is not None and _conj_octagon(b) is not None:

@@ -144,7 +144,11 @@ def member_cases(m: LinRel) -> tuple[Conj, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def member_subsumed(a: LinRel, b: LinRel) -> bool:
-    """Sound check that a's relation is contained in b's."""
+    """Sound check that a's relation is contained in b's: every
+    parameter-free case of a implies one case of b by ``conj_implies``.
+    That sees row entailment and the divisibility atoms a's rows entail,
+    such as the parities step-2 accelerations bring in, but not a case of
+    a covered only by a union of b's cases."""
     if not a.params and not b.params:
         return conj_implies(a.conj, b.conj)
     cb = member_cases(b)

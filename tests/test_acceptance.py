@@ -225,6 +225,36 @@ def test_acceptance_4_program_goldens():
               "(entailment + box agreement)")
 
 
+def test_acceptance_4_step2_branching_converges():
+    import signal
+    import time
+
+    # step 2 puts parity atoms into the loop summaries; saturation reaches
+    # its fixpoint only when subsumption sees through them.  The alarm
+    # turns a return to non-convergence into a failure, not a hang.
+    limit = 20
+
+    def expire(signum, frame):
+        raise AssertionError(f"step-2 BRANCHING did not finish within {limit}s")
+
+    program = parse_program(BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2"))
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(limit)
+    t0 = time.time()
+    try:
+        res = nt_program(program)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    elapsed = time.time() - t0
+    assert not res.budget_exhausted
+    for x in range(-10, 11):
+        for y in range(-10, 11):
+            assert res.precondition.eval({"x": x, "y": y}) == (x != 0)
+    report(4, f"step-2 branching program yields exactly x != 0 with no "
+              f"budget exhausted ({elapsed:.2f}s)")
+
+
 def test_acceptance_5_ranking_golden():
     r = periodic_relation()
     assert is_well_founded(r, 4)

@@ -172,9 +172,13 @@ def test_param_exists_k_membership_vs_search():
         m = ExtParamDbm(2, 1, entries)
         dnf = param_exists_k(m, [x, zero], ["k"])
         for xv in range(-10, 11):
-            # oracle: the instantiated DBM is consistent for some k >= 0;
-            # each bound is affine in k so feasibility per k is monotone
-            # on each side and search up to 60 plus a tail check suffices
+            # oracle: the instantiated DBM is consistent for some k >= 0.
+            # Each term (c, r) of entry (a, b) asks d <= c + r*k, where
+            # d = val[a] - val[b] lies in [-10, 10] and c >= -4: a lower
+            # bound k >= (d - c)/r <= 14 when r >= 1, an upper bound or
+            # nothing when r <= 0.  So the feasible k-set is an interval
+            # whose left end is at most 14, and searching 0..60 is
+            # complete; the tail check below asserts it.
             def consistent_at(kv):
                 d = eval_at(m, (kv,))
                 val = {0: xv, 1: 0}
@@ -186,9 +190,7 @@ def test_param_exists_k_membership_vs_search():
 
             exists = any(consistent_at(kv) for kv in range(0, 61))
             if not exists:
-                # rows with positive rate only improve with k; confirm no
-                # late satisfaction by checking rates
-                pass
+                assert not any(consistent_at(kv) for kv in range(61, 201))
             assert dnf.eval({"x": xv}) == exists
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from octoterm import presburger
 from octoterm.linarith import EQ, LE, LT, LinTerm
@@ -116,6 +117,62 @@ def test_conj_implies_octagonal_and_general():
     assert conj_implies(a3, Conj.make([(x + y - 2, LE)]))
     assert not conj_implies(a3, Conj.make([(x + y - 1, LE)]))
     assert conj_implies(a3, Conj.make([(2 * k - 2, LE)]))
+
+
+def test_conj_implies_divisibility_from_rows():
+    # from the step-2 BRANCHING saturation: y is fixed, so x + y + 1 and
+    # x + 1 have the same parity
+    a = Conj.make([(y - 2, EQ), (1 - x, LE)], [DivAtom(2, x + y + 1)])
+    b = Conj.make([(1 - x, LE)], [DivAtom(2, x + 1)])
+    assert conj_implies(a, b)
+    assert not conj_implies(Conj.make([(y - 3, EQ), (1 - x, LE)], a.divs), b)
+    # a's rows alone fix the term
+    a2 = Conj.make([(x + y - 4, EQ)])
+    assert conj_implies(a2, Conj.make([], [DivAtom(2, x + y)]))
+    assert not conj_implies(a2, Conj.make([], [DivAtom(3, x + y)]))
+    # m | m': 4 | x + 2y gives 2 | x, but 3 | x does not
+    assert conj_implies(Conj.make([], [DivAtom(4, x + 2 * y)]), Conj.make([], [DivAtom(2, x)]))
+    assert not conj_implies(Conj.make([], [DivAtom(3, x)]), Conj.make([], [DivAtom(2, x)]))
+    # a rationally empty a implies anything
+    empty = Conj.make([(x + y, LE), (1 - x - y, LE)])
+    assert conj_implies(empty, Conj.make([], [DivAtom(3, x + 1)]))
+
+
+def test_conj_implies_divisibility_differential():
+    """Whenever conj_implies(a, b) holds, every integer point of a in a box
+    satisfies b.  b's atom is built from one of a's atoms (or 0), a's
+    equalities, multiples of its modulus and a random residue, so it often
+    holds on a without being among a's atoms."""
+    rng = random.Random(11)
+    names = ["x", "y", "z"]
+    implied = 0
+    for _ in range(400):
+        vs = names[: rng.randint(2, 3)]
+
+        def term():
+            return LinTerm({v: rng.randint(-2, 2) for v in vs}, rng.randint(-3, 3))
+
+        eqs = [term() for _ in range(rng.randint(0, 1))]
+        rows = [(t, EQ) for t in eqs] + [(term(), LE) for _ in range(rng.randint(1, 2))]
+        divs = [DivAtom(rng.choice((2, 3)), term()) for _ in range(rng.randint(1, 2))]
+        a = Conj.make(rows, divs)
+        if a is None:
+            continue
+        m = rng.choice((2, 3))
+        t = rng.choice([LinTerm()] + [d.term for d in a.divs])
+        for e in eqs:
+            t = t + rng.randint(-1, 1) * e
+        t = t + m * term() + rng.randint(0, m - 1)
+        b = Conj.make(rng.sample(a.rows, rng.randint(0, len(a.rows))), [DivAtom(m, t)])
+        if b is None or not conj_implies(a, b):
+            continue
+        implied += any(d not in a.divs for d in b.divs)
+        for p in product(range(-5, 6), repeat=len(vs)):
+            val = dict(zip(vs, p))
+            if a.eval(val):
+                assert b.eval(val), (a, b, val)
+    # the semantic path is exercised, not just the syntactic one
+    assert implied >= 10
 
 
 def test_memos_are_bounded():
