@@ -7,17 +7,25 @@ guesses (b, c) from computed powers and then *certifies* the guess:
 
   * at the plain-DBM level, the one-period composition step is replayed on
     the parametric matrix ``base + k*rate`` with the parametric
-    Floyd-Warshall closure; the certificate is accepted only if the result
-    collapses back to ``base + (k+1)*rate`` for every k >= 0;
+    Floyd-Warshall closure;
   * the tight sequence is then derived symbolically from the certified
     plain forms (halving an odd-rate entry splits the parameter by parity
     and doubles the period; min-of-affine crossovers raise the prefix),
     and finally (b, c) is minimized.
 
+Every relation falls on one side of a dichotomy.  Either R is
+*-consistent, and the step is certified for every k >= 0; or R dies: some
+power R^dead is empty, and so is every later one.  The death index comes in
+closed form from the certified terms, which are affine in k (a negative
+cycle of the replayed step, or a failed integer halving sum), so a death at
+power 10^7 costs no more than one at power 10.  The step is then certified
+on the live powers only, and one concrete composition confirms the death.
+
 A verified certificate yields exact closed forms for the pre-image sets,
 the weakest non-termination set, and the reflexive-transitive closure as a
-finite union of plain and parametric octagons.  Budget exhaustion degrades
-to an explicit NotFound -- never to an unsound answer.
+finite union of plain and parametric octagons (a dying relation's families
+stop at its last live power).  Budget exhaustion degrades to an explicit
+NotFound -- never to an unsound answer.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .octagon import (
     top,
 )
 from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw
+from .term_oct import fast_power
 
 
 class OperationCancelled(Exception):
@@ -45,6 +54,10 @@ class OperationCancelled(Exception):
 
 @dataclass(frozen=True)
 class NotStarConsistent:
+    """R dies at ``power`` and no period certificate covers a live power:
+    the death came before any candidate, or the certified tight form
+    starts past it.  R* is then the identity and R^1 .. R^(power-1)."""
+
     power: int  # least n with R^n inconsistent
 
 
@@ -53,13 +66,21 @@ class NotFound:
     reason: str = "budget exhausted"
 
 
+def _extrapolate(base: Dbm, rate: Dbm, k: int) -> Dbm:
+    """The matrix base + k*rate; INF entries stay INF."""
+    return Dbm([[INF if vb == INF else vb + k * vr for vb, vr in zip(rb, rr)]
+                for rb, rr in zip(base.rows, rate.rows)])
+
+
 @dataclass
 class PeriodCertificate:
     """Verified description of the tight power sequence of a relation.
 
-    bases[i] is the tight dual matrix of R^(b+i); for every k >= 0 the
-    tight matrix of R^(b+i+k*c) equals bases[i] + k*rates[i] entrywise
-    (INF entries stay INF and carry rate INF).
+    bases[i] is the tight dual matrix of R^(b+i); for every k >= 0 with
+    b+i+k*c < dead the tight matrix of R^(b+i+k*c) equals bases[i] +
+    k*rates[i] entrywise (INF entries stay INF and carry rate INF).  dead
+    is the least n with R^n empty, or None when R is *-consistent; every
+    power from dead on is empty.
     """
 
     n_program_vars: int
@@ -67,43 +88,42 @@ class PeriodCertificate:
     c: int
     bases: list[Dbm]
     rates: list[Dbm]
+    dead: int | None = None
 
     def predict(self, n: int) -> Dbm:
         if n < self.b:
             raise ValueError("certificate covers n >= prefix only")
+        if self.dead is not None and n >= self.dead:
+            raise ValueError("R^n is empty from the death power on")
         i = (n - self.b) % self.c
-        k = (n - self.b) // self.c
-        base = self.bases[i]
-        rate = self.rates[i]
-        rows = []
-        for rb, rr in zip(base.rows, rate.rows):
-            rows.append(
-                [
-                    INF if vb == INF else vb + k * vr
-                    for vb, vr in zip(rb, rr)
-                ]
-            )
-        return Dbm(rows)
+        return _extrapolate(self.bases[i], self.rates[i], (n - self.b) // self.c)
 
 
 @dataclass(frozen=True)
 class ParamOct:
-    """Family of octagons base + k*rate over one parameter k >= 0.
+    """Family of octagons base + k*rate over one parameter 0 <= k <= k_max.
 
     Entries are tight for every instantiation (certified by construction);
-    INF base entries stay INF.
+    INF base entries stay INF.  k_max is None for a relation that never
+    dies; past k_max the instances are empty.
     """
 
     n_program_vars: int
     base: Dbm
     rate: Dbm
+    k_max: int | None = None
+
+    def __repr__(self) -> str:
+        # k_max shows only on a bounded family
+        bound = "" if self.k_max is None else f", k_max={self.k_max}"
+        return (f"ParamOct(n_program_vars={self.n_program_vars}, base={self.base!r}, "
+                f"rate={self.rate!r}{bound})")
 
     def instantiate(self, k: int) -> Octagon:
-        rows = [
-            [INF if vb == INF else vb + k * vr for vb, vr in zip(rb, rr)]
-            for rb, rr in zip(self.base.rows, self.rate.rows)
-        ]
-        return Octagon(2 * self.n_program_vars, Dbm(rows), tight=True)
+        if self.k_max is not None and k > self.k_max:
+            return bottom(2 * self.n_program_vars)
+        return Octagon(2 * self.n_program_vars, _extrapolate(self.base, self.rate, k),
+                       tight=True)
 
 
 @dataclass
@@ -123,6 +143,8 @@ class _PowerCache:
         self.N = n_program_vars
         self.cancel = cancel
         t = tight_close(rel)
+        self.rel = t
+        self.live = 0  # R^n is non-empty for every n <= live
         self.d: dict[int, Dbm] = {}
         self.t: dict[int, Dbm] = {}
         self.dead: int | None = None  # least inconsistent power
@@ -149,6 +171,15 @@ class _PowerCache:
             self.d[top_n] = nxt
             self.t[top_n] = tighten(nxt)
         return True
+
+    def empty(self, n: int) -> bool:
+        """Is R^n empty?  Binary powering past the powers known live."""
+        if n <= max(self.live, max(self.d)):
+            return False
+        if fast_power(self.rel, n, self.N).is_bottom:
+            return True
+        self.live = n
+        return False
 
     def tight(self, n: int) -> Dbm:
         self.ensure(n)
@@ -192,77 +223,130 @@ def _scan_candidate(seq, b: int, c: int):
     return rates
 
 
-def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]) -> bool:
+def _first_negative(t0: int, t1: int) -> int | None:
+    """Least k >= 0 with t0 + t1*k < 0, or None when there is none."""
+    if t0 < 0:
+        return 0
+    if t1 >= 0:
+        return None
+    return t0 // -t1 + 1
+
+
+def _halving_death(a0: int, b0: int, la: int, lb: int) -> int | None:
+    """Least k >= 0 with floor((a0 + k*la)/2) + floor((b0 + k*lb)/2) < 0.
+
+    Splitting k = 2j + r makes both floors exact: the sum is g_r + j*(la +
+    lb), where g_r is its value at k = r, so the first negative j of each
+    parity is ``_first_negative(g_r, la + lb)``.
+    """
+    best = None
+    for r in (0, 1):
+        j = _first_negative((a0 + r * la) // 2 + (b0 + r * lb) // 2, la + lb)
+        if j is not None and (best is None or 2 * j + r < best):
+            best = 2 * j + r
+    return best
+
+
+def _first_failure(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
+    """Least k >= 0 at which the replayed step fails, or None if it never does.
+
+    The step at k closes base + k*rate glued to D_c; it holds when the
+    glued matrix has no negative cycle and the result is base + (k+1)*rate
+    as the pointwise minimum of each entry's terms.  An entry that passes
+    ``entry_min_equals`` holds at every k; a target missing from its entry
+    fails at once; otherwise each term is affine in k and fails from a
+    closed-form k on.
+    """
+    ks = [_first_negative(*t) for p in range(closed.dim) for t in closed.entries[p][p]]
+    half = base.dim // 2
+    keep = list(range(half)) + list(range(2 * half, 3 * half))
+    for a_idx, p in enumerate(keep):
+        for b_idx, q in enumerate(keep):
+            terms = closed.entries[p][q]
+            tb = base.rows[a_idx][b_idx]
+            tr = rate.rows[a_idx][b_idx]
+            if tb == INF:
+                if terms:
+                    return 0
+                continue
+            target = (tb + tr, tr)  # value at k+1
+            if entry_min_equals(terms, target):
+                continue  # the minimum is the target at every k
+            if target not in terms:
+                return 0
+            ks += [_first_negative(t0 - target[0], t1 - tr) for t0, t1 in terms]
+    return min((k for k in ks if k is not None), default=None)
+
+
+def _death(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
+    """Least power, as its k, that the residue predicts empty: a negative
+    cycle of the closure at k empties R^(n + (k+1)*c), and a failed halving
+    sum of base + k*rate empties R^(n + k*c), with n = b + i."""
+    deaths = [k + 1 for p in range(closed.dim) for t in closed.entries[p][p]
+              if (k := _first_negative(*t)) is not None]
+    for p in range(base.dim):
+        a0 = base.rows[p][p ^ 1]
+        b0 = base.rows[p ^ 1][p]
+        if a0 != INF and b0 != INF:
+            k = _halving_death(a0, b0, rate.rows[p][p ^ 1], rate.rows[p ^ 1][p])
+            if k is not None:
+                deaths.append(k)
+    return min(deaths, default=None)
+
+
+def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]):
     """Replay one period on base + k*rate with the parametric closure.
 
-    Accepts iff, for each residue, composing the parametric matrix with D_c
-    yields exactly base + (k+1)*rate as the pointwise minimum for all k >= 0.
+    Returns ``(accepted, dead)``, with dead the least power the certificate
+    makes empty, or None.  For each residue i, base + k*rate stands for
+    R^(b+i+k*c); it is glued to D_c and closed once.  Without a death, the
+    step must hold for every k >= 0.  A step may fail only past the death,
+    so R^(b+i+(k+1)*c) must be empty when it fails at k; the death is then
+    read off every residue in closed form, each step must hold up to the
+    last live power of its residue, and composing the predicted last live
+    power with D_c must give an empty power.
     """
-    const = ExtParamDbm.from_dbm(cache.plain(c), 1)
-    half = const.dim // 2
+    plain_c = cache.plain(c)
+    const = ExtParamDbm.from_dbm(plain_c, 1)
+    steps = []
     for i in range(c):
-        base = cache.plain(b + i)
-        rate = rates[i]
+        base, rate = cache.plain(b + i), rates[i]
         closed = param_fw(glue(ExtParamDbm.affine(base, [rate]), const))
         if closed.capped:
-            return False
-        keep = list(range(half)) + list(range(2 * half, 3 * half))
-        for a_idx, p in enumerate(keep):
-            for b_idx, q in enumerate(keep):
-                terms = closed.entries[p][q]
-                tb = base.rows[a_idx][b_idx]
-                tr = rate.rows[a_idx][b_idx]
-                if tb == INF:
-                    if terms:
-                        return False
-                    continue
-                target = (tb + tr, tr)  # value at k+1
-                if not terms or not entry_min_equals(terms, target):
-                    return False
-    return True
+            return False, None
+        fail = _first_failure(closed, base, rate)
+        if fail is not None and not cache.empty(b + i + (fail + 1) * c):
+            return False, None
+        steps.append((closed, fail))
+    dead = None
+    for i, (closed, _) in enumerate(steps):
+        k = _death(closed, cache.plain(b + i), rates[i])
+        if k is not None and (dead is None or b + i + k * c < dead):
+            dead = b + i + k * c
+    if dead is None:
+        return all(fail is None for _, fail in steps), None
+    for i, (_, fail) in enumerate(steps):
+        # the steps 0 .. K-1 reach the live powers of the residue
+        if fail is not None and fail < (dead - 1 - b - i) // c:
+            return False, None
+    i, k = (dead - c - b) % c, (dead - c - b) // c
+    if k < 0:
+        return False, None
+    nxt = compose_closed(_extrapolate(cache.plain(b + i), rates[i], k), plain_c)
+    if nxt is not None and halving_consistent(nxt):
+        return False, None
+    return True, dead
 
 
-def _check_tail_consistency(cache: _PowerCache, b: int, c: int, rates: list[Dbm]):
-    """Halving consistency of base + k*rate for all k; least failure or None.
-
-    The parametric diagonal is zero by the certificate, so only the integer
-    halving condition can break octagonal consistency in the tail.
-    """
-    worst = None
-    for i in range(c):
-        base = cache.plain(b + i)
-        rate = rates[i]
-        dim = base.dim
-        for p in range(dim):
-            a0 = base.rows[p][p ^ 1]
-            b0 = base.rows[p ^ 1][p]
-            if a0 == INF or b0 == INF:
-                continue
-            la = rate.rows[p][p ^ 1]
-            lb = rate.rows[p ^ 1][p]
-
-            def f(k: int) -> int:
-                return (a0 + k * la) // 2 + (b0 + k * lb) // 2
-
-            if la + lb >= 0:
-                if f(0) < 0 or f(1) < 0:
-                    k_bad = 0 if f(0) < 0 else 1
-                    n_bad = b + i + k_bad * c
-                    worst = n_bad if worst is None else min(worst, n_bad)
-                continue
-            k = 0
-            while f(k) >= 0:
-                k += 1
-            n_bad = b + i + k * c
-            worst = n_bad if worst is None else min(worst, n_bad)
-    return worst
-
-
-def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm]):
+def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm],
+                       dead: int | None):
     """Exact affine forms of the tight sequence from the plain certificate.
 
     Returns (b_t, c_t, forms) with forms[r][p][q] = (A, B) meaning the tight
-    entry at power b_t + r + j*c_t equals A + j*B (or INF marker).
+    entry at power b_t + r + j*c_t equals A + j*B (or INF marker), for every
+    power below dead.  When R dies, a min of two lines that keeps one
+    branch over a residue's live powers takes that branch, so only
+    crossovers among live powers raise the prefix.
     """
     dim = cache.base.dim
     s = 1
@@ -313,6 +397,14 @@ def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm]):
                 # min of two affine lines: settle past the crossover
                 # g(j) = (A1 - A2) + j*(B1 - B2) sign fixed for j > j0
                 dA, dB = A1 - A2, B1 - B2
+                if dead is not None:
+                    last = (dead - 1 - b0 - r) // c_t  # last live j, if any
+                    if last < 0 or (dA <= 0 and dA + last * dB <= 0):
+                        grid[p][q] = f1
+                        continue
+                    if dA >= 0 and dA + last * dB >= 0:
+                        grid[p][q] = f2
+                        continue
                 j0 = max(0, -(-(abs(dA)) // abs(dB)) + 1)  # ceil(|dA|/|dB|)+1
                 J = max(J, j0)
                 grid[p][q] = ("min", f1, f2)
@@ -344,7 +436,7 @@ def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm]):
     return b_t, c_t, forms
 
 
-def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms, max_n: int):
+def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms):
     """Smallest (b, c) consistent with the certified tail and the cache."""
     dim = cache.base.dim
 
@@ -455,8 +547,9 @@ def detect_period(
 
     Scans computed powers for a (prefix, period) pair whose period-spaced
     differences agree three times in a row, certifies the plain-DBM level
-    with the parametric closure, symbolically checks consistency of the
-    whole tail, then derives and minimizes the tight certificate.
+    with the parametric closure up to the death index when R dies, then
+    derives and minimizes the tight certificate, cross-checking it against
+    the computed live powers.
     """
     cache = _PowerCache(rel, n_program_vars, cancel)
     if cache.dead is not None:
@@ -471,38 +564,41 @@ def detect_period(
             rates_d = _scan_candidate(cache.plain, b, c)
             if rates_d is None:
                 continue
-            if not _verify_dbm_certificate(cache, b, c, rates_d):
-                continue
-            bad = _check_tail_consistency(cache, b, c, rates_d)
-            if bad is not None:
-                if cache.ensure(bad):
-                    # symbolic prediction disagreed with concrete powers
-                    return NotFound("tail inconsistency prediction failed")
-                return NotStarConsistent(cache.dead)
-            b_t, c_t, forms = _derive_tight_tail(cache, b, c, rates_d)
-            if not cache.ensure(b_t + 3 * c_t + 1):
-                return NotStarConsistent(cache.dead)
-            # cross-check derived forms against every cached tight power
-            top_n = b_t + 3 * c_t + 1
-            ok = True
-            for n in range(b_t, top_n + 1):
-                r = (n - b_t) % c_t
-                j = (n - b_t) // c_t
-                got = cache.tight(n)
-                for p in range(got.dim):
-                    for q in range(got.dim):
-                        f = forms[r][p][q]
-                        want = INF if f is None else f[0] + j * f[1]
-                        if got.rows[p][q] != want:
-                            ok = False
+            ok, dead = _verify_dbm_certificate(cache, b, c, rates_d)
             if not ok:
                 continue
-            minimized = _minimize(cache, b_t, c_t, forms, top_n)
+            b_t, c_t, forms = _derive_tight_tail(cache, b, c, rates_d, dead)
+            top_n = b_t + 3 * c_t + 1
+            if dead is not None:
+                if b_t >= dead:
+                    # the tight form starts past the death: no live power
+                    # needs it, and the relation is its list of powers
+                    return NotStarConsistent(dead)
+                top_n = min(top_n, dead - 1)
+            # cross-check the derived forms against the live tight powers
+            if not cache.ensure(top_n):
+                return NotStarConsistent(cache.dead)
+            if not all(_form_matches(forms, b_t, c_t, n, cache.tight(n))
+                       for n in range(b_t, top_n + 1)):
+                continue
+            minimized = _minimize(cache, b_t, c_t, forms)
             if minimized is None:
                 continue
             bm, cm, bases, rates = minimized
-            return PeriodCertificate(n_program_vars, bm, cm, bases, rates)
+            return PeriodCertificate(n_program_vars, bm, cm, bases, rates, dead)
     return NotFound()
+
+
+def _form_matches(forms, b_t: int, c_t: int, n: int, got: Dbm) -> bool:
+    """Does the derived tight form at power n equal the matrix got?"""
+    r = (n - b_t) % c_t
+    j = (n - b_t) // c_t
+    for p, row in enumerate(got.rows):
+        for q, v in enumerate(row):
+            f = forms[r][p][q]
+            if v != (INF if f is None else f[0] + j * f[1]):
+                return False
+    return True
 
 
 def kleene_pre_sequence(rel: Octagon, n: int, n_program_vars: int) -> list[Octagon]:
@@ -530,10 +626,10 @@ class ClosedForm:
 def pre_closed_form(rel: Octagon, n_program_vars: int, max_b: int = 64, max_c: int = 64):
     """Closed form of {pre^(b+kc)}; None when some power is inconsistent."""
     res = detect_period(rel, n_program_vars, max_b, max_c)
-    if isinstance(res, NotStarConsistent):
-        return None
     if isinstance(res, NotFound):
         return res
+    if isinstance(res, NotStarConsistent) or res.dead is not None:
+        return None
     half = 2 * n_program_vars
     base = res.bases[0]
     rate = res.rates[0]
@@ -571,27 +667,30 @@ def reflexive_transitive_closure(
 ) -> ParamOctUnion:
     """R* as identity plus finitely many plain/parametric octagons.
 
-    Exact whenever a certificate is found or the relation dies at a finite
-    power; otherwise falls back to the universal relation with exact=False.
+    The members are the powers R^1 .. R^(p-1), p = min(b, dead), then one
+    ParamOct per residue of the period that covers a live power; a family
+    of a dying relation stops at the last live k.  A relation that dies
+    before any period candidate is its list of powers.  Exact whenever a
+    certificate is found or the relation dies; otherwise falls back to the
+    universal relation with exact=False.
     """
     N = n_program_vars
     res = detect_period(rel, N, max_b, max_c, cancel)
-    members: list = []
-    rel = tight_close(rel)
-    if isinstance(res, NotStarConsistent):
-        power = rel
-        for _ in range(1, res.power):
-            if power.is_bottom:
-                break
-            members.append(power)
-            power = oct_compose(power, rel, N)
-        return ParamOctUnion(N, members, reflexive=True, exact=True)
     if isinstance(res, NotFound):
         return ParamOctUnion(N, [top(2 * N)], reflexive=True, exact=False)
+    members: list = []
+    families: list = []
+    if isinstance(res, NotStarConsistent):
+        b = dead = res.power
+    else:
+        b, dead = res.b, res.dead
+        for i in range(res.c):
+            k_max = None if dead is None else (dead - 1 - b - i) // res.c
+            if k_max is None or k_max >= 0:
+                families.append(ParamOct(N, res.bases[i], res.rates[i], k_max))
+    rel = tight_close(rel)
     power = rel
-    for _ in range(1, res.b):
+    for _ in range(1, b if dead is None else min(b, dead)):
         members.append(power)
         power = oct_compose(power, rel, N)
-    for i in range(res.c):
-        members.append(ParamOct(N, res.bases[i], res.rates[i]))
-    return ParamOctUnion(N, members, reflexive=True, exact=True)
+    return ParamOctUnion(N, members + families, reflexive=True, exact=True)

@@ -174,7 +174,7 @@ class Conj:
         o = _conj_octagon(self)
         if o is not None:
             return not o[1].is_bottom
-        return isinstance(lp_feasible(self.to_linsys()), Feasible)
+        return _rational_witness(self) is not None  # {} is a model too
 
     def subst(self, assignment: Mapping[str, LinTerm]) -> "Conj | None":
         rows = [(t.subst(assignment), rel) for t, rel in self.rows]

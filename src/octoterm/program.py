@@ -117,7 +117,10 @@ def member_from_octagon(o: Octagon, variables: tuple[str, ...]) -> LinRel | None
 
 
 def member_from_param_oct(po: ParamOct, variables: tuple[str, ...]) -> LinRel:
-    m = _member_from_entries(ExtParamDbm.affine(po.base, [po.rate]).entries, 1, variables)
+    entries = ExtParamDbm.affine(po.base, [po.rate]).entries
+    if po.k_max is not None:
+        entries[0][0] += ((po.k_max, -1),)  # the row _p0 <= k_max
+    m = _member_from_entries(entries, 1, variables)
     assert m is not None
     return m
 

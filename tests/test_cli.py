@@ -66,6 +66,18 @@ def test_rel_closure(capsys):
     assert out.splitlines()[0] == "identity"
 
 
+def test_rel_closure_dying_counter_in_closed_form(capsys):
+    # R^1 .. R^1001 are live and R^1002 is empty: one family k <= 1000
+    code, out, _ = run(capsys, "--format", "json", "rel", "closure",
+                       "x >= 0 && x <= 1000 && x' == x - 1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["exact"] is True
+    assert data["members"][0] == "identity" and len(data["members"]) == 2
+    assert data["members"][1].startswith("exists _p0 >= 0 . ")
+    assert "_p0 <= 1000" in data["members"][1]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "rel", "wnt", "x >= ")
     assert code == 2

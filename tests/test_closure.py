@@ -155,20 +155,135 @@ def test_rtc_finite_union_when_powers_die():
     assert all(isinstance(m, Octagon) for m in u.members)
 
 
-@pytest.mark.parametrize("bound", [66, 70])
-def test_rtc_dying_counter_past_the_prefix_budget(bound):
-    # 0 <= x <= bound and x' == x - 1: R^n is non-empty up to n = bound + 1,
-    # which the period scan meets only past the prefix budget of 64
-    r = oct_encode(
+def dying_counter(bound):
+    # 0 <= x <= bound and x' == x - 1: R^n is non-empty up to n = bound + 1
+    return oct_encode(
         [(-1, 0, -1, 0, 0), (1, 0, 1, 0, 2 * bound), (1, 1, -1, 0, -1), (-1, 1, 1, 0, 1)], 2
     )
-    u = reflexive_transitive_closure(r, 1)
-    assert u.exact and len(u.members) == bound + 1
-    power = tight_close(r)
-    for m in u.members:
-        assert oct_eq(m, power)
-        power = oct_compose(power, r, 1)
-    assert power.is_bottom
+
+
+def assert_closure_is_the_powers(r, n_vars, horizon=80):
+    """R* of a relation that dies within the horizon denotes its powers
+    instance by instance: the plain members are R^1 .. R^(p-1), instance j
+    of family i is R^(b+i+j*c) up to k_max, k_max + 1 is empty, and every
+    live power is covered."""
+    base = tight_close(r)
+    powers = [None]
+    power = base
+    while not power.is_bottom:
+        assert len(powers) <= horizon
+        powers.append(power)
+        power = oct_compose(power, base, n_vars)
+    dead = len(powers)
+    res = detect_period(r, n_vars)
+    if isinstance(res, NotStarConsistent):
+        assert res.power == dead
+        b, c = dead, 1
+    else:
+        assert isinstance(res, PeriodCertificate) and res.dead == dead
+        b, c = res.b, res.c
+    u = reflexive_transitive_closure(r, n_vars)
+    assert u.exact and u.reflexive
+    plain = [m for m in u.members if isinstance(m, Octagon)]
+    families = [m for m in u.members if isinstance(m, ParamOct)]
+    assert len(plain) == min(b, dead) - 1
+    for n, m in enumerate(plain, 1):
+        assert oct_eq(m, powers[n])
+    covered = set(range(1, len(plain) + 1))
+    for i, fam in enumerate(families):
+        assert fam.k_max == (dead - 1 - b - i) // c >= 0
+        for j in range(fam.k_max + 1):
+            assert oct_eq(fam.instantiate(j), powers[b + i + j * c]), (i, j)
+            covered.add(b + i + j * c)
+        assert fam.instantiate(fam.k_max + 1).is_bottom
+    assert covered == set(range(1, dead))
+    return res
+
+
+@pytest.mark.parametrize("bound", [66, 70])
+def test_rtc_dying_counter_past_the_prefix_budget(bound):
+    # the death at bound + 2 lies past the prefix budget of 64, so the
+    # closure needs the certified family up to k_max = bound
+    res = assert_closure_is_the_powers(dying_counter(bound), 1)
+    assert isinstance(res, PeriodCertificate) and res.dead == bound + 2
+    (fam,) = reflexive_transitive_closure(dying_counter(bound), 1).members
+    assert fam.k_max == bound
+
+
+def test_rtc_dying_counters_against_enumeration():
+    for bound in range(71):
+        assert_closure_is_the_powers(dying_counter(bound), 1)
+
+
+def test_rtc_random_dying_relations_against_enumeration():
+    rng = random.Random(37)
+    certified = 0
+    checked = 0
+    while certified < 8:
+        n_vars = rng.choice((1, 2))
+        r = random_guarded_relation(rng, n_vars, max_coef=rng.choice((4, 20, 40)))
+        base = tight_close(r)
+        power = base
+        for _ in range(80):
+            if power.is_bottom:
+                break
+            power = oct_compose(power, base, n_vars)
+        if not power.is_bottom:
+            continue  # lives past the horizon
+        checked += 1
+        res = assert_closure_is_the_powers(r, n_vars)
+        certified += isinstance(res, PeriodCertificate)
+    assert checked >= 20
+
+
+def test_death_index_closed_form_matches_the_linear_scan():
+    from octoterm.closure import _halving_death
+
+    def scan(a0, b0, la, lb):
+        for k in range(400):
+            if (a0 + k * la) // 2 + (b0 + k * lb) // 2 < 0:
+                return k
+        return None
+
+    rng = random.Random(39)
+    for _ in range(3000):
+        a0, b0 = rng.randint(-20, 60), rng.randint(-20, 60)
+        la, lb = rng.randint(-5, 5), rng.randint(-5, 5)
+        assert _halving_death(a0, b0, la, lb) == scan(a0, b0, la, lb), (a0, b0, la, lb)
+
+
+def run_within(limit, fn, *args):
+    """fn(*args), failing instead of hanging when it runs past limit seconds."""
+    import signal
+
+    def expire(signum, frame):
+        raise AssertionError(f"did not finish within {limit}s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("bound", [10**3, 10**5, 10**7])
+def test_rtc_dying_counter_large_bound_in_closed_form(bound):
+    r = dying_counter(bound)
+    u = run_within(1.0, reflexive_transitive_closure, r, 1)
+    assert u.exact and len(u.members) == 1
+    (fam,) = u.members
+    assert isinstance(fam, ParamOct) and fam.k_max == bound
+    # instance j is R^(1+j): x' == x - 1 - j and j <= x <= bound
+    for j in (0, 1, bound // 2, bound):
+        inst = fam.instantiate(j)
+        want = oct_encode([(-1, 0, -1, 0, -2 * j), (1, 0, 1, 0, 2 * bound),
+                           (1, 1, -1, 0, -1 - j), (-1, 1, 1, 0, 1 + j)], 2)
+        assert oct_eq(inst, tight_close(want))
+    assert fam.instantiate(bound + 1).is_bottom
+    assert pre_closed_form(r, 1) is None
+    assert wnt_via_closed_form(r, 1).is_bottom
 
 
 def test_rtc_budget_fallback_is_sound():

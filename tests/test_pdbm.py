@@ -485,9 +485,10 @@ def test_capped_closure_rejects_certificate(monkeypatch):
     assert cache.ensure(5)
     rates = closure_module._scan_candidate(cache.plain, 1, 1)
     assert rates is not None
-    assert closure_module._verify_dbm_certificate(cache, 1, 1, rates)
+    # (accepted, death power): the relation never dies
+    assert closure_module._verify_dbm_certificate(cache, 1, 1, rates) == (True, None)
     monkeypatch.setattr(pdbm, "MAX_ANTICHAIN", 1)
-    assert not closure_module._verify_dbm_certificate(cache, 1, 1, rates)
+    assert closure_module._verify_dbm_certificate(cache, 1, 1, rates) == (False, None)
 
 
 def test_capped_composition_falls_back_to_elimination():

@@ -407,3 +407,35 @@ def test_composed_parameters_stay_apart(divisible):
         for step in range(-2, 12):
             want = step != 1 and step >= 0 and (start % 3 == 0 or not divisible)
             assert union_eval(out, {"x": start, "x'": start + step}) == want
+
+
+DYING_LOOP_PROGRAM = """
+vars x, y;
+init l1;
+l1 -> l1 : x >= 0 && x <= 1000 && x' == x - 1 && y' == y;
+l1 -> l2 : x < 0 && id(x, y);
+l2 -> l2 : y >= 0 && id(x, y);
+"""
+
+
+def test_nt_program_dying_self_loop_matches_the_oracle():
+    from octoterm.closure import ParamOct, reflexive_transitive_closure
+    from octoterm.octagon import oct_encode
+    from octoterm.oracle import BoxDomain, program_live_starts
+    from octoterm.program import member_from_param_oct
+
+    # the self-loop dies at power 1002: one family bounded by _p0 <= 1000
+    loop = oct_encode([(-1, 0, -1, 0, 0), (1, 0, 1, 0, 2000), (1, 1, -1, 0, -1),
+                       (-1, 1, 1, 0, 1)], 2)
+    (fam,) = reflexive_transitive_closure(loop, 1).members
+    assert isinstance(fam, ParamOct) and fam.k_max == 1000
+    m = member_from_param_oct(fam, ("x",))
+    assert member_eval(m, {"x": 1000, "x'": -1, "_p0": 1000})
+    assert not member_eval(m, {"x": 1001, "x'": -1, "_p0": 1001})
+    p = parse_program(DYING_LOOP_PROGRAM)
+    res = nt_program(p)
+    assert res.exact and not res.budget_exhausted
+    box = BoxDomain(((-3, 1003), (-1, 1)))
+    starts = program_live_starts(p, box)
+    for pt in box.points():
+        assert res.precondition.eval({"x": pt[0], "y": pt[1]}) == (pt in starts), pt
