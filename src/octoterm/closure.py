@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .dbm import INF, Dbm, compose_closed
+from .dbm import INF, Dbm, compose_closed, dbm_add_rate
 from .octagon import (
     Octagon,
     bottom,
@@ -66,12 +66,6 @@ class NotFound:
     reason: str = "budget exhausted"
 
 
-def _extrapolate(base: Dbm, rate: Dbm, k: int) -> Dbm:
-    """The matrix base + k*rate; INF entries stay INF."""
-    return Dbm([[INF if vb == INF else vb + k * vr for vb, vr in zip(rb, rr)]
-                for rb, rr in zip(base.rows, rate.rows)])
-
-
 @dataclass
 class PeriodCertificate:
     """Verified description of the tight power sequence of a relation.
@@ -96,7 +90,7 @@ class PeriodCertificate:
         if self.dead is not None and n >= self.dead:
             raise ValueError("R^n is empty from the death power on")
         i = (n - self.b) % self.c
-        return _extrapolate(self.bases[i], self.rates[i], (n - self.b) // self.c)
+        return dbm_add_rate(self.bases[i], self.rates[i], (n - self.b) // self.c)
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ class ParamOct:
     def instantiate(self, k: int) -> Octagon:
         if self.k_max is not None and k > self.k_max:
             return bottom(2 * self.n_program_vars)
-        return Octagon(2 * self.n_program_vars, _extrapolate(self.base, self.rate, k),
+        return Octagon(2 * self.n_program_vars, dbm_add_rate(self.base, self.rate, k),
                        tight=True)
 
 
@@ -332,7 +326,7 @@ def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]
     i, k = (dead - c - b) % c, (dead - c - b) // c
     if k < 0:
         return False, None
-    nxt = compose_closed(_extrapolate(cache.plain(b + i), rates[i], k), plain_c)
+    nxt = compose_closed(dbm_add_rate(cache.plain(b + i), rates[i], k), plain_c)
     if nxt is not None and halving_consistent(nxt):
         return False, None
     return True, dead

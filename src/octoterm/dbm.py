@@ -21,13 +21,6 @@ from typing import Iterable, Sequence
 INF = math.inf
 
 
-def ext_add(a, b):
-    """Addition on Z u {INF}; INF absorbs."""
-    if a == INF or b == INF:
-        return INF
-    return a + b
-
-
 def ext_min(a, b):
     return a if a <= b else b
 
@@ -126,25 +119,6 @@ def fw_close(m: Dbm) -> Dbm | None:
 
 def is_consistent(m: Dbm) -> bool:
     return fw_close(m) is not None
-
-
-def is_closed(m: Dbm) -> bool:
-    rows = m.rows
-    dim = m.dim
-    for i in range(dim):
-        if rows[i][i] != 0:
-            return False
-    for k in range(dim):
-        for i in range(dim):
-            rik = rows[i][k]
-            if rik == INF:
-                continue
-            for j in range(dim):
-                if rows[k][j] == INF:
-                    continue
-                if rows[i][j] > rik + rows[k][j]:
-                    return False
-    return True
 
 
 def dbm_leq(a: Dbm, b: Dbm) -> bool:

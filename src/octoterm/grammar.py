@@ -188,9 +188,6 @@ class _Parser:
         # over the integers: d <= -1 or d >= 1
         return ("or", ("atom", [(d + 1, LE)]), ("atom", [(-d + 1, LE)]))
 
-    def datom_rows(self, m: int, t: LinTerm):
-        return ("atom", [(t, f"%{m}")])
-
     def expr(self) -> LinTerm:
         term = self.signed_term()
         while True:
@@ -288,8 +285,6 @@ def _as_octagon(rows, variables: list[str]) -> Octagon | None:
     for t, rel in rows:
         if rel.startswith("%"):
             return None
-        if t.const.denominator != 1 or any(c.denominator != 1 for c in t.coeffs.values()):
-            return None
         if t.is_constant():
             # an unsatisfiable constant row
             empty = empty or (t.const > 0 if rel == LE else t.const != 0)
@@ -329,7 +324,7 @@ def _as_affine(rows, variables: list[str]) -> AffineRel | None:
         c = t.coef(p)
         if abs(c) != 1:
             return None
-        rest = (t - LinTerm({p: c})) * (-1 / c)
+        rest = (t - LinTerm({p: c})) * -c
         base = p[:-1]
         if base in updates:
             return None
@@ -340,25 +335,14 @@ def _as_affine(rows, variables: list[str]) -> AffineRel | None:
     b = []
     for v in variables:
         u = updates[v]
-        if u.const.denominator != 1:
-            return None
-        row = []
-        for w in variables:
-            cw = u.coef(w)
-            if cw.denominator != 1:
-                return None
-            row.append(cw.numerator)
         if any(w.endswith("'") for w in u.coeffs):
             return None
-        a.append(tuple(row))
-        b.append(u.const.numerator)
+        a.append(tuple(u.coef(w) for w in variables))
+        b.append(u.const)
     guard = []
     for t, _ in guard_rows:
         # t <= 0  <=>  (-coeffs).x >= const
-        if t.const.denominator != 1 or any(c.denominator != 1 for c in t.coeffs.values()):
-            return None
-        c_row = tuple(-t.coef(v).numerator for v in variables)
-        guard.append((c_row, t.const.numerator))
+        guard.append((tuple(-t.coef(v) for v in variables), t.const))
     return AffineRel(n, mat(a), tuple(b), tuple(guard))
 
 

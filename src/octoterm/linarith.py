@@ -1,7 +1,10 @@
 """Exact rational linear arithmetic: terms, systems, LP, and Farkas search.
 
-There is no floating point.  Terms, models and optima are
-``fractions.Fraction``s.  The solver is a two-phase primal simplex with
+There is no floating point.  A term keeps the coefficients it is given:
+the rows that programs, octagons and summary members produce are integer
+rows and stay ints, while ranking templates and the simplex's outputs
+pass ``fractions.Fraction``s through unchanged.  Models and optima are
+``Fraction``s.  The solver is a two-phase primal simplex with
 Bland's rule, so it always terminates.  Its tableau keeps each row as
 integers over one positive row denominator, reduced to lowest terms (the
 fraction-free idea of Bareiss elimination), so no ``Fraction`` is built
@@ -18,8 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 LE = "<="
 LT = "<"
 EQ = "=="
@@ -32,19 +33,20 @@ def _frac(v) -> Fraction:
 
 
 class LinTerm:
-    """Linear term ``const + sum coeffs[v] * v`` with exact coefficients."""
+    """Linear term ``const + sum coeffs[v] * v`` with exact coefficients.
+
+    Coefficients and the constant are stored as given: ints stay ints and
+    ``Fraction``s stay exact.  Both hash and compare alike
+    (``hash(Fraction(n)) == hash(n)``), so a term is the same memo key and
+    prints the same whichever it holds.  Never divide a coefficient with
+    ``/``: on ints that gives a float.
+    """
 
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs: Mapping[str, object] | None = None, const=0):
-        cs = {}
-        if coeffs:
-            for v, c in coeffs.items():
-                c = _frac(c)
-                if c != 0:
-                    cs[v] = c
-        self.coeffs = cs
-        self.const = _frac(const)
+        self.coeffs = {v: c for v, c in coeffs.items() if c} if coeffs else {}
+        self.const = const
 
     @classmethod
     def var(cls, name: str, coef=1) -> "LinTerm":
@@ -57,13 +59,13 @@ class LinTerm:
     def variables(self):
         return self.coeffs.keys()
 
-    def coef(self, v: str) -> Fraction:
-        return self.coeffs.get(v, Fraction(0))
+    def coef(self, v: str):
+        return self.coeffs.get(v, 0)
 
-    def eval(self, valuation: Mapping[str, object]) -> Fraction:
+    def eval(self, valuation: Mapping[str, object]):
         total = self.const
         for v, c in self.coeffs.items():
-            total += c * _frac(valuation[v])
+            total += c * valuation[v]
         return total
 
     def subst(self, assignment: Mapping[str, "LinTerm"]) -> "LinTerm":
@@ -76,16 +78,20 @@ class LinTerm:
         return out
 
     def scale_to_integers(self) -> "LinTerm":
-        """Multiply by the positive lcm of denominators."""
-        return lcm(self.const.denominator, *(c.denominator for c in self.coeffs.values())) * self
+        """The term times the positive lcm of its denominators, over ints."""
+        den = lcm(self.const.denominator, *(c.denominator for c in self.coeffs.values()))
+        return LinTerm(
+            {v: c.numerator * (den // c.denominator) for v, c in self.coeffs.items()},
+            self.const.numerator * (den // self.const.denominator),
+        )
 
     def __add__(self, other):
         if isinstance(other, LinTerm):
             cs = dict(self.coeffs)
             for v, c in other.coeffs.items():
-                cs[v] = cs.get(v, Fraction(0)) + c
+                cs[v] = cs.get(v, 0) + c
             return LinTerm(cs, self.const + other.const)
-        return LinTerm(self.coeffs, self.const + _frac(other))
+        return LinTerm(self.coeffs, self.const + other)
 
     __radd__ = __add__
 
@@ -93,13 +99,12 @@ class LinTerm:
         return LinTerm({v: -c for v, c in self.coeffs.items()}, -self.const)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LinTerm) else LinTerm({}, -_frac(other)))
+        return self + (-other if isinstance(other, LinTerm) else LinTerm({}, -other))
 
     def __rsub__(self, other):
-        return (-self) + _frac(other)
+        return (-self) + other
 
     def __mul__(self, k):
-        k = _frac(k)
         return LinTerm({v: c * k for v, c in self.coeffs.items()}, self.const * k)
 
     __rmul__ = __mul__
@@ -375,13 +380,13 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
     rows_a: list[dict[int, Fraction]] = []
     rhs: list[Eps] = []
 
-    def add_le(coeffs: Mapping[str, Fraction], bound: Eps):
-        row: dict[int, Fraction] = {}
+    def add_le(coeffs: Mapping[str, object], bound: Eps):
+        row: dict[int, object] = {}
         for v, c in coeffs.items():
             idx = col_of[v]
-            row[idx[0]] = row.get(idx[0], Fraction(0)) + c
+            row[idx[0]] = row.get(idx[0], 0) + c
             if len(idx) == 2:
-                row[idx[1]] = row.get(idx[1], Fraction(0)) - c
+                row[idx[1]] = row.get(idx[1], 0) - c
         rows_a.append(row)
         rhs.append(bound)
 
@@ -395,36 +400,6 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
             add_le(t.coeffs, Eps(b, 0))
             add_le({v: -c for v, c in t.coeffs.items()}, Eps(-b, 0))
     return names, cols, col_of, rows_a, rhs
-
-
-def _solve(sys: LinSys, objective: LinTerm | None, extra_nonneg: Sequence[str] = ()):
-    names, cols, col_of, rows_a, rhs = _build(sys, extra_nonneg)
-    tab = _Tableau(len(cols), rows_a, rhs)
-    if not tab.phase1():
-        return "infeasible", None, None
-    coefs: dict[int, Fraction] = {}
-    if objective is not None:
-        for v, c in objective.coeffs.items():
-            idx = col_of.get(v)
-            if idx is None:
-                continue  # objective var unconstrained by sys: handled by caller
-            coefs[idx[0]] = coefs.get(idx[0], Fraction(0)) + c
-            if len(idx) == 2:
-                coefs[idx[1]] = coefs.get(idx[1], Fraction(0)) - c
-    tab.set_objective(coefs)
-    status = tab.maximize(tab.n + tab.m)
-    vals = tab.solution()
-    zero = Eps()
-    model: dict[str, Eps] = {}
-    for v in names:
-        idx = col_of[v]
-        val = vals.get(idx[0], zero)
-        if len(idx) == 2:
-            val = val - vals.get(idx[1], zero)
-        model[v] = val
-    if status == "unbounded":
-        return "unbounded", None, model
-    return "optimal", tab.objval, model
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +419,34 @@ class PolyhedronLP:
         self.aux = self.tab.n + self.tab.m
         self.feasible = self.tab.phase1()
 
+    def model(self) -> dict[str, Fraction] | None:
+        """A rational point of the system (None when it is empty): the
+        current basic solution, with eps replaced by a small positive value."""
+        if not self.feasible:
+            return None
+        vals = self.tab.solution()
+        zero = Eps()
+        model: dict[str, Eps] = {}
+        for v, idx in self.col_of.items():
+            val = vals.get(idx[0], zero)
+            if len(idx) == 2:
+                val = val - vals.get(idx[1], zero)
+            elif val.a < 0:
+                raise AssertionError("nonneg var went negative; solver bug")
+            model[v] = val
+        return _materialize(model, self.sys)
+
     def sup(self, obj: LinTerm):
         if not self.feasible:
             return Infeasible()
         if any(v not in self.col_of for v in obj.coeffs):
             return Unbounded()
-        coefs: dict[int, Fraction] = {}
+        coefs: dict[int, object] = {}
         for v, c in obj.coeffs.items():
             idx = self.col_of[v]
-            coefs[idx[0]] = coefs.get(idx[0], Fraction(0)) + c
+            coefs[idx[0]] = coefs.get(idx[0], 0) + c
             if len(idx) == 2:
-                coefs[idx[1]] = coefs.get(idx[1], Fraction(0)) - c
+                coefs[idx[1]] = coefs.get(idx[1], 0) - c
         self.tab.set_objective(coefs)
         status = self.tab.maximize(self.aux)
         if status == "unbounded":
@@ -518,27 +510,13 @@ def _materialize(model: dict[str, Eps], sys: LinSys) -> dict[str, Fraction]:
 
 def lp_feasible(sys: LinSys, nonneg: Sequence[str] = ()):
     """Exact feasibility over the rationals; Feasible carries a model."""
-    status, _, model = _solve(sys, None, nonneg)
-    if status == "infeasible":
-        return Infeasible()
-    for v in nonneg:
-        if v in model and model[v].a < 0:
-            raise AssertionError("nonneg var went negative; solver bug")
-    return Feasible(_materialize(model, sys))
+    model = PolyhedronLP(sys, nonneg).model()
+    return Infeasible() if model is None else Feasible(model)
 
 
 def lp_sup(sys: LinSys, obj: LinTerm):
     """Supremum of obj over the rational polyhedron of sys."""
-    free = [v for v in obj.coeffs if v not in sys.variables]
-    if free:
-        status, _, _ = _solve(sys, None)
-        return Infeasible() if status == "infeasible" else Unbounded()
-    status, val, _ = _solve(sys, obj)
-    if status == "infeasible":
-        return Infeasible()
-    if status == "unbounded":
-        return Unbounded()
-    return Value(val.a + obj.const)
+    return PolyhedronLP(sys).sup(obj)
 
 
 def lp_inf(sys: LinSys, obj: LinTerm):
@@ -681,7 +659,7 @@ def fm_feasible(rows: Sequence[Row]) -> bool:
         for tp, rp, cp in pos:
             for tn, rn, cn in neg:
                 # tp has +v, tn has -v: eliminate
-                comb = tp * (1 / cp) + tn * (1 / (-cn))
+                comb = tp * -cn + tn * cp
                 rel = LT if (rp == LT or rn == LT) else LE
                 new.append((comb, rel))
         work = new

@@ -87,14 +87,14 @@ def row_atom(coeffs: Sequence[tuple[int, int]], bound):
     if len(coeffs) == 1:
         ((i, c),) = coeffs
         if c == 1 or c == -1:
-            return (int(c), i, int(c), i, bound + bound)
+            return (c, i, c, i, bound + bound)
         if c == 2 or c == -2:
             s = 1 if c > 0 else -1
             return (s, i, s, i, bound)
     elif len(coeffs) == 2:
         (i, c1), (j, c2) = coeffs
         if (c1 == 1 or c1 == -1) and (c2 == 1 or c2 == -1):
-            return (int(c1), i, int(c2), j, bound)
+            return (c1, i, c2, j, bound)
     return None
 
 
@@ -104,8 +104,7 @@ def rows_to_atoms(rows: Iterable[Row], index: dict[str, int]) -> list[OctAtom] |
     atoms = []
     for t, rel in rows:
         for tt in (t,) if rel == LE else (t, -t):
-            atom = row_atom([(index[v], c) for v, c in tt.coeffs.items()],
-                            -tt.const.numerator)
+            atom = row_atom([(index[v], c) for v, c in tt.coeffs.items()], -tt.const)
             if atom is None:
                 return None
             atoms.append(atom)

@@ -11,7 +11,6 @@ shadow plus finitely many splinter cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -20,30 +19,18 @@ from .linarith import (
     EQ,
     LE,
     LT,
-    Feasible,
     LinSys,
     LinTerm,
     PolyhedronLP,
-    lp_feasible,
 )
 from .octagon import oct_encode, oct_leq, rows_to_atoms, tight_close
 
 def _int_term(t: LinTerm) -> LinTerm:
-    """Scale a row term to integer coefficients (positive multiplier)."""
-    t = t.scale_to_integers()
-    for c in list(t.coeffs.values()) + [t.const]:
-        if c.denominator != 1:
-            raise AssertionError("integer scaling failed")
-    return t
-
-
-def _content(t: LinTerm, include_const: bool) -> int:
-    g = 0
-    for c in t.coeffs.values():
-        g = gcd(g, abs(c.numerator))
-    if include_const:
-        g = gcd(g, abs(t.const.numerator))
-    return g
+    """t when it is over ints; else t times the positive lcm of its
+    denominators, which has the same integer points as a row."""
+    if type(t.const) is int and all(type(c) is int for c in t.coeffs.values()):
+        return t
+    return t.scale_to_integers()
 
 
 @dataclass(frozen=True)
@@ -53,28 +40,8 @@ class DivAtom:
     modulus: int
     term: LinTerm
 
-    def normalized(self) -> "DivAtom | bool":
-        m = self.modulus
-        t = _int_term(self.term)
-        if m < 0:
-            m = -m
-        if m in (0, 1):
-            return True
-        d = gcd(m, _content(t, include_const=True))
-        if d > 1:
-            m //= d
-            t = t * Fraction(1, d)
-            if m == 1:
-                return True
-        coeffs = {v: Fraction(c.numerator % m) for v, c in t.coeffs.items()}
-        t = LinTerm(coeffs, t.const.numerator % m)
-        if t.is_constant():
-            return t.const == 0
-        return DivAtom(m, t)
-
     def eval(self, valuation: Mapping[str, int]) -> bool:
-        v = self.term.eval(valuation)
-        return v.denominator == 1 and v.numerator % self.modulus == 0
+        return self.term.eval(valuation) % self.modulus == 0
 
     def __repr__(self):
         return f"{self.modulus} | ({self.term})"
@@ -89,63 +56,21 @@ class Conj:
 
     @classmethod
     def make(cls, rows: Iterable, divs: Iterable = ()) -> "Conj | None":
-        """Normalize; returns None when syntactically unsatisfiable.
-
-        Inequality rows with identical coefficient vectors collapse to the
-        tightest constant (Fourier-Motzkin output is full of such pairs).
-        """
-        out_rows = []
-        seen = set()
-        best_le: dict = {}
+        """Normalize with ``_inorm``; returns None when syntactically
+        unsatisfiable.  A term holding a rational is scaled to integers
+        first, and ``t < 0`` becomes ``t + 1 <= 0``."""
+        irows = []
         for t, rel in rows:
             t = _int_term(t)
             if rel == LT:
-                t = t + 1
-                rel = LE
-            if rel == LE:
-                g = _content(t, include_const=False)
-                if g > 1:
-                    # g*s + c <= 0  <=>  s <= floor(-c/g) over the integers
-                    c = t.const.numerator
-                    coeffs = {v: cc / g for v, cc in t.coeffs.items()}
-                    t = LinTerm(coeffs, -((-c) // g))
-            if t.is_constant():
-                if rel == LE and t.const > 0:
-                    return None
-                if rel == EQ and t.const != 0:
-                    return None
-                continue
-            if rel == EQ:
-                g = _content(t, include_const=False)
-                if g > 1:
-                    c = t.const.numerator
-                    if c % g != 0:
-                        return None
-                    t = t * Fraction(1, g)
-            if rel == LE:
-                coef_key = frozenset(t.coeffs.items())
-                prev = best_le.get(coef_key)
-                if prev is None or t.const > prev.const:
-                    best_le[coef_key] = t
-                continue
-            key = (frozenset(t.coeffs.items()), t.const, rel)
-            if key not in seen:
-                seen.add(key)
-                out_rows.append((t, rel))
-        out_rows.extend((t, LE) for t in best_le.values())
-        out_divs = []
-        dseen = set()
+                irows.append((t.coeffs, t.const + 1, LE))
+            else:
+                irows.append((t.coeffs, t.const, rel))
+        idivs = []
         for d in divs:
-            nd = d.normalized()
-            if nd is True:
-                continue
-            if nd is False:
-                return None
-            key = (nd.modulus, frozenset(nd.term.coeffs.items()), nd.term.const)
-            if key not in dseen:
-                dseen.add(key)
-                out_divs.append(nd)
-        return cls(tuple(out_rows), tuple(out_divs))
+            t = _int_term(d.term)
+            idivs.append((d.modulus, t.coeffs, t.const))
+        return _from_irows(irows, idivs)
 
     def variables(self) -> set[str]:
         vs = set()
@@ -174,7 +99,7 @@ class Conj:
         o = _conj_octagon(self)
         if o is not None:
             return not o[1].is_bottom
-        return _rational_witness(self) is not None  # {} is a model too
+        return conj_poly(self).feasible
 
     def subst(self, assignment: Mapping[str, LinTerm]) -> "Conj | None":
         rows = [(t.subst(assignment), rel) for t, rel in self.rows]
@@ -206,9 +131,10 @@ def _conj_octagon(c: Conj):
 
 @lru_cache(maxsize=_MEMO)
 def _rational_witness(c: Conj):
-    """A cached rational model of the rows (None when infeasible)."""
-    res = lp_feasible(c.to_linsys())
-    return res.model if isinstance(res, Feasible) else None
+    """A cached rational model of the rows (None when infeasible), read off
+    the conjunct's cached LP.  Callers only prune with it or read a value
+    the rows fix, so any model serves."""
+    return conj_poly(c).model()
 
 
 @lru_cache(maxsize=_MEMO)
@@ -228,7 +154,7 @@ def _div_implied(a: Conj, d: DivAtom) -> bool:
     m = d.modulus
     for s in [LinTerm()] + [e.term for e in a.divs if e.modulus % m == 0]:
         diff = d.term - s
-        diff = LinTerm({v: c for v, c in diff.coeffs.items() if c.numerator % m}, diff.const)
+        diff = LinTerm({v: c for v, c in diff.coeffs.items() if c % m}, diff.const)
         if any(v not in w for v in diff.coeffs):
             continue  # a's rows leave the variable free
         c = diff.eval(w)
@@ -319,8 +245,12 @@ class Dnf:
 # ---------------------------------------------------------------------------
 # exact integer elimination
 #
-# The core works on plain-int rows ({var: coef}, const, rel) and div atoms
-# (modulus, {var: coef}, const); LinTerms only appear at the boundary.
+# The core works on int rows ({var: coef}, const, rel) and div atoms
+# (modulus, {var: coef}, const).  ``_inorm`` is the one normalizer of a
+# conjunct: ``Conj.make`` and every elimination case end in it.  The
+# coefficient dicts of a conjunct's LinTerms are handed in as they are, so
+# the core builds new dicts and never writes to one it was given (LinTerms
+# are memo keys).
 # ---------------------------------------------------------------------------
 
 IRow = tuple[dict, int, str]
@@ -328,26 +258,34 @@ IDiv = tuple[int, dict, int]
 
 
 def _to_irows(conj: Conj) -> tuple[list[IRow], list[IDiv]]:
-    rows = [
-        ({v: c.numerator for v, c in t.coeffs.items()}, t.const.numerator, rel)
-        for t, rel in conj.rows
-    ]
-    divs = [
-        (d.modulus, {v: c.numerator for v, c in d.term.coeffs.items()}, d.term.const.numerator)
-        for d in conj.divs
-    ]
+    rows = [(t.coeffs, t.const, rel) for t, rel in conj.rows]
+    divs = [(d.modulus, d.term.coeffs, d.term.const) for d in conj.divs]
     return rows, divs
 
 
-def _from_irows(rows: list[IRow], divs: list[IDiv]) -> Conj | None:
-    return Conj.make(
-        [(LinTerm(cs, c0), rel) for cs, c0, rel in rows],
-        [DivAtom(m, LinTerm(cs, c0)) for m, cs, c0 in divs],
+def _conj(rows: list[IRow], divs: list[IDiv]) -> Conj:
+    """The conjunct of rows and atoms that ``_inorm`` has normalized."""
+    return Conj(
+        tuple((LinTerm(cs, c0), rel) for cs, c0, rel in rows),
+        tuple(DivAtom(m, LinTerm(cs, c0)) for m, cs, c0 in divs),
     )
 
 
+def _from_irows(rows: list[IRow], divs: list[IDiv]) -> Conj | None:
+    norm = _inorm(rows, divs)
+    return None if norm is None else _conj(*norm)
+
+
 def _inorm(rows: list[IRow], divs: list[IDiv]):
-    """int-level normalization mirroring Conj.make; None if unsat."""
+    """Normal form of a conjunct; None if it is syntactically unsat.
+
+    A row is divided by the gcd of its coefficients (an inequality rounds
+    its constant up, an equality the gcd does not divide is unsat).
+    Equalities come first, once each; then one ``<=`` row per coefficient
+    vector, the tightest, in first-seen order.  An atom m | t is divided
+    by gcd(m, t), its coefficients and constant are reduced mod m, and
+    atoms that always hold (m in (0, 1), or t = 0 mod m) are dropped.
+    """
     best_le: dict = {}
     eqs = []
     for cs, c0, rel in rows:
@@ -356,9 +294,7 @@ def _inorm(rows: list[IRow], divs: list[IDiv]):
             if (rel == LE and c0 > 0) or (rel == EQ and c0 != 0):
                 return None
             continue
-        g = 0
-        for c in cs.values():
-            g = gcd(g, abs(c))
+        g = gcd(*cs.values())
         if rel == LE:
             if g > 1:
                 cs = {v: c // g for v, c in cs.items()}
@@ -381,26 +317,21 @@ def _inorm(rows: list[IRow], divs: list[IDiv]):
         if key not in seen:
             seen.add(key)
             out_rows.append((cs, c0, EQ))
-    for key, (c0, cs) in best_le.items():
+    for c0, cs in best_le.values():
         out_rows.append((cs, c0, LE))
     out_divs: list[IDiv] = []
     dseen = set()
     for m, cs, c0 in divs:
         m = abs(m)
-        cs = {v: c for v, c in cs.items() if c % m}
-        c0 %= m if m else 1
         if m in (0, 1):
             continue
-        g = m
-        for c in cs.values():
-            g = gcd(g, abs(c))
-        g = gcd(g, c0)
+        g = gcd(m, c0, *cs.values())
         if g > 1:
             m //= g
-            cs = {v: c // g for v, c in cs.items()}
-            c0 //= g
             if m == 1:
                 continue
+            cs = {v: c // g for v, c in cs.items()}
+            c0 //= g
         cs = {v: c % m for v, c in cs.items() if c % m}
         c0 %= m
         if not cs:
@@ -556,12 +487,7 @@ def _finish(rows, divs):
 def eliminate_int_var(conj: Conj, v: str) -> list[Conj]:
     """Exact: returns a DNF such that (exists v in Z . conj) <=> the DNF."""
     rows, divs = _to_irows(conj)
-    out = []
-    for nrows, ndivs in _ielim(rows, divs, v):
-        c = _from_irows(nrows, ndivs)
-        if c is not None:
-            out.append(c)
-    return out
+    return [_conj(nrows, ndivs) for nrows, ndivs in _ielim(rows, divs, v)]
 
 
 def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()) -> Dnf:
@@ -579,5 +505,5 @@ def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()
         work = nxt
     out = Dnf()
     for rs, ds in work:
-        out.add(_from_irows(rs, ds))
+        out.add(_conj(rs, ds))
     return out

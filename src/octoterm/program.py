@@ -2,8 +2,9 @@
 
 Summaries ``P+(q, q')`` are computed by state elimination: eliminating a
 state composes its incoming edges, the closure of its self-loops, and its
-outgoing edges.  Self-loop closures are exact accelerations (periodic
-octagons, finite-monoid affine relations); multi-loop states saturate the
+outgoing edges.  A self-loop is accelerated through its octagonal hull
+(exact for an octagonal loop, an over-approximation for an affine one)
+and the periodic closure of that octagon; multi-loop states saturate the
 compositions of the accelerated disjuncts up to a budget, falling back to
 a single octagonal-hull closure only when the budget is exhausted.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affine import AffineRel, Matrix, is_finite_monoid, mat_mul, mat_pow, mat_vec, power_cycle, trajectory_offsets
+from .affine import AffineRel, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
 from .grammar import (
     AffLabel,
@@ -34,12 +35,11 @@ from .grammar import (
     parse_formula,
     parse_program_text,
 )
-from .linarith import EQ, LE, Feasible, LinSys, LinTerm, lp_feasible, term_of_pair
+from .linarith import EQ, LE, LinSys, LinTerm, PolyhedronLP, term_of_pair
 from .octagon import (
     Octagon,
     atom_entry,
     bottom,
-    oct_compose,
     oct_encode,
     oct_hull,
     oct_rows,
@@ -94,7 +94,7 @@ class LinRel:
         return LinSys(list(self.conj.rows) + [(LinTerm({p: -1}), LE) for p in self.params])
 
     def rationally_feasible(self) -> bool:
-        return isinstance(lp_feasible(self.system()), Feasible)
+        return PolyhedronLP(self.system()).feasible
 
 
 def _canonical(variables, conj: Conj, params) -> LinRel:
@@ -204,12 +204,12 @@ def _member_param_matrix(m: LinRel):
     for t, rel in m.conj.rows:
         for tt in (t,) if rel == LE else (t, -t):
             var_part = []
-            bound = [-tt.const.numerator] + [0] * len(pidx)
+            bound = [-tt.const] + [0] * len(pidx)
             for v, c in tt.coeffs.items():
                 if v in pidx:
-                    bound[pidx[v]] = -c.numerator
+                    bound[pidx[v]] = -c
                 elif v in index:
-                    var_part.append((index[v], c.numerator))
+                    var_part.append((index[v], c))
                 else:
                     return None
             if not var_part:
@@ -287,17 +287,9 @@ def _member_from_entries(entries, nparams, variables) -> LinRel | None:
 
 
 def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
+    """Composition by exact integer elimination of the midpoints, for the
+    pairs the parametric closure does not take."""
     variables = a.variables
-    # octagonal fast path: tight composition is integer-exact and avoids
-    # the general integer elimination entirely
-    if not a.params and not b.params and not a.conj.divs and not b.conj.divs:
-        oa, ea = member_to_octagon(a, exact_only=True)
-        if ea:
-            ob, eb = member_to_octagon(b, exact_only=True)
-            if eb:
-                composed = oct_compose(oa, ob, len(variables))
-                m = member_from_octagon(composed, variables)
-                return [] if m is None else [m]
     # the midpoints are eliminated below, so their names never leave here
     mids = {v: f"_m_{v}" for v in variables}
     sub_a = {v + "'": LinTerm({mids[v]: 1}) for v in variables}
@@ -499,76 +491,6 @@ def is_flat(p: Program):
     return Flat()
 
 
-# -- affine exact closure members --------------------------------------------
-
-
-def _affine_closure_members(rel: AffineRel, variables) -> list[LinRel]:
-    """Exact members of R^+ for a finite-monoid affine relation."""
-    B, C = power_cycle(rel.a)
-    s = trajectory_offsets(rel, B + 2 * C + 1)
-    names = list(variables)
-    members: list[LinRel] = []
-
-    def guard_rows_at(power: Matrix, offset, extra: LinTerm | None = None):
-        rows = []
-        for c, d in rel.guard:
-            coeffs = {}
-            for j in range(rel.n_vars):
-                coeffs[names[j]] = sum(c[i] * power[i][j] for i in range(rel.n_vars))
-            base = LinTerm(coeffs, sum(ci * oi for ci, oi in zip(c, offset)) - d)
-            if extra is not None:
-                base = base + extra
-            rows.append((-base, LE))  # value >= 0
-        return rows
-
-    def update_rows(power: Matrix, offset, extra_per_var=None):
-        rows = []
-        for i, v in enumerate(variables):
-            t = LinTerm({names[j]: power[i][j] for j in range(rel.n_vars)}, offset[i])
-            if extra_per_var is not None:
-                t = t + extra_per_var[i]
-            rows.append((LinTerm({v + "'": 1}) - t, EQ))
-        return rows
-
-    # explicit powers n = 1 .. B+C-1
-    for n in range(1, B + C):
-        rows = update_rows(mat_pow(rel.a, n), s[n])
-        for k in range(n):
-            rows.extend(guard_rows_at(mat_pow(rel.a, k), s[k]))
-        conj = Conj.make(rows)
-        if conj is not None:
-            m = LinRel(tuple(variables), conj)
-            if m.rationally_feasible():
-                members.append(m)
-    # families n = B + i + (1+m)C for m >= 0, one parameter each
-    (par,) = _param_names(1)
-    for i in range(C):
-        power = mat_pow(rel.a, B + i)
-        drift = mat_vec(power, s[C])
-        extra = [LinTerm({par: drift[j]}, drift[j]) for j in range(rel.n_vars)]
-        rows = update_rows(power, s[B + i], extra)
-        for k in range(B):
-            rows.extend(guard_rows_at(mat_pow(rel.a, k), s[k]))
-        for i2 in range(C):
-            p2 = mat_pow(rel.a, B + i2)
-            d2 = mat_vec(p2, s[C])
-            # guard along the tail is affine per residue: endpoints
-            # m' = 0 and m' = m + (1 if i2 < i else 0) suffice
-            base_rows = guard_rows_at(p2, s[B + i2])
-            rows.extend(base_rows)
-            hi_shift = 1 if i2 < i else 0
-            for (c, d), (t, _) in zip(rel.guard, base_rows):
-                step = sum(cc * dd for cc, dd in zip(c, d2))
-                slope = LinTerm({par: step}, hi_shift * step)
-                rows.append((t - slope, LE))
-        conj = Conj.make(rows)
-        if conj is not None:
-            m = LinRel(tuple(variables), conj, (par,))
-            if m.rationally_feasible():
-                members.append(m)
-    return members
-
-
 # -- self-loop closure and state elimination ----------------------------------
 
 
@@ -623,9 +545,7 @@ def _star_members(
         acc, ex, bx = _accelerate_member(m, budgets)
         exact = exact and ex
         exhausted = exhausted or bx
-        for a in acc:
-            if a.rationally_feasible():
-                base.append(a)
+        base.extend(acc)
     members = _dedupe(base)
     frontier = list(members)
     rounds = 0
@@ -636,8 +556,6 @@ def _star_members(
             for b in frontier:
                 for pair in ((a, b), (b, a)):
                     for cand in compose_members(*pair):
-                        if not cand.rationally_feasible():
-                            continue
                         if any(member_subsumed(cand, o) for o in members):
                             continue
                         if any(member_subsumed(cand, o) for o in new):

@@ -11,8 +11,7 @@ function with decrease >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from .linarith import (
     LE,
@@ -123,19 +122,15 @@ def synthesize_lrf(v: Octagon, n_program_vars: int):
     if w is None:
         return NotFoundLrf()
     scale = lcm(*(w.assignment[a].denominator for a in coef_names)) if N else 1
-    f = LinTerm({names[i]: w.assignment[coef_names[i]] * scale for i in range(N)})
+    f = LinTerm({names[i]: int(w.assignment[coef_names[i]] * scale) for i in range(N)})
     # exact integer decrease and lower bound for the scaled function
     delta = lp_inf(sys, f - _primed(f, N))
     assert isinstance(delta, Value) and delta.value > 0
-    decrease_val = delta.value.numerator // delta.value.denominator
-    if Fraction(decrease_val) < delta.value:
-        decrease_val += 1  # ceil: f is integer-valued on integer points
+    decrease_val = ceil(delta.value)  # f is integer-valued on integer points
     proj = oct_to_linsys(pre_image_set(v, N), names[:N])
     low = lp_inf(proj, f)
     assert isinstance(low, Value)
-    h = low.value.numerator // low.value.denominator
-    if Fraction(h) < low.value:
-        h += 1
+    h = ceil(low.value)
     witness = RankingWitness(v, f, max(1, decrease_val), h)
     assert verify_lrf(v, f, witness.decrease, h, N)
     return witness

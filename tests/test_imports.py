@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private function or class of the package is referenced by one."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,27 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.name}:{line}: {name}")
     assert not unused, unused
+
+
+def _private_defs(tree: ast.AST) -> dict[str, int]:
+    """Private function and class name -> line, at any depth (dunders left out)."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        used |= _referenced(tree)
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    dead = [f"{name}:{line}: {fn}"
+            for name, tree in trees.items()
+            for fn, line in _private_defs(tree).items() if fn not in used]
+    assert not dead, dead

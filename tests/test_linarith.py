@@ -194,7 +194,7 @@ class _RefTableau:
         self.width = self.n + self.m + 1
         self.a = []
         for i, row in enumerate(rows_a):
-            full = {j: v for j, v in row.items() if v != 0}
+            full = {j: Fraction(v) for j, v in row.items() if v != 0}
             full[self.n + i] = Fraction(1)
             self.a.append(full)
         self.rhs = [_RefEps(r.a, r.b) for r in rhs]

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from octoterm import presburger
 from octoterm.linarith import EQ, LE, LT, LinTerm
@@ -11,6 +13,9 @@ from octoterm.presburger import (
     eliminate_all,
     eliminate_int_var,
 )
+from octoterm.program import nt_program, parse_program, transitive_relation
+
+from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM
 
 x = LinTerm.var("x")
 y = LinTerm.var("y")
@@ -26,10 +31,151 @@ def test_make_normalizes():
 
 
 def test_divatom_normalization():
-    d = DivAtom(4, 2 * x + 2).normalized()
+    (d,) = Conj.make([], [DivAtom(4, 2 * x + 2)]).divs
     assert d.modulus == 2 and d.term.coef("x") == 1
-    assert DivAtom(3, LinTerm({}, 6)).normalized() is True
-    assert DivAtom(3, LinTerm({}, 5)).normalized() is False
+    assert Conj.make([], [DivAtom(3, LinTerm({}, 6))]).divs == ()
+    assert Conj.make([], [DivAtom(3, LinTerm({}, 5))]) is None
+
+
+# -- the Fraction normalizer that Conj.make replaced, kept as a reference ----
+
+
+def _ref_int_term(t: LinTerm) -> LinTerm:
+    cs = {v: Fraction(c) for v, c in t.coeffs.items()}
+    const = Fraction(t.const)
+    den = lcm(const.denominator, *(c.denominator for c in cs.values()))
+    return LinTerm({v: c * den for v, c in cs.items()}, const * den)
+
+
+def _ref_content(t: LinTerm, include_const: bool) -> int:
+    g = 0
+    for c in t.coeffs.values():
+        g = gcd(g, abs(c.numerator))
+    if include_const:
+        g = gcd(g, abs(t.const.numerator))
+    return g
+
+
+def _ref_div_normalized(m: int, term: LinTerm):
+    t = _ref_int_term(term)
+    m = abs(m)
+    if m in (0, 1):
+        return True
+    d = gcd(m, _ref_content(t, include_const=True))
+    if d > 1:
+        m //= d
+        t = t * Fraction(1, d)
+        if m == 1:
+            return True
+    t = LinTerm({v: Fraction(c.numerator % m) for v, c in t.coeffs.items()},
+                Fraction(t.const.numerator % m))
+    if t.is_constant():
+        return t.const == 0
+    return DivAtom(m, t)
+
+
+def _ref_make(rows, divs):
+    """(rows, divs) as the Fraction normalizer built them; None when unsat."""
+    out_rows = []
+    seen = set()
+    best_le: dict = {}
+    for t, rel in rows:
+        t = _ref_int_term(t)
+        if rel == LT:
+            t = t + 1
+            rel = LE
+        if rel == LE:
+            g = _ref_content(t, include_const=False)
+            if g > 1:
+                c = t.const.numerator
+                t = LinTerm({v: cc / g for v, cc in t.coeffs.items()}, Fraction(-((-c) // g)))
+        if t.is_constant():
+            if (rel == LE and t.const > 0) or (rel == EQ and t.const != 0):
+                return None
+            continue
+        if rel == EQ:
+            g = _ref_content(t, include_const=False)
+            if g > 1:
+                if t.const.numerator % g != 0:
+                    return None
+                t = t * Fraction(1, g)
+        if rel == LE:
+            key = frozenset(t.coeffs.items())
+            prev = best_le.get(key)
+            if prev is None or t.const > prev.const:
+                best_le[key] = t
+            continue
+        key = (frozenset(t.coeffs.items()), t.const)
+        if key not in seen:
+            seen.add(key)
+            out_rows.append((t, EQ))
+    out_rows.extend((t, LE) for t in best_le.values())
+    out_divs = []
+    for d in divs:
+        nd = _ref_div_normalized(d.modulus, d.term)
+        if nd is False:
+            return None
+        if nd is not True and nd not in out_divs:
+            out_divs.append(nd)
+    return tuple(out_rows), tuple(out_divs)
+
+
+def _rand_coef(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.randint(-4, 4)
+
+
+def test_make_matches_fraction_normalizer():
+    rng = random.Random(5)
+    names = ["x", "y", "z"]
+    outcomes = set()
+    for _ in range(3000):
+        vectors = [{v: _rand_coef(rng) for v in rng.sample(names, rng.randint(0, 3))}
+                   for _ in range(rng.randint(1, 3))]
+        # shared coefficient vectors make rows that collapse to one
+        rows = [(LinTerm(rng.choice(vectors), _rand_coef(rng)), rng.choice((LT, LE, LE, EQ)))
+                for _ in range(rng.randint(0, 5))]
+        divs = [DivAtom(rng.randint(-4, 6), LinTerm(rng.choice(vectors), _rand_coef(rng)))
+                for _ in range(rng.randint(0, 3))]
+        ref = _ref_make(rows, divs)
+        got = Conj.make(rows, divs)
+        assert (got is None) == (ref is None), (rows, divs)
+        if got is None:
+            outcomes.add("unsat")
+            continue
+        assert got.rows == ref[0], (rows, divs)
+        assert got.divs == ref[1], (rows, divs)
+        assert repr(got) == repr(Conj(*ref))
+        outcomes.add(("rows" if got.rows else "") + ("divs" if got.divs else ""))
+    assert outcomes == {"unsat", "", "rows", "divs", "rowsdivs"}
+
+
+def _assert_int_conj(c: Conj) -> None:
+    for t in [t for t, _ in c.rows] + [d.term for d in c.divs]:
+        assert type(t.const) is int, c
+        assert all(type(v) is int for v in t.coeffs.values()), c
+
+
+def test_rows_stay_integers():
+    c = Conj.make([(Fraction(1, 2) * x - Fraction(1, 3) * y, LT), (x + Fraction(4, 2), EQ)],
+                  [DivAtom(3, Fraction(1, 2) * y + 1)])
+    assert c.divs
+    _assert_int_conj(c)
+    _assert_int_conj(Conj.make([(2 * x - 3, LE), (x - k, EQ)]))
+    for case in eliminate_all(Conj.make([(2 * k - x, EQ), (y - 3 * k, LE)]), ["k"], nonneg=["k"]):
+        _assert_int_conj(case)
+    branching = parse_program(BRANCHING_PROGRAM)
+    two_phase = parse_program(TWO_PHASE_PROGRAM)
+    members = transitive_relation(branching, "l1", "l1")[0]
+    members += transitive_relation(two_phase, "l2", "l2")[0]
+    members += transitive_relation(two_phase, "l5", "l5")[0]
+    assert members
+    for m in members:
+        _assert_int_conj(m.conj)
+    for p in (branching, two_phase):
+        for c in nt_program(p).precondition:
+            _assert_int_conj(c)
 
 
 def test_eval_divisibility():
