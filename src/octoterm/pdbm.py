@@ -10,10 +10,15 @@ minimal ones, sorted lexicographically.
 The closure works on pairs ``(c, r1, ..., rn, length)``: a term with the
 length of the path that produced it, so one ``map(add, a, b)`` adds both
 the terms and the lengths of two paths.  Per entry it keeps the antichain
-of pairs for paths of length at most dim+1, which is enough to agree with
-the plain Floyd-Warshall closure at every parameter valuation where the
-instantiated matrix is consistent; at inconsistent valuations some
-diagonal entry evaluates negative.
+of pairs for paths of length at most (number of pivots)+1, which is
+enough to agree with the plain Floyd-Warshall closure through the same
+pivots at every parameter valuation where the instantiated matrix is
+consistent; at inconsistent valuations some diagonal entry evaluates
+negative.  Like ``dbm._close``, it takes the pivots to close through: the
+composition of two closed parametric relations closes their glued matrix
+through the middle block only.  Every entry of a closed operand already
+stands for a whole path of that operand, so in the glued matrix it is one
+edge, and lengths start at 1 again.
 
 ``min_terms`` is one sorted Pareto sweep for both terms and pairs.  It
 sorts the unique tuples and compares each one only with the tuples already
@@ -130,20 +135,26 @@ def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
     return Dbm(rows)
 
 
-def param_fw(m: ExtParamDbm) -> ExtParamDbm:
-    """Parametric shortest-path closure over paths of length <= dim+1.
+def param_fw(m: ExtParamDbm, pivots: Sequence[int] | None = None) -> ExtParamDbm:
+    """Parametric shortest-path closure through ``pivots`` (default: all).
 
-    Keeps (term, length) pairs: lengths cap composed paths at k+1 during
-    round k, equal terms keep their shortest length, and a pair is dropped
-    only when another pair has a pointwise <= term AND a <= length.  A
-    weight-dominated but shorter path must survive, because the length cap
-    may later admit only the short representative (matters for matrices
-    that are inconsistent at most parameter valuations).  An entry longer
-    than ``MAX_ANTICHAIN`` keeps its least pairs and sets ``capped``.
+    Keeps (term, length) pairs: lengths cap composed paths at i+2 during
+    round i of the pivot sequence, equal terms keep their shortest length,
+    and a pair is dropped only when another pair has a pointwise <= term
+    AND a <= length.  A weight-dominated but shorter path must survive,
+    because the length cap may later admit only the short representative
+    (matters for matrices that are inconsistent at most parameter
+    valuations).  An entry longer than ``MAX_ANTICHAIN`` keeps its least
+    pairs and sets ``capped``.
 
     For every nonneg valuation where the instantiated matrix is consistent
-    this agrees with ``fw_close``; otherwise some diagonal entry evaluates
-    negative at that valuation.
+    this agrees with ``fw_close`` (``dbm._close`` through the same pivots);
+    otherwise some diagonal entry evaluates negative at that valuation,
+    provided every negative cycle has a negative simple cycle whose
+    vertices are all pivots (always so with every pivot).  The cap stays
+    exact through a pivot subset: after round i, a simple path whose
+    intermediate vertices are among the first i+1 pivots has at most i+2
+    edges.
     """
     dim = m.dim
     capped = m.capped
@@ -157,8 +168,7 @@ def param_fw(m: ExtParamDbm) -> ExtParamDbm:
                 pairs.append(origin)
             row.append(min_terms(pairs))
         work.append(row)
-    for k in range(dim):
-        cap = k + 2
+    for cap, k in enumerate(range(dim) if pivots is None else pivots, 2):
         rowk = work[k]
         for i in range(dim):
             wik = work[i][k]

@@ -192,9 +192,11 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def _member_param_matrix(m: LinRel):
-    """Dual 4N matrix of term tuples ``(const, *rates)``, one rate per
-    parameter of m, when every row is octagonal with parameters only in the
-    bounds; None otherwise."""
+    """The closed dual 4N matrix of m: term tuples ``(const, *rates)``, one
+    rate per parameter of m, closed by ``param_fw``.  None when a row is
+    not octagonal, a parameter leaves the bounds, m has divisibility atoms,
+    or the closure is capped.  Each member is thus closed once, however
+    many compositions it takes part in."""
     if m.conj.divs:
         return None
     index = {v: i for i, v in enumerate(_relation_names(m.variables))}
@@ -223,15 +225,36 @@ def _member_param_matrix(m: LinRel):
             term = tuple(atom[4] * c for c in bound)
             cells[p][q].append(term)
             cells[q ^ 1][p ^ 1].append(term)
-    zero = (0,) * (len(pidx) + 1)
-    for p in range(dim):
-        cells[p][p].append(zero)
+    closed = param_fw(ExtParamDbm(dim, len(pidx), cells))
+    if closed.capped:
+        return None
     # shared by every caller of the memo
-    return tuple(tuple(min_terms(cell) for cell in row) for row in cells)
+    return tuple(tuple(row) for row in closed.entries)
 
 
 def _compose_param_oct(a: LinRel, b: LinRel):
-    """Composition through the parametric closure; None when not eligible."""
+    """Composition through the parametric closure; None when not eligible.
+
+    The closed matrices of a and b are glued over (x, x', x'') and closed
+    through the 2N middle pivots only, the parametric ``dbm.close_glued``.
+    That suffices.  At a valuation where both operands are consistent, an
+    edge of the glued graph joins two vertices of one operand, and a run of
+    edges of one operand is no shorter than its closed direct edge; so
+    every path shortens to one whose intermediate vertices lie in the
+    middle block, and every negative cycle, which cannot stay inside one
+    operand, to one over middle vertices alone, which turns a middle
+    diagonal entry negative.  At a valuation where an operand is
+    inconsistent, its own closed diagonal is already negative in the glued
+    matrix.
+
+    The middle block is erased after tightening, but its diagonal terms
+    are kept as parameter rows ``0 <= t`` on the diagonal: they carry the
+    emptiness of the composition (a negative constant when there are no
+    parameters, after the integer halving of ``param_tighten`` too).  A
+    parameter-free member built this way is a closed, tightly closed
+    integer matrix with a nonnegative diagonal, so it is integer-consistent
+    and needs no LP; a parametric one still goes through the LP.
+    """
     ea = _member_param_matrix(a)
     if ea is None:
         return None
@@ -249,18 +272,20 @@ def _compose_param_oct(a: LinRel, b: LinRel):
             for row in entries
         ])
 
-    closed = param_fw(glue(lift(ea, 0, nb), lift(eb, na, 0)))
-    if closed.capped:
-        return None
     # dual matrix dim is 4N over (x, x'); the unprimed block is 2N wide
     blk = 2 * len(a.variables)
     dim3 = 3 * blk
+    closed = param_fw(glue(lift(ea, 0, nb), lift(eb, na, 0)), range(blk, 2 * blk))
+    if closed.capped:
+        return None
     keep = list(range(blk)) + list(range(2 * blk, dim3))
     out = []
     for entries in param_tighten(closed.entries, dim3):
         erased = [[entries[p][q] for q in keep] for p in keep]
+        erased[0][0] = min_terms(erased[0][0] + sum(
+            (entries[p][p] for p in range(blk, 2 * blk)), ()))
         mem = _member_from_entries(erased, np_, a.variables)
-        if mem is not None and mem.rationally_feasible():
+        if mem is not None and (not np_ or mem.rationally_feasible()):
             out.append(mem)
     return out
 

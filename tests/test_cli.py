@@ -266,3 +266,23 @@ def test_prog_analyze_exit_codes(capsys):
     assert code == 4 and json.loads(out)["exact"] is False
     # (test_prog_commands pins exit 0 for BRANCHING, inexact only because
     # it is not flat)
+
+
+# compositions that are empty only through their middle variables: over the
+# rationals (x' >= y' + 1, then x < y) and over the integers (2x' = 1)
+EMPTY_MIDDLE = [
+    "vars x, y; init l0; l0 -> l1 : x' >= y' + 1; l1 -> l2 : x < y; l2 -> l2 : id(x,y);",
+    "vars x, y; init l0; l0 -> l1 : x' + y' == 1; l1 -> l2 : x == y; l2 -> l2 : id(x,y);",
+]
+
+
+@pytest.mark.parametrize("text", EMPTY_MIDDLE, ids=["rational", "integer"])
+def test_prog_empty_middle_composition(text, capsys):
+    code, out, _ = run(capsys, "prog", "analyze", text)
+    assert code == 0 and "non-termination precondition: false" in out
+    code, out, _ = run(capsys, "--format", "json", "prog", "analyze", text)
+    data = json.loads(out)
+    assert code == 0 and data["exact"] is True and data["precondition"]["dnf"] == []
+    code, out, _ = run(capsys, "--format", "json", "prog", "summary", "--from", "l0",
+                       "--to", "l2", text)
+    assert code == 0 and json.loads(out)["members"] == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ from octoterm.pdbm import (
     MAX_ANTICHAIN,
     ExtParamDbm,
     eval_at,
+    glue,
     min_terms,
     param_exists_k,
     param_fw,
@@ -275,8 +277,9 @@ def ref_prune(pairs):
     return tuple(keep)
 
 
-def ref_param_fw(entries, dim, nparams, capped=False):
-    """The ParamTerm closure: (closed entries, capped)."""
+def ref_param_fw(entries, dim, nparams, capped=False, pivots=None):
+    """The ParamTerm closure through ``pivots`` (default: all): (closed
+    entries, capped).  Round r admits paths of at most r + 2 edges."""
     work = []
     for i in range(dim):
         row = []
@@ -286,7 +289,7 @@ def ref_param_fw(entries, dim, nparams, capped=False):
                 pairs = pairs + ((const_term(0, nparams), 0),)
             row.append(ref_prune(pairs))
         work.append(row)
-    for k in range(dim):
+    for r, k in enumerate(range(dim) if pivots is None else pivots):
         for i in range(dim):
             wik = work[i][k]
             if not wik:
@@ -299,7 +302,7 @@ def ref_param_fw(entries, dim, nparams, capped=False):
                 t2 = []
                 for (a, da) in wik:
                     for (b, db) in wkj:
-                        if da + db <= k + 2:
+                        if da + db <= r + 2:
                             t2.append((a + b, da + db))
                 merged = ref_prune(t1 + tuple(t2))
                 if len(merged) > MAX_ANTICHAIN:
@@ -423,6 +426,54 @@ def test_param_fw_matches_param_term_reference():
                 seen["consistent"] += 1
                 assert eval_at(closed, v).rows == inst.rows
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def random_relation_matrix(rng, dim, nparams):
+    """Off-diagonal entries of one or two random terms at 40% density,
+    biased toward consistency."""
+    return ExtParamDbm(dim, nparams, [
+        [tuple((rng.randint(-2, 4),) + tuple(rng.randint(-1, 1) for _ in range(nparams))
+               for _ in range(rng.randint(1, 2)))
+         if i != j and rng.random() < 0.4 else ()
+         for j in range(dim)]
+        for i in range(dim)
+    ])
+
+
+def test_middle_pivots_close_glued_closed_operands():
+    # closed operands glued and closed through the middle block against the
+    # raw operands glued and closed through every pivot
+    rng = random.Random(53)
+    seen = {"consistent": 0, "inconsistent": 0, "middle": 0}
+    for _ in range(300):
+        blk = rng.randint(1, 2)  # relations over N <= 2 variables
+        nparams = rng.randint(0, 2)
+        raw = [random_relation_matrix(rng, 2 * blk, nparams) for _ in range(2)]
+        closed = [param_fw(m) for m in raw]
+        middle = range(blk, 2 * blk)
+        mid = param_fw(glue(*closed), middle)
+        full = param_fw(glue(*raw))
+        if mid.capped or full.capped:
+            continue
+        ref, _ = ref_param_fw(to_ref(glue(*closed).entries), 3 * blk, nparams,
+                              pivots=middle)
+        assert from_ref(ref) == mid.entries
+        for v in itertools.product(range(3), repeat=nparams):
+            want = fw_close(eval_at(glue(*raw), v))
+            got = eval_at(mid, v)
+            if want is not None:
+                seen["consistent"] += 1
+                assert got.rows == want.rows == eval_at(full, v).rows
+                continue
+            seen["inconsistent"] += 1
+            negative = [i for i in range(3 * blk) if got.rows[i][i] < 0]
+            assert negative
+            # both operands consistent: the negative cycle crosses between
+            # them, so it passes through the middle block and shows there
+            if all(fw_close(eval_at(m, v)) is not None for m in raw):
+                seen["middle"] += 1
+                assert any(blk <= i < 2 * blk for i in negative)
+    assert all(n >= 20 for n in seen.values()), seen
 
 
 def test_param_tighten_matches_param_term_reference():

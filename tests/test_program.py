@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -439,3 +440,191 @@ def test_nt_program_dying_self_loop_matches_the_oracle():
     starts = program_live_starts(p, box)
     for pt in box.points():
         assert res.precondition.eval({"x": pt[0], "y": pt[1]}) == (pt in starts), pt
+
+
+# -- composition through the closed member matrices ---------------------------
+
+
+def _random_members(rng, n):
+    """Octagonal members, some of them empty in the middle when composed,
+    and the members of the accelerated random loops."""
+    from octoterm.closure import ParamOct, reflexive_transitive_closure
+    from octoterm.program import member_from_param_oct
+
+    from helpers import random_guarded_relation, random_oct_relation
+
+    variables = ("x", "y")[:n]
+    plain, accelerated = [], []
+    while len(plain) < 8:
+        rel = random_oct_relation(rng, n, 3, rng.randint(1, 3))
+        m = member_from_octagon(rel, variables)
+        if m is not None:
+            plain.append(m)
+    while len(accelerated) < 4:
+        loop = random_guarded_relation(rng, n, 3)
+        for fam in reflexive_transitive_closure(loop, n, 8, 4).members:
+            if isinstance(fam, ParamOct):
+                accelerated.append(member_from_param_oct(fam, variables))
+    return plain + accelerated
+
+
+def _search_eval(members, point, bound):
+    """Does a member hold at the point for some parameters in 0..bound?"""
+    for m in members:
+        for ks in itertools.product(range(bound + 1), repeat=len(m.params)):
+            if m.conj.eval({**point, **dict(zip(m.params, ks))}):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
+def test_compose_members_matches_elimination_on_a_box(n, width, bound):
+    from octoterm.program import _compose_members, _compose_param_oct
+
+    rng = random.Random(61 + n)
+    members = _random_members(rng, n)
+    names = ["x", "y"][:n]
+    names += [v + "'" for v in names]
+    box = [dict(zip(names, pt))
+           for pt in itertools.product(range(-width, width + 1), repeat=2 * n)]
+    pairs = [(a, b) for a in members for b in members]
+    param_oct = empty = 0
+    for a, b in rng.sample(pairs, 40):
+        got = compose_members(a, b)
+        want = _compose_members(a, b)
+        param_oct += _compose_param_oct(a, b) is not None
+        empty += not want
+        if not want:
+            assert not got
+            continue
+        for pt in box:
+            assert _search_eval(got, pt, bound) == _search_eval(want, pt, bound), (a, b, pt)
+    assert param_oct >= 30 and empty >= 3, (param_oct, empty)
+
+
+def _unclosed_param_matrix(m: LinRel):
+    """The member's dual matrix, unclosed: the operand of the
+    full-closure reference below."""
+    from octoterm.linarith import LE
+    from octoterm.octagon import atom_entry, row_atom
+    from octoterm.pdbm import min_terms
+
+    if m.conj.divs:
+        return None
+    names = list(m.variables) + [v + "'" for v in m.variables]
+    index = {v: i for i, v in enumerate(names)}
+    pidx = {p: i + 1 for i, p in enumerate(m.params)}
+    dim = 2 * len(index)
+    cells = [[[] for _ in range(dim)] for _ in range(dim)]
+    for t, rel in m.conj.rows:
+        for tt in (t,) if rel == LE else (t, -t):
+            var_part = []
+            bound = [-tt.const] + [0] * len(pidx)
+            for v, c in tt.coeffs.items():
+                if v in pidx:
+                    bound[pidx[v]] = -c
+                else:
+                    var_part.append((index[v], c))
+            if not var_part:
+                cells[0][0].append(tuple(bound))
+                continue
+            atom = row_atom(var_part, 1)
+            if atom is None:
+                return None
+            p, q = atom_entry(*atom[:4])
+            term = tuple(atom[4] * c for c in bound)
+            cells[p][q].append(term)
+            cells[q ^ 1][p ^ 1].append(term)
+    for p in range(dim):
+        cells[p][p].append((0,) * (len(pidx) + 1))
+    return [[min_terms(cell) for cell in row] for row in cells]
+
+
+def _full_closure_compose(a: LinRel, b: LinRel):
+    """Composition through the full closure of the glued unclosed matrices,
+    with the middle block erased whole; and whether every tightened middle
+    diagonal term is nonnegative, so that erasing it lost nothing."""
+    from octoterm.pdbm import ExtParamDbm, glue, param_fw, param_tighten
+    from octoterm.program import _member_from_entries
+
+    ea, eb = _unclosed_param_matrix(a), _unclosed_param_matrix(b)
+    if ea is None or eb is None:
+        return None, True
+    na, nb = len(a.params), len(b.params)
+
+    def lift(entries, before, after):
+        return ExtParamDbm(len(entries), na + nb, [
+            [tuple((t[0], *(0,) * before, *t[1:], *(0,) * after) for t in cell)
+             for cell in row] for row in entries])
+
+    closed = param_fw(glue(lift(ea, 0, nb), lift(eb, na, 0)))
+    if closed.capped:
+        return None, True
+    blk = 2 * len(a.variables)
+    keep = list(range(blk)) + list(range(2 * blk, 3 * blk))
+    out, consistent = [], True
+    for entries in param_tighten(closed.entries, 3 * blk):
+        consistent &= all(min(t) >= 0 for p in range(blk, 2 * blk) for t in entries[p][p])
+        erased = [[entries[p][q] for q in keep] for p in keep]
+        mem = _member_from_entries(erased, na + nb, a.variables)
+        if mem is not None and mem.rationally_feasible():
+            out.append(mem)
+    return out, consistent
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compose_param_oct_matches_the_full_closure(n):
+    from octoterm.program import _compose_param_oct
+
+    rng = random.Random(71 + n)
+    members = _random_members(rng, n) + _random_members(rng, n)
+    compared = skipped = 0
+    for a in members:
+        for b in members:
+            want, consistent = _full_closure_compose(a, b)
+            if not consistent:
+                skipped += 1
+                continue
+            compared += 1
+            assert _compose_param_oct(a, b) == want, (a, b)
+    assert compared >= 100 and skipped >= 3, (compared, skipped)
+
+
+def test_composition_closes_each_member_once(monkeypatch):
+    # the members enter the glued matrix closed, and the glued matrix is
+    # closed through the 2N middle pivots only
+    from octoterm.linarith import LE, LinTerm
+    from octoterm.presburger import Conj
+
+    calls = []
+    real = program_module.param_fw
+
+    def spy(m, pivots=None):
+        calls.append((m.dim, None if pivots is None else list(pivots)))
+        return real(m, pivots)
+
+    monkeypatch.setattr(program_module, "param_fw", spy)
+    _clear_memos()
+    x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
+    p = LinTerm.var("_p0")
+    a = LinRel(("x", "y"), Conj.make([(x1 - x - p, LE), (x - x1 + p, LE),
+                                       (y1 - y, LE), (y - y1, LE)]), ("_p0",))
+    b = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - x, LE), (y1 - y - 1, LE)]))
+    c = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - x1, LE)]))
+    assert compose_members(a, b) and compose_members(a, c)
+    assert sorted(calls, key=str) == sorted(
+        [(8, None)] * 3 + [(12, [4, 5, 6, 7])] * 2, key=str)
+
+
+def test_empty_parametric_composition_is_dropped():
+    # _p0 <= 1 and y' - y == _p0 >= 3 sit on the diagonals of x and of y,
+    # which no path joins: no diagonal term is negative at every valuation,
+    # so only the LP sees that the member is empty
+    from octoterm.linarith import EQ, LE, LinTerm
+    from octoterm.presburger import Conj
+    from octoterm.program import _compose_param_oct
+
+    y, y1, p = LinTerm.var("y"), LinTerm.var("y'"), LinTerm.var("_p0")
+    a = LinRel(("x", "y"), Conj.make([(y1 - y - p, EQ), (p - 1, LE), (y - y1 + 3, LE)]),
+               ("_p0",))
+    assert _compose_param_oct(a, identity_member(("x", "y"))) == []
