@@ -71,9 +71,6 @@ class AffineRel:
             sum(ci * xi for ci, xi in zip(c, point)) >= d for c, d in self.guard
         )
 
-    def step(self, point):
-        return mat_vec(self.a, point) + tuple()  # type: ignore
-
     def apply(self, point):
         img = mat_vec(self.a, point)
         return tuple(x + y for x, y in zip(img, self.b))

@@ -8,10 +8,11 @@ guesses (b, c) from computed powers and then *certifies* the guess:
   * at the plain-DBM level, the one-period composition step is replayed on
     the parametric matrix ``base + k*rate`` with the parametric
     Floyd-Warshall closure;
-  * the tight sequence is then derived symbolically from the certified
-    plain forms (halving an odd-rate entry splits the parameter by parity
-    and doubles the period; min-of-affine crossovers raise the prefix),
-    and finally (b, c) is minimized.
+  * the tight sequence is then derived from the certified plain forms by
+    the parametric tightening ``pdbm.param_tighten`` (an odd rate on a
+    halved entry doubles the period first, so every halving is exact;
+    crossovers of two lines in one entry raise the prefix), and finally
+    (b, c) is minimized over the c-step differences of the tight forms.
 
 Every relation falls on one side of a dichotomy.  Either R is
 *-consistent, and the step is certified for every k >= 0; or R dies: some
@@ -44,7 +45,7 @@ from .octagon import (
     tighten,
     top,
 )
-from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw
+from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw, param_tighten
 from .term_oct import fast_power
 
 
@@ -336,198 +337,78 @@ def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm],
                        dead: int | None):
     """Exact affine forms of the tight sequence from the plain certificate.
 
-    Returns (b_t, c_t, forms) with forms[r][p][q] = (A, B) meaning the tight
-    entry at power b_t + r + j*c_t equals A + j*B (or INF marker), for every
-    power below dead.  When R dies, a min of two lines that keeps one
-    branch over a residue's live powers takes that branch, so only
-    crossovers among live powers raise the prefix.
+    Returns (b_t, c_t, forms): for every power n = b_t + r + j*c_t below
+    dead, the tight matrix is ``dbm_add_rate(*forms[r], j)``.  Residue r of
+    c_t is the plain form base + (rho + s*j)*rate of residue i0 = r % c0
+    (rho = r // c0), tightened by ``param_tighten``; s = 2 when some halved
+    rate is odd, so every halving is exact and no case splits.  A tight
+    entry is then one line or the minimum of two lines a1 + j*l1 and
+    a2 + j*l2 with a1 < a2 and l1 > l2, which cross once.  When R dies and
+    the first line is still least at the residue's last live power, it is
+    least at every live power; otherwise the prefix is raised past the
+    crossover, where the second line is least.
     """
     dim = cache.base.dim
-    s = 1
-    for i in range(c0):
-        for p in range(dim):
-            lam = rates[i].rows[p][p ^ 1]
-            if lam != INF and lam % 2 != 0:
-                s = 2
+    s = 2 if any(rate.rows[p][p ^ 1] != INF and rate.rows[p][p ^ 1] % 2
+                 for rate in rates for p in range(dim)) else 1
     c_t = s * c0
-
-    def d_form(r: int, p: int, q: int):
-        """Plain entry at power b0 + r + j*c_t as (A, B), or None for INF."""
-        i0 = r % c0
-        rho = r // c0
-        base = cache.plain(b0 + i0).rows[p][q]
-        if base == INF:
-            return None
-        lam = rates[i0].rows[p][q]
-        return (base + rho * lam, s * lam)
-
-    # crossover prefix: past J, the min of the two affine branches is fixed
     J = 0
-    tight_forms = []
+    grids = []
     for r in range(c_t):
-        grid = [[None] * dim for _ in range(dim)]
-        for p in range(dim):
-            fp = d_form(r, p, p ^ 1)
-            for q in range(dim):
-                f1 = d_form(r, p, q)
-                fq = d_form(r, q ^ 1, q)
-                f2 = None
-                if fp is not None and fq is not None:
-                    # halves: rates even here by construction of s
-                    a1, l1 = fp
-                    a2, l2 = fq
-                    assert l1 % 2 == 0 and l2 % 2 == 0
-                    f2 = (a1 // 2 + a2 // 2, l1 // 2 + l2 // 2)
-                if f1 is None and f2 is None:
-                    grid[p][q] = None
-                    continue
-                if f1 is None or f2 is None:
-                    grid[p][q] = f1 if f2 is None else f2
-                    continue
-                (A1, B1), (A2, B2) = f1, f2
-                if B1 == B2:
-                    grid[p][q] = (min(A1, A2), B1)
-                    continue
-                # min of two affine lines: settle past the crossover
-                # g(j) = (A1 - A2) + j*(B1 - B2) sign fixed for j > j0
-                dA, dB = A1 - A2, B1 - B2
-                if dead is not None:
-                    last = (dead - 1 - b0 - r) // c_t  # last live j, if any
-                    if last < 0 or (dA <= 0 and dA + last * dB <= 0):
-                        grid[p][q] = f1
-                        continue
-                    if dA >= 0 and dA + last * dB >= 0:
-                        grid[p][q] = f2
-                        continue
-                j0 = max(0, -(-(abs(dA)) // abs(dB)) + 1)  # ceil(|dA|/|dB|)+1
-                J = max(J, j0)
-                grid[p][q] = ("min", f1, f2)
-        tight_forms.append(grid)
-    # shift prefix past all crossovers and materialize single affine forms
-    b_t = b0 + J * c_t
-    forms = []
-    for r in range(c_t):
-        grid = [[None] * dim for _ in range(dim)]
-        for p in range(dim):
-            for q in range(dim):
-                f = tight_forms[r][p][q]
-                if f is None:
-                    grid[p][q] = None
-                    continue
-                if f[0] == "min":
-                    _, (A1, B1), (A2, B2) = f
-                    v1 = A1 + J * B1
-                    v2 = A2 + J * B2
-                    if v1 < v2 or (v1 == v2 and B1 <= B2):
-                        A, B = v1, B1
+        i0, rho = r % c0, r // c0
+        base = dbm_add_rate(cache.plain(b0 + i0), rates[i0], rho)
+        step = Dbm([[v if v == INF else s * v for v in row] for row in rates[i0].rows])
+        [grid] = param_tighten(ExtParamDbm.affine(base, [step]).entries, dim)
+        # the scan saw R^(b0 + 4*c0 - 1) live, so last >= 1
+        last = None if dead is None else (dead - 1 - b0 - r) // c_t
+        for row in grid:
+            for q, terms in enumerate(row):
+                if len(terms) == 2:
+                    (a1, l1), (a2, l2) = terms
+                    if last is not None and a1 + last * l1 <= a2 + last * l2:
+                        row[q] = terms[:1]
                     else:
-                        A, B = v2, B2
-                    grid[p][q] = (A, B)
-                else:
-                    A, B = f
-                    grid[p][q] = (A + J * B, B)
-        forms.append(grid)
-    return b_t, c_t, forms
+                        J = max(J, -(-(a2 - a1) // (l1 - l2)) + 1)  # past the crossover
+                        row[q] = terms[1:]
+        grids.append(grid)
+    forms = [(Dbm([[INF if not t else t[0][0] + J * t[0][1] for t in row] for row in grid]),
+              Dbm([[INF if not t else t[0][1] for t in row] for row in grid]))
+             for grid in grids]
+    return b0 + J * c_t, c_t, forms
+
+
+def _form_at(forms, b_t: int, c_t: int, n: int) -> Dbm:
+    """The tight matrix the forms give at power n >= b_t."""
+    base, rate = forms[(n - b_t) % c_t]
+    return dbm_add_rate(base, rate, (n - b_t) // c_t)
 
 
 def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms):
-    """Smallest (b, c) consistent with the certified tail and the cache."""
-    dim = cache.base.dim
+    """Smallest (b, c) consistent with the certified tail and the cache.
 
-    def divisors(n):
-        return [d for d in range(1, n + 1) if n % d == 0]
+    The c-step difference D(n) = T(n + c) - T(n) of the tight sequence T
+    is affine in j on each residue r of n = b_t + r + j*c_t, and so is
+    D(n + c) - D(n); it vanishes for all n >= b_t once it vanishes at j = 0
+    and j = 1, that is, over [b_t, b_t + 2*c_t).  c = c_t always passes.
+    """
+    tvals: dict[int, Dbm] = {}
 
-    c_min = c_t
-    for c in divisors(c_t):
-        if c == c_t:
-            break
-        ok = True
-        for r in range(c_t):
-            r2 = (r + c) % c_t
-            carry = (r + c) // c_t
-            for p in range(dim):
-                for q in range(dim):
-                    f1 = forms[r][p][q]
-                    f2 = forms[r2][p][q]
-                    if (f1 is None) != (f2 is None):
-                        ok = False
-                        break
-                    if f1 is None:
-                        continue
-                    if f1[1] != f2[1]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # rate per orbit must be a single constant: delta(n) = v(n+c)-v(n)
-        # with matching slopes is A_{r2} - A_r + carry*B, constant per r;
-        # all r in the same orbit mod c must give the same delta matrix.
-        orbits_ok = True
-        for rho in range(c):
-            delta0 = None
-            r = rho
-            seen = set()
-            while r not in seen:
-                seen.add(r)
-                d_mat = []
-                for p in range(dim):
-                    row = []
-                    for q in range(dim):
-                        f1 = forms[r][p][q]
-                        if f1 is None:
-                            row.append(INF)
-                        else:
-                            r2 = (r + c) % c_t
-                            carry = (r + c) // c_t
-                            f2 = forms[r2][p][q]
-                            row.append(f2[0] - f1[0] + carry * f1[1])
-                    d_mat.append(row)
-                if delta0 is None:
-                    delta0 = d_mat
-                elif d_mat != delta0:
-                    orbits_ok = False
-                    break
-                r = (r + c) % c_t
-            if not orbits_ok:
-                break
-        if orbits_ok:
-            c_min = c
-            break
-
-    # smallest prefix: delta(n) must repeat with period c_min from b on
     def tval(n: int) -> Dbm:
-        if n >= b_t:
-            r = (n - b_t) % c_t
-            j = (n - b_t) // c_t
-            rows = []
-            for p in range(dim):
-                row = []
-                for q in range(dim):
-                    f = forms[r][p][q]
-                    row.append(INF if f is None else f[0] + j * f[1])
-                rows.append(row)
-            return Dbm(rows)
-        return cache.tight(n)
+        if n not in tvals:
+            tvals[n] = _form_at(forms, b_t, c_t, n) if n >= b_t else cache.tight(n)
+        return tvals[n]
 
-    def delta(n: int):
-        return _diff(tval(n), tval(n + c_min))
+    def repeats(n: int, c: int) -> bool:
+        d = _diff(tval(n), tval(n + c))
+        return d is not None and d == _diff(tval(n + c), tval(n + 2 * c))
 
+    c = next(c for c in range(1, c_t + 1)
+             if c_t % c == 0 and all(repeats(n, c) for n in range(b_t, b_t + 2 * c_t)))
     b = b_t
-    while b > 1:
-        d1 = delta(b - 1)
-        d2 = delta(b - 1 + c_min)
-        if d1 is None or d2 is None or d1.rows != d2.rows:
-            break
+    while b > 1 and repeats(b - 1, c):
         b -= 1
-    bases = [tval(b + i) for i in range(c_min)]
-    rates = [delta(b + i) for i in range(c_min)]
-    if any(r is None for r in rates):
-        return None
-    return b, c_min, bases, rates
+    bases = [tval(b + i) for i in range(c)]
+    return b, c, bases, [_diff(tval(b + i), tval(b + i + c)) for i in range(c)]
 
 
 def detect_period(
@@ -572,27 +453,12 @@ def detect_period(
             # cross-check the derived forms against the live tight powers
             if not cache.ensure(top_n):
                 return NotStarConsistent(cache.dead)
-            if not all(_form_matches(forms, b_t, c_t, n, cache.tight(n))
+            if not all(_form_at(forms, b_t, c_t, n) == cache.tight(n)
                        for n in range(b_t, top_n + 1)):
                 continue
-            minimized = _minimize(cache, b_t, c_t, forms)
-            if minimized is None:
-                continue
-            bm, cm, bases, rates = minimized
+            bm, cm, bases, rates = _minimize(cache, b_t, c_t, forms)
             return PeriodCertificate(n_program_vars, bm, cm, bases, rates, dead)
     return NotFound()
-
-
-def _form_matches(forms, b_t: int, c_t: int, n: int, got: Dbm) -> bool:
-    """Does the derived tight form at power n equal the matrix got?"""
-    r = (n - b_t) % c_t
-    j = (n - b_t) // c_t
-    for p, row in enumerate(got.rows):
-        for q, v in enumerate(row):
-            f = forms[r][p][q]
-            if v != (INF if f is None else f[0] + j * f[1]):
-                return False
-    return True
 
 
 def kleene_pre_sequence(rel: Octagon, n: int, n_program_vars: int) -> list[Octagon]:

@@ -98,6 +98,11 @@ class _Parser:
         self.i += 1
         return t
 
+    def finish(self) -> None:
+        t = self.peek()
+        if t is not None:
+            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+
     def at_op(self, text: str) -> bool:
         t = self.peek()
         return t is not None and t.kind == "op" and t.text == text
@@ -354,9 +359,12 @@ def parse_formula(text: str, variables: list[str]) -> list[Disjunct]:
     """
     p = _Parser(_tokenize(text), variables)
     node = p.formula()
-    if p.peek() is not None:
-        t = p.peek()
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    p.finish()
+    return _labels(node, variables)
+
+
+def _labels(node, variables: list[str]) -> list[Disjunct]:
+    """Classify each disjunct of a parsed formula as octagonal or affine."""
     out: list[Disjunct] = []
     for rows in _dnf(node):
         o = _as_octagon(rows, variables)
@@ -382,9 +390,7 @@ def parse_condition(text: str, variables: list[str]):
     """
     p = _Parser(_tokenize(text), variables)
     node = p.formula()
-    if p.peek() is not None:
-        t = p.peek()
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    p.finish()
     out = []
     for rows in _dnf(node):
         plain = []
@@ -402,62 +408,38 @@ def parse_condition(text: str, variables: list[str]):
 class ProgramText:
     variables: tuple[str, ...]
     init: str
-    transitions: tuple[tuple[str, str, str], ...]  # (src, dst, formula text)
+    transitions: tuple[tuple[str, str, tuple[Disjunct, ...]], ...]  # (src, dst, label)
 
 
 def parse_program_text(text: str) -> ProgramText:
-    """Split a program file into declarations and raw transition formulas."""
-    toks = _tokenize(text)
-    i = 0
+    """Split a program file into declarations and parsed transition labels.
 
-    def take(expect: str | None = None, kind: str | None = None) -> _Tok:
-        nonlocal i
-        if i >= len(toks):
-            raise ParseError(f"unexpected end of program (wanted {expect or kind})")
-        t = toks[i]
-        if expect is not None and t.text != expect:
-            raise ParseError(f"expected {expect!r}, found {t.text!r}", t.line, t.col)
-        if kind is not None and t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text!r}", t.line, t.col)
-        i += 1
-        return t
+    Every formula is parsed from the file's own tokens, so an error in it
+    reports its line and column in the file.
+    """
+    p = _Parser(_tokenize(text), [])
 
-    def declare() -> str:
-        t = take(kind="name")
+    def declare() -> None:
+        t = p.take(kind="name")
         _check_reserved(t.text, t)
-        return t.text
+        p.vars.append(t.text)
 
-    take("vars")
-    variables = [declare()]
-    while toks[i].text == ",":
-        take(",")
-        variables.append(declare())
-    take(";")
-    take("init")
-    init = take(kind="name").text
-    take(";")
+    p.take("vars")
+    declare()
+    while p.at_op(","):
+        p.take(",")
+        declare()
+    p.take(";")
+    p.take("init")
+    init = p.take(kind="name").text
+    p.take(";")
     transitions = []
-    while i < len(toks):
-        src = take(kind="name").text
-        take("->")
-        dst = take(kind="name").text
-        take(":")
-        start = i
-        depth = 0
-        while i < len(toks) and not (toks[i].text == ";" and depth == 0):
-            if toks[i].text == "(":
-                depth += 1
-            elif toks[i].text == ")":
-                depth -= 1
-            i += 1
-        if i >= len(toks):
-            t = toks[start - 1]
-            raise ParseError("transition formula not terminated by ';'", t.line, t.col)
-        formula = _untokenize(toks[start:i])
-        take(";")
-        transitions.append((src, dst, formula))
-    return ProgramText(tuple(variables), init, tuple(transitions))
-
-
-def _untokenize(toks: list[_Tok]) -> str:
-    return " ".join(t.text for t in toks)
+    while p.peek() is not None:
+        src = p.take(kind="name").text
+        p.take("->")
+        dst = p.take(kind="name").text
+        p.take(":")
+        node = p.formula()
+        p.take(";")
+        transitions.append((src, dst, tuple(_labels(node, p.vars))))
+    return ProgramText(tuple(p.vars), init, tuple(transitions))

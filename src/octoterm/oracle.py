@@ -103,12 +103,6 @@ def live_points(rel: Octagon, n_vars: int, box: BoxDomain) -> set[tuple[int, ...
     return {pts[i] for i in np.nonzero(alive)[0]}
 
 
-def kleene_fixpoint_pre(rel: Octagon, n_vars: int, box: BoxDomain) -> set[tuple[int, ...]]:
-    """Iterate the box-restricted pre-image to its fixpoint (equals the
-    live set: both are the box gfp of the pre-image)."""
-    return live_points(rel, n_vars, box)
-
-
 @dataclass(frozen=True)
 class Lasso:
     stem: tuple

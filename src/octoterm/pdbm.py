@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 
 from .dbm import INF, Dbm
 from .linarith import LinTerm
-from .presburger import Conj, Dnf, eliminate_all
 
 MAX_ANTICHAIN = 64
 
@@ -237,81 +236,3 @@ def entry_min_equals(terms: Sequence[Term], target: Term) -> bool:
     True iff target is one of the terms and every term dominates it.
     """
     return target in terms and all(_leq(target, t) for t in terms)
-
-
-def reduce_closed_entries(entries, dim: int, nparams: int):
-    """Drop entry terms that two-step paths re-derive, then verify.
-
-    The reduced matrix generates the same constraint; its closure is
-    re-checked to dominate every original term (ties around zero-weight
-    cycles can over-drop, in which case the original entries are kept).
-    Fewer rows keep the downstream integer eliminations small.
-    """
-    reduced = []
-    for p in range(dim):
-        row = []
-        for q in range(dim):
-            if p == q:
-                row.append(entries[p][q])
-                continue
-            keep = []
-            for t in entries[p][q]:
-                drop = False
-                for r in range(dim):
-                    if r in (p, q):
-                        continue
-                    for t1 in entries[p][r]:
-                        for t2 in entries[r][q]:
-                            if _leq(map(add, t1, t2), t):
-                                drop = True
-                                break
-                        if drop:
-                            break
-                    if drop:
-                        break
-                if not drop:
-                    keep.append(t)
-            row.append(tuple(keep))
-        reduced.append(row)
-    closed = param_fw(ExtParamDbm(dim, nparams, reduced))
-    if closed.capped:
-        return entries
-    for p in range(dim):
-        for q in range(dim):
-            for t in entries[p][q]:
-                if not any(_leq(s, t) for s in closed.entries[p][q]):
-                    return entries  # over-dropped around a tie; keep original
-    return reduced
-
-
-def param_exists_k(
-    m: ExtParamDbm,
-    index_terms: Sequence[LinTerm],
-    param_names: Sequence[str],
-    extra_rows: Iterable = (),
-) -> Dnf:
-    """Exact projection ``exists params >= 0 . constraints(m)`` as a DNF.
-
-    Entry (i, j) contributes rows ``index_terms[i] - index_terms[j] <= t``
-    for each of its terms; diagonal entries contribute ``0 <= t``.  The
-    parameters are eliminated one at a time by exact integer elimination,
-    which may introduce divisibility atoms.
-    """
-    if len(index_terms) != m.dim or len(param_names) != m.nparams:
-        raise ValueError("arity mismatch")
-    rows = list(extra_rows)
-    for i in range(m.dim):
-        for j in range(m.dim):
-            terms = m.entries[i][j]
-            if not terms:
-                continue
-            lhs = index_terms[i] - index_terms[j]
-            for t in terms:
-                row = lhs - term_bound(t, param_names)
-                if row.is_constant() and row.const <= 0:
-                    continue
-                rows.append((row, "<="))
-    conj = Conj.make(rows)
-    if conj is None:
-        return Dnf()
-    return eliminate_all(conj, list(param_names), nonneg=list(param_names))

@@ -32,7 +32,6 @@ from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
 from .grammar import (
     AffLabel,
     OctLabel,
-    parse_formula,
     parse_program_text,
 )
 from .linarith import EQ, LE, LinSys, LinTerm, PolyhedronLP, term_of_pair
@@ -53,7 +52,6 @@ from .pdbm import (
     min_terms,
     param_fw,
     param_tighten,
-    reduce_closed_entries,
     term_bound,
 )
 from .presburger import Conj, Dnf, conj_implies, eliminate_all
@@ -291,11 +289,10 @@ def _compose_param_oct(a: LinRel, b: LinRel):
 
 
 def _member_from_entries(entries, nparams, variables) -> LinRel | None:
-    """Member rows from a closed tight parametric dual matrix (reduced)."""
+    """Member rows from a closed tight parametric dual matrix."""
     dim = len(entries)
     names = _relation_names(variables)
     params = _param_names(nparams)
-    entries = reduce_closed_entries(entries, dim, nparams)
     rows = []
     for p in range(dim):
         for q in range(dim):
@@ -383,8 +380,7 @@ def parse_program(text: str) -> Program:
     variables = pt.variables
     states = []
     transitions = []
-    for src, dst, formula in pt.transitions:
-        label = tuple(parse_formula(formula, list(variables)))
+    for src, dst, label in pt.transitions:
         for s in (src, dst):
             if s not in states:
                 states.append(s)

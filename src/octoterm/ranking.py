@@ -27,8 +27,8 @@ from .octagon import (
     Octagon,
     bottom,
     lift_set_to_relation,
-    oct_decode,
     oct_meet_raw,
+    oct_rows,
     pre_image_set,
     tight_close,
 )
@@ -46,13 +46,7 @@ def oct_to_linsys(o: Octagon, names: list[str]) -> LinSys:
     o = tight_close(o)
     if o.is_bottom:
         raise ValueError("cannot linearize the empty octagon")
-    rows = []
-    for si, i, sj, j, c in oct_decode(o):
-        t = LinTerm({}, -c)
-        t = t + LinTerm({names[i]: si})
-        t = t + LinTerm({names[j]: sj})
-        rows.append((t, LE))
-    return LinSys(rows, names)
+    return LinSys(oct_rows(o, names), names)
 
 
 @dataclass(frozen=True)

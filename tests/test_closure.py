@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from octoterm import closure as closure_module
 from octoterm.closure import (
     NotFound,
     NotStarConsistent,
@@ -92,6 +93,100 @@ def test_certificate_predicts_iterated_powers():
             power = oct_compose(power, r, 2)
             n += 1
     assert checked >= 5
+
+
+def predicts(powers, b: int, c: int, top: int) -> bool:
+    """Do the bases T(b+i) and rates T(b+i+c) - T(b+i), i < c, give every
+    tight power T(n) for n in [b, top]?  INF must meet INF."""
+    for n in range(b, top + 1):
+        i, k = (n - b) % c, (n - b) // c
+        base, nxt = powers[b + i], powers[b + i + c]
+        for rb, rn, rt in zip(base.rows, nxt.rows, powers[n].rows):
+            for vb, vn, vt in zip(rb, rn, rt):
+                if INF in (vb, vn, vt):
+                    if not vb == vn == vt:
+                        return False
+                elif vb + k * (vn - vb) != vt:
+                    return False
+    return True
+
+
+def test_tight_forms_predict_the_powers_and_are_minimal(monkeypatch):
+    """Random guarded and unstructured relations over N <= 2 (odd rates,
+    dying relations and a period below the derived one among them) and the
+    periodic example: every certificate predicts the iterated tight powers,
+    and where all of [b - 1, b + 4c] is live, neither (b - 1, c) nor (b, c')
+    for a proper divisor c' of c does.  Both ways of settling an entry that
+    is the minimum of two crossing lines run: past the crossover (the line
+    of lesser slope, the prefix raised) and, when R dies first, on the line
+    that is least at every live power."""
+    derive, tighten = closure_module._derive_tight_tail, closure_module.param_tighten
+    grids, last = [], {}
+
+    def spy_tighten(entries, dim):
+        cases = tighten(entries, dim)
+        grids.append([list(row) for row in cases[0]])
+        return cases
+
+    def spy_derive(cache, b0, c0, rates, dead):
+        grids.clear()
+        b_t, c_t, forms = derive(cache, b0, c0, rates, dead)
+        last.update(b0=b0, c0=c0, b_t=b_t, c_t=c_t, forms=forms, grids=list(grids))
+        return b_t, c_t, forms
+
+    monkeypatch.setattr(closure_module, "param_tighten", spy_tighten)
+    monkeypatch.setattr(closure_module, "_derive_tight_tail", spy_derive)
+    rng = random.Random(41)
+    cases = [(periodic_relation(), 4)]
+    for _ in range(200):
+        n_vars = rng.choice((1, 2))
+        cases.append((random_guarded_relation(rng, n_vars, max_coef=rng.choice((4, 20, 40))),
+                      n_vars))
+    for _ in range(300):
+        n_vars = rng.choice((1, 2))
+        cases.append((random_oct_relation(rng, n_vars), n_vars))
+    seen = {"cert": 0, "minimal": 0, "odd": 0, "dying": 0, "period_cut": 0,
+            "crossover": 0, "death": 0}
+    for r, n_vars in cases:
+        cert = detect_period(r, n_vars, max_b=24, max_c=8)
+        if not isinstance(cert, PeriodCertificate):
+            continue
+        seen["cert"] += 1
+        seen["odd"] += last["c_t"] == 2 * last["c0"]
+        seen["dying"] += cert.dead is not None
+        seen["period_cut"] += cert.c < last["c_t"]
+        for res, grid in enumerate(last["grids"]):
+            for p, row in enumerate(grid):
+                for q, terms in enumerate(row):
+                    if len(terms) == 2:  # (a1, l1), (a2, l2) with l1 > l2
+                        kept = last["forms"][res][1].rows[p][q]
+                        if kept == terms[0][1]:
+                            assert cert.dead is not None  # only a death keeps l1
+                            seen["death"] += 1
+                        else:
+                            assert kept == terms[1][1] and last["b_t"] > last["b0"]
+                            seen["crossover"] += 1
+        top = cert.b + 4 * cert.c
+        powers = {}
+        power = tight_close(r)
+        for n in range(1, top + 1):
+            assert power.is_bottom == (cert.dead is not None and n >= cert.dead)
+            if not power.is_bottom:
+                powers[n] = power.dbm
+                if n >= cert.b:
+                    assert cert.predict(n).rows == power.dbm.rows, n
+            power = oct_compose(power, r, n_vars)
+        if cert.dead is not None and cert.dead <= top:
+            continue
+        seen["minimal"] += 1
+        assert predicts(powers, cert.b, cert.c, top)
+        if cert.b > 1:
+            assert not predicts(powers, cert.b - 1, cert.c, top)
+        for c in range(1, cert.c):
+            if cert.c % c == 0:
+                assert not predicts(powers, cert.b, c, top)
+    assert seen["cert"] >= 300 and seen["minimal"] >= 300
+    assert all(seen.values()), seen
 
 
 def test_kleene_chain_descending_and_golden():

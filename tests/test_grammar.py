@@ -125,3 +125,15 @@ def test_program_text_errors():
         parse_program_text("vars x\ninit a;\n")
     with pytest.raises(ParseError):
         parse_program_text("vars x;\ninit a;\na -> b x <= 1;\n")
+
+
+def test_transition_errors_report_the_file_position():
+    text = (
+        "vars x;\n"
+        "init l0;\n"
+        "l0 -> l1 : x' == x;\n"
+        "l1 -> l0 : x' == x && z <= 1;\n"
+    )
+    with pytest.raises(ParseError, match="undeclared variable 'z'") as err:
+        parse_program_text(text)
+    assert (err.value.line, err.value.col) == (4, 23)

@@ -7,7 +7,6 @@ from octoterm.oracle import (
     Lasso,
     eval_membership,
     find_lasso,
-    kleene_fixpoint_pre,
     live_points,
     program_live_starts,
 )
@@ -39,15 +38,15 @@ def test_find_lasso_identity_and_decrement():
 def test_kleene_fixpoint_examples():
     box = BoxDomain.cube(1, -4, 4)
     ident = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 2)
-    assert kleene_fixpoint_pre(ident, 1, box) == {(v,) for v in range(-4, 5)}
+    assert live_points(ident, 1, box) == {(v,) for v in range(-4, 5)}
     dec = oct_encode([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)
-    assert kleene_fixpoint_pre(dec, 1, box) == set()
+    assert live_points(dec, 1, box) == set()
 
 
 def test_kleene_fixpoint_r6():
     r6 = seven_branch_relations()[5]
     box = BoxDomain.cube(2, -8, 8)
-    pts = kleene_fixpoint_pre(r6, 2, box)
+    pts = live_points(r6, 2, box)
     assert pts == {(x, y) for x in range(1, 9) for y in range(-8, 1)}
 
 

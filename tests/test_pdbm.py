@@ -12,10 +12,8 @@ from octoterm.pdbm import (
     eval_at,
     glue,
     min_terms,
-    param_exists_k,
     param_fw,
     param_tighten,
-    reduce_closed_entries,
 )
 from octoterm.presburger import Conj
 from octoterm.program import (
@@ -136,88 +134,6 @@ def test_eval_at_examples():
     assert d0.rows[1][0] == 1
     d5 = eval_at(e, (5,))
     assert d5.rows[1][0] == 3
-
-
-def test_param_exists_k_examples():
-    x = LinTerm.var("x")
-    zero = LinTerm()
-    # matrix over indices [x, 0]: x - 0 <= k and 0 - x <= -k  encodes x = k
-    m = ExtParamDbm(2, 1, [
-        [((0, 0),), ((0, 1),)],
-        [((0, -1),), ((0, 0),)],
-    ])
-    dnf = param_exists_k(m, [x, zero], ["k"])
-    assert dnf.eval({"x": 0}) and dnf.eval({"x": 7}) and not dnf.eval({"x": -1})
-    # x <= -k with k >= 0: x <= 0
-    m2 = ExtParamDbm(2, 1, [
-        [((0, 0),), ((0, -1),)],
-        [(), ((0, 0),)],
-    ])
-    dnf2 = param_exists_k(m2, [x, zero], ["k"])
-    assert dnf2.eval({"x": 0}) and dnf2.eval({"x": -5}) and not dnf2.eval({"x": 1})
-
-
-def test_param_exists_k_membership_vs_search():
-    rng = random.Random(17)
-    x = LinTerm.var("x")
-    zero = LinTerm()
-    for _ in range(60):
-        entries = [[(), ()], [(), ()]]
-        for i in range(2):
-            for j in range(2):
-                ts = []
-                for _ in range(rng.randint(0, 2)):
-                    ts.append((rng.randint(-4, 4), rng.randint(-2, 2)))
-                if i == j:
-                    ts.append((0, 0))
-                entries[i][j] = tuple(ts)
-        m = ExtParamDbm(2, 1, entries)
-        dnf = param_exists_k(m, [x, zero], ["k"])
-        for xv in range(-10, 11):
-            # oracle: the instantiated DBM is consistent for some k >= 0.
-            # Each term (c, r) of entry (a, b) asks d <= c + r*k, where
-            # d = val[a] - val[b] lies in [-10, 10] and c >= -4: a lower
-            # bound k >= (d - c)/r <= 14 when r >= 1, an upper bound or
-            # nothing when r <= 0.  So the feasible k-set is an interval
-            # whose left end is at most 14, and searching 0..60 is
-            # complete; the tail check below asserts it.
-            def consistent_at(kv):
-                d = eval_at(m, (kv,))
-                val = {0: xv, 1: 0}
-                for a in range(2):
-                    for b in range(2):
-                        if d.rows[a][b] != INF and val[a] - val[b] > d.rows[a][b]:
-                            return False
-                return True
-
-            exists = any(consistent_at(kv) for kv in range(0, 61))
-            if not exists:
-                assert not any(consistent_at(kv) for kv in range(61, 201))
-            assert dnf.eval({"x": xv}) == exists
-
-
-def test_reduce_closed_entries_preserves_min():
-    rng = random.Random(21)
-    for _ in range(40):
-        dim = 4
-        rows = [[INF] * dim for _ in range(dim)]
-        rates = [[0] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                if i != j and rng.random() < 0.7:
-                    rows[i][j] = rng.randint(-2, 3)
-                    rates[i][j] = rng.randint(-1, 2)
-        pm = affine_matrix(rows, rates)
-        closed = param_fw(pm)
-        reduced = reduce_closed_entries(closed.entries, dim, 1)
-        red = ExtParamDbm(dim, 1, reduced)
-        for n in (0, 1, 3, 7):
-            a = fw_close(eval_at(red, (n,)))
-            b = fw_close(eval_at(closed, (n,)))
-            if b is None:
-                assert a is None
-            else:
-                assert a is not None and a.rows == b.rows
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from octoterm import program as program_module
 from octoterm import presburger as presburger_module
 from octoterm.grammar import FragmentError, ParseError
+from octoterm.linarith import LE, LinTerm
+from octoterm.presburger import Conj
 from octoterm.program import (
     Budgets,
     Flat,
@@ -253,6 +255,65 @@ def test_member_subsumption_and_compose():
     assert not member_eval(two[0], {"x": 5, "x'": 4})
     assert member_subsumed(two[0], two[0])
     assert not member_subsumed(dec, two[0])
+
+
+def one_param_member(entries) -> LinRel | None:
+    """{x | exists _p0 >= 0 . a - b <= c + r*_p0 for every term (c, r) of
+    entry (a, b)} over the index terms [x, 0]; None when a constant row
+    fails."""
+    index = [LinTerm.var("x"), LinTerm()]
+    rows = []
+    for a in range(2):
+        for b in range(2):
+            for c, r in entries[a][b]:
+                row = index[a] - index[b] - LinTerm({"_p0": r}, c)
+                if not (row.is_constant() and row.const <= 0):
+                    rows.append((row, LE))
+    conj = Conj.make(rows)
+    return None if conj is None else LinRel(("x",), conj, ("_p0",))
+
+
+def test_member_cases_examples():
+    # x - 0 <= k and 0 - x <= -k encode x = k
+    m = one_param_member([[((0, 0),), ((0, 1),)], [((0, -1),), ((0, 0),)]])
+    assert member_eval(m, {"x": 0}) and member_eval(m, {"x": 7})
+    assert not member_eval(m, {"x": -1})
+    # x <= -k with k >= 0: x <= 0
+    m2 = one_param_member([[((0, 0),), ((0, -1),)], [(), ((0, 0),)]])
+    assert member_eval(m2, {"x": 0}) and member_eval(m2, {"x": -5})
+    assert not member_eval(m2, {"x": 1})
+
+
+def test_member_cases_membership_vs_search():
+    rng = random.Random(17)
+    for _ in range(60):
+        entries = [[(), ()], [(), ()]]
+        for i in range(2):
+            for j in range(2):
+                ts = []
+                for _ in range(rng.randint(0, 2)):
+                    ts.append((rng.randint(-4, 4), rng.randint(-2, 2)))
+                if i == j:
+                    ts.append((0, 0))
+                entries[i][j] = tuple(ts)
+        m = one_param_member(entries)
+        for xv in range(-10, 11):
+            # oracle: every term holds for some k >= 0.  Each term (c, r)
+            # of entry (a, b) asks d <= c + r*k, where d = val[a] - val[b]
+            # lies in [-10, 10] and c >= -4: a lower bound k >= (d - c)/r
+            # <= 14 when r >= 1, an upper bound or nothing when r <= 0.  So
+            # the feasible k-set is an interval whose left end is at most
+            # 14, and searching 0..60 is complete; the tail check below
+            # asserts it.
+            def consistent_at(kv):
+                val = (xv, 0)
+                return all(val[a] - val[b] <= c + r * kv
+                           for a in range(2) for b in range(2) for c, r in entries[a][b])
+
+            exists = any(consistent_at(kv) for kv in range(0, 61))
+            if not exists:
+                assert not any(consistent_at(kv) for kv in range(61, 201))
+            assert (m is not None and member_eval(m, {"x": xv})) == exists
 
 
 def test_elimination_order_invariance(branching):
