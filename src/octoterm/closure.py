@@ -300,13 +300,26 @@ def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]
     read off every residue in closed form, each step must hold up to the
     last live power of its residue, and composing the predicted last live
     power with D_c must give an empty power.
+
+    The glued matrix is closed through its 2N middle pivots only, which is
+    exact for a composition of two closed operands (see ``param_fw``).
+    D_c is closed, and by induction on k so is X(k) = base + k*rate:
+    X(0) = D_(b+i) is a closed power; if the replayed steps hold up to k,
+    X(k) is the true closed power D_(b+i+k*c), so the closure at k is
+    exact.  The first failing k, and the diagonal terms that go negative up
+    to it, are therefore those of the closure through every pivot, and so
+    are ``_first_failure`` and ``_death`` at every k they read.  The middle
+    closure also keeps fewer terms, so it hits ``MAX_ANTICHAIN`` less often
+    than the closure through every pivot, which then rejects blindly.
     """
     plain_c = cache.plain(c)
     const = ExtParamDbm.from_dbm(plain_c, 1)
+    blk = cache.base.dim // 2  # 2N: the glued matrix has three blocks of 2N
     steps = []
     for i in range(c):
         base, rate = cache.plain(b + i), rates[i]
-        closed = param_fw(glue(ExtParamDbm.affine(base, [rate]), const))
+        closed = param_fw(glue(ExtParamDbm.affine(base, [rate]), const),
+                          range(blk, 2 * blk))
         if closed.capped:
             return False, None
         fail = _first_failure(closed, base, rate)

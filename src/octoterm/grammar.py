@@ -87,10 +87,21 @@ class _Parser:
     def peek(self) -> _Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
+    def where(self, t: _Tok | None) -> tuple[int, int]:
+        """Line and column of t; for t None (the input ended), just past the
+        last token, or line 1, column 1 when there is none."""
+        if t is not None:
+            return t.line, t.col
+        if not self.toks:
+            return 1, 1
+        last = self.toks[-1]
+        return last.line, last.col + len(last.text)
+
     def take(self, text: str | None = None, kind: str | None = None) -> _Tok:
         t = self.peek()
         if t is None:
-            raise ParseError(f"unexpected end of input (wanted {text or kind})")
+            raise ParseError(f"unexpected end of input (wanted {text or kind})",
+                             *self.where(None))
         if text is not None and t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
         if kind is not None and t.kind != kind:
@@ -126,7 +137,7 @@ class _Parser:
     def atom_or_group(self):
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of formula")
+            raise ParseError("unexpected end of formula", *self.where(None))
         if self.at_op("("):
             # could be a parenthesized formula; try it
             save = self.i
@@ -173,13 +184,12 @@ class _Parser:
             return ("atom", [(lhs - r, f"%{m}")])
         t = self.peek()
         if t is None or t.kind != "op" or t.text not in ("<=", ">=", "<", ">", "==", "!="):
-            raise ParseError("expected comparison operator",
-                             t.line if t else None, t.col if t else None)
+            raise ParseError("expected comparison operator", *self.where(t))
         op = self.take().text
         rhs = self.expr()
         d = lhs - rhs
         if self.at_op("%"):
-            raise ParseError("'%' only allowed as '<expr> % m == r'")
+            raise ParseError("'%' only allowed as '<expr> % m == r'", *self.where(self.peek()))
         if op == "<=":
             return ("atom", [(d, LE)])
         if op == ">=":
@@ -212,7 +222,7 @@ class _Parser:
                 sign = -sign
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of expression")
+            raise ParseError("unexpected end of expression", *self.where(None))
         if t.kind == "int":
             self.take()
             value = int(t.text)

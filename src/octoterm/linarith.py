@@ -40,13 +40,19 @@ class LinTerm:
     (``hash(Fraction(n)) == hash(n)``), so a term is the same memo key and
     prints the same whichever it holds.  Never divide a coefficient with
     ``/``: on ints that gives a float.
+
+    A term is immutable: nothing writes ``coeffs`` or ``const`` after
+    construction, so its hash is computed on first use and kept in a slot.
+    The hash of a str key varies with ``PYTHONHASHSEED``, so a pickled term
+    leaves the kept hash behind.
     """
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_hash")
 
     def __init__(self, coeffs: Mapping[str, object] | None = None, const=0):
         self.coeffs = {v: c for v, c in coeffs.items() if c} if coeffs else {}
         self.const = const
+        self._hash = None
 
     @classmethod
     def var(cls, name: str, coef=1) -> "LinTerm":
@@ -120,7 +126,13 @@ class LinTerm:
         )
 
     def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.const))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((frozenset(self.coeffs.items()), self.const))
+        return h
+
+    def __reduce__(self):
+        return LinTerm, (self.coeffs, self.const)
 
     def __repr__(self):
         parts = []

@@ -6,11 +6,20 @@ stabilizes within 5^(2N) steps.  Comparing the pre-image sets of the
 powers 5^(2N) and 5^(2N)+1 therefore decides everything; the first is
 reached with logarithmically many tight compositions by binary
 exponentiation, the second with one more.
+
+That exponentiation is the costly step, and one loop asks for its WNT more
+than once (``prove_termination`` after ``wnt``, ``nt_program`` for the
+same cycle relation in several programs).  So ``wnt`` tight-closes its
+input and looks the result up in a bounded memo keyed by the tight octagon
+and N.  The key hashes only ints, INF and None, so the memo behaves the
+same under every ``PYTHONHASHSEED``, and a hit returns what a cold call
+would compute: the result does not depend on the process history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .octagon import (
     Octagon,
@@ -22,6 +31,9 @@ from .octagon import (
     pre_image_set,
     tight_close,
 )
+
+# Entries in the WNT memo, as in ``program`` and ``presburger``.
+_MEMO = 1024
 
 
 def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
@@ -61,10 +73,20 @@ class WntResult:
 
 
 def wnt(rel: Octagon, n_program_vars: int) -> WntResult:
-    """Exact weakest non-termination set of an octagonal relation."""
-    N = n_program_vars
+    """Exact weakest non-termination set of an octagonal relation.
+
+    Computed once per tight relation and N: the input is tight-closed and
+    looked up in a memo of ``_MEMO`` entries.  Every caller gets the same
+    result object, which, like every ``Octagon``, is never mutated.
+    """
+    return _wnt_tight(tight_close(rel), n_program_vars)
+
+
+@lru_cache(maxsize=_MEMO)
+def _wnt_tight(rel: Octagon, N: int) -> WntResult:
+    """``wnt`` of a tight-closed relation: compare the pre-image sets of
+    R^(5^(2N)) and R^(5^(2N)+1)."""
     n1 = 5 ** (2 * N)
-    rel = tight_close(rel)
     v = fast_power(rel, n1, N)
     w = oct_compose(v, rel, N)
     if w.is_bottom:

@@ -286,3 +286,9 @@ def test_prog_empty_middle_composition(text, capsys):
     code, out, _ = run(capsys, "--format", "json", "prog", "summary", "--from", "l0",
                        "--to", "l2", text)
     assert code == 0 and json.loads(out)["members"] == []
+
+
+def test_prog_parse_error_at_end_of_input_has_a_position(capsys):
+    code, out, err = run(capsys, "prog", "analyze", "vars x;\ninit a;\na -> b : x <= 1")
+    assert code == 2 and out == ""
+    assert err == "parse error: unexpected end of input (wanted ;) at line 3, column 16"

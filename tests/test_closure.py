@@ -414,3 +414,99 @@ def test_cancellation_token():
 
     with pytest.raises(OperationCancelled):
         detect_period(periodic_relation(), 4, cancel=cancel)
+
+
+def flip_decrement_relation(rng: random.Random, n_vars: int) -> Octagon:
+    """x_i' == d - x_i (a sign flip) or x_i' == x_i - d per variable, d in
+    0..2, sometimes a box lo <= x_i <= hi, and a few octagonal atoms over
+    (x, x'), all constants in [-60, 60]: relations that often die, or
+    settle into a period late."""
+    atoms = []
+    for i in range(n_vars):
+        d = rng.randint(0, 2)
+        if rng.random() < 0.5:
+            atoms += [(1, n_vars + i, 1, i, d), (-1, n_vars + i, -1, i, -d)]
+        else:
+            atoms += [(1, n_vars + i, -1, i, -d), (-1, n_vars + i, 1, i, d)]
+        if rng.random() < 0.3:
+            lo = rng.randint(-60, 30)
+            atoms += [(-1, i, -1, i, -2 * lo), (1, i, 1, i, 2 * rng.randint(lo, 60))]
+    for _ in range(rng.randint(1, n_vars + 2)):
+        i, j = rng.randrange(2 * n_vars), rng.randrange(2 * n_vars)
+        si, sj = rng.choice((1, -1)), rng.choice((1, -1))
+        if i == j:
+            sj = si
+        atoms.append((si, i, sj, j, rng.randint(-60, 60)))
+    return oct_encode(atoms, 2 * n_vars)
+
+
+# x' == 1 - x && y' == y - 1 && y + x' <= 26 && x' - y <= 45 && 2x >= -7:
+# every candidate with c = 2 and b < 57 is rejected
+REJECTING = oct_encode([(1, 2, 1, 0, 1), (-1, 2, -1, 0, -1), (1, 3, -1, 1, -1),
+                        (-1, 3, 1, 1, 1), (1, 1, 1, 2, 26), (1, 2, -1, 1, 45),
+                        (-1, 0, -1, 0, 7)], 4)
+
+
+def test_middle_block_replay_matches_every_pivot(monkeypatch):
+    """The replay closes the glued matrix through the 2N middle pivots; the
+    closure through every pivot, kept here as the reference, must give the
+    same (accepted, dead) on every candidate.  Where the reference hits the
+    antichain cap it rejects blindly; the middle block, with fewer terms,
+    may then accept, and its certificate must predict the powers."""
+    real = closure_module.param_fw
+    seen = []
+
+    def spy(m, pivots=None):
+        seen.append((m.dim, list(pivots)))
+        return real(m, pivots)
+
+    def every_pivot(cache, b, c, rates):
+        capped = []
+
+        def full(m, pivots=None):
+            closed = real(m)
+            capped.append(closed.capped)
+            return closed
+
+        with monkeypatch.context() as mp:
+            mp.setattr(closure_module, "param_fw", full)
+            return closure_module._verify_dbm_certificate(cache, b, c, rates), any(capped)
+
+    monkeypatch.setattr(closure_module, "param_fw", spy)
+    # seeds 44..55 all agree; 55 also draws a capped reference that the
+    # middle block accepts.  The reference is slow (up to 11 s on one N = 2
+    # draw of seed 45), so the set stays small.
+    rng = random.Random(55)
+    rels = [(REJECTING, 2)] + [(flip_decrement_relation(rng, n), n)
+                               for n in [1] * 15 + [2] * 25 + [3] * 3]
+    compared = rejected = dying = capped_accepted = 0
+    for rel, n in rels:
+        cache = closure_module._PowerCache(rel, n)
+        if cache.dead is not None:
+            continue
+        for c in (1, 2):
+            for b in range(1, 9):
+                if not cache.ensure(b + 4 * c - 1):
+                    break
+                rates = closure_module._scan_candidate(cache.plain, b, c)
+                if rates is None:
+                    continue
+                seen.clear()
+                got = closure_module._verify_dbm_certificate(cache, b, c, rates)
+                assert seen and all(s == (6 * n, list(range(2 * n, 4 * n))) for s in seen)
+                want, ref_capped = every_pivot(cache, b, c, rates)
+                if not ref_capped:
+                    assert got == want, (rel, b, c)
+                    compared += 1
+                    rejected += not got[0]
+                    dying += got[1] is not None
+                elif got[0]:
+                    capped_accepted += 1
+                    accepted, dead = got
+                    top = 100 if dead is None else dead - 1
+                    assert cache.ensure(top) and (dead is None or not cache.ensure(dead))
+                    for m in range(b, top + 1):
+                        k, i = divmod(m - b, c)
+                        assert cache.plain(m) == closure_module.dbm_add_rate(
+                            cache.plain(b + i), rates[i], k), (rel, b, c, m)
+    assert compared >= 150 and rejected >= 10 and dying >= 20 and capped_accepted >= 1

@@ -137,3 +137,23 @@ def test_transition_errors_report_the_file_position():
     with pytest.raises(ParseError, match="undeclared variable 'z'") as err:
         parse_program_text(text)
     assert (err.value.line, err.value.col) == (4, 23)
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("vars x;\ninit a;\na -> b : x <= 1", r"end of input \(wanted ;\)", (3, 16)),
+    ("vars x;\ninit a;\na -> b : x <= 1 &&\n", "end of formula", (3, 19)),
+    ("vars x;\ninit a;\na -> b : x <=  # no right-hand side\n", "end of expression", (3, 14)),
+    ("vars x;\ninit a;\na -> b : x", "expected comparison operator", (3, 11)),
+    ("", r"end of input \(wanted vars\)", (1, 1)),
+])
+def test_end_of_input_errors_report_the_position_past_the_last_token(text, message, pos):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_program_text(text)
+    assert (err.value.line, err.value.col) == pos
+    assert str(err.value).endswith(f" at line {pos[0]}, column {pos[1]}")
+
+
+def test_end_of_condition_reports_the_position():
+    with pytest.raises(ParseError, match="end of expression") as err:
+        parse_condition("x +", ["x"])
+    assert (err.value.line, err.value.col) == (1, 4)

@@ -517,3 +517,21 @@ def test_tableau_rows_stay_integer_and_reduced(capped):
     rng = random.Random(14)
     for _ in range(40):
         lp_feasible(_rand_system(rng, "frac"))
+
+
+def test_linterm_hash_is_kept_and_matches_the_formula():
+    import pickle
+
+    rng = random.Random(41)
+    for _ in range(200):
+        coeffs = {v: rng.randint(-3, 3) for v in rng.sample("xyzw", rng.randint(0, 3))}
+        const = rng.randint(-5, 5)
+        a = LinTerm(coeffs, const)
+        b = LinTerm({v: Fraction(c) for v, c in reversed(coeffs.items())}, Fraction(const))
+        assert a == b and hash(a) == hash(b)
+        formula = hash((frozenset(a.coeffs.items()), a.const))
+        assert hash(a) == formula and a._hash == formula and hash(a) == formula
+        # a pickled term recomputes its hash (str hashes vary by process)
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and c._hash is None and hash(c) == formula
+    assert hash(LinTerm({"x": Fraction(2)}, Fraction(-1))) == hash(LinTerm({"x": 2}, -1))

@@ -132,3 +132,79 @@ def test_wnt_fixpoint_property_pre_containment():
         step = oct_meet_raw(tight_close(r), lift_set_to_relation(w, 2, primed=True))
         pre = pre_image_set(tight_close(step), 2)
         assert oct_leq(w, pre)
+
+
+def _clear_memos():
+    from octoterm import presburger, program, term_oct
+
+    for module in (term_oct, program, presburger):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_wnt_memo_is_bounded():
+    from octoterm import term_oct
+
+    assert term_oct._wnt_tight.cache_info().maxsize == term_oct._MEMO
+
+
+def test_prove_termination_reuses_the_wnt(monkeypatch):
+    # the WNT probe power 5^(2N) is computed once, by wnt; prove_termination
+    # only adds the witness power 4N^2
+    from octoterm import ranking, term_oct
+    from octoterm.ranking import WellFounded, prove_termination
+
+    calls = []
+    real = term_oct.fast_power
+
+    def spy(rel, n, N):
+        calls.append(n)
+        return real(rel, n, N)
+
+    monkeypatch.setattr(term_oct, "fast_power", spy)
+    monkeypatch.setattr(ranking, "fast_power", spy)
+    _clear_memos()
+    r = enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)  # x >= 0, x' = x - 1
+    wnt(r, 1)
+    assert calls == [25]
+    assert isinstance(prove_termination(r, 1), WellFounded)
+    assert calls == [25, 4]
+    # an equal relation in another syntax hits the same entry
+    wnt(tight_close(r), 1)
+    assert calls == [25, 4] and term_oct._wnt_tight.cache_info().hits == 2
+
+
+def test_results_do_not_depend_on_process_history():
+    # every result, computed cold, equals the one computed after all the
+    # other inputs (forward, then in reverse order), with the memos warm
+    from octoterm.closure import reflexive_transitive_closure
+    from octoterm.program import nt_program, parse_program
+    from octoterm.ranking import prove_termination
+
+    from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM
+
+    rng = random.Random(47)
+    rels = [(random_guarded_relation(rng, n), n) for n in (1, 1, 2, 2, 3)]
+    rels += [(r, 2) for r in seven_branch_relations()[:3]]
+    rels.append((tight_close(rels[2][0]), rels[2][1]))  # the same WNT entry
+    items = [("oct", r) for r in rels] + [("prog", BRANCHING_PROGRAM),
+                                          ("prog", TWO_PHASE_PROGRAM)]
+
+    def result(item):
+        kind, x = item
+        if kind == "prog":
+            return repr(nt_program(parse_program(x)).precondition)
+        rel, n = x
+        return repr((wnt(rel, n), prove_termination(rel, n),
+                     reflexive_transitive_closure(rel, n)))
+
+    cold = []
+    for item in items:
+        _clear_memos()
+        cold.append(result(item))
+    _clear_memos()
+    for item in items:
+        result(item)
+    warm = [result(item) for item in reversed(items)]
+    assert warm[::-1] == cold
