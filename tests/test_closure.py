@@ -15,7 +15,7 @@ from octoterm.closure import (
     wnt_via_closed_form,
     OperationCancelled,
 )
-from octoterm.dbm import INF
+from octoterm.dbm import INF, dbm_add_rate
 from octoterm.octagon import (
     Octagon,
     bottom,
@@ -507,6 +507,6 @@ def test_middle_block_replay_matches_every_pivot(monkeypatch):
                     assert cache.ensure(top) and (dead is None or not cache.ensure(dead))
                     for m in range(b, top + 1):
                         k, i = divmod(m - b, c)
-                        assert cache.plain(m) == closure_module.dbm_add_rate(
+                        assert cache.plain(m) == dbm_add_rate(
                             cache.plain(b + i), rates[i], k), (rel, b, c, m)
     assert compared >= 150 and rejected >= 10 and dying >= 20 and capped_accepted >= 1

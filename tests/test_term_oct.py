@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from octoterm import presburger, program, ranking, term_oct
+from octoterm.closure import reflexive_transitive_closure
 from octoterm.octagon import (
     bottom,
     oct_compose,
@@ -13,6 +15,8 @@ from octoterm.octagon import (
     tight_close,
     top,
 )
+from octoterm.program import nt_program, parse_program
+from octoterm.ranking import WellFounded, prove_termination
 from octoterm.term_oct import (
     WntResult,
     fast_power,
@@ -23,6 +27,8 @@ from octoterm.term_oct import (
 )
 
 from helpers import (
+    BRANCHING_PROGRAM,
+    TWO_PHASE_PROGRAM,
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
@@ -135,8 +141,6 @@ def test_wnt_fixpoint_property_pre_containment():
 
 
 def _clear_memos():
-    from octoterm import presburger, program, term_oct
-
     for module in (term_oct, program, presburger):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
@@ -144,17 +148,12 @@ def _clear_memos():
 
 
 def test_wnt_memo_is_bounded():
-    from octoterm import term_oct
-
     assert term_oct._wnt_tight.cache_info().maxsize == term_oct._MEMO
 
 
 def test_prove_termination_reuses_the_wnt(monkeypatch):
     # the WNT probe power 5^(2N) is computed once, by wnt; prove_termination
     # only adds the witness power 4N^2
-    from octoterm import ranking, term_oct
-    from octoterm.ranking import WellFounded, prove_termination
-
     calls = []
     real = term_oct.fast_power
 
@@ -178,12 +177,6 @@ def test_prove_termination_reuses_the_wnt(monkeypatch):
 def test_results_do_not_depend_on_process_history():
     # every result, computed cold, equals the one computed after all the
     # other inputs (forward, then in reverse order), with the memos warm
-    from octoterm.closure import reflexive_transitive_closure
-    from octoterm.program import nt_program, parse_program
-    from octoterm.ranking import prove_termination
-
-    from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM
-
     rng = random.Random(47)
     rels = [(random_guarded_relation(rng, n), n) for n in (1, 1, 2, 2, 3)]
     rels += [(r, 2) for r in seven_branch_relations()[:3]]
