@@ -8,10 +8,15 @@ pass ``fractions.Fraction``s through unchanged.  Models and optima are
 Bland's rule, so it always terminates.  Its tableau keeps each row as
 integers over one positive row denominator, reduced to lowest terms (the
 fraction-free idea of Bareiss elimination), so no ``Fraction`` is built
-inside the pivot loop; the results are still exact rationals.  Strict
-inequalities are handled symbolically: constants are pairs ``a + b*eps``
-for an infinitesimal ``eps``, compared lexicographically, which makes
-feasibility of mixed strict/non-strict systems exact.
+inside the pivot loop; the results are still exact rationals.
+
+A system's rows are ``t <= 0`` and ``t == 0`` only.  The analyses decide
+termination over integer states, where ``t < 0`` is ``t + 1 <= 0``
+(``presburger.Conj.make`` writes it so).  Entailment needs no strict row
+either: ``sys && t > 0`` has no rational point exactly when
+``sup t <= 0`` over ``sys``, which ``entails`` asks of one tableau.
+``LT`` names the strict relation for the readers that rewrite it and for
+the ``fm_feasible`` oracle.
 """
 
 from __future__ import annotations
@@ -25,11 +30,7 @@ LE = "<="
 LT = "<"
 EQ = "=="
 
-_REL_SET = (LE, LT, EQ)
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+_REL_SET = (LE, EQ)
 
 
 class LinTerm:
@@ -155,7 +156,7 @@ class LinSys:
         self.rows = tuple((t, r) for t, r in rows)
         for t, r in self.rows:
             if r not in _REL_SET:
-                raise ValueError(f"bad relation {r!r}")
+                raise ValueError(f"bad relation {r!r}: rows are <= or ==")
         if variables is None:
             seen = []
             for t, _ in self.rows:
@@ -185,53 +186,35 @@ class LinSys:
 
 
 # ---------------------------------------------------------------------------
-# eps-extended rationals (for strict inequalities)
-# ---------------------------------------------------------------------------
-
-
-class Eps:
-    """Constant ``a + b*eps`` with eps an infinitesimal."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = _frac(a)
-        self.b = _frac(b)
-
-    def __sub__(self, o):
-        return Eps(self.a - o.a, self.b - o.b)
-
-
-# ---------------------------------------------------------------------------
 # simplex core: maximize c.x subject to A x <= b, x >= 0
 # ---------------------------------------------------------------------------
 
 
-def _int_row(coeffs: Mapping[int, Fraction], a, b) -> tuple[dict[int, int], int, int, int]:
-    """``coeffs`` and the bound ``a + b*eps`` as integers over their least
-    common denominator, which leaves them in lowest terms."""
-    den = lcm(a.denominator, b.denominator, *(v.denominator for v in coeffs.values()))
+def _int_row(coeffs: Mapping[int, Fraction], a) -> tuple[dict[int, int], int, int]:
+    """``coeffs`` and the bound ``a`` as integers over their least common
+    denominator, which leaves them in lowest terms."""
+    den = lcm(a.denominator, *(v.denominator for v in coeffs.values()))
     row = {j: v.numerator * (den // v.denominator) for j, v in coeffs.items() if v}
-    return row, den, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    return row, den, a.numerator * (den // a.denominator)
 
 
 class _Tableau:
     """Primal simplex over sparse integer rows.
 
-    Row ``i`` stands for ``sum a[i][j]/den[i] * x_j = (ra[i] + rb[i]*eps)/den[i]``
+    Row ``i`` stands for ``sum a[i][j]/den[i] * x_j = ra[i]/den[i]``
     with ``den[i] > 0``, kept in lowest terms; the basic column of a row holds
     ``den[i]``.  Row ``m`` is the objective: its entries are the reduced
     costs and its right-hand side is ``-objval``.
     """
 
-    def __init__(self, ncols: int, rows_a: list[dict[int, Fraction]], rhs: list[Eps]):
+    def __init__(self, ncols: int, rows_a: list[dict[int, Fraction]], rhs: list):
         self.n = ncols
         self.m = len(rows_a)
         # columns: 0..n-1 structural, n..n+m-1 slacks, n+m auxiliary
         self.width = self.n + self.m + 1
-        rows = [_int_row(row, bound.a, bound.b) for row, bound in zip(rows_a, rhs)]
-        rows.append(({}, 1, 0, 0))  # the objective row
-        self.a, self.den, self.ra, self.rb = map(list, zip(*rows))
+        rows = [_int_row(row, bound) for row, bound in zip(rows_a, rhs)]
+        rows.append(({}, 1, 0))  # the objective row
+        self.a, self.den, self.ra = map(list, zip(*rows))
         for i in range(self.m):
             self.a[i][self.n + i] = self.den[i]
         self.basis = [self.n + i for i in range(self.m)]
@@ -241,14 +224,13 @@ class _Tableau:
         den = self.den[i]
         if den == 1:
             return
-        g = gcd(den, self.ra[i], self.rb[i], *self.a[i].values())
+        g = gcd(den, self.ra[i], *self.a[i].values())
         if g != 1:
             row = self.a[i]
             for j in row:
                 row[j] //= g
             self.den[i] = den // g
             self.ra[i] //= g
-            self.rb[i] //= g
 
     def _eliminate(self, i: int, r: int, c: int) -> None:
         """Clear column ``c`` of row ``i`` with row ``r``, whose basic column is ``c``."""
@@ -264,7 +246,6 @@ class _Tableau:
                 row[j] *= p
             self.den[i] *= p
             self.ra[i] *= p
-            self.rb[i] *= p
         for j, v in self.a[r].items():
             if j == c:
                 continue
@@ -274,21 +255,19 @@ class _Tableau:
             else:
                 row.pop(j, None)
         self.ra[i] -= t * self.ra[r]
-        self.rb[i] -= t * self.rb[r]
         self._reduce(i)
 
     def set_objective(self, coefs: dict[int, Fraction]) -> None:
-        row, den, _, _ = _int_row(coefs, 0, 0)
+        row, den, _ = _int_row(coefs, 0)
         m = self.m
-        self.a[m], self.den[m], self.ra[m], self.rb[m] = row, den, 0, 0
+        self.a[m], self.den[m], self.ra[m] = row, den, 0
         for i, bv in enumerate(self.basis):
             if bv in row:
                 self._eliminate(m, i, bv)
 
     @property
-    def objval(self) -> Eps:
-        den = self.den[self.m]
-        return Eps(Fraction(-self.ra[self.m], den), Fraction(-self.rb[self.m], den))
+    def objval(self) -> Fraction:
+        return Fraction(-self.ra[self.m], self.den[self.m])
 
     def pivot(self, r: int, c: int) -> None:
         row = self.a[r]
@@ -297,7 +276,6 @@ class _Tableau:
             for j in row:
                 row[j] = -row[j]
             self.ra[r] = -self.ra[r]
-            self.rb[r] = -self.rb[r]
             p = -p
         # dividing row r by its pivot value p/den[r] leaves denominator p
         self.den[r] = p
@@ -308,8 +286,8 @@ class _Tableau:
         self.basis[r] = c
 
     def _leave_for(self, c: int) -> int | None:
-        # ratio (ra[i] + rb[i]*eps) / a[i][c]: the row denominators cancel
-        a, ra, rb, basis = self.a, self.ra, self.rb, self.basis
+        # ratio ra[i] / a[i][c]: the row denominators cancel
+        a, ra, basis = self.a, self.ra, self.basis
         best = None
         for i in range(self.m):
             aic = a[i].get(c)
@@ -319,10 +297,8 @@ class _Tableau:
                 best, abc = i, aic
                 continue
             d = ra[i] * abc - ra[best] * aic
-            if d == 0:
-                d = rb[i] * abc - rb[best] * aic
-                if d == 0 and basis[i] < basis[best]:
-                    d = -1
+            if d == 0 and basis[i] < basis[best]:
+                d = -1
             if d < 0:
                 best, abc = i, aic
         return best
@@ -342,8 +318,8 @@ class _Tableau:
 
     def phase1(self) -> bool:
         """Reach a feasible basis with the auxiliary column; False if empty."""
-        m, ra, rb, den = self.m, self.ra, self.rb, self.den
-        if not any(ra[i] < 0 or (ra[i] == 0 and rb[i] < 0) for i in range(m)):
+        m, ra, den = self.m, self.ra, self.den
+        if not any(ra[i] < 0 for i in range(m)):
             return True
         aux = self.n + m
         for i in range(m):
@@ -351,13 +327,12 @@ class _Tableau:
         self.set_objective({aux: Fraction(-1)})
         worst = 0
         for i in range(1, m):
-            d = ra[i] * den[worst] - ra[worst] * den[i]
-            if d < 0 or (d == 0 and rb[i] * den[worst] < rb[worst] * den[i]):
+            if ra[i] * den[worst] < ra[worst] * den[i]:
                 worst = i
         self.pivot(worst, aux)
         status = self.maximize(self.width)
         assert status == "optimal"
-        if ra[m] or rb[m]:
+        if ra[m]:
             return False
         if aux in self.basis:
             r = self.basis.index(aux)
@@ -367,12 +342,9 @@ class _Tableau:
                 self._reduce(i)
         return True
 
-    def solution(self) -> dict[int, Eps]:
+    def solution(self) -> dict[int, Fraction]:
         """Values of the basic columns; every other column is zero."""
-        return {
-            bv: Eps(Fraction(self.ra[i], self.den[i]), Fraction(self.rb[i], self.den[i]))
-            for i, bv in enumerate(self.basis)
-        }
+        return {bv: Fraction(self.ra[i], self.den[i]) for i, bv in enumerate(self.basis)}
 
 
 def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
@@ -390,9 +362,9 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
             cols.append((v, 1))
             cols.append((v, -1))
     rows_a: list[dict[int, Fraction]] = []
-    rhs: list[Eps] = []
+    rhs: list = []
 
-    def add_le(coeffs: Mapping[str, object], bound: Eps):
+    def add_le(coeffs: Mapping[str, object], bound):
         row: dict[int, object] = {}
         for v, c in coeffs.items():
             idx = col_of[v]
@@ -403,14 +375,9 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
         rhs.append(bound)
 
     for t, rel in sys.rows:
-        b = -t.const
-        if rel == LE:
-            add_le(t.coeffs, Eps(b, 0))
-        elif rel == LT:
-            add_le(t.coeffs, Eps(b, -1))
-        else:
-            add_le(t.coeffs, Eps(b, 0))
-            add_le({v: -c for v, c in t.coeffs.items()}, Eps(-b, 0))
+        add_le(t.coeffs, -t.const)
+        if rel == EQ:
+            add_le({v: -c for v, c in t.coeffs.items()}, t.const)
     return names, cols, col_of, rows_a, rhs
 
 
@@ -433,20 +400,24 @@ class PolyhedronLP:
 
     def model(self) -> dict[str, Fraction] | None:
         """A rational point of the system (None when it is empty): the
-        current basic solution, with eps replaced by a small positive value."""
+        current basic solution."""
         if not self.feasible:
             return None
         vals = self.tab.solution()
-        zero = Eps()
-        model: dict[str, Eps] = {}
+        zero = Fraction(0)
+        model: dict[str, Fraction] = {}
         for v, idx in self.col_of.items():
             val = vals.get(idx[0], zero)
             if len(idx) == 2:
                 val = val - vals.get(idx[1], zero)
-            elif val.a < 0:
+            elif val < 0:
                 raise AssertionError("nonneg var went negative; solver bug")
             model[v] = val
-        return _materialize(model, self.sys)
+        for t, rel in self.sys.rows:
+            val = t.eval(model)
+            if val > 0 or (rel == EQ and val != 0):
+                raise AssertionError("LP model fails a row; solver bug")
+        return model
 
     def sup(self, obj: LinTerm):
         if not self.feasible:
@@ -463,7 +434,7 @@ class PolyhedronLP:
         status = self.tab.maximize(self.aux)
         if status == "unbounded":
             return Unbounded()
-        return Value(self.tab.objval.a + obj.const)
+        return Value(self.tab.objval + obj.const)
 
     def entails_le(self, t: LinTerm) -> bool:
         """Every rational point satisfies t <= 0 (vacuous when empty)."""
@@ -493,33 +464,6 @@ class Value:
     value: Fraction
 
 
-def _materialize(model: dict[str, Eps], sys: LinSys) -> dict[str, Fraction]:
-    """Substitute a concrete small positive value for eps and check rows."""
-    delta = Fraction(1)
-    for t, rel in sys.rows:
-        a = t.const
-        b = Fraction(0)
-        for v, c in t.coeffs.items():
-            ev = model[v]
-            a += c * ev.a
-            b += c * ev.b
-        # need a + b*delta <rel> 0 for all small positive delta
-        if b > 0:
-            if rel == LT and a == 0:
-                # value must stay strictly negative: impossible along +b
-                # (cannot happen for a simplex model of a feasible system)
-                raise AssertionError("eps materialization failed")
-            if a < 0:
-                delta = min(delta, (-a) / b / 2)
-    out = {v: ev.a + ev.b * delta for v, ev in model.items()}
-    for t, rel in sys.rows:
-        val = t.eval(out)
-        ok = val <= 0 if rel == LE else (val < 0 if rel == LT else val == 0)
-        if not ok:
-            raise AssertionError("LP model fails a row; solver bug")
-    return out
-
-
 def lp_feasible(sys: LinSys, nonneg: Sequence[str] = ()):
     """Exact feasibility over the rationals; Feasible carries a model."""
     model = PolyhedronLP(sys, nonneg).model()
@@ -538,21 +482,16 @@ def lp_inf(sys: LinSys, obj: LinTerm):
     return res
 
 
-def negate_row(row: Row) -> list[Row]:
-    t, rel = row
-    if rel == LE:
-        return [(-t, LT)]
-    if rel == LT:
-        return [(-t, LE)]
-    return [(t, LT), (-t, LT)]
-
-
 def entails(sys: LinSys, row: Row) -> bool:
-    """True iff every rational solution of sys satisfies the row."""
-    for neg in negate_row(row):
-        if isinstance(lp_feasible(sys.with_rows([neg])), Feasible):
-            return False
-    return True
+    """True iff every rational solution of sys satisfies the row ``t <= 0``
+    or ``t == 0``: ``sup t <= 0``, and for ``==`` also ``sup -t <= 0``,
+    over one tableau.  That is, ``sys && t > 0`` (and ``sys && t < 0``)
+    has no rational point; vacuous when sys is empty."""
+    t, rel = row
+    if rel not in _REL_SET:
+        raise ValueError(f"bad relation {rel!r}: rows are <= or ==")
+    poly = PolyhedronLP(sys)
+    return poly.entails_le(t) and (rel == LE or poly.entails_le(-t))
 
 
 def term_of_pair(p: int, q: int, variables: Sequence[str]) -> LinTerm:
@@ -594,11 +533,7 @@ def farkas_template(sys: LinSys, template_rows: Sequence[TemplateRow]):
     """
     meta_rows: list[Row] = []
     nonneg: list[str] = []
-    sys_rows = []
-    for t, rel in sys.rows:
-        if rel == LT:
-            raise ValueError("strict rows are not supported in Farkas search")
-        sys_rows.append((t, rel))
+    sys_rows = sys.rows
     for r_idx, trow in enumerate(template_rows):
         lams = []
         for i, (t, rel) in enumerate(sys_rows):

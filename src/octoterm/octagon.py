@@ -31,6 +31,9 @@ from .dbm import (
     INF,
     Dbm,
     close_glued,
+    dbm_eq,
+    dbm_leq,
+    dbm_min,
     dbm_project,
     ext_min,
     fw_close,
@@ -228,13 +231,7 @@ def oct_leq(a: Octagon, b: Octagon) -> bool:
         return False
     if a.num_vars != b.num_vars:
         raise ValueError("variable count mismatch")
-    for ra, rb in zip(a.dbm.rows, b.dbm.rows):
-        for va, vb in zip(ra, rb):
-            if vb == INF:
-                continue
-            if va == INF or va > vb:
-                return False
-    return True
+    return dbm_leq(a.dbm, b.dbm)
 
 
 def oct_eq(a: Octagon, b: Octagon) -> bool:
@@ -242,7 +239,7 @@ def oct_eq(a: Octagon, b: Octagon) -> bool:
     b = tight_close(b)
     if a.is_bottom or b.is_bottom:
         return a.is_bottom and b.is_bottom
-    return a.num_vars == b.num_vars and a.dbm.rows == b.dbm.rows
+    return a.num_vars == b.num_vars and dbm_eq(a.dbm, b.dbm)
 
 
 def oct_exists(o: Octagon, drop: Iterable[int]) -> Octagon:
@@ -265,11 +262,7 @@ def oct_meet_raw(a: Octagon, b: Octagon) -> Octagon:
         raise ValueError("variable count mismatch")
     if a.is_bottom or b.is_bottom:
         return bottom(a.num_vars)
-    rows = [
-        [ext_min(x, y) for x, y in zip(ra, rb)]
-        for ra, rb in zip(a.dbm.rows, b.dbm.rows)
-    ]
-    return Octagon(a.num_vars, Dbm(rows), tight=False)
+    return Octagon(a.num_vars, dbm_min(a.dbm, b.dbm), tight=False)
 
 
 def oct_compose(a: Octagon, b: Octagon, n_program_vars: int) -> Octagon:

@@ -251,7 +251,11 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     parameters, after the integer halving of ``param_tighten`` too).  A
     parameter-free member built this way is a closed, tightly closed
     integer matrix with a nonnegative diagonal, so it is integer-consistent
-    and needs no LP; a parametric one still goes through the LP.
+    and needs no LP; a parametric one still goes through the LP.  Dropping
+    that LP (and the one in ``_compose_members``) changes no output, since
+    ``_normalize_member`` drops empty members, but the empty members then
+    reach parameter elimination: step-2 BRANCHING took 46 s instead of
+    0.26 s.  A replacement must decide emptiness before any elimination.
     """
     ea = _member_param_matrix(a)
     if ea is None:
@@ -451,13 +455,19 @@ def _cycle_relation(p: Program, cycle: list[Transition]) -> list[LinRel]:
     return members
 
 
+def _antichain_add(out: list[LinRel], m: LinRel) -> None:
+    """Add m to the antichain ``out`` unless a member subsumes it, and drop
+    the members that m subsumes."""
+    if any(member_subsumed(m, o) for o in out):
+        return
+    out[:] = [o for o in out if not member_subsumed(o, m)]
+    out.append(m)
+
+
 def _dedupe(members: list[LinRel]) -> list[LinRel]:
     out: list[LinRel] = []
     for m in members:
-        if any(member_subsumed(m, o) for o in out):
-            continue
-        out = [o for o in out if not member_subsumed(o, m)]
-        out.append(m)
+        _antichain_add(out, m)
     return out
 
 
@@ -622,10 +632,7 @@ def _summary(
             return
         cur = edges.setdefault((a, b), [])
         for m in members:
-            if any(member_subsumed(m, o) for o in cur):
-                continue
-            cur[:] = [o for o in cur if not member_subsumed(o, m)]
-            cur.append(m)
+            _antichain_add(cur, m)
 
     for t in p.transitions:
         add_edge(t.source, t.target, _label_members(t.label, variables))

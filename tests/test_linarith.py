@@ -44,13 +44,13 @@ def test_model_satisfies_rows():
         for _ in range(rng.randint(1, 6)):
             t = LinTerm({v: rng.randint(-3, 3) for v in ("x", "y", "z")},
                         rng.randint(-5, 5))
-            rows.append((t, rng.choice((LE, LE, LT, EQ))))
+            rows.append((t, rng.choice((LE, LE, LE, EQ))))
         sys = LinSys(rows)
         res = lp_feasible(sys)
         if isinstance(res, Feasible):
             for t, rel in rows:
                 v = t.eval(res.model)
-                assert (v <= 0 if rel == LE else v < 0 if rel == LT else v == 0)
+                assert (v <= 0 if rel == LE else v == 0)
 
 
 def test_feasible_agrees_with_fourier_motzkin():
@@ -61,7 +61,7 @@ def test_feasible_agrees_with_fourier_motzkin():
         rows = []
         for _ in range(rng.randint(1, 8)):
             t = LinTerm({v: rng.randint(-3, 3) for v in names}, rng.randint(-4, 4))
-            rows.append((t, rng.choice((LE, LE, LE, LT, EQ))))
+            rows.append((t, rng.choice((LE, LE, LE, LE, EQ))))
         ours = isinstance(lp_feasible(LinSys(rows)), Feasible)
         oracle = fm_feasible(rows)
         assert ours == oracle, rows
@@ -105,11 +105,37 @@ def test_entails_transitive_sampled():
             assert entails(sys, s)
 
 
-def test_strict_rows():
-    assert isinstance(lp_feasible(LinSys([(x, LT), (-x, LE)])), Infeasible)
-    res = lp_feasible(LinSys([(x - 1, LT), (-x, LT)]))
-    assert isinstance(res, Feasible)
-    assert 0 < res.model["x"] < 1
+def test_entails_agrees_with_fourier_motzkin_on_the_strict_negation():
+    # sys entails t <= 0 iff sys && -t < 0 is empty; t == 0 iff also sys && t < 0
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(300):
+        names = ["x", "y", "z"][: rng.randint(1, 3)]
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            t = LinTerm({v: rng.randint(-3, 3) for v in names}, rng.randint(-4, 4))
+            rows.append((t, rng.choice((LE, LE, EQ))))
+        sys = LinSys(rows, names)
+        # the row may mention u, which the system does not
+        row_names = names + ["u"] if rng.random() < 0.3 else names
+        t = LinTerm({v: rng.randint(-2, 2) for v in row_names}, rng.randint(-4, 4))
+        rel = rng.choice((LE, LE, EQ))
+        oracle = not fm_feasible(rows + [(-t, LT)])
+        if rel == EQ:
+            oracle = oracle and not fm_feasible(rows + [(t, LT)])
+        assert entails(sys, (t, rel)) == oracle, (rows, t, rel)
+        seen.add((rel, oracle, "u" in t.coeffs))
+    assert {(LE, True), (LE, False), (EQ, True), (EQ, False)} <= {s[:2] for s in seen}
+    assert (LE, False, True) in seen and (LE, True, True) in seen  # vacuous on empty systems
+
+
+def test_strict_rows_are_rejected():
+    with pytest.raises(ValueError):
+        LinSys([(x, LT)])
+    with pytest.raises(ValueError):
+        LinSys([(x - 1, LE)]).with_rows([(-x, LT)])
+    with pytest.raises(ValueError):
+        entails(LinSys([(x - 1, LE)]), (x - 2, LT))
 
 
 def test_polyhedron_lp_batch():
@@ -154,37 +180,6 @@ def test_farkas_template_no_witness():
 # ---------------------------------------------------------------------------
 
 
-class _RefEps:
-    """``a + b*eps`` over Fractions, as the Fraction tableau kept it."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, o):
-        return _RefEps(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return _RefEps(self.a - o.a, self.b - o.b)
-
-    def scale(self, k):
-        return _RefEps(self.a * k, self.b * k)
-
-    def key(self):
-        return (self.a, self.b)
-
-    def __eq__(self, o):
-        return self.a == o.a and self.b == o.b
-
-    def __lt__(self, o):
-        return self.key() < o.key()
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-
 class _RefTableau:
     """The Fraction tableau: every entry a Fraction, pivot rows divided out."""
 
@@ -197,15 +192,15 @@ class _RefTableau:
             full = {j: Fraction(v) for j, v in row.items() if v != 0}
             full[self.n + i] = Fraction(1)
             self.a.append(full)
-        self.rhs = [_RefEps(r.a, r.b) for r in rhs]
+        self.rhs = [Fraction(r) for r in rhs]
         self.basis = [self.n + i for i in range(self.m)]
         self.obj = {}
-        self.objval = _RefEps(0, 0)
+        self.objval = Fraction(0)
         self.log = []
 
     def set_objective(self, coefs):
         obj = {j: c for j, c in coefs.items() if c != 0}
-        val = _RefEps(0, 0)
+        val = Fraction(0)
         for i, bv in enumerate(self.basis):
             c = obj.pop(bv, Fraction(0))
             if c == 0:
@@ -218,7 +213,7 @@ class _RefTableau:
                     obj[j] = nv
                 else:
                     obj.pop(j, None)
-            val = val + self.rhs[i].scale(c)
+            val = val + self.rhs[i] * c
         self.obj = obj
         self.objval = val
 
@@ -230,7 +225,7 @@ class _RefTableau:
             inv = 1 / piv
             row = {j: v * inv for j, v in row.items()}
             self.a[r] = row
-            self.rhs[r] = self.rhs[r].scale(inv)
+            self.rhs[r] = self.rhs[r] * inv
         for i in range(self.m):
             if i == r:
                 continue
@@ -244,7 +239,7 @@ class _RefTableau:
                     tgt[j] = nv
                 else:
                     tgt.pop(j, None)
-            self.rhs[i] = self.rhs[i] - self.rhs[r].scale(f)
+            self.rhs[i] = self.rhs[i] - self.rhs[r] * f
         f = self.obj.get(c)
         if f:
             obj = self.obj
@@ -254,7 +249,7 @@ class _RefTableau:
                     obj[j] = nv
                 else:
                     obj.pop(j, None)
-            self.objval = self.objval + self.rhs[r].scale(f)
+            self.objval = self.objval + self.rhs[r] * f
         self.basis[r] = c
 
     def _leave_for(self, c):
@@ -263,7 +258,7 @@ class _RefTableau:
         for i in range(self.m):
             aic = self.a[i].get(c)
             if aic and aic > 0:
-                ratio = self.rhs[i].scale(1 / aic)
+                ratio = self.rhs[i] / aic
                 if (
                     best is None
                     or ratio < best_ratio
@@ -288,16 +283,16 @@ class _RefTableau:
 
     def phase1(self):
         aux = self.n + self.m
-        if not any(r < _RefEps(0, 0) for r in self.rhs):
+        if not any(r < 0 for r in self.rhs):
             return True
         for i in range(self.m):
             self.a[i][aux] = Fraction(-1)
         self.set_objective({aux: Fraction(-1)})
-        worst = min(range(self.m), key=lambda i: self.rhs[i].key())
+        worst = min(range(self.m), key=lambda i: self.rhs[i])
         self.pivot(worst, aux)
         status = self.maximize(self.width)
         assert status == "optimal"
-        if not self.objval.is_zero():
+        if self.objval:
             return False
         if aux in self.basis:
             r = self.basis.index(aux)
@@ -349,8 +344,7 @@ def _run(cls, sys, objectives, nonneg=()):
         for obj in objectives:
             tab.set_objective(_objective_columns(col_of, obj))
             status = tab.maximize(tab.n + tab.m)
-            vals = {j: (e.a, e.b) for j, e in tab.solution().items()}
-            results.append((status, (tab.objval.a, tab.objval.b), vals, list(tab.basis)))
+            results.append((status, tab.objval, tab.solution(), list(tab.basis)))
     return tab.log, feasible, results
 
 
@@ -368,7 +362,7 @@ def _rand_system(rng, kind):
     for _ in range(rng.randint(1, 8)):
         coeffs = {v: _rand_coef(rng, kind) for v in names if rng.random() < 0.8}
         const = 0 if kind == "degenerate" and rng.random() < 0.7 else _rand_coef(rng, kind)
-        rows.append((LinTerm(coeffs, const), rng.choice((LE, LE, LT, EQ))))
+        rows.append((LinTerm(coeffs, const), rng.choice((LE, LE, LE, EQ))))
     return LinSys(rows, names)
 
 
@@ -401,7 +395,7 @@ def _ref_lp_feasible(sys, nonneg=()):
     tab.set_objective({})
     tab.maximize(tab.n + tab.m)
     vals = tab.solution()
-    zero = _RefEps()
+    zero = Fraction(0)
     model = {}
     for v in names:
         idx = col_of[v]
@@ -409,7 +403,9 @@ def _ref_lp_feasible(sys, nonneg=()):
         if len(idx) == 2:
             val = val - vals.get(idx[1], zero)
         model[v] = val
-    return Feasible(linarith._materialize(model, sys))
+    for t, rel in sys.rows:
+        assert (t.eval(model) <= 0 if rel == LE else t.eval(model) == 0), (sys, model)
+    return Feasible(model)
 
 
 @pytest.fixture
@@ -433,7 +429,7 @@ def test_lp_feasible_and_sup_match_fraction_tableau(capped):
             elif results[0][0] == "unbounded":
                 assert isinstance(res, Unbounded)
             else:
-                assert res == Value(results[0][1][0] + obj.const)
+                assert res == Value(results[0][1] + obj.const)
 
 
 def test_polyhedron_sup_sequence_matches_fraction_tableau(capped):
@@ -450,7 +446,7 @@ def test_polyhedron_sup_sequence_matches_fraction_tableau(capped):
                 if ref[0] == "unbounded":
                     assert isinstance(res, Unbounded)
                 else:
-                    assert res == Value(ref[1][0] + obj.const)
+                    assert res == Value(ref[1] + obj.const)
 
 
 def test_farkas_template_matches_fraction_tableau(capped):
@@ -483,7 +479,7 @@ def _assert_rows_reduced(tab):
     the denominator in the basic column."""
     for i, row in enumerate(tab.a):
         den = tab.den[i]
-        entries = [den, tab.ra[i], tab.rb[i], *row.values()]
+        entries = [den, tab.ra[i], *row.values()]
         assert all(type(v) is int for v in entries), (i, entries)
         assert den > 0 and 0 not in row.values(), (i, entries)
         assert math.gcd(*entries) == 1, (i, entries)
@@ -502,9 +498,9 @@ def test_tableau_rows_stay_integer_and_reduced(capped):
     half = Fraction(1, 2)
     sys = LinSys([
         (LinTerm({"x": half, "y": Fraction(-1, 3)}, -1), LE),
-        (LinTerm({"x": -1, "y": Fraction(2, 5)}, Fraction(1, 7)), LT),
+        (LinTerm({"x": -1, "y": Fraction(2, 5)}, Fraction(1, 7)), LE),
         (LinTerm({"x": Fraction(3, 4), "y": 1, "z": -1}, -2), EQ),
-        (LinTerm({"y": -3, "z": Fraction(5, 6)}, 1), LT),
+        (LinTerm({"y": -3, "z": Fraction(5, 6)}, 1), LE),
         (LinTerm({"z": -1}, Fraction(-1, 3)), LE),
     ])
     poly = PolyhedronLP(sys)

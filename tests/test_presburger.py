@@ -4,6 +4,7 @@ from itertools import product
 from math import gcd, lcm
 
 from octoterm import presburger
+from octoterm.affine import AffineRel, mat, sufficient_termination
 from octoterm.linarith import EQ, LE, LT, LinTerm
 from octoterm.presburger import (
     Conj,
@@ -155,6 +156,32 @@ def _assert_int_conj(c: Conj) -> None:
     for t in [t for t, _ in c.rows] + [d.term for d in c.divs]:
         assert type(t.const) is int, c
         assert all(type(v) is int for v in t.coeffs.values()), c
+
+
+def test_make_writes_strict_rows_as_integer_rows():
+    # t < 0 over the integers is t + 1 <= 0, with t scaled to integers first
+    assert Conj.make([(x - 3, LT)]).rows == ((x - 2, LE),)
+    z = LinTerm.var("z")
+    half = Fraction(1, 2)
+    # after k steps of x' = x + y, y' = y + z the guard x >= 0 reads
+    # x + k*(y - z/2) + k^2*(z/2) >= 0; sufficient_termination hands the
+    # strict rational rows "k^2 coefficient < 0" and "k coefficient < 0"
+    # to Conj.make
+    cases = [(half * z, z + 1), (y - half * z, 2 * y - z + 1),
+             (half * x - Fraction(1, 3) * y, 3 * x - 2 * y + 1)]
+    for t, want in cases:
+        c = Conj.make([(t, LT)])
+        assert c.rows == ((want, LE),)
+        _assert_int_conj(c)
+        for pt in product(range(-3, 4), repeat=3):
+            val = dict(zip("xyz", pt))
+            assert c.eval(val) == (t.eval(val) < 0)
+    rel = AffineRel(3, mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), (0, 0, 0), (((1, 0, 0), 0),))
+    dnf = sufficient_termination(rel, names=["x", "y", "z"])
+    assert [c.rows for c in dnf] == [((z + 1, LE),), ((z, EQ), (2 * y - z + 1, LE)),
+                                     ((2 * y - z, EQ), (z, EQ), (x + 1, LE))]
+    for c in dnf:
+        _assert_int_conj(c)
 
 
 def test_rows_stay_integers():
