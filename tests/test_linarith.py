@@ -126,7 +126,8 @@ def test_entails_agrees_with_fourier_motzkin_on_the_strict_negation():
         assert entails(sys, (t, rel)) == oracle, (rows, t, rel)
         seen.add((rel, oracle, "u" in t.coeffs))
     assert {(LE, True), (LE, False), (EQ, True), (EQ, False)} <= {s[:2] for s in seen}
-    assert (LE, False, True) in seen and (LE, True, True) in seen  # vacuous on empty systems
+    # a row that mentions u is entailed only by an empty system
+    assert (LE, False, True) in seen and (LE, True, True) in seen
 
 
 def test_strict_rows_are_rejected():
