@@ -7,7 +7,7 @@
 Relations use the transition-label grammar over primed/unprimed
 variables; programs use the `vars/init/transitions` file format.  Output
 is human-readable text or JSON (--format json).  Exit codes: 0 analyzed,
-2 parse error, 3 input outside the supported fragment, 4 budget
+2 parse or usage error, 3 input outside the supported fragment, 4 budget
 exhausted (result still sound).
 """
 
@@ -475,6 +475,18 @@ def cmd_prog(args) -> int:
     raise AssertionError(args.subcommand)
 
 
+def _power(text: str) -> int:
+    """A power or chain length: an integer of at least 1 (argparse exits 2
+    on anything else)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="octoterm",
@@ -496,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = rel_sub.add_parser(name)
         sp.add_argument("relation")
         if needs_n:
-            sp.add_argument("n", type=int)
+            sp.add_argument("n", type=_power)
         if name == "wnt":
             sp.add_argument("--box", type=int, default=0,
                             help="cross-check wnt against the box oracle")

@@ -16,7 +16,7 @@ termination over integer states, where ``t < 0`` is ``t + 1 <= 0``
 either: ``sys && t > 0`` has no rational point exactly when
 ``sup t <= 0`` over ``sys``, which ``entails`` asks of one tableau.
 ``LT`` names the strict relation for the readers that rewrite it and for
-the ``fm_feasible`` oracle.
+the Fourier-Motzkin oracle of the tests.
 """
 
 from __future__ import annotations
@@ -572,48 +572,3 @@ def farkas_template(sys: LinSys, template_rows: Sequence[TemplateRow]):
         return None
     model = res.model
     return Witness({u: model.get(u, Fraction(0)) for u in sorted(unknowns)})
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin over the rationals (testing oracle for the simplex)
-# ---------------------------------------------------------------------------
-
-
-def fm_feasible(rows: Sequence[Row]) -> bool:
-    """Rational feasibility by Fourier-Motzkin elimination (oracle use)."""
-    work: list[tuple[LinTerm, str]] = []
-    for t, rel in rows:
-        if rel == EQ:
-            work.append((t, LE))
-            work.append((-t, LE))
-        else:
-            work.append((t, rel))
-    while True:
-        vs = sorted({v for t, _ in work for v in t.coeffs})
-        if not vs:
-            break
-        v = vs[0]
-        pos, neg, rest = [], [], []
-        for t, rel in work:
-            c = t.coef(v)
-            if c > 0:
-                pos.append((t, rel, c))
-            elif c < 0:
-                neg.append((t, rel, c))
-            else:
-                rest.append((t, rel))
-        new = rest
-        for tp, rp, cp in pos:
-            for tn, rn, cn in neg:
-                # tp has +v, tn has -v: eliminate
-                comb = tp * -cn + tn * cp
-                rel = LT if (rp == LT or rn == LT) else LE
-                new.append((comb, rel))
-        work = new
-    for t, rel in work:
-        c = t.const
-        if rel == LE and c > 0:
-            return False
-        if rel == LT and c >= 0:
-            return False
-    return True

@@ -145,14 +145,6 @@ def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: in
     return entails(proj, (LinTerm({}, h) - f, LE))  # f(x) >= h
 
 
-def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
-    proj = pre_image_set(tight_close(v), n_program_vars)
-    if proj.is_bottom:
-        return True
-    sys = oct_to_linsys(proj, var_names(n_program_vars)[: n_program_vars])
-    return isinstance(lp_inf(sys, f), Value)
-
-
 @dataclass(frozen=True)
 class WellFounded:
     proof: RankingWitness | TriviallyWF

@@ -1,11 +1,20 @@
 """Weakest non-termination sets of octagonal relations, in polynomial time.
 
-The Kleene chain of pre-image sets of an octagonal relation over N
-variables either never stabilizes (then the relation is well founded) or
+The Kleene chain pre^1 ⊇ pre^2 ⊇ ... of an octagonal relation R over N
+variables (pre^k is the domain of R^k, and pre^(k+1) is the pre-image of
+pre^k under R) either never stabilizes (then R is well founded) or
 stabilizes within 5^(2N) steps.  Comparing the pre-image sets of the
-powers 5^(2N) and 5^(2N)+1 therefore decides everything; the first is
-reached with logarithmically many tight compositions by binary
-exponentiation, the second with one more.
+powers n1 = 5^(2N) and n1 + 1 therefore decides everything.
+
+5^(2N) is the worst case, and most chains settle far sooner.  ``wnt``
+walks the squares R, R^2, R^4, ... that binary exponentiation builds for
+R^n1 anyway, and after each squaring compares the pre-image sets of the
+last two squares.  The chain descends, so pre^(2m) ⊆ pre^(m+1) ⊆ pre^m:
+when pre^(2m) = pre^m, also pre^(m+1) = pre^m, hence pre^k = pre^m for
+every k >= m, and pre^m is the answer the probe powers n1 and n1 + 1 would
+give.  The tight closure is canonical, so that answer is the same octagon
+as theirs.  Only when no two squares agree is R^n1 the product of the
+squares already built, and R^(n1+1) one composition more.
 
 That exponentiation is the costly step, and one loop asks for its WNT more
 than once (``prove_termination`` after ``wnt``, ``nt_program`` for the
@@ -20,51 +29,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Iterable, Iterator
 
-from .octagon import (
-    Octagon,
-    bottom,
-    lift_set_to_relation,
-    oct_compose,
-    oct_eq,
-    oct_meet_raw,
-    pre_image_set,
-    tight_close,
-)
+from .octagon import Octagon, bottom, oct_compose, oct_eq, pre_image_set, tight_close
 
 # Entries in the WNT memo, as in ``program`` and ``presburger``.
 _MEMO = 1024
 
 
-def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
-    """The octagon of R^n by binary exponentiation (bottom if empty).
-
-    Consistency is re-checked before every use of the running square, so
-    an inconsistent intermediate power short-circuits the remaining work.
-    """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    N = n_program_vars
+def _squares(rel: Octagon, N: int) -> Iterator[Octagon]:
+    """R, R^2, R^4, ... as tight octagons, each squared only when asked for."""
     square = tight_close(rel)
-    acc: Octagon | None = None  # None encodes R^0 (identity), composed lazily
     while True:
+        yield square
+        square = oct_compose(square, square, N)
+
+
+def _product(squares: Iterable[Octagon], n: int, N: int) -> Octagon:
+    """R^n (n >= 1) as the product of the squares R^(2^k) at the set bits of n.
+
+    Reads no square past the top bit of n, and stops at the first empty
+    square or partial product: R^n is then empty.
+    """
+    acc: Octagon | None = None
+    for square in squares:
+        if square.is_bottom:
+            return bottom(2 * N)
         if n & 1:
-            if square.is_bottom:
-                return bottom(2 * N)
             acc = square if acc is None else oct_compose(acc, square, N)
             if acc.is_bottom:
                 return bottom(2 * N)
         n >>= 1
         if n == 0:
             return acc
-        if square.is_bottom:
-            return bottom(2 * N)
-        square = oct_compose(square, square, N)
+
+
+def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
+    """The octagon of R^n by binary exponentiation (bottom if empty)."""
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    return _product(_squares(rel, n_program_vars), n, n_program_vars)
 
 
 @dataclass(frozen=True)
 class WntResult:
-    """wnt(R) as a tight octagon over the unprimed variables (bottom = WF)."""
+    """wnt(R) as a tight octagon over the unprimed variables (bottom = WF).
+
+    ``powers_used`` names the probe powers (n1, n1 + 1) whose answer this
+    is, also when the chain was seen to settle below them.
+    """
 
     set: Octagon
     powers_used: tuple[int, int]
@@ -84,48 +98,30 @@ def wnt(rel: Octagon, n_program_vars: int) -> WntResult:
 
 @lru_cache(maxsize=_MEMO)
 def _wnt_tight(rel: Octagon, N: int) -> WntResult:
-    """``wnt`` of a tight-closed relation: compare the pre-image sets of
-    R^(5^(2N)) and R^(5^(2N)+1)."""
+    """``wnt`` of a tight-closed relation: the answer of the probe powers
+    n1 = 5^(2N) and n1 + 1, returned as soon as two successive squares have
+    equal pre-image sets (the chain has settled) or a square is empty."""
     n1 = 5 ** (2 * N)
-    v = fast_power(rel, n1, N)
+    powers = (n1, n1 + 1)
+    squares: list[Octagon] = []
+    last = None  # pre-image set of the last square
+    for square in islice(_squares(rel, N), n1.bit_length()):
+        if square.is_bottom:
+            return WntResult(bottom(N), powers, False, False)
+        pre = pre_image_set(square, N)
+        if last is not None and oct_eq(pre, last):
+            return WntResult(last, powers, True, True)
+        squares.append(square)
+        last = pre
+    v = _product(squares, n1, N)
     w = oct_compose(v, rel, N)
     if w.is_bottom:
-        return WntResult(bottom(N), (n1, n1 + 1), False, False)
+        return WntResult(bottom(N), powers, False, False)
     pv = pre_image_set(v, N)
-    pw = pre_image_set(w, N)
-    if not oct_eq(pv, pw):
-        return WntResult(bottom(N), (n1, n1 + 1), False, True)
-    return WntResult(pv, (n1, n1 + 1), True, True)
+    if not oct_eq(pv, pre_image_set(w, N)):
+        return WntResult(bottom(N), powers, False, True)
+    return WntResult(pv, powers, True, True)
 
 
 def is_well_founded(rel: Octagon, n_program_vars: int) -> bool:
     return wnt(rel, n_program_vars).set.is_bottom
-
-
-def strengthen_check(rel: Octagon, m: int, n_program_vars: int) -> bool:
-    """Test oracle: wnt(R) must equal wnt of the domain-strengthened relation."""
-    N = n_program_vars
-    base = wnt(rel, N).set
-    power = fast_power(rel, m, N)
-    if power.is_bottom:
-        strengthened = bottom(2 * N)
-    else:
-        dom = pre_image_set(power, N)
-        strengthened = tight_close(
-            oct_meet_raw(tight_close(rel), lift_set_to_relation(dom, N, primed=False))
-        )
-    other = wnt(strengthened, N).set
-    return oct_eq(base, other)
-
-
-def local_recurrence_holds(rel: Octagon, n_program_vars: int) -> bool:
-    """wnt(R) <= pre_R(wnt(R)): every wnt point has a successor in wnt."""
-    from .octagon import oct_leq
-
-    N = n_program_vars
-    w = wnt(rel, N).set
-    if w.is_bottom:
-        return True
-    step = oct_meet_raw(tight_close(rel), lift_set_to_relation(w, N, primed=True))
-    pre = pre_image_set(tight_close(step), N)
-    return oct_leq(w, pre)

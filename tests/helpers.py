@@ -1,11 +1,27 @@
-"""Shared constructors for the relations and programs used across tests."""
+"""Shared constructors for the relations and programs used across tests,
+and the oracles that only tests call."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from typing import Sequence
 
 from octoterm.dbm import INF, Dbm
-from octoterm.octagon import Octagon, oct_encode
+from octoterm.linarith import EQ, LE, LT, LinTerm, Value, lp_inf
+from octoterm.octagon import (
+    Octagon,
+    bottom,
+    lift_set_to_relation,
+    oct_encode,
+    oct_eq,
+    oct_leq,
+    oct_meet_raw,
+    pre_image_set,
+    tight_close,
+)
+from octoterm.ranking import oct_to_linsys, var_names
+from octoterm.term_oct import fast_power, wnt
 
 # Difference-bounds relation over x1..x4 whose pre-image sequence is the
 # canonical periodic example (prefix 3, period 3, rate -1 on column 4).
@@ -140,3 +156,87 @@ def random_guarded_relation(rng: random.Random, n_vars: int, max_coef: int = 4) 
             sj = si
         atoms.append((si, i, sj, j, rng.randint(-max_coef, max_coef)))
     return oct_encode(atoms, 2 * n_vars)
+
+
+# -- oracles ----------------------------------------------------------------------
+
+
+def fm_feasible(rows: Sequence[tuple[LinTerm, str]]) -> bool:
+    """Rational feasibility by Fourier-Motzkin elimination (oracle for the simplex).
+
+    Every row is scaled by a positive factor so that its first variable has
+    coefficient +1 or -1, and of the rows with one variable part only the
+    strongest is kept: the largest constant, ``<`` before ``<=`` at an equal
+    constant.  The others are implied, so the oracle stays exact while the
+    parallel rows that elimination makes do not pile up.  A row without
+    variables is settled at once.
+    """
+    work: dict[frozenset, tuple[LinTerm, str]] = {}
+
+    def add(t: LinTerm, rel: str) -> bool:
+        """Keep ``t rel 0``; False when it is a constant row that fails."""
+        if not t.coeffs:
+            return t.const < 0 if rel == LT else t.const <= 0
+        t = t * Fraction(1, abs(t.coef(min(t.coeffs))))
+        key = frozenset(t.coeffs.items())
+        kept = work.get(key)
+        if kept is None or (t.const, rel == LT) > (kept[0].const, kept[1] == LT):
+            work[key] = (t, rel)
+        return True
+
+    for t, rel in rows:
+        if rel == EQ:
+            if not (add(t, LE) and add(-t, LE)):
+                return False
+        elif not add(t, rel):
+            return False
+    while work:
+        # the least variable leads every row it occurs in, with coefficient +-1
+        v = min(v for key in work for v, _ in key)
+        current, work = list(work.values()), {}
+        pos = [(t, rel) for t, rel in current if t.coef(v) > 0]
+        neg = [(t, rel) for t, rel in current if t.coef(v) < 0]
+        for t, rel in current:
+            if not t.coef(v):
+                add(t, rel)
+        for tp, rp in pos:
+            for tn, rn in neg:
+                if not add(tp + tn, LT if LT in (rp, rn) else LE):
+                    return False
+    return True
+
+
+def strengthen_check(rel: Octagon, m: int, n_program_vars: int) -> bool:
+    """wnt(R) must equal wnt of R strengthened with the domain of R^m."""
+    N = n_program_vars
+    base = wnt(rel, N).set
+    power = fast_power(rel, m, N)
+    if power.is_bottom:
+        strengthened = bottom(2 * N)
+    else:
+        dom = pre_image_set(power, N)
+        strengthened = tight_close(
+            oct_meet_raw(tight_close(rel), lift_set_to_relation(dom, N, primed=False))
+        )
+    other = wnt(strengthened, N).set
+    return oct_eq(base, other)
+
+
+def local_recurrence_holds(rel: Octagon, n_program_vars: int) -> bool:
+    """wnt(R) <= pre_R(wnt(R)): every wnt point has a successor in wnt."""
+    N = n_program_vars
+    w = wnt(rel, N).set
+    if w.is_bottom:
+        return True
+    step = oct_meet_raw(tight_close(rel), lift_set_to_relation(w, N, primed=True))
+    pre = pre_image_set(tight_close(step), N)
+    return oct_leq(w, pre)
+
+
+def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
+    """f has a rational infimum on the domain of the relation v."""
+    proj = pre_image_set(tight_close(v), n_program_vars)
+    if proj.is_bottom:
+        return True
+    sys = oct_to_linsys(proj, var_names(n_program_vars)[: n_program_vars])
+    return isinstance(lp_inf(sys, f), Value)

@@ -38,23 +38,24 @@ from octoterm.presburger import conj_implies, Conj
 from octoterm.program import member_cases, nt_program, parse_program, transitive_relation
 from octoterm.ranking import (
     RankingWitness,
-    is_bounded_below,
     oct_to_linsys,
     synthesize_lrf,
     var_names,
     verify_lrf,
     witness_relation,
 )
-from octoterm.term_oct import fast_power, is_well_founded, strengthen_check, wnt
+from octoterm.term_oct import fast_power, is_well_founded, wnt
 
 from helpers import (
     BRANCHING_PROGRAM,
     TIGHT_EXAMPLE_GOLDEN,
     TWO_PHASE_PROGRAM,
+    is_bounded_below,
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
     seven_branch_relations,
+    strengthen_check,
     tight_example_relation,
 )
 

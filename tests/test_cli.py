@@ -60,6 +60,17 @@ def test_rel_power_and_pre(capsys):
     assert code == 0 and "pre^3: x >= 2" in out
 
 
+@pytest.mark.parametrize("cmd", ["power", "pre"])
+@pytest.mark.parametrize("n", ["0", "-1", "two"])
+def test_rel_power_and_pre_reject_n_below_one(capsys, cmd, n):
+    # a usage error, exit 2, before any analysis: no traceback, no output
+    with pytest.raises(SystemExit) as exc:
+        main(["rel", cmd, "x' == x + 1", n])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "expected an integer >= 1" in out.err
+
+
 def test_rel_closure(capsys):
     code, out, _ = run(capsys, "rel", "closure", "x >= 0 && x' == x - 1")
     assert code == 0

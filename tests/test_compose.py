@@ -190,10 +190,71 @@ def test_oct_compose_inconsistent_pairs():
     assert seen > 20
 
 
+def _same_wnt(r: Octagon, N: int) -> None:
+    # every field, and the same octagon down to its repr
+    got, want = wnt(r, N), ref_wnt(r, N)
+    assert got == want and repr(got) == repr(want)
+
+
+def _dying(bound: int, N: int) -> Octagon:
+    """0 <= x0 <= bound, x0' = x0 - 1, the other variables kept: R^k is
+    live up to k = bound + 1, and pre^k is bound - k + 2 values of x0."""
+    atoms = [(-1, 0, -1, 0, 0), (1, 0, 1, 0, 2 * bound),
+             (1, N, -1, 0, -1), (-1, N, 1, 0, 1)]
+    for i in range(1, N):
+        atoms += [(1, N + i, -1, i, 0), (-1, N + i, 1, i, 0)]
+    return oct_encode(atoms, 2 * N)
+
+
+def _ring(rng: random.Random, c: int) -> Octagon:
+    """A ring of c variables bounded by t (N = c + 1), as in the benchmark's
+    periodic family: its powers have prefix and period c."""
+    n = c + 1
+    neg = rng.randrange(c)
+    atoms = [(1, (i + 1) % c, -1, n + i,
+              -rng.randint(1, 3) if i == neg else rng.randint(0, 1)) for i in range(c)]
+    atoms += [(1, 2 * n - 1, -1, c, 0), (1, n + c - 1, -1, c, 0)]
+    return oct_encode(atoms, 2 * n)
+
+
+def _rotation(rng: random.Random, N: int) -> Octagon:
+    """x_i' = +-x_(i+1 mod N) under random guards on x: a signed rotation
+    of period at most 2N, so pre^k settles late but within 2N steps."""
+    atoms = []
+    for i in range(N):
+        s = rng.choice((1, -1))
+        atoms += [(1, N + i, -s, (i + 1) % N, 0), (-1, N + i, s, (i + 1) % N, 0)]
+    for _ in range(rng.randint(1, N + 1)):
+        i, j = rng.randrange(N), rng.randrange(N)
+        si, sj = rng.choice((1, -1)), rng.choice((1, -1))
+        if i == j and si != sj:
+            sj = si
+        atoms.append((si, i, sj, j, rng.randint(-2, 4)))
+    return oct_encode(atoms, 2 * N)
+
+
 def test_wnt_matches_second_exponentiation():
+    # wnt returns at the first two squares with equal pre-images; the
+    # reference runs both probe powers 5^(2N) and 5^(2N) + 1 in full
     rng = random.Random(25)
     for trial in range(60):
         N = 1 + trial % 3
         gen = random_guarded_relation if trial % 2 else random_oct_relation
-        r = gen(rng, N)
-        assert wnt(r, N) == ref_wnt(r, N)
+        _same_wnt(gen(rng, N), N)
+    for N in (1, 2, 3):
+        _same_wnt(bottom(2 * N), N)
+        _same_wnt(oct_encode([(1, 0, 1, 0, 1), (-1, 0, -1, 0, -1)], 2 * N), N)  # x0 == 1/2
+    for c in (1, 2):
+        for _ in range(6):
+            _same_wnt(_ring(rng, c), c + 1)
+    for trial in range(30):
+        N = 1 + trial % 3
+        _same_wnt(_rotation(rng, N), N)
+    # deaths between pre^4 and pre^(n1+1), n1 = 25 at N = 1: on both sides
+    # of every square and of n1 itself
+    for N in (1, 2):
+        for bound in range(30):
+            _same_wnt(_dying(bound, N), N)
+    # past the squares of n1 = 625 at N = 2: R^512 live, R^(n1+1) empty
+    for bound in (600, 623, 624, 625):
+        _same_wnt(_dying(bound, 2), 2)

@@ -20,10 +20,11 @@ from octoterm.linarith import (
     Witness,
     entails,
     farkas_template,
-    fm_feasible,
     lp_feasible,
     lp_sup,
 )
+
+from helpers import fm_feasible
 
 x = LinTerm.var("x")
 y = LinTerm.var("y")
@@ -53,7 +54,7 @@ def test_model_satisfies_rows():
                 assert (v <= 0 if rel == LE else v == 0)
 
 
-def test_feasible_agrees_with_fourier_motzkin():
+def _agrees_with_fourier_motzkin(relations):
     rng = random.Random(1)
     for _ in range(250):
         nv = rng.randint(1, 4)
@@ -61,10 +62,31 @@ def test_feasible_agrees_with_fourier_motzkin():
         rows = []
         for _ in range(rng.randint(1, 8)):
             t = LinTerm({v: rng.randint(-3, 3) for v in names}, rng.randint(-4, 4))
-            rows.append((t, rng.choice((LE, LE, LE, LE, EQ))))
+            rows.append((t, rng.choice(relations)))
         ours = isinstance(lp_feasible(LinSys(rows)), Feasible)
         oracle = fm_feasible(rows)
         assert ours == oracle, rows
+
+
+def test_fourier_motzkin_oracle_keeps_the_strongest_parallel_row():
+    # x <= 0 and x < 0 share a direction: the strict one must survive,
+    # in either order and under any positive scaling
+    assert not fm_feasible([(x, LE), (x, LT), (-x, LE)])
+    assert not fm_feasible([(2 * x, LT), (x, LE), (-3 * x, LE)])
+    assert fm_feasible([(x, LE), (-x, LE)])
+    assert not fm_feasible([(x + y, LE), (-x, LE), (-y, LT)])
+    assert not fm_feasible([(LinTerm.of(0), LT)])
+    assert fm_feasible([(LinTerm.of(0), LE), (LinTerm.of(-1), LT)])
+
+
+def test_feasible_agrees_with_fourier_motzkin():
+    _agrees_with_fourier_motzkin((LE, LE, LE, LE, EQ))
+
+
+def test_feasible_agrees_with_fourier_motzkin_on_more_equalities():
+    # one equality in four rows: each one is two rows for the elimination,
+    # which took over a minute before the oracle kept one row per direction
+    _agrees_with_fourier_motzkin((LE, LE, LE, EQ))
 
 
 def test_sup_examples():

@@ -10,7 +10,6 @@ from octoterm.ranking import (
     RankingWitness,
     TriviallyWF,
     WellFounded,
-    is_bounded_below,
     oct_to_linsys,
     prove_termination,
     synthesize_lrf,
@@ -20,7 +19,12 @@ from octoterm.ranking import (
 )
 from octoterm.term_oct import is_well_founded, wnt
 
-from helpers import periodic_relation, random_guarded_relation, seven_branch_relations
+from helpers import (
+    is_bounded_below,
+    periodic_relation,
+    random_guarded_relation,
+    seven_branch_relations,
+)
 
 
 def guarded_decrement():

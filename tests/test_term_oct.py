@@ -21,18 +21,18 @@ from octoterm.term_oct import (
     WntResult,
     fast_power,
     is_well_founded,
-    local_recurrence_holds,
-    strengthen_check,
     wnt,
 )
 
 from helpers import (
     BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
+    local_recurrence_holds,
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
     seven_branch_relations,
+    strengthen_check,
 )
 
 
@@ -152,26 +152,75 @@ def test_wnt_memo_is_bounded():
 
 
 def test_prove_termination_reuses_the_wnt(monkeypatch):
-    # the WNT probe power 5^(2N) is computed once, by wnt; prove_termination
-    # only adds the witness power 4N^2
-    calls = []
-    real = term_oct.fast_power
+    # the squares toward the WNT probe power 5^(2N) are drawn once, by wnt;
+    # prove_termination only adds those of the witness power 4N^2
+    drawn = []
+    real = term_oct._squares
 
-    def spy(rel, n, N):
-        calls.append(n)
-        return real(rel, n, N)
+    def spy(rel, N):
+        drawn.append(0)
+        for square in real(rel, N):
+            drawn[-1] += 1
+            yield square
 
-    monkeypatch.setattr(term_oct, "fast_power", spy)
-    monkeypatch.setattr(ranking, "fast_power", spy)
+    monkeypatch.setattr(term_oct, "_squares", spy)
     _clear_memos()
     r = enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)  # x >= 0, x' = x - 1
     wnt(r, 1)
-    assert calls == [25]
+    assert drawn == [5]  # R, R^2, .., R^16 for 25
     assert isinstance(prove_termination(r, 1), WellFounded)
-    assert calls == [25, 4]
+    assert drawn == [5, 3]  # R, R^2, R^4 for 4
     # an equal relation in another syntax hits the same entry
     wnt(tight_close(r), 1)
-    assert calls == [25, 4] and term_oct._wnt_tight.cache_info().hits == 2
+    assert drawn == [5, 3] and term_oct._wnt_tight.cache_info().hits == 2
+
+
+def _count_compositions(monkeypatch):
+    calls = []
+    real = term_oct.oct_compose
+
+    def counting(a, b, N):
+        calls.append(N)
+        return real(a, b, N)
+
+    monkeypatch.setattr(term_oct, "oct_compose", counting)
+    return calls
+
+
+def test_wnt_stops_at_the_first_equal_pre_images(monkeypatch):
+    calls = _count_compositions(monkeypatch)
+    _clear_memos()
+    up = enc([(1, 1, -1, 0, 1), (-1, 1, 1, 0, -1), (-1, 0, -1, 0, 0)], 2)  # x >= 0, x' = x + 1
+    res = wnt(up, 1)
+    # pre(R) = pre(R^2) = x >= 0 after one squaring
+    assert len(calls) == 1
+    assert res == WntResult(tight_close(enc([(-1, 0, -1, 0, 0)], 1)), (25, 26), True, True)
+
+
+def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
+    # at most the compositions of R^(5^(2N)) and one more, the cost of
+    # computing both probe powers; exactly that when nothing dies early
+    calls = _count_compositions(monkeypatch)
+    rng = random.Random(27)
+    rels = [(enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2), 1, True)]
+    for trial in range(40):
+        N = 1 + trial % 3
+        rels.append((random_guarded_relation(rng, N), N, False))
+    seen = 0
+    for r, N, full in rels:
+        _clear_memos()
+        calls.clear()
+        if not wnt(r, N).set.is_bottom:
+            continue
+        used = len(calls)
+        calls.clear()
+        fast_power(r, 5 ** (2 * N), N)
+        assert used <= len(calls) + 1
+        if full:
+            n1 = 5 ** (2 * N)
+            assert used == n1.bit_length() - 1 + bin(n1).count("1")
+        seen += 1
+    assert seen > 10
 
 
 def test_results_do_not_depend_on_process_history():

@@ -1,7 +1,8 @@
 """Paired benchmark runs of a base commit against a head commit.
 
     python3 tools/bench_pairs.py --base REV [--head REV] --tag TAG \
-        --workload loops programs cli --seeds 311 312 313 [--seconds 20]
+        --workload loops programs cli --seeds 311 312 313 [--seconds 20] \
+        [--trace-seed 311]
 
 Run from the root of the repository.  Both commits (``--head`` defaults to
 ``HEAD``; commit the change first) are extracted with ``git archive`` into
@@ -19,6 +20,12 @@ lost and tied (by the direction ``BENCHMARK.json`` gives the metric),
 whether the change of the median stays within the metric's bound, and
 whether the gain rule holds: at least nine tenths of the pairs won and the
 medians further apart than the base's interquartile distance.
+
+With ``--trace-seed S``, each side also runs ``perfbench/run.py --trace 1``
+once per workload on seed S, and the file keeps both sides' per-layer
+metrics (call counts, self times, ``trace.count_mismatches``, ...) under
+the workload's ``layers``, so a change of an end-to-end metric can be
+traced to the layer it came from.
 
 Standard library only.
 """
@@ -51,10 +58,10 @@ def extract(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``root``: its final JSON line, plus wall time."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in ``root``: its final JSON line, plus wall time."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     wall = time.perf_counter() - start
@@ -105,6 +112,8 @@ def main() -> int:
     ap.add_argument("--seeds", nargs="+", type=int, required=True,
                     help="one pair per seed, for every workload")
     ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--trace-seed", type=int, default=None,
+                    help="also record each side's per-layer metrics of one traced run")
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where both commits are extracted (default: a temporary directory)")
     ap.add_argument("--out", type=Path, default=None)
@@ -133,6 +142,16 @@ def main() -> int:
                 f"{k} {pair['base']['metrics'][k]:.4g} -> {pair['head']['metrics'][k]:.4g}"
                 for k in ("latency_p50_s", "throughput_rps")), flush=True)
         report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec)}
+        if args.trace_seed is not None:
+            layers = {"seed": args.trace_seed}
+            for side, root in roots.items():
+                layers[side] = run_once(root, workload, args.trace_seed, args.seconds, trace=1)
+            report["workloads"][workload]["layers"] = layers
+            base, head = layers["base"]["metrics"], layers["head"]["metrics"]
+            moved = [f"{k} {base[k]:.4g} -> {head[k]:.4g}" for k in base
+                     if k.endswith(".calls") and base[k] != head.get(k)]
+            print(f"{workload} traced seed {args.trace_seed}: "
+                  + (", ".join(moved) or "no call count moved"), flush=True)
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
