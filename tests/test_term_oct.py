@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from octoterm import presburger, program, ranking, term_oct
+from octoterm import presburger, program, term_oct
 from octoterm.closure import reflexive_transitive_closure
 from octoterm.octagon import (
     bottom,
