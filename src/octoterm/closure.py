@@ -3,7 +3,8 @@
 The tight dual matrices of the powers R^1, R^2, ... of an octagonal
 relation form an (eventually) periodic matrix sequence: beyond a prefix b,
 matrices a period c apart differ by constant rate matrices.  This module
-guesses (b, c) from computed powers and then *certifies* the guess:
+guesses (b, c) from computed powers, in the order of the highest power
+each guess reads, and then *certifies* the guess:
 
   * at the plain-DBM level, the one-period composition step is replayed on
     the parametric matrix ``base + k*rate`` with the parametric
@@ -56,7 +57,8 @@ class OperationCancelled(Exception):
 @dataclass(frozen=True)
 class NotStarConsistent:
     """R dies at ``power`` and no period certificate covers a live power:
-    the death came before any candidate, or the certified tight form
+    the scan met the death before it certified a candidate (every candidate
+    that reads only live powers was rejected), or the certified tight form
     starts past it.  R* is then the identity and R^1 .. R^(power-1)."""
 
     power: int  # least n with R^n inconsistent
@@ -142,6 +144,8 @@ class _PowerCache:
         self.live = 0  # R^n is non-empty for every n <= live
         self.d: dict[int, Dbm] = {}
         self.t: dict[int, Dbm] = {}
+        self.steadies: dict[tuple[int, int], bool] = {}
+        self.horizon = 0  # the highest power the scan reads
         self.dead: int | None = None  # least inconsistent power
         if t.is_bottom:
             self.dead = 1
@@ -184,6 +188,19 @@ class _PowerCache:
         self.ensure(n)
         return self.d[n]
 
+    def refute(self, n: int) -> None:
+        """Some candidate's forms miss the live power R^n: compute the
+        powers up to n, as far as the horizon, so that later candidates are
+        filtered against them."""
+        self.ensure(min(n, self.horizon))
+
+    def steady(self, n: int, c: int) -> bool:
+        """D(n + c) - D(n) == D(n + 2c) - D(n + c), each pair compared once."""
+        key = (n, c)
+        if key not in self.steadies:
+            self.steadies[key] = _steady(self.d[n], self.d[n + c], self.d[n + 2 * c])
+        return self.steadies[key]
+
 
 def _diff(a: Dbm, b: Dbm):
     """Rate matrix b - a; None on INF/finite mismatch (INF-INF rate is INF)."""
@@ -201,21 +218,29 @@ def _diff(a: Dbm, b: Dbm):
     return Dbm(rows)
 
 
-def _scan_candidate(seq, b: int, c: int):
-    """Rates when three consecutive period-spaced differences agree."""
-    rates = []
-    for i in range(c):
-        d1 = _diff(seq(b + i), seq(b + i + c))
-        if d1 is None:
-            return None
-        d2 = _diff(seq(b + i + c), seq(b + i + 2 * c))
-        if d2 is None or d2.rows != d1.rows:
-            return None
-        d3 = _diff(seq(b + i + 2 * c), seq(b + i + 3 * c))
-        if d3 is None or d3.rows != d1.rows:
-            return None
-        rates.append(d1)
-    return rates
+def _steady(a: Dbm, m: Dbm, z: Dbm) -> bool:
+    """Is m - a == z - m, with INF exactly where all three are INF?  That is
+    ``_diff(a, m) == _diff(m, z)``, both defined, without building either."""
+    for ra, rm, rz in zip(a.rows, m.rows, z.rows):
+        if ra == rm == rz:
+            continue
+        for va, vm, vz in zip(ra, rm, rz):
+            if vm == INF:
+                if va != INF or vz != INF:
+                    return False
+            elif va == INF or vz == INF or vm - va != vz - vm:
+                return False
+    return True
+
+
+def _scan_candidate(cache: _PowerCache, b: int, c: int):
+    """Rates when the period-spaced differences agree over every computed
+    power from b on: three times in a row at least, as the powers b .. b +
+    4c - 1 must be computed.  A certificate predicts every live power, so
+    no candidate dropped here would be accepted."""
+    if not all(cache.steady(n, c) for n in range(b, max(cache.d) - 2 * c + 1)):
+        return None
+    return [_diff(cache.d[b + i], cache.d[b + i + c]) for i in range(c)]
 
 
 def _first_negative(t0: int, t1: int) -> int | None:
@@ -324,6 +349,7 @@ def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]
             return False, None
         fail = _first_failure(closed, base, rate)
         if fail is not None and not cache.empty(b + i + (fail + 1) * c):
+            cache.refute(b + i + (fail + 1) * c)
             return False, None
         steps.append((closed, fail))
     dead = None
@@ -342,6 +368,7 @@ def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]
         return False, None
     nxt = compose_closed(dbm_add_rate(cache.plain(b + i), rates[i], k), plain_c)
     if nxt is not None and halving_consistent(nxt):
+        cache.refute(dead)
         return False, None
     return True, dead
 
@@ -415,13 +442,45 @@ def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms):
         d = _diff(tval(n), tval(n + c))
         return d is not None and d == _diff(tval(n + c), tval(n + 2 * c))
 
-    c = next(c for c in range(1, c_t + 1)
-             if c_t % c == 0 and all(repeats(n, c) for n in range(b_t, b_t + 2 * c_t)))
+    c = next((c for c in range(1, c_t)
+              if c_t % c == 0 and all(repeats(n, c) for n in range(b_t, b_t + 2 * c_t))), c_t)
     b = b_t
     while b > 1 and repeats(b - 1, c):
         b -= 1
+    if (b, c) == (b_t, c_t):
+        return b, c, [base for base, _ in forms], [rate for _, rate in forms]
     bases = [tval(b + i) for i in range(c)]
     return b, c, bases, [_diff(tval(b + i), tval(b + i + c)) for i in range(c)]
+
+
+def _certify(cache: _PowerCache, b: int, c: int):
+    """The certificate that candidate (b, c) yields, or NotStarConsistent,
+    or None when the candidate is rejected.  The powers up to b + 4c - 1
+    must be computed.
+
+    Certifies the plain-DBM level with the parametric closure, up to the
+    death index when R dies, then derives the tight forms, cross-checks
+    them against the computed live tight powers and minimizes them."""
+    rates_d = _scan_candidate(cache, b, c)
+    if rates_d is None:
+        return None
+    ok, dead = _verify_dbm_certificate(cache, b, c, rates_d)
+    if not ok:
+        return None
+    b_t, c_t, forms = _derive_tight_tail(cache, b, c, rates_d, dead)
+    top_n = b_t + 3 * c_t + 1
+    if dead is not None:
+        if b_t >= dead:
+            # the tight form starts past the death: no live power needs
+            # it, and the relation is its list of powers
+            return NotStarConsistent(dead)
+        top_n = min(top_n, dead - 1)
+    if not cache.ensure(top_n):
+        return NotStarConsistent(cache.dead)
+    if not all(_form_at(forms, b_t, c_t, n) == cache.tight(n) for n in range(b_t, top_n + 1)):
+        return None
+    bm, cm, bases, rates = _minimize(cache, b_t, c_t, forms)
+    return PeriodCertificate(cache.N, bm, cm, bases, rates, dead)
 
 
 def detect_period(
@@ -430,47 +489,37 @@ def detect_period(
     max_b: int = 64,
     max_c: int = 64,
     cancel: Callable[[], bool] | None = None,
+    cache: _PowerCache | None = None,
 ):
     """Certificate for the tight power sequence, or NotFound/NotStarConsistent.
 
-    Scans computed powers for a (prefix, period) pair whose period-spaced
-    differences agree three times in a row, certifies the plain-DBM level
-    with the parametric closure up to the death index when R dies, then
-    derives and minimizes the tight certificate, cross-checking it against
-    the computed live powers.
+    Tries the candidates (b, c), b <= max_b and c <= max_c, with
+    ``_certify``.  A candidate reads the powers up to need = b + 4c - 1, so
+    the candidates go by rising need, and by rising c within one need: a
+    power is computed only once some candidate reads it, and a relation of
+    period 5 builds about 20 powers, not the 67 that the b <= 64 of c = 1
+    would read first.  When R dies at power d, every candidate that reads
+    only live powers has been tried once the scan needs R^d.  A candidate
+    whose replay fails at a live power has the powers up to it computed
+    (``_PowerCache.refute``, as far as the highest need), and
+    ``_scan_candidate`` compares the differences over every computed power,
+    so one failure drops the later candidates that it refutes too.
+
+    ``cache`` is the power cache of ``rel`` to scan with, by default a new
+    one; a caller that passes its own can read the powers computed.
     """
-    cache = _PowerCache(rel, n_program_vars, cancel)
+    if cache is None:
+        cache = _PowerCache(rel, n_program_vars, cancel)
     if cache.dead is not None:
         return NotStarConsistent(cache.dead)
-
-    for c in range(1, max_c + 1):
-        for b in range(1, max_b + 1):
-            # _scan_candidate reads powers up to b + 4c - 1
-            need = b + 4 * c - 1
-            if not cache.ensure(need):
-                return NotStarConsistent(cache.dead)
-            rates_d = _scan_candidate(cache.plain, b, c)
-            if rates_d is None:
-                continue
-            ok, dead = _verify_dbm_certificate(cache, b, c, rates_d)
-            if not ok:
-                continue
-            b_t, c_t, forms = _derive_tight_tail(cache, b, c, rates_d, dead)
-            top_n = b_t + 3 * c_t + 1
-            if dead is not None:
-                if b_t >= dead:
-                    # the tight form starts past the death: no live power
-                    # needs it, and the relation is its list of powers
-                    return NotStarConsistent(dead)
-                top_n = min(top_n, dead - 1)
-            # cross-check the derived forms against the live tight powers
-            if not cache.ensure(top_n):
-                return NotStarConsistent(cache.dead)
-            if not all(_form_at(forms, b_t, c_t, n) == cache.tight(n)
-                       for n in range(b_t, top_n + 1)):
-                continue
-            bm, cm, bases, rates = _minimize(cache, b_t, c_t, forms)
-            return PeriodCertificate(n_program_vars, bm, cm, bases, rates, dead)
+    cache.horizon = max_b + 4 * max_c - 1
+    for need in range(4, cache.horizon + 1):
+        if not cache.ensure(need):
+            return NotStarConsistent(cache.dead)
+        for c in range(max(1, -(-(need + 1 - max_b) // 4)), min(max_c, need // 4) + 1):
+            res = _certify(cache, need - 4 * c + 1, c)
+            if res is not None:
+                return res
     return NotFound()
 
 
@@ -543,15 +592,17 @@ def reflexive_transitive_closure(
     The members are the powers R^1 .. R^(p-1), p = min(b, dead), then one
     ParamOct per residue of the period that covers a live power; a family
     of a dying relation stops at the last live k.  A relation that dies
-    before any period candidate is its list of powers.  Exact whenever a
-    certificate is found or the relation dies; otherwise falls back to the
-    universal relation with exact=False.
+    before the scan certifies a candidate is its list of powers.  The
+    powers are the tight ones the scan of ``detect_period`` computed, read
+    from its cache (the scan reads every power below b, and below dead).
+    Exact whenever a certificate is found or the relation dies; otherwise
+    falls back to the universal relation with exact=False.
     """
     N = n_program_vars
-    res = detect_period(rel, N, max_b, max_c, cancel)
+    cache = _PowerCache(rel, N, cancel)
+    res = detect_period(rel, N, max_b, max_c, cancel, cache)
     if isinstance(res, NotFound):
         return ParamOctUnion(N, [top(2 * N)], reflexive=True, exact=False)
-    members: list = []
     families: list = []
     if isinstance(res, NotStarConsistent):
         b = dead = res.power
@@ -561,9 +612,6 @@ def reflexive_transitive_closure(
             k_max = None if dead is None else (dead - 1 - b - i) // res.c
             if k_max is None or k_max >= 0:
                 families.append(ParamOct(N, res.bases[i], res.rates[i], k_max))
-    rel = tight_close(rel)
-    power = rel
-    for _ in range(1, b if dead is None else min(b, dead)):
-        members.append(power)
-        power = oct_compose(power, rel, N)
+    last = b if dead is None else min(b, dead)
+    members = [Octagon(2 * N, cache.tight(n), tight=True) for n in range(1, last)]
     return ParamOctUnion(N, members + families, reflexive=True, exact=True)

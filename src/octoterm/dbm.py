@@ -163,16 +163,8 @@ def dbm_add_rate(a: Dbm, rate: Dbm, n: int) -> Dbm:
     """Entrywise a + n*rate; INF absorbs (in either operand)."""
     if a.dim != rate.dim:
         raise ValueError("dimension mismatch")
-    out = []
-    for ra, rl in zip(a.rows, rate.rows):
-        row = []
-        for x, l in zip(ra, rl):
-            if x == INF or l == INF:
-                row.append(INF)
-            else:
-                row.append(x + n * l)
-        out.append(row)
-    return Dbm(out)
+    return Dbm([[INF if x == INF or l == INF else x + n * l for x, l in zip(ra, rl)]
+                for ra, rl in zip(a.rows, rate.rows)])
 
 
 def compose_matrix(a: Dbm, b: Dbm, half: int) -> Dbm:

@@ -20,6 +20,14 @@ through the middle block only.  Every entry of a closed operand already
 stands for a whole path of that operand, so in the glued matrix it is one
 edge, and lengths start at 1 again.
 
+The kernels are sparse, as ``dbm._close`` is: ``param_fw``, ``glue`` and
+``param_tighten`` work only on the cells that hold a bound, and call
+``min_terms`` only on a cell of two tuples or more.  A pivot round of
+``param_fw`` lists the nonempty cells of the pivot row once, and again
+after the pivot's own row, which may change them; a pivot whose only
+cycle is the empty path leaves its row and column as they are.  The
+entries, their order and ``capped`` are those of the dense loops.
+
 ``min_terms`` is one sorted Pareto sweep for both terms and pairs.  It
 sorts the unique tuples and compares each one only with the tuples already
 kept.  That is exact: lexicographic order extends componentwise <=, so a
@@ -86,14 +94,9 @@ class ExtParamDbm:
         """base + sum_p k_p * rates[p]; rate ignored where base is INF."""
         e = []
         for i, brow in enumerate(base.rows):
-            row = []
-            for j, b in enumerate(brow):
-                if b == INF:
-                    row.append(())
-                else:
-                    rs = [r.rows[i][j] for r in rates]
-                    row.append(((b, *(0 if v == INF else v for v in rs)),))
-            e.append(row)
+            rrows = [r.rows[i] for r in rates]
+            e.append([() if b == INF else ((b, *(0 if rr[j] == INF else rr[j] for rr in rrows)),)
+                      for j, b in enumerate(brow)])
         return cls(base.dim, len(rates), e)
 
 
@@ -103,19 +106,16 @@ def glue(a: ExtParamDbm, b: ExtParamDbm) -> ExtParamDbm:
     two blocks, b on the last two, and the middle block the pointwise
     minimum of a's primed and b's unprimed block."""
     blk = a.dim // 2
-    ea, eb = a.entries, b.entries
-    dim3 = 3 * blk
-    glued = [[() for _ in range(dim3)] for _ in range(dim3)]
-    for i in range(blk):
-        for j in range(blk):
-            glued[i][j] = ea[i][j]
-            glued[i][blk + j] = ea[i][blk + j]
-            glued[blk + i][j] = ea[blk + i][j]
-            glued[blk + i][blk + j] = min_terms(ea[blk + i][blk + j] + eb[i][j])
-            glued[blk + i][2 * blk + j] = eb[i][blk + j]
-            glued[2 * blk + i][blk + j] = eb[blk + i][j]
-            glued[2 * blk + i][2 * blk + j] = eb[blk + i][blk + j]
-    return ExtParamDbm(dim3, a.nparams, glued)
+    pad = [()] * blk
+    glued = [[*ra, *pad] for ra in a.entries[:blk]]
+    for ra, rb in zip(a.entries[blk:], b.entries[:blk]):
+        mid = []
+        for x, y in zip(ra[blk:], rb[:blk]):
+            both = x + y
+            mid.append(min_terms(both) if len(both) > 1 else both)
+        glued.append([*ra[:blk], *mid, *rb[blk:]])
+    glued += [[*pad, *rb] for rb in b.entries[blk:]]
+    return ExtParamDbm(3 * blk, a.nparams, glued)
 
 
 def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
@@ -160,48 +160,63 @@ def param_fw(m: ExtParamDbm, pivots: Sequence[int] | None = None) -> ExtParamDbm
     origin = (0,) * (m.nparams + 2)  # the empty path: zero term, length 0
     work: list[list[tuple[Term, ...]]] = []
     for i, erow in enumerate(m.entries):
-        row = []
-        for j, terms in enumerate(erow):
-            pairs = [t + (1,) for t in terms]
-            if i == j:
-                pairs.append(origin)
-            row.append(min_terms(pairs))
+        row = [((terms[0] + (1,),) if len(terms) == 1 else
+                min_terms([t + (1,) for t in terms])) if terms else ()
+               for terms in erow]
+        row[i] = min_terms(row[i] + (origin,)) if row[i] else (origin,)
         work.append(row)
     for cap, k in enumerate(range(dim) if pivots is None else pivots, 2):
         rowk = work[k]
-        for i in range(dim):
-            wik = work[i][k]
+        # When the empty path is the only cycle through k, a path to or from
+        # k extended through k is the path itself: the round leaves row k
+        # and column k as they are, but for the cap on a wide input cell.
+        bare = rowk[k] == (origin,)
+        out = [(j, w) for j, w in enumerate(rowk) if w and not (bare and j == k)]
+        for i, rowi in enumerate(work):
+            wik = rowi[k]
             if not wik:
                 continue
-            rowi = work[i]
-            for j in range(dim):
-                wkj = rowk[j]
-                if not wkj:
+            if bare:
+                for j in (range(dim) if i == k else (k,)):
+                    if len(rowi[j]) > MAX_ANTICHAIN:
+                        rowi[j] = rowi[j][:MAX_ANTICHAIN]
+                        capped = True
+                if i == k:
+                    out = [(j, w) for j, w in enumerate(rowk) if w and j != k]
                     continue
+            for j, wkj in out:
                 cell = rowi[j]
-                new = [
+                new = tuple([
                     tuple(map(add, a, b))
                     for a in wik
                     for b in wkj
                     if a[-1] + b[-1] <= cap
-                ]
+                ])
                 if new:
-                    cell = min_terms(cell + tuple(new))
+                    cell = min_terms(cell + new) if cell or len(new) > 1 else new
                 if len(cell) > MAX_ANTICHAIN:
                     cell = cell[:MAX_ANTICHAIN]
                     capped = True
                 rowi[j] = cell
-    entries = [[tuple(p[:-1] for p in cell) for cell in row] for row in work]
+            if i == k:  # the pivot row itself may have gained cells
+                out = [(j, w) for j, w in enumerate(rowk) if w]
+    entries = [[tuple([p[:-1] for p in cell]) if cell else () for cell in row]
+               for row in work]
     return ExtParamDbm(dim, m.nparams, entries, capped)
 
 
-def param_tighten(entries, dim: int) -> list:
+def param_tighten(entries, dim: int, keep: Sequence[int] | None = None) -> list:
     """Parametric tight closure of closed entries, one matrix per case.
 
     Tightening halves the (p, bar p) entries: m[p][q] = min(m[p][q],
     floor(m[p][bar p] / 2) + floor(m[bar q][q] / 2)).  Halving a term with
     an odd rate needs the parameter's parity, so such parameters are split
     (k -> 2k+r, one case per residue r), which keeps every floor exact.
+
+    Only the cells between indices of ``keep`` (default: every index) and
+    the diagonal cells are tightened; the others are None.  A caller that
+    erases the other indices still reads their diagonal, which carries the
+    emptiness of the matrix.  ``keep`` must hold p ^ 1 with every p.
     """
     for p in range(dim):
         for t in entries[p][p ^ 1]:
@@ -214,19 +229,26 @@ def param_tighten(entries, dim: int) -> list:
                                    for u in cell) for cell in row]
                             for row in entries
                         ]
-                        cases.extend(param_tighten(sub, dim))
+                        cases.extend(param_tighten(sub, dim, keep))
                     return cases
     halves = [[tuple(x // 2 for x in t) for t in entries[p][p ^ 1]] for p in range(dim)]
-    tightened = []
+
+    def tight(p: int, q: int) -> tuple[Term, ...]:
+        terms = entries[p][q]
+        if halves[p] and halves[q ^ 1]:
+            terms = (*terms, *(tuple(map(add, h1, h2))
+                               for h1 in halves[p] for h2 in halves[q ^ 1]))
+        return min_terms(terms) if len(terms) > 1 else tuple(terms)
+
+    kept = range(dim) if keep is None else keep
+    tightened = [[None] * dim for _ in range(dim)]
+    for p in kept:
+        row = tightened[p]
+        for q in kept:
+            row[q] = tight(p, q)
     for p in range(dim):
-        row = []
-        for q in range(dim):
-            terms = list(entries[p][q])
-            for h1 in halves[p]:
-                for h2 in halves[q ^ 1]:
-                    terms.append(tuple(map(add, h1, h2)))
-            row.append(min_terms(terms))
-        tightened.append(row)
+        if tightened[p][p] is None:
+            tightened[p][p] = tight(p, p)
     return [tightened]
 
 

@@ -245,8 +245,9 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     inconsistent, its own closed diagonal is already negative in the glued
     matrix.
 
-    The middle block is erased after tightening, but its diagonal terms
-    are kept as parameter rows ``0 <= t`` on the diagonal: they carry the
+    The middle block is erased after tightening, so only the kept entries
+    and the middle diagonal are tightened; those diagonal terms are kept as
+    parameter rows ``0 <= t`` on the diagonal: they carry the
     emptiness of the composition (a negative constant when there are no
     parameters, after the integer halving of ``param_tighten`` too).  A
     parameter-free member built this way is a closed, tightly closed
@@ -282,7 +283,7 @@ def _compose_param_oct(a: LinRel, b: LinRel):
         return None
     keep = list(range(blk)) + list(range(2 * blk, dim3))
     out = []
-    for entries in param_tighten(closed.entries, dim3):
+    for entries in param_tighten(closed.entries, dim3, keep):
         erased = [[entries[p][q] for q in keep] for p in keep]
         erased[0][0] = min_terms(erased[0][0] + sum(
             (entries[p][p] for p in range(blk, 2 * blk)), ()))

@@ -488,7 +488,7 @@ def test_middle_block_replay_matches_every_pivot(monkeypatch):
             for b in range(1, 9):
                 if not cache.ensure(b + 4 * c - 1):
                     break
-                rates = closure_module._scan_candidate(cache.plain, b, c)
+                rates = closure_module._scan_candidate(cache, b, c)
                 if rates is None:
                     continue
                 seen.clear()
@@ -510,3 +510,144 @@ def test_middle_block_replay_matches_every_pivot(monkeypatch):
                         assert cache.plain(m) == dbm_add_rate(
                             cache.plain(b + i), rates[i], k), (rel, b, c, m)
     assert compared >= 150 and rejected >= 10 and dying >= 20 and capped_accepted >= 1
+
+
+# ---------------------------------------------------------------------------
+# the need-ordered scan against the nested (c, b) scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def nested_scan(rel, n_vars, max_b=64, max_c=64, cancel=None, cache=None):
+    """The scan that tried c = 1 at every b <= max_b, then c = 2, and so on;
+    each candidate is certified as ``detect_period`` certifies it."""
+    if cache is None:
+        cache = closure_module._PowerCache(rel, n_vars)
+    if cache.dead is not None:
+        return NotStarConsistent(cache.dead)
+    for c in range(1, max_c + 1):
+        for b in range(1, max_b + 1):
+            if not cache.ensure(b + 4 * c - 1):
+                return NotStarConsistent(cache.dead)
+            res = closure_module._certify(cache, b, c)
+            if res is not None:
+                return res
+    return NotFound()
+
+
+def diff_scan_candidate(cache, b, c):
+    """The rates test with ``_diff``: the first c period-spaced differences
+    from b on, when every later one over the computed powers repeats them."""
+    rates = [closure_module._diff(cache.plain(b + i), cache.plain(b + i + c))
+             for i in range(c)]
+    if None in rates:
+        return None
+    for n in range(b + c, max(cache.d) - c + 1):
+        d = closure_module._diff(cache.plain(n), cache.plain(n + c))
+        if d is None or d.rows != rates[(n - b) % c].rows:
+            return None
+    return rates
+
+
+def union_is_the_powers(u, powers):
+    """Do the instances of u, identity aside, enumerate exactly the
+    given powers, each once?"""
+    instances = [m for m in u.members if isinstance(m, Octagon)]
+    for fam in u.members:
+        if isinstance(fam, ParamOct):
+            instances += [fam.instantiate(j) for j in range(fam.k_max + 1)]
+    return len(instances) == len(powers) and all(
+        sum(oct_eq(m, p) for m in instances) == 1 for p in powers)
+
+
+def test_scan_candidate_matches_the_period_spaced_differences():
+    rng = random.Random(5)
+    checked = passed = 0
+    for _ in range(40):
+        n = rng.choice((1, 2))
+        cache = closure_module._PowerCache(flip_decrement_relation(rng, n), n)
+        if cache.dead is not None:
+            continue
+        for c in (1, 2, 3):
+            for b in range(1, 10):
+                if not cache.ensure(b + 4 * c - 1):
+                    break
+                got = closure_module._scan_candidate(cache, b, c)
+                want = diff_scan_candidate(cache, b, c)
+                assert got == want, (b, c)
+                checked += 1
+                passed += got is not None
+    assert checked >= 300 and passed >= 50
+
+
+def test_need_ordered_scan_matches_the_nested_scan(monkeypatch):
+    """Equal results on 150 flip-and-decrement relations, but for one
+    allowed change: the nested scan met the death at d while it still tried
+    c = 1, and the need-ordered scan certified a larger period first, so a
+    certificate with dead == d stands where NotStarConsistent(d) stood.
+    Both closures are then exactly the powers R^1 .. R^(d-1)."""
+    rng = random.Random(7)
+    rels = []
+    for _ in range(150):
+        n = rng.choice((1, 2, 3))
+        rels.append((flip_decrement_relation(rng, n), n))
+    died_certified = []
+    for rel, n in rels:
+        want, got = nested_scan(rel, n), detect_period(rel, n)
+        if got == want:
+            continue
+        assert isinstance(want, NotStarConsistent), (rel, want, got)
+        assert isinstance(got, PeriodCertificate) and got.dead == want.power
+        died_certified.append((rel, n, want.power))
+    assert len(died_certified) == 5
+    for rel, n, dead in died_certified:
+        power, powers = tight_close(rel), []
+        for _ in range(1, dead):
+            powers.append(power)
+            power = oct_compose(power, rel, n)
+        assert power.is_bottom
+        assert union_is_the_powers(reflexive_transitive_closure(rel, n), powers)
+        with monkeypatch.context() as mp:
+            mp.setattr(closure_module, "detect_period", nested_scan)
+            assert union_is_the_powers(reflexive_transitive_closure(rel, n), powers)
+
+
+def test_scan_reads_powers_only_as_far_as_the_period_needs(monkeypatch):
+    """x_i' == x_(i+1 mod 5) and y' == y - 1 with y >= 0: period 5.  The
+    nested scan built every power up to 67 for c = 1 alone; the need-ordered
+    scan stops at the accepted candidate's b + 4c - 1 and the cross-check."""
+    atoms = []
+    for i in range(5):
+        atoms += [(1, 6 + i, -1, (i + 1) % 5, 0), (-1, 6 + i, 1, (i + 1) % 5, 0)]
+    atoms += [(1, 11, -1, 5, -1), (-1, 11, 1, 5, 1), (-1, 5, -1, 5, 0)]
+    rel = oct_encode(atoms, 12)
+    derived = []
+    derive = closure_module._derive_tight_tail
+
+    def spy(*args):
+        derived.append(derive(*args))
+        return derived[-1]
+
+    monkeypatch.setattr(closure_module, "_derive_tight_tail", spy)
+    cache = closure_module._PowerCache(rel, 6)
+    cert = detect_period(rel, 6, cache=cache)
+    assert isinstance(cert, PeriodCertificate) and (cert.b, cert.c) == (1, 5)
+    c_t = derived[-1][1]
+    assert max(cache.d) <= cert.b + 4 * cert.c + 3 * c_t + 1
+
+
+def test_rejected_candidate_filters_the_later_ones(monkeypatch):
+    """REJECTING dies at power 72.  Its first candidate to reach the replay
+    fails at a live power; the scan computes the powers up to it, and every
+    later candidate's differences then disagree over them: one replay in
+    all, where the scan that read only b .. b + 4c - 1 made 56 (c = 2,
+    b = 2 .. 57) and the need order alone 224."""
+    replays = []
+    verify = closure_module._verify_dbm_certificate
+
+    def spy(cache, b, c, rates):
+        replays.append((b, c))
+        return verify(cache, b, c, rates)
+
+    monkeypatch.setattr(closure_module, "_verify_dbm_certificate", spy)
+    assert detect_period(REJECTING, 2) == NotStarConsistent(72)
+    assert len(replays) == 1

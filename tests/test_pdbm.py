@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add
 from dataclasses import dataclass
 
 from octoterm import closure as closure_module
@@ -450,7 +451,7 @@ def test_capped_closure_rejects_certificate(monkeypatch):
     rel = oct_encode([(-1, 0, -1, 0, 0), (1, 1, -1, 0, -1), (-1, 1, 1, 0, 1)], 2)
     cache = closure_module._PowerCache(rel, 1)
     assert cache.ensure(5)
-    rates = closure_module._scan_candidate(cache.plain, 1, 1)
+    rates = closure_module._scan_candidate(cache, 1, 1)
     assert rates is not None
     # (accepted, death power): the relation never dies
     assert closure_module._verify_dbm_certificate(cache, 1, 1, rates) == (True, None)
@@ -469,3 +470,194 @@ def test_capped_composition_falls_back_to_elimination():
     want = _compose_members(a, b)
     assert want and compose_members(a, b) == tuple(
         n for m in want for n in _normalize_member(m))
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against the dense loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_param_fw(m, pivots=None):
+    """The dense closure: every cell of every row in every round."""
+    dim = m.dim
+    capped = m.capped
+    origin = (0,) * (m.nparams + 2)
+    work = []
+    for i, erow in enumerate(m.entries):
+        row = []
+        for j, terms in enumerate(erow):
+            pairs = [t + (1,) for t in terms]
+            if i == j:
+                pairs.append(origin)
+            row.append(min_terms(pairs))
+        work.append(row)
+    for cap, k in enumerate(range(dim) if pivots is None else pivots, 2):
+        rowk = work[k]
+        for i in range(dim):
+            wik = work[i][k]
+            if not wik:
+                continue
+            rowi = work[i]
+            for j in range(dim):
+                wkj = rowk[j]
+                if not wkj:
+                    continue
+                cell = rowi[j]
+                new = [tuple(map(add, a, b)) for a in wik for b in wkj
+                       if a[-1] + b[-1] <= cap]
+                if new:
+                    cell = min_terms(cell + tuple(new))
+                if len(cell) > MAX_ANTICHAIN:
+                    cell = cell[:MAX_ANTICHAIN]
+                    capped = True
+                rowi[j] = cell
+    entries = [[tuple(p[:-1] for p in cell) for cell in row] for row in work]
+    return ExtParamDbm(dim, m.nparams, entries, capped)
+
+
+def dense_param_tighten(entries, dim):
+    """The dense tightening: min_terms on every cell of every case."""
+    for p in range(dim):
+        for t in entries[p][p ^ 1]:
+            for pi in range(1, len(t)):
+                if t[pi] % 2 != 0:
+                    cases = []
+                    for r in (0, 1):
+                        sub = [[tuple((u[0] + u[pi] * r, *u[1:pi], 2 * u[pi], *u[pi + 1:])
+                                      for u in cell) for cell in row] for row in entries]
+                        cases.extend(dense_param_tighten(sub, dim))
+                    return cases
+    halves = [[tuple(x // 2 for x in t) for t in entries[p][p ^ 1]] for p in range(dim)]
+    tightened = []
+    for p in range(dim):
+        row = []
+        for q in range(dim):
+            terms = list(entries[p][q])
+            for h1 in halves[p]:
+                for h2 in halves[q ^ 1]:
+                    terms.append(tuple(map(add, h1, h2)))
+            row.append(min_terms(terms))
+        tightened.append(row)
+    return [tightened]
+
+
+def dense_glue(a, b):
+    """The dense glue: every cell of the 3-block matrix set one by one."""
+    blk = a.dim // 2
+    ea, eb = a.entries, b.entries
+    dim3 = 3 * blk
+    glued = [[() for _ in range(dim3)] for _ in range(dim3)]
+    for i in range(blk):
+        for j in range(blk):
+            glued[i][j] = ea[i][j]
+            glued[i][blk + j] = ea[i][blk + j]
+            glued[blk + i][j] = ea[blk + i][j]
+            glued[blk + i][blk + j] = min_terms(ea[blk + i][blk + j] + eb[i][j])
+            glued[blk + i][2 * blk + j] = eb[i][blk + j]
+            glued[2 * blk + i][blk + j] = eb[blk + i][j]
+            glued[2 * blk + i][2 * blk + j] = eb[blk + i][blk + j]
+    return ExtParamDbm(dim3, a.nparams, glued)
+
+
+def random_sparse_cell(rng, nparams, i, j):
+    """Empty (half the draws), one term, or up to four terms in no order,
+    with duplicates and dominated terms among them; a diagonal cell draws
+    from lower constants, so some pivots carry cycles of their own."""
+    roll = rng.random()
+    if roll < 0.5:
+        return ()
+    low = -3 if i == j else -2
+    n = 1 if roll < 0.8 else rng.randint(2, 4)
+    terms = [(rng.randint(low, 5),) + tuple(rng.randint(-1, 1) for _ in range(nparams))
+             for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        terms.append(terms[0])
+    return tuple(terms)
+
+
+def random_sparse_matrix(rng, dim, nparams, wide_share=0.25):
+    """Sparse cells, and in a ``wide_share`` of the draws a cell (i, j)
+    wider than ``MAX_ANTICHAIN``; the wide cell is returned too, or None."""
+    entries = [[random_sparse_cell(rng, nparams, i, j) for j in range(dim)]
+               for i in range(dim)]
+    wide = None
+    if rng.random() < wide_share:
+        wide = rng.randrange(dim), rng.randrange(dim)
+        consts = rng.sample(range(-10, 90), MAX_ANTICHAIN + rng.randint(-4, 8))
+        entries[wide[0]][wide[1]] = tuple(
+            (c, -c) + tuple(rng.randint(0, 1) for _ in range(nparams - 1)) for c in consts)
+    return ExtParamDbm(dim, nparams, entries), wide
+
+
+def test_sparse_param_fw_matches_the_dense_loops():
+    """Equal entries and ``capped`` on sparse matrices, with cycles on
+    pivots, pivot subsets, and wide cells that the cap cuts on a visit or,
+    when no pivot reaches them, leaves as they came."""
+    rng = random.Random(61)
+    seen = {"capped": 0, "wide_left": 0, "cycle_pivot": 0, "subset": 0}
+    for _ in range(250):
+        dim = rng.randint(1, 6)
+        m, wide = random_sparse_matrix(rng, dim, rng.randint(1, 2), 0.15)
+        pivots = None
+        if wide is not None and rng.random() < 0.6:
+            # no pivot, or one pivot, at an end of the wide cell
+            pivots = [k for k in range(dim) if k not in wide] + rng.choice(([], [wide[0]]))
+        elif rng.random() < 0.4:
+            pivots = rng.sample(range(dim), rng.randint(1, dim))
+        seen["subset"] += pivots is not None
+        got, want = param_fw(m, pivots), dense_param_fw(m, pivots)
+        assert got.entries == want.entries
+        assert got.capped == want.capped
+        seen["capped"] += got.capped
+        seen["wide_left"] += wide is not None and len(got.entries[wide[0]][wide[1]]) > MAX_ANTICHAIN
+        seen["cycle_pivot"] += any(len(m.entries[k][k]) for k in range(dim))
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_pivot_row_relisted_after_its_own_round():
+    # pivot 0 carries the loop 0 -> 0 of weight -1 + k: in its round, the
+    # second (cap: paths of 3 edges), row 0 gains the pair 0 -> 0 -> 1, and
+    # row 2, later in the same round, must extend 2 -> 0 by that pair
+    m = ExtParamDbm(3, 1, [
+        [((-1, 1),), ((0, 0),), ()],
+        [(), (), ()],
+        [((0, 0),), (), ()],
+    ])
+    got = param_fw(m, [1, 0])
+    assert got.entries == dense_param_fw(m, [1, 0]).entries
+    assert got.entries[0][1] == ((-1, 1), (0, 0))
+    assert got.entries[2][1] == ((-1, 1), (0, 0))
+
+
+def test_sparse_param_tighten_matches_the_dense_loops():
+    rng = random.Random(67)
+    checked = split = 0
+    while checked < 100:
+        dim = 2 * rng.randint(1, 3)
+        closed = param_fw(random_sparse_matrix(rng, dim, rng.randint(1, 2), 0)[0])
+        if closed.capped or any(len(closed.entries[p][p ^ 1]) > 4 for p in range(dim)):
+            continue
+        want = dense_param_tighten(closed.entries, dim)
+        assert param_tighten(closed.entries, dim) == want
+        # keep whole variables (p with p ^ 1), and read the diagonal too
+        keep = sorted(p for v in rng.sample(range(dim // 2), rng.randint(1, dim // 2))
+                      for p in (2 * v, 2 * v + 1))
+        for got_case, want_case in zip(param_tighten(closed.entries, dim, keep), want):
+            for p in range(dim):
+                for q in range(dim):
+                    if p == q or (p in keep and q in keep):
+                        assert got_case[p][q] == want_case[p][q]
+                    else:
+                        assert got_case[p][q] is None
+        checked += 1
+        split += len(want) > 1
+    assert split >= 15
+
+
+def test_sparse_glue_matches_the_dense_loops():
+    rng = random.Random(71)
+    for _ in range(200):
+        blk = 2 * rng.randint(1, 3)
+        nparams = rng.randint(1, 2)
+        a, b = (random_sparse_matrix(rng, blk * 2, nparams, 0.1)[0] for _ in range(2))
+        assert glue(a, b).entries == dense_glue(a, b).entries
