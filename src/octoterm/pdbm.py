@@ -38,7 +38,7 @@ also dominates the tuple.
 
 from __future__ import annotations
 
-from operator import add, le, mul
+from operator import add, le
 from typing import Iterable, Sequence
 
 from .dbm import INF, Dbm
@@ -116,22 +116,6 @@ def glue(a: ExtParamDbm, b: ExtParamDbm) -> ExtParamDbm:
         glued.append([*ra[:blk], *mid, *rb[blk:]])
     glued += [[*pad, *rb] for rb in b.entries[blk:]]
     return ExtParamDbm(3 * blk, a.nparams, glued)
-
-
-def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
-    """Instantiate: entry = min over term values, INF for empty sets."""
-    if len(valuation) != m.nparams:
-        raise ValueError("valuation arity mismatch")
-    rows = []
-    for erow in m.entries:
-        row = []
-        for terms in erow:
-            row.append(
-                min(sum(map(mul, t[1:], valuation), t[0]) for t in terms)
-                if terms else INF
-            )
-        rows.append(row)
-    return Dbm(rows)
 
 
 def param_fw(m: ExtParamDbm, pivots: Sequence[int] | None = None) -> ExtParamDbm:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, le
 
 from .affine import AffineRel, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
@@ -247,16 +248,18 @@ def _compose_param_oct(a: LinRel, b: LinRel):
 
     The middle block is erased after tightening, so only the kept entries
     and the middle diagonal are tightened; those diagonal terms are kept as
-    parameter rows ``0 <= t`` on the diagonal: they carry the
-    emptiness of the composition (a negative constant when there are no
-    parameters, after the integer halving of ``param_tighten`` too).  A
-    parameter-free member built this way is a closed, tightly closed
-    integer matrix with a nonnegative diagonal, so it is integer-consistent
-    and needs no LP; a parametric one still goes through the LP.  Dropping
-    that LP (and the one in ``_compose_members``) changes no output, since
-    ``_normalize_member`` drops empty members, but the empty members then
-    reach parameter elimination: step-2 BRANCHING took 46 s instead of
-    0.26 s.  A replacement must decide emptiness before any elimination.
+    parameter rows ``0 <= t`` on the diagonal: they carry the emptiness of
+    the composition (a negative constant when there are no parameters,
+    after the integer halving of ``param_tighten`` too).  Consistency is
+    read before ``_member_from_entries`` drops the path-implied terms: a
+    parameter-free member comes from a closed, tightly closed integer
+    matrix with a nonnegative diagonal, so it is integer-consistent and
+    needs no LP; a parametric one still goes through the LP.  The reduced
+    rows are no longer closed; ``_member_param_matrix`` closes them again.
+    Dropping that LP (and the one in ``_compose_members``) changes no
+    output, since ``_normalize_member`` drops empty members, but the empty
+    members then reach parameter elimination: step-2 BRANCHING took 46 s
+    instead of 0.26 s.  A replacement must decide emptiness first.
     """
     ea = _member_param_matrix(a)
     if ea is None:
@@ -293,22 +296,44 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     return out
 
 
+def _path_reduced(entries) -> list[list[tuple]]:
+    """The cells of a closed parametric dual matrix without path-implied
+    terms (Larsen, Larsson, Pettersson, Yi, RTSS 1997): an off-diagonal
+    term t of (p, q) goes when kept terms a of (p, k) and b of (k, q), k
+    not in {p, q}, have a + b <= t in every component, so their rows imply
+    it at all parameters >= 0.  One term goes at a time, against the terms
+    still kept, so a zero cycle (x = y) keeps one of two equivalent rows.
+    Diagonal terms all stay."""
+    kept = [list(row) for row in entries]
+    for p, row in enumerate(kept):
+        for q, cell in enumerate(row):
+            if p == q:
+                continue
+            for t in cell:
+                if any(all(map(le, map(add, a, b), t))
+                       for k, ak in enumerate(row) if ak and k != p and k != q
+                       for a in ak for b in kept[k][q]):
+                    row[q] = tuple(s for s in row[q] if s != t)
+    return kept
+
+
 def _member_from_entries(entries, nparams, variables) -> LinRel | None:
-    """Member rows from a closed tight parametric dual matrix."""
-    dim = len(entries)
+    """Member rows from the ``_path_reduced`` terms of a closed tight
+    parametric dual matrix; None when a diagonal term is a negative
+    constant."""
     names = _relation_names(variables)
     params = _param_names(nparams)
     rows = []
-    for p in range(dim):
-        for q in range(dim):
-            for t in entries[p][q]:
+    for p, row in enumerate(_path_reduced(entries)):
+        for q, cell in enumerate(row):
+            for t in cell:
                 bound = term_bound(t, params)
-                row = -bound if p == q else term_of_pair(p, q, names) - bound
-                if row.is_constant():
-                    if row.const > 0:
+                lin = -bound if p == q else term_of_pair(p, q, names) - bound
+                if lin.is_constant():
+                    if lin.const > 0:
                         return None
                     continue
-                rows.append((row, LE))
+                rows.append((lin, LE))
     conj = Conj.make(rows)
     return None if conj is None else _canonical(variables, conj, params)
 
@@ -706,12 +731,6 @@ def _summary(
     return edges.get((IN, OUT), []), exact, exhausted
 
 
-def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
-    """Post-image of the universal set under P*(init, q), as a DNF over x."""
-    members, exact = transitive_relation(p, p.init, q, budgets)
-    return _post_image(p, q, members), exact
-
-
 def _post_image(p: Program, q: str, members: list[LinRel]) -> Dnf:
     """Post-image of the universal set under the members of P+(init, q),
     plus the identity when q is the initial state."""
@@ -837,15 +856,3 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
 def _rotate_to(q: str, cycle: list[Transition]) -> list[Transition]:
     idx = next(i for i, t in enumerate(cycle) if t.source == q)
     return cycle[idx:] + cycle[:idx]
-
-
-def eliminate_params(u: ParamOctUnion, variables) -> Dnf:
-    """Quantifier-free DNF equivalent to the union of a closure's members."""
-    out = Dnf()
-    if u.reflexive:
-        ident = identity_member(tuple(variables))
-        out.add(ident.conj)
-    for m in _union_members(u, tuple(variables)):
-        for conj in member_cases(m):
-            out.add(conj)
-    return out

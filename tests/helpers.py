@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from octoterm.dbm import INF, Dbm
@@ -19,6 +20,17 @@ from octoterm.octagon import (
     oct_meet_raw,
     pre_image_set,
     tight_close,
+)
+from octoterm.pdbm import ExtParamDbm
+from octoterm.presburger import Dnf
+from octoterm.program import (
+    Budgets,
+    Program,
+    _post_image,
+    _union_members,
+    identity_member,
+    member_cases,
+    transitive_relation,
 )
 from octoterm.ranking import oct_to_linsys, var_names
 from octoterm.term_oct import fast_power, wnt
@@ -240,3 +252,30 @@ def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
         return True
     sys = oct_to_linsys(proj, var_names(n_program_vars)[: n_program_vars])
     return isinstance(lp_inf(sys, f), Value)
+
+
+def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
+    """Post-image of the universal set under P*(init, q), as a DNF over x."""
+    members, exact = transitive_relation(p, p.init, q, budgets)
+    return _post_image(p, q, members), exact
+
+
+def eliminate_params(u, variables) -> Dnf:
+    """Quantifier-free DNF equivalent to the union of a closure's members
+    (a ``closure.ParamOctUnion``)."""
+    out = Dnf()
+    if u.reflexive:
+        out.add(identity_member(tuple(variables)).conj)
+    for m in _union_members(u, tuple(variables)):
+        for conj in member_cases(m):
+            out.add(conj)
+    return out
+
+
+def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
+    """Instantiate a parametric DBM: entry = min over term values, INF for
+    empty sets."""
+    if len(valuation) != m.nparams:
+        raise ValueError("valuation arity mismatch")
+    return Dbm([[min(sum(map(mul, t[1:], valuation), t[0]) for t in terms) if terms else INF
+                 for terms in erow] for erow in m.entries])

@@ -33,7 +33,7 @@ from octoterm.octagon import (
     top,
 )
 from octoterm.oracle import BoxDomain, eval_membership, live_points
-from octoterm.pdbm import ExtParamDbm, eval_at, param_fw
+from octoterm.pdbm import ExtParamDbm, param_fw
 from octoterm.presburger import conj_implies, Conj
 from octoterm.program import member_cases, nt_program, parse_program, transitive_relation
 from octoterm.ranking import (
@@ -50,6 +50,7 @@ from helpers import (
     BRANCHING_PROGRAM,
     TIGHT_EXAMPLE_GOLDEN,
     TWO_PHASE_PROGRAM,
+    eval_at,
     is_bounded_below,
     periodic_relation,
     random_guarded_relation,
@@ -226,19 +227,15 @@ def test_acceptance_4_program_goldens():
               "(entailment + box agreement)")
 
 
-def test_acceptance_4_step2_branching_converges():
+def _nt_program_within(program, limit: int, what: str):
+    """nt_program under a SIGALRM alarm, and its wall time: a return to
+    non-convergence fails the test instead of hanging it."""
     import signal
     import time
 
-    # step 2 puts parity atoms into the loop summaries; saturation reaches
-    # its fixpoint only when subsumption sees through them.  The alarm
-    # turns a return to non-convergence into a failure, not a hang.
-    limit = 20
-
     def expire(signum, frame):
-        raise AssertionError(f"step-2 BRANCHING did not finish within {limit}s")
+        raise AssertionError(f"{what} did not finish within {limit}s")
 
-    program = parse_program(BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2"))
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(limit)
     t0 = time.time()
@@ -247,12 +244,35 @@ def test_acceptance_4_step2_branching_converges():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-    elapsed = time.time() - t0
+    return res, time.time() - t0
+
+
+def test_acceptance_4_step2_branching_converges():
+    # step 2 puts parity atoms into the loop summaries; saturation reaches
+    # its fixpoint only when subsumption sees through them
+    program = parse_program(BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2"))
+    res, elapsed = _nt_program_within(program, 20, "step-2 BRANCHING")
     assert not res.budget_exhausted
     for x in range(-10, 11):
         for y in range(-10, 11):
             assert res.precondition.eval({"x": x, "y": y}) == (x != 0)
     report(4, f"step-2 branching program yields exactly x != 0 with no "
+              f"budget exhausted ({elapsed:.2f}s)")
+
+
+@pytest.mark.parametrize("c0", [3, 6])
+def test_acceptance_4_far_exit_branching_converges(c0):
+    # with the exit at x == c0 and the y threshold at 0, parameter
+    # elimination over members that kept every path-implied row ran past
+    # 60 s; on the path-reduced rows it takes a fraction of a second
+    program = parse_program(BRANCHING_PROGRAM.replace("x != 0", f"x != {c0}")
+                            .replace("x == 0", f"x == {c0}"))
+    res, elapsed = _nt_program_within(program, 20, f"c0 = {c0} BRANCHING")
+    assert not res.budget_exhausted
+    for x in range(-10, 11):
+        for y in range(-10, 11):
+            assert res.precondition.eval({"x": x, "y": y}) == (x != c0)
+    report(4, f"c0 = {c0} branching program yields exactly x != {c0} with no "
               f"budget exhausted ({elapsed:.2f}s)")
 
 

@@ -10,7 +10,6 @@ from octoterm.linarith import LE, LinTerm
 from octoterm.pdbm import (
     MAX_ANTICHAIN,
     ExtParamDbm,
-    eval_at,
     glue,
     min_terms,
     param_fw,
@@ -24,6 +23,8 @@ from octoterm.program import (
     _normalize_member,
     compose_members,
 )
+
+from helpers import eval_at
 
 
 def affine_matrix(base_rows, rate_rows):

@@ -22,11 +22,16 @@ from octoterm.program import (
     member_subsumed,
     nt_program,
     parse_program,
-    reach_set,
     transitive_relation,
 )
 
-from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM, seven_branch_relations
+from helpers import (
+    BRANCHING_PROGRAM,
+    TWO_PHASE_PROGRAM,
+    eliminate_params,
+    reach_set,
+    seven_branch_relations,
+)
 
 
 def member_eval(m: LinRel, valuation) -> bool:
@@ -332,7 +337,6 @@ def test_elimination_order_invariance(branching):
 def test_eliminate_params_of_closure_union():
     from octoterm.closure import reflexive_transitive_closure
     from octoterm.octagon import oct_encode
-    from octoterm.program import eliminate_params
 
     dec = oct_encode([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)
     u = reflexive_transitive_closure(dec, 1)
@@ -689,3 +693,115 @@ def test_empty_parametric_composition_is_dropped():
     a = LinRel(("x", "y"), Conj.make([(y1 - y - p, EQ), (p - 1, LE), (y - y1 + 3, LE)]),
                ("_p0",))
     assert _compose_param_oct(a, identity_member(("x", "y"))) == []
+
+
+# -- path-reduced member rows -------------------------------------------------
+
+
+def _all_term_conj(cells, nparams, variables):
+    """The rows of every term of a dual matrix, none left out: the
+    reference for the path reduction.  None when a diagonal term is a
+    negative constant."""
+    from octoterm.linarith import term_of_pair
+    from octoterm.pdbm import term_bound
+
+    names = list(variables) + [v + "'" for v in variables]
+    params = [f"_p{i}" for i in range(nparams)]
+    rows = []
+    for p, row in enumerate(cells):
+        for q, cell in enumerate(row):
+            for t in cell:
+                bound = term_bound(t, params)
+                lin = -bound if p == q else term_of_pair(p, q, names) - bound
+                if lin.is_constant():
+                    if lin.const > 0:
+                        return None
+                    continue
+                rows.append((lin, LE))
+    return Conj.make(rows)
+
+
+def _record_entries(monkeypatch):
+    """Spy on the member builder: the list of (entries, nparams, variables,
+    member) it is called with from now on, memos cleared."""
+    calls = []
+    real = program_module._member_from_entries
+
+    def spy(entries, nparams, variables):
+        m = real(entries, nparams, variables)
+        calls.append((entries, nparams, variables, m))
+        return m
+
+    monkeypatch.setattr(program_module, "_member_from_entries", spy)
+    _clear_memos()
+    return calls
+
+
+def test_path_reduction_keeps_one_row_of_a_zero_cycle():
+    # x == y, x <= z, y <= z: each z row follows from the other one and
+    # x == y, so dropping every path-implied term at once would lose z
+    from octoterm.octagon import oct_encode, tight_close
+    from octoterm.pdbm import ExtParamDbm
+    from octoterm.program import _member_from_entries, _path_reduced
+
+    variables = ("x", "y", "z")
+    o = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0), (1, 0, -1, 2, 0),
+                    (1, 1, -1, 2, 0)], 6)
+    entries = ExtParamDbm.from_dbm(tight_close(o).dbm).entries
+
+    def path_implied(cells, p, q):
+        return any(a[0] + b[0] <= cells[p][q][0][0]
+                   for k in range(len(cells)) if k not in (p, q)
+                   for a in cells[p][k] for b in cells[k][q])
+
+    # cell (p, q) bounds u_p - u_q, with u_0 = x, u_2 = y, u_4 = z and
+    # u_5 = -z: x - z sits in (0, 4) and (5, 1), y - z in (2, 4) and (5, 3)
+    assert path_implied(entries, 0, 4) and path_implied(entries, 2, 4)
+    reduced = _path_reduced(entries)
+    assert bool(reduced[0][4] or reduced[5][1]) != bool(reduced[2][4] or reduced[5][3])
+    full = _all_term_conj(entries, 0, variables)
+    member = _member_from_entries(entries, 0, variables)
+    assert len(member.conj.rows) == 3 < len(full.rows) == 4
+    for pt in itertools.product(range(-3, 4), repeat=3):
+        val = dict(zip(variables, pt), **{"x'": 0, "y'": 0, "z'": 0})
+        assert member.conj.eval(val) == full.eval(val), val
+
+
+@pytest.mark.parametrize("n, width, bound", [(1, 4, 4), (2, 2, 2)])
+def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound):
+    # members of random closures and their compositions: the rows of every
+    # term and the path-reduced rows agree at every point of the box, the
+    # parameters included
+    from octoterm.program import _path_reduced
+
+    calls = _record_entries(monkeypatch)
+    rng = random.Random(83 + n)
+    members = _random_members(rng, n) + _random_members(rng, n)
+    for a, b in rng.sample([(a, b) for a in members for b in members], 80):
+        compose_members(a, b)
+    variables = ("x", "y")[:n]
+    names = list(variables) + [v + "'" for v in variables]
+    full_rows = reduced_rows = 0
+    for entries, nparams, _, member in calls:
+        full = _all_term_conj(entries, nparams, variables)
+        reduced = _all_term_conj(_path_reduced(entries), nparams, variables)
+        assert (full is None) == (reduced is None) == (member is None)
+        if full is None:
+            continue
+        full_rows += len(full.rows)
+        reduced_rows += len(reduced.rows)
+        params = [f"_p{i}" for i in range(nparams)]
+        for xs in itertools.product(range(-width, width + 1), repeat=2 * n):
+            for ks in itertools.product(range(bound + 1), repeat=nparams):
+                val = {**dict(zip(names, xs)), **dict(zip(params, ks))}
+                assert full.eval(val) == reduced.eval(val), (entries, val)
+    assert len(calls) >= 60 and reduced_rows < full_rows, (len(calls), reduced_rows, full_rows)
+
+
+def test_path_reduction_shrinks_the_widest_two_phase_member(monkeypatch):
+    calls = _record_entries(monkeypatch)
+    nt_program(parse_program(TWO_PHASE_PROGRAM))
+    counts = [(len(_all_term_conj(e, k, v).rows), len(m.conj.rows))
+              for e, k, v, m in calls if m is not None]
+    assert max(counts) == (36, 14)
+    assert all(reduced <= full for full, reduced in counts)
