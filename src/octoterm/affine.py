@@ -153,12 +153,15 @@ def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
     cyc = power_cycle(rel.a)
     assert cyc is not None
     B, C = cyc
+    powers = [identity(rel.n_vars)]  # A^0 .. A^(B+C-1)
+    for _ in range(B + C - 1):
+        powers.append(mat_mul(powers[-1], rel.a))
     # verify the derived offset identity  s_(k+C) = s_k + A^k s_C
     s = trajectory_offsets(rel, B + 2 * C + 1)
     for k in range(B + C):
         lhs = s[k + C]
         rhs = tuple(
-            x + y for x, y in zip(s[k], mat_vec(mat_pow(rel.a, k), s[C]))
+            x + y for x, y in zip(s[k], mat_vec(powers[k], s[C]))
         )
         if lhs != rhs:
             raise AssertionError("trajectory offset identity failed")
@@ -180,9 +183,9 @@ def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
         return out
 
     for k in range(B):
-        rows.extend(guard_rows_at(mat_pow(rel.a, k), s[k]))
+        rows.extend(guard_rows_at(powers[k], s[k]))
     for i in range(C):
-        power = mat_pow(rel.a, B + i)
+        power = powers[B + i]
         drift = mat_vec(power, s[C])
         for (c, d), row in zip(rel.guard, guard_rows_at(power, s[B + i])):
             slope = sum(ci * di for ci, di in zip(c, drift))
@@ -216,24 +219,28 @@ def homogenize(rel: AffineRel) -> HomogenizedRel:
 
 
 def char_poly(a: Matrix) -> list[Fraction]:
-    """Coefficients of det(xI - A), ascending order, by Faddeev-LeVerrier."""
+    """Coefficients of det(xI - A), ascending order, by Faddeev-LeVerrier.
+
+    Over an integer matrix every M_k and c_k is an integer (c_(n-k) is a
+    coefficient of the characteristic polynomial), so the division by k is
+    exact and the recurrence runs in ints.
+    """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         # M_k = A*M_{k-1} + c_{n-k+1} I ; c_{n-k} = -tr(A*M_k)/k
         m = [
-            [sum(Fraction(a[i][t]) * m[t][j] for t in range(n)) for j in range(n)]
+            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
         for i in range(n):
             m[i][i] += coeffs[n - k + 1]
-        tr = sum(
-            sum(Fraction(a[i][t]) * m[t][i] for t in range(n)) for i in range(n)
-        )
-        coeffs[n - k] = -tr / k
-    return coeffs
+        tr = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
+        assert tr % k == 0, "Faddeev-LeVerrier division is not exact"
+        coeffs[n - k] = -tr // k
+    return [Fraction(c) for c in coeffs]
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -342,40 +349,39 @@ def _poly_eval_int(p: list[Fraction], k: int) -> int:
     return v.numerator
 
 
-def _interpolate(points: list[tuple[int, Fraction]]) -> list[Fraction]:
-    """Lagrange interpolation, coefficients ascending."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for idx, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for jdx, (xj, _) in enumerate(points):
-            if jdx == idx:
-                continue
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xj
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = yi / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 class NotPolynomiallyBounded(ValueError):
     pass
+
+
+def _lagrange_basis(xs: list[int]) -> list[list[Fraction]]:
+    """The Lagrange basis polynomials of the nodes xs, coefficients ascending:
+    basis[idx] is 1 at xs[idx] and 0 at every other node."""
+    basis = []
+    for idx, xi in enumerate(xs):
+        poly = [Fraction(1)]
+        denom = 1
+        for jdx, xj in enumerate(xs):
+            if jdx == idx:
+                continue
+            # multiply poly by (x - xj)
+            nxt = [Fraction(0)] * (len(poly) + 1)
+            for d, c in enumerate(poly):
+                nxt[d] -= c * xj
+                nxt[d + 1] += c
+            poly = nxt
+            denom *= xi - xj
+        basis.append([c / denom for c in poly])
+    return basis
 
 
 def poly_matrix_power(a: Matrix) -> PolyClosedForm:
     """Closed form of the powers of A when nonzero eigenvalues are roots of 1.
 
     Entries of A^(kL+r) are interpolated as polynomials of degree < N per
-    residue r and re-verified at extra sample points.
+    residue r and re-verified at 3 extra sample points.  Per residue the
+    first sample A^(k0*L+r) is a prefix power, each later one is the
+    previous times A^L, and one Lagrange basis of the sample points serves
+    every entry.
     """
     n = len(a)
     L = _unity_order(a)
@@ -387,19 +393,26 @@ def poly_matrix_power(a: Matrix) -> PolyClosedForm:
         prefix.append(mat_mul(prefix[-1], a))
     polys = []
     for r in range(L):
-        k0 = 0
-        while k0 * L + r < valid_from:
-            k0 += 1
-        pts_k = list(range(k0, k0 + n))
-        extra = list(range(k0 + n, k0 + n + 3))
-        powers = {k: mat_pow(a, k * L + r) for k in pts_k + extra}
+        k0 = -((r - valid_from) // L)  # least k0 >= 0 with k0*L + r >= valid_from
+        # the samples A^(kL+r), k = k0 .. k0+n-1, then the 3 extra ones
+        samples = [prefix[k0 * L + r]]
+        for _ in range(n + 2):
+            samples.append(mat_mul(samples[-1], prefix[L]))
+        basis = _lagrange_basis(list(range(k0, k0 + n)))
         grid = []
         for i in range(n):
             row = []
             for j in range(n):
-                p = _interpolate([(k, Fraction(powers[k][i][j])) for k in pts_k])
-                for k in extra:
-                    if _poly_eval(p, k) != powers[k][i][j]:
+                p = [Fraction(0)] * n
+                for ell, sample in zip(basis, samples):
+                    y = sample[i][j]
+                    if y:
+                        for d, c in enumerate(ell):
+                            p[d] += c * y
+                while len(p) > 1 and p[-1] == 0:
+                    p.pop()
+                for k, sample in enumerate(samples[n:], k0 + n):
+                    if _poly_eval(p, k) != sample[i][j]:
                         raise AssertionError("degree bound violated in closed form")
                 row.append(p)
             grid.append(row)

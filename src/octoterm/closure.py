@@ -172,7 +172,8 @@ class _PowerCache:
         return True
 
     def empty(self, n: int) -> bool:
-        """Is R^n empty?  Binary powering past the powers known live."""
+        """Is R^n empty?  Past the powers known live, the product of the
+        squares of R that ``term_oct`` shares among all powers of R."""
         if n <= max(self.live, max(self.d)):
             return False
         if fast_power(self.rel, n, self.N).is_bottom:
@@ -423,6 +424,18 @@ def _form_at(forms, b_t: int, c_t: int, n: int) -> Dbm:
     return dbm_add_rate(base, rate, (n - b_t) // c_t)
 
 
+def _form_matches(forms, b_t: int, c_t: int, n: int, t: Dbm) -> bool:
+    """Is ``_form_at(forms, b_t, c_t, n) == t``?  Compared entry by entry,
+    without building the matrix."""
+    base, rate = forms[(n - b_t) % c_t]
+    j = (n - b_t) // c_t
+    for rb, rr, rt in zip(base.rows, rate.rows, t.rows):
+        for vb, vr, vt in zip(rb, rr, rt):
+            if vt != (INF if vb == INF or vr == INF else vb + j * vr):
+                return False
+    return True
+
+
 def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms):
     """Smallest (b, c) consistent with the certified tail and the cache.
 
@@ -477,7 +490,8 @@ def _certify(cache: _PowerCache, b: int, c: int):
         top_n = min(top_n, dead - 1)
     if not cache.ensure(top_n):
         return NotStarConsistent(cache.dead)
-    if not all(_form_at(forms, b_t, c_t, n) == cache.tight(n) for n in range(b_t, top_n + 1)):
+    if not all(_form_matches(forms, b_t, c_t, n, cache.tight(n))
+               for n in range(b_t, top_n + 1)):
         return None
     bm, cm, bases, rates = _minimize(cache, b_t, c_t, forms)
     return PeriodCertificate(cache.N, bm, cm, bases, rates, dead)

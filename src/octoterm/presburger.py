@@ -463,9 +463,8 @@ def _ielim(rows: list[IRow], divs: list[IDiv], v: str, depth: int = 0):
     if all(a == 1 or b == 1 for b, _, _ in lowers for a, _, _ in uppers):
         return _finish(shadow(0), divs)
 
-    out = []
-    dark = _finish(shadow(1), divs)
-    out.extend(dark)
+    out = _finish(shadow(1), divs)  # the dark shadow
+    seen = {_case_key(piece) for piece in out}
     a_max = max(a for a, _, _ in uppers)
     for b, lcs, lc0 in lowers:
         top = (a_max * b - a_max - b) // a_max
@@ -473,15 +472,30 @@ def _ielim(rows: list[IRow], divs: list[IDiv], v: str, depth: int = 0):
             eq_cs = dict(lcs)
             eq_cs[v] = -b  # b*v == lcs.x + lc0 + r  ->  lcs.x + lc0 + r - b*v == 0
             case_rows = rows + [(eq_cs, lc0 + r, EQ)]
-            for piece in _ielim(case_rows, divs, v, depth + 1):
-                if piece not in out:
-                    out.append(piece)
+            _add_new_cases(out, seen, _ielim(case_rows, divs, v, depth + 1))
     return out
 
 
 def _finish(rows, divs):
     norm = _inorm(rows, divs)
     return [] if norm is None else [norm]
+
+
+def _case_key(case) -> tuple:
+    """A hashable form of a (rows, divs) case, equal exactly when the cases
+    are equal as lists: rows and divs in order, coefficient dicts order-free."""
+    rows, divs = case
+    return (tuple((frozenset(cs.items()), c0, rel) for cs, c0, rel in rows),
+            tuple((m, frozenset(cs.items()), c0) for m, cs, c0 in divs))
+
+
+def _add_new_cases(out: list, seen: set, cases) -> None:
+    """Append to ``out`` each case not seen before, in first-seen order."""
+    for case in cases:
+        key = _case_key(case)
+        if key not in seen:
+            seen.add(key)
+            out.append(case)
 
 
 def eliminate_int_var(conj: Conj, v: str) -> list[Conj]:
@@ -497,11 +511,10 @@ def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()
         rows.append(({v: -1}, 0, LE))
     work = [(rows, divs)]
     for v in targets:
-        nxt = []
+        nxt: list = []
+        seen: set = set()
         for rs, ds in work:
-            for piece in _ielim(rs, ds, v):
-                if piece not in nxt:
-                    nxt.append(piece)
+            _add_new_cases(nxt, seen, _ielim(rs, ds, v))
         work = nxt
     out = Dnf()
     for rs, ds in work:

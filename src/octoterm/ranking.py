@@ -6,6 +6,13 @@ always does.  Synthesis is a Farkas search over the tight constraint rows
 of the witness: tight octagons are integer-hull exact, so a rational
 certificate is enough, and clearing denominators gives an integer
 function with decrease >= 1.
+
+Each of the two systems a witness is read from, the tight rows of the
+relation and those of its domain, gets one ``PolyhedronLP``: the exact
+decrease and lower bound are warm-started ``sup``s on it, and the closing
+check of both ranking conditions runs on the same two tableaux.  The public
+``verify_lrf`` builds its own, so it checks a witness independently of the
+search that found it.
 """
 
 from __future__ import annotations
@@ -14,14 +21,12 @@ from dataclasses import dataclass
 from math import ceil, lcm
 
 from .linarith import (
-    LE,
     LinSys,
     LinTerm,
+    PolyhedronLP,
     TemplateRow,
     Value,
-    entails,
     farkas_template,
-    lp_inf,
 )
 from .octagon import (
     Octagon,
@@ -117,17 +122,30 @@ def synthesize_lrf(v: Octagon, n_program_vars: int):
         return NotFoundLrf()
     scale = lcm(*(w.assignment[a].denominator for a in coef_names)) if N else 1
     f = LinTerm({names[i]: int(w.assignment[coef_names[i]] * scale) for i in range(N)})
-    # exact integer decrease and lower bound for the scaled function
-    delta = lp_inf(sys, f - _primed(f, N))
-    assert isinstance(delta, Value) and delta.value > 0
-    decrease_val = ceil(delta.value)  # f is integer-valued on integer points
-    proj = oct_to_linsys(pre_image_set(v, N), names[:N])
-    low = lp_inf(proj, f)
+    rel_lp, dom_lp = PolyhedronLP(sys), _domain_lp(v, N)
+    # exact integer decrease inf(f - f') and lower bound inf f for the
+    # scaled function, as sups of their negations
+    delta = rel_lp.sup(_primed(f, N) - f)
+    assert isinstance(delta, Value) and delta.value < 0
+    decrease_val = ceil(-delta.value)  # f is integer-valued on integer points
+    low = dom_lp.sup(-f)
     assert isinstance(low, Value)
-    h = ceil(low.value)
+    h = ceil(-low.value)
     witness = RankingWitness(v, f, max(1, decrease_val), h)
-    assert verify_lrf(v, f, witness.decrease, h, N)
+    assert _ranks(rel_lp, dom_lp, f, witness.decrease, h, N)
     return witness
+
+
+def _domain_lp(v: Octagon, N: int) -> PolyhedronLP:
+    """The tableau over the tight rows of the domain of v (non-empty)."""
+    return PolyhedronLP(oct_to_linsys(pre_image_set(v, N), var_names(N)[:N]))
+
+
+def _ranks(rel_lp: PolyhedronLP, dom_lp: PolyhedronLP, f: LinTerm, decrease: int,
+           h: int, N: int) -> bool:
+    """f(x) - f(x') >= decrease on the relation, and f(x) >= h on its domain."""
+    return (rel_lp.entails_le(_primed(f, N) - f + decrease)
+            and dom_lp.entails_le(LinTerm({}, h) - f))
 
 
 def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: int) -> bool:
@@ -136,13 +154,8 @@ def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: in
     v = tight_close(v)
     if v.is_bottom:
         return True
-    names = var_names(N)
-    sys = oct_to_linsys(v, names)
-    dec_row = (_primed(f, N) - f + decrease, LE)  # f(x) - f(x') >= decrease
-    if not entails(sys, dec_row):
-        return False
-    proj = oct_to_linsys(pre_image_set(v, N), names[:N])
-    return entails(proj, (LinTerm({}, h) - f, LE))  # f(x) >= h
+    rel_lp = PolyhedronLP(oct_to_linsys(v, var_names(N)))
+    return _ranks(rel_lp, _domain_lp(v, N), f, decrease, h, N)
 
 
 @dataclass(frozen=True)

@@ -23,27 +23,49 @@ input and looks the result up in a bounded memo keyed by the tight octagon
 and N.  The key hashes only ints, INF and None, so the memo behaves the
 same under every ``PYTHONHASHSEED``, and a hit returns what a cold call
 would compute: the result does not depend on the process history.
+
+The squares themselves are shared too.  A bounded store, keyed like the
+WNT memo by the tight octagon and N, keeps the list of squares of R drawn
+so far, and ``_squares`` reads it and squares only past its end.  So
+``wnt``, the witness power R^(4N^2) of ``ranking``, the emptiness probes of
+``closure`` and ``rel power`` all reach R^n along one path, the product of
+the shared squares at the set bits of n, and no square of one relation is
+drawn twice while its entry lives.  One request works on a few relations
+at a time, so the store keeps ``_SQUARE_MEMO`` = 4 entries: a few dozen
+small matrices, not the memory of the WNT memo.  A square is a function
+of its relation, so a stored one equals a fresh one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 from .octagon import Octagon, bottom, oct_compose, oct_eq, pre_image_set, tight_close
 
 # Entries in the WNT memo, as in ``program`` and ``presburger``.
 _MEMO = 1024
+# Entries in the square store: the relations one request works on.
+_SQUARE_MEMO = 4
+
+
+@lru_cache(maxsize=_SQUARE_MEMO)
+def _square_store(rel: Octagon, N: int) -> list[Octagon]:
+    """The squares R, R^2, R^4, ... of a tight relation drawn so far;
+    ``_squares`` appends to the list."""
+    return [rel]
 
 
 def _squares(rel: Octagon, N: int) -> Iterator[Octagon]:
-    """R, R^2, R^4, ... as tight octagons, each squared only when asked for."""
-    square = tight_close(rel)
-    while True:
-        yield square
-        square = oct_compose(square, square, N)
+    """R, R^2, R^4, ... as tight octagons, read from the square store and
+    each squared only when first asked for."""
+    store = _square_store(tight_close(rel), N)
+    for k in count():
+        if k == len(store):
+            store.append(oct_compose(store[-1], store[-1], N))
+        yield store[k]
 
 
 def _product(squares: Iterable[Octagon], n: int, N: int) -> Octagon:
@@ -66,7 +88,8 @@ def _product(squares: Iterable[Octagon], n: int, N: int) -> Octagon:
 
 
 def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
-    """The octagon of R^n by binary exponentiation (bottom if empty)."""
+    """The octagon of R^n by binary exponentiation over the shared squares
+    (bottom if empty)."""
     if n < 1:
         raise ValueError("power must be >= 1")
     return _product(_squares(rel, n_program_vars), n, n_program_vars)

@@ -279,3 +279,107 @@ def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
         raise ValueError("valuation arity mismatch")
     return Dbm([[min(sum(map(mul, t[1:], valuation), t[0]) for t in terms) if terms else INF
                  for terms in erow] for erow in m.entries])
+
+
+def _interpolate(points: list[tuple[int, Fraction]]) -> list[Fraction]:
+    """Lagrange interpolation through the points, coefficients ascending,
+    one basis polynomial built per point."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for idx, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for jdx, (xj, _) in enumerate(points):
+            if jdx == idx:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d] -= c * xj
+                nxt[d + 1] += c
+            basis = nxt
+            denom *= xi - xj
+        scale = yi / denom
+        for d, c in enumerate(basis):
+            coeffs[d] += c * scale
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def reference_poly_matrix_power(a):
+    """(polys, prefix) of ``affine.poly_matrix_power`` by the direct
+    construction: every sample power by its own ``mat_pow``, and every
+    entry interpolated on its own."""
+    from octoterm.affine import _poly_eval, _unity_order, identity, mat_mul, mat_pow
+
+    n = len(a)
+    L = _unity_order(a)
+    prefix = [identity(n)]
+    for _ in range(n + L):
+        prefix.append(mat_mul(prefix[-1], a))
+    polys = []
+    for r in range(L):
+        k0 = 0
+        while k0 * L + r < n:
+            k0 += 1
+        pts_k = list(range(k0, k0 + n))
+        extra = list(range(k0 + n, k0 + n + 3))
+        powers = {k: mat_pow(a, k * L + r) for k in pts_k + extra}
+        grid = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                p = _interpolate([(k, Fraction(powers[k][i][j])) for k in pts_k])
+                assert all(_poly_eval(p, k) == powers[k][i][j] for k in extra)
+                row.append(p)
+            grid.append(row)
+        polys.append(grid)
+    return polys, prefix
+
+
+def random_poly_bounded_matrix(rng: random.Random, n: int):
+    """A random n x n integer matrix whose nonzero eigenvalues are roots of
+    unity: a block-triangular matrix of unipotent, permutation, rotation and
+    nilpotent diagonal blocks with random integer blocks above them,
+    conjugated by a random unimodular matrix."""
+    blocks = []
+    left = n
+    while left:
+        kind = rng.choice(("unipotent", "permutation", "rotation", "nilpotent"))
+        size = rng.randint(1, left)
+        if kind == "rotation" and size >= 2:
+            size = 2
+            block = [[0, 1], [-1, 0]] if rng.random() < 0.5 else [[0, -1], [1, 1]]
+        elif kind == "permutation":
+            perm = list(range(size))
+            rng.shuffle(perm)
+            block = [[int(perm[i] == j) for j in range(size)] for i in range(size)]
+        else:
+            diag = 0 if kind == "nilpotent" else 1
+            block = [[diag if i == j else (rng.randint(-2, 2) if j > i else 0)
+                      for j in range(size)] for i in range(size)]
+        blocks.append(block)
+        left -= size
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        size = len(block)
+        for i in range(size):
+            for j in range(size):
+                m[at + i][at + j] = block[i][j]
+            for j in range(at + size, n):
+                m[at + i][j] = rng.randint(-1, 1)
+        at += size
+    # conjugate by a unimodular U = (I + e) and its inverse (I - e), with e
+    # a single off-diagonal entry, which keeps the eigenvalues
+    for _ in range(2):
+        if n < 2:
+            break
+        p, q = rng.sample(range(n), 2)
+        e = rng.choice((-1, 1))
+        # m := U m U^-1 with U = I + e*E_pq: add e*row q to row p, then
+        # subtract e*column p from column q
+        m[p] = [mp + e * mq for mp, mq in zip(m[p], m[q])]
+        for row in m:
+            row[q] -= e * row[p]
+    return tuple(tuple(row) for row in m)

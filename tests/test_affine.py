@@ -21,6 +21,8 @@ from octoterm.affine import (
     trajectory_offsets,
 )
 
+from helpers import random_poly_bounded_matrix, reference_poly_matrix_power
+
 
 def test_finite_monoid_basics():
     assert is_finite_monoid(mat([[1, 0], [0, 1]]))
@@ -133,6 +135,22 @@ def test_poly_matrix_power_identity_and_rotation():
     assert pr.L == 4
     mats = [pr.at(k) for k in range(4, 8)]
     assert mats == [mat_pow(rot, k) for k in range(4, 8)]
+
+
+def test_poly_matrix_power_matches_the_direct_construction():
+    # the shared samples and the one Lagrange basis per residue give the
+    # same closed form, entry for entry, as one mat_pow per sample and one
+    # interpolation per entry
+    rng = random.Random(17)
+    orders = set()
+    for _ in range(80):
+        a = random_poly_bounded_matrix(rng, rng.randint(1, 4))
+        pcf = poly_matrix_power(a)
+        polys, prefix = reference_poly_matrix_power(a)
+        assert repr(pcf.polys) == repr(polys) and pcf.prefix == prefix  # Fractions, not ints
+        assert pcf.at(len(prefix) + 5) == mat_pow(a, len(prefix) + 5)
+        orders.add(pcf.L)
+    assert {1, 2, 4, 6} <= orders
 
 
 def test_poly_matrix_power_rejects_growth():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from octoterm import linarith
 from octoterm.linarith import LE, LinTerm, entails
 from octoterm.octagon import bottom, oct_encode, oct_eq, tight_close
 from octoterm.ranking import (
@@ -131,3 +132,29 @@ def test_wrs_preserved_by_witness():
         r = random_guarded_relation(rng, 2)
         wit = witness_relation(r, 2)
         assert oct_eq(wnt(r, 2).set, wnt(wit, 2).set)
+
+
+def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
+    # Farkas's tableau, then one over the witness rows and one over their
+    # projection, which the decrease, the bound and the check all share
+    built = []
+    real = linarith.PolyhedronLP.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linarith.PolyhedronLP, "__init__", spy)
+    rng = random.Random(23)
+    rels = [(guarded_decrement(), 1)]
+    rels += [(random_guarded_relation(rng, 1 + t % 3), 1 + t % 3) for t in range(30)]
+    found = 0
+    for r, N in rels:
+        if not is_well_founded(r, N):
+            continue
+        v = witness_relation(r, N)
+        built.clear()
+        if isinstance(synthesize_lrf(v, N), RankingWitness):
+            assert len(built) == 3
+            found += 1
+    assert found > 5

@@ -175,6 +175,39 @@ def test_prove_termination_reuses_the_wnt(monkeypatch):
     assert drawn == [5, 3] and term_oct._wnt_tight.cache_info().hits == 2
 
 
+def test_prove_termination_composes_no_square_that_wnt_drew(monkeypatch):
+    # the witness power R^(4N^2) reads the squares wnt stored: it squares
+    # only past wnt's last square, and adds the partial products of 4N^2
+    pairs = []
+    real = term_oct.oct_compose
+
+    def spy(a, b, N):
+        pairs.append((a, b))
+        return real(a, b, N)
+
+    monkeypatch.setattr(term_oct, "oct_compose", spy)
+    rng = random.Random(31)
+    rels = [(enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2), 1)]
+    rels += [(random_guarded_relation(rng, 1 + t % 3), 1 + t % 3) for t in range(40)]
+    seen = products = 0
+    for r, N in rels:
+        _clear_memos()
+        pairs.clear()
+        if not wnt(r, N).set.is_bottom:
+            continue
+        drawn = [a for a, b in pairs if a is b]
+        pairs.clear()
+        prove_termination(r, N)
+        squared = [a for a, b in pairs if a is b]
+        assert not any(a in drawn for a in squared)
+        n = 4 * N * N
+        assert len(squared) <= max(0, n.bit_length() - 1 - len(drawn))
+        assert len(pairs) - len(squared) <= bin(n).count("1") - 1
+        products += len(pairs) - len(squared)
+        seen += 1
+    assert seen > 10 and products > 0
+
+
 def _count_compositions(monkeypatch):
     calls = []
     real = term_oct.oct_compose
@@ -213,6 +246,7 @@ def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
         if not wnt(r, N).set.is_bottom:
             continue
         used = len(calls)
+        _clear_memos()  # the reference is a cold power, not one over stored squares
         calls.clear()
         fast_power(r, 5 ** (2 * N), N)
         assert used <= len(calls) + 1
@@ -225,7 +259,8 @@ def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
 
 def test_results_do_not_depend_on_process_history():
     # every result, computed cold, equals the one computed after all the
-    # other inputs (forward, then in reverse order), with the memos warm
+    # other inputs (forward, then in reverse order), with the memos and the
+    # square store warm
     rng = random.Random(47)
     rels = [(random_guarded_relation(rng, n), n) for n in (1, 1, 2, 2, 3)]
     rels += [(r, 2) for r in seven_branch_relations()[:3]]
@@ -239,7 +274,8 @@ def test_results_do_not_depend_on_process_history():
             return repr(nt_program(parse_program(x)).precondition)
         rel, n = x
         return repr((wnt(rel, n), prove_termination(rel, n),
-                     reflexive_transitive_closure(rel, n)))
+                     reflexive_transitive_closure(rel, n),
+                     [fast_power(rel, k, n) for k in (3, 4 * n * n, 5 ** (2 * n) + 1)]))
 
     cold = []
     for item in items:
