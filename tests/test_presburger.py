@@ -362,3 +362,20 @@ def test_dnf_pruning():
     assert len(d) == 1
     d.add(Conj.make([(-x + 5, LE)]))
     assert len(d) == 2
+
+
+def test_case_deduplication_is_list_equality_in_first_seen_order():
+    # a case repeats exactly when it equals an earlier one as a list: rows
+    # and divisibility atoms in order, each coefficient dict order-free
+    a = ([({"x": 1, "y": 2}, 0, LE)], [(3, {"x": 1}, 1)])
+    a_reordered_dict = ([({"y": 2, "x": 1}, 0, LE)], [(3, {"x": 1}, 1)])
+    b = ([({"x": 1}, 0, LE), ({"y": 1}, 0, EQ)], [])
+    b_swapped_rows = ([({"y": 1}, 0, EQ), ({"x": 1}, 0, LE)], [])
+    cases = [b, a, a_reordered_dict, b_swapped_rows, b]
+    out: list = []
+    presburger._add_new_cases(out, set(), cases)
+    want = []
+    for case in cases:
+        if case not in want:
+            want.append(case)
+    assert out == want == [b, a, b_swapped_rows]
