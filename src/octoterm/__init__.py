@@ -26,9 +26,7 @@ from .closure import (
     PeriodCertificate,
     detect_period,
     kleene_pre_sequence,
-    pre_closed_form,
     reflexive_transitive_closure,
-    wnt_via_closed_form,
 )
 from .term_oct import WntResult, fast_power, is_well_founded, wnt
 from .ranking import (
@@ -83,7 +81,6 @@ __all__ = [
     "oct_leq",
     "parse_program",
     "poly_matrix_power",
-    "pre_closed_form",
     "prove_termination",
     "reflexive_transitive_closure",
     "sufficient_termination",
@@ -93,5 +90,4 @@ __all__ = [
     "verify_lrf",
     "witness_relation",
     "wnt",
-    "wnt_via_closed_form",
 ]

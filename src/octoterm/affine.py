@@ -321,9 +321,6 @@ class PolyClosedForm:
     polys: list  # polys[r][i][j] = list of Fraction coefficients in k
     prefix: list  # prefix[e] = A^e for e < valid_from + L
 
-    def power_entry(self, r: int, i: int, j: int) -> list[Fraction]:
-        return self.polys[r][i][j]
-
     def at(self, exponent: int) -> Matrix:
         if exponent < len(self.prefix):
             return self.prefix[exponent]
@@ -420,11 +417,7 @@ def poly_matrix_power(a: Matrix) -> PolyClosedForm:
     return PolyClosedForm(n, L, valid_from, polys, prefix)
 
 
-def sufficient_termination(
-    rel: AffineRel,
-    include_prefix_violations: bool = False,
-    names: list[str] | None = None,
-) -> Dnf:
+def sufficient_termination(rel: AffineRel, names: list[str] | None = None) -> Dnf:
     """A disjunction of linear systems disjoint from the recurrent set.
 
     For each guard row and residue, the row value after kL+r steps is a
@@ -465,16 +458,4 @@ def sufficient_termination(
                 rows = [(coeffs[d], EQ) for d in range(t + 1, len(coeffs))]
                 rows.append((coeffs[t], LT))
                 dnf.add(Conj.make(rows))
-    if include_prefix_violations:
-        L = closed.L
-        s = trajectory_offsets(rel, L * rel.n_vars + 1)
-        for k in range(L * rel.n_vars):
-            power = mat_pow(rel.a, k)
-            for c, d in rel.guard:
-                coeffs = {}
-                for j in range(rel.n_vars):
-                    coeffs[names[j]] = sum(c[i] * power[i][j] for i in range(rel.n_vars))
-                const = sum(ci * oi for ci, oi in zip(c, s[k]))
-                # violation: c.(A^k x + s_k) < d
-                dnf.add(Conj.make([(LinTerm(coeffs, const - d), LT)]))
     return dnf

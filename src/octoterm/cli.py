@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from .affine import (
@@ -23,9 +25,10 @@ from .affine import (
     finite_monoid_wnt,
     is_finite_monoid,
     is_polynomially_bounded,
+    mat,
     sufficient_termination,
 )
-from .closure import reflexive_transitive_closure
+from .closure import kleene_pre_sequence, reflexive_transitive_closure
 from .dbm import INF
 from .grammar import (
     AffLabel,
@@ -34,22 +37,24 @@ from .grammar import (
     parse_formula,
 )
 from .linarith import LE, LinTerm
-from .octagon import Octagon, oct_decode, oct_eq, oct_exists, tight_close
+from .octagon import Octagon, oct_decode, oct_encode, oct_eq, oct_exists, tight_close
 from .presburger import Conj, Dnf, DivAtom
 from .program import (
     Budgets,
     _summary,
+    member_from_param_oct,
     nt_program,
     parse_program,
     is_flat,
     Flat,
 )
 from .ranking import (
+    NotWellFounded,
     TriviallyWF,
     prove_termination,
+    var_names,
 )
 from .term_oct import fast_power, wnt
-from .closure import kleene_pre_sequence
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,8 +63,6 @@ EXIT_BUDGET = 4
 
 
 def _collect_vars(text: str) -> list[str]:
-    import re
-
     names = []
     for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*'?", text):
         w = m.group(0).rstrip("'")
@@ -155,8 +158,6 @@ def render_octagon(o: Octagon, names: list[str]) -> str:
         return "false"
     atoms = oct_decode(o)
     # drop atoms entailed by the rest
-    from .octagon import oct_encode
-
     kept = list(atoms)
     for a in list(kept):
         trial = [x for x in kept if x != a]
@@ -197,15 +198,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_rel(args) -> int:
-    try:
-        variables, disjuncts = _parse_relation(args.relation, None)
-        rel = _single_octagon(disjuncts, variables)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except FragmentError as e:
-        print(f"not in fragment: {e}", file=sys.stderr)
-        return EXIT_FRAGMENT
+    variables, disjuncts = _parse_relation(args.relation, None)
+    rel = _single_octagon(disjuncts, variables)
     n = len(variables)
     names = list(variables)
     if args.subcommand == "wnt":
@@ -230,8 +224,6 @@ def cmd_rel(args) -> int:
         return EXIT_OK
     if args.subcommand == "rank":
         res = prove_termination(rel, n)
-        from .ranking import NotWellFounded
-
         if isinstance(res, NotWellFounded):
             out = render_octagon(res.wnt_set, names)
             _emit(
@@ -248,8 +240,6 @@ def cmd_rel(args) -> int:
                 "well founded (witness relation is empty)",
             )
             return EXIT_OK
-        from .ranking import var_names
-
         canon = var_names(n)
         shown = LinTerm({names[i]: proof.function.coef(canon[i]) for i in range(n)})
         f_str = _row_str(shown, LE).split(" <=")[0]
@@ -272,10 +262,7 @@ def cmd_rel(args) -> int:
         rtc = reflexive_transitive_closure(
             rel, n, args.max_prefix, args.max_period
         )
-        from .program import member_from_param_oct
-
         lines = ["identity"]
-        members_json = ["identity"]
         for mem in rtc.members:
             if isinstance(mem, Octagon):
                 s = render_octagon(mem, names + [v + "'" for v in names])
@@ -283,8 +270,7 @@ def cmd_rel(args) -> int:
                 lr = member_from_param_oct(mem, tuple(names))
                 s = render_member(lr, names)
             lines.append(s)
-            members_json.append(s)
-        payload = {"status": "ok", "exact": rtc.exact, "members": members_json}
+        payload = {"status": "ok", "exact": rtc.exact, "members": lines}
         _emit(args, payload, "\n".join(lines))
         return EXIT_OK if rtc.exact else EXIT_BUDGET
     if args.subcommand == "power":
@@ -305,8 +291,6 @@ def cmd_rel(args) -> int:
 
 
 def _read_input(arg: str) -> str:
-    import os
-
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -315,12 +299,8 @@ def _read_input(arg: str) -> str:
 
 def cmd_affine(args) -> int:
     text = _read_input(args.input)
-    try:
-        variables = _collect_vars(text)
-        disjuncts = parse_formula(text, variables)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    variables = _collect_vars(text)
+    disjuncts = parse_formula(text, variables)
     rels = []
     for d in disjuncts:
         if isinstance(d, AffLabel):
@@ -328,14 +308,10 @@ def cmd_affine(args) -> int:
         else:
             conv = _octagon_to_affine(d.relation, len(variables))
             if conv is None:
-                print("not in fragment: relation is not a deterministic affine update",
-                      file=sys.stderr)
-                return EXIT_FRAGMENT
+                raise FragmentError("relation is not a deterministic affine update")
             rels.append(conv)
     if len(rels) != 1:
-        print("not in fragment: affine analyses need a conjunctive relation",
-              file=sys.stderr)
-        return EXIT_FRAGMENT
+        raise FragmentError("affine analyses need a conjunctive relation")
     rel = rels[0]
     if args.subcommand == "check":
         fm = is_finite_monoid(rel.a)
@@ -347,9 +323,7 @@ def cmd_affine(args) -> int:
         return EXIT_OK
     if args.subcommand == "wnt":
         if not is_finite_monoid(rel.a):
-            print("not in fragment: update matrix does not generate a finite monoid",
-                  file=sys.stderr)
-            return EXIT_FRAGMENT
+            raise FragmentError("update matrix does not generate a finite monoid")
         dnf = finite_monoid_wnt(rel, list(variables))
         _emit(args, {"wnt": dnf_json(dnf)}, render_dnf_text(dnf))
         return EXIT_OK
@@ -357,9 +331,8 @@ def cmd_affine(args) -> int:
         try:
             dnf = sufficient_termination(rel, names=list(variables))
         except NotPolynomiallyBounded:
-            print("not in fragment: matrix has an eigenvalue that is neither "
-                  "zero nor a root of unity", file=sys.stderr)
-            return EXIT_FRAGMENT
+            raise FragmentError("matrix has an eigenvalue that is neither "
+                                "zero nor a root of unity") from None
         _emit(args, {"sufficient_termination": dnf_json(dnf)}, render_dnf_text(dnf))
         return EXIT_OK
     raise AssertionError(args.subcommand)
@@ -372,8 +345,6 @@ def _octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
     relation when its guard is unsatisfiable; the guard is then the empty
     set (the single row 0 >= 1).
     """
-    from .affine import mat
-
     closed = tight_close(o)
     src = o if closed.is_bottom else closed
     if src.is_bottom:
@@ -416,15 +387,7 @@ def _octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
 
 
 def cmd_prog(args) -> int:
-    text = _read_input(args.input)
-    try:
-        program = parse_program(text)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except FragmentError as e:
-        print(f"not in fragment: {e}", file=sys.stderr)
-        return EXIT_FRAGMENT
+    program = parse_program(_read_input(args.input))
     budgets = Budgets(args.max_prefix, args.max_period, args.max_disjuncts)
     names = list(program.variables)
     if args.subcommand == "flat":

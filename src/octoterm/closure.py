@@ -23,11 +23,10 @@ cycle of the replayed step, or a failed integer halving sum), so a death at
 power 10^7 costs no more than one at power 10.  The step is then certified
 on the live powers only, and one concrete composition confirms the death.
 
-A verified certificate yields exact closed forms for the pre-image sets,
-the weakest non-termination set, and the reflexive-transitive closure as a
-finite union of plain and parametric octagons (a dying relation's families
-stop at its last live power).  Budget exhaustion degrades to an explicit
-NotFound -- never to an unsound answer.
+A verified certificate yields the reflexive-transitive closure exactly, as
+the identity and a finite union of plain and parametric octagons (a dying
+relation's families stop at its last live power).  Budget exhaustion
+degrades to an explicit NotFound -- never to an unsound answer.
 """
 
 from __future__ import annotations
@@ -125,11 +124,11 @@ class ParamOct:
 
 @dataclass
 class ParamOctUnion:
-    """Finite union of plain and parametric octagonal relations."""
+    """The identity and a finite union of plain and parametric octagonal
+    relations."""
 
     n_program_vars: int
     members: list
-    reflexive: bool = False
     exact: bool = True
 
 
@@ -452,8 +451,8 @@ def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms):
         return tvals[n]
 
     def repeats(n: int, c: int) -> bool:
-        d = _diff(tval(n), tval(n + c))
-        return d is not None and d == _diff(tval(n + c), tval(n + 2 * c))
+        # ``_diff(T(n), T(n + c)) == _diff(T(n + c), T(n + 2c))``, both defined
+        return _steady(tval(n), tval(n + c), tval(n + 2 * c))
 
     c = next((c for c in range(1, c_t)
               if c_t % c == 0 and all(repeats(n, c) for n in range(b_t, b_t + 2 * c_t))), c_t)
@@ -549,51 +548,6 @@ def kleene_pre_sequence(rel: Octagon, n: int, n_program_vars: int) -> list[Octag
     return out
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """Bounds u <= a_u + d_u*k on the pre-image subsequence pre^(b+kc)."""
-
-    n_program_vars: int
-    b: int
-    c: int
-    terms: dict  # (p, q) dual top-left index -> (a_u, d_u)
-
-
-def pre_closed_form(rel: Octagon, n_program_vars: int, max_b: int = 64, max_c: int = 64):
-    """Closed form of {pre^(b+kc)}; None when some power is inconsistent."""
-    res = detect_period(rel, n_program_vars, max_b, max_c)
-    if isinstance(res, NotFound):
-        return res
-    if isinstance(res, NotStarConsistent) or res.dead is not None:
-        return None
-    half = 2 * n_program_vars
-    base = res.bases[0]
-    rate = res.rates[0]
-    terms = {}
-    for p in range(half):
-        for q in range(half):
-            if p == q or base.rows[p][q] == INF:
-                continue
-            d_u = rate.rows[p][q]
-            if d_u > 0:
-                raise AssertionError("pre-image bound increased along the chain")
-            terms[(p, q)] = (base.rows[p][q], d_u)
-    return ClosedForm(n_program_vars, res.b, res.c, terms)
-
-
-def wnt_via_closed_form(rel: Octagon, n_program_vars: int, max_b: int = 64, max_c: int = 64):
-    """Greatest fixpoint of the pre-image via the closed form (cross-check)."""
-    cf = pre_closed_form(rel, n_program_vars, max_b, max_c)
-    if cf is None:
-        return bottom(n_program_vars)
-    if isinstance(cf, NotFound):
-        return cf
-    if any(d < 0 for (_, d) in cf.terms.values()):
-        return bottom(n_program_vars)
-    seq = kleene_pre_sequence(rel, cf.b, n_program_vars)
-    return seq[cf.b - 1]
-
-
 def reflexive_transitive_closure(
     rel: Octagon,
     n_program_vars: int,
@@ -616,7 +570,7 @@ def reflexive_transitive_closure(
     cache = _PowerCache(rel, N, cancel)
     res = detect_period(rel, N, max_b, max_c, cancel, cache)
     if isinstance(res, NotFound):
-        return ParamOctUnion(N, [top(2 * N)], reflexive=True, exact=False)
+        return ParamOctUnion(N, [top(2 * N)], exact=False)
     families: list = []
     if isinstance(res, NotStarConsistent):
         b = dead = res.power
@@ -628,4 +582,4 @@ def reflexive_transitive_closure(
                 families.append(ParamOct(N, res.bases[i], res.rates[i], k_max))
     last = b if dead is None else min(b, dead)
     members = [Octagon(2 * N, cache.tight(n), tight=True) for n in range(1, last)]
-    return ParamOctUnion(N, members + families, reflexive=True, exact=True)
+    return ParamOctUnion(N, members + families, exact=True)

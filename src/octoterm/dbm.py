@@ -48,13 +48,6 @@ class Dbm:
             rows[i][i] = 0
         return cls(rows)
 
-    def copy(self) -> "Dbm":
-        return Dbm(self.rows)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Dbm) and self.rows == other.rows
 
@@ -68,14 +61,6 @@ class Dbm:
         return "Dbm([%s])" % ", ".join(
             "[" + ", ".join(fmt(v) for v in r) + "]" for r in self.rows
         )
-
-    def max_abs_finite(self) -> int:
-        best = 0
-        for r in self.rows:
-            for v in r:
-                if v != INF and abs(v) > best:
-                    best = abs(v)
-        return best
 
 
 def _close(rows: list[list], pivots: Iterable[int]) -> list[list] | None:
@@ -115,10 +100,6 @@ def fw_close(m: Dbm) -> Dbm | None:
     if _close(rows, range(m.dim)) is None:
         return None
     return Dbm(rows)
-
-
-def is_consistent(m: Dbm) -> bool:
-    return fw_close(m) is not None
 
 
 def dbm_leq(a: Dbm, b: Dbm) -> bool:

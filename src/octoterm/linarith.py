@@ -14,7 +14,8 @@ A system's rows are ``t <= 0`` and ``t == 0`` only.  The analyses decide
 termination over integer states, where ``t < 0`` is ``t + 1 <= 0``
 (``presburger.Conj.make`` writes it so).  Entailment needs no strict row
 either: ``sys && t > 0`` has no rational point exactly when
-``sup t <= 0`` over ``sys``, which ``entails`` asks of one tableau.
+``sup t <= 0`` over ``sys``, which ``PolyhedronLP.entails_le`` asks of
+one tableau.
 ``LT`` names the strict relation for the readers that rewrite it and for
 the Fourier-Motzkin oracle of the tests.
 """
@@ -171,15 +172,6 @@ class LinSys:
                 if missing:
                     raise ValueError(f"undeclared variables {sorted(missing)}")
         self.variables = tuple(variables)
-
-    def with_rows(self, extra: Iterable[Row]) -> "LinSys":
-        extra = tuple(extra)
-        names = list(self.variables)
-        for t, _ in extra:
-            for v in t.coeffs:
-                if v not in names:
-                    names.append(v)
-        return LinSys(self.rows + extra, names)
 
     def __repr__(self):
         return "LinSys[%s]" % "; ".join(f"{t} {r} 0" for t, r in self.rows)
@@ -468,30 +460,6 @@ def lp_feasible(sys: LinSys, nonneg: Sequence[str] = ()):
     """Exact feasibility over the rationals; Feasible carries a model."""
     model = PolyhedronLP(sys, nonneg).model()
     return Infeasible() if model is None else Feasible(model)
-
-
-def lp_sup(sys: LinSys, obj: LinTerm):
-    """Supremum of obj over the rational polyhedron of sys."""
-    return PolyhedronLP(sys).sup(obj)
-
-
-def lp_inf(sys: LinSys, obj: LinTerm):
-    res = lp_sup(sys, -obj)
-    if isinstance(res, Value):
-        return Value(-res.value)
-    return res
-
-
-def entails(sys: LinSys, row: Row) -> bool:
-    """True iff every rational solution of sys satisfies the row ``t <= 0``
-    or ``t == 0``: ``sup t <= 0``, and for ``==`` also ``sup -t <= 0``,
-    over one tableau.  That is, ``sys && t > 0`` (and ``sys && t < 0``)
-    has no rational point; vacuous when sys is empty."""
-    t, rel = row
-    if rel not in _REL_SET:
-        raise ValueError(f"bad relation {rel!r}: rows are <= or ==")
-    poly = PolyhedronLP(sys)
-    return poly.entails_le(t) and (rel == LE or poly.entails_le(-t))
 
 
 def term_of_pair(p: int, q: int, variables: Sequence[str]) -> LinTerm:

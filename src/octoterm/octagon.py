@@ -288,14 +288,6 @@ def oct_compose(a: Octagon, b: Octagon, n_program_vars: int) -> Octagon:
     return Octagon(2 * N, tighten(dbm_project(closed, keep)), tight=True)
 
 
-def identity_relation(n_program_vars: int) -> Octagon:
-    atoms: list[OctAtom] = []
-    for i in range(n_program_vars):
-        atoms.append((1, i, -1, n_program_vars + i, 0))
-        atoms.append((-1, i, 1, n_program_vars + i, 0))
-    return tight_close(oct_encode(atoms, 2 * n_program_vars))
-
-
 def pre_image_set(r: Octagon, n_program_vars: int) -> Octagon:
     """exists x'. R(x, x'): the top-left dual block of the tight relation."""
     r = tight_close(r)

@@ -1,10 +1,11 @@
 """Explicit-state oracles over finite boxes, for differential testing.
 
-Membership evaluation, lasso search, and the box-restricted greatest
-fixpoint of the pre-image are computed by brute force (vectorized over the
-box), so they are independent of every symbolic code path they check.
-A lasso found inside a box proves membership in the weakest
-non-termination set; absence within a box is inconclusive globally.
+Membership evaluation and the box-restricted greatest fixpoint of the
+pre-image, of a relation or of a whole program, are computed by brute
+force (vectorized over the box), so they are independent of every symbolic
+code path they check.  A start that stays live in the box has an infinite
+run, so it lies in the weakest non-termination set; a start that dies in
+the box may still run forever outside it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ class BoxDomain:
 
     def points(self) -> list[tuple[int, ...]]:
         return list(product(*(range(lo, hi + 1) for lo, hi in self.intervals)))
-
-    def size(self) -> int:
-        out = 1
-        for lo, hi in self.intervals:
-            out *= hi - lo + 1
-        return out
 
 
 def eval_membership(formula, valuation) -> bool:
@@ -101,40 +96,6 @@ def live_points(rel: Octagon, n_vars: int, box: BoxDomain) -> set[tuple[int, ...
             break
         alive = nxt
     return {pts[i] for i in np.nonzero(alive)[0]}
-
-
-@dataclass(frozen=True)
-class Lasso:
-    stem: tuple
-    cycle: tuple
-
-
-def find_lasso(rel: Octagon, n_vars: int, box: BoxDomain, start) -> Lasso | None:
-    """An infinite run from start staying inside the box, if one exists."""
-    live = live_points(rel, n_vars, box)
-    start = tuple(start)
-    if start not in live:
-        return None
-    mat = _relation_matrix(rel, n_vars, box)
-    pts = box.points()
-    index = {p: i for i, p in enumerate(pts)}
-    live_idx = {index[p] for p in live}
-    path = [start]
-    seen = {start: 0}
-    while True:
-        cur = index[path[-1]]
-        succs = np.nonzero(mat[cur])[0]
-        nxt = None
-        for s in succs:
-            if s in live_idx:
-                nxt = pts[s]
-                break
-        assert nxt is not None, "live point without live successor"
-        if nxt in seen:
-            k = seen[nxt]
-            return Lasso(tuple(path[:k]), tuple(path[k:]))
-        seen[nxt] = len(path)
-        path.append(nxt)
 
 
 # -- programs ----------------------------------------------------------------

@@ -203,6 +203,16 @@ def conj_implies(a: Conj, b: Conj) -> bool:
     return True
 
 
+def antichain_add(out: list, x, leq) -> None:
+    """Add x to the antichain ``out``, in place: nothing changes when a kept
+    y has ``leq(x, y)``; otherwise every kept y with ``leq(y, x)`` is
+    dropped and x is appended."""
+    if any(leq(x, y) for y in out):
+        return
+    out[:] = [y for y in out if not leq(y, x)]
+    out.append(x)
+
+
 class Dnf:
     """Disjunction of conjuncts with light pruning on insertion."""
 
@@ -214,13 +224,8 @@ class Dnf:
     def add(self, c: Conj | None) -> None:
         if c is None:
             return
-        if not c.rationally_feasible():
-            return
-        for other in self.conjs:
-            if conj_implies(c, other):
-                return
-        self.conjs = [o for o in self.conjs if not conj_implies(o, c)]
-        self.conjs.append(c)
+        if c.rationally_feasible():
+            antichain_add(self.conjs, c, conj_implies)
 
     def eval(self, valuation: Mapping[str, int]) -> bool:
         return any(c.eval(valuation) for c in self.conjs)
@@ -496,12 +501,6 @@ def _add_new_cases(out: list, seen: set, cases) -> None:
         if key not in seen:
             seen.add(key)
             out.append(case)
-
-
-def eliminate_int_var(conj: Conj, v: str) -> list[Conj]:
-    """Exact: returns a DNF such that (exists v in Z . conj) <=> the DNF."""
-    rows, divs = _to_irows(conj)
-    return [_conj(nrows, ndivs) for nrows, ndivs in _ielim(rows, divs, v)]
 
 
 def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()) -> Dnf:

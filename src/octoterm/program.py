@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le
 
-from .affine import AffineRel, is_finite_monoid, mat_mul, mat_vec
+from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
 from .grammar import (
     AffLabel,
@@ -55,7 +55,7 @@ from .pdbm import (
     param_tighten,
     term_bound,
 )
-from .presburger import Conj, Dnf, conj_implies, eliminate_all
+from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
@@ -481,19 +481,10 @@ def _cycle_relation(p: Program, cycle: list[Transition]) -> list[LinRel]:
     return members
 
 
-def _antichain_add(out: list[LinRel], m: LinRel) -> None:
-    """Add m to the antichain ``out`` unless a member subsumes it, and drop
-    the members that m subsumes."""
-    if any(member_subsumed(m, o) for o in out):
-        return
-    out[:] = [o for o in out if not member_subsumed(o, m)]
-    out.append(m)
-
-
 def _dedupe(members: list[LinRel]) -> list[LinRel]:
     out: list[LinRel] = []
     for m in members:
-        _antichain_add(out, m)
+        antichain_add(out, m, member_subsumed)
     return out
 
 
@@ -658,7 +649,7 @@ def _summary(
             return
         cur = edges.setdefault((a, b), [])
         for m in members:
-            _antichain_add(cur, m)
+            antichain_add(cur, m, member_subsumed)
 
     for t in p.transitions:
         add_edge(t.source, t.target, _label_members(t.label, variables))
@@ -825,8 +816,6 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             if kind == "octagon":
                 w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, n).set, variables)))
             else:
-                from .affine import finite_monoid_wnt
-
                 for c in finite_monoid_wnt(payload):
                     w_dnf.add(c)
         else:

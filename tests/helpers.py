@@ -9,7 +9,7 @@ from operator import mul
 from typing import Sequence
 
 from octoterm.dbm import INF, Dbm
-from octoterm.linarith import EQ, LE, LT, LinTerm, Value, lp_inf
+from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, Value
 from octoterm.octagon import (
     Octagon,
     bottom,
@@ -173,6 +173,18 @@ def random_guarded_relation(rng: random.Random, n_vars: int, max_coef: int = 4) 
 # -- oracles ----------------------------------------------------------------------
 
 
+def entails(sys: LinSys, row: tuple[LinTerm, str]) -> bool:
+    """True iff every rational solution of sys satisfies the row ``t <= 0``
+    or ``t == 0``: ``sup t <= 0``, and for ``==`` also ``sup -t <= 0``,
+    over one tableau.  That is, ``sys && t > 0`` (and ``sys && t < 0``)
+    has no rational point; vacuous when sys is empty."""
+    t, rel = row
+    if rel not in (LE, EQ):
+        raise ValueError(f"bad relation {rel!r}: rows are <= or ==")
+    poly = PolyhedronLP(sys)
+    return poly.entails_le(t) and (rel == LE or poly.entails_le(-t))
+
+
 def fm_feasible(rows: Sequence[tuple[LinTerm, str]]) -> bool:
     """Rational feasibility by Fourier-Motzkin elimination (oracle for the simplex).
 
@@ -251,7 +263,7 @@ def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
     if proj.is_bottom:
         return True
     sys = oct_to_linsys(proj, var_names(n_program_vars)[: n_program_vars])
-    return isinstance(lp_inf(sys, f), Value)
+    return isinstance(PolyhedronLP(sys).sup(-f), Value)
 
 
 def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
@@ -263,9 +275,7 @@ def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, 
 def eliminate_params(u, variables) -> Dnf:
     """Quantifier-free DNF equivalent to the union of a closure's members
     (a ``closure.ParamOctUnion``)."""
-    out = Dnf()
-    if u.reflexive:
-        out.add(identity_member(tuple(variables)).conj)
+    out = Dnf([identity_member(tuple(variables)).conj])
     for m in _union_members(u, tuple(variables)):
         for conj in member_cases(m):
             out.add(conj)

@@ -121,8 +121,8 @@ def test_poly_matrix_power_golden():
     a = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     pcf = poly_matrix_power(a)
     assert pcf.L == 1
-    assert pcf.power_entry(0, 0, 2) == [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
-    assert pcf.power_entry(0, 0, 1) == [Fraction(0), Fraction(1)]
+    assert pcf.polys[0][0][2] == [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
+    assert pcf.polys[0][0][1] == [Fraction(0), Fraction(1)]
     for k in range(0, 11):
         assert pcf.at(k) == mat_pow(a, k)
 

@@ -303,3 +303,41 @@ def test_prog_parse_error_at_end_of_input_has_a_position(capsys):
     code, out, err = run(capsys, "prog", "analyze", "vars x;\ninit a;\na -> b : x <= 1")
     assert code == 2 and out == ""
     assert err == "parse error: unexpected end of input (wanted ;) at line 3, column 16"
+
+
+# every error path: nothing on stdout, one line on stderr, and the exit code
+ERROR_PATHS = [
+    (["rel", "wnt", "x >= "], 2,
+     "parse error: unexpected end of expression at line 1, column 5"),
+    (["rel", "wnt", "x' == 2x + 1"], 3,
+     "not in fragment: relation is affine, not octagonal; use `affine`"),
+    (["rel", "rank", "x' == x + 1 || x' == x - 1"], 3,
+     "not in fragment: octagonal analyses need a conjunctive relation"),
+    (["affine", "check", "x >= "], 2,
+     "parse error: unexpected end of expression at line 1, column 5"),
+    (["affine", "check", "x' <= x && x >= 0"], 3,
+     "not in fragment: relation is not a deterministic affine update"),
+    (["affine", "wnt", "x' == -x || x' == x"], 3,
+     "not in fragment: affine analyses need a conjunctive relation"),
+    (["affine", "wnt", "x' == 2x && x >= 0"], 3,
+     "not in fragment: update matrix does not generate a finite monoid"),
+    (["affine", "terminate", "x' == 2x && x >= 0"], 3,
+     "not in fragment: matrix has an eigenvalue that is neither zero nor a root of unity"),
+    (["prog", "analyze", "vars x;\ninit a;\na -> a : x <= 1 && x' == x"], 2,
+     "parse error: unexpected end of input (wanted ;) at line 3, column 27"),
+    (["prog", "analyze", "vars x; init a; a -> a : x % 2 == 0 && x' == x;"], 3,
+     "not in fragment: disjunct is neither octagonal nor a deterministic affine update: "
+     "1*x %2 0; -1*x + 1*x' == 0"),
+    (["rel", "wnt", "_p1' == _p1 + 1 && _p1 <= 9"], 2,
+     "parse error: variable '_p1' starts with '_', which is reserved at line 1, column 1"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", ERROR_PATHS, ids=[
+    "rel-parse", "rel-affine", "rel-disjunctive", "affine-parse", "affine-nondeterministic",
+    "affine-wnt-disjunctive", "affine-wnt-not-finite-monoid", "affine-terminate-unbounded",
+    "prog-missing-semicolon", "prog-divisibility-label", "reserved-name"])
+def test_error_paths_print_one_line_and_exit(capsys, argv, code, err):
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err + "\n"

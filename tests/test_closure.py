@@ -10,9 +10,7 @@ from octoterm.closure import (
     PeriodCertificate,
     detect_period,
     kleene_pre_sequence,
-    pre_closed_form,
     reflexive_transitive_closure,
-    wnt_via_closed_form,
     OperationCancelled,
 )
 from octoterm.dbm import INF, dbm_add_rate
@@ -198,36 +196,9 @@ def test_kleene_chain_descending_and_golden():
         assert s.dbm.rows[1][0] == -2 * (n - 1)
 
 
-def test_closed_form_guarded_decrement():
-    cf = pre_closed_form(guarded_decrement(), 1)
-    assert cf.b == 1 and cf.c == 1
-    # single bounded term -2x <= -2k i.e. x >= k (at power 1+k)
-    assert cf.terms == {(1, 0): (0, -2)}
-
-
-def test_closed_form_unguarded_identity():
-    r = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 2)
-    cf = pre_closed_form(r, 1)
-    assert cf.terms == {}
-
-
-def test_wnt_via_closed_form_matches_wnt():
-    assert wnt_via_closed_form(guarded_decrement(), 1).is_bottom
-    r = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 2)
-    w = wnt_via_closed_form(r, 1)
-    assert not w.is_bottom and oct_eq(w, tight_close(oct_encode([], 1)))
-    rng = random.Random(33)
-    for _ in range(30):
-        rel = random_guarded_relation(rng, 2)
-        res = wnt_via_closed_form(rel, 2, max_b=24, max_c=8)
-        if isinstance(res, NotFound):
-            continue
-        assert oct_eq(res, wnt(rel, 2).set)
-
-
 def test_rtc_members_guarded_decrement():
     u = reflexive_transitive_closure(guarded_decrement(), 1)
-    assert u.reflexive and u.exact
+    assert u.exact
     # single parametric family: x >= k, x' = x-1-k
     assert len(u.members) == 1
     fam = u.members[0]
@@ -278,7 +249,7 @@ def assert_closure_is_the_powers(r, n_vars, horizon=80):
         assert isinstance(res, PeriodCertificate) and res.dead == dead
         b, c = res.b, res.c
     u = reflexive_transitive_closure(r, n_vars)
-    assert u.exact and u.reflexive
+    assert u.exact
     plain = [m for m in u.members if isinstance(m, Octagon)]
     families = [m for m in u.members if isinstance(m, ParamOct)]
     assert len(plain) == min(b, dead) - 1
@@ -377,8 +348,7 @@ def test_rtc_dying_counter_large_bound_in_closed_form(bound):
                            (1, 1, -1, 0, -1 - j), (-1, 1, 1, 0, 1 + j)], 2)
         assert oct_eq(inst, tight_close(want))
     assert fam.instantiate(bound + 1).is_bottom
-    assert pre_closed_form(r, 1) is None
-    assert wnt_via_closed_form(r, 1).is_bottom
+    assert wnt(r, 1).set.is_bottom
 
 
 def test_rtc_budget_fallback_is_sound():

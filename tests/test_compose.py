@@ -250,6 +250,10 @@ def test_wnt_matches_second_exponentiation():
     for trial in range(30):
         N = 1 + trial % 3
         _same_wnt(_rotation(rng, N), N)
+    # thirty guarded relations over two variables
+    rng = random.Random(33)
+    for _ in range(30):
+        _same_wnt(random_guarded_relation(rng, 2), 2)
     # deaths between pre^4 and pre^(n1+1), n1 = 25 at N = 1: on both sides
     # of every square and of n1 itself
     for N in (1, 2):

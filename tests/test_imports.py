@@ -1,12 +1,16 @@
-"""Every name a module of the package imports is used in that module, and
-every private function or class of the package is referenced by one."""
+"""Every name a module of the package imports is used in that module,
+every private function or class of the package is referenced by one, and
+every public one is used by the package, exported, documented or read by
+the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 import octoterm
 
 PACKAGE = Path(octoterm.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported(tree: ast.AST) -> dict[str, int]:
@@ -76,4 +80,41 @@ def test_no_unreferenced_private_definitions():
     dead = [f"{name}:{line}: {fn}"
             for name, tree in trees.items()
             for fn, line in _private_defs(tree).items() if fn not in used]
+    assert not dead, dead
+
+
+def _perfbench_names() -> set[str]:
+    """Names the benchmark imports from the package, reads as a name or an
+    attribute, or spells in a string (the functions its tracer wraps)."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names |= _referenced(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("octoterm"):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_public_definition_is_used():
+    # names read by each module-level statement of the package
+    reads = []
+    defs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            names = _referenced(stmt)
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            reads.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defs.append((path.name, stmt))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    kept = set(octoterm.__all__) | readme | _perfbench_names()
+    dead = [f"{name}:{node.lineno}: {node.name}" for name, node in defs
+            if node.name not in kept
+            and not any(node.name in names for stmt, names in reads if stmt is not node)]
     assert not dead, dead

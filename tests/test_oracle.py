@@ -4,9 +4,7 @@ from octoterm.linarith import LE, LinTerm
 from octoterm.octagon import oct_encode, tight_close
 from octoterm.oracle import (
     BoxDomain,
-    Lasso,
     eval_membership,
-    find_lasso,
     live_points,
     program_live_starts,
 )
@@ -24,15 +22,6 @@ def test_eval_membership_forms():
     c = Conj.make([(LinTerm.var("x") - 3, LE)], [DivAtom(2, LinTerm.var("x"))])
     assert c.eval({"x": 2}) and not c.eval({"x": 3})
     assert not eval_membership(DivAtom(2, LinTerm.var("x")), {"x": 3})
-
-
-def test_find_lasso_identity_and_decrement():
-    ident = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 2)
-    box = BoxDomain.cube(1, -4, 4)
-    l = find_lasso(ident, 1, box, (0,))
-    assert isinstance(l, Lasso) and l.cycle
-    dec = oct_encode([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)
-    assert find_lasso(dec, 1, box, (3,)) is None
 
 
 def test_kleene_fixpoint_examples():

@@ -12,7 +12,6 @@ from octoterm.presburger import (
     Dnf,
     conj_implies,
     eliminate_all,
-    eliminate_int_var,
 )
 from octoterm.program import nt_program, parse_program, transitive_relation
 
@@ -212,7 +211,7 @@ def test_eval_divisibility():
 
 def test_eliminate_equality_substitution():
     c = Conj.make([(x - k, EQ), (k - 5, LE)])
-    out = eliminate_int_var(c, "k")
+    out = list(eliminate_all(c, ["k"]))
     assert len(out) == 1
     assert out[0].eval({"x": 5}) and not out[0].eval({"x": 6})
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from octoterm import linarith
-from octoterm.linarith import LE, LinTerm, entails
+from octoterm.linarith import LE, LinTerm
 from octoterm.octagon import bottom, oct_encode, oct_eq, tight_close
 from octoterm.ranking import (
     NotFoundLrf,
@@ -21,6 +21,7 @@ from octoterm.ranking import (
 from octoterm.term_oct import is_well_founded, wnt
 
 from helpers import (
+    entails,
     is_bounded_below,
     periodic_relation,
     random_guarded_relation,
