@@ -34,11 +34,14 @@ from .grammar import (
     AffLabel,
     FragmentError,
     ParseError,
+    div_str,
     parse_formula,
+    row_str,
+    terms_str,
 )
-from .linarith import LE, LinTerm
+from .linarith import LinTerm
 from .octagon import Octagon, oct_decode, oct_encode, oct_eq, oct_exists, tight_close
-from .presburger import Conj, Dnf, DivAtom
+from .presburger import Conj, Dnf
 from .program import (
     Budgets,
     _summary,
@@ -94,40 +97,8 @@ def _single_octagon(disjuncts, variables) -> Octagon:
 # -- rendering ----------------------------------------------------------------
 
 
-def _coef_str(c: int, v: str) -> str:
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    return f"{c}*{v}"
-
-
-def _terms_str(t: LinTerm) -> str:
-    """The variable part of a term, by name, with signed coefficients."""
-    out = ""
-    for i, (v, c) in enumerate(sorted(t.coeffs.items())):
-        c = int(c)
-        if i == 0:
-            out = _coef_str(c, v)
-        elif c >= 0:
-            out += f" + {_coef_str(c, v)}"
-        else:
-            out += f" - {_coef_str(-c, v)}"
-    return out
-
-
-def _row_str(t: LinTerm, rel: str) -> str:
-    op = "<=" if rel == LE else "=="
-    return f"{_terms_str(t)} {op} {int(-t.const)}"
-
-
-def _div_str(d: DivAtom) -> str:
-    r = int((-d.term.const) % d.modulus)
-    return f"{_terms_str(d.term)} % {d.modulus} == {r}"
-
-
 def _conj_strs(c: Conj) -> tuple[list[str], list[str]]:
-    return [_row_str(t, rel) for t, rel in c.rows], [_div_str(d) for d in c.divs]
+    return [row_str(t, rel) for t, rel in c.rows], [div_str(d.term, d.modulus) for d in c.divs]
 
 
 def render_dnf_text(dnf: Dnf) -> str:
@@ -242,7 +213,7 @@ def cmd_rel(args) -> int:
             return EXIT_OK
         canon = var_names(n)
         shown = LinTerm({names[i]: proof.function.coef(canon[i]) for i in range(n)})
-        f_str = _row_str(shown, LE).split(" <=")[0]
+        f_str = terms_str(shown)
         wit = render_octagon(proof.witness_relation, names + [v + "'" for v in names])
         payload = {
             "status": "well-founded",

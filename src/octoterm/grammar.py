@@ -373,6 +373,40 @@ def parse_formula(text: str, variables: list[str]) -> list[Disjunct]:
     return _labels(node, variables)
 
 
+def _coef_str(c: int, v: str) -> str:
+    if c == 1:
+        return v
+    if c == -1:
+        return f"-{v}"
+    return f"{c}*{v}"
+
+
+def terms_str(t: LinTerm) -> str:
+    """The variable part of a term, by name, with signed coefficients."""
+    out = ""
+    for i, (v, c) in enumerate(sorted(t.coeffs.items())):
+        c = int(c)
+        if i == 0:
+            out = _coef_str(c, v)
+        elif c >= 0:
+            out += f" + {_coef_str(c, v)}"
+        else:
+            out += f" - {_coef_str(-c, v)}"
+    return out
+
+
+def row_str(t: LinTerm, rel: str) -> str:
+    """The row ``t rel 0`` in the grammar, as ``terms <= c`` or ``terms == c``."""
+    op = "<=" if rel == LE else "=="
+    return f"{terms_str(t)} {op} {int(-t.const)}"
+
+
+def div_str(t: LinTerm, modulus: int) -> str:
+    """The divisibility atom ``modulus | t`` in the grammar."""
+    r = int((-t.const) % modulus)
+    return f"{terms_str(t)} % {modulus} == {r}"
+
+
 def _labels(node, variables: list[str]) -> list[Disjunct]:
     """Classify each disjunct of a parsed formula as octagonal or affine."""
     out: list[Disjunct] = []
@@ -387,7 +421,8 @@ def _labels(node, variables: list[str]) -> list[Disjunct]:
             continue
         raise FragmentError(
             "disjunct is neither octagonal nor a deterministic affine update: "
-            + "; ".join(f"{t} {rel} 0" for t, rel in rows)
+            + "; ".join(div_str(t, int(rel[1:])) if rel.startswith("%") else row_str(t, rel)
+                        for t, rel in rows)
         )
     return out
 

@@ -8,7 +8,11 @@ pass ``fractions.Fraction``s through unchanged.  Models and optima are
 Bland's rule, so it always terminates.  Its tableau keeps each row as
 integers over one positive row denominator, reduced to lowest terms (the
 fraction-free idea of Bareiss elimination), so no ``Fraction`` is built
-inside the pivot loop; the results are still exact rationals.
+inside the pivot loop; the results are still exact rationals.  An
+``==`` row is one tableau row whose slack is an artificial variable:
+phase 1 drives the artificials to zero and then drops their columns
+(Chvátal, *Linear Programming*, ch. 8), so an equality costs no more
+rows than an inequality.
 
 A system's rows are ``t <= 0`` and ``t == 0`` only.  The analyses decide
 termination over integer states, where ``t < 0`` is ``t + 1 <= 0``
@@ -159,12 +163,7 @@ class LinSys:
             if r not in _REL_SET:
                 raise ValueError(f"bad relation {r!r}: rows are <= or ==")
         if variables is None:
-            seen = []
-            for t, _ in self.rows:
-                for v in t.coeffs:
-                    if v not in seen:
-                        seen.append(v)
-            variables = sorted(seen)
+            variables = sorted(set().union(*(t.coeffs for t, _ in self.rows)))
         else:
             declared = set(variables)
             for t, _ in self.rows:
@@ -197,12 +196,17 @@ class _Tableau:
     with ``den[i] > 0``, kept in lowest terms; the basic column of a row holds
     ``den[i]``.  Row ``m`` is the objective: its entries are the reduced
     costs and its right-hand side is ``-objval``.
+
+    Column ``n + i`` is the slack of row ``i``.  For the ``==`` rows listed
+    in ``eqs`` it is an artificial instead: ``phase1`` drives it to zero and
+    drops it, so an equality is one row of the tableau.
     """
 
-    def __init__(self, ncols: int, rows_a: list[dict[int, Fraction]], rhs: list):
+    def __init__(self, ncols: int, rows_a: list[dict[int, Fraction]], rhs: list,
+                 eqs: Sequence[int]):
         self.n = ncols
         self.m = len(rows_a)
-        # columns: 0..n-1 structural, n..n+m-1 slacks, n+m auxiliary
+        # columns: 0..n-1 structural, n..n+m-1 slacks and artificials, n+m auxiliary
         self.width = self.n + self.m + 1
         rows = [_int_row(row, bound) for row, bound in zip(rows_a, rhs)]
         rows.append(({}, 1, 0))  # the objective row
@@ -210,6 +214,7 @@ class _Tableau:
         for i in range(self.m):
             self.a[i][self.n + i] = self.den[i]
         self.basis = [self.n + i for i in range(self.m)]
+        self.eqs = eqs
 
     def _reduce(self, i: int) -> None:
         """Divide row ``i`` by the gcd of its entries, rhs and denominator."""
@@ -309,28 +314,53 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def phase1(self) -> bool:
-        """Reach a feasible basis with the auxiliary column; False if empty."""
+        """Reach a feasible basis; False if the system is empty.
+
+        The auxiliary column lifts every ``<=`` row that starts negative
+        (``_build`` gives ``==`` rows a nonnegative bound), and phase 1
+        maximizes -(aux + the artificials).  At a zero optimum, each of
+        them still basic leaves by a degenerate pivot on the smallest other
+        column of its row; a row with no other column is a redundant
+        equality and keeps its artificial, at zero.  Then their columns are
+        dropped, so they never enter again.  When no ``<=`` row is negative
+        and every ``==`` row has bound 0, the start is feasible and only the
+        degenerate pivots run.
+        """
         m, ra, den = self.m, self.ra, self.den
-        if not any(ra[i] < 0 for i in range(m)):
-            return True
         aux = self.n + m
+        drop = {self.n + i for i in self.eqs}
+        lifted = any(ra[i] < 0 for i in range(m))
+        if lifted or any(ra[i] for i in self.eqs):
+            goal = dict.fromkeys(drop, Fraction(-1))
+            if lifted:
+                for i in range(m):
+                    if self.n + i not in drop:
+                        self.a[i][aux] = -den[i]
+                goal[aux] = Fraction(-1)
+            self.set_objective(goal)
+            if lifted:
+                # the most negative row is a <= row: == rows are nonnegative
+                worst = 0
+                for i in range(1, m):
+                    if ra[i] * den[worst] < ra[worst] * den[i]:
+                        worst = i
+                self.pivot(worst, aux)
+            status = self.maximize(self.width)
+            assert status == "optimal"
+            if ra[m]:
+                return False
+        drop.add(aux)
+        for r in range(m):
+            if self.basis[r] in drop:
+                c = min((j for j in self.a[r] if j not in drop), default=None)
+                if c is not None:
+                    self.pivot(r, c)
         for i in range(m):
-            self.a[i][aux] = -den[i]
-        self.set_objective({aux: Fraction(-1)})
-        worst = 0
-        for i in range(1, m):
-            if ra[i] * den[worst] < ra[worst] * den[i]:
-                worst = i
-        self.pivot(worst, aux)
-        status = self.maximize(self.width)
-        assert status == "optimal"
-        if ra[m]:
-            return False
-        if aux in self.basis:
-            r = self.basis.index(aux)
-            self.pivot(r, min(j for j in self.a[r] if j != aux))
-        for i in range(m + 1):
-            if self.a[i].pop(aux, None) is not None:
+            row = self.a[i]
+            gone = [j for j in row if j in drop and j != self.basis[i]]
+            for j in gone:
+                del row[j]
+            if gone:
                 self._reduce(i)
         return True
 
@@ -340,7 +370,12 @@ class _Tableau:
 
 
 def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
-    """Normalize to (names, pm-split columns, A, b) standard form."""
+    """Normalize to (names, pm-split columns, A, b, eqs) standard form.
+
+    Each system row is one row of ``A x <= b`` or, for the row indices in
+    ``eqs``, of ``A x == b``; an ``==`` row with a negative bound is negated,
+    so its artificial starts nonnegative.
+    """
     names = list(sys.variables)
     nonneg = set(extra_nonneg)
     cols: list[tuple[str, int]] = []  # (var, sign)
@@ -355,22 +390,22 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
             cols.append((v, -1))
     rows_a: list[dict[int, Fraction]] = []
     rhs: list = []
-
-    def add_le(coeffs: Mapping[str, object], bound):
-        row: dict[int, object] = {}
-        for v, c in coeffs.items():
-            idx = col_of[v]
-            row[idx[0]] = row.get(idx[0], 0) + c
-            if len(idx) == 2:
-                row[idx[1]] = row.get(idx[1], 0) - c
-        rows_a.append(row)
-        rhs.append(bound)
-
+    eqs: list[int] = []
     for t, rel in sys.rows:
-        add_le(t.coeffs, -t.const)
+        sign = 1
         if rel == EQ:
-            add_le({v: -c for v, c in t.coeffs.items()}, t.const)
-    return names, cols, col_of, rows_a, rhs
+            eqs.append(len(rows_a))
+            if t.const > 0:
+                sign = -1
+        row: dict[int, object] = {}
+        for v, c in t.coeffs.items():
+            idx = col_of[v]
+            row[idx[0]] = row.get(idx[0], 0) + sign * c
+            if len(idx) == 2:
+                row[idx[1]] = row.get(idx[1], 0) - sign * c
+        rows_a.append(row)
+        rhs.append(-sign * t.const)
+    return names, cols, col_of, rows_a, rhs, eqs
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +419,9 @@ class PolyhedronLP:
 
     def __init__(self, sys: LinSys, extra_nonneg: Sequence[str] = ()):
         self.sys = sys
-        names, cols, col_of, rows_a, rhs = _build(sys, extra_nonneg)
+        _, cols, col_of, rows_a, rhs, eqs = _build(sys, extra_nonneg)
         self.col_of = col_of
-        self.tab = _Tableau(len(cols), rows_a, rhs)
+        self.tab = _Tableau(len(cols), rows_a, rhs, eqs)
         self.aux = self.tab.n + self.tab.m
         self.feasible = self.tab.phase1()
 
@@ -502,32 +537,23 @@ def farkas_template(sys: LinSys, template_rows: Sequence[TemplateRow]):
     meta_rows: list[Row] = []
     nonneg: list[str] = []
     sys_rows = sys.rows
+    sys_vars = set().union(*(t.coeffs for t, _ in sys_rows))
     for r_idx, trow in enumerate(template_rows):
-        lams = []
-        for i, (t, rel) in enumerate(sys_rows):
-            lam = f"_lam{r_idx}_{i}"
-            lams.append(lam)
-            if rel == LE:
-                nonneg.append(lam)
-        # coefficient matching: sum_i lam_i * a_i[v] == coeffs[v](u)
-        vs = set()
-        for t, _ in sys_rows:
-            vs.update(t.coeffs)
-        vs.update(trow.coeffs.keys())
-        for v in sorted(vs):
-            expr = LinTerm()
-            for lam, (t, _) in zip(lams, sys_rows):
-                c = t.coef(v)
-                if c != 0:
-                    expr = expr + LinTerm({lam: c})
-            expr = expr - trow.coeffs.get(v, LinTerm())
-            meta_rows.append((expr, EQ))
-        # constant: sum_i lam_i * c_i + (-const(u)) >= 0 is wrong way;
-        # rows are t_i <= 0 i.e. a_i.v <= -c_i, so bound b_i = -c_i and we
-        # need sum lam_i * b_i <= -const(u).
-        bound = LinTerm()
+        lams = [f"_lam{r_idx}_{i}" for i in range(len(sys_rows))]
+        nonneg += [lam for lam, (_, rel) in zip(lams, sys_rows) if rel == LE]
+        # coefficient matching: sum_i lam_i * a_i[v] - coeffs[v](u) == 0
+        match: dict[str, dict[str, object]] = {
+            v: {} for v in sorted(sys_vars | trow.coeffs.keys())}
         for lam, (t, _) in zip(lams, sys_rows):
-            bound = bound + LinTerm({lam: -t.const})
+            for v, c in t.coeffs.items():
+                match[v][lam] = c
+        for v, row in match.items():
+            u = trow.coeffs.get(v, LinTerm())
+            for k, c in u.coeffs.items():
+                row[k] = row.get(k, 0) - c
+            meta_rows.append((LinTerm(row, -u.const), EQ))
+        # a_i.v <= b_i = -c_i: coeffs(u).v = sum lam_i*a_i.v <= sum lam_i*b_i <= -const(u)
+        bound = LinTerm({lam: -t.const for lam, (t, _) in zip(lams, sys_rows)})
         meta_rows.append((bound + trow.const, LE))
     unknowns = set()
     for trow in template_rows:

@@ -307,19 +307,6 @@ def lift_set_to_relation(s: Octagon, n_program_vars: int, primed: bool) -> Octag
     return oct_encode(atoms, 2 * n_program_vars)
 
 
-def max_coef(o: Octagon) -> int:
-    """Largest absolute finite off-diagonal coefficient; 0 when unconstrained."""
-    if o.is_bottom:
-        return 0
-    best = 0
-    rows = o.dbm.rows
-    for p in range(o.dbm.dim):
-        for q in range(o.dbm.dim):
-            if p != q and rows[p][q] != INF:
-                best = max(best, abs(rows[p][q]))
-    return best
-
-
 def _sys_dual_sups(sys: LinSys, names: Sequence[str]):
     """Integer suprema of the octagonal terms of the named variables over a
     linear system, per dual entry; None if the system is infeasible."""

@@ -327,7 +327,7 @@ ERROR_PATHS = [
      "parse error: unexpected end of input (wanted ;) at line 3, column 27"),
     (["prog", "analyze", "vars x; init a; a -> a : x % 2 == 0 && x' == x;"], 3,
      "not in fragment: disjunct is neither octagonal nor a deterministic affine update: "
-     "1*x %2 0; -1*x + 1*x' == 0"),
+     "x % 2 == 0; -x + x' == 0"),
     (["rel", "wnt", "_p1' == _p1 + 1 && _p1 <= 9"], 2,
      "parse error: variable '_p1' starts with '_', which is reserved at line 1, column 1"),
 ]

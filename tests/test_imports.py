@@ -84,12 +84,12 @@ def test_no_unreferenced_private_definitions():
 
 
 def _perfbench_names() -> set[str]:
-    """Names the benchmark imports from the package, reads as a name or an
-    attribute, or spells in a string (the functions its tracer wraps)."""
+    """Names the benchmark imports from the package, reads as an attribute,
+    or spells in a string (the functions its tracer wraps).  A bare name
+    does not count: a local variable may share a dead function's name."""
     names = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        names |= _referenced(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("octoterm"):
                 names |= {alias.name for alias in node.names}

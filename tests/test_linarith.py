@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octoterm import linarith
 from octoterm.linarith import (
@@ -204,7 +205,7 @@ def test_farkas_template_no_witness():
 class _RefTableau:
     """The Fraction tableau: every entry a Fraction, pivot rows divided out."""
 
-    def __init__(self, ncols, rows_a, rhs):
+    def __init__(self, ncols, rows_a, rhs, eqs):
         self.n = ncols
         self.m = len(rows_a)
         self.width = self.n + self.m + 1
@@ -215,6 +216,7 @@ class _RefTableau:
             self.a.append(full)
         self.rhs = [Fraction(r) for r in rhs]
         self.basis = [self.n + i for i in range(self.m)]
+        self.eqs = eqs
         self.obj = {}
         self.objval = Fraction(0)
         self.log = []
@@ -304,26 +306,35 @@ class _RefTableau:
 
     def phase1(self):
         aux = self.n + self.m
-        if not any(r < 0 for r in self.rhs):
-            return True
+        arts = {self.n + i for i in self.eqs}
+        lifted = any(r < 0 for r in self.rhs)
+        if lifted or any(self.rhs[i] for i in self.eqs):
+            goal = {c: Fraction(-1) for c in arts}
+            if lifted:
+                for i in range(self.m):
+                    if self.n + i not in arts:
+                        self.a[i][aux] = Fraction(-1)
+                goal[aux] = Fraction(-1)
+            self.set_objective(goal)
+            if lifted:
+                worst = min(range(self.m), key=lambda i: self.rhs[i])
+                self.pivot(worst, aux)
+            status = self.maximize(self.width)
+            assert status == "optimal"
+            if self.objval:
+                return False
+        drop = arts | {aux}
+        for r in range(self.m):
+            if self.basis[r] in drop:
+                for j in sorted(self.a[r]):
+                    if j not in drop and self.a[r][j] != 0:
+                        self.pivot(r, j)
+                        break
         for i in range(self.m):
-            self.a[i][aux] = Fraction(-1)
-        self.set_objective({aux: Fraction(-1)})
-        worst = min(range(self.m), key=lambda i: self.rhs[i])
-        self.pivot(worst, aux)
-        status = self.maximize(self.width)
-        assert status == "optimal"
-        if self.objval:
-            return False
-        if aux in self.basis:
-            r = self.basis.index(aux)
-            for j in sorted(self.a[r]):
-                if j != aux and self.a[r][j] != 0:
-                    self.pivot(r, j)
-                    break
-        for i in range(self.m):
-            self.a[i].pop(aux, None)
-        self.obj.pop(aux, None)
+            for j in drop - {self.basis[i]}:
+                self.a[i].pop(j, None)
+        for j in drop:
+            self.obj.pop(j, None)
         return True
 
     def solution(self):
@@ -357,8 +368,8 @@ def _run(cls, sys, objectives, nonneg=()):
     Returns the pivot log, the feasibility verdict and, per objective, the
     status, the optimum, the values of the basic columns and the basis.
     """
-    _, cols, col_of, rows_a, rhs = linarith._build(sys, nonneg)
-    tab = cls(len(cols), rows_a, rhs)
+    _, cols, col_of, rows_a, rhs, eqs = linarith._build(sys, nonneg)
+    tab = cls(len(cols), rows_a, rhs, eqs)
     feasible = tab.phase1()
     results = []
     if feasible:
@@ -409,8 +420,8 @@ def test_integer_tableau_pivots_like_fraction_tableau(kind):
 
 
 def _ref_lp_feasible(sys, nonneg=()):
-    names, cols, col_of, rows_a, rhs = linarith._build(sys, nonneg)
-    tab = _RefTableau(len(cols), rows_a, rhs)
+    names, cols, col_of, rows_a, rhs, eqs = linarith._build(sys, nonneg)
+    tab = _RefTableau(len(cols), rows_a, rhs, eqs)
     if not tab.phase1():
         return Infeasible()
     tab.set_objective({})
@@ -493,6 +504,74 @@ def test_farkas_template_matches_fraction_tableau(capped):
     ref = [farkas_template(s, t) for s, t in cases]
     assert ours == ref
     assert sum(w is not None for w in ours) > 10 and sum(w is None for w in ours) > 10
+
+
+# ---------------------------------------------------------------------------
+# == rows against the same system with each == written as two <= rows
+# ---------------------------------------------------------------------------
+
+
+def _split_equalities(sys):
+    rows = []
+    for t, rel in sys.rows:
+        rows.append((t, LE))
+        if rel == EQ:
+            rows.append((-t, LE))
+    return LinSys(rows, sys.variables)
+
+
+def _assert_same_as_split(sys, objectives):
+    poly, split = PolyhedronLP(sys), PolyhedronLP(_split_equalities(sys))
+    assert poly.feasible == split.feasible, sys
+    model = poly.model()  # checks every row itself
+    assert (model is None) == (not poly.feasible)
+    for obj in objectives:
+        assert poly.sup(obj) == split.sup(obj), (sys, obj)
+    return poly.feasible
+
+
+def test_equality_rows_match_their_split_form(capped):
+    rng = random.Random(15)
+    seen = set()
+    for kind in ("small", "frac", "big", "degenerate"):
+        for _ in range(60):
+            sys = _rand_system(rng, kind)
+            objectives = [_rand_objective(rng, sys.variables, kind) for _ in range(4)]
+            seen.add(_assert_same_as_split(sys, objectives))
+    assert seen == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["small", "frac", "big", "degenerate"]))
+def test_equality_rows_match_their_split_form_hypothesis(seed, kind):
+    rng = random.Random(seed)
+    sys = _rand_system(rng, kind)
+    _assert_same_as_split(sys, [_rand_objective(rng, sys.variables, kind) for _ in range(3)])
+
+
+def test_equality_row_edge_cases(capped):
+    zero, one = LinTerm.of(0), LinTerm.of(1)
+    objectives = [x, -x, y, x - y, x + y + z]
+    cases = {
+        "duplicated": LinSys([(x - y, EQ), (x - y, EQ), (x - 3, LE)], ["x", "y"]),
+        "0 == 0": LinSys([(zero, EQ), (x - 2, LE)], ["x"]),
+        "1 == 0": LinSys([(one, EQ), (x - 2, LE)], ["x"]),
+        "equalities only": LinSys([(x + y - 4, EQ), (x - y, EQ), (x - z + 1, EQ)]),
+        "zero bound next to negative rows": LinSys(
+            [(x - y, EQ), (2 - x, LE), (y + z, EQ), (3 + z, LE), (x - 5, LE)]),
+    }
+    for name, sys in cases.items():
+        objs = [o for o in objectives if set(o.coeffs) <= set(sys.variables)]
+        assert _assert_same_as_split(sys, objs) == (name != "1 == 0"), name
+    dup = PolyhedronLP(cases["duplicated"])
+    assert dup.sup(y) == Value(Fraction(3)) and dup.sup(y - x) == Value(Fraction(0))
+    only = PolyhedronLP(cases["equalities only"])
+    assert only.model() == {"x": 2, "y": 2, "z": 3}
+    assert only.sup(z) == Value(Fraction(3))
+    neg = PolyhedronLP(cases["zero bound next to negative rows"])
+    # y = x in [2, 5] and z = -y <= -3, so y in [3, 5]
+    assert neg.sup(-y) == Value(Fraction(-3)) and neg.sup(z) == Value(Fraction(-3))
+    assert neg.sup(x) == Value(Fraction(5))
 
 
 def _assert_rows_reduced(tab):

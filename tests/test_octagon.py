@@ -8,7 +8,6 @@ from octoterm.linarith import EQ, LE, LinSys, LinTerm
 from octoterm.octagon import (
     Octagon,
     bottom,
-    max_coef,
     oct_compose,
     oct_decode,
     oct_encode,
@@ -280,13 +279,6 @@ def test_row_classifier_accepts_exactly_the_octagonal_rows():
 def test_hull_empty_is_bottom():
     a = oct_encode([(1, 0, 1, 0, -1), (-1, 0, -1, 0, -1)], 1)  # x<=-1/2 & x>=1/2
     assert oct_hull([a]).is_bottom
-
-
-def test_max_coef_examples():
-    o = tight_example_relation()
-    assert max_coef(o) == 5
-    assert max_coef(tight_close(o)) == 5
-    assert max_coef(top(3)) == 0
 
 
 def test_tight_idempotent():

@@ -159,3 +159,24 @@ def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
             assert len(built) == 3
             found += 1
     assert found > 5
+
+
+def test_farkas_tableau_has_one_row_per_equality(monkeypatch):
+    # N = 3: x0 counts down to 0 while x1 and x2 stay.  The Farkas LP has
+    # 2N coefficient-matching equalities and one bound row per template
+    # row, so its tableau has 4N + 2 rows
+    rel = oct_encode([(1, 0, -1, 3, 1), (-1, 0, 1, 3, -1), (-1, 0, -1, 0, 0),
+                      (1, 1, -1, 4, 0), (-1, 1, 1, 4, 0),
+                      (1, 2, -1, 5, 0), (-1, 2, 1, 5, 0)], 6)
+    assert is_well_founded(rel, 3)
+    v = witness_relation(rel, 3)
+    rows = []
+    real = linarith._Tableau.__init__
+
+    def spy(self, ncols, rows_a, *args):
+        rows.append(len(rows_a))
+        real(self, ncols, rows_a, *args)
+
+    monkeypatch.setattr(linarith._Tableau, "__init__", spy)
+    assert isinstance(synthesize_lrf(v, 3), RankingWitness)
+    assert rows[0] == 4 * 3 + 2
