@@ -349,17 +349,19 @@ class _Tableau:
             assert status == "optimal"
             if ra[m]:
                 return False
-        drop.add(aux)
+        if lifted:
+            drop.add(aux)
+        basis = self.basis
         for r in range(m):
-            if self.basis[r] in drop:
+            if basis[r] in drop:
                 c = min((j for j in self.a[r] if j not in drop), default=None)
                 if c is not None:
                     self.pivot(r, c)
         for i in range(m):
-            row = self.a[i]
-            gone = [j for j in row if j in drop and j != self.basis[i]]
-            for j in gone:
-                del row[j]
+            row, gone = self.a[i], False
+            for j in drop:
+                if j != basis[i] and row.pop(j, None) is not None:
+                    gone = True
             if gone:
                 self._reduce(i)
         return True
