@@ -162,9 +162,9 @@ def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
 
 
 def test_farkas_tableau_has_one_row_per_equality(monkeypatch):
-    # N = 3: x0 counts down to 0 while x1 and x2 stay.  The Farkas LP has
-    # 2N coefficient-matching equalities and one bound row per template
-    # row, so its tableau has 4N + 2 rows
+    # N = 3: x0 counts down to 0 while x1 and x2 stay.  Each of the two
+    # template rows gives the Farkas LP 2N coefficient-matching equalities
+    # and one bound row, so its tableau, the first one built, has 4N + 2 rows
     rel = oct_encode([(1, 0, -1, 3, 1), (-1, 0, 1, 3, -1), (-1, 0, -1, 0, 0),
                       (1, 1, -1, 4, 0), (-1, 1, 1, 4, 0),
                       (1, 2, -1, 5, 0), (-1, 2, 1, 5, 0)], 6)
