@@ -141,7 +141,7 @@ def render_octagon(o: Octagon, names: list[str]) -> str:
         if i == j and si == sj:
             # 2*si*x_i <= c
             if c % 2 == 0:
-                return f"{'-' if si < 0 else ''}{names[i]} <= {c // 2}" if si > 0 else f"{names[i]} >= {-(c // 2)}"
+                return f"{names[i]} <= {c // 2}" if si > 0 else f"{names[i]} >= {-(c // 2)}"
             return f"{'2*' + names[i] if si > 0 else '-2*' + names[i]} <= {c}"
         lhs = ("" if si > 0 else "-") + names[i]
         lhs += (" + " if sj > 0 else " - ") + names[j]

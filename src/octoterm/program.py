@@ -40,8 +40,10 @@ from .octagon import (
     Octagon,
     atom_entry,
     bottom,
+    oct_compose,
     oct_encode,
     oct_hull,
+    oct_leq,
     oct_rows,
     row_atom,
     rows_to_atoms,
@@ -146,13 +148,16 @@ def member_cases(m: LinRel) -> tuple[Conj, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def member_subsumed(a: LinRel, b: LinRel) -> bool:
-    """Sound check that a's relation is contained in b's: every
-    parameter-free case of a implies one case of b by ``conj_implies``.
-    That sees row entailment and the divisibility atoms a's rows entail,
-    such as the parities step-2 accelerations bring in, but not a case of
-    a covered only by a union of b's cases."""
-    if not a.params and not b.params:
-        return conj_implies(a.conj, b.conj)
+    """Sound check that a's relation is contained in b's.  Two
+    parameter-free octagonal members compare their tight octagons
+    entrywise (``oct_leq``, integer-exact).  Otherwise every parameter-free
+    case of a must imply one case of b by ``conj_implies``.  That sees row
+    entailment and the divisibility atoms a's rows entail, such as the
+    parities step-2 accelerations bring in, but not a case of a covered
+    only by a union of b's cases."""
+    octs = _octagon_pair(a, b)
+    if octs is not None:
+        return oct_leq(*octs)
     cb = member_cases(b)
     return all(any(conj_implies(ca, c) for c in cb) for ca in member_cases(a))
 
@@ -231,8 +236,24 @@ def _member_param_matrix(m: LinRel):
     return tuple(tuple(row) for row in closed.entries)
 
 
+def _octagon_pair(a: LinRel, b: LinRel) -> tuple[Octagon, Octagon] | None:
+    """The tight octagons of a and b when both are parameter-free
+    octagonal members without divisibility atoms; None otherwise."""
+    oa, exact = member_to_octagon(a, exact_only=True)
+    if not exact:
+        return None
+    ob, exact = member_to_octagon(b, exact_only=True)
+    return (oa, ob) if exact else None
+
+
 def _compose_param_oct(a: LinRel, b: LinRel):
-    """Composition through the parametric closure; None when not eligible.
+    """Composition through the (parametric) closure; None when not eligible.
+
+    Two parameter-free octagonal members compose as tight octagons
+    (``oct_compose``), and the member's rows are the path-reduced entries
+    of the result: a nonempty tight octagon is integer-consistent, so no LP
+    runs.  Any other pair of octagonal members goes through the
+    parametric closure below.
 
     The closed matrices of a and b are glued over (x, x', x'') and closed
     through the 2N middle pivots only, the parametric ``dbm.close_glued``.
@@ -249,18 +270,23 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     The middle block is erased after tightening, so only the kept entries
     and the middle diagonal are tightened; those diagonal terms are kept as
     parameter rows ``0 <= t`` on the diagonal: they carry the emptiness of
-    the composition (a negative constant when there are no parameters,
-    after the integer halving of ``param_tighten`` too).  Consistency is
-    read before ``_member_from_entries`` drops the path-implied terms: a
-    parameter-free member comes from a closed, tightly closed integer
-    matrix with a nonnegative diagonal, so it is integer-consistent and
-    needs no LP; a parametric one still goes through the LP.  The reduced
-    rows are no longer closed; ``_member_param_matrix`` closes them again.
+    the composition.  A negative constant there drops the member in
+    ``_member_from_entries``; a member that is empty at every valuation
+    without one (parameter bounds on two diagonals that no path joins) is
+    dropped by the LP.  The path-reduced rows are no longer closed;
+    ``_member_param_matrix`` closes them again.
     Dropping that LP (and the one in ``_compose_members``) changes no
     output, since ``_normalize_member`` drops empty members, but the empty
     members then reach parameter elimination: step-2 BRANCHING took 46 s
     instead of 0.26 s.  A replacement must decide emptiness first.
     """
+    octs = _octagon_pair(a, b)
+    if octs is not None:
+        o = oct_compose(*octs, len(a.variables))
+        if o.is_bottom:
+            return []
+        m = _member_from_entries(ExtParamDbm.from_dbm(o.dbm).entries, 0, a.variables)
+        return [] if m is None else [m]
     ea = _member_param_matrix(a)
     if ea is None:
         return None
@@ -291,7 +317,7 @@ def _compose_param_oct(a: LinRel, b: LinRel):
         erased[0][0] = min_terms(erased[0][0] + sum(
             (entries[p][p] for p in range(blk, 2 * blk)), ()))
         mem = _member_from_entries(erased, np_, a.variables)
-        if mem is not None and (not np_ or mem.rationally_feasible()):
+        if mem is not None and mem.rationally_feasible():
             out.append(mem)
     return out
 
@@ -366,23 +392,28 @@ def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
     return out
 
 
+@lru_cache(maxsize=_MEMO)
 def member_to_octagon(m: LinRel, exact_only: bool = False) -> tuple[Octagon, bool]:
     """Octagonal hull of a member (exact flag when nothing was lost).
 
-    Parameter-free members whose rows are all octagonal convert exactly;
-    anything else is hulled by rational suprema of the octagonal terms
-    over the lifted polyhedron (parameters kept nonnegative), floored,
-    which equal the suprema over its projection.  Either way the result is
-    the tight hull of the member's integer points.
+    Parameter-free members without divisibility atoms whose rows are all
+    octagonal convert exactly; anything else is hulled by rational suprema
+    of the octagonal terms over the lifted polyhedron (parameters kept
+    nonnegative), floored, which equal the suprema over its projection.
+    Either way the result is the tight hull of the member's integer
+    points.  With ``exact_only`` a member that does not convert exactly
+    gives bottom and no hull.  The exact conversion is memoized under
+    ``exact_only=True`` alone, so each member is converted once.
     """
     names = _relation_names(m.variables)
+    if not exact_only:
+        o, exact = member_to_octagon(m, exact_only=True)
+        return (o, True) if exact else (oct_hull([m.system()], names), False)
     if not m.params and not m.conj.divs:
         atoms = rows_to_atoms(m.conj.rows, {v: i for i, v in enumerate(names)})
         if atoms is not None:
             return tight_close(oct_encode(atoms, len(names))), True
-    if exact_only:
-        return bottom(len(names)), False
-    return oct_hull([m.system()], names), False
+    return bottom(len(names)), False
 
 
 # ---------------------------------------------------------------------------

@@ -643,7 +643,7 @@ def test_compose_param_oct_matches_the_full_closure(n):
 
     rng = random.Random(71 + n)
     members = _random_members(rng, n) + _random_members(rng, n)
-    compared = skipped = 0
+    compared = skipped = free = 0
     for a in members:
         for b in members:
             want, consistent = _full_closure_compose(a, b)
@@ -651,8 +651,10 @@ def test_compose_param_oct_matches_the_full_closure(n):
                 skipped += 1
                 continue
             compared += 1
+            # parameter-free pairs take oct_compose, the others param_fw
+            free += not a.params and not b.params
             assert _compose_param_oct(a, b) == want, (a, b)
-    assert compared >= 100 and skipped >= 3, (compared, skipped)
+    assert compared >= 100 and skipped >= 3 and free >= 250, (compared, skipped, free)
 
 
 def test_composition_closes_each_member_once(monkeypatch):
@@ -679,6 +681,99 @@ def test_composition_closes_each_member_once(monkeypatch):
     assert compose_members(a, b) and compose_members(a, c)
     assert sorted(calls, key=str) == sorted(
         [(8, None)] * 3 + [(12, [4, 5, 6, 7])] * 2, key=str)
+
+
+def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
+    # two parameter-free octagonal members compose by oct_compose and
+    # compare by oct_leq: no parametric closure, no LP, no row entailment
+    from octoterm import linarith
+    from octoterm.linarith import LE, LinTerm
+    from octoterm.presburger import Conj
+
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(program_module, "param_fw", spy("param_fw", program_module.param_fw))
+    monkeypatch.setattr(program_module, "conj_implies",
+                        spy("conj_implies", program_module.conj_implies))
+    monkeypatch.setattr(linarith.PolyhedronLP, "__init__",
+                        spy("PolyhedronLP", linarith.PolyhedronLP.__init__))
+    _clear_memos()
+    x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
+    b = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - x, LE), (y1 - y - 1, LE)]))
+    c = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - x1, LE)]))
+    (bc,) = compose_members(b, c)
+    (cb,) = compose_members(c, b)
+    assert not bc.params and not cb.params
+    assert member_subsumed(bc, bc) and not member_subsumed(bc, cb)
+    assert calls == []
+    # bc is x <= y, x' <= min(y + 1, 3), y' <= x': the midpoint searched
+    # over a box agrees
+    names = ("x", "y", "x'", "y'")
+    for x0, y0, x2, y2 in itertools.product(range(-4, 5), repeat=4):
+        via = any(x0 <= y0 and mx <= x0 and my <= y0 + 1 and my <= 3 and x2 <= my
+                  and y2 <= x2 for mx in range(-9, 10) for my in range(-9, 10))
+        assert bc.conj.eval(dict(zip(names, (x0, y0, x2, y2)))) == via
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_member_subsumed_agrees_with_conj_implies(n):
+    # oct_leq on the tight octagons against conj_implies on the rows, over
+    # parameter-free members and their compositions; conj_implies is sound
+    # and oct_leq integer-complete, so a difference must be an inclusion
+    # that only oct_leq sees, and the box must confirm it
+    from octoterm.presburger import conj_implies
+
+    rng = random.Random(91 + n)
+    members = _random_members(rng, n) + _random_members(rng, n)
+    free = [m for m in members if not m.params]
+    free = list(dict.fromkeys(free + [c for a in free for b in free
+                                      for c in compose_members(a, b)]))
+    names = ["x", "y"][:n]
+    names += [v + "'" for v in names]
+    box = [dict(zip(names, pt)) for pt in itertools.product(range(-4, 5), repeat=2 * n)]
+    included = 0
+    for a in free:
+        for b in free:
+            got = member_subsumed(a, b)
+            included += got
+            if got != conj_implies(a.conj, b.conj):
+                assert got, (a, b)
+                assert all(b.conj.eval(pt) for pt in box if a.conj.eval(pt)), (a, b)
+    assert len(free) >= 100 and included >= 500, (len(free), included)
+
+
+@pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
+def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width, bound):
+    # with antichains capped at one term, wide cells cap the parametric
+    # closure, and compose_members falls back to elimination
+    from octoterm import pdbm
+    from octoterm.program import _compose_members, _compose_param_oct
+
+    rng = random.Random(101 + n)
+    members = _random_members(rng, n)
+    monkeypatch.setattr(pdbm, "MAX_ANTICHAIN", 1)
+    _clear_memos()
+    request.addfinalizer(_clear_memos)  # the capped closures stay out of the memos
+    names = ["x", "y"][:n]
+    names += [v + "'" for v in names]
+    box = [dict(zip(names, pt))
+           for pt in itertools.product(range(-width, width + 1), repeat=2 * n)]
+    fell = 0
+    for a in members:
+        for b in members:
+            if (not a.params and not b.params) or _compose_param_oct(a, b) is not None:
+                continue
+            fell += 1
+            got, want = compose_members(a, b), _compose_members(a, b)
+            for pt in box:
+                assert _search_eval(got, pt, bound) == _search_eval(want, pt, bound), (a, b, pt)
+    assert fell >= 3, fell
 
 
 def test_empty_parametric_composition_is_dropped():
