@@ -198,19 +198,15 @@ def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
     return dnf
 
 
-@dataclass(frozen=True)
-class HomogenizedRel:
-    a_h: Matrix
-    c_h: tuple[tuple[int, ...], ...]  # rows, guard as C_h x_h >= 0
-
-
-def homogenize(rel: AffineRel) -> HomogenizedRel:
+def homogenize(rel: AffineRel) -> tuple[Matrix, tuple[tuple[int, ...], ...]]:
+    """``(a_h, c_h)``: the update over x_h = (x, 1), and the guard as the
+    rows of C_h x_h >= 0."""
     n = rel.n_vars
     a_h = tuple(
         tuple(list(rel.a[i]) + [rel.b[i]]) for i in range(n)
     ) + ((0,) * n + (1,),)
     c_h = tuple(tuple(list(c) + [-d]) for c, d in rel.guard)
-    return HomogenizedRel(a_h, c_h)
+    return a_h, c_h
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +421,14 @@ def sufficient_termination(rel: AffineRel, names: list[str] | None = None) -> Dn
     making the leading surviving coefficient negative (all higher ones
     zero) violates the guard eventually and therefore terminates.
     """
-    h = homogenize(rel)
-    closed = poly_matrix_power(h.a_h)
+    a_h, c_h = homogenize(rel)
+    closed = poly_matrix_power(a_h)
     n_h = rel.n_vars + 1
     if names is None:
         names = [f"x{i}" for i in range(rel.n_vars)]
     dnf = Dnf()
 
-    for c_row in h.c_h:
+    for c_row in c_h:
         for r in range(closed.L):
             # P(k) = c_row . A_h^(kL+r) . x_h, polynomial in k with
             # LinTerm coefficients over the start state (x_{N} = 1).

@@ -31,7 +31,6 @@ from .affine import (
 from .closure import kleene_pre_sequence, reflexive_transitive_closure
 from .dbm import INF
 from .grammar import (
-    AffLabel,
     FragmentError,
     ParseError,
     div_str,
@@ -51,12 +50,7 @@ from .program import (
     is_flat,
     Flat,
 )
-from .ranking import (
-    NotWellFounded,
-    TriviallyWF,
-    prove_termination,
-    var_names,
-)
+from .ranking import NotWellFounded, prove_termination, var_names
 from .term_oct import fast_power, wnt
 
 EXIT_OK = 0
@@ -84,14 +78,11 @@ def _parse_relation(text: str, variables: list[str] | None):
 
 
 def _single_octagon(disjuncts, variables) -> Octagon:
-    octs = []
-    for d in disjuncts:
-        if isinstance(d, AffLabel):
-            raise FragmentError("relation is affine, not octagonal; use `affine`")
-        octs.append(d.relation)
-    if len(octs) != 1:
+    if not all(isinstance(d, Octagon) for d in disjuncts):
+        raise FragmentError("relation is affine, not octagonal; use `affine`")
+    if len(disjuncts) != 1:
         raise FragmentError("octagonal analyses need a conjunctive relation")
-    return octs[0]
+    return disjuncts[0]
 
 
 # -- rendering ----------------------------------------------------------------
@@ -204,7 +195,7 @@ def cmd_rel(args) -> int:
             )
             return EXIT_OK
         proof = res.proof
-        if isinstance(proof, TriviallyWF):
+        if proof.witness_relation.is_bottom:
             _emit(
                 args,
                 {"status": "well-founded", "witness": "false"},
@@ -274,10 +265,10 @@ def cmd_affine(args) -> int:
     disjuncts = parse_formula(text, variables)
     rels = []
     for d in disjuncts:
-        if isinstance(d, AffLabel):
-            rels.append(d.relation)
+        if isinstance(d, AffineRel):
+            rels.append(d)
         else:
-            conv = _octagon_to_affine(d.relation, len(variables))
+            conv = _octagon_to_affine(d, len(variables))
             if conv is None:
                 raise FragmentError("relation is not a deterministic affine update")
             rels.append(conv)
@@ -410,8 +401,8 @@ def cmd_prog(args) -> int:
 
 
 def _power(text: str) -> int:
-    """A power or chain length: an integer of at least 1 (argparse exits 2
-    on anything else)."""
+    """A power, chain length or budget: an integer of at least 1 (argparse
+    exits 2 on anything else)."""
     try:
         n = int(text)
     except ValueError:
@@ -427,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conditional termination analysis for integer loops and programs",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--max-prefix", type=int, default=64,
+    ap.add_argument("--max-prefix", type=_power, default=64,
                     help="periodicity detection prefix budget")
-    ap.add_argument("--max-period", type=int, default=64,
+    ap.add_argument("--max-period", type=_power, default=64,
                     help="periodicity detection period budget")
-    ap.add_argument("--max-disjuncts", type=int, default=256,
+    ap.add_argument("--max-disjuncts", type=_power, default=256,
                     help="summary disjunct cap before hull-merge")
     sub = ap.add_subparsers(dest="command", required=True)
 

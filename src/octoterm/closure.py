@@ -26,13 +26,12 @@ on the live powers only, and one concrete composition confirms the death.
 A verified certificate yields the reflexive-transitive closure exactly, as
 the identity and a finite union of plain and parametric octagons (a dying
 relation's families stop at its last live power).  Budget exhaustion
-degrades to an explicit NotFound -- never to an unsound answer.
+degrades to None -- never to an unsound answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .dbm import INF, Dbm, compose_closed, dbm_add_rate
 from .octagon import (
@@ -49,10 +48,6 @@ from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw, param_tighten
 from .term_oct import fast_power
 
 
-class OperationCancelled(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class NotStarConsistent:
     """R dies at ``power`` and no period certificate covers a live power:
@@ -61,11 +56,6 @@ class NotStarConsistent:
     starts past it.  R* is then the identity and R^1 .. R^(power-1)."""
 
     power: int  # least n with R^n inconsistent
-
-
-@dataclass(frozen=True)
-class NotFound:
-    reason: str = "budget exhausted"
 
 
 @dataclass
@@ -135,9 +125,8 @@ class ParamOctUnion:
 class _PowerCache:
     """Plain-closed dual matrices D_n of R^n, with octagonal consistency."""
 
-    def __init__(self, rel: Octagon, n_program_vars: int, cancel=None):
+    def __init__(self, rel: Octagon, n_program_vars: int):
         self.N = n_program_vars
-        self.cancel = cancel
         t = tight_close(rel)
         self.rel = t
         self.live = 0  # R^n is non-empty for every n <= live
@@ -159,8 +148,6 @@ class _PowerCache:
             return False
         top_n = max(self.d) if self.d else 0
         while top_n < n:
-            if self.cancel is not None and self.cancel():
-                raise OperationCancelled()
             nxt = compose_closed(self.d[top_n], self.base)
             top_n += 1
             if nxt is None or not halving_consistent(nxt):
@@ -501,10 +488,10 @@ def detect_period(
     n_program_vars: int,
     max_b: int = 64,
     max_c: int = 64,
-    cancel: Callable[[], bool] | None = None,
     cache: _PowerCache | None = None,
 ):
-    """Certificate for the tight power sequence, or NotFound/NotStarConsistent.
+    """Certificate for the tight power sequence, or NotStarConsistent, or
+    None when no candidate within the budget is certified.
 
     Tries the candidates (b, c), b <= max_b and c <= max_c, with
     ``_certify``.  A candidate reads the powers up to need = b + 4c - 1, so
@@ -522,7 +509,7 @@ def detect_period(
     one; a caller that passes its own can read the powers computed.
     """
     if cache is None:
-        cache = _PowerCache(rel, n_program_vars, cancel)
+        cache = _PowerCache(rel, n_program_vars)
     if cache.dead is not None:
         return NotStarConsistent(cache.dead)
     cache.horizon = max_b + 4 * max_c - 1
@@ -533,7 +520,7 @@ def detect_period(
             res = _certify(cache, need - 4 * c + 1, c)
             if res is not None:
                 return res
-    return NotFound()
+    return None
 
 
 def kleene_pre_sequence(rel: Octagon, n: int, n_program_vars: int) -> list[Octagon]:
@@ -553,7 +540,6 @@ def reflexive_transitive_closure(
     n_program_vars: int,
     max_b: int = 64,
     max_c: int = 64,
-    cancel: Callable[[], bool] | None = None,
 ) -> ParamOctUnion:
     """R* as identity plus finitely many plain/parametric octagons.
 
@@ -567,9 +553,9 @@ def reflexive_transitive_closure(
     falls back to the universal relation with exact=False.
     """
     N = n_program_vars
-    cache = _PowerCache(rel, N, cancel)
-    res = detect_period(rel, N, max_b, max_c, cancel, cache)
-    if isinstance(res, NotFound):
+    cache = _PowerCache(rel, N)
+    res = detect_period(rel, N, max_b, max_c, cache)
+    if res is None:
         return ParamOctUnion(N, [top(2 * N)], exact=False)
     families: list = []
     if isinstance(res, NotStarConsistent):

@@ -278,17 +278,7 @@ def _dnf(node) -> list[list[tuple[LinTerm, str]]]:
 # -- classification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OctLabel:
-    relation: Octagon
-
-
-@dataclass(frozen=True)
-class AffLabel:
-    relation: AffineRel
-
-
-Disjunct = OctLabel | AffLabel
+Disjunct = Octagon | AffineRel
 
 
 def _as_octagon(rows, variables: list[str]) -> Octagon | None:
@@ -413,11 +403,11 @@ def _labels(node, variables: list[str]) -> list[Disjunct]:
     for rows in _dnf(node):
         o = _as_octagon(rows, variables)
         if o is not None:
-            out.append(OctLabel(o))
+            out.append(o)
             continue
         a = _as_affine(rows, variables)
         if a is not None:
-            out.append(AffLabel(a))
+            out.append(a)
             continue
         raise FragmentError(
             "disjunct is neither octagonal nor a deterministic affine update: "

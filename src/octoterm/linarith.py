@@ -411,7 +411,7 @@ def _build(sys: LinSys, extra_nonneg: Sequence[str] = ()):
 
 
 # ---------------------------------------------------------------------------
-# public results and operations
+# public operations
 # ---------------------------------------------------------------------------
 
 
@@ -448,11 +448,11 @@ class PolyhedronLP:
                 raise AssertionError("LP model fails a row; solver bug")
         return model
 
-    def sup(self, obj: LinTerm):
-        if not self.feasible:
-            return Infeasible()
-        if any(v not in self.col_of for v in obj.coeffs):
-            return Unbounded()
+    def sup(self, obj: LinTerm) -> Fraction | None:
+        """The supremum of obj over the system; None when it is unbounded or
+        the system is empty."""
+        if not self.feasible or any(v not in self.col_of for v in obj.coeffs):
+            return None
         coefs: dict[int, object] = {}
         for v, c in obj.coeffs.items():
             idx = self.col_of[v]
@@ -460,43 +460,21 @@ class PolyhedronLP:
             if len(idx) == 2:
                 coefs[idx[1]] = coefs.get(idx[1], 0) - c
         self.tab.set_objective(coefs)
-        status = self.tab.maximize(self.aux)
-        if status == "unbounded":
-            return Unbounded()
-        return Value(self.tab.objval + obj.const)
+        if self.tab.maximize(self.aux) == "unbounded":
+            return None
+        return self.tab.objval + obj.const
 
     def entails_le(self, t: LinTerm) -> bool:
         """Every rational point satisfies t <= 0 (vacuous when empty)."""
         if not self.feasible:
             return True
         res = self.sup(t)
-        return isinstance(res, Value) and res.value <= 0
+        return res is not None and res <= 0
 
 
-@dataclass(frozen=True)
-class Feasible:
-    model: dict
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    pass
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    pass
-
-
-@dataclass(frozen=True)
-class Value:
-    value: Fraction
-
-
-def lp_feasible(sys: LinSys, nonneg: Sequence[str] = ()):
-    """Exact feasibility over the rationals; Feasible carries a model."""
-    model = PolyhedronLP(sys, nonneg).model()
-    return Infeasible() if model is None else Feasible(model)
+def lp_feasible(sys: LinSys, nonneg: Sequence[str] = ()) -> dict[str, Fraction] | None:
+    """Exact feasibility over the rationals: a model, or None."""
+    return PolyhedronLP(sys, nonneg).model()
 
 
 def term_of_pair(p: int, q: int, variables: Sequence[str]) -> LinTerm:
@@ -522,19 +500,15 @@ class TemplateRow:
     const: LinTerm
 
 
-@dataclass(frozen=True)
-class Witness:
-    assignment: dict
-
-
-def farkas_template(sys: LinSys, template_rows: Sequence[TemplateRow]):
+def farkas_template(sys: LinSys,
+                    template_rows: Sequence[TemplateRow]) -> dict[str, Fraction] | None:
     """Find unknowns making every template row a consequence of sys.
 
     Each template row must be derivable as a nonnegative combination of the
     system rows (equality rows get sign-free multipliers) plus a nonnegative
     slack; the certificate conditions are linear in the multipliers and the
     unknowns, so one exact LP feasibility call decides the search.
-    Returns Witness or None.
+    Returns the value of every unknown, or None.
     """
     meta_rows: list[Row] = []
     nonneg: list[str] = []
@@ -563,8 +537,7 @@ def farkas_template(sys: LinSys, template_rows: Sequence[TemplateRow]):
         for e in trow.coeffs.values():
             unknowns.update(e.coeffs)
     meta = LinSys(meta_rows)
-    res = lp_feasible(meta, nonneg)
-    if isinstance(res, Infeasible):
+    model = lp_feasible(meta, nonneg)
+    if model is None:
         return None
-    model = res.model
-    return Witness({u: model.get(u, Fraction(0)) for u in sorted(unknowns)})
+    return {u: model.get(u, Fraction(0)) for u in sorted(unknowns)}

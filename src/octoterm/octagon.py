@@ -38,7 +38,7 @@ from .dbm import (
     ext_min,
     fw_close,
 )
-from .linarith import LE, LinSys, LinTerm, PolyhedronLP, Row, Unbounded, term_of_pair
+from .linarith import LE, LinSys, LinTerm, PolyhedronLP, Row, term_of_pair
 
 # Atom kinds: (sign_i, i, sign_j, j, c) encodes  sign_i*x_i + sign_j*x_j <= c.
 # Unary bounds sign*x_i <= c are written with i == j as 2*sign*x_i <= 2c.
@@ -320,10 +320,7 @@ def _sys_dual_sups(sys: LinSys, names: Sequence[str]):
             if p == q:
                 continue
             res = poly.sup(term_of_pair(p, q, names))
-            if isinstance(res, Unbounded):
-                entry[p][q] = INF
-            else:
-                entry[p][q] = res.value.numerator // res.value.denominator
+            entry[p][q] = INF if res is None else res.numerator // res.denominator
     return entry
 
 

@@ -104,8 +104,6 @@ def live_points(rel: Octagon, n_vars: int, box: BoxDomain) -> set[tuple[int, ...
 def program_live_starts(program, box: BoxDomain) -> set[tuple[int, ...]]:
     """Valuations at the initial state from which an in-box infinite run
     exists (configuration-level greatest fixpoint)."""
-    from .grammar import OctLabel
-
     n = len(program.variables)
     pts = box.points()
     index = {p: i for i, p in enumerate(pts)}
@@ -115,17 +113,16 @@ def program_live_starts(program, box: BoxDomain) -> set[tuple[int, ...]]:
     succs: list[list[int]] = [[] for _ in range(len(states) * npts)]
     for t in program.transitions:
         for d in t.label:
-            if isinstance(d, OctLabel):
-                mat = _relation_matrix(d.relation, n, box)
+            if isinstance(d, Octagon):
+                mat = _relation_matrix(d, n, box)
                 rows, cols = np.nonzero(mat)
                 for a, b in zip(rows.tolist(), cols.tolist()):
                     succs[sidx[t.source] * npts + a].append(sidx[t.target] * npts + b)
             else:
-                rel = d.relation
                 for a, p in enumerate(pts):
-                    if not rel.guard_holds(p):
+                    if not d.guard_holds(p):
                         continue
-                    img = rel.apply(p)
+                    img = d.apply(p)
                     j = index.get(tuple(img))
                     if j is not None:
                         succs[sidx[t.source] * npts + a].append(sidx[t.target] * npts + j)

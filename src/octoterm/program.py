@@ -30,11 +30,7 @@ from operator import add, le
 
 from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
-from .grammar import (
-    AffLabel,
-    OctLabel,
-    parse_program_text,
-)
+from .grammar import parse_program_text
 from .linarith import EQ, LE, LinSys, LinTerm, PolyhedronLP, term_of_pair
 from .octagon import (
     Octagon,
@@ -456,10 +452,10 @@ def parse_program(text: str) -> Program:
 def _label_members(label: tuple, variables: tuple[str, ...]) -> tuple[LinRel, ...]:
     out = []
     for d in label:
-        if isinstance(d, OctLabel):
-            m = member_from_octagon(d.relation, variables)
+        if isinstance(d, Octagon):
+            m = member_from_octagon(d, variables)
         else:
-            m = member_from_affine_step(d.relation, variables)
+            m = member_from_affine_step(d, variables)
         if m is not None and m.rationally_feasible():
             out.append(m)
     return tuple(out)
@@ -523,11 +519,11 @@ def _cycle_single_class(p: Program, cycle: list[Transition]):
     """(kind, payload) when the composed cycle label is a single conjunctive
     octagonal or finite-monoid affine relation; None otherwise."""
     if all(len(t.label) == 1 for t in cycle) and all(
-        isinstance(t.label[0], AffLabel) for t in cycle
+        isinstance(t.label[0], AffineRel) for t in cycle
     ):
         a = None
         for t in cycle:
-            r = t.label[0].relation
+            r = t.label[0]
             a = r if a is None else _compose_affine(a, r)
         if a is not None and is_finite_monoid(a.a):
             return ("affine", a)

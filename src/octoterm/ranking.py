@@ -25,7 +25,6 @@ from .linarith import (
     LinTerm,
     PolyhedronLP,
     TemplateRow,
-    Value,
     farkas_template,
 )
 from .octagon import (
@@ -62,16 +61,6 @@ class RankingWitness:
     lower_bound: int
 
 
-@dataclass(frozen=True)
-class TriviallyWF:
-    """The witness relation is empty; well-foundedness holds vacuously."""
-
-
-@dataclass(frozen=True)
-class NotFoundLrf:
-    pass
-
-
 def witness_relation(rel: Octagon, n_program_vars: int) -> Octagon:
     """R strengthened with the domain of R^(4N^2); bottom when that dies."""
     N = n_program_vars
@@ -92,15 +81,17 @@ def _primed(f: LinTerm, n_program_vars: int) -> LinTerm:
     )
 
 
-def synthesize_lrf(v: Octagon, n_program_vars: int):
+def synthesize_lrf(v: Octagon, n_program_vars: int) -> RankingWitness | None:
     """Find an integer linear ranking function for the relation v.
 
-    Returns RankingWitness, NotFoundLrf, or TriviallyWF for empty v.
+    Returns a RankingWitness, or None when v has no linear ranking
+    function.  An empty v is ranked vacuously: its witness is v itself
+    with the zero function, decrease 1 and lower bound 0.
     """
     N = n_program_vars
     v = tight_close(v)
     if v.is_bottom:
-        return TriviallyWF()
+        return RankingWitness(v, LinTerm(), 1, 0)
     names = var_names(N)
     sys = oct_to_linsys(v, names)
     coef_names = [f"a{i}" for i in range(N)]
@@ -119,18 +110,18 @@ def synthesize_lrf(v: Octagon, n_program_vars: int):
     )
     w = farkas_template(sys, [decrease, bounded])
     if w is None:
-        return NotFoundLrf()
-    scale = lcm(*(w.assignment[a].denominator for a in coef_names)) if N else 1
-    f = LinTerm({names[i]: int(w.assignment[coef_names[i]] * scale) for i in range(N)})
+        return None
+    scale = lcm(*(w[a].denominator for a in coef_names)) if N else 1
+    f = LinTerm({names[i]: int(w[coef_names[i]] * scale) for i in range(N)})
     rel_lp, dom_lp = PolyhedronLP(sys), _domain_lp(v, N)
     # exact integer decrease inf(f - f') and lower bound inf f for the
     # scaled function, as sups of their negations
     delta = rel_lp.sup(_primed(f, N) - f)
-    assert isinstance(delta, Value) and delta.value < 0
-    decrease_val = ceil(-delta.value)  # f is integer-valued on integer points
+    assert delta is not None and delta < 0
+    decrease_val = ceil(-delta)  # f is integer-valued on integer points
     low = dom_lp.sup(-f)
-    assert isinstance(low, Value)
-    h = ceil(-low.value)
+    assert low is not None
+    h = ceil(-low)
     witness = RankingWitness(v, f, max(1, decrease_val), h)
     assert _ranks(rel_lp, dom_lp, f, witness.decrease, h, N)
     return witness
@@ -160,7 +151,7 @@ def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: in
 
 @dataclass(frozen=True)
 class WellFounded:
-    proof: RankingWitness | TriviallyWF
+    proof: RankingWitness
 
 
 @dataclass(frozen=True)
@@ -179,11 +170,8 @@ def prove_termination(rel: Octagon, n_program_vars: int):
     res = wnt(rel, N)
     if not res.set.is_bottom:
         return NotWellFounded(res.set)
-    v = witness_relation(rel, N)
-    if v.is_bottom:
-        return WellFounded(TriviallyWF())
-    found = synthesize_lrf(v, N)
-    if isinstance(found, NotFoundLrf):
+    found = synthesize_lrf(witness_relation(rel, N), N)
+    if found is None:
         raise AssertionError(
             "relation is well founded but no linear ranking function was "
             "found on the witness relation; synthesis completeness violated"

@@ -97,16 +97,9 @@ def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
 
 @dataclass(frozen=True)
 class WntResult:
-    """wnt(R) as a tight octagon over the unprimed variables (bottom = WF).
-
-    ``powers_used`` names the probe powers (n1, n1 + 1) whose answer this
-    is, also when the chain was seen to settle below them.
-    """
+    """wnt(R) as a tight octagon over the unprimed variables (bottom = WF)."""
 
     set: Octagon
-    powers_used: tuple[int, int]
-    stable: bool  # pre-image sets of the two probe powers coincide
-    high_power_consistent: bool
 
 
 def wnt(rel: Octagon, n_program_vars: int) -> WntResult:
@@ -125,25 +118,24 @@ def _wnt_tight(rel: Octagon, N: int) -> WntResult:
     n1 = 5^(2N) and n1 + 1, returned as soon as two successive squares have
     equal pre-image sets (the chain has settled) or a square is empty."""
     n1 = 5 ** (2 * N)
-    powers = (n1, n1 + 1)
     squares: list[Octagon] = []
     last = None  # pre-image set of the last square
     for square in islice(_squares(rel, N), n1.bit_length()):
         if square.is_bottom:
-            return WntResult(bottom(N), powers, False, False)
+            return WntResult(bottom(N))
         pre = pre_image_set(square, N)
         if last is not None and oct_eq(pre, last):
-            return WntResult(last, powers, True, True)
+            return WntResult(last)
         squares.append(square)
         last = pre
     v = _product(squares, n1, N)
     w = oct_compose(v, rel, N)
     if w.is_bottom:
-        return WntResult(bottom(N), powers, False, False)
+        return WntResult(bottom(N))
     pv = pre_image_set(v, N)
     if not oct_eq(pv, pre_image_set(w, N)):
-        return WntResult(bottom(N), powers, False, True)
-    return WntResult(pv, powers, True, True)
+        return WntResult(bottom(N))
+    return WntResult(pv)
 
 
 def is_well_founded(rel: Octagon, n_program_vars: int) -> bool:

@@ -9,7 +9,7 @@ from operator import mul
 from typing import Sequence
 
 from octoterm.dbm import INF, Dbm
-from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, Value
+from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP
 from octoterm.octagon import (
     Octagon,
     bottom,
@@ -263,7 +263,7 @@ def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
     if proj.is_bottom:
         return True
     sys = oct_to_linsys(proj, var_names(n_program_vars)[: n_program_vars])
-    return isinstance(PolyhedronLP(sys).sup(-f), Value)
+    return PolyhedronLP(sys).sup(-f) is not None
 
 
 def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:

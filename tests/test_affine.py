@@ -104,15 +104,15 @@ def test_finite_monoid_wnt_vs_trajectory_simulation():
 
 def test_homogenize_shape():
     rel = AffineRel(2, mat([[1, 2], [0, 1]]), (3, -1), (((1, 0), 2),))
-    h = homogenize(rel)
-    assert h.a_h == ((1, 2, 3), (0, 1, -1), (0, 0, 1))
-    assert h.c_h == ((1, 0, -2),)
+    a_h, c_h = homogenize(rel)
+    assert a_h == ((1, 2, 3), (0, 1, -1), (0, 0, 1))
+    assert c_h == ((1, 0, -2),)
     rng = random.Random(9)
     for _ in range(20):
         pt = (rng.randint(-5, 5), rng.randint(-5, 5))
         img = rel.apply(pt)
         himg = tuple(
-            sum(h.a_h[i][j] * v for j, v in enumerate(pt + (1,))) for i in range(2)
+            sum(a_h[i][j] * v for j, v in enumerate(pt + (1,))) for i in range(2)
         )
         assert img == himg
 

@@ -53,6 +53,15 @@ def test_rel_rank_prints_verified_function(capsys):
     assert "ranking function" in out
 
 
+def test_rel_rank_with_an_empty_witness_relation(capsys):
+    # R^4 is empty: the witness relation is too, and ranks vacuously
+    code, out, _ = run(capsys, "rel", "rank", "x >= 0 && x <= 2 && x' == x - 1")
+    assert code == 0 and out == "well founded (witness relation is empty)"
+    code, out, _ = run(capsys, "--format", "json", "rel", "rank",
+                       "x >= 0 && x <= 2 && x' == x - 1")
+    assert code == 0 and json.loads(out) == {"status": "well-founded", "witness": "false"}
+
+
 def test_rel_power_and_pre(capsys):
     code, out, _ = run(capsys, "rel", "power", "x' == x - 1", "8")
     assert code == 0 and "x - x' <= 8" in out
@@ -60,12 +69,16 @@ def test_rel_power_and_pre(capsys):
     assert code == 0 and "pre^3: x >= 2" in out
 
 
-@pytest.mark.parametrize("cmd", ["power", "pre"])
+@pytest.mark.parametrize("cmd", ["power", "pre", "--max-prefix", "--max-period",
+                                 "--max-disjuncts"])
 @pytest.mark.parametrize("n", ["0", "-1", "two"])
 def test_rel_power_and_pre_reject_n_below_one(capsys, cmd, n):
-    # a usage error, exit 2, before any analysis: no traceback, no output
+    # a usage error, exit 2, before any analysis: no traceback, no output;
+    # the budget flags take the same integers >= 1
+    argv = [cmd, n, "rel", "closure", "x' == x + 1"] if cmd.startswith("--") else \
+        ["rel", cmd, "x' == x + 1", n]
     with pytest.raises(SystemExit) as exc:
-        main(["rel", cmd, "x' == x + 1", n])
+        main(argv)
     out = capsys.readouterr()
     assert exc.value.code == 2
     assert out.out == "" and "expected an integer >= 1" in out.err

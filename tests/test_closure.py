@@ -4,14 +4,12 @@ import pytest
 
 from octoterm import closure as closure_module
 from octoterm.closure import (
-    NotFound,
     NotStarConsistent,
     ParamOct,
     PeriodCertificate,
     detect_period,
     kleene_pre_sequence,
     reflexive_transitive_closure,
-    OperationCancelled,
 )
 from octoterm.dbm import INF, dbm_add_rate
 from octoterm.octagon import (
@@ -375,17 +373,6 @@ def test_strictly_descending_for_wf_star_consistent():
     assert count >= 3
 
 
-def test_cancellation_token():
-    calls = [0]
-
-    def cancel():
-        calls[0] += 1
-        return calls[0] > 3
-
-    with pytest.raises(OperationCancelled):
-        detect_period(periodic_relation(), 4, cancel=cancel)
-
-
 def flip_decrement_relation(rng: random.Random, n_vars: int) -> Octagon:
     """x_i' == d - x_i (a sign flip) or x_i' == x_i - d per variable, d in
     0..2, sometimes a box lo <= x_i <= hi, and a few octagonal atoms over
@@ -487,7 +474,7 @@ def test_middle_block_replay_matches_every_pivot(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def nested_scan(rel, n_vars, max_b=64, max_c=64, cancel=None, cache=None):
+def nested_scan(rel, n_vars, max_b=64, max_c=64, cache=None):
     """The scan that tried c = 1 at every b <= max_b, then c = 2, and so on;
     each candidate is certified as ``detect_period`` certifies it."""
     if cache is None:
@@ -501,7 +488,7 @@ def nested_scan(rel, n_vars, max_b=64, max_c=64, cancel=None, cache=None):
             res = closure_module._certify(cache, b, c)
             if res is not None:
                 return res
-    return NotFound()
+    return None
 
 
 def diff_scan_candidate(cache, b, c):

@@ -1,22 +1,21 @@
 import pytest
 
+from octoterm.affine import AffineRel
 from octoterm.grammar import (
-    AffLabel,
     FragmentError,
-    OctLabel,
     ParseError,
     parse_condition,
     parse_formula,
     parse_program_text,
 )
-from octoterm.octagon import oct_decode, oct_eq, tight_close
+from octoterm.octagon import Octagon, oct_decode, oct_eq, tight_close
 
 
 def test_octagonal_atoms():
     ds = parse_formula("x >= 0 && x' <= x - 1", ["x"])
-    assert len(ds) == 1 and isinstance(ds[0], OctLabel)
+    assert len(ds) == 1 and isinstance(ds[0], Octagon)
     ds = parse_formula("x + y <= 5 && -x - y <= 3", ["x", "y"])
-    assert isinstance(ds[0], OctLabel)
+    assert isinstance(ds[0], Octagon)
 
 
 def test_neq_splits():
@@ -31,14 +30,14 @@ def test_disjunction_distributes():
 
 def test_id_macro():
     ds = parse_formula("id(x, y)", ["x", "y"])
-    o = tight_close(ds[0].relation)
+    o = tight_close(ds[0])
     assert o.dbm.rows[0][4] == 0 and o.dbm.rows[4][0] == 0
 
 
 def test_affine_classification():
     ds = parse_formula("x' == 2x + 1 && x >= 0", ["x"])
-    assert isinstance(ds[0], AffLabel)
-    rel = ds[0].relation
+    assert isinstance(ds[0], AffineRel)
+    rel = ds[0]
     assert rel.a == ((2,),) and rel.b == (1,)
     assert rel.guard == (((1,), 0),)
 
@@ -70,31 +69,31 @@ def test_underscore_names_are_reserved():
 
 def test_true_false_literals():
     ds = parse_formula("true", ["x"])
-    assert not tight_close(ds[0].relation).is_bottom
+    assert not tight_close(ds[0]).is_bottom
     ds = parse_formula("false", ["x"])
-    assert ds[0].relation.is_bottom
+    assert ds[0].is_bottom
     # a constant-false row keeps the other atoms, in either order
     for text in ("x' == -x && 1 <= 0", "1 <= 0 && x' == -x"):
-        o = parse_formula(text, ["x"])[0].relation
+        o = parse_formula(text, ["x"])[0]
         assert not o.is_bottom and tight_close(o).is_bottom
     for text in ("x' == 2*x && 1 <= 0", "1 <= 0 && x' == 2*x"):
-        assert isinstance(parse_formula(text, ["x"])[0], AffLabel)
+        assert isinstance(parse_formula(text, ["x"])[0], AffineRel)
 
 
 def test_strict_and_reversed_ops():
-    a = parse_formula("x < 3", ["x"])[0].relation
-    b = parse_formula("x <= 2", ["x"])[0].relation
+    a = parse_formula("x < 3", ["x"])[0]
+    b = parse_formula("x <= 2", ["x"])[0]
     assert oct_eq(a, b)
-    a = parse_formula("x > -2", ["x"])[0].relation
-    b = parse_formula("x >= -1", ["x"])[0].relation
+    a = parse_formula("x > -2", ["x"])[0]
+    b = parse_formula("x >= -1", ["x"])[0]
     assert oct_eq(a, b)
 
 
 def test_coefficient_two_unary():
-    a = parse_formula("2x <= 7", ["x"])[0].relation
-    b = parse_formula("x <= 3", ["x"])[0].relation
+    a = parse_formula("2x <= 7", ["x"])[0]
+    b = parse_formula("x <= 3", ["x"])[0]
     assert oct_eq(a, b)
-    a = parse_formula("2 * x <= 7", ["x"])[0].relation
+    a = parse_formula("2 * x <= 7", ["x"])[0]
     assert oct_eq(a, b)
 
 

@@ -118,3 +118,33 @@ def test_every_public_definition_is_used():
             if node.name not in kept
             and not any(node.name in names for stmt, names in reads if stmt is not node)]
     assert not dead, dead
+
+
+def test_names_the_benchmark_reads_exist():
+    # a name perfbench imports from the package, reads off ``import
+    # octoterm as ot``, or wraps for tracing, must still be there
+    import importlib
+    import importlib.util
+
+    missing = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "octoterm"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("octoterm"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(module, alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and not hasattr(octoterm, node.attr)):
+                missing.append(f"{path.name}:{node.lineno}: octoterm.{node.attr}")
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, names in spans.WRAPPED.items():
+        module = importlib.import_module(f"octoterm.{mod}")
+        missing += [f"spans.WRAPPED: octoterm.{mod}.{name}" for name in names
+                    if not callable(getattr(module, name, None))]
+    assert not missing, missing

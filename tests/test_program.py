@@ -68,9 +68,9 @@ def test_parse_empty_program():
 
 def test_parse_affine_label():
     p = parse_program("vars x;\ninit a;\na -> b : x' == 2x + 1 && x >= 0;\n")
-    from octoterm.grammar import AffLabel
+    from octoterm.affine import AffineRel
 
-    assert isinstance(p.transitions[0].label[0], AffLabel)
+    assert isinstance(p.transitions[0].label[0], AffineRel)
 
 
 def test_parse_errors():
@@ -143,11 +143,10 @@ def test_random_flat_programs_vs_path_enumeration():
 
         def step_all(pt, label):
             outs = []
-            from octoterm.grammar import OctLabel
             from octoterm.octagon import oct_decode, tight_close
 
             for dd in label:
-                rel = tight_close(dd.relation)
+                rel = tight_close(dd)
                 if rel.is_bottom:
                     continue
                 atoms = oct_decode(rel)

@@ -227,7 +227,7 @@ def test_wnt_stops_at_the_first_equal_pre_images(monkeypatch):
     res = wnt(up, 1)
     # pre(R) = pre(R^2) = x >= 0 after one squaring
     assert len(calls) == 1
-    assert res == WntResult(tight_close(enc([(-1, 0, -1, 0, 0)], 1)), (25, 26), True, True)
+    assert res == WntResult(tight_close(enc([(-1, 0, -1, 0, 0)], 1)))
 
 
 def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
