@@ -70,14 +70,7 @@ def _collect_vars(text: str) -> list[str]:
     return sorted(names)
 
 
-def _parse_relation(text: str, variables: list[str] | None):
-    if variables is None:
-        variables = _collect_vars(text)
-    disjuncts = parse_formula(text, variables)
-    return variables, disjuncts
-
-
-def _single_octagon(disjuncts, variables) -> Octagon:
+def _single_octagon(disjuncts) -> Octagon:
     if not all(isinstance(d, Octagon) for d in disjuncts):
         raise FragmentError("relation is affine, not octagonal; use `affine`")
     if len(disjuncts) != 1:
@@ -160,8 +153,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_rel(args) -> int:
-    variables, disjuncts = _parse_relation(args.relation, None)
-    rel = _single_octagon(disjuncts, variables)
+    variables = _collect_vars(args.relation)
+    rel = _single_octagon(parse_formula(args.relation, variables))
     n = len(variables)
     names = list(variables)
     if args.subcommand == "wnt":

@@ -1,9 +1,10 @@
-"""Exact rational linear arithmetic: terms, systems, LP, and Farkas search.
+"""Exact rational linear arithmetic: terms, systems, LP, and the
+Podelski-Rybalchenko LP for linear ranking functions.
 
 There is no floating point.  A term keeps the coefficients it is given:
 the rows that programs, octagons and summary members produce are integer
-rows and stay ints, while ranking templates and the simplex's outputs
-pass ``fractions.Fraction``s through unchanged.  Models and optima are
+rows and stay ints, while the simplex's outputs, and the ranking
+coefficients read off them, are ``fractions.Fraction``s.  Models and optima are
 ``Fraction``s.  The solver is a two-phase primal simplex with
 Bland's rule, so it always terminates.  Its tableau keeps each row as
 integers over one positive row denominator, reduced to lowest terms (the
@@ -26,7 +27,6 @@ the Fourier-Motzkin oracle of the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -488,56 +488,43 @@ def term_of_pair(p: int, q: int, variables: Sequence[str]) -> LinTerm:
 
 
 # ---------------------------------------------------------------------------
-# Farkas-style template search
+# linear ranking functions (Podelski-Rybalchenko)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateRow:
-    """Row ``sum coeffs[v](u)*v + const(u) <= 0`` with unknown-linear parts."""
+def farkas_template(sys: LinSys, pre: Sequence[str],
+                    post: Sequence[str]) -> dict[str, Fraction] | None:
+    """The coefficients over ``pre`` of a linear ranking function of sys, or None.
 
-    coeffs: Mapping[str, LinTerm]
-    const: LinTerm
-
-
-def farkas_template(sys: LinSys,
-                    template_rows: Sequence[TemplateRow]) -> dict[str, Fraction] | None:
-    """Find unknowns making every template row a consequence of sys.
-
-    Each template row must be derivable as a nonnegative combination of the
-    system rows (equality rows get sign-free multipliers) plus a nonnegative
-    slack; the certificate conditions are linear in the multipliers and the
-    unknowns, so one exact LP feasibility call decides the search.
-    Returns the value of every unknown, or None.
+    Write the rows of sys as ``A x + A' x' <= b``, with x over ``pre`` and x'
+    over ``post`` in the same order.  By Podelski and Rybalchenko (VMCAI
+    2004), sys has a linear ranking function over its rational points
+    exactly when nonnegative multipliers l1, l2 over the rows exist with
+    ``l1 A' = 0``, ``(l1 - l2) A = 0``, ``l2 (A + A') = 0`` and
+    ``l2 b <= -1``; an ``==`` row gets sign-free multipliers.  Then
+    ``r = l2 A'`` decreases by at least 1 and is at least ``-l1 b`` on sys.
+    One exact LP feasibility call decides it: 3N + 1 rows for N = len(pre),
+    whose only columns are the multipliers.
     """
-    meta_rows: list[Row] = []
-    nonneg: list[str] = []
-    sys_rows = sys.rows
-    sys_vars = set().union(*(t.coeffs for t, _ in sys_rows))
-    for r_idx, trow in enumerate(template_rows):
-        lams = [f"_lam{r_idx}_{i}" for i in range(len(sys_rows))]
-        nonneg += [lam for lam, (_, rel) in zip(lams, sys_rows) if rel == LE]
-        # coefficient matching: sum_i lam_i * a_i[v] - coeffs[v](u) == 0
-        match: dict[str, dict[str, object]] = {
-            v: {} for v in sorted(sys_vars | trow.coeffs.keys())}
-        for lam, (t, _) in zip(lams, sys_rows):
-            for v, c in t.coeffs.items():
-                match[v][lam] = c
-        for v, row in match.items():
-            u = trow.coeffs.get(v, LinTerm())
-            for k, c in u.coeffs.items():
-                row[k] = row.get(k, 0) - c
-            meta_rows.append((LinTerm(row, -u.const), EQ))
-        # a_i.v <= b_i = -c_i: coeffs(u).v = sum lam_i*a_i.v <= sum lam_i*b_i <= -const(u)
-        bound = LinTerm({lam: -t.const for lam, (t, _) in zip(lams, sys_rows)})
-        meta_rows.append((bound + trow.const, LE))
-    unknowns = set()
-    for trow in template_rows:
-        unknowns.update(trow.const.coeffs)
-        for e in trow.coeffs.values():
-            unknowns.update(e.coeffs)
-    meta = LinSys(meta_rows)
-    model = lp_feasible(meta, nonneg)
+    n, rows = len(pre), sys.rows
+    at = {v: i for i, v in enumerate(pre)} | {v: n + i for i, v in enumerate(post)}
+    cols: list[dict[int, object]] = [{} for _ in range(2 * n)]  # A, then A', by row
+    for k, (t, _) in enumerate(rows):
+        for v, c in t.coeffs.items():
+            cols[at[v]][k] = c
+    l1 = [f"l1_{k}" for k in range(len(rows))]
+    l2 = [f"l2_{k}" for k in range(len(rows))]
+
+    def comb(lams, col, sign=1) -> LinTerm:
+        return LinTerm({lams[k]: sign * c for k, c in col.items()})
+
+    meta: list[Row] = []
+    for a, ap in zip(cols[:n], cols[n:]):
+        meta += [(comb(l1, ap), EQ), (comb(l1, a) + comb(l2, a, -1), EQ),
+                 (comb(l2, a) + comb(l2, ap), EQ)]
+    meta.append((LinTerm({l2[k]: -t.const for k, (t, _) in enumerate(rows)}, 1), LE))
+    nonneg = [lam[k] for lam in (l1, l2) for k, (_, rel) in enumerate(rows) if rel == LE]
+    model = lp_feasible(LinSys(meta, l1 + l2), nonneg)
     if model is None:
         return None
-    return {u: model.get(u, Fraction(0)) for u in sorted(unknowns)}
+    return {v: sum(model[l2[k]] * c for k, c in ap.items()) for v, ap in zip(pre, cols[n:])}

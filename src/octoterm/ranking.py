@@ -2,10 +2,11 @@
 
 A well-founded octagonal relation need not admit a linear ranking function
 itself, but the strengthened witness relation R and exists x'. R^(4N^2)
-always does.  Synthesis is a Farkas search over the tight constraint rows
-of the witness: tight octagons are integer-hull exact, so a rational
-certificate is enough, and clearing denominators gives an integer
-function with decrease >= 1.
+always does.  Synthesis is the Podelski-Rybalchenko LP
+(``linarith.farkas_template``) over the tight constraint rows of the
+witness: tight octagons are integer-hull exact, so a rational function is
+enough, and clearing denominators gives an integer function with
+decrease >= 1.
 
 Each of the two systems a witness is read from, the tight rows of the
 relation and those of its domain, gets one ``PolyhedronLP``: the exact
@@ -18,15 +19,9 @@ search that found it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, lcm
+from math import ceil
 
-from .linarith import (
-    LinSys,
-    LinTerm,
-    PolyhedronLP,
-    TemplateRow,
-    farkas_template,
-)
+from .linarith import LinSys, LinTerm, PolyhedronLP, farkas_template
 from .octagon import (
     Octagon,
     bottom,
@@ -94,25 +89,10 @@ def synthesize_lrf(v: Octagon, n_program_vars: int) -> RankingWitness | None:
         return RankingWitness(v, LinTerm(), 1, 0)
     names = var_names(N)
     sys = oct_to_linsys(v, names)
-    coef_names = [f"a{i}" for i in range(N)]
-    # decrease: sum a_i (x_i' - x_i) + 1 <= 0
-    decrease = TemplateRow(
-        coeffs={
-            **{names[i]: LinTerm({coef_names[i]: -1}) for i in range(N)},
-            **{names[N + i]: LinTerm({coef_names[i]: 1}) for i in range(N)},
-        },
-        const=LinTerm({}, 1),
-    )
-    # bounded: h - sum a_i x_i <= 0
-    bounded = TemplateRow(
-        coeffs={names[i]: LinTerm({coef_names[i]: -1}) for i in range(N)},
-        const=LinTerm({"h": 1}),
-    )
-    w = farkas_template(sys, [decrease, bounded])
-    if w is None:
+    r = farkas_template(sys, names[:N], names[N:])
+    if r is None:
         return None
-    scale = lcm(*(w[a].denominator for a in coef_names)) if N else 1
-    f = LinTerm({names[i]: int(w[coef_names[i]] * scale) for i in range(N)})
+    f = LinTerm(r).scale_to_integers()
     rel_lp, dom_lp = PolyhedronLP(sys), _domain_lp(v, N)
     # exact integer decrease inf(f - f') and lower bound inf f for the
     # scaled function, as sups of their negations

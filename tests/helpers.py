@@ -9,7 +9,7 @@ from operator import mul
 from typing import Sequence
 
 from octoterm.dbm import INF, Dbm
-from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP
+from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
 from octoterm.octagon import (
     Octagon,
     bottom,
@@ -228,6 +228,47 @@ def fm_feasible(rows: Sequence[tuple[LinTerm, str]]) -> bool:
                 if not add(tp + tn, LT if LT in (rp, rn) else LE):
                     return False
     return True
+
+
+def template_lrf(sys: LinSys, pre: Sequence[str],
+                 post: Sequence[str]) -> dict[str, Fraction] | None:
+    """The template search for a linear ranking function, as a reference
+    for ``linarith.farkas_template``: the coefficients over ``pre`` of a
+    function with ``f - f' >= 1`` and ``f >= h`` on sys, or None.
+
+    The coefficients ``_a_v`` and the bound ``_h`` are free unknowns.  Each
+    of the two template rows ``coeffs . x + const <= 0`` must be derived as
+    a nonnegative combination of the system rows (``==`` rows get sign-free
+    multipliers), so one exact LP over the unknowns and both rows'
+    multipliers decides the search.
+    """
+    a = {v: LinTerm.var("_a_" + v) for v in pre}
+    decrease = ({**{v: -a[v] for v in pre}, **{vp: a[v] for v, vp in zip(pre, post)}},
+                LinTerm.of(1))
+    bounded = ({v: -a[v] for v in pre}, LinTerm.var("_h"))
+    meta_rows: list = []
+    nonneg: list[str] = []
+    sys_vars = set().union(*(t.coeffs for t, _ in sys.rows))
+    for r_idx, (coeffs, const) in enumerate((decrease, bounded)):
+        lams = [f"_lam{r_idx}_{i}" for i in range(len(sys.rows))]
+        nonneg += [lam for lam, (_, rel) in zip(lams, sys.rows) if rel == LE]
+        # coefficient matching: sum_i lam_i * a_i[v] - coeffs[v](u) == 0
+        match: dict[str, dict[str, object]] = {v: {} for v in sorted(sys_vars | coeffs.keys())}
+        for lam, (t, _) in zip(lams, sys.rows):
+            for v, c in t.coeffs.items():
+                match[v][lam] = c
+        for v, row in match.items():
+            u = coeffs.get(v, LinTerm())
+            for k, c in u.coeffs.items():
+                row[k] = row.get(k, 0) - c
+            meta_rows.append((LinTerm(row, -u.const), EQ))
+        # coeffs(u).v = sum lam_i*a_i.v <= sum lam_i*b_i <= -const(u)
+        bound = LinTerm({lam: -t.const for lam, (t, _) in zip(lams, sys.rows)})
+        meta_rows.append((bound + const, LE))
+    model = lp_feasible(LinSys(meta_rows), nonneg)
+    if model is None:
+        return None
+    return {v: model.get("_a_" + v, Fraction(0)) for v in pre}
 
 
 def strengthen_check(rel: Octagon, m: int, n_program_vars: int) -> bool:

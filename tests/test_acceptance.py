@@ -277,6 +277,26 @@ def test_acceptance_4_far_exit_branching_converges(c0):
               f"budget exhausted ({elapsed:.2f}s)")
 
 
+@pytest.mark.parametrize("step, c0, c1", [(3, 0, 0), (4, 0, 0), (5, 0, 0), (3, 1, 0),
+                                          (4, -2, 2)])
+def test_acceptance_4_long_step_branching_converges(step, c0, c1):
+    # from round 3 on, saturation adds a two-parameter member contained in
+    # its predecessor at equal parameter values; eliminating the parameters
+    # splits it mod step into cases no single old case covers, so only the
+    # parametric subsumption test lets it reach its fixpoint
+    program = parse_program(BRANCHING_PROGRAM.replace("x' == x - 1", f"x' == x - {step}")
+                            .replace("x != 0", f"x != {c0}").replace("x == 0", f"x == {c0}")
+                            .replace("y > 0", f"y > {c1}").replace("y <= 0", f"y <= {c1}"))
+    what = f"step-{step} c0 = {c0}, c1 = {c1} BRANCHING"
+    res, elapsed = _nt_program_within(program, 20, what)
+    assert not res.budget_exhausted
+    for x in range(-15, 16):
+        for y in range(-12, 13):
+            assert res.precondition.eval({"x": x, "y": y}) == (x != c0)
+    report(4, f"{what} yields exactly x != {c0} with no budget exhausted "
+              f"({elapsed:.2f}s)")
+
+
 def test_acceptance_5_ranking_golden():
     r = periodic_relation()
     assert is_well_founded(r, 4)

@@ -13,12 +13,11 @@ from octoterm.linarith import (
     LinSys,
     LinTerm,
     PolyhedronLP,
-    TemplateRow,
     farkas_template,
     lp_feasible,
 )
 
-from helpers import entails, fm_feasible
+from helpers import entails, fm_feasible, template_lrf
 
 x = LinTerm.var("x")
 y = LinTerm.var("y")
@@ -169,27 +168,50 @@ def test_polyhedron_lp_batch():
 def test_farkas_template_decrease_example():
     vx, vxp = LinTerm.var("v"), LinTerm.var("v'")
     sys = LinSys([(1 - vx + vxp, LE), (-vx, LE)], ["v", "v'"])  # v-v' >= 1, v >= 0
-    # f(v) = a*v must satisfy f - f' >= 1 and f >= h
-    rows = [
-        TemplateRow({"v": LinTerm({"a": -1}), "v'": LinTerm({"a": 1})}, LinTerm({}, 1)),
-        TemplateRow({"v": LinTerm({"a": -1})}, LinTerm({"h": 1})),
-    ]
-    w = farkas_template(sys, rows)
-    assert w is not None
-    a = w["a"]
-    h = w["h"]
-    assert a >= 1  # decrease forces a positive slope
-    assert h <= 0
+    r = farkas_template(sys, ["v"], ["v'"])
+    assert r is not None
+    assert r["v"] > 0  # decrease forces a positive slope
 
 
 def test_farkas_template_no_witness():
     vx, vxp = LinTerm.var("v"), LinTerm.var("v'")
     sys = LinSys([(vx - vxp, LE), (vxp - vx, LE)], ["v", "v'"])  # v' = v
-    rows = [
-        TemplateRow({"v": LinTerm({"a": -1}), "v'": LinTerm({"a": 1})}, LinTerm({}, 1)),
-        TemplateRow({"v": LinTerm({"a": -1})}, LinTerm({"h": 1})),
-    ]
-    assert farkas_template(sys, rows) is None
+    assert farkas_template(sys, ["v"], ["v'"]) is None
+
+
+def _rand_transition(rng):
+    """Random rows over v, w and their primed copies, == rows among them."""
+    names = ["v", "w"][: rng.randint(1, 2)]
+    primed = [v + "'" for v in names]
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        t = LinTerm({v: rng.randint(-2, 2) for v in names + primed}, rng.randint(-3, 3))
+        rows.append((t, rng.choice((LE, LE, EQ))))
+    return LinSys(rows, names + primed), names, primed
+
+
+def test_farkas_template_agrees_with_the_template_search():
+    # feasible exactly when the search with free coefficients and bound is,
+    # and every function returned decreases by 1 and is bounded below
+    rng = random.Random(14)
+    seen = {"feasible": 0, "infeasible": 0, "empty": 0}
+    for _ in range(400):
+        sys, pre, post = _rand_transition(rng)
+        r = farkas_template(sys, pre, post)
+        assert (r is None) == (template_lrf(sys, pre, post) is None), sys
+        poly = PolyhedronLP(sys)
+        if not poly.feasible:
+            seen["empty"] += 1
+            continue
+        if r is None:
+            seen["infeasible"] += 1
+            continue
+        seen["feasible"] += 1
+        f = LinTerm(r)
+        f_post = LinTerm({vp: r[v] for v, vp in zip(pre, post)})
+        assert poly.entails_le(f_post - f + 1), (sys, r)
+        assert poly.sup(-f) is not None, (sys, r)
+    assert min(seen.values()) > 20, seen
 
 
 # ---------------------------------------------------------------------------
@@ -475,28 +497,14 @@ def test_polyhedron_sup_sequence_matches_fraction_tableau(capped):
 
 
 def test_farkas_template_matches_fraction_tableau(capped):
-    # linear ranking templates f(v) = sum a_v * v on random transitions
+    # linear ranking functions f(v) = sum r_v * v of random transitions
     rng = random.Random(13)
-    cases = []
-    for _ in range(80):
-        names = ["v", "w"][: rng.randint(1, 2)]
-        primed = [v + "'" for v in names]
-        rows = []
-        for _ in range(rng.randint(1, 4)):
-            t = LinTerm({v: rng.randint(-2, 2) for v in names + primed}, rng.randint(-3, 3))
-            rows.append((t, rng.choice((LE, LE, EQ))))
-        sys = LinSys(rows, names + primed)
-        decrease = {v: LinTerm({"a_" + v: -1}) for v in names}
-        decrease.update({v + "'": LinTerm({"a_" + v: 1}) for v in names})
-        bounded = {v: LinTerm({"a_" + v: -1}) for v in names}
-        trows = [TemplateRow(decrease, LinTerm({}, Fraction(rng.randint(1, 3), 2))),
-                 TemplateRow(bounded, LinTerm({"h": 1}))]
-        cases.append((sys, trows))
-    ours = [farkas_template(s, t) for s, t in cases]
+    cases = [_rand_transition(rng) for _ in range(80)]
+    ours = [farkas_template(*c) for c in cases]
     capped.setattr(linarith, "lp_feasible", _ref_lp_feasible)
-    ref = [farkas_template(s, t) for s, t in cases]
+    ref = [farkas_template(*c) for c in cases]
     assert ours == ref
-    assert sum(w is not None for w in ours) > 10 and sum(w is None for w in ours) > 10
+    assert sum(r is not None for r in ours) > 10 and sum(r is None for r in ours) > 10
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,10 @@ def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
 
 
 def test_farkas_tableau_has_one_row_per_equality(monkeypatch):
-    # N = 3: x0 counts down to 0 while x1 and x2 stay.  Each of the two
-    # template rows gives the Farkas LP 2N coefficient-matching equalities
-    # and one bound row, so its tableau, the first one built, has 4N + 2 rows
+    # N = 3: x0 counts down to 0 while x1 and x2 stay.  The
+    # Podelski-Rybalchenko LP has one equality per variable for each of
+    # l1 A' = 0, (l1 - l2) A = 0 and l2 (A + A') = 0, and one bound row
+    # l2 b <= -1, so its tableau, the first one built, has 3N + 1 rows
     rel = oct_encode([(1, 0, -1, 3, 1), (-1, 0, 1, 3, -1), (-1, 0, -1, 0, 0),
                       (1, 1, -1, 4, 0), (-1, 1, 1, 4, 0),
                       (1, 2, -1, 5, 0), (-1, 2, 1, 5, 0)], 6)
@@ -194,4 +195,18 @@ def test_farkas_tableau_has_one_row_per_equality(monkeypatch):
 
     monkeypatch.setattr(linarith._Tableau, "__init__", spy)
     assert isinstance(synthesize_lrf(v, 3), RankingWitness)
-    assert rows[0] == 4 * 3 + 2
+    assert rows[0] == 3 * 3 + 1
+
+
+def test_prove_termination_prints_a_small_function():
+    # loops-5-2-17 of the benchmark, a guarded N = 3 relation:
+    # 35*x0 - 2*x1 + 33*x2 also ranks its witness relation, and the
+    # Podelski-Rybalchenko LP finds x0 - x1
+    rel = oct_encode([(1, 3, -1, 0, -2), (-1, 4, 1, 1, 0), (1, 5, -1, 2, 2),
+                      (-1, 0, -1, 2, 4), (1, 1, -1, 0, 4), (1, 0, 1, 0, 3),
+                      (1, 0, 1, 0, 4)], 6)
+    res = prove_termination(rel, 3)
+    assert isinstance(res, WellFounded)
+    w = res.proof
+    assert w.function == LinTerm({"x0": 1, "x1": -1})
+    assert verify_lrf(w.witness_relation, w.function, w.decrease, w.lower_bound, 3)
