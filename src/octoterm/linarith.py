@@ -3,10 +3,10 @@ Podelski-Rybalchenko LP for linear ranking functions.
 
 There is no floating point.  A term keeps the coefficients it is given:
 the rows that programs, octagons and summary members produce are integer
-rows and stay ints, while the simplex's outputs, and the ranking
-coefficients read off them, are ``fractions.Fraction``s.  Models and optima are
-``Fraction``s.  The solver is a two-phase primal simplex with
-Bland's rule, so it always terminates.  Its tableau keeps each row as
+rows and stay ints, while the simplex's outputs (models, optima, and the
+ranking coefficients read off them) are ``fractions.Fraction``s.  The
+solver is a two-phase primal simplex with Bland's rule, so it always
+terminates.  Its tableau keeps each row as
 integers over one positive row denominator, reduced to lowest terms (the
 fraction-free idea of Bareiss elimination), so no ``Fraction`` is built
 inside the pivot loop; the results are still exact rationals.  An
