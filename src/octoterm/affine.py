@@ -13,9 +13,9 @@ preconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .linarith import EQ, LE, LT, LinTerm
 from .presburger import Conj, Dnf
@@ -57,8 +57,7 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class AffineRel:
+class AffineRel(NamedTuple):
     """x' = A x + b with a guard; the conjunctive case is C x >= d rows."""
 
     n_vars: int
@@ -303,8 +302,7 @@ def is_polynomially_bounded(a: Matrix) -> bool:
     return _unity_order(a) is not None
 
 
-@dataclass(frozen=True)
-class PolyClosedForm:
+class PolyClosedForm(NamedTuple):
     """Per residue r < L, polynomials p[r][i][j] with A^(kL+r) = p(k).
 
     Valid for every k with k*L + r >= valid_from; small exponents are the

@@ -354,6 +354,10 @@ def cmd_prog(args) -> int:
         _emit(args, payload, "flat" if flat else f"not flat: {res.reason}")
         return EXIT_OK
     if args.subcommand == "summary":
+        for state in (args.source, args.target):
+            if state not in program.states:
+                print(f"usage error: the program has no state {state!r}", file=sys.stderr)
+                return EXIT_PARSE
         members, exact, exhausted = _summary(
             program, args.source, args.target, budgets
         )
@@ -393,16 +397,18 @@ def cmd_prog(args) -> int:
     raise AssertionError(args.subcommand)
 
 
-def _power(text: str) -> int:
-    """A power, chain length or budget: an integer of at least 1 (argparse
-    exits 2 on anything else)."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _at_least(low: int):
+    """The argparse type of an integer >= low (argparse exits 2 on anything
+    else): 1 for a power, chain length or budget, 0 for the box radius."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conditional termination analysis for integer loops and programs",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--max-prefix", type=_power, default=64,
+    ap.add_argument("--max-prefix", type=_at_least(1), default=64,
                     help="periodicity detection prefix budget")
-    ap.add_argument("--max-period", type=_power, default=64,
+    ap.add_argument("--max-period", type=_at_least(1), default=64,
                     help="periodicity detection period budget")
-    ap.add_argument("--max-disjuncts", type=_power, default=256,
+    ap.add_argument("--max-disjuncts", type=_at_least(1), default=256,
                     help="summary disjunct cap before hull-merge")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -426,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = rel_sub.add_parser(name)
         sp.add_argument("relation")
         if needs_n:
-            sp.add_argument("n", type=_power)
+            sp.add_argument("n", type=_at_least(1))
         if name == "wnt":
-            sp.add_argument("--box", type=int, default=0,
-                            help="cross-check wnt against the box oracle")
+            sp.add_argument("--box", type=_at_least(0), default=0, metavar="B",
+                            help="cross-check wnt against the box oracle on [-B, B]^N (0: off)")
         sp.set_defaults(func=cmd_rel)
 
     aff = sub.add_parser("affine", help="analyze one affine relation")

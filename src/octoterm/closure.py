@@ -31,7 +31,7 @@ degrades to None -- never to an unsound answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dbm import INF, Dbm, compose_closed, dbm_add_rate
 from .octagon import (
@@ -48,8 +48,7 @@ from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw, param_tighten
 from .term_oct import fast_power
 
 
-@dataclass(frozen=True)
-class NotStarConsistent:
+class NotStarConsistent(NamedTuple):
     """R dies at ``power`` and no period certificate covers a live power:
     the scan met the death before it certified a candidate (every candidate
     that reads only live powers was rejected), or the certified tight form
@@ -58,8 +57,7 @@ class NotStarConsistent:
     power: int  # least n with R^n inconsistent
 
 
-@dataclass
-class PeriodCertificate:
+class PeriodCertificate(NamedTuple):
     """Verified description of the tight power sequence of a relation.
 
     bases[i] is the tight dual matrix of R^(b+i); for every k >= 0 with
@@ -85,8 +83,7 @@ class PeriodCertificate:
         return dbm_add_rate(self.bases[i], self.rates[i], (n - self.b) // self.c)
 
 
-@dataclass(frozen=True)
-class ParamOct:
+class ParamOct(NamedTuple):
     """Family of octagons base + k*rate over one parameter 0 <= k <= k_max.
 
     Entries are tight for every instantiation (certified by construction);
@@ -112,8 +109,7 @@ class ParamOct:
                        tight=True)
 
 
-@dataclass
-class ParamOctUnion:
+class ParamOctUnion(NamedTuple):
     """The identity and a finite union of plain and parametric octagonal
     relations."""
 

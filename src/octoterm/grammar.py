@@ -23,7 +23,7 @@ outside both fragments are rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linarith import EQ, LE, LinTerm
 from .octagon import Octagon, bottom, oct_encode, rows_to_atoms
@@ -48,8 +48,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -439,8 +438,7 @@ def parse_condition(text: str, variables: list[str]):
     return out
 
 
-@dataclass(frozen=True)
-class ProgramText:
+class ProgramText(NamedTuple):
     variables: tuple[str, ...]
     init: str
     transitions: tuple[tuple[str, str, tuple[Disjunct, ...]], ...]  # (src, dst, label)

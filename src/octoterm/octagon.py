@@ -24,7 +24,6 @@ octagonal hull of octagons and polyhedra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dbm import (
@@ -57,21 +56,34 @@ def _neg(i: int) -> int:
     return 2 * i + 1
 
 
-@dataclass(frozen=True)
 class Octagon:
-    """num_vars variables; ``dbm`` is None exactly for the empty octagon."""
+    """num_vars variables; ``dbm`` is None exactly for the empty octagon.
 
-    num_vars: int
-    dbm: Dbm | None
-    tight: bool = False
+    Treated as immutable, like ``Dbm``: a value and a memo key.
+    """
+
+    __slots__ = ("num_vars", "dbm", "tight")
+
+    def __init__(self, num_vars: int, dbm: Dbm | None, tight: bool = False):
+        if dbm is not None and dbm.dim != 2 * num_vars:
+            raise ValueError("dual DBM dimension must be 2*num_vars")
+        self.num_vars = num_vars
+        self.dbm = dbm
+        self.tight = tight
 
     @property
     def is_bottom(self) -> bool:
         return self.dbm is None
 
-    def __post_init__(self):
-        if self.dbm is not None and self.dbm.dim != 2 * self.num_vars:
-            raise ValueError("dual DBM dimension must be 2*num_vars")
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Octagon) and (
+            (self.num_vars, self.dbm, self.tight) == (other.num_vars, other.dbm, other.tight))
+
+    def __hash__(self):
+        return hash((self.num_vars, self.dbm, self.tight))
+
+    def __repr__(self) -> str:
+        return f"Octagon(num_vars={self.num_vars!r}, dbm={self.dbm!r}, tight={self.tight!r})"
 
 
 def bottom(num_vars: int) -> Octagon:

@@ -10,8 +10,8 @@ the box may still run forever outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .octagon import Octagon, oct_decode, tight_close
 from .presburger import Conj, DivAtom, Dnf
 
 
-@dataclass(frozen=True)
-class BoxDomain:
+class BoxDomain(NamedTuple):
     """Per-variable inclusive integer intervals."""
 
     intervals: tuple[tuple[int, int], ...]

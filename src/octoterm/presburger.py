@@ -10,10 +10,9 @@ shadow plus finitely many splinter cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linarith import (
     EQ,
@@ -33,8 +32,7 @@ def _int_term(t: LinTerm) -> LinTerm:
     return t.scale_to_integers()
 
 
-@dataclass(frozen=True)
-class DivAtom:
+class DivAtom(NamedTuple):
     """modulus | term, with integer-coefficient term and modulus >= 2."""
 
     modulus: int
@@ -47,8 +45,7 @@ class DivAtom:
         return f"{self.modulus} | ({self.term})"
 
 
-@dataclass(frozen=True)
-class Conj:
+class Conj(NamedTuple):
     """Conjunction of integer rows (LE/EQ over <= | ==) and divisibilities."""
 
     rows: tuple[tuple[LinTerm, str], ...]

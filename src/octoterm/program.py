@@ -24,9 +24,9 @@ through the reflexive-transitive summary from the initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le
+from typing import NamedTuple
 
 from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
@@ -78,8 +78,7 @@ def _relation_names(variables) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinRel:
+class LinRel(NamedTuple):
     """Relation {(x, x') | exists params >= 0 . conj} over named variables."""
 
     variables: tuple[str, ...]
@@ -425,15 +424,13 @@ def member_to_octagon(m: LinRel, exact_only: bool = False) -> tuple[Octagon, boo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     target: str
     label: tuple
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     variables: tuple[str, ...]
     states: tuple[str, ...]
     init: str
@@ -494,13 +491,12 @@ def elementary_cycles(p: Program) -> list[list[Transition]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class Flat:
-    pass
+class Flat(NamedTuple):
+    def __bool__(self) -> bool:
+        return True  # an empty tuple is falsy; a verdict is not
 
 
-@dataclass(frozen=True)
-class NotFlat:
+class NotFlat(NamedTuple):
     reason: str
 
 
@@ -577,8 +573,7 @@ def is_flat(p: Program):
 # -- self-loop closure and state elimination ----------------------------------
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     max_prefix: int = 64
     max_period: int = 64
     max_disjuncts: int = 256
@@ -773,8 +768,7 @@ def _post_image(p: Program, q: str, members: list[LinRel]) -> Dnf:
     return out
 
 
-@dataclass
-class PrecondResult:
+class PrecondResult(NamedTuple):
     program: Program
     precondition: Dnf
     per_state: list  # (state, method, Dnf over x)

@@ -18,8 +18,8 @@ search that found it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .linarith import LinSys, LinTerm, PolyhedronLP, farkas_template
 from .octagon import (
@@ -48,8 +48,7 @@ def oct_to_linsys(o: Octagon, names: list[str]) -> LinSys:
     return LinSys(oct_rows(o, names), names)
 
 
-@dataclass(frozen=True)
-class RankingWitness:
+class RankingWitness(NamedTuple):
     witness_relation: Octagon
     function: LinTerm  # integer coefficients over the unprimed variables
     decrease: int
@@ -129,13 +128,11 @@ def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: in
     return _ranks(rel_lp, _domain_lp(v, N), f, decrease, h, N)
 
 
-@dataclass(frozen=True)
-class WellFounded:
+class WellFounded(NamedTuple):
     proof: RankingWitness
 
 
-@dataclass(frozen=True)
-class NotWellFounded:
+class NotWellFounded(NamedTuple):
     wnt_set: Octagon
 
 

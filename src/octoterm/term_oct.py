@@ -38,10 +38,9 @@ of its relation, so a stored one equals a fresh one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .octagon import Octagon, bottom, oct_compose, oct_eq, pre_image_set, tight_close
 
@@ -95,8 +94,7 @@ def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
     return _product(_squares(rel, n_program_vars), n, n_program_vars)
 
 
-@dataclass(frozen=True)
-class WntResult:
+class WntResult(NamedTuple):
     """wnt(R) as a tight octagon over the unprimed variables (bottom = WF)."""
 
     set: Octagon

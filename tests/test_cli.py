@@ -34,6 +34,21 @@ def test_rel_wnt_box_check(capsys):
     assert code == 0 and "agree" in out
 
 
+@pytest.mark.parametrize("box", ["-2", "-1", "two"])
+def test_rel_wnt_rejects_a_negative_box(capsys, box):
+    # an empty box would "agree" with any wnt: a usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["rel", "wnt", "--box", box, "x' == x && x <= -1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "expected an integer >= 0" in out.err
+
+
+def test_rel_wnt_box_zero_is_off(capsys):
+    code, out, _ = run(capsys, "rel", "wnt", "--box", "0", "x' == x && x <= -1")
+    assert code == 0 and out == "x <= -1"
+
+
 def test_rel_wnt_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "rel", "wnt", "x' == x && x <= -1")
     assert code == 0
@@ -155,15 +170,27 @@ def test_affine_commands(capsys):
     assert code == 0 and out == "true"
 
 
-def test_startup_does_not_import_numpy():
+def _modules_loaded_at_startup() -> set[str]:
+    """The modules a fresh interpreter holds after ``import octoterm.cli``."""
     src = str(Path(octoterm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run(
-        [sys.executable, "-c",
-         "import sys, octoterm, octoterm.cli; assert 'numpy' not in sys.modules"],
-        env=env, check=True,
-    )
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, octoterm, octoterm.cli; print(*sys.modules)"],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_startup_does_not_import_numpy():
+    assert "numpy" not in _modules_loaded_at_startup()
+
+
+def test_startup_generates_no_classes():
+    # value types are NamedTuples: no dataclass generation, and none of the
+    # modules it pulls in (inspect, ast, dis, tokenize, ...)
+    loaded = _modules_loaded_at_startup()
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_affine_fragment_error(capsys):
@@ -204,6 +231,14 @@ def test_prog_summary(tmp_path, capsys):
     code, out, _ = run(capsys, "prog", "summary", "--from", "l2", "--to", "l2", str(f))
     assert code == 0
     assert out
+
+
+@pytest.mark.parametrize("source,target", [("zz", "l2"), ("l2", "zz")])
+def test_prog_summary_unknown_state_is_a_usage_error(tmp_path, capsys, source, target):
+    f = tmp_path / "two_phase.prog"
+    f.write_text(TWO_PHASE_PROGRAM)
+    code, out, err = run(capsys, "prog", "summary", "--from", source, "--to", target, str(f))
+    assert (code, out, err) == (2, "", "usage error: the program has no state 'zz'")
 
 
 def test_prog_analyze_two_phase_json_roundtrip(tmp_path, capsys):

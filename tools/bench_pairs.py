@@ -19,7 +19,11 @@ metric, each side's median and quartiles, how many pairs the head won,
 lost and tied (by the direction ``BENCHMARK.json`` gives the metric),
 whether the change of the median stays within the metric's bound, and
 whether the gain rule holds: at least nine tenths of the pairs won and the
-medians further apart than the base's interquartile distance.
+medians further apart than the base's interquartile distance.  Per
+workload it also records each side's runs whose verdicts the benchmark
+judged wrong and failed requests (``verdicts``), and the script exits 1
+when any run was judged wrong or the head failed more requests than the
+base: a gain measured on wrong outputs is no gain.
 
 With ``--trace-seed S``, each side also runs ``perfbench/run.py --trace 1``
 once per workload on seed S, and the file keeps both sides' per-layer
@@ -141,7 +145,11 @@ def main() -> int:
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k} {pair['base']['metrics'][k]:.4g} -> {pair['head']['metrics'][k]:.4g}"
                 for k in ("latency_p50_s", "throughput_rps")), flush=True)
-        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec)}
+        verdicts = {side: {"incorrect_runs": sum(not p[side]["correct"] for p in pairs),
+                           "failed_requests": sum(p[side]["failed"] for p in pairs)}
+                    for side in roots}
+        report["workloads"][workload] = {"pairs": pairs, "verdicts": verdicts,
+                                         "summary": summarize(pairs, spec)}
         if args.trace_seed is not None:
             layers = {"seed": args.trace_seed}
             for side, root in roots.items():
@@ -155,7 +163,15 @@ def main() -> int:
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
-    return 0
+    status = 0
+    for workload, w in report["workloads"].items():
+        base, head = w["verdicts"]["base"], w["verdicts"]["head"]
+        if (base["incorrect_runs"] or head["incorrect_runs"]
+                or head["failed_requests"] > base["failed_requests"]):
+            print(f"bench_pairs: {workload}: wrong verdicts or more failed requests at "
+                  f"the head: {w['verdicts']}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
