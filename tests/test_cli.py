@@ -233,14 +233,6 @@ def test_prog_summary(tmp_path, capsys):
     assert out
 
 
-@pytest.mark.parametrize("source,target", [("zz", "l2"), ("l2", "zz")])
-def test_prog_summary_unknown_state_is_a_usage_error(tmp_path, capsys, source, target):
-    f = tmp_path / "two_phase.prog"
-    f.write_text(TWO_PHASE_PROGRAM)
-    code, out, err = run(capsys, "prog", "summary", "--from", source, "--to", target, str(f))
-    assert (code, out, err) == (2, "", "usage error: the program has no state 'zz'")
-
-
 def test_prog_analyze_two_phase_json_roundtrip(tmp_path, capsys):
     f = tmp_path / "two_phase.prog"
     f.write_text(TWO_PHASE_PROGRAM)
@@ -378,13 +370,18 @@ ERROR_PATHS = [
      "x % 2 == 0; -x + x' == 0"),
     (["rel", "wnt", "_p1' == _p1 + 1 && _p1 <= 9"], 2,
      "parse error: variable '_p1' starts with '_', which is reserved at line 1, column 1"),
+    (["prog", "summary", "--from", "zz", "--to", "a", "vars x; init a; a -> a : x' == x;"], 2,
+     "usage error: the program has no state 'zz'"),
+    (["prog", "summary", "--from", "a", "--to", "zz", "vars x; init a; a -> a : x' == x;"], 2,
+     "usage error: the program has no state 'zz'"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,err", ERROR_PATHS, ids=[
     "rel-parse", "rel-affine", "rel-disjunctive", "affine-parse", "affine-nondeterministic",
     "affine-wnt-disjunctive", "affine-wnt-not-finite-monoid", "affine-terminate-unbounded",
-    "prog-missing-semicolon", "prog-divisibility-label", "reserved-name"])
+    "prog-missing-semicolon", "prog-divisibility-label", "reserved-name",
+    "prog-summary-unknown-source", "prog-summary-unknown-target"])
 def test_error_paths_print_one_line_and_exit(capsys, argv, code, err):
     assert main(argv) == code
     out = capsys.readouterr()

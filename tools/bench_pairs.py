@@ -168,8 +168,8 @@ def main() -> int:
         base, head = w["verdicts"]["base"], w["verdicts"]["head"]
         if (base["incorrect_runs"] or head["incorrect_runs"]
                 or head["failed_requests"] > base["failed_requests"]):
-            print(f"bench_pairs: {workload}: wrong verdicts or more failed requests at "
-                  f"the head: {w['verdicts']}", file=sys.stderr)
+            print(f"bench_pairs: {workload}: a run judged incorrect, or more failed "
+                  f"requests at the head: {w['verdicts']}", file=sys.stderr)
             status = 1
     return status
 
