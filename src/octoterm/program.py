@@ -2,11 +2,12 @@
 
 Summaries ``P+(q, q')`` are computed by state elimination: eliminating a
 state composes its incoming edges, the closure of its self-loops, and its
-outgoing edges.  A self-loop is accelerated through its octagonal hull
+outgoing edges; only the states on some path between the two ends are
+eliminated.  A self-loop is accelerated through its octagonal hull
 (exact for an octagonal loop, an over-approximation for an affine one)
-and the periodic closure of that octagon; multi-loop states saturate the
-compositions of the accelerated disjuncts up to a budget, falling back to
-a single octagonal-hull closure only when the budget is exhausted.
+and the periodic closure of that octagon; multi-loop states saturate by
+extending members with the accelerated disjuncts up to a budget, falling
+back to a single octagonal-hull closure only when the budget is exhausted.
 
 All summary members are kept as linear-row systems over the program
 variables, their primed copies, and nonnegative integer parameters (one
@@ -14,7 +15,8 @@ per accelerated loop on the path), plus divisibility atoms.  The
 parameters are named ``_p0, _p1, ...`` by position, so equal relations are
 equal members and the memo tables below serve every later call.  Tight
 octagons are integer-hull exact, so composing members by exact integer
-elimination of the midpoint variables loses nothing.
+elimination of the midpoint variables loses nothing, and an empty tight
+octagon of midpoint bounds proves a composition empty before any closure.
 
 The non-termination precondition takes, per control state, either the
 exact WNT of the unique cycle relation or the union of the WNTs of the
@@ -30,6 +32,7 @@ from typing import NamedTuple
 
 from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
+from .dbm import INF, Dbm
 from .grammar import parse_program_text
 from .linarith import EQ, LE, LinSys, LinTerm, PolyhedronLP, term_of_pair
 from .octagon import (
@@ -40,6 +43,7 @@ from .octagon import (
     oct_encode,
     oct_hull,
     oct_leq,
+    oct_meet_raw,
     oct_rows,
     row_atom,
     rows_to_atoms,
@@ -57,8 +61,8 @@ from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
-# most 674 (member_subsumed, seeds 5-12), so a round evicts nothing while a
-# long-lived process stays bounded.
+# most 551 (member_subsumed, seeds 5-12, one fresh process each), so a
+# round evicts nothing while a long-lived process stays bounded.
 _MEMO = 1024
 
 
@@ -200,10 +204,12 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
 @lru_cache(maxsize=_MEMO)
 def _member_param_matrix(m: LinRel):
     """The closed dual 4N matrix of m: term tuples ``(const, *rates)``, one
-    rate per parameter of m, closed by ``param_fw``.  None when a row is
-    not octagonal, a parameter leaves the bounds, m has divisibility atoms,
-    or the closure is capped.  Each member is thus closed once, however
-    many compositions it takes part in."""
+    rate per parameter of m, closed by ``param_fw``; with it the
+    ``_block_bounds`` octagons of its unprimed and its primed block.  None
+    when a row is not octagonal, a parameter leaves the bounds, m has
+    divisibility atoms, or the closure is capped.  Each member is thus
+    closed, and its bounds read, once, however many compositions it takes
+    part in."""
     if m.conj.divs:
         return None
     index = {v: i for i, v in enumerate(_relation_names(m.variables))}
@@ -236,7 +242,18 @@ def _member_param_matrix(m: LinRel):
     if closed.capped:
         return None
     # shared by every caller of the memo
-    return tuple(tuple(row) for row in closed.entries)
+    entries = tuple(tuple(row) for row in closed.entries)
+    return entries, _block_bounds(entries, 0, dim // 2), _block_bounds(entries, dim // 2, dim)
+
+
+def _block_bounds(entries, lo: int, hi: int) -> Octagon:
+    """The octagon of the block ``[lo, hi)`` of closed entries that holds at
+    every valuation: per cell the least constant of its terms whose rates
+    are all <= 0, since such a term is at most its constant at p >= 0;
+    INF when the cell has none."""
+    return Octagon((hi - lo) // 2, Dbm([
+        [min((t[0] for t in cell if max(t[1:], default=0) <= 0), default=INF)
+         for cell in row[lo:hi]] for row in entries[lo:hi]]))
 
 
 def _octagon_pair(a: LinRel, b: LinRel) -> tuple[Octagon, Octagon] | None:
@@ -278,10 +295,17 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     without one (parameter bounds on two diagonals that no path joins) is
     dropped by the LP.  The path-reduced rows are no longer closed;
     ``_member_param_matrix`` closes them again.
-    Dropping that LP (and the one in ``_compose_members``) changes no
-    output, since ``_normalize_member`` drops empty members, but the empty
-    members then reach parameter elimination: step-2 BRANCHING took 46 s
-    instead of 0.26 s.  A replacement must decide emptiness first.
+
+    Before any of that, the ``_block_bounds`` of a's primed block and of
+    b's unprimed block are met and tightly closed; bottom means the
+    composition is empty.  That is sound: at a valuation where a is
+    consistent, its closed block is the closed projection of a onto x',
+    and each bound kept is at least that block's entry, so every x' of a
+    lies in the block octagon of a; likewise every x of b in that of b.  A
+    midpoint lies in both, and a tight octagon is empty exactly when it has
+    no integer point.  The LP stays for emptiness these
+    bounds miss; without either test the empty members reach parameter
+    elimination (step-2 BRANCHING took 46 s instead of 0.26 s).
     """
     octs = _octagon_pair(a, b)
     if octs is not None:
@@ -290,12 +314,15 @@ def _compose_param_oct(a: LinRel, b: LinRel):
             return []
         m = _member_from_entries(ExtParamDbm.from_dbm(o.dbm).entries, 0, a.variables)
         return [] if m is None else [m]
-    ea = _member_param_matrix(a)
-    if ea is None:
+    ma = _member_param_matrix(a)
+    if ma is None:
         return None
-    eb = _member_param_matrix(b)
-    if eb is None:
+    mb = _member_param_matrix(b)
+    if mb is None:
         return None
+    (ea, _, a_post), (eb, b_pre, _) = ma, mb
+    if tight_close(oct_meet_raw(a_post, b_pre)).is_bottom:
+        return []
     # a's parameters first, then b's: positions keep them apart
     na, nb = len(a.params), len(b.params)
     np_ = na + nb
@@ -615,7 +642,20 @@ def _star_members(
     loops: tuple[LinRel, ...], variables: tuple[str, ...], budgets: Budgets
 ) -> tuple[tuple[LinRel, ...], bool, bool]:
     """Members of (union of loops)^+ by saturation; exact flag; whether a
-    budget ran out."""
+    budget ran out.
+
+    The generators ``gens`` are the deduplicated members of the accelerated
+    loops.  Each round extends every frontier member b by every generator g
+    as ``compose_members(b, g)`` (semi-naive evaluation: Bancilhon,
+    Ramakrishnan, SIGMOD 1986), and the candidates no member subsumes form
+    the next frontier.  That is complete: every element of (union of
+    loops)^+ is a word over ``gens``; every member that ever enters
+    ``members`` enters the frontier once, and is then extended by every
+    generator; and composition is monotone, so when o subsumes a dropped
+    candidate, each extension of the candidate is subsumed by the same
+    extension of o.  After r rounds the words of up to r + 1 generators are
+    covered, so the 16-round cap bounds words at 17 generators (not at
+    2^16, as composing members with members would)."""
     exact = True
     exhausted = False
     base: list[LinRel] = []
@@ -624,21 +664,21 @@ def _star_members(
         exact = exact and ex
         exhausted = exhausted or bx
         base.extend(acc)
-    members = _dedupe(base)
-    frontier = list(members)
+    gens = _dedupe(base)
+    members = list(gens)
+    frontier = list(gens)
     rounds = 0
     while frontier and rounds < 16:
         rounds += 1
         new: list[LinRel] = []
-        for a in members:
+        for g in gens:
             for b in frontier:
-                for pair in ((a, b), (b, a)):
-                    for cand in compose_members(*pair):
-                        if any(member_subsumed(cand, o) for o in members):
-                            continue
-                        if any(member_subsumed(cand, o) for o in new):
-                            continue
-                        new.append(cand)
+                for cand in compose_members(b, g):
+                    if any(member_subsumed(cand, o) for o in members):
+                        continue
+                    if any(member_subsumed(cand, o) for o in new):
+                        continue
+                    new.append(cand)
         if not new:
             return tuple(_dedupe(members)), exact, exhausted
         members = _dedupe(members + new)
@@ -669,7 +709,25 @@ def _summary(
     p: Program, q_in: str, q_out: str, budgets: Budgets
 ) -> tuple[list[LinRel], bool, bool]:
     """transitive_relation's members and exact flag, and whether an
-    acceleration or disjunct budget ran out on the way."""
+    acceleration or disjunct budget ran out on the way.  Only the states
+    on some q_in -> q_out path are eliminated: a loop elsewhere adds no
+    run, so it spends no budget and leaves ``exact`` alone."""
+    missing = [s for s in dict.fromkeys((q_in, q_out)) if s not in p.states]
+    if missing:
+        raise ValueError("the program has no state " + ", ".join(map(repr, missing)))
+
+    def reach(start: str, forward: bool) -> set[str]:
+        seen, todo = {start}, [start]
+        while todo:
+            s = todo.pop()
+            for t in p.transitions:
+                a, b = (t.source, t.target) if forward else (t.target, t.source)
+                if a == s and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        return seen
+
+    live = reach(q_in, True) & reach(q_out, False)
     variables = p.variables
     IN, OUT = "__in__", "__out__"
     edges: dict[tuple[str, str], list[LinRel]] = {}
@@ -682,7 +740,8 @@ def _summary(
             antichain_add(cur, m, member_subsumed)
 
     for t in p.transitions:
-        add_edge(t.source, t.target, _label_members(t.label, variables))
+        if t.source in live and t.target in live:
+            add_edge(t.source, t.target, _label_members(t.label, variables))
     ident_in = identity_member(variables)
     ident_out = identity_member(variables)
     add_edge(IN, q_in, [ident_in])
@@ -690,7 +749,7 @@ def _summary(
 
     exact = True
     exhausted = False
-    remaining = [s for s in p.states]
+    remaining = [s for s in p.states if s in live]
     while remaining:
         remaining.sort(
             key=lambda s: (

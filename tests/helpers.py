@@ -388,6 +388,56 @@ def reference_poly_matrix_power(a):
     return polys, prefix
 
 
+def reference_star_members(loops, variables, budgets: Budgets):
+    """``program._star_members`` by all-pairs saturation: each round
+    composes every member with every frontier member, in both orders, so
+    round r reaches words of up to 2^r generators."""
+    from octoterm.closure import reflexive_transitive_closure
+    from octoterm.octagon import oct_hull
+    from octoterm.program import (
+        _accelerate_member,
+        _dedupe,
+        compose_members,
+        member_subsumed,
+        member_to_octagon,
+    )
+
+    exact = True
+    exhausted = False
+    base = []
+    for m in loops:
+        acc, ex, bx = _accelerate_member(m, budgets)
+        exact = exact and ex
+        exhausted = exhausted or bx
+        base.extend(acc)
+    members = _dedupe(base)
+    frontier = list(members)
+    rounds = 0
+    while frontier and rounds < 16:
+        rounds += 1
+        new = []
+        for a in members:
+            for b in frontier:
+                for pair in ((a, b), (b, a)):
+                    for cand in compose_members(*pair):
+                        if any(member_subsumed(cand, o) for o in members):
+                            continue
+                        if any(member_subsumed(cand, o) for o in new):
+                            continue
+                        new.append(cand)
+        if not new:
+            return tuple(_dedupe(members)), exact, exhausted
+        members = _dedupe(members + new)
+        frontier = new
+        if len(members) > budgets.max_disjuncts:
+            break
+    hull = oct_hull([member_to_octagon(m)[0] for m in loops])
+    closure = reflexive_transitive_closure(
+        hull, len(variables), budgets.max_prefix, budgets.max_period
+    )
+    return tuple(_union_members(closure, variables)), False, True
+
+
 def random_poly_bounded_matrix(rng: random.Random, n: int):
     """A random n x n integer matrix whose nonzero eigenvalues are roots of
     unity: a block-triangular matrix of unipotent, permutation, rotation and

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from helpers import (
     TWO_PHASE_PROGRAM,
     eliminate_params,
     reach_set,
+    reference_star_members,
     seven_branch_relations,
 )
 
@@ -122,6 +125,30 @@ def test_summary_excludes_zero_length_path(branching):
     members, _ = transitive_relation(branching, "l1", "l1")
     # identity pairs with x = 0 are unreachable by any positive-length run
     assert not union_eval(members, {"x": 0, "y": 3, "x'": 0, "y'": 3})
+
+
+def test_summary_leaves_out_states_off_the_paths():
+    # the doubling loop at l2 is hulled, which makes a summary through l2
+    # inexact; no l0 -> l1 run reaches l2, so the l0 -> l1 summary stays exact
+    p = parse_program("vars x; init l0; l0 -> l1 : x' == x - 1 && x >= 0; "
+                      "l1 -> l0 : id(x); l1 -> l2 : id(x); "
+                      "l2 -> l2 : x' == 2x && x >= 1 && x <= 10;")
+    members, exact = transitive_relation(p, "l0", "l1")
+    assert exact and len(members) == 2
+    for x in range(-3, 8):
+        for x1 in range(-5, 8):
+            # x' = x - k for some k >= 1 with every decremented value >= 0
+            want = x1 < x and x1 >= -1
+            assert union_eval(members, {"x": x, "x'": x1}) == want, (x, x1)
+    assert not transitive_relation(p, "l0", "l2")[1]
+
+
+def test_summary_rejects_unknown_states():
+    p = parse_program("vars x; init a; a -> a : x >= 0 && x' == x - 1;")
+    with pytest.raises(ValueError, match="no state 'zz'$"):
+        transitive_relation(p, "zz", "zz")
+    with pytest.raises(ValueError, match="no state 'b'$"):
+        transitive_relation(p, "a", "b")
 
 
 def test_random_flat_programs_vs_path_enumeration():
@@ -773,6 +800,105 @@ def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width
             for pt in box:
                 assert _search_eval(got, pt, bound) == _search_eval(want, pt, bound), (a, b, pt)
     assert fell >= 3, fell
+
+
+def _perfbench_gen():
+    """The benchmark's request generators, ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _branching(step: int) -> str:
+    return BRANCHING_PROGRAM.replace("x' == x - 1", f"x' == x - {step}")
+
+
+def _loop_sets(programs) -> list[tuple]:
+    """The arguments of every ``_star_members`` call that ``nt_program``
+    and the head summary of each (text, head) make."""
+    seen = []
+    real = program_module._star_members
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(program_module, "_star_members", spy)
+        for text, head in programs:
+            p = parse_program(text)
+            nt_program(p)
+            transitive_relation(p, head, head)
+    return list(dict.fromkeys(seen))
+
+
+def test_generator_saturation_matches_all_pairs():
+    programs = [(_branching(step), "l1") for step in (1, 2, 3, 4)]
+    programs += [(TWO_PHASE_PROGRAM, "l2"),
+                 (_perfbench_gen().ramp_program(random.Random(3), 3)["text"], "l1")]
+    loop_sets = _loop_sets(programs)
+    assert len(loop_sets) >= 8 and max(len(loops) for loops, *_ in loop_sets) == 6
+    for args in loop_sets:
+        assert repr(program_module._star_members(*args)) == repr(reference_star_members(*args))
+
+
+def test_step_2_branching_saturation_extends_by_generators(monkeypatch):
+    # the six loops converge in two rounds; composing members with frontier
+    # members in both orders took 126 calls (81 distinct pairs)
+    args = max(_loop_sets([(_branching(2), "l1")]), key=lambda a: len(a[0]))
+    calls = []
+    real = program_module.compose_members
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(program_module, "compose_members", spy)
+    program_module._star_members.__wrapped__(*args)
+    assert len(calls) <= 54, len(calls)
+
+
+def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
+    # every pair whose block bounds meet in an empty tight octagon composes
+    # to nothing by exact elimination too, and never reaches the closure
+    from octoterm.octagon import oct_meet_raw, tight_close
+    from octoterm.program import _compose_members, _member_param_matrix
+
+    gen = _perfbench_gen()
+    texts = [r["text"] for seed in (5, 6) for r in gen.make_requests("programs", seed, 1)]
+    texts += [_branching(2), _branching(3)]
+    seen, closed, current = [], set(), []
+    real_compose, real_fw = program_module._compose_param_oct, program_module.param_fw
+
+    def compose_spy(a, b):
+        seen.append((a, b))
+        current.append((a, b))
+        try:
+            return real_compose(a, b)
+        finally:
+            current.pop()
+
+    def fw_spy(m, pivots=None):
+        if pivots is not None:
+            closed.add(current[-1])
+        return real_fw(m, pivots)
+
+    monkeypatch.setattr(program_module, "_compose_param_oct", compose_spy)
+    monkeypatch.setattr(program_module, "param_fw", fw_spy)
+    _clear_memos()
+    for text in texts:
+        nt_program(parse_program(text))
+    refuted = 0
+    for a, b in dict.fromkeys(seen):
+        ma, mb = _member_param_matrix(a), _member_param_matrix(b)
+        if ma is None or mb is None or not tight_close(oct_meet_raw(ma[2], mb[1])).is_bottom:
+            continue
+        refuted += 1
+        assert (a, b) not in closed, (a, b)
+        assert _compose_members(a, b) == [], (a, b)
+    assert refuted >= 80 and closed, refuted
 
 
 def test_empty_parametric_composition_is_dropped():
