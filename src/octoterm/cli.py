@@ -135,8 +135,9 @@ def render_octagon(o: Octagon, names: list[str]) -> str:
 
 
 def render_member(m, names) -> str:
+    """A summary member as text; an unconstrained body reads ``true``."""
     rows, divs = _conj_strs(m.conj)
-    body = " && ".join(rows + divs)
+    body = " && ".join(rows + divs) or "true"
     if m.params:
         return f"exists {', '.join(m.params)} >= 0 . {body}"
     return body

@@ -8,6 +8,13 @@ witness: tight octagons are integer-hull exact, so a rational function is
 enough, and clearing denominators gives an integer function with
 decrease >= 1.
 
+The witness relation and its LP live in ``term_oct``, which decides
+well-foundedness by them (``term_oct.witness``), and ``prove_termination``
+reads them from its memo: after ``wnt``, a well-founded loop needs no
+second LP and no composition.  ``synthesize_lrf`` runs the same LP on any
+relation.  Both turn its rational solution into an integer witness the
+same way.
+
 Each of the two systems a witness is read from, the tight rows of the
 relation and those of its domain, gets one ``PolyhedronLP``: the exact
 decrease and lower bound are warm-started ``sup``s on it, and the closing
@@ -18,34 +25,13 @@ search that found it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import ceil
 from typing import NamedTuple
 
-from .linarith import LinSys, LinTerm, PolyhedronLP, farkas_template
-from .octagon import (
-    Octagon,
-    bottom,
-    lift_set_to_relation,
-    oct_meet_raw,
-    oct_rows,
-    pre_image_set,
-    tight_close,
-)
-from .term_oct import fast_power, wnt
-
-
-def var_names(n_program_vars: int) -> list[str]:
-    return [f"x{i}" for i in range(n_program_vars)] + [
-        f"x{i}'" for i in range(n_program_vars)
-    ]
-
-
-def oct_to_linsys(o: Octagon, names: list[str]) -> LinSys:
-    """The tight constraint rows of an octagon as a linear system."""
-    o = tight_close(o)
-    if o.is_bottom:
-        raise ValueError("cannot linearize the empty octagon")
-    return LinSys(oct_rows(o, names), names)
+from .linarith import LinTerm, PolyhedronLP
+from .octagon import Octagon, pre_image_set, tight_close
+from .term_oct import oct_to_linsys, rank_lp, var_names, witness, wnt
 
 
 class RankingWitness(NamedTuple):
@@ -57,14 +43,7 @@ class RankingWitness(NamedTuple):
 
 def witness_relation(rel: Octagon, n_program_vars: int) -> Octagon:
     """R strengthened with the domain of R^(4N^2); bottom when that dies."""
-    N = n_program_vars
-    power = fast_power(rel, 4 * N * N, N)
-    if power.is_bottom:
-        return bottom(2 * N)
-    dom = pre_image_set(power, N)
-    return tight_close(
-        oct_meet_raw(tight_close(rel), lift_set_to_relation(dom, N, primed=False))
-    )
+    return witness(rel, n_program_vars).relation
 
 
 def _primed(f: LinTerm, n_program_vars: int) -> LinTerm:
@@ -82,17 +61,21 @@ def synthesize_lrf(v: Octagon, n_program_vars: int) -> RankingWitness | None:
     function.  An empty v is ranked vacuously: its witness is v itself
     with the zero function, decrease 1 and lower bound 0.
     """
-    N = n_program_vars
     v = tight_close(v)
+    return _integer_lrf(v, None if v.is_bottom else rank_lp(v, n_program_vars),
+                        n_program_vars)
+
+
+def _integer_lrf(v: Octagon, r: dict[str, Fraction] | None,
+                 N: int) -> RankingWitness | None:
+    """The verified integer witness on a tight v from ``rank_lp``'s
+    solution r on it (None when v is not empty and r is None)."""
     if v.is_bottom:
         return RankingWitness(v, LinTerm(), 1, 0)
-    names = var_names(N)
-    sys = oct_to_linsys(v, names)
-    r = farkas_template(sys, names[:N], names[N:])
     if r is None:
         return None
     f = LinTerm(r).scale_to_integers()
-    rel_lp, dom_lp = PolyhedronLP(sys), _domain_lp(v, N)
+    rel_lp, dom_lp = PolyhedronLP(oct_to_linsys(v, var_names(N))), _domain_lp(v, N)
     # exact integer decrease inf(f - f') and lower bound inf f for the
     # scaled function, as sups of their negations
     delta = rel_lp.sup(_primed(f, N) - f)
@@ -101,9 +84,9 @@ def synthesize_lrf(v: Octagon, n_program_vars: int) -> RankingWitness | None:
     low = dom_lp.sup(-f)
     assert low is not None
     h = ceil(-low)
-    witness = RankingWitness(v, f, max(1, decrease_val), h)
-    assert _ranks(rel_lp, dom_lp, f, witness.decrease, h, N)
-    return witness
+    found = RankingWitness(v, f, max(1, decrease_val), h)
+    assert _ranks(rel_lp, dom_lp, f, found.decrease, h, N)
+    return found
 
 
 def _domain_lp(v: Octagon, N: int) -> PolyhedronLP:
@@ -141,13 +124,15 @@ def prove_termination(rel: Octagon, n_program_vars: int):
 
     If the weakest non-termination set is empty, a ranking function must
     exist on the witness relation; failing to find one indicates a bug and
-    aborts loudly.
+    aborts loudly.  The witness and its LP come from ``term_oct``'s memo,
+    which ``wnt`` has filled whenever it decided by them.
     """
     N = n_program_vars
     res = wnt(rel, N)
     if not res.set.is_bottom:
         return NotWellFounded(res.set)
-    found = synthesize_lrf(witness_relation(rel, N), N)
+    w = witness(rel, N)
+    found = _integer_lrf(w.relation, w.ranking, N)
     if found is None:
         raise AssertionError(
             "relation is well founded but no linear ranking function was "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Sequence
 
@@ -14,6 +15,7 @@ from octoterm.octagon import (
     Octagon,
     bottom,
     lift_set_to_relation,
+    oct_compose,
     oct_encode,
     oct_eq,
     oct_leq,
@@ -33,7 +35,7 @@ from octoterm.program import (
     transitive_relation,
 )
 from octoterm.ranking import oct_to_linsys, var_names
-from octoterm.term_oct import fast_power, wnt
+from octoterm.term_oct import WntResult, _product, _squares, fast_power, wnt
 
 # Difference-bounds relation over x1..x4 whose pre-image sequence is the
 # canonical periodic example (prefix 3, period 3, rate -1 on column 4).
@@ -169,6 +171,30 @@ def random_guarded_relation(rng: random.Random, n_vars: int, max_coef: int = 4) 
         atoms.append((si, i, sj, j, rng.randint(-max_coef, max_coef)))
     return oct_encode(atoms, 2 * n_vars)
 
+
+
+def flip_decrement_relation(rng: random.Random, n_vars: int) -> Octagon:
+    """x_i' == d - x_i (a sign flip) or x_i' == x_i - d per variable, d in
+    0..2, sometimes a box lo <= x_i <= hi, and a few octagonal atoms over
+    (x, x'), all constants in [-60, 60]: relations that often die, or
+    settle into a period late."""
+    atoms = []
+    for i in range(n_vars):
+        d = rng.randint(0, 2)
+        if rng.random() < 0.5:
+            atoms += [(1, n_vars + i, 1, i, d), (-1, n_vars + i, -1, i, -d)]
+        else:
+            atoms += [(1, n_vars + i, -1, i, -d), (-1, n_vars + i, 1, i, d)]
+        if rng.random() < 0.3:
+            lo = rng.randint(-60, 30)
+            atoms += [(-1, i, -1, i, -2 * lo), (1, i, 1, i, 2 * rng.randint(lo, 60))]
+    for _ in range(rng.randint(1, n_vars + 2)):
+        i, j = rng.randrange(2 * n_vars), rng.randrange(2 * n_vars)
+        si, sj = rng.choice((1, -1)), rng.choice((1, -1))
+        if i == j:
+            sj = si
+        atoms.append((si, i, sj, j, rng.randint(-60, 60)))
+    return oct_encode(atoms, 2 * n_vars)
 
 # -- oracles ----------------------------------------------------------------------
 
@@ -386,6 +412,33 @@ def reference_poly_matrix_power(a):
             grid.append(row)
         polys.append(grid)
     return polys, prefix
+
+
+def reference_wnt(rel: Octagon, N: int) -> WntResult:
+    """``term_oct.wnt`` without the witness exit: the pass over the squares
+    toward the probe power n1 = 5^(2N), which stops only when a square is
+    empty or two successive squares have equal pre-image sets, then the
+    probe powers n1 and n1 + 1."""
+    rel = tight_close(rel)
+    n1 = 5 ** (2 * N)
+    squares: list[Octagon] = []
+    last = None  # pre-image set of the last square
+    for square in islice(_squares(rel, N), n1.bit_length()):
+        if square.is_bottom:
+            return WntResult(bottom(N))
+        pre = pre_image_set(square, N)
+        if last is not None and oct_eq(pre, last):
+            return WntResult(last)
+        squares.append(square)
+        last = pre
+    v = _product(squares, n1, N)
+    w = oct_compose(v, rel, N)
+    if w.is_bottom:
+        return WntResult(bottom(N))
+    pv = pre_image_set(v, N)
+    if not oct_eq(pv, pre_image_set(w, N)):
+        return WntResult(bottom(N))
+    return WntResult(pv)
 
 
 def reference_star_members(loops, variables, budgets: Budgets):

@@ -346,6 +346,44 @@ def test_prog_parse_error_at_end_of_input_has_a_position(capsys):
 
 
 # every error path: nothing on stdout, one line on stderr, and the exit code
+ZERO_VARIABLE_PATHS = [
+    (["rel", "rank", "1 <= 0"], "well founded (witness relation is empty)"),
+    (["--format", "json", "rel", "rank", "1 <= 0"],
+     '{\n  "status": "well-founded",\n  "witness": "false"\n}'),
+    (["rel", "rank", "0 <= 1"], "not well founded; wnt: true"),
+    (["rel", "wnt", "1 <= 0"], "false"),
+    (["rel", "wnt", "0 <= 1"], "true"),
+    (["rel", "closure", "1 <= 0"], "identity"),
+    (["rel", "closure", "0 <= 1"], "identity\ntrue"),
+    (["--format", "json", "rel", "closure", "0 <= 1"],
+     '{\n  "exact": true,\n  "members": [\n    "identity",\n    "true"\n  ],\n'
+     '  "status": "ok"\n}'),
+]
+
+
+@pytest.mark.parametrize("argv,out", ZERO_VARIABLE_PATHS, ids=[
+    "rank-false", "rank-false-json", "rank-true", "wnt-false", "wnt-true",
+    "closure-false", "closure-true", "closure-true-json"])
+def test_relations_over_zero_variables_exit_0(capsys, argv, out):
+    # R^0 is the identity: the empty relation ranks vacuously, and an
+    # unconstrained closure member prints as true, not as empty text
+    assert main(argv) == 0
+    got = capsys.readouterr()
+    assert got.out == out + "\n" and got.err == ""
+
+
+@pytest.mark.parametrize("fmt,out", [
+    ("text", "true\n"),
+    ("json", '{\n  "exact": true,\n  "members": [\n    "true"\n  ],\n  "status": "ok"\n}\n'),
+], ids=["text", "json"])
+def test_prog_summary_prints_an_unconstrained_member_as_true(capsys, fmt, out):
+    argv = ["--format", fmt, "prog", "summary", "--from", "a", "--to", "b",
+            "vars x; init a; a -> b : 0 <= 1;"]
+    assert main(argv) == 0
+    got = capsys.readouterr()
+    assert got.out == out and got.err == ""
+
+
 ERROR_PATHS = [
     (["rel", "wnt", "x >= "], 2,
      "parse error: unexpected end of expression at line 1, column 5"),

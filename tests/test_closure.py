@@ -23,7 +23,12 @@ from octoterm.octagon import (
 )
 from octoterm.term_oct import wnt
 
-from helpers import periodic_relation, random_guarded_relation, random_oct_relation
+from helpers import (
+    flip_decrement_relation,
+    periodic_relation,
+    random_guarded_relation,
+    random_oct_relation,
+)
 
 
 def guarded_decrement():
@@ -371,30 +376,6 @@ def test_strictly_descending_for_wf_star_consistent():
             assert oct_leq(seq[i + 1], seq[i])
             assert not oct_eq(seq[i + 1], seq[i])
     assert count >= 3
-
-
-def flip_decrement_relation(rng: random.Random, n_vars: int) -> Octagon:
-    """x_i' == d - x_i (a sign flip) or x_i' == x_i - d per variable, d in
-    0..2, sometimes a box lo <= x_i <= hi, and a few octagonal atoms over
-    (x, x'), all constants in [-60, 60]: relations that often die, or
-    settle into a period late."""
-    atoms = []
-    for i in range(n_vars):
-        d = rng.randint(0, 2)
-        if rng.random() < 0.5:
-            atoms += [(1, n_vars + i, 1, i, d), (-1, n_vars + i, -1, i, -d)]
-        else:
-            atoms += [(1, n_vars + i, -1, i, -d), (-1, n_vars + i, 1, i, d)]
-        if rng.random() < 0.3:
-            lo = rng.randint(-60, 30)
-            atoms += [(-1, i, -1, i, -2 * lo), (1, i, 1, i, 2 * rng.randint(lo, 60))]
-    for _ in range(rng.randint(1, n_vars + 2)):
-        i, j = rng.randrange(2 * n_vars), rng.randrange(2 * n_vars)
-        si, sj = rng.choice((1, -1)), rng.choice((1, -1))
-        if i == j:
-            sj = si
-        atoms.append((si, i, sj, j, rng.randint(-60, 60)))
-    return oct_encode(atoms, 2 * n_vars)
 
 
 # x' == 1 - x && y' == y - 1 && y + x' <= 26 && x' - y <= 45 && 2x >= -7:

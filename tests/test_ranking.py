@@ -114,6 +114,18 @@ def test_prove_termination_with_an_empty_witness_relation():
     assert verify_lrf(w.witness_relation, w.function, w.decrease, w.lower_bound, 1)
 
 
+def test_relations_over_zero_variables():
+    # R^0 is the identity, so the witness of a relation over no variable is
+    # the relation itself: the empty one ranks vacuously, the full one (the
+    # identity on the single state) does not terminate
+    res = prove_termination(bottom(0), 0)
+    assert res == WellFounded(RankingWitness(bottom(0), LinTerm(), 1, 0))
+    assert witness_relation(bottom(0), 0).is_bottom
+    full = tight_close(oct_encode([], 0))
+    assert prove_termination(full, 0) == NotWellFounded(tight_close(oct_encode([], 0)))
+    assert oct_eq(witness_relation(full, 0), full)
+
+
 def test_verify_lrf_examples():
     v = tight_close(guarded_decrement())
     f = LinTerm({"x0": 1})

@@ -27,10 +27,12 @@ from octoterm.term_oct import (
 from helpers import (
     BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
+    flip_decrement_relation,
     local_recurrence_holds,
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
+    reference_wnt,
     seven_branch_relations,
     strengthen_check,
 )
@@ -152,32 +154,35 @@ def test_wnt_memo_is_bounded():
 
 
 def test_prove_termination_reuses_the_wnt(monkeypatch):
-    # the squares toward the WNT probe power 5^(2N) are drawn once, by wnt;
-    # prove_termination only adds those of the witness power 4N^2
-    drawn = []
+    # wnt draws the K = 3 squares R, R^2, R^4 of the witness power 4N^2 = 4
+    # (the probe power 25 would need R^16) and decides by the witness there;
+    # prove_termination reads the witness from the memo and draws none
+    reads = []
     real = term_oct._squares
 
     def spy(rel, N):
-        drawn.append(0)
-        for square in real(rel, N):
-            drawn[-1] += 1
-            yield square
+        reads.append(rel)
+        return real(rel, N)
 
     monkeypatch.setattr(term_oct, "_squares", spy)
     _clear_memos()
     r = enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)  # x >= 0, x' = x - 1
     wnt(r, 1)
-    assert drawn == [5]  # R, R^2, .., R^16 for 25
+    store = term_oct._square_store(tight_close(r), 1)
+    assert len(store) == 3
+    before = len(reads)
     assert isinstance(prove_termination(r, 1), WellFounded)
-    assert drawn == [5, 3]  # R, R^2, R^4 for 4
+    assert len(reads) == before and len(store) == 3
     # an equal relation in another syntax hits the same entry
     wnt(tight_close(r), 1)
-    assert drawn == [5, 3] and term_oct._wnt_tight.cache_info().hits == 2
+    assert len(store) == 3 and term_oct._wnt_tight.cache_info().hits == 2
 
 
 def test_prove_termination_composes_no_square_that_wnt_drew(monkeypatch):
-    # the witness power R^(4N^2) reads the squares wnt stored: it squares
-    # only past wnt's last square, and adds the partial products of 4N^2
+    # wnt decides a well-founded relation by its witness, or sooner by an
+    # empty square; prove_termination then reads the witness from the memo,
+    # or finds it empty among the stored squares (for N <= 3 an empty square
+    # below R^(4N^2) comes before its second set bit), and composes nothing
     pairs = []
     real = term_oct.oct_compose
 
@@ -189,23 +194,86 @@ def test_prove_termination_composes_no_square_that_wnt_drew(monkeypatch):
     rng = random.Random(31)
     rels = [(enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2), 1)]
     rels += [(random_guarded_relation(rng, 1 + t % 3), 1 + t % 3) for t in range(40)]
-    seen = products = 0
+    seen = ranked = 0
     for r, N in rels:
         _clear_memos()
-        pairs.clear()
         if not wnt(r, N).set.is_bottom:
             continue
-        drawn = [a for a, b in pairs if a is b]
         pairs.clear()
-        prove_termination(r, N)
-        squared = [a for a, b in pairs if a is b]
-        assert not any(a in drawn for a in squared)
-        n = 4 * N * N
-        assert len(squared) <= max(0, n.bit_length() - 1 - len(drawn))
-        assert len(pairs) - len(squared) <= bin(n).count("1") - 1
-        products += len(pairs) - len(squared)
+        res = prove_termination(r, N)
+        assert pairs == []
+        ranked += not res.proof.witness_relation.is_bottom
         seen += 1
-    assert seen > 10 and products > 0
+    assert seen > 10 and ranked > 5
+
+
+def test_a_well_founded_relation_costs_one_ranking_lp(monkeypatch):
+    # wnt runs the LP on the witness at most once, and prove_termination
+    # takes its solution from the memo: one call when the witness is not
+    # empty, none when it is
+    calls = []
+    real = term_oct.farkas_template
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(term_oct, "farkas_template", spy)
+    rng = random.Random(37)
+    rels = [(enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2), 1)]
+    for t in range(60):
+        N = 1 + t % 3
+        make = (random_guarded_relation, flip_decrement_relation)[t % 2]
+        rels.append((make(rng, N), N))
+    ranked = 0
+    for r, N in rels:
+        _clear_memos()
+        calls.clear()
+        wnt(r, N)
+        assert len(calls) <= 1
+        if isinstance(prove_termination(r, N), WellFounded):
+            want = 0 if term_oct.witness(r, N).relation.is_bottom else 1
+            assert len(calls) == want
+            ranked += want
+    assert ranked > 10
+
+
+def _wnt_inputs():
+    """At least 400 random, guarded and flip-and-decrement relations, N = 1..3."""
+    rng = random.Random(41)
+    makers = (random_oct_relation, random_guarded_relation, flip_decrement_relation)
+    return [(makers[t % 3](rng, 1 + t // 3 % 3), 1 + t // 3 % 3) for t in range(405)]
+
+
+def test_wnt_equals_the_reference_without_the_witness_exit():
+    inputs = _wnt_inputs()
+    _clear_memos()
+    wf = 0
+    for r, N in inputs:
+        got = wnt(r, N)
+        assert got == reference_wnt(r, N)
+        wf += got.set.is_bottom
+    assert 50 < wf < len(inputs) - 50
+    assert term_oct._witness_tight.cache_info().misses > 20  # exits taken
+
+
+def test_wnt_falls_back_to_the_probe_powers_when_the_lp_fails(monkeypatch):
+    # with an LP that never finds a ranking function, only an empty witness
+    # exits early, and the probe powers decide the rest as before
+    tried = []
+
+    def no_ranking(v, N):
+        tried.append(v)
+        return None
+
+    monkeypatch.setattr(term_oct, "rank_lp", no_ranking)
+    _clear_memos()
+    try:
+        for r, N in _wnt_inputs():
+            assert wnt(r, N) == reference_wnt(r, N)
+        assert len(tried) > 10
+    finally:
+        _clear_memos()  # the witness memo holds the failed LPs
 
 
 def _count_compositions(monkeypatch):
@@ -232,10 +300,16 @@ def test_wnt_stops_at_the_first_equal_pre_images(monkeypatch):
 
 def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
     # at most the compositions of R^(5^(2N)) and one more, the cost of
-    # computing both probe powers; exactly that when nothing dies early
+    # computing both probe powers; when nothing dies early, only the K - 1
+    # squarings to R^(2^(K-1)), K = bit_length(4N^2), and the product of
+    # the witness power R^(4N^2)
     calls = _count_compositions(monkeypatch)
     rng = random.Random(27)
     rels = [(enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2), 1, True)]
+    # x0 >= 0, x0' = x0 - 1, x1' = x1, x2' = x2
+    rels.append((enc([(1, 0, -1, 3, 1), (-1, 0, 1, 3, -1), (-1, 0, -1, 0, 0),
+                      (1, 1, -1, 4, 0), (-1, 1, 1, 4, 0),
+                      (1, 2, -1, 5, 0), (-1, 2, 1, 5, 0)], 6), 3, True))
     for trial in range(40):
         N = 1 + trial % 3
         rels.append((random_guarded_relation(rng, N), N, False))
@@ -251,8 +325,8 @@ def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
         fast_power(r, 5 ** (2 * N), N)
         assert used <= len(calls) + 1
         if full:
-            n1 = 5 ** (2 * N)
-            assert used == n1.bit_length() - 1 + bin(n1).count("1")
+            m = 4 * N * N
+            assert used == m.bit_length() - 1 + bin(m).count("1") - 1
         seen += 1
     assert seen > 10
 
