@@ -477,14 +477,13 @@ def lp_feasible(sys: LinSys, nonneg: Sequence[str] = ()) -> dict[str, Fraction] 
     return PolyhedronLP(sys, nonneg).model()
 
 
-def term_of_pair(p: int, q: int, variables: Sequence[str]) -> LinTerm:
-    """Octagonal term u_p - u_q for dual indices over the given variables."""
-    t = LinTerm()
-    sp = 1 if p % 2 == 0 else -1
-    sq = 1 if q % 2 == 0 else -1
-    t = t + LinTerm({variables[p // 2]: sp})
-    t = t - LinTerm({variables[q // 2]: sq})
-    return t
+def term_of_pair(p: int, q: int, variables: Sequence[str], const=0) -> LinTerm:
+    """Octagonal term u_p - u_q + const for dual indices over the given
+    variables, built as one term."""
+    vq = variables[q // 2]
+    coeffs = {variables[p // 2]: 1 if p % 2 == 0 else -1}
+    coeffs[vq] = coeffs.get(vq, 0) - (1 if q % 2 == 0 else -1)
+    return LinTerm(coeffs, const)
 
 
 # ---------------------------------------------------------------------------

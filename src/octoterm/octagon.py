@@ -184,7 +184,7 @@ def oct_rows(o: Octagon, names: Sequence[str]) -> list[Row]:
     row ``1 <= 0``."""
     if o.is_bottom:
         return [(LinTerm.of(1), LE)]
-    return [(term_of_pair(p, q, names) - c, LE) for p, q, c in _finite_entries(o)]
+    return [(term_of_pair(p, q, names, -c), LE) for p, q, c in _finite_entries(o)]
 
 
 def halving_consistent(closed: Dbm) -> bool:
