@@ -7,21 +7,22 @@ guesses (b, c) from computed powers, in the order of the highest power
 each guess reads, and then *certifies* the guess:
 
   * at the plain-DBM level, the one-period composition step is replayed on
-    the parametric matrix ``base + k*rate`` with the parametric
-    Floyd-Warshall closure;
+    base + k*rate with plain integer closures: one closure at a k large
+    enough to stand for every k when the step never fails, and otherwise
+    a doubling and bisection search for the first k at which it fails;
   * the tight sequence is then derived from the certified plain forms by
-    the parametric tightening ``pdbm.param_tighten`` (an odd rate on a
-    halved entry doubles the period first, so every halving is exact;
-    crossovers of two lines in one entry raise the prefix), and finally
-    (b, c) is minimized over the c-step differences of the tight forms.
+    tightening each entry's lines (an odd rate on a halved entry doubles
+    the period first, so every halving is exact; crossovers of two lines
+    in one entry raise the prefix), and finally (b, c) is minimized over
+    the c-step differences of the tight forms.
 
 Every relation falls on one side of a dichotomy.  Either R is
 *-consistent, and the step is certified for every k >= 0; or R dies: some
-power R^dead is empty, and so is every later one.  The death index comes in
-closed form from the certified terms, which are affine in k (a negative
-cycle of the replayed step, or a failed integer halving sum), so a death at
-power 10^7 costs no more than one at power 10.  The step is then certified
-on the live powers only, and one concrete composition confirms the death.
+power R^dead is empty, and so is every later one.  The replayed step fails
+on an interval of k, and every power before its first failure is the true
+one, so the death index is exact, and a death at power 10^7 costs
+O(log 10^7) closures.  A failed integer halving of base + k*rate comes in
+closed form.
 
 A verified certificate yields the reflexive-transitive closure exactly, as
 the identity and a finite union of plain and parametric octagons (a dying
@@ -44,8 +45,6 @@ from .octagon import (
     tighten,
     top,
 )
-from .pdbm import ExtParamDbm, entry_min_equals, glue, param_fw, param_tighten
-from .term_oct import fast_power
 
 
 class NotStarConsistent(NamedTuple):
@@ -124,8 +123,6 @@ class _PowerCache:
     def __init__(self, rel: Octagon, n_program_vars: int):
         self.N = n_program_vars
         t = tight_close(rel)
-        self.rel = t
-        self.live = 0  # R^n is non-empty for every n <= live
         self.d: dict[int, Dbm] = {}
         self.t: dict[int, Dbm] = {}
         self.steadies: dict[tuple[int, int], bool] = {}
@@ -152,16 +149,6 @@ class _PowerCache:
             self.d[top_n] = nxt
             self.t[top_n] = tighten(nxt)
         return True
-
-    def empty(self, n: int) -> bool:
-        """Is R^n empty?  Past the powers known live, the product of the
-        squares of R that ``term_oct`` shares among all powers of R."""
-        if n <= max(self.live, max(self.d)):
-            return False
-        if fast_power(self.rel, n, self.N).is_bottom:
-            return True
-        self.live = n
-        return False
 
     def tight(self, n: int) -> Dbm:
         self.ensure(n)
@@ -250,110 +237,152 @@ def _halving_death(a0: int, b0: int, la: int, lb: int) -> int | None:
     return best
 
 
-def _first_failure(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
-    """Least k >= 0 at which the replayed step fails, or None if it never does.
+def _scaled(m: Dbm, s: int) -> Dbm:
+    """Entrywise s*m; INF stays INF."""
+    return Dbm([[v if v == INF else s * v for v in row] for row in m.rows])
 
-    The step at k closes base + k*rate glued to D_c; it holds when the
-    glued matrix has no negative cycle and the result is base + (k+1)*rate
-    as the pointwise minimum of each entry's terms.  An entry that passes
-    ``entry_min_equals`` holds at every k; a target missing from its entry
-    fails at once; otherwise each term is affine in k and fails from a
-    closed-form k on.
+
+def _first_failure(step, limit: int):
+    """``(k, power)`` for the least k in [1, limit] at which the step fails,
+    or None when it holds up to limit.  ``step(k)`` returns the closed
+    power at k and whether the step fails there.  The step holds at k = 0
+    and fails on an interval [k_f, oo), so doubling and then bisection find
+    k_f in 2*bit_length(k_f - 1) + 1 steps at most."""
+    lo, k = 0, 1
+    while True:
+        k = min(k, limit)
+        if k <= lo:
+            return None
+        out, failed = step(k)
+        if failed:
+            break
+        lo, k = k, 2 * k
+    hi, hi_out = k, out
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        out, failed = step(mid)
+        if failed:
+            hi, hi_out = mid, out
+        else:
+            lo = mid
+    return hi, hi_out
+
+
+def _replay_residue(cache: _PowerCache, n: int, c: int, rate: Dbm):
+    """``(accepted, dead)`` of the step D_n + k*rate -> D_(n+c) + k*rate.
+
+    X(k) = D_n + k*rate stands for D_(n+k*c), and t(k) = D_(n+c) + k*rate
+    for D_(n+(k+1)*c).  Each entry of the glued closure of X(k) with D_c
+    is the least of finitely many lines a + k*l, one per path through the
+    middle block (a middle edge is the lesser of two lines, so each path
+    picks one), and every cycle is such a line too.  So the entries and
+    the least cycle are concave in k, and the step holds where no cycle is
+    negative and the outer blocks are t(k).  At k = 0 the closure is
+    D_(n+c): ``compose_closed`` is exact on closed operands, and
+    composition is associative.  So every path has a >= t(0), and every
+    cycle has a >= 0.
+
+    * The glued matrix has 3*dim/2 rows, so a sum of two paths has at
+      most 3*dim edges and an |a| below M/2.  The integer order of codes l*M + a is then the order of (l, a)
+      by slope first, the order at k -> oo, and the closure at k = M is the
+      closure of those codes.  When it has no negative cycle and its outer
+      blocks are t(M), every path has l >= rate and a >= t(0), some path
+      gives t(k) exactly, and every cycle has l >= 0 and a >= 0: the step
+      holds at every k >= 0.  By induction on k, every X(k) is then the
+      closed power D_(n+k*c).  R^(n+k*c) is empty from the first k at which
+      the integer halving of X(k) fails (``_halving_death``), and the
+      residue dies there, or never.
+    * Otherwise the step fails at some finite k.  The closure of M*X(0) +
+      rate with M*D_c orders by value first, the order at k -> 0+.  Its
+      outer blocks are M*t(0) + rate when the line t(k) is attained and no
+      path with a = t(0) has a lesser slope; otherwise the candidate is
+      rejected.  Then every entry is at most t(k), so the step holds on an
+      interval [0, k_f), and ``_first_failure`` finds k_f with plain
+      closures at integer k, below the first halving failure.  X(k_f) is
+      the true power, so a negative cycle or a failed halving at k_f
+      empties R^(n+(k_f+1)*c); a live power that differs from t(k_f)
+      refutes the candidate.
     """
-    ks = [_first_negative(*t) for p in range(closed.dim) for t in closed.entries[p][p]]
-    half = base.dim // 2
-    keep = list(range(half)) + list(range(2 * half, 3 * half))
-    for a_idx, p in enumerate(keep):
-        for b_idx, q in enumerate(keep):
-            terms = closed.entries[p][q]
-            tb = base.rows[a_idx][b_idx]
-            tr = rate.rows[a_idx][b_idx]
-            if tb == INF:
-                if terms:
-                    return 0
-                continue
-            target = (tb + tr, tr)  # value at k+1
-            if entry_min_equals(terms, target):
-                continue  # the minimum is the target at every k
-            if target not in terms:
-                return 0
-            ks += [_first_negative(t0 - target[0], t1 - tr) for t0, t1 in terms]
-    return min((k for k in ks if k is not None), default=None)
-
-
-def _death(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
-    """Least power, as its k, that the residue predicts empty: a negative
-    cycle of the closure at k empties R^(n + (k+1)*c), and a failed halving
-    sum of base + k*rate empties R^(n + k*c), with n = b + i."""
-    deaths = [k + 1 for p in range(closed.dim) for t in closed.entries[p][p]
-              if (k := _first_negative(*t)) is not None]
+    base, nxt, plain_c = cache.plain(n), cache.plain(n + c), cache.plain(c)
+    last = None  # the least k at which the halving of X(k) fails
     for p in range(base.dim):
-        a0 = base.rows[p][p ^ 1]
-        b0 = base.rows[p ^ 1][p]
+        a0, b0 = base.rows[p][p ^ 1], base.rows[p ^ 1][p]
         if a0 != INF and b0 != INF:
             k = _halving_death(a0, b0, rate.rows[p][p ^ 1], rate.rows[p ^ 1][p])
-            if k is not None:
-                deaths.append(k)
-    return min(deaths, default=None)
+            if k is not None and (last is None or k < last):
+                last = k
+    big = max((abs(v) for m in (base, rate, plain_c) for row in m.rows for v in row
+               if v != INF), default=0)
+    M = 6 * base.dim * (big + 1) + 1
+    if compose_closed(dbm_add_rate(base, rate, M), plain_c) == dbm_add_rate(nxt, rate, M):
+        return True, None if last is None else n + last * c
+    attained = compose_closed(dbm_add_rate(_scaled(base, M), rate, 1), _scaled(plain_c, M))
+    if attained != dbm_add_rate(_scaled(nxt, M), rate, 1):
+        return False, None
+
+    def step(k: int):
+        out = compose_closed(dbm_add_rate(base, rate, k), plain_c)
+        return out, out != dbm_add_rate(nxt, rate, k)
+
+    fail = _first_failure(step, M if last is None else last - 1)
+    if fail is None:
+        return True, None if last is None else n + last * c
+    k, out = fail
+    if out is not None and halving_consistent(out):
+        cache.refute(n + (k + 1) * c)
+        return False, None
+    return True, n + (k + 1) * c
 
 
 def _verify_dbm_certificate(cache: _PowerCache, b: int, c: int, rates: list[Dbm]):
-    """Replay one period on base + k*rate with the parametric closure.
+    """Replay one period on the plain powers, residue by residue.
 
     Returns ``(accepted, dead)``, with dead the least power the certificate
-    makes empty, or None.  For each residue i, base + k*rate stands for
-    R^(b+i+k*c); it is glued to D_c and closed once.  Without a death, the
-    step must hold for every k >= 0.  A step may fail only past the death,
-    so R^(b+i+(k+1)*c) must be empty when it fails at k; the death is then
-    read off every residue in closed form, each step must hold up to the
-    last live power of its residue, and composing the predicted last live
-    power with D_c must give an empty power.
-
-    The glued matrix is closed through its 2N middle pivots only, which is
-    exact for a composition of two closed operands (see ``param_fw``).
-    D_c is closed, and by induction on k so is X(k) = base + k*rate:
-    X(0) = D_(b+i) is a closed power; if the replayed steps hold up to k,
-    X(k) is the true closed power D_(b+i+k*c), so the closure at k is
-    exact.  The first failing k, and the diagonal terms that go negative up
-    to it, are therefore those of the closure through every pivot, and so
-    are ``_first_failure`` and ``_death`` at every k they read.  The middle
-    closure also keeps fewer terms, so it hits ``MAX_ANTICHAIN`` less often
-    than the closure through every pivot, which then rejects blindly.
+    makes empty, or None.  Residue i replays D_(b+i) + k*rates[i] for every
+    k >= 0 with plain closures (``_replay_residue``): one closure when the
+    step never fails, O(log k_f) when it first fails at k_f.  Every power a
+    residue reaches is the true one, so each residue's death is exact, and
+    the certificate's death is the least of them.
     """
-    plain_c = cache.plain(c)
-    const = ExtParamDbm.from_dbm(plain_c, 1)
-    blk = cache.base.dim // 2  # 2N: the glued matrix has three blocks of 2N
-    steps = []
-    for i in range(c):
-        base, rate = cache.plain(b + i), rates[i]
-        closed = param_fw(glue(ExtParamDbm.affine(base, [rate]), const),
-                          range(blk, 2 * blk))
-        if closed.capped:
-            return False, None
-        fail = _first_failure(closed, base, rate)
-        if fail is not None and not cache.empty(b + i + (fail + 1) * c):
-            cache.refute(b + i + (fail + 1) * c)
-            return False, None
-        steps.append((closed, fail))
     dead = None
-    for i, (closed, _) in enumerate(steps):
-        k = _death(closed, cache.plain(b + i), rates[i])
-        if k is not None and (dead is None or b + i + k * c < dead):
-            dead = b + i + k * c
-    if dead is None:
-        return all(fail is None for _, fail in steps), None
-    for i, (_, fail) in enumerate(steps):
-        # the steps 0 .. K-1 reach the live powers of the residue
-        if fail is not None and fail < (dead - 1 - b - i) // c:
+    for i in range(c):
+        ok, d = _replay_residue(cache, b + i, c, rates[i])
+        if not ok:
             return False, None
-    i, k = (dead - c - b) % c, (dead - c - b) // c
-    if k < 0:
-        return False, None
-    nxt = compose_closed(dbm_add_rate(cache.plain(b + i), rates[i], k), plain_c)
-    if nxt is not None and halving_consistent(nxt):
-        cache.refute(dead)
-        return False, None
+        if d is not None and (dead is None or d < dead):
+            dead = d
     return True, dead
+
+
+def _tight_lines(base: Dbm, step: Dbm) -> list[list[tuple]]:
+    """The tight closure of the closed matrix base + j*step, for every
+    j >= 0, as lines (value at j = 0, slope) per entry.
+
+    Tightening lowers entry (p, q) to the sum of the halved lines of
+    (p, bar p) and (bar q, q); every halved slope is even, so each halving
+    is exact.  An entry keeps the one of its two lines that is least at
+    every j, or both, in order of value (and so of falling slope), when
+    they cross; () where neither is finite.
+    """
+    halves = [None if row[p ^ 1] == INF else (row[p ^ 1] // 2, srow[p ^ 1] // 2)
+              for p, (row, srow) in enumerate(zip(base.rows, step.rows))]
+    grid = []
+    for p, (row, srow) in enumerate(zip(base.rows, step.rows)):
+        hp = halves[p]
+        cells = []
+        for q, line in enumerate(zip(row, srow)):
+            hq = halves[q ^ 1]
+            h = None if hp is None or hq is None else (hp[0] + hq[0], hp[1] + hq[1])
+            if line[0] == INF:
+                cells.append(() if h is None else (h,))
+            elif h is None or (line[0] <= h[0] and line[1] <= h[1]):
+                cells.append((line,))
+            elif h[0] <= line[0] and h[1] <= line[1]:
+                cells.append((h,))
+            else:
+                cells.append(tuple(sorted((line, h))))
+        grid.append(cells)
+    return grid
 
 
 def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm],
@@ -363,8 +392,8 @@ def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm],
     Returns (b_t, c_t, forms): for every power n = b_t + r + j*c_t below
     dead, the tight matrix is ``dbm_add_rate(*forms[r], j)``.  Residue r of
     c_t is the plain form base + (rho + s*j)*rate of residue i0 = r % c0
-    (rho = r // c0), tightened by ``param_tighten``; s = 2 when some halved
-    rate is odd, so every halving is exact and no case splits.  A tight
+    (rho = r // c0), tightened entrywise by ``_tight_lines``; s = 2 when
+    some halved rate is odd, so every halving is exact.  A tight
     entry is then one line or the minimum of two lines a1 + j*l1 and
     a2 + j*l2 with a1 < a2 and l1 > l2, which cross once.  When R dies and
     the first line is still least at the residue's last live power, it is
@@ -380,8 +409,7 @@ def _derive_tight_tail(cache: _PowerCache, b0: int, c0: int, rates: list[Dbm],
     for r in range(c_t):
         i0, rho = r % c0, r // c0
         base = dbm_add_rate(cache.plain(b0 + i0), rates[i0], rho)
-        step = Dbm([[v if v == INF else s * v for v in row] for row in rates[i0].rows])
-        [grid] = param_tighten(ExtParamDbm.affine(base, [step]).entries, dim)
+        grid = _tight_lines(base, _scaled(rates[i0], s))
         # the scan saw R^(b0 + 4*c0 - 1) live, so last >= 1
         last = None if dead is None else (dead - 1 - b0 - r) // c_t
         for row in grid:

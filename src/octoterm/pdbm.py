@@ -55,16 +55,11 @@ def min_terms(items: Iterable[Term]) -> tuple[Term, ...]:
     keep: list[Term] = []
     for t in sorted(set(items)):
         for s in keep:
-            if all(map(le, s, t)):  # _leq(s, t), inlined in the hot loop
+            if all(map(le, s, t)):  # s <= t in every component
                 break
         else:
             keep.append(t)
     return tuple(keep)
-
-
-def _leq(a: Term, b: Term) -> bool:
-    """a <= b in every component, so b is redundant next to a."""
-    return all(map(le, a, b))
 
 
 def term_bound(t: Term, param_names: Sequence[str]) -> LinTerm:
@@ -235,10 +230,3 @@ def param_tighten(entries, dim: int, keep: Sequence[int] | None = None) -> list:
             tightened[p][p] = tight(p, p)
     return [tightened]
 
-
-def entry_min_equals(terms: Sequence[Term], target: Term) -> bool:
-    """Does min(terms) equal target at every nonneg valuation?
-
-    True iff target is one of the terms and every term dominates it.
-    """
-    return target in terms and all(_leq(target, t) for t in terms)

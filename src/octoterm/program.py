@@ -149,22 +149,15 @@ def member_cases(m: LinRel) -> tuple[Conj, ...]:
 def member_subsumed(a: LinRel, b: LinRel) -> bool:
     """Sound check that a's relation is contained in b's.  Two
     parameter-free octagonal members compare their tight octagons
-    entrywise (``oct_leq``, integer-exact).  When a and b have the same
-    parameters, a's rows with ``p >= 0`` implying b's is enough: a witness
-    of a then witnesses b.  That sees containment at equal parameter
-    values, which elimination can split into cases no single case of b
-    covers.  Otherwise every parameter-free case of a must imply one case
-    of b by ``conj_implies``.  That sees row entailment and the
+    entrywise (``oct_leq``, integer-exact).  Otherwise every
+    parameter-free case of a must imply one case of b by
+    ``conj_implies``.  That sees row entailment and the
     divisibility atoms a's rows entail, such as the parities step-2
     accelerations bring in, but not a case of a covered only by a union
     of b's cases."""
     octs = _octagon_pair(a, b)
     if octs is not None:
         return oct_leq(*octs)
-    if a.params and a.params == b.params:
-        ca = Conj.make(a.system().rows, a.conj.divs)
-        if ca is None or conj_implies(ca, b.conj):
-            return True
     cb = member_cases(b)
     return all(any(conj_implies(ca, c) for c in cb) for ca in member_cases(a))
 

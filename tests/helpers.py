@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from operator import mul
 from typing import Sequence
 
-from octoterm.dbm import INF, Dbm
+from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
 from octoterm.octagon import (
     Octagon,
     bottom,
+    halving_consistent,
     lift_set_to_relation,
     oct_compose,
     oct_encode,
@@ -23,8 +25,8 @@ from octoterm.octagon import (
     pre_image_set,
     tight_close,
 )
-from octoterm.pdbm import ExtParamDbm
-from octoterm.presburger import Dnf
+from octoterm.pdbm import ExtParamDbm, glue, param_fw
+from octoterm.presburger import Conj, Dnf, conj_implies
 from octoterm.program import (
     Budgets,
     Program,
@@ -441,6 +443,21 @@ def reference_wnt(rel: Octagon, N: int) -> WntResult:
     return WntResult(pv)
 
 
+@lru_cache(maxsize=None)
+def _reference_subsumed(a, b) -> bool:
+    """``program.member_subsumed`` with the test at equal parameters that
+    all-pairs saturation needs to converge on step-3 and step-4 BRANCHING:
+    when a and b have the same parameters, a's rows with ``p >= 0``
+    implying b's is enough, since a witness of a then witnesses b."""
+    from octoterm.program import member_subsumed
+
+    if a.params and a.params == b.params:
+        ca = Conj.make(a.system().rows, a.conj.divs)
+        if ca is None or conj_implies(ca, b.conj):
+            return True
+    return member_subsumed(a, b)
+
+
 def reference_star_members(loops, variables, budgets: Budgets):
     """``program._star_members`` by all-pairs saturation: each round
     composes every member with every frontier member, in both orders, so
@@ -451,7 +468,6 @@ def reference_star_members(loops, variables, budgets: Budgets):
         _accelerate_member,
         _dedupe,
         compose_members,
-        member_subsumed,
         member_to_octagon,
     )
 
@@ -473,9 +489,9 @@ def reference_star_members(loops, variables, budgets: Budgets):
             for b in frontier:
                 for pair in ((a, b), (b, a)):
                     for cand in compose_members(*pair):
-                        if any(member_subsumed(cand, o) for o in members):
+                        if any(_reference_subsumed(cand, o) for o in members):
                             continue
-                        if any(member_subsumed(cand, o) for o in new):
+                        if any(_reference_subsumed(cand, o) for o in new):
                             continue
                         new.append(cand)
         if not new:
@@ -489,6 +505,97 @@ def reference_star_members(loops, variables, budgets: Budgets):
         hull, len(variables), budgets.max_prefix, budgets.max_period
     )
     return tuple(_union_members(closure, variables)), False, True
+
+
+def _reference_failure(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
+    """Least k >= 0 at which the parametric replay of base + k*rate fails,
+    or None: a diagonal term goes negative, or an outer entry's terms stop
+    having base + (k+1)*rate as their minimum."""
+    from octoterm.closure import _first_negative
+
+    ks = [_first_negative(*t) for p in range(closed.dim) for t in closed.entries[p][p]]
+    half = base.dim // 2
+    keep = list(range(half)) + list(range(2 * half, 3 * half))
+    for a_idx, p in enumerate(keep):
+        for b_idx, q in enumerate(keep):
+            terms = closed.entries[p][q]
+            tb = base.rows[a_idx][b_idx]
+            tr = rate.rows[a_idx][b_idx]
+            if tb == INF:
+                if terms:
+                    return 0
+                continue
+            target = (tb + tr, tr)  # value at k+1
+            if target not in terms:
+                return 0
+            if all(t0 >= target[0] and t1 >= tr for t0, t1 in terms):
+                continue  # the minimum is the target at every k
+            ks += [_first_negative(t0 - target[0], t1 - tr) for t0, t1 in terms]
+    return min((k for k in ks if k is not None), default=None)
+
+
+def _reference_death(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
+    """Least k whose power the parametric replay predicts empty: a negative
+    cycle at k empties R^(n + (k+1)*c), a failed halving of base + k*rate
+    R^(n + k*c)."""
+    from octoterm.closure import _first_negative, _halving_death
+
+    deaths = [k + 1 for p in range(closed.dim) for t in closed.entries[p][p]
+              if (k := _first_negative(*t)) is not None]
+    for p in range(base.dim):
+        a0 = base.rows[p][p ^ 1]
+        b0 = base.rows[p ^ 1][p]
+        if a0 != INF and b0 != INF:
+            k = _halving_death(a0, b0, rate.rows[p][p ^ 1], rate.rows[p ^ 1][p])
+            if k is not None:
+                deaths.append(k)
+    return min(deaths, default=None)
+
+
+def reference_verify_dbm_certificate(cache, b: int, c: int, rates):
+    """``closure._verify_dbm_certificate`` by the parametric replay: each
+    residue's base + k*rate is glued to D_c and closed once by ``param_fw``
+    through the middle pivots, over (term, length) antichains; the first
+    failing k and the death index are read off the affine terms, a failure
+    must fall on an empty power (by ``fast_power``), and one composition of
+    the predicted last live power confirms the death.  None when an
+    antichain hits ``MAX_ANTICHAIN`` (the replay then has no verdict);
+    otherwise ``(accepted, dead)``.  Leaves the cache as it is."""
+
+    def empty(n: int) -> bool:
+        rel = Octagon(2 * cache.N, cache.base, tight=True)
+        return n > max(cache.d) and fast_power(rel, n, cache.N).is_bottom
+
+    plain_c = cache.plain(c)
+    const = ExtParamDbm.from_dbm(plain_c, 1)
+    blk = cache.base.dim // 2
+    steps = []
+    for i in range(c):
+        base, rate = cache.plain(b + i), rates[i]
+        closed = param_fw(glue(ExtParamDbm.affine(base, [rate]), const), range(blk, 2 * blk))
+        if closed.capped:
+            return None
+        fail = _reference_failure(closed, base, rate)
+        if fail is not None and not empty(b + i + (fail + 1) * c):
+            return False, None
+        steps.append((closed, fail))
+    dead = None
+    for i, (closed, _) in enumerate(steps):
+        k = _reference_death(closed, cache.plain(b + i), rates[i])
+        if k is not None and (dead is None or b + i + k * c < dead):
+            dead = b + i + k * c
+    if dead is None:
+        return all(fail is None for _, fail in steps), None
+    for i, (_, fail) in enumerate(steps):
+        if fail is not None and fail < (dead - 1 - b - i) // c:
+            return False, None
+    i, k = (dead - c - b) % c, (dead - c - b) // c
+    if k < 0:
+        return False, None
+    nxt = compose_closed(dbm_add_rate(cache.plain(b + i), rates[i], k), plain_c)
+    if nxt is not None and halving_consistent(nxt):
+        return False, None
+    return True, dead
 
 
 def random_poly_bounded_matrix(rng: random.Random, n: int):

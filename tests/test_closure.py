@@ -3,6 +3,7 @@ import random
 import pytest
 
 from octoterm import closure as closure_module
+from octoterm import pdbm
 from octoterm.closure import (
     NotStarConsistent,
     ParamOct,
@@ -11,7 +12,7 @@ from octoterm.closure import (
     kleene_pre_sequence,
     reflexive_transitive_closure,
 )
-from octoterm.dbm import INF, dbm_add_rate
+from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate
 from octoterm.octagon import (
     Octagon,
     bottom,
@@ -21,6 +22,7 @@ from octoterm.octagon import (
     oct_leq,
     tight_close,
 )
+from octoterm.pdbm import ExtParamDbm, param_tighten
 from octoterm.term_oct import wnt
 
 from helpers import (
@@ -28,6 +30,7 @@ from helpers import (
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
+    reference_verify_dbm_certificate,
 )
 
 
@@ -121,13 +124,13 @@ def test_tight_forms_predict_the_powers_and_are_minimal(monkeypatch):
     is the minimum of two crossing lines run: past the crossover (the line
     of lesser slope, the prefix raised) and, when R dies first, on the line
     that is least at every live power."""
-    derive, tighten = closure_module._derive_tight_tail, closure_module.param_tighten
+    derive, tighten = closure_module._derive_tight_tail, closure_module._tight_lines
     grids, last = [], {}
 
-    def spy_tighten(entries, dim):
-        cases = tighten(entries, dim)
-        grids.append([list(row) for row in cases[0]])
-        return cases
+    def spy_tighten(base, step):
+        grid = tighten(base, step)
+        grids.append([list(row) for row in grid])
+        return grid
 
     def spy_derive(cache, b0, c0, rates, dead):
         grids.clear()
@@ -135,7 +138,7 @@ def test_tight_forms_predict_the_powers_and_are_minimal(monkeypatch):
         last.update(b0=b0, c0=c0, b_t=b_t, c_t=c_t, forms=forms, grids=list(grids))
         return b_t, c_t, forms
 
-    monkeypatch.setattr(closure_module, "param_tighten", spy_tighten)
+    monkeypatch.setattr(closure_module, "_tight_lines", spy_tighten)
     monkeypatch.setattr(closure_module, "_derive_tight_tail", spy_derive)
     rng = random.Random(41)
     cases = [(periodic_relation(), 4)]
@@ -385,69 +388,155 @@ REJECTING = oct_encode([(1, 2, 1, 0, 1), (-1, 2, -1, 0, -1), (1, 3, -1, 1, -1),
                         (-1, 0, -1, 0, 7)], 4)
 
 
-def test_middle_block_replay_matches_every_pivot(monkeypatch):
-    """The replay closes the glued matrix through the 2N middle pivots; the
-    closure through every pivot, kept here as the reference, must give the
-    same (accepted, dead) on every candidate.  Where the reference hits the
-    antichain cap it rejects blindly; the middle block, with fewer terms,
-    may then accept, and its certificate must predict the powers."""
-    real = closure_module.param_fw
-    seen = []
+def flip_decrement_draws(seed: int, ns=None):
+    """The flip-and-decrement relations of one seed: one per N of ``ns``,
+    or 400 with N drawn from 1..3 before each."""
+    rng = random.Random(seed)
+    out = []
+    for j in range(400 if ns is None else len(ns)):
+        n = rng.choice((1, 2, 3)) if ns is None else ns[j]
+        out.append((flip_decrement_relation(rng, n), n))
+    return out
 
-    def spy(m, pivots=None):
-        seen.append((m.dim, list(pivots)))
-        return real(m, pivots)
 
-    def every_pivot(cache, b, c, rates):
-        capped = []
+def test_plain_replay_matches_the_parametric_replay(monkeypatch):
+    """Every candidate the scan replays on REJECTING and on the
+    flip-and-decrement relations of seeds 7, 12 and 55 gets the
+    ``(accepted, dead)`` of the parametric replay it replaced
+    (``helpers.reference_verify_dbm_certificate``).  Where the reference
+    hits its antichain cap it has no verdict; the plain replay has no cap,
+    and an acceptance must then predict the powers.  A cap of one pair per
+    cell makes the reference give up on x >= 0 && x' == x - 1."""
+    verify = closure_module._verify_dbm_certificate
+    seen = {"compared": 0, "rejected": 0, "dying": 0, "capped_accepted": 0}
 
-        def full(m, pivots=None):
-            closed = real(m)
-            capped.append(closed.capped)
-            return closed
+    def spy(cache, b, c, rates):
+        want = reference_verify_dbm_certificate(cache, b, c, rates)
+        got = verify(cache, b, c, rates)
+        if want is not None:
+            assert got == want, (b, c)
+            seen["compared"] += 1
+            seen["rejected"] += not got[0]
+            seen["dying"] += got[1] is not None
+        elif got[0]:
+            seen["capped_accepted"] += 1
+            dead = got[1]
+            top = 100 if dead is None else dead - 1
+            fresh = closure_module._PowerCache(Octagon(2 * cache.N, cache.base, tight=True),
+                                               cache.N)
+            assert fresh.ensure(top) and (dead is None or not fresh.ensure(dead))
+            for m in range(b, top + 1):
+                k, i = divmod(m - b, c)
+                assert fresh.plain(m) == dbm_add_rate(fresh.plain(b + i), rates[i], k), (b, c, m)
+        return got
 
-        with monkeypatch.context() as mp:
-            mp.setattr(closure_module, "param_fw", full)
-            return closure_module._verify_dbm_certificate(cache, b, c, rates), any(capped)
+    monkeypatch.setattr(closure_module, "_verify_dbm_certificate", spy)
+    rels = [(REJECTING, 2)] + flip_decrement_draws(7)[:150] + flip_decrement_draws(12)
+    rels += flip_decrement_draws(55, [1] * 15 + [2] * 25 + [3] * 3)
+    for rel, n in rels:
+        detect_period(rel, n)
+    with monkeypatch.context() as mp:
+        mp.setattr(pdbm, "MAX_ANTICHAIN", 1)
+        assert isinstance(detect_period(guarded_decrement(), 1), PeriodCertificate)
+    assert seen["compared"] >= 200 and seen["rejected"] >= 5 and seen["dying"] >= 40, seen
+    assert seen["capped_accepted"] >= 1, seen
 
-    monkeypatch.setattr(closure_module, "param_fw", spy)
-    # seeds 44..55 all agree; 55 also draws a capped reference that the
-    # middle block accepts.  The reference is slow (up to 11 s on one N = 2
-    # draw of seed 45), so the set stays small.
-    rng = random.Random(55)
-    rels = [(REJECTING, 2)] + [(flip_decrement_relation(rng, n), n)
-                               for n in [1] * 15 + [2] * 25 + [3] * 3]
-    compared = rejected = dying = capped_accepted = 0
+
+@pytest.mark.parametrize("draw, want", [(146, (5, 2, 26)), (262, (2, 2, 22))])
+def test_replay_finds_a_death_in_log_many_closures(monkeypatch, draw, want):
+    """Seed-12 draws 146 and 262 of the flip-and-decrement relations die
+    soon after the certified prefix.  Each residue of the accepted replay
+    makes at most 2 + 2*bit_length(k_f + 1) plain closures, where its step
+    first fails at k_f, so its power n + (k_f + 1)*c is its first empty
+    one."""
+    rel, n = flip_decrement_draws(12)[draw - 1]
+    closures, residues = [], []
+    compose, replay, verify = (closure_module.compose_closed, closure_module._replay_residue,
+                               closure_module._verify_dbm_certificate)
+
+    def count_compose(a, b):
+        closures.append(1)
+        return compose(a, b)
+
+    def count_replay(cache, m, c, rate):
+        closures.clear()
+        ok, dead = replay(cache, m, c, rate)
+        residues.append((m, c, dead, len(closures)))
+        return ok, dead
+
+    def fresh_verify(cache, b, c, rates):
+        residues.clear()
+        return verify(cache, b, c, rates)
+
+    monkeypatch.setattr(closure_module, "compose_closed", count_compose)
+    monkeypatch.setattr(closure_module, "_replay_residue", count_replay)
+    monkeypatch.setattr(closure_module, "_verify_dbm_certificate", fresh_verify)
+    cert = detect_period(rel, n)
+    assert isinstance(cert, PeriodCertificate) and (cert.b, cert.c, cert.dead) == want
+    assert len(residues) == cert.c
+    for m, c, dead, count in residues:
+        assert dead is not None and dead >= cert.dead
+        k_f = (dead - m) // c - 1
+        assert count <= 2 + 2 * (k_f + 1).bit_length(), (m, dead, count)
+
+
+def test_powers_compose_by_their_exponents():
+    """compose_closed(D_n, D_c) == D_(n+c) over the live plain powers of
+    seeded random, guarded and flip-and-decrement relations: the closure
+    the replay makes at k = 0 is D_(n+c), which the one-closure acceptance
+    rests on."""
+    rng = random.Random(43)
+    rels = []
+    for _ in range(20):
+        n = rng.choice((1, 2))
+        rels += [(random_oct_relation(rng, n), n), (random_guarded_relation(rng, n), n)]
+    rels += flip_decrement_draws(12)[:40]
+    checked = 0
     for rel, n in rels:
         cache = closure_module._PowerCache(rel, n)
         if cache.dead is not None:
             continue
-        for c in (1, 2):
-            for b in range(1, 9):
-                if not cache.ensure(b + 4 * c - 1):
-                    break
-                rates = closure_module._scan_candidate(cache, b, c)
-                if rates is None:
+        cache.ensure(10)
+        top = max(cache.d)
+        for a in range(1, top):
+            for c in range(1, top - a + 1):
+                assert compose_closed(cache.plain(a), cache.plain(c)) == cache.plain(a + c)
+                checked += 1
+    assert checked >= 1000, checked
+
+
+def test_tight_lines_match_the_parametric_tightening():
+    """``_tight_lines`` gives the cells of ``pdbm.param_tighten`` on base +
+    j*step with even halved slopes: one line where one is least at every
+    j, both in order where they cross, () where neither is finite."""
+    rng = random.Random(47)
+    kinds = {"one": 0, "halved": 0, "crossing": 0, "none": 0}
+    for _ in range(300):
+        dim = 2 * rng.choice((1, 2, 3))
+        base, step = [], []
+        for p in range(dim):
+            brow, srow = [], []
+            for q in range(dim):
+                if p != q and rng.random() < 0.3:
+                    brow.append(INF)
+                    srow.append(INF)
                     continue
-                seen.clear()
-                got = closure_module._verify_dbm_certificate(cache, b, c, rates)
-                assert seen and all(s == (6 * n, list(range(2 * n, 4 * n))) for s in seen)
-                want, ref_capped = every_pivot(cache, b, c, rates)
-                if not ref_capped:
-                    assert got == want, (rel, b, c)
-                    compared += 1
-                    rejected += not got[0]
-                    dying += got[1] is not None
-                elif got[0]:
-                    capped_accepted += 1
-                    accepted, dead = got
-                    top = 100 if dead is None else dead - 1
-                    assert cache.ensure(top) and (dead is None or not cache.ensure(dead))
-                    for m in range(b, top + 1):
-                        k, i = divmod(m - b, c)
-                        assert cache.plain(m) == dbm_add_rate(
-                            cache.plain(b + i), rates[i], k), (rel, b, c, m)
-    assert compared >= 150 and rejected >= 10 and dying >= 20 and capped_accepted >= 1
+                brow.append(0 if p == q else rng.randint(-8, 12))
+                slope = 0 if p == q else rng.randint(-3, 3)
+                srow.append(2 * slope if q == p ^ 1 else slope)
+            base.append(brow)
+            step.append(srow)
+        base, step = Dbm(base), Dbm(step)
+        grid = closure_module._tight_lines(base, step)
+        assert param_tighten(ExtParamDbm.affine(base, [step]).entries, dim) == [grid]
+        for row in grid:
+            for p, cell in enumerate(row):
+                kinds["none"] += not cell
+                kinds["crossing"] += len(cell) == 2
+                kinds["one"] += len(cell) == 1
+        kinds["halved"] += any(cell and cell[0][0] != base.rows[p][q]
+                               for p, row in enumerate(grid) for q, cell in enumerate(row))
+    assert all(kinds.values()), kinds
 
 
 # ---------------------------------------------------------------------------
