@@ -245,9 +245,10 @@ def _scaled(m: Dbm, s: int) -> Dbm:
 def _first_failure(step, limit: int):
     """``(k, power)`` for the least k in [1, limit] at which the step fails,
     or None when it holds up to limit.  ``step(k)`` returns the closed
-    power at k and whether the step fails there.  The step holds at k = 0
-    and fails on an interval [k_f, oo), so doubling and then bisection find
-    k_f in 2*bit_length(k_f - 1) + 1 steps at most."""
+    power at k and whether the step fails there.  The step holds at k = 0,
+    and when it holds at k = 1 it fails on an interval [k_f, oo); doubling
+    from k = 1 and then bisection find k_f in 2*bit_length(k_f - 1) + 1
+    steps at most."""
     lo, k = 0, 1
     while True:
         k = min(k, limit)
@@ -283,24 +284,25 @@ def _replay_residue(cache: _PowerCache, n: int, c: int, rate: Dbm):
     cycle has a >= 0.
 
     * The glued matrix has 3*dim/2 rows, so a sum of two paths has at
-      most 3*dim edges and an |a| below M/2.  The integer order of codes l*M + a is then the order of (l, a)
-      by slope first, the order at k -> oo, and the closure at k = M is the
-      closure of those codes.  When it has no negative cycle and its outer
-      blocks are t(M), every path has l >= rate and a >= t(0), some path
-      gives t(k) exactly, and every cycle has l >= 0 and a >= 0: the step
-      holds at every k >= 0.  By induction on k, every X(k) is then the
-      closed power D_(n+k*c).  R^(n+k*c) is empty from the first k at which
-      the integer halving of X(k) fails (``_halving_death``), and the
-      residue dies there, or never.
-    * Otherwise the step fails at some finite k.  The closure of M*X(0) +
-      rate with M*D_c orders by value first, the order at k -> 0+.  Its
-      outer blocks are M*t(0) + rate when the line t(k) is attained and no
-      path with a = t(0) has a lesser slope; otherwise the candidate is
-      rejected.  Then every entry is at most t(k), so the step holds on an
-      interval [0, k_f), and ``_first_failure`` finds k_f with plain
-      closures at integer k, below the first halving failure.  X(k_f) is
-      the true power, so a negative cycle or a failed halving at k_f
-      empties R^(n+(k_f+1)*c); a live power that differs from t(k_f)
+      most 3*dim edges and an |a| below M/2.  The integer order of codes
+      l*M + a is then the order of (l, a) by slope first, the order at
+      k -> oo, and the closure at k = M is the closure of those codes.
+      When it has no negative cycle and its outer blocks are t(M), every
+      path has l >= rate and a >= t(0), some path gives t(k) exactly, and
+      every cycle has l >= 0 and a >= 0: the step holds at every k >= 0.
+      By induction on k, every X(k) is then the closed power D_(n+k*c).
+      R^(n+k*c) is empty from the first k at which the integer halving of
+      X(k) fails (``_halving_death``), and the residue dies there, or
+      never.
+    * Otherwise the step fails at some k below M.  An entry minus t(k) is
+      concave and 0 at k = 0: when it is above 0 at some k >= 1 it is
+      above 0 at k = 1, and when it is 0 at k = 1 it is at most 0 from
+      there on, and 0 on an interval.  The least cycle is concave and
+      nonnegative at k = 0.  So the step fails at k = 1, or it holds
+      exactly on an interval [0, k_f); ``_first_failure`` finds k_f with
+      plain closures at integer k, below the first halving failure.
+      X(k_f) is the true power, so a negative cycle or a failed halving at
+      k_f empties R^(n+(k_f+1)*c); a live power that differs from t(k_f)
       refutes the candidate.
     """
     base, nxt, plain_c = cache.plain(n), cache.plain(n + c), cache.plain(c)
@@ -314,17 +316,13 @@ def _replay_residue(cache: _PowerCache, n: int, c: int, rate: Dbm):
     big = max((abs(v) for m in (base, rate, plain_c) for row in m.rows for v in row
                if v != INF), default=0)
     M = 6 * base.dim * (big + 1) + 1
-    if compose_closed(dbm_add_rate(base, rate, M), plain_c) == dbm_add_rate(nxt, rate, M):
-        return True, None if last is None else n + last * c
-    attained = compose_closed(dbm_add_rate(_scaled(base, M), rate, 1), _scaled(plain_c, M))
-    if attained != dbm_add_rate(_scaled(nxt, M), rate, 1):
-        return False, None
 
     def step(k: int):
         out = compose_closed(dbm_add_rate(base, rate, k), plain_c)
         return out, out != dbm_add_rate(nxt, rate, k)
 
-    fail = _first_failure(step, M if last is None else last - 1)
+    # the step at k = M holds at every k >= 0
+    fail = _first_failure(step, M if last is None else last - 1) if step(M)[1] else None
     if fail is None:
         return True, None if last is None else n + last * c
     k, out = fail
@@ -481,8 +479,8 @@ def _certify(cache: _PowerCache, b: int, c: int):
     or None when the candidate is rejected.  The powers up to b + 4c - 1
     must be computed.
 
-    Certifies the plain-DBM level with the parametric closure, up to the
-    death index when R dies, then derives the tight forms, cross-checks
+    Certifies the plain-DBM level with plain closures, up to the death
+    index when R dies, then derives the tight forms, cross-checks
     them against the computed live tight powers and minimizes them."""
     rates_d = _scan_candidate(cache, b, c)
     if rates_d is None:

@@ -442,14 +442,10 @@ def test_plain_replay_matches_the_parametric_replay(monkeypatch):
     assert seen["capped_accepted"] >= 1, seen
 
 
-@pytest.mark.parametrize("draw, want", [(146, (5, 2, 26)), (262, (2, 2, 22))])
-def test_replay_finds_a_death_in_log_many_closures(monkeypatch, draw, want):
-    """Seed-12 draws 146 and 262 of the flip-and-decrement relations die
-    soon after the certified prefix.  Each residue of the accepted replay
-    makes at most 2 + 2*bit_length(k_f + 1) plain closures, where its step
-    first fails at k_f, so its power n + (k_f + 1)*c is its first empty
-    one."""
-    rel, n = flip_decrement_draws(12)[draw - 1]
+def replay_closures(monkeypatch, rel, n):
+    """detect_period(rel, n), and (n, c, dead, closures) for each residue of
+    its last replay: the residue's first power, the period, its death (or
+    None) and the number of plain closures it made."""
     closures, residues = [], []
     compose, replay, verify = (closure_module.compose_closed, closure_module._replay_residue,
                                closure_module._verify_dbm_certificate)
@@ -471,13 +467,31 @@ def test_replay_finds_a_death_in_log_many_closures(monkeypatch, draw, want):
     monkeypatch.setattr(closure_module, "compose_closed", count_compose)
     monkeypatch.setattr(closure_module, "_replay_residue", count_replay)
     monkeypatch.setattr(closure_module, "_verify_dbm_certificate", fresh_verify)
-    cert = detect_period(rel, n)
+    return detect_period(rel, n), residues
+
+
+@pytest.mark.parametrize("draw, want", [(146, (5, 2, 26)), (262, (2, 2, 22))])
+def test_replay_finds_a_death_in_log_many_closures(monkeypatch, draw, want):
+    """Seed-12 draws 146 and 262 of the flip-and-decrement relations die
+    soon after the certified prefix.  Each residue of the accepted replay
+    makes at most 2 + 2*bit_length(k_f + 1) plain closures, where its step
+    first fails at k_f, so its power n + (k_f + 1)*c is its first empty
+    one."""
+    cert, residues = replay_closures(monkeypatch, *flip_decrement_draws(12)[draw - 1])
     assert isinstance(cert, PeriodCertificate) and (cert.b, cert.c, cert.dead) == want
     assert len(residues) == cert.c
     for m, c, dead, count in residues:
         assert dead is not None and dead >= cert.dead
         k_f = (dead - m) // c - 1
         assert count <= 2 + 2 * (k_f + 1).bit_length(), (m, dead, count)
+
+
+def test_replay_accepts_a_step_that_never_fails_in_one_closure(monkeypatch):
+    # x >= 0 && x' == x - 1 never dies: one closure, at a k that stands
+    # for every k, accepts its residue
+    cert, residues = replay_closures(monkeypatch, guarded_decrement(), 1)
+    assert isinstance(cert, PeriodCertificate) and cert.dead is None
+    assert residues == [(cert.b, 1, None, 1)]
 
 
 def test_powers_compose_by_their_exponents():
