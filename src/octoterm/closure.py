@@ -321,7 +321,7 @@ def _replay_residue(cache: _PowerCache, n: int, c: int, rate: Dbm):
         out = compose_closed(dbm_add_rate(base, rate, k), plain_c)
         return out, out != dbm_add_rate(nxt, rate, k)
 
-    # the step at k = M holds at every k >= 0
+    # a step that holds at k = M holds at every k >= 0
     fail = _first_failure(step, M if last is None else last - 1) if step(M)[1] else None
     if fail is None:
         return True, None if last is None else n + last * c

@@ -55,7 +55,7 @@ def min_terms(items: Iterable[Term]) -> tuple[Term, ...]:
     keep: list[Term] = []
     for t in sorted(set(items)):
         for s in keep:
-            if all(map(le, s, t)):  # s <= t in every component
+            if all(map(le, s, t)):  # t is redundant next to s
                 break
         else:
             keep.append(t)

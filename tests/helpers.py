@@ -34,6 +34,7 @@ from octoterm.program import (
     _union_members,
     identity_member,
     member_cases,
+    member_subsumed,
     transitive_relation,
 )
 from octoterm.ranking import oct_to_linsys, var_names
@@ -449,8 +450,6 @@ def _reference_subsumed(a, b) -> bool:
     all-pairs saturation needs to converge on step-3 and step-4 BRANCHING:
     when a and b have the same parameters, a's rows with ``p >= 0``
     implying b's is enough, since a witness of a then witnesses b."""
-    from octoterm.program import member_subsumed
-
     if a.params and a.params == b.params:
         ca = Conj.make(a.system().rows, a.conj.divs)
         if ca is None or conj_implies(ca, b.conj):
