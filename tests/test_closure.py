@@ -25,6 +25,7 @@ from octoterm.octagon import (
 from octoterm.pdbm import ExtParamDbm, param_tighten
 from octoterm.term_oct import wnt
 
+import helpers
 from helpers import (
     flip_decrement_relation,
     periodic_relation,
@@ -440,6 +441,64 @@ def test_plain_replay_matches_the_parametric_replay(monkeypatch):
         assert isinstance(detect_period(guarded_decrement(), 1), PeriodCertificate)
     assert seen["compared"] >= 200 and seen["rejected"] >= 5 and seen["dying"] >= 40, seen
     assert seen["capped_accepted"] >= 1, seen
+
+
+def test_middle_block_replay_matches_every_pivot(monkeypatch):
+    """The parametric replay closes the glued matrix through the 2N middle
+    pivots, as ``program._compose_param_oct`` closes a glued composition;
+    the closure through every pivot must give the same (accepted, dead) on
+    every candidate where neither is capped.  Where the closure through
+    every pivot hits the antichain cap and the middle block does not, the
+    middle block's acceptance must predict the powers."""
+    real = helpers.param_fw
+    seen = []
+
+    def spy(m, pivots=None):
+        seen.append((m.dim, list(pivots)))
+        return real(m, pivots)
+
+    def every_pivot(cache, b, c, rates):
+        with monkeypatch.context() as mp:
+            mp.setattr(helpers, "param_fw", lambda m, pivots=None: real(m))
+            return reference_verify_dbm_certificate(cache, b, c, rates)
+
+    monkeypatch.setattr(helpers, "param_fw", spy)
+    # the reference through every pivot is slow (up to 11 s on one N = 2
+    # draw of seed 45), so the set stays small
+    rels = [(REJECTING, 2)] + flip_decrement_draws(55, [1] * 15 + [2] * 25 + [3] * 3)
+    compared = rejected = dying = capped_accepted = 0
+    for rel, n in rels:
+        cache = closure_module._PowerCache(rel, n)
+        if cache.dead is not None:
+            continue
+        for c in (1, 2):
+            for b in range(1, 9):
+                if not cache.ensure(b + 4 * c - 1):
+                    break
+                rates = closure_module._scan_candidate(cache, b, c)
+                if rates is None:
+                    continue
+                seen.clear()
+                got = reference_verify_dbm_certificate(cache, b, c, rates)
+                assert seen and all(s == (6 * n, list(range(2 * n, 4 * n))) for s in seen)
+                if got is None:
+                    continue
+                assert got == closure_module._verify_dbm_certificate(cache, b, c, rates)
+                want = every_pivot(cache, b, c, rates)
+                if want is not None:
+                    assert got == want, (rel, b, c)
+                    compared += 1
+                    rejected += not got[0]
+                    dying += got[1] is not None
+                elif got[0]:
+                    capped_accepted += 1
+                    dead = got[1]
+                    top = 100 if dead is None else dead - 1
+                    assert cache.ensure(top) and (dead is None or not cache.ensure(dead))
+                    for m in range(b, top + 1):
+                        k, i = divmod(m - b, c)
+                        assert cache.plain(m) == dbm_add_rate(cache.plain(b + i), rates[i], k)
+    assert compared >= 150 and rejected >= 10 and dying >= 20 and capped_accepted >= 1
 
 
 def replay_closures(monkeypatch, rel, n):

@@ -3,6 +3,8 @@ import random
 from operator import add
 from dataclasses import dataclass
 
+from octoterm import closure as closure_module
+from octoterm import pdbm
 from octoterm.dbm import INF, Dbm, fw_close
 from octoterm.linarith import LE, LinTerm
 from octoterm.pdbm import (
@@ -22,7 +24,7 @@ from octoterm.program import (
     compose_members,
 )
 
-from helpers import eval_at
+from helpers import eval_at, reference_verify_dbm_certificate
 
 
 def affine_matrix(base_rows, rate_rows):
@@ -440,6 +442,26 @@ def test_param_fw_cap_keeps_least_pairs():
     assert closed.entries[0][1] == tuple(sorted(terms))[:MAX_ANTICHAIN]
     want, want_capped = ref_param_fw(to_ref(m.entries), 2, 1)
     assert want_capped and from_ref(want) == closed.entries
+
+
+def test_capped_closure_rejects_certificate(monkeypatch):
+    # x >= 0 && x' == x - 1 has the certificate b = c = 1; its closure has
+    # at most a few pairs per entry, so a cap of 1 stands in for a wide one.
+    # The capped parametric replay cannot accept it; the plain replay has
+    # no cap and accepts it at any MAX_ANTICHAIN.
+    from octoterm.octagon import oct_encode
+
+    rel = oct_encode([(-1, 0, -1, 0, 0), (1, 1, -1, 0, -1), (-1, 1, 1, 0, 1)], 2)
+    cache = closure_module._PowerCache(rel, 1)
+    assert cache.ensure(5)
+    rates = closure_module._scan_candidate(cache, 1, 1)
+    assert rates is not None
+    # (accepted, death power): the relation never dies
+    assert reference_verify_dbm_certificate(cache, 1, 1, rates) == (True, None)
+    assert closure_module._verify_dbm_certificate(cache, 1, 1, rates) == (True, None)
+    monkeypatch.setattr(pdbm, "MAX_ANTICHAIN", 1)
+    assert reference_verify_dbm_certificate(cache, 1, 1, rates) is None
+    assert closure_module._verify_dbm_certificate(cache, 1, 1, rates) == (True, None)
 
 
 def test_capped_composition_falls_back_to_elimination():
