@@ -39,7 +39,9 @@ from .grammar import (
     terms_str,
 )
 from .linarith import LinTerm
-from .octagon import Octagon, oct_decode, oct_encode, oct_eq, oct_exists, tight_close
+from .octagon import (
+    Octagon, oct_decode, oct_encode, oct_eq, oct_exists, relation_names, tight_close,
+)
 from .presburger import Conj, Dnf
 from .program import (
     Budgets,
@@ -50,8 +52,8 @@ from .program import (
     is_flat,
     Flat,
 )
-from .ranking import NotWellFounded, prove_termination, var_names
-from .term_oct import fast_power, wnt
+from .ranking import NotWellFounded, prove_termination
+from .term_oct import fast_power, var_names, wnt
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -161,8 +163,6 @@ def cmd_rel(args) -> int:
     if args.subcommand == "wnt":
         res = wnt(rel, n)
         out = render_octagon(res.set, names)
-        if res.set.is_bottom:
-            out = "false"
         payload = {"status": "ok", "command": "wnt", "wnt": out}
         text = out
         if args.box:
@@ -199,7 +199,7 @@ def cmd_rel(args) -> int:
         canon = var_names(n)
         shown = LinTerm({names[i]: proof.function.coef(canon[i]) for i in range(n)})
         f_str = terms_str(shown)
-        wit = render_octagon(proof.witness_relation, names + [v + "'" for v in names])
+        wit = render_octagon(proof.witness_relation, relation_names(names))
         payload = {
             "status": "well-founded",
             "ranking_function": f_str,
@@ -221,7 +221,7 @@ def cmd_rel(args) -> int:
         lines = ["identity"]
         for mem in rtc.members:
             if isinstance(mem, Octagon):
-                s = render_octagon(mem, names + [v + "'" for v in names])
+                s = render_octagon(mem, relation_names(names))
             else:
                 lr = member_from_param_oct(mem, tuple(names))
                 s = render_member(lr, names)
@@ -231,7 +231,7 @@ def cmd_rel(args) -> int:
         return EXIT_OK if rtc.exact else EXIT_BUDGET
     if args.subcommand == "power":
         p = fast_power(rel, args.n, n)
-        out = render_octagon(p, names + [v + "'" for v in names])
+        out = render_octagon(p, relation_names(names))
         _emit(args, {"status": "ok", "power": out}, out)
         return EXIT_OK
     if args.subcommand == "pre":

@@ -14,7 +14,7 @@ equivalence are entrywise comparisons, and dropping dual rows/columns
 projects variables away exactly.
 
 Relations over N program variables are octagons over 2N variables, ordered
-x_0..x_{N-1}, x'_0..x'_{N-1}.
+x_0..x_{N-1}, x'_0..x'_{N-1} (``relation_names``).
 
 Linear rows become atoms through ``row_atom`` (the one octagonal-row
 classifier) and atoms become dual entries through ``atom_entry``;
@@ -176,6 +176,12 @@ def oct_decode(o: Octagon) -> list[OctAtom]:
         (1 if p % 2 == 0 else -1, p // 2, -1 if q % 2 == 0 else 1, q // 2, c)
         for p, q, c in _finite_entries(o)
     ]
+
+
+def relation_names(variables: Iterable[str]) -> list[str]:
+    """The variables of a relation in dual-matrix order: x, then x'."""
+    names = list(variables)
+    return names + [v + "'" for v in names]
 
 
 def oct_rows(o: Octagon, names: Sequence[str]) -> list[Row]:

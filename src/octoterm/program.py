@@ -34,7 +34,7 @@ from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
 from .dbm import INF, Dbm
 from .grammar import parse_program_text
-from .linarith import EQ, LE, LinSys, LinTerm, PolyhedronLP, term_of_pair
+from .linarith import EQ, LE, LinSys, LinTerm, term_of_pair
 from .octagon import (
     Octagon,
     atom_entry,
@@ -45,6 +45,7 @@ from .octagon import (
     oct_leq,
     oct_meet_raw,
     oct_rows,
+    relation_names,
     row_atom,
     rows_to_atoms,
     tight_close,
@@ -72,11 +73,6 @@ def _param_names(n: int) -> tuple[str, ...]:
     return tuple(f"_p{i}" for i in range(n))
 
 
-def _relation_names(variables) -> list[str]:
-    """The variables of a relation in dual-matrix order: x, then x'."""
-    return list(variables) + [v + "'" for v in variables]
-
-
 # ---------------------------------------------------------------------------
 # summary members
 # ---------------------------------------------------------------------------
@@ -94,7 +90,9 @@ class LinRel(NamedTuple):
         return LinSys(list(self.conj.rows) + [(LinTerm({p: -1}), LE) for p in self.params])
 
     def rationally_feasible(self) -> bool:
-        return PolyhedronLP(self.system()).feasible
+        """``Conj.rationally_feasible`` of the rows and ``p >= 0``."""
+        conj = Conj.make(self.system().rows)
+        return conj is not None and conj.rationally_feasible()
 
 
 def _canonical(variables, conj: Conj, params) -> LinRel:
@@ -112,7 +110,7 @@ def identity_member(variables: tuple[str, ...]) -> LinRel:
 
 
 def member_from_octagon(o: Octagon, variables: tuple[str, ...]) -> LinRel | None:
-    conj = Conj.make(oct_rows(tight_close(o), _relation_names(variables)))
+    conj = Conj.make(oct_rows(tight_close(o), relation_names(variables)))
     return None if conj is None else LinRel(variables, conj)
 
 
@@ -205,7 +203,7 @@ def _member_param_matrix(m: LinRel):
     part in."""
     if m.conj.divs:
         return None
-    index = {v: i for i, v in enumerate(_relation_names(m.variables))}
+    index = {v: i for i, v in enumerate(relation_names(m.variables))}
     pidx = {p: i + 1 for i, p in enumerate(m.params)}
     dim = 2 * len(index)
     cells: list[list[list]] = [[[] for _ in range(dim)] for _ in range(dim)]
@@ -264,9 +262,9 @@ def _compose_param_oct(a: LinRel, b: LinRel):
 
     Two parameter-free octagonal members compose as tight octagons
     (``oct_compose``), and the member's rows are the path-reduced entries
-    of the result: a nonempty tight octagon is integer-consistent, so no LP
-    runs.  Any other pair of octagonal members goes through the
-    parametric closure below.
+    of the result: a nonempty tight octagon is integer-consistent, so no
+    feasibility test runs.  Any other pair of octagonal members goes
+    through the parametric closure below.
 
     The closed matrices of a and b are glued over (x, x', x'') and closed
     through the 2N middle pivots only, the parametric ``dbm.close_glued``.
@@ -286,8 +284,8 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     the composition.  A negative constant there drops the member in
     ``_member_from_entries``; a member that is empty at every valuation
     without one (parameter bounds on two diagonals that no path joins) is
-    dropped by the LP.  The path-reduced rows are no longer closed;
-    ``_member_param_matrix`` closes them again.
+    dropped by ``LinRel.rationally_feasible``.  The path-reduced rows are
+    no longer closed; ``_member_param_matrix`` closes them again.
 
     Before any of that, the ``_block_bounds`` of a's primed block and of
     b's unprimed block are met and tightly closed; bottom means the
@@ -296,8 +294,8 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     and each bound kept is at least that block's entry, so every x' of a
     lies in the block octagon of a; likewise every x of b in that of b.  A
     midpoint lies in both, and a tight octagon is empty exactly when it has
-    no integer point.  The LP stays for emptiness these
-    bounds miss; without either test the empty members reach parameter
+    no integer point.  The feasibility test stays for emptiness these bounds
+    miss; without either test the empty members reach parameter
     elimination (step-2 BRANCHING took 46 s instead of 0.26 s).
     """
     octs = _octagon_pair(a, b)
@@ -370,7 +368,7 @@ def _member_from_entries(entries, nparams, variables) -> LinRel | None:
     """Member rows from the ``_path_reduced`` terms of a closed tight
     parametric dual matrix; None when a diagonal term is a negative
     constant."""
-    names = _relation_names(variables)
+    names = relation_names(variables)
     params = _param_names(nparams)
     rows = []
     for p, row in enumerate(_path_reduced(entries)):
@@ -428,7 +426,7 @@ def member_to_octagon(m: LinRel, exact_only: bool = False) -> tuple[Octagon, boo
     gives bottom and no hull.  The exact conversion is memoized under
     ``exact_only=True`` alone, so each member is converted once.
     """
-    names = _relation_names(m.variables)
+    names = relation_names(m.variables)
     if not exact_only:
         o, exact = member_to_octagon(m, exact_only=True)
         return (o, True) if exact else (oct_hull([m.system()], names), False)
@@ -897,7 +895,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             if kind == "octagon":
                 w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, n).set, variables)))
             else:
-                for c in finite_monoid_wnt(payload):
+                for c in finite_monoid_wnt(payload, list(variables)):
                     w_dnf.add(c)
         else:
             members, ex, bx = _summary(p, q, q, budgets)

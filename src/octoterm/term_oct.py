@@ -3,24 +3,23 @@
 The Kleene chain pre^1 ⊇ pre^2 ⊇ ... of an octagonal relation R over N
 variables (pre^k is the domain of R^k, and pre^(k+1) is the pre-image of
 pre^k under R) either never stabilizes (then R is well founded) or
-stabilizes within 5^(2N) steps.  Comparing the pre-image sets of the
-powers n1 = 5^(2N) and n1 + 1 therefore decides everything.
+stabilizes within 5^(2N) steps.
 
-5^(2N) is the worst case, and most chains settle far sooner.  ``wnt``
-walks the squares R, R^2, R^4, ... that binary exponentiation builds for
-R^n1 anyway, and after each squaring compares the pre-image sets of the
-last two squares.  The chain descends, so pre^(2m) ⊆ pre^(m+1) ⊆ pre^m:
-when pre^(2m) = pre^m, also pre^(m+1) = pre^m, hence pre^k = pre^m for
-every k >= m, and pre^m is the answer the probe powers n1 and n1 + 1 would
-give.  The tight closure is canonical, so that answer is the same octagon
-as theirs.  Only when no two squares agree is R^n1 the product of the
-squares already built, and R^(n1+1) one composition more.
+``wnt`` walks the squares R, R^2, R^4, ... and after each squaring
+compares the pre-image sets of the last two squares.  The chain descends,
+so pre^(2m) ⊆ pre^(m+1) ⊆ pre^m: when pre^(2m) = pre^m, also
+pre^(m+1) = pre^m, hence pre^k = pre^m for every k >= m, and pre^m is the
+answer.  With L = bit_length(5^(2N)), 2^L > 5^(2N), so a chain that
+settles at all has equal pre-image sets at the squares R^(2^L) and
+R^(2^(L+1)); when the pass reaches the last of them without meeting two
+equal ones, R is well founded.  The tight closure is canonical, so the
+answer is one octagon whichever squares found it.
 
 A well-founded relation that never dies (x >= 0 and x' = x - 1) settles
-at no square, so that pass alone would square all the way to R^n1.  The
-paper's second fact stops it sooner: every well-founded R has the witness
-W = R and dom(R^(4N^2)), and W has a linear ranking function.  So once the
-pass has drawn the K = bit_length(4N^2) squares whose product is
+at no square, so that pass alone would square all the way to R^(2^(L+1)).
+The paper's second fact stops it sooner: every well-founded R has the
+witness W = R and dom(R^(4N^2)), and W has a linear ranking function.  So
+once the pass has drawn the K = bit_length(4N^2) squares whose product is
 R^(4N^2), and the chain has neither died nor settled, ``wnt`` builds W from
 them and runs the Podelski-Rybalchenko LP (``linarith.farkas_template``)
 on W's tight rows.  When W is empty or the LP is feasible, ``wnt`` returns
@@ -28,30 +27,28 @@ bottom.  Soundness does not rest on the theorem: a state on an infinite
 R-run starts R-runs of every length, so it lies in dom(R^m) for every m,
 and every infinite R-run is a W-run too.  An empty W, or one with a
 linear ranking function, has no infinite run, so R has none either.  When
-the LP fails, the pass goes on to the probe powers, whose exact answer
-decides.
+the LP fails, the pass goes on to its last square.
 
-That exponentiation is the costly step, and one loop asks for its WNT more
-than once (``prove_termination`` after ``wnt``, ``nt_program`` for the
-same cycle relation in several programs).  So ``wnt`` tight-closes its
-input and looks the result up in a bounded memo keyed by the tight octagon
-and N.  The key hashes only ints, INF and None, so the memo behaves the
-same under every ``PYTHONHASHSEED``, and a hit returns what a cold call
-would compute: the result does not depend on the process history.  W and
-its LP solution sit in one more memo of the same kind (``witness``), which
+That squaring is the costly step, and one loop asks for its WNT more than
+once (``prove_termination`` after ``wnt``, ``nt_program`` for the same
+cycle relation in several programs).  So ``wnt`` tight-closes its input
+and looks the result up in a bounded memo keyed by the tight octagon and
+N.  The key hashes only ints, INF and None, so the memo behaves the same
+under every ``PYTHONHASHSEED``, and a hit returns what a cold call would
+compute: the result does not depend on the process history.  W and its LP
+solution sit in one more memo of the same kind (``witness``), which
 ``ranking.prove_termination`` reads: a well-founded loop costs one LP, and
 ``prove_termination`` composes nothing that ``wnt`` built.
 
 The squares themselves are shared too.  A bounded store, keyed like the
 WNT memo by the tight octagon and N, keeps the list of squares of R drawn
 so far, and ``_squares`` reads it and squares only past its end.  So
-``wnt``, the witness power R^(4N^2), the emptiness probes of ``closure``
-and ``rel power`` all reach R^n along one path, the product of the shared
-squares at the set bits of n, and no square of one relation is drawn
-twice while its entry lives.  One request works on a few relations at a
-time, so the store keeps ``_SQUARE_MEMO`` = 4 entries: a few dozen small
-matrices, not the memory of the WNT memo.  A square is a function of its
-relation, so a stored one equals a fresh one.
+``wnt``, the witness power R^(4N^2) and ``rel power`` all reach R^n along
+one path, the product of the shared squares at the set bits of n, and no
+square of one relation is drawn twice while its entry lives.  One request
+works on a few relations at a time, so the store keeps ``_SQUARE_MEMO`` = 4
+entries: a few dozen small matrices, not the memory of the WNT memo.  A
+square is a function of its relation, so a stored one equals a fresh one.
 """
 
 from __future__ import annotations
@@ -71,6 +68,7 @@ from .octagon import (
     oct_meet_raw,
     oct_rows,
     pre_image_set,
+    relation_names,
     tight_close,
 )
 
@@ -126,9 +124,7 @@ def fast_power(rel: Octagon, n: int, n_program_vars: int) -> Octagon:
 
 
 def var_names(n_program_vars: int) -> list[str]:
-    return [f"x{i}" for i in range(n_program_vars)] + [
-        f"x{i}'" for i in range(n_program_vars)
-    ]
+    return relation_names(f"x{i}" for i in range(n_program_vars))
 
 
 def oct_to_linsys(o: Octagon, names: list[str]) -> LinSys:
@@ -196,17 +192,16 @@ def wnt(rel: Octagon, n_program_vars: int) -> WntResult:
 
 @lru_cache(maxsize=_MEMO)
 def _wnt_tight(rel: Octagon, N: int) -> WntResult:
-    """``wnt`` of a tight-closed relation: the answer of the probe powers
-    n1 = 5^(2N) and n1 + 1, returned as soon as a square is empty, two
-    successive squares have equal pre-image sets (the chain has settled), or
-    the witness certifies well-foundedness once its K squares are drawn."""
-    n1 = 5 ** (2 * N)
+    """``wnt`` of a tight-closed relation, by one pass over the squares
+    R^(2^k), k = 0 .. L + 1 with L = bit_length(5^(2N)): bottom when a
+    square is empty or the witness certifies well-foundedness once its K
+    squares are drawn, the pre-image set of two successive squares when
+    they are equal (the chain has settled), and bottom after the last."""
     k_witness = (4 * N * N).bit_length()
-    squares: list[Octagon] = []
     last = None  # pre-image set of the last square
     drawn = _squares(rel, N)
-    while len(squares) < n1.bit_length():
-        if len(squares) == k_witness and _witness_tight(rel, N).certifies:
+    for k in range((5 ** (2 * N)).bit_length() + 2):
+        if k == k_witness and _witness_tight(rel, N).certifies:
             return WntResult(bottom(N))
         square = next(drawn)
         if square.is_bottom:
@@ -214,16 +209,8 @@ def _wnt_tight(rel: Octagon, N: int) -> WntResult:
         pre = pre_image_set(square, N)
         if last is not None and oct_eq(pre, last):
             return WntResult(last)
-        squares.append(square)
         last = pre
-    v = _product(squares, n1, N)
-    w = oct_compose(v, rel, N)
-    if w.is_bottom:
-        return WntResult(bottom(N))
-    pv = pre_image_set(v, N)
-    if not oct_eq(pv, pre_image_set(w, N)):
-        return WntResult(bottom(N))
-    return WntResult(pv)
+    return WntResult(bottom(N))
 
 
 def is_well_founded(rel: Octagon, n_program_vars: int) -> bool:

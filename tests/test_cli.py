@@ -339,6 +339,29 @@ def test_prog_empty_middle_composition(text, capsys):
     assert code == 0 and json.loads(out)["members"] == []
 
 
+def test_prog_analyze_single_affine_cycle_prints_the_program_names(capsys):
+    # x' = y, y' = -x - y has order 3, so the single cycle takes the
+    # finite-monoid WNT; its atoms parse over the program's own names
+    from octoterm.oracle import BoxDomain, program_live_starts
+    from octoterm.presburger import Conj
+    from octoterm.program import parse_program
+
+    text = "vars x, y; init a; a -> a : x' == y && y' == -x - y && x >= 0;"
+    code, out, _ = run(capsys, "--format", "json", "prog", "analyze", text)
+    assert code == 0
+    data = json.loads(out)
+    (state,) = data["per_state"]
+    assert state["method"] == "single-cycle"
+    starts = program_live_starts(parse_program(text), BoxDomain.cube(2, -4, 4))
+    assert starts
+    for dnf in (data["precondition"]["dnf"], state["wnt"]):
+        (disj,) = dnf
+        ((rows, divs),) = parse_condition(" && ".join(disj["atoms"]), ["x", "y"])
+        assert not divs and not disj["divisibility"]
+        conj = Conj.make(rows)
+        assert all(conj.eval({"x": x, "y": y}) for x, y in starts)
+
+
 def test_prog_parse_error_at_end_of_input_has_a_position(capsys):
     code, out, err = run(capsys, "prog", "analyze", "vars x;\ninit a;\na -> b : x <= 1")
     assert code == 2 and out == ""

@@ -533,6 +533,27 @@ def test_nt_program_dying_self_loop_matches_the_oracle():
         assert res.precondition.eval({"x": pt[0], "y": pt[1]}) == (pt in starts), pt
 
 
+# x' = y, y' = -x - y has order 3, so the single cycle takes the finite-monoid WNT
+ROTATION_PROGRAM = "vars x, y; init a; a -> a : x' == y && y' == -x - y && x >= 0;"
+
+
+def test_nt_program_single_affine_cycle_keeps_the_program_names():
+    from octoterm.oracle import BoxDomain, program_live_starts
+
+    p = parse_program(ROTATION_PROGRAM)
+    res = nt_program(p)
+    ((state, method, w_dnf),) = res.per_state
+    assert (state, method) == ("a", "single-cycle")
+    for dnf in (res.precondition, w_dnf):
+        assert list(dnf) and all(c.variables() <= {"x", "y"} for c in dnf)
+    box = BoxDomain.cube(2, -4, 4)
+    starts = program_live_starts(p, box)
+    assert (0, 0) in starts
+    for x, y in starts:
+        assert res.precondition.eval({"x": x, "y": y})
+        assert w_dnf.eval({"x": x, "y": y})
+
+
 # -- composition through the closed member matrices ---------------------------
 
 
@@ -904,7 +925,8 @@ def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
 def test_empty_parametric_composition_is_dropped():
     # _p0 <= 1 and y' - y == _p0 >= 3 sit on the diagonals of x and of y,
     # which no path joins: no diagonal term is negative at every valuation,
-    # so only the LP sees that the member is empty
+    # so only the conjunct test of LinRel.rationally_feasible sees that the
+    # member is empty
     from octoterm.linarith import EQ, LE, LinTerm
     from octoterm.presburger import Conj
     from octoterm.program import _compose_param_oct

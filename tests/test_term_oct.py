@@ -155,7 +155,7 @@ def test_wnt_memo_is_bounded():
 
 def test_prove_termination_reuses_the_wnt(monkeypatch):
     # wnt draws the K = 3 squares R, R^2, R^4 of the witness power 4N^2 = 4
-    # (the probe power 25 would need R^16) and decides by the witness there;
+    # (the pass would go on to R^64) and decides by the witness there;
     # prove_termination reads the witness from the memo and draws none
     reads = []
     real = term_oct._squares
@@ -257,9 +257,11 @@ def test_wnt_equals_the_reference_without_the_witness_exit():
     assert term_oct._witness_tight.cache_info().misses > 20  # exits taken
 
 
-def test_wnt_falls_back_to_the_probe_powers_when_the_lp_fails(monkeypatch):
+def test_wnt_without_the_lp_decides_by_its_squares_alone(monkeypatch):
     # with an LP that never finds a ranking function, only an empty witness
-    # exits early, and the probe powers decide the rest as before
+    # exits early, and the pass over the squares R^(2^k), k <= L + 1 with
+    # L = bit_length(5^(2N)), decides the rest as the probe powers do; the
+    # pass draws at most L + 2 squares
     tried = []
 
     def no_ranking(v, N):
@@ -270,7 +272,10 @@ def test_wnt_falls_back_to_the_probe_powers_when_the_lp_fails(monkeypatch):
     _clear_memos()
     try:
         for r, N in _wnt_inputs():
-            assert wnt(r, N) == reference_wnt(r, N)
+            got = wnt(r, N)
+            drawn = len(term_oct._square_store(tight_close(r), N))
+            assert drawn <= (5 ** (2 * N)).bit_length() + 2
+            assert got == reference_wnt(r, N)
         assert len(tried) > 10
     finally:
         _clear_memos()  # the witness memo holds the failed LPs
@@ -296,6 +301,21 @@ def test_wnt_stops_at_the_first_equal_pre_images(monkeypatch):
     # pre(R) = pre(R^2) = x >= 0 after one squaring
     assert len(calls) == 1
     assert res == WntResult(tight_close(enc([(-1, 0, -1, 0, 0)], 1)))
+
+
+def test_without_the_lp_a_live_well_founded_wnt_squares_to_the_last(monkeypatch):
+    # x0 >= 0, x0' = x0 - 1 at N = 1 neither dies nor settles: L = 5, and
+    # the pass squares R up to R^(2^(L+1)) = R^64, 6 compositions
+    monkeypatch.setattr(term_oct, "rank_lp", lambda v, N: None)
+    calls = _count_compositions(monkeypatch)
+    _clear_memos()
+    try:
+        r = enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)
+        assert wnt(r, 1).set.is_bottom
+        assert len(calls) == 6
+        assert len(term_oct._square_store(tight_close(r), 1)) == 7
+    finally:
+        _clear_memos()  # the witness memo holds the failed LP
 
 
 def test_well_founded_wnt_composes_no_more_than_the_probe_powers(monkeypatch):
