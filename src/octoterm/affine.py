@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .linarith import EQ, LE, LT, LinTerm
@@ -28,17 +29,12 @@ def mat(rows) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def identity(n: int) -> Matrix:
@@ -271,12 +267,49 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def _x_power_mod(e: int, m: list[int]) -> list[int]:
+    """x^e modulo the monic integer polynomial m (coefficients ascending),
+    by square-and-multiply; the residue has deg(m) coefficients."""
+    d = len(m) - 1
+
+    def reduce(p: list[int]) -> list[int]:
+        for top in range(len(p) - 1, d - 1, -1):
+            c = p[top]
+            if c:
+                for i in range(d + 1):
+                    p[top - d + i] -= c * m[i]
+        return (p + [0] * d)[:d]
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return reduce(out)
+
+    acc, base = reduce([1]), reduce([0, 1])
+    while e:
+        if e & 1:
+            acc = times(acc, base)
+        e >>= 1
+        if e:
+            base = times(base, base)
+    return acc
+
+
 def _unity_order(a: Matrix) -> int | None:
     """Smallest L with every nonzero eigenvalue an L-th root of unity.
 
-    char(A) = x^m q(x) with q(0) != 0; the squarefree part of q must
+    char(A) = x^m q(x) with q(0) != 0; the squarefree part sf of q must
     divide x^L - 1 (repeated root-of-unity eigenvalues are allowed, so the
-    divisibility is tested on the radical).  None when no such L exists.
+    divisibility is tested on the radical).  The L that work are the
+    multiples of the order of x modulo sf.  A root-of-unity eigenvalue
+    has an order d with totient(d) <= N, so when any L works, M =
+    ``_order_lcm(N)`` does: x^M = 1 modulo sf is tested by square-and-
+    multiply, and the order is M stripped of each prime factor p (all are
+    at most N + 1) while x^(L/p) = 1 still holds.  None when no such L
+    exists.
     """
     n = len(a)
     if n == 0:
@@ -288,14 +321,17 @@ def _unity_order(a: Matrix) -> int | None:
         return 1  # nilpotent: no nonzero eigenvalues
     q = p
     sf = _poly_divmod(q, _poly_gcd(q, _poly_deriv(q)))[0] if len(q) > 1 else q
-    for L in range(1, _order_lcm(n) + 1):
-        xl1 = [Fraction(0)] * (L + 1)
-        xl1[0] = Fraction(-1)
-        xl1[L] = Fraction(1)
-        _, rem = _poly_divmod(xl1, sf)
-        if not rem:
-            return L
-    return None
+    # a monic factor of the monic integer q has integer coefficients
+    sf = [int(c) for c in sf]
+    one = _x_power_mod(0, sf)
+    L = _order_lcm(n)
+    if _x_power_mod(L, sf) != one:
+        return None
+    # every prime factor p of M has p - 1 | totient(d) <= N for some d
+    for prime in (p for p in range(2, n + 2) if _totient(p) == p - 1):
+        while L % prime == 0 and _x_power_mod(L // prime, sf) == one:
+            L //= prime
+    return L
 
 
 def is_polynomially_bounded(a: Matrix) -> bool:
@@ -326,8 +362,9 @@ class PolyClosedForm(NamedTuple):
         )
 
 
-def _poly_eval(p: list[Fraction], k: int) -> Fraction:
-    out = Fraction(0)
+def _poly_eval(p: list, k: int):
+    """p(k), an int on int coefficients and a Fraction on Fractions."""
+    out = 0
     for c in reversed(p):
         out = out * k + c
     return out
@@ -344,25 +381,28 @@ class NotPolynomiallyBounded(ValueError):
     pass
 
 
-def _lagrange_basis(xs: list[int]) -> list[list[Fraction]]:
-    """The Lagrange basis polynomials of the nodes xs, coefficients ascending:
-    basis[idx] is 1 at xs[idx] and 0 at every other node."""
-    basis = []
+def _lagrange_basis(xs: list[int]) -> tuple[list[list[int]], int]:
+    """The Lagrange basis polynomials of the nodes xs over one integer
+    common denominator: ``(numerators, den)``, coefficients ascending, where
+    numerators[idx] / den is 1 at xs[idx] and 0 at every other node."""
+    polys, denoms = [], []
     for idx, xi in enumerate(xs):
-        poly = [Fraction(1)]
+        poly = [1]
         denom = 1
         for jdx, xj in enumerate(xs):
             if jdx == idx:
                 continue
             # multiply poly by (x - xj)
-            nxt = [Fraction(0)] * (len(poly) + 1)
+            nxt = [0] * (len(poly) + 1)
             for d, c in enumerate(poly):
                 nxt[d] -= c * xj
                 nxt[d + 1] += c
             poly = nxt
             denom *= xi - xj
-        basis.append([c / denom for c in poly])
-    return basis
+        polys.append(poly)
+        denoms.append(denom)
+    den = lcm(*denoms)
+    return [[c * (den // dn) for c in poly] for poly, dn in zip(polys, denoms)], den
 
 
 def poly_matrix_power(a: Matrix) -> PolyClosedForm:
@@ -372,7 +412,9 @@ def poly_matrix_power(a: Matrix) -> PolyClosedForm:
     residue r and re-verified at 3 extra sample points.  Per residue the
     first sample A^(k0*L+r) is a prefix power, each later one is the
     previous times A^L, and one Lagrange basis of the sample points serves
-    every entry.
+    every entry.  The interpolation and the checks run in integers, over
+    the basis's common denominator den (p(k) == sample*den), and each
+    coefficient becomes a ``Fraction`` once.
     """
     n = len(a)
     L = _unity_order(a)
@@ -389,12 +431,12 @@ def poly_matrix_power(a: Matrix) -> PolyClosedForm:
         samples = [prefix[k0 * L + r]]
         for _ in range(n + 2):
             samples.append(mat_mul(samples[-1], prefix[L]))
-        basis = _lagrange_basis(list(range(k0, k0 + n)))
+        basis, den = _lagrange_basis(list(range(k0, k0 + n)))
         grid = []
         for i in range(n):
             row = []
             for j in range(n):
-                p = [Fraction(0)] * n
+                p = [0] * n  # den * the interpolating polynomial
                 for ell, sample in zip(basis, samples):
                     y = sample[i][j]
                     if y:
@@ -403,9 +445,9 @@ def poly_matrix_power(a: Matrix) -> PolyClosedForm:
                 while len(p) > 1 and p[-1] == 0:
                     p.pop()
                 for k, sample in enumerate(samples[n:], k0 + n):
-                    if _poly_eval(p, k) != sample[i][j]:
+                    if _poly_eval(p, k) != sample[i][j] * den:
                         raise AssertionError("degree bound violated in closed form")
-                row.append(p)
+                row.append([Fraction(c, den) for c in p])
             grid.append(row)
         polys.append(grid)
     return PolyClosedForm(n, L, valid_from, polys, prefix)

@@ -319,7 +319,7 @@ def _replay_residue(cache: _PowerCache, n: int, c: int, rate: Dbm):
 
     def step(k: int):
         out = compose_closed(dbm_add_rate(base, rate, k), plain_c)
-        return out, out != dbm_add_rate(nxt, rate, k)
+        return out, out is None or not _line_matches(nxt, rate, k, out)
 
     # a step that holds at k = M holds at every k >= 0
     fail = _first_failure(step, M if last is None else last - 1) if step(M)[1] else None
@@ -432,16 +432,20 @@ def _form_at(forms, b_t: int, c_t: int, n: int) -> Dbm:
     return dbm_add_rate(base, rate, (n - b_t) // c_t)
 
 
-def _form_matches(forms, b_t: int, c_t: int, n: int, t: Dbm) -> bool:
-    """Is ``_form_at(forms, b_t, c_t, n) == t``?  Compared entry by entry,
+def _line_matches(base: Dbm, rate: Dbm, j: int, t: Dbm) -> bool:
+    """Is ``dbm_add_rate(base, rate, j) == t``?  Compared entry by entry,
     without building the matrix."""
-    base, rate = forms[(n - b_t) % c_t]
-    j = (n - b_t) // c_t
     for rb, rr, rt in zip(base.rows, rate.rows, t.rows):
         for vb, vr, vt in zip(rb, rr, rt):
             if vt != (INF if vb == INF or vr == INF else vb + j * vr):
                 return False
     return True
+
+
+def _form_matches(forms, b_t: int, c_t: int, n: int, t: Dbm) -> bool:
+    """Is ``_form_at(forms, b_t, c_t, n) == t``?"""
+    base, rate = forms[(n - b_t) % c_t]
+    return _line_matches(base, rate, (n - b_t) // c_t, t)
 
 
 def _minimize(cache: _PowerCache, b_t: int, c_t: int, forms):

@@ -9,14 +9,17 @@ projection and relational composition are simple entrywise operations.
 Entries are Python ints (arbitrary precision) or ``INF``.  One exact
 Floyd-Warshall kernel serves every closure: it takes the pivots to close
 through and skips INF entries, which pays off on the sparse matrices the
-analyses build.  Composition of closed relations closes the glued 3-block
-matrix through its middle block only.
+analyses build.  Composition of two closed relations glues their rows
+into the plain row lists of a 3-block matrix over (v, v', v''), closes
+them in place through the middle block only, and slices the outer blocks
+out once (``closed_glued_rows``, ``compose_closed``).  A ``Dbm`` keeps the
+row lists it is given, so no step copies a matrix it has just built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 INF = math.inf
 
@@ -28,16 +31,18 @@ def ext_min(a, b):
 class Dbm:
     """Square matrix of int-or-INF bounds.
 
-    Instances are treated as immutable by every public operation; internal
-    code builds a fresh ``rows`` list and never aliases an argument's rows.
+    The matrix takes the row lists it is given, without a copy: every
+    caller passes lists it has just built.  Instances are treated as
+    immutable once built; code writes in place only into rows it has just
+    built (``_close``, ``octagon.oct_encode``), never into an operand's.
     """
 
     __slots__ = ("dim", "rows")
 
-    def __init__(self, rows: Sequence[Sequence]):
+    def __init__(self, rows: list[list]):
         self.dim = len(rows)
-        self.rows = [list(r) for r in rows]
-        for r in self.rows:
+        self.rows = rows
+        for r in rows:
             if len(r) != self.dim:
                 raise ValueError("DBM must be square")
 
@@ -148,45 +153,33 @@ def dbm_add_rate(a: Dbm, rate: Dbm, n: int) -> Dbm:
                 for ra, rl in zip(a.rows, rate.rows)])
 
 
-def compose_matrix(a: Dbm, b: Dbm, half: int) -> Dbm:
-    """Assemble the 3-block matrix gluing relation DBMs a and b.
+def closed_glued_rows(a: Dbm, b: Dbm) -> list[list] | None:
+    """Rows of the closed 3-block matrix of two *closed* relation DBMs over
+    (v, v', v''); None if the composition is empty.
 
-    Both arguments are 2*half x 2*half matrices over (v, v'); the middle
-    block is min(bottom-right of a, top-left of b).  Closing the result and
-    erasing the middle rows/columns yields the composition a o b.
+    The middle block is min(bottom-right of a, top-left of b).  An edge of
+    the glued graph joins two vertices of one operand, and each operand is
+    closed, so every path can be shortened to one whose intermediate
+    vertices all lie in the middle block: closing through the middle pivots
+    alone yields the full closure, in a third of the work.  On an unclosed
+    operand the result may miss bounds.
     """
-    n = half
+    n = a.dim // 2
     pad = [INF] * n
     rows = [ra + pad for ra in a.rows[:n]]
     for ra, rb in zip(a.rows[n:], b.rows[:n]):
-        rows.append(ra[:n] + [ext_min(x, y) for x, y in zip(ra[n:], rb[:n])] + rb[n:])
+        rows.append(ra[:n] + [x if x <= y else y for x, y in zip(ra[n:], rb[:n])] + rb[n:])
     rows.extend(pad + rb for rb in b.rows[n:])
-    return Dbm(rows)
-
-
-def close_glued(a: Dbm, b: Dbm) -> Dbm | None:
-    """Closed 3-block matrix of two *closed* relation DBMs; None if empty.
-
-    An edge of the glued graph joins two vertices of one operand, and each
-    operand is closed, so every path can be shortened to one whose
-    intermediate vertices all lie in the middle block: closing through the
-    middle pivots alone yields the full closure, in a third of the work.
-    On an unclosed operand the result may miss bounds.
-    """
-    n = a.dim // 2
-    glued = compose_matrix(a, b, n)
-    if _close(glued.rows, range(n, 2 * n)) is None:
-        return None
-    return glued
+    return _close(rows, range(n, 2 * n))
 
 
 def compose_closed(a: Dbm, b: Dbm) -> Dbm | None:
     """Relational composition of two closed relation DBMs; None if empty."""
-    glued = close_glued(a, b)
-    if glued is None:
-        return None
     n = a.dim // 2
-    return dbm_project(glued, list(range(n)) + list(range(2 * n, 3 * n)))
+    rows = closed_glued_rows(a, b)
+    if rows is None:
+        return None
+    return Dbm([r[:n] + r[2 * n:] for r in rows[:n] + rows[2 * n:]])
 
 
 def dbm_compose(a: Dbm, b: Dbm) -> Dbm | None:

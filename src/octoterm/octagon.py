@@ -24,12 +24,13 @@ octagonal hull of octagons and polyhedra.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .dbm import (
     INF,
     Dbm,
-    close_glued,
+    closed_glued_rows,
     dbm_eq,
     dbm_leq,
     dbm_min,
@@ -219,16 +220,29 @@ def tighten(closed: Dbm) -> Dbm:
     return Dbm(out)
 
 
+# Raw octagons whose tight closure is kept: one request closes its input
+# several times (``wnt``, ``prove_termination``, the closure's power cache).
+_TIGHT_MEMO = 4
+
+
 def tight_close(o: Octagon) -> Octagon:
     """Canonical form: DBM closure plus integer halving; bottom if empty.
 
     Octagonal consistency is the DBM consistency of the closure together
-    with non-negative halved (p, bar p) cycles.
+    with non-negative halved (p, bar p) cycles.  A tight or empty input is
+    returned as it is; a raw one is closed once and kept in a memo of
+    ``_TIGHT_MEMO`` entries keyed by value, like ``term_oct``'s square
+    store, so the analyses of one request share one closure of their
+    input.  The key hashes only ints, INF and flags, so a hit returns what
+    a cold call would compute, under every ``PYTHONHASHSEED``.
     """
-    if o.is_bottom:
+    if o.is_bottom or o.tight:
         return o
-    if o.tight:
-        return o
+    return _tight_closed(o)
+
+
+@lru_cache(maxsize=_TIGHT_MEMO)
+def _tight_closed(o: Octagon) -> Octagon:
     closed = fw_close(o.dbm)
     if closed is None or not halving_consistent(closed):
         return bottom(o.num_vars)
@@ -288,9 +302,10 @@ def oct_compose(a: Octagon, b: Octagon, n_program_vars: int) -> Octagon:
 
     Both inputs are octagons over 2*n_program_vars variables; they are
     tightly closed first (a no-op on tight ones), so the glued 3-block dual
-    matrix closes through its middle block alone.  The closed glued matrix
-    is checked for halving consistency, the middle block is erased and the
-    rest tightened, which keeps the result integer-exact.
+    matrix closes through its middle block alone
+    (``dbm.closed_glued_rows``).  The whole closed glued matrix is checked
+    for halving consistency; then its outer blocks are sliced out once and
+    tightened, which keeps the result integer-exact.
     """
     N = n_program_vars
     if a.num_vars != 2 * N or b.num_vars != 2 * N:
@@ -299,11 +314,12 @@ def oct_compose(a: Octagon, b: Octagon, n_program_vars: int) -> Octagon:
     b = tight_close(b)
     if a.is_bottom or b.is_bottom:
         return bottom(2 * N)
-    closed = close_glued(a.dbm, b.dbm)
-    if closed is None or not halving_consistent(closed):
+    rows = closed_glued_rows(a.dbm, b.dbm)
+    if rows is None or not halving_consistent(Dbm(rows)):
         return bottom(2 * N)
-    keep = list(range(2 * N)) + list(range(4 * N, 6 * N))
-    return Octagon(2 * N, tighten(dbm_project(closed, keep)), tight=True)
+    lo, hi = 2 * N, 4 * N
+    return Octagon(2 * N, tighten(Dbm([r[:lo] + r[hi:] for r in rows[:lo] + rows[hi:]])),
+                   tight=True)
 
 
 def pre_image_set(r: Octagon, n_program_vars: int) -> Octagon:

@@ -14,13 +14,14 @@ of pairs for paths of length at most (number of pivots)+1, which is
 enough to agree with the plain Floyd-Warshall closure through the same
 pivots at every parameter valuation where the instantiated matrix is
 consistent; at inconsistent valuations some diagonal entry evaluates
-negative.  Like ``dbm._close``, it takes the pivots to close through: the
-composition of two closed parametric relations closes their glued matrix
-through the middle block only.  Every entry of a closed operand already
+negative.  It takes the pivots to close through, as the plain kernel of
+``dbm`` does: the composition of two closed parametric relations closes
+their glued matrix through the middle block only, like
+``dbm.closed_glued_rows``.  Every entry of a closed operand already
 stands for a whole path of that operand, so in the glued matrix it is one
 edge, and lengths start at 1 again.
 
-The kernels are sparse, as ``dbm._close`` is: ``param_fw``, ``glue`` and
+The kernels are sparse, as the plain Floyd-Warshall kernel is: ``param_fw``, ``glue`` and
 ``param_tighten`` work only on the cells that hold a bound, and call
 ``min_terms`` only on a cell of two tuples or more.  A pivot round of
 ``param_fw`` lists the nonempty cells of the pivot row once, and again
@@ -126,10 +127,10 @@ def param_fw(m: ExtParamDbm, pivots: Sequence[int] | None = None) -> ExtParamDbm
     pairs and sets ``capped``.
 
     For every nonneg valuation where the instantiated matrix is consistent
-    this agrees with ``fw_close`` (``dbm._close`` through the same pivots);
-    otherwise some diagonal entry evaluates negative at that valuation,
-    provided every negative cycle has a negative simple cycle whose
-    vertices are all pivots (always so with every pivot).  The cap stays
+    this agrees with the plain closure through the same pivots (``fw_close``
+    with every pivot); otherwise some diagonal entry evaluates negative at
+    that valuation, provided every negative cycle has a negative simple
+    cycle whose vertices are all pivots (always so with every pivot).  The cap stays
     exact through a pivot subset: after round i, a simple path whose
     intermediate vertices are among the first i+1 pivots has at most i+2
     edges.

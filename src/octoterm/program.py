@@ -267,7 +267,8 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     through the parametric closure below.
 
     The closed matrices of a and b are glued over (x, x', x'') and closed
-    through the 2N middle pivots only, the parametric ``dbm.close_glued``.
+    through the 2N middle pivots only, the parametric
+    ``dbm.closed_glued_rows``.
     That suffices.  At a valuation where both operands are consistent, an
     edge of the glued graph joins two vertices of one operand, and a run of
     edges of one operand is no shorter than its closed direct edge; so

@@ -352,6 +352,24 @@ def eliminate_params(u, variables) -> Dnf:
     return out
 
 
+def compose_matrix(a: Dbm, b: Dbm, half: int) -> Dbm:
+    """Assemble the 3-block matrix gluing relation DBMs a and b.
+
+    Both arguments are 2*half x 2*half matrices over (v, v'); the middle
+    block is min(bottom-right of a, top-left of b).  Closing the result
+    with every pivot and erasing the middle rows/columns yields the
+    composition a o b: the full Floyd-Warshall reference of
+    ``dbm.closed_glued_rows``.
+    """
+    n = half
+    pad = [INF] * n
+    rows = [ra + pad for ra in a.rows[:n]]
+    for ra, rb in zip(a.rows[n:], b.rows[:n]):
+        rows.append(ra[:n] + [min(x, y) for x, y in zip(ra[n:], rb[:n])] + rb[n:])
+    rows.extend(pad + rb for rb in b.rows[n:])
+    return Dbm(rows)
+
+
 def eval_at(m: ExtParamDbm, valuation: Sequence[int]) -> Dbm:
     """Instantiate a parametric DBM: entry = min over term values, INF for
     empty sets."""
@@ -415,6 +433,29 @@ def reference_poly_matrix_power(a):
             grid.append(row)
         polys.append(grid)
     return polys, prefix
+
+
+def reference_unity_order(a):
+    """``affine._unity_order`` by trying every L up to ``_order_lcm(N)``:
+    the least L with x^L - 1 divisible by the squarefree part of the
+    characteristic polynomial (its factor x^m dropped), by long division."""
+    from octoterm.affine import _order_lcm, _poly_deriv, _poly_divmod, _poly_gcd, char_poly
+
+    n = len(a)
+    if n == 0:
+        return 1
+    p = char_poly(a)
+    while p and p[0] == 0:
+        p = p[1:]
+    if not p or len(p) == 1:
+        return 1
+    sf = _poly_divmod(p, _poly_gcd(p, _poly_deriv(p)))[0]
+    for L in range(1, _order_lcm(n) + 1):
+        xl1 = [Fraction(0)] * (L + 1)
+        xl1[0], xl1[L] = Fraction(-1), Fraction(1)
+        if not _poly_divmod(xl1, sf)[1]:
+            return L
+    return None
 
 
 def reference_wnt(rel: Octagon, N: int) -> WntResult:

@@ -1,8 +1,10 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
+from octoterm import affine
 from octoterm.affine import (
     AffineRel,
     NotPolynomiallyBounded,
@@ -19,9 +21,14 @@ from octoterm.affine import (
     power_cycle,
     sufficient_termination,
     trajectory_offsets,
+    _unity_order,
 )
 
-from helpers import random_poly_bounded_matrix, reference_poly_matrix_power
+from helpers import (
+    random_poly_bounded_matrix,
+    reference_poly_matrix_power,
+    reference_unity_order,
+)
 
 
 def test_finite_monoid_basics():
@@ -158,6 +165,67 @@ def test_poly_matrix_power_rejects_growth():
         poly_matrix_power(mat([[2, 0], [0, 1]]))
     assert not is_polynomially_bounded(mat([[2]]))
     assert is_polynomially_bounded(mat([[1, 1], [0, 1]]))
+
+
+def test_poly_matrix_power_detects_a_corrupted_sample(monkeypatch):
+    # A = [[1, 1], [0, 1]] (N = 2, L = 1): the prefix takes N + L = 3
+    # products, and the samples A^k, k = 2..6, four more; a wrong value at
+    # any sample, interpolated or extra, breaks the degree bound
+    a = mat([[1, 1], [0, 1]])
+    real = affine.mat_mul
+    for bad in range(4, 8):
+        calls = []
+
+        def corrupt(x, y):
+            out = real(x, y)
+            calls.append(out)
+            if len(calls) == bad:
+                out = ((out[0][0], out[0][1] + 1),) + out[1:]
+            return out
+
+        monkeypatch.setattr(affine, "mat_mul", corrupt)
+        with pytest.raises(AssertionError, match="degree bound violated"):
+            poly_matrix_power(a)
+    monkeypatch.setattr(affine, "mat_mul", real)
+    assert poly_matrix_power(a).polys == [[[[1], [0, 1]], [[0], [1]]]]
+
+
+def test_unity_order_matches_the_divisibility_loop():
+    rng = random.Random(53)
+    seen = set()
+    for t in range(400):
+        if t % 2:
+            a = random_poly_bounded_matrix(rng, rng.randint(1, 4))
+        else:
+            # mostly growing; the reference tries all 120 L at N = 4
+            n = 4 if t % 40 == 0 else rng.randint(1, 3)
+            a = mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        got = _unity_order(a)
+        assert got == reference_unity_order(a)
+        seen.add(got)
+    assert None in seen and {1, 2, 3, 4, 6} <= seen
+
+
+def _timeout(*_):
+    raise TimeoutError("alarm")
+
+
+def test_unity_order_without_roots_of_unity_is_fast():
+    # an eigenvalue 2 at N = 6: trying every L up to _order_lcm(6) = 2520
+    # took close to a minute; affine terminate homogenizes a 5-variable
+    # loop to N = 6
+    old = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    try:
+        assert _unity_order(mat([[2 if i == j == 0 else int(i == j) for j in range(6)]
+                                 for i in range(6)])) is None
+        grow = AffineRel(5, mat([[2 if i == j == 0 else int(i == j) for j in range(5)]
+                                 for i in range(5)]), (0,) * 5, (((1, 0, 0, 0, 0), 0),))
+        with pytest.raises(NotPolynomiallyBounded):
+            sufficient_termination(grow)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_sufficient_termination_golden():

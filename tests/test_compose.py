@@ -11,9 +11,8 @@ import random
 from octoterm.dbm import (
     INF,
     Dbm,
-    close_glued,
+    closed_glued_rows,
     compose_closed,
-    compose_matrix,
     dbm_compose,
     dbm_project,
     fw_close,
@@ -31,7 +30,7 @@ from octoterm.octagon import (
 )
 from octoterm.term_oct import WntResult, fast_power, wnt
 
-from helpers import random_guarded_relation, random_oct_relation
+from helpers import compose_matrix, random_guarded_relation, random_oct_relation
 
 BIG = (1 << 62) + 12345
 
@@ -127,7 +126,7 @@ def test_close_glued_is_the_full_closure():
         if a is None or b is None:
             continue
         full = fw_close(compose_matrix(a, b, n))
-        assert rows_of(close_glued(a, b)) == rows_of(full)
+        assert closed_glued_rows(a, b) == rows_of(full)
 
 
 def test_oct_compose_matches_full_closure():
@@ -152,9 +151,9 @@ def test_oct_compose_matches_full_closure():
             assert rows_of(got) == rows_of(want)
         if raw_a.is_bottom or raw_b.is_bottom:
             continue
-        middle_only = close_glued(raw_a.dbm, raw_b.dbm)
+        middle_only = closed_glued_rows(raw_a.dbm, raw_b.dbm)
         full = fw_close(compose_matrix(raw_a.dbm, raw_b.dbm, 2 * N))
-        if rows_of(middle_only) != rows_of(full):
+        if middle_only != rows_of(full):
             misses += 1
     assert misses > 0, "raw operands never exercised the closing of operands"
 

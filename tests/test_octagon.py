@@ -288,3 +288,79 @@ def test_tight_idempotent():
         assert oct_eq(tight_close(t), t)
         if not t.is_bottom:
             assert t.tight
+
+
+def _rows(x):
+    """A deep copy of the rows of a Dbm or an Octagon (None for bottom)."""
+    m = x.dbm if isinstance(x, Octagon) else x
+    return None if m is None else [list(r) for r in m.rows]
+
+
+def test_operations_leave_their_operands_unchanged():
+    # a Dbm keeps the row lists it is given, so no operation may write into
+    # an operand or into a matrix another value shares rows with: every
+    # value made here, operand or result, still has the rows it had
+    from octoterm.dbm import (
+        closed_glued_rows,
+        compose_closed,
+        dbm_add_rate,
+        dbm_compose,
+        dbm_eq,
+        dbm_leq,
+        dbm_min,
+        dbm_project,
+        fw_close,
+    )
+    from octoterm.octagon import (
+        halving_consistent,
+        lift_set_to_relation,
+        oct_meet_raw,
+        tighten,
+    )
+
+    made = []
+
+    def keep(*xs):
+        made.extend((x, _rows(x)) for x in xs if x is not None)
+        return xs[0] if len(xs) == 1 else xs
+
+    rng = random.Random(59)
+    # x0' + x1' == 1, then x0 == x1: the glued closure fails only by halving
+    halving = (oct_encode([(1, 2, 1, 3, 1), (-1, 2, -1, 3, -1)], 4),
+               oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0)], 4), 2)
+    # x' >= 1, then x <= 0: an empty composition of non-empty operands
+    disjoint = (oct_encode([(-1, 1, -1, 1, -1)], 2), oct_encode([(1, 0, 1, 0, 0)], 2), 1)
+    empty = (oct_encode([(-1, 0, -1, 0, -1), (1, 0, 1, 0, 0)], 2), tight_example_relation(), 1)
+    pairs = [halving, disjoint, empty]
+    for t in range(120):
+        N = 1 + t % 3
+        pairs.append((random_oct_relation(rng, N), random_oct_relation(rng, N), N))
+    kinds = set()
+    for a, b, N in pairs:
+        if a.num_vars != b.num_vars:
+            continue
+        keep(a, b)
+        ta, tb = keep(tight_close(a), tight_close(b))
+        comp = keep(oct_compose(a, b, N))
+        keep(oct_compose(ta, tb, N), oct_meet_raw(a, b), oct_hull([a, b]))
+        oct_leq(a, b), oct_eq(a, b), oct_decode(a)
+        if ta.is_bottom or tb.is_bottom:
+            kinds.add("empty operand")
+            continue
+        pre = keep(pre_image_set(ta, N))
+        keep(lift_set_to_relation(pre, N, primed=True), oct_exists(ta, [0]))
+        oct_rows(ta, [f"v{i}" for i in range(2 * N)])
+        ca, cb = keep(fw_close(a.dbm), fw_close(b.dbm))
+        keep(dbm_compose(a.dbm, b.dbm), compose_closed(ca, cb), dbm_min(ca, cb),
+             dbm_add_rate(ca, cb, 3), dbm_project(ca, range(N)), tighten(ca))
+        glued = closed_glued_rows(ca, cb)
+        dbm_leq(ca, cb), dbm_eq(ca, cb), halving_consistent(ca)
+        if glued is None:
+            kinds.add("negative cycle")
+        elif comp.is_bottom:
+            kinds.add("halving")
+        else:
+            kinds.add("live")
+    assert kinds == {"empty operand", "negative cycle", "halving", "live"}
+    for x, rows in made:
+        assert _rows(x) == rows

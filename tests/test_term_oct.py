@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from octoterm import presburger, program, term_oct
+from octoterm import octagon, presburger, program, term_oct
 from octoterm.closure import reflexive_transitive_closure
 from octoterm.octagon import (
     bottom,
@@ -143,10 +143,36 @@ def test_wnt_fixpoint_property_pre_containment():
 
 
 def _clear_memos():
-    for module in (term_oct, program, presburger):
+    for module in (octagon, term_oct, program, presburger):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
+
+
+def test_one_request_closes_its_raw_input_once(monkeypatch):
+    # wnt, prove_termination and the closure each tight-close the raw input;
+    # the tight-closure memo makes that one fw_close.  The relation settles
+    # at R^2 (x >= 3 and x' = x + 7, y' = y), so no witness meet is closed.
+    closes = []
+    real = octagon.fw_close
+
+    def counting(m):
+        closes.append(m)
+        return real(m)
+
+    monkeypatch.setattr(octagon, "fw_close", counting)
+    _clear_memos()
+    r = enc([(1, 2, -1, 0, 7), (-1, 2, 1, 0, -7), (1, 3, -1, 1, 0), (-1, 3, 1, 1, 0),
+             (-1, 0, -1, 0, -6)], 4)
+    assert not r.tight
+    assert not wnt(r, 2).set.is_bottom
+    prove_termination(r, 2)
+    assert reflexive_transitive_closure(r, 2).exact
+    assert len(closes) == 1
+    # an equal raw relation built anew hits the same entry
+    wnt(enc(oct_decode(r), 4), 2)
+    assert len(closes) == 1
+    assert octagon._tight_closed.cache_info().maxsize == octagon._TIGHT_MEMO
 
 
 def test_wnt_memo_is_bounded():
