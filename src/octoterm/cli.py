@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .affine import (
@@ -33,6 +32,7 @@ from .dbm import INF
 from .grammar import (
     FragmentError,
     ParseError,
+    _tokenize,
     div_str,
     parse_formula,
     row_str,
@@ -62,14 +62,10 @@ EXIT_BUDGET = 4
 
 
 def _collect_vars(text: str) -> list[str]:
-    names = []
-    for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*'?", text):
-        w = m.group(0).rstrip("'")
-        if w in ("id", "true", "false"):
-            continue
-        if w not in names:
-            names.append(w)
-    return sorted(names)
+    """The names the grammar's lexer reads, unprimed and sorted; words in
+    comments are not names."""
+    names = {t.text.rstrip("'") for t in _tokenize(text) if t.kind == "name"}
+    return sorted(names - {"id", "true", "false"})
 
 
 def _single_octagon(disjuncts) -> Octagon:

@@ -22,7 +22,7 @@ from .linarith import (
     LinTerm,
     PolyhedronLP,
 )
-from .octagon import oct_encode, oct_leq, rows_to_atoms, tight_close
+from .octagon import oct_encode, oct_exists, oct_leq, rows_to_atoms, tight_close
 
 def _int_term(t: LinTerm) -> LinTerm:
     """t when it is over ints; else t times the positive lcm of its
@@ -167,20 +167,24 @@ def conj_implies(a: Conj, b: Conj) -> bool:
     """Sound, incomplete: integer octagonal entailment when both conjuncts
     are octagonal, rational row entailment otherwise.  A divisibility atom
     of b holds when a has it syntactically or a's rows entail it
-    (``_div_implied``)."""
+    (``_div_implied``).
+
+    Two octagonal conjuncts compare their cached tight octagons: a's,
+    projected onto b's variables (both name lists are sorted), against
+    b's.  That is integer-exact, since projecting a tight octagon is.  A
+    nonempty a that leaves one of b's variables free is not included."""
     adivs = set(a.divs)
     if not all(d in adivs or _div_implied(a, d) for d in b.divs):
         return False
-    oa = _conj_octagon(a)
-    if oa is not None and _conj_octagon(b) is not None:
-        names_a, oct_a = oa
+    oa, ob = _conj_octagon(a), _conj_octagon(b)
+    if oa is not None and ob is not None:
+        (names_a, oct_a), (names_b, oct_b) = oa, ob
         if oct_a.is_bottom:
             return True
-        index = {v: i for i, v in enumerate(names_a)}
-        if b.variables() <= index.keys():
-            # b's rows encoded in a's variable order
-            lifted = oct_encode(rows_to_atoms(b.rows, index), len(names_a))
-            return oct_leq(oct_a, tight_close(lifted))
+        if not set(names_b) <= set(names_a):
+            return False
+        drop = [i for i, v in enumerate(names_a) if v not in names_b]
+        return oct_leq(oct_exists(oct_a, drop), oct_b)
     # cheap rejection: a rational point of a must satisfy b's rows
     w = _rational_witness(a)
     if w is not None:

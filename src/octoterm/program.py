@@ -17,11 +17,17 @@ equal members and the memo tables below serve every later call.  Tight
 octagons are integer-hull exact, so composing members by exact integer
 elimination of the midpoint variables loses nothing, and an empty tight
 octagon of midpoint bounds proves a composition empty before any closure.
+Each question about members is asked one way: emptiness by the exact
+parameter elimination of ``member_cases`` (``compose_members`` says why
+that suffices), inclusion by ``conj_implies`` on those cases, and images
+by ``_image``.
 
 The non-termination precondition takes, per control state, either the
 exact WNT of the unique cycle relation or the union of the WNTs of the
 octagonalized transition-invariant disjuncts, and pulls the result back
-through the reflexive-transitive summary from the initial state.
+through the reflexive-transitive summary from the initial state.  The
+initial state of a flat program needs no pull-back: its one cycle is its
+only way back, and the cycle's WNT is closed under pre-image.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .octagon import (
     oct_compose,
     oct_encode,
     oct_hull,
-    oct_leq,
     oct_meet_raw,
     oct_rows,
     relation_names,
@@ -88,11 +93,6 @@ class LinRel(NamedTuple):
     def system(self) -> LinSys:
         """The rows together with ``p >= 0`` for each parameter."""
         return LinSys(list(self.conj.rows) + [(LinTerm({p: -1}), LE) for p in self.params])
-
-    def rationally_feasible(self) -> bool:
-        """``Conj.rationally_feasible`` of the rows and ``p >= 0``."""
-        conj = Conj.make(self.system().rows)
-        return conj is not None and conj.rationally_feasible()
 
 
 def _canonical(variables, conj: Conj, params) -> LinRel:
@@ -145,17 +145,12 @@ def member_cases(m: LinRel) -> tuple[Conj, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def member_subsumed(a: LinRel, b: LinRel) -> bool:
-    """Sound check that a's relation is contained in b's.  Two
-    parameter-free octagonal members compare their tight octagons
-    entrywise (``oct_leq``, integer-exact).  Otherwise every
-    parameter-free case of a must imply one case of b by
-    ``conj_implies``.  That sees row entailment and the
-    divisibility atoms a's rows entail, such as the parities step-2
-    accelerations bring in, but not a case of a covered only by a union
-    of b's cases."""
-    octs = _octagon_pair(a, b)
-    if octs is not None:
-        return oct_leq(*octs)
+    """Sound check that a's relation is contained in b's: every
+    parameter-free case of a must imply one case of b by ``conj_implies``.
+    Two octagonal cases compare as tight octagons there, integer-exact.
+    Other cases see row entailment and the divisibility atoms a's rows
+    entail, such as the parities step-2 accelerations bring in, but not a
+    case of a covered only by a union of b's cases."""
     cb = member_cases(b)
     return all(any(conj_implies(ca, c) for c in cb) for ca in member_cases(a))
 
@@ -182,7 +177,21 @@ def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
 def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
     """Exact relational composition; several members because integer
     elimination of the midpoint variables may split into finitely many
-    cases."""
+    cases.
+
+    No member returned is empty, and no separate emptiness test runs:
+    - A parametric member goes through ``_normalize_member``, so through
+      ``member_cases``: exact elimination of its parameters at p >= 0.
+      Each step maps a system with no rational point to systems with none
+      (real and dark shadows, splinters with one more equality, residue
+      splits by an affine substitution), and ``Dnf.add`` drops every case
+      with no rational point.  So a member with no rational point at
+      p >= 0 has no case and normalizes to nothing.
+    - A parameter-free member from ``_member_from_entries`` has only
+      constant diagonal terms, all >= 0, since a term with a nonzero rate
+      would name a parameter; so its tight closed matrix is consistent.
+    - A parameter-free case of ``_compose_members`` passed ``Dnf.add``,
+      on the same rows."""
     out = _compose_param_oct(a, b)
     if out is None:
         out = _compose_members(a, b)
@@ -284,9 +293,10 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     parameter rows ``0 <= t`` on the diagonal: they carry the emptiness of
     the composition.  A negative constant there drops the member in
     ``_member_from_entries``; a member that is empty at every valuation
-    without one (parameter bounds on two diagonals that no path joins) is
-    dropped by ``LinRel.rationally_feasible``.  The path-reduced rows are
-    no longer closed; ``_member_param_matrix`` closes them again.
+    without one (parameter bounds on two diagonals that no path joins)
+    keeps those rows, and ``compose_members`` drops it when it eliminates
+    the parameters.  The path-reduced rows are no longer closed;
+    ``_member_param_matrix`` closes them again.
 
     Before any of that, the ``_block_bounds`` of a's primed block and of
     b's unprimed block are met and tightly closed; bottom means the
@@ -295,8 +305,7 @@ def _compose_param_oct(a: LinRel, b: LinRel):
     and each bound kept is at least that block's entry, so every x' of a
     lies in the block octagon of a; likewise every x of b in that of b.  A
     midpoint lies in both, and a tight octagon is empty exactly when it has
-    no integer point.  The feasibility test stays for emptiness these bounds
-    miss; without either test the empty members reach parameter
+    no integer point.  Without this test the empty members reach parameter
     elimination (step-2 BRANCHING took 46 s instead of 0.26 s).
     """
     octs = _octagon_pair(a, b)
@@ -339,7 +348,7 @@ def _compose_param_oct(a: LinRel, b: LinRel):
         erased[0][0] = min_terms(erased[0][0] + sum(
             (entries[p][p] for p in range(blk, 2 * blk)), ()))
         mem = _member_from_entries(erased, np_, a.variables)
-        if mem is not None and mem.rationally_feasible():
+        if mem is not None:
             out.append(mem)
     return out
 
@@ -405,13 +414,8 @@ def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
     merged = Conj.make(ca.rows + cb.rows, ca.divs + cb.divs)
     if merged is None:
         return []
-    dnf = eliminate_all(merged, list(mids.values()))
-    out = []
-    for conj in dnf:
-        m = _canonical(variables, conj, params)
-        if m.rationally_feasible():
-            out.append(m)
-    return out
+    return [_canonical(variables, conj, params)
+            for conj in eliminate_all(merged, list(mids.values()))]
 
 
 @lru_cache(maxsize=_MEMO)
@@ -480,7 +484,7 @@ def _label_members(label: tuple, variables: tuple[str, ...]) -> tuple[LinRel, ..
             m = member_from_octagon(d, variables)
         else:
             m = member_from_affine_step(d, variables)
-        if m is not None and m.rationally_feasible():
+        if m is not None and m.conj.rationally_feasible():
             out.append(m)
     return tuple(out)
 
@@ -803,22 +807,6 @@ def _summary(
     return edges.get((IN, OUT), []), exact, exhausted
 
 
-def _post_image(p: Program, q: str, members: list[LinRel]) -> Dnf:
-    """Post-image of the universal set under the members of P+(init, q),
-    plus the identity when q is the initial state."""
-    out = Dnf()
-    if q == p.init:
-        out.add(Conj.make([]))
-        return out
-    for m in members:
-        dnf = eliminate_all(m.conj, list(p.variables) + list(m.params),
-                            nonneg=list(m.params))
-        for conj in dnf:
-            renamed = conj.subst({v + "'": LinTerm({v: 1}) for v in p.variables})
-            out.add(renamed)
-    return out
-
-
 class PrecondResult(NamedTuple):
     program: Program
     precondition: Dnf
@@ -830,25 +818,25 @@ class PrecondResult(NamedTuple):
     budget_exhausted: bool = False
 
 
-def _preimage_dnf(members: list[LinRel], target: Dnf, variables, include_identity: bool) -> Dnf:
-    """Pre-image of a DNF over x through summary members (and identity)."""
+def _image(members: list[LinRel], target: Dnf, variables, forward: bool,
+           include_identity: bool) -> Dnf:
+    """Image of a DNF over x through summary members, and through the
+    identity when asked: the post-image when ``forward``, else the
+    pre-image."""
     out = Dnf()
-    post_sub = {v: LinTerm({v + "'": 1}) for v in variables}
+    primed = {v: LinTerm({v + "'": 1}) for v in variables}
+    unprimed = {v + "'": LinTerm({v: 1}) for v in variables}
+    gone = list(variables if forward else unprimed)
     for conj in target:
         if include_identity:
             out.add(conj)
-        shifted = conj.subst(post_sub)
+        shifted = conj if forward else conj.subst(primed)
         for m in members:
             merged = Conj.make(m.conj.rows + shifted.rows, m.conj.divs + shifted.divs)
             if merged is None:
                 continue
-            dnf = eliminate_all(
-                merged,
-                [v + "'" for v in variables] + list(m.params),
-                nonneg=list(m.params),
-            )
-            for c in dnf:
-                out.add(c)
+            for c in eliminate_all(merged, gone + list(m.params), nonneg=list(m.params)):
+                out.add(c.subst(unprimed) if forward else c)
     return out
 
 
@@ -880,16 +868,23 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             break
         chosen.append(best)
         uncovered = [i for i in uncovered if i not in hits]
+    flat = isinstance(flatness, Flat)
     for q in sorted(chosen):
         q_cycles = [c for c in cycles if any(t.source == q for t in c)]
         if not q_cycles:
             continue
-        members_star, ex, bx = _summary(p, p.init, q, budgets)
-        exact = exact and ex
-        exhausted = exhausted or bx
+        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
+        # In a flat program the initial state's one cycle C is its only
+        # way back, so P+(init, q) = C+; a start whose C+-successor has an
+        # infinite C-run has one itself, so the exact WNT of C needs no
+        # pull-back (an affine C would be pulled back through a hull).
+        pull_back = not (flat and single is not None and q == p.init)
+        if pull_back:
+            members_star, ex, bx = _summary(p, p.init, q, budgets)
+            exact = exact and ex
+            exhausted = exhausted or bx
         w_dnf = Dnf()
         method = "tinv"
-        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
         if single is not None:
             method = "single-cycle"
             kind, payload = single
@@ -902,7 +897,8 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             members, ex, bx = _summary(p, q, q, budgets)
             exact = exact and ex
             exhausted = exhausted or bx
-            reach_dnf = _post_image(p, q, members_star)
+            reach_dnf = _image(members_star, Dnf([Conj.make([])]), variables,
+                               forward=True, include_identity=(q == p.init))
             reach_oct = oct_hull([c.to_linsys() for c in reach_dnf], variables)
             reach = Conj.make(oct_rows(reach_oct, variables))
             for m in members if reach is not None else []:
@@ -912,13 +908,13 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 o, _ = member_to_octagon(LinRel(variables, merged, m.params))
                 if not o.is_bottom:
                     w_dnf.add(Conj.make(oct_rows(oct_wnt(o, n).set, variables)))
-        contrib = _preimage_dnf(members_star, w_dnf, variables, include_identity=(q == p.init))
+        contrib = (_image(members_star, w_dnf, variables, forward=False,
+                          include_identity=(q == p.init)) if pull_back else w_dnf)
         per_state.append((q, method, w_dnf))
         for c in contrib:
             result.add(c)
     # the precision claim of the method only covers flat inputs with every
     # closure certified; the flag under-approximates actual exactness
-    flat = isinstance(flatness, Flat)
     return PrecondResult(p, result, per_state, flat, exact and flat, exhausted)
 
 

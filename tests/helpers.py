@@ -30,7 +30,7 @@ from octoterm.presburger import Conj, Dnf, conj_implies
 from octoterm.program import (
     Budgets,
     Program,
-    _post_image,
+    _image,
     _union_members,
     identity_member,
     member_cases,
@@ -339,7 +339,7 @@ def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
 def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
     """Post-image of the universal set under P*(init, q), as a DNF over x."""
     members, exact = transitive_relation(p, p.init, q, budgets)
-    return _post_image(p, q, members), exact
+    return _image(members, Dnf([Conj.make([])]), p.variables, True, q == p.init), exact
 
 
 def eliminate_params(u, variables) -> Dnf:

@@ -447,3 +447,16 @@ def test_error_paths_print_one_line_and_exit(capsys, argv, code, err):
     assert main(argv) == code
     out = capsys.readouterr()
     assert out.out == "" and out.err == err + "\n"
+
+
+def test_comment_words_are_not_variables(capsys, tmp_path):
+    # a word in a # or // comment named a variable: the commented file fell
+    # out of the affine fragment, and the relation gained unconstrained
+    # variables that changed its ranking bound
+    path = tmp_path / "halving.txt"
+    path.write_text("# halving loop\nx' == -x && x >= -5\n")
+    plain = run(capsys, "affine", "wnt", "x' == -x && x >= -5")
+    assert plain[0] == 0 and run(capsys, "affine", "wnt", str(path)) == plain
+    rel = "x' == x - 1 && x >= 0"
+    plain = run(capsys, "rel", "rank", rel)
+    assert plain[0] == 0 and run(capsys, "rel", "rank", rel + " // count down") == plain

@@ -22,6 +22,7 @@ from octoterm.program import (
     member_cases,
     member_from_octagon,
     member_subsumed,
+    member_to_octagon,
     nt_program,
     parse_program,
     transitive_relation,
@@ -554,6 +555,49 @@ def test_nt_program_single_affine_cycle_keeps_the_program_names():
         assert w_dnf.eval({"x": x, "y": y})
 
 
+def test_nt_program_cycle_at_the_initial_state_needs_no_pull_back():
+    # the exact WNT x = y = 0 of the one cycle is the precondition; pulled
+    # back through the octagonal hull of the affine star it also held at
+    # the starts (x, 0), x > 0, which die after two steps
+    from octoterm.oracle import BoxDomain, program_live_starts
+
+    p = parse_program(ROTATION_PROGRAM)
+    res = nt_program(p)
+    assert res.exact and not res.budget_exhausted
+    box = BoxDomain.cube(2, -4, 4)
+    starts = program_live_starts(p, box)
+    assert starts == {(0, 0)}
+    for pt in box.points():
+        assert res.precondition.eval(dict(zip(p.variables, pt))) == (pt in starts), pt
+
+
+# q -> r -> q is q's one cycle, but r -> m -> r climbs to x = 5 before
+# it, and m -> n -> m takes m first in the cycle cover: P+(q, q) is more
+# than the cycle's powers, so q's WNT x >= 5 must still be pulled back
+MEETING_CYCLES_PROGRAM = """
+vars x; init q;
+q -> r : x' == x;
+r -> q : x' == x && x >= 5;
+r -> m : x' == x + 1 && x <= 4;
+m -> r : x' == x;
+m -> n : x' == x - 1 && x >= 100;
+n -> m : x' == x - 1;
+"""
+
+
+def test_nt_program_pulls_back_a_cycle_at_the_initial_state_that_meets_others():
+    from octoterm.oracle import BoxDomain, program_live_starts
+
+    p = parse_program(MEETING_CYCLES_PROGRAM)
+    res = nt_program(p)
+    assert ("q", "single-cycle") in [(q, method) for q, method, _ in res.per_state]
+    box = BoxDomain.cube(1, -6, 8)
+    starts = program_live_starts(p, box)
+    assert (0,) in starts
+    for (x,) in starts:
+        assert res.precondition.eval({"x": x}), x
+
+
 # -- composition through the closed member matrices ---------------------------
 
 
@@ -679,13 +723,23 @@ def _full_closure_compose(a: LinRel, b: LinRel):
         consistent &= all(min(t) >= 0 for p in range(blk, 2 * blk) for t in entries[p][p])
         erased = [[entries[p][q] for q in keep] for p in keep]
         mem = _member_from_entries(erased, na + nb, a.variables)
-        if mem is not None and mem.rationally_feasible():
+        if mem is not None:
             out.append(mem)
     return out, consistent
 
 
+def _normalized(members):
+    """The ``_normalize_member`` cases of members, in order: the members
+    ``compose_members`` returns, so the empty ones gone."""
+    from octoterm.program import _normalize_member
+
+    return None if members is None else [n for m in members for n in _normalize_member(m)]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_compose_param_oct_matches_the_full_closure(n):
+    # the two closures may leave an empty member in different forms;
+    # compose_members drops it in _normalize_member either way
     from octoterm.program import _compose_param_oct
 
     rng = random.Random(71 + n)
@@ -700,7 +754,7 @@ def test_compose_param_oct_matches_the_full_closure(n):
             compared += 1
             # parameter-free pairs take oct_compose, the others param_fw
             free += not a.params and not b.params
-            assert _compose_param_oct(a, b) == want, (a, b)
+            assert _normalized(_compose_param_oct(a, b)) == _normalized(want), (a, b)
     assert compared >= 100 and skipped >= 3 and free >= 250, (compared, skipped, free)
 
 
@@ -732,7 +786,8 @@ def test_composition_closes_each_member_once(monkeypatch):
 
 def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
     # two parameter-free octagonal members compose by oct_compose and
-    # compare by oct_leq: no parametric closure, no LP, no row entailment
+    # compare as tight octagons in conj_implies: no parametric closure, no
+    # LP, no row entailment
     from octoterm import linarith
     from octoterm.linarith import LE, LinTerm
     from octoterm.presburger import Conj
@@ -746,8 +801,8 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(program_module, "param_fw", spy("param_fw", program_module.param_fw))
-    monkeypatch.setattr(program_module, "conj_implies",
-                        spy("conj_implies", program_module.conj_implies))
+    monkeypatch.setattr(presburger_module, "conj_poly",
+                        spy("conj_poly", presburger_module.conj_poly))
     monkeypatch.setattr(linarith.PolyhedronLP, "__init__",
                         spy("PolyhedronLP", linarith.PolyhedronLP.__init__))
     _clear_memos()
@@ -770,10 +825,11 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_member_subsumed_agrees_with_conj_implies(n):
-    # oct_leq on the tight octagons against conj_implies on the rows, over
-    # parameter-free members and their compositions; conj_implies is sound
-    # and oct_leq integer-complete, so a difference must be an inclusion
-    # that only oct_leq sees, and the box must confirm it
+    # over parameter-free members and their compositions, member_subsumed
+    # is conj_implies on the rows, and both are oct_leq on the members'
+    # tight octagons, which is integer-exact: the box confirms each
+    # inclusion
+    from octoterm.octagon import oct_leq
     from octoterm.presburger import conj_implies
 
     rng = random.Random(91 + n)
@@ -789,8 +845,10 @@ def test_member_subsumed_agrees_with_conj_implies(n):
         for b in free:
             got = member_subsumed(a, b)
             included += got
-            if got != conj_implies(a.conj, b.conj):
-                assert got, (a, b)
+            octs = (member_to_octagon(a, exact_only=True), member_to_octagon(b, exact_only=True))
+            assert all(exact for _, exact in octs)
+            assert got == conj_implies(a.conj, b.conj) == oct_leq(*(o for o, _ in octs)), (a, b)
+            if got:
                 assert all(b.conj.eval(pt) for pt in box if a.conj.eval(pt)), (a, b)
     assert len(free) >= 100 and included >= 500, (len(free), included)
 
@@ -885,7 +943,7 @@ def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
     # every pair whose block bounds meet in an empty tight octagon composes
     # to nothing by exact elimination too, and never reaches the closure
     from octoterm.octagon import oct_meet_raw, tight_close
-    from octoterm.program import _compose_members, _member_param_matrix
+    from octoterm.program import _compose_members, _member_param_matrix, _normalize_member
 
     gen = _perfbench_gen()
     texts = [r["text"] for seed in (5, 6) for r in gen.make_requests("programs", seed, 1)]
@@ -918,23 +976,55 @@ def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
             continue
         refuted += 1
         assert (a, b) not in closed, (a, b)
-        assert _compose_members(a, b) == [], (a, b)
+        assert all(_normalize_member(m) == () for m in _compose_members(a, b)), (a, b)
     assert refuted >= 80 and closed, refuted
+
+
+def test_composed_members_pass_the_member_lp():
+    # the reference for the emptiness argument of compose_members: every
+    # member it returns has a rational point with its parameters >= 0,
+    # by a full simplex over its rows and p >= 0
+    checked = []
+    real = program_module.compose_members
+
+    def spy(a, b):
+        out = real(a, b)
+        checked.extend(out)
+        return out
+
+    for n in (1, 2):
+        members = _random_members(random.Random(81 + n), n)
+        for a in members:
+            for b in members:
+                spy(a, b)
+    gen = _perfbench_gen()
+    _clear_memos()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(program_module, "compose_members", spy)
+        for seed in (5, 6):
+            for r in gen.make_requests("programs", seed, 1):
+                nt_program(parse_program(r["text"]))
+    _clear_memos()
+    checked = list(dict.fromkeys(checked))
+    for m in checked:
+        conj = Conj.make(m.system().rows)
+        assert conj is not None and conj.rationally_feasible(), m
+    assert len(checked) >= 200 and sum(bool(m.params) for m in checked) >= 20, (
+        len(checked), sum(bool(m.params) for m in checked))
 
 
 def test_empty_parametric_composition_is_dropped():
     # _p0 <= 1 and y' - y == _p0 >= 3 sit on the diagonals of x and of y,
     # which no path joins: no diagonal term is negative at every valuation,
-    # so only the conjunct test of LinRel.rationally_feasible sees that the
-    # member is empty
+    # so the composition keeps a member, and only the parameter elimination
+    # of _normalize_member sees that it is empty
     from octoterm.linarith import EQ, LE, LinTerm
     from octoterm.presburger import Conj
-    from octoterm.program import _compose_param_oct
 
     y, y1, p = LinTerm.var("y"), LinTerm.var("y'"), LinTerm.var("_p0")
     a = LinRel(("x", "y"), Conj.make([(y1 - y - p, EQ), (p - 1, LE), (y - y1 + 3, LE)]),
                ("_p0",))
-    assert _compose_param_oct(a, identity_member(("x", "y"))) == []
+    assert compose_members(a, identity_member(("x", "y"))) == ()
 
 
 # -- path-reduced member rows -------------------------------------------------
