@@ -179,7 +179,8 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
     elimination of the midpoint variables may split into finitely many
     cases.
 
-    No member returned is empty, and no separate emptiness test runs:
+    Every member returned has a rational point at p >= 0, and no separate
+    emptiness test runs:
     - A parametric member goes through ``_normalize_member``, so through
       ``member_cases``: exact elimination of its parameters at p >= 0.
       Each step maps a system with no rational point to systems with none
@@ -846,7 +847,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     variables = p.variables
     n = len(variables)
     cycles = elementary_cycles(p)
-    flatness = is_flat(p)
+    flat = isinstance(is_flat(p), Flat)
     result = Dnf()
     per_state = []
     exact = True
@@ -868,16 +869,13 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             break
         chosen.append(best)
         uncovered = [i for i in uncovered if i not in hits]
-    flat = isinstance(flatness, Flat)
     for q in sorted(chosen):
         q_cycles = [c for c in cycles if any(t.source == q for t in c)]
         if not q_cycles:
             continue
         single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
-        # In a flat program the initial state's one cycle C is its only
-        # way back, so P+(init, q) = C+; a start whose C+-successor has an
-        # infinite C-run has one itself, so the exact WNT of C needs no
-        # pull-back (an affine C would be pulled back through a hull).
+        # at the initial state of a flat program P+(q, q) = C+ for its one
+        # cycle C, and C+ pulls the exact WNT of C back into itself
         pull_back = not (flat and single is not None and q == p.init)
         if pull_back:
             members_star, ex, bx = _summary(p, p.init, q, budgets)
@@ -897,8 +895,10 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             members, ex, bx = _summary(p, q, q, budgets)
             exact = exact and ex
             exhausted = exhausted or bx
-            reach_dnf = _image(members_star, Dnf([Conj.make([])]), variables,
-                               forward=True, include_identity=(q == p.init))
+            reach_dnf = Dnf([Conj.make([])])
+            if q != p.init:
+                reach_dnf = _image(members_star, reach_dnf, variables,
+                                   forward=True, include_identity=False)
             reach_oct = oct_hull([c.to_linsys() for c in reach_dnf], variables)
             reach = Conj.make(oct_rows(reach_oct, variables))
             for m in members if reach is not None else []:
