@@ -253,10 +253,14 @@ class Dnf:
 #
 # The core works on int rows ({var: coef}, const, rel) and div atoms
 # (modulus, {var: coef}, const).  ``_inorm`` is the one normalizer of a
-# conjunct: ``Conj.make`` and every elimination case end in it.  The
-# coefficient dicts of a conjunct's LinTerms are handed in as they are, so
-# the core builds new dicts and never writes to one it was given (LinTerms
-# are memo keys).
+# conjunct: ``Conj.make`` and every elimination case end in it.  ``_ielim``
+# takes a case ``_inorm`` has normalized and normalizes each case it builds
+# once: ``eliminate_all`` normalizes its input, a residue split or a
+# splinter normalizes the case it recurses on, and ``_finish`` every case
+# it returns.  ``_inorm`` is idempotent, so that is all the normalizing
+# there is.  The coefficient dicts of a conjunct's LinTerms are handed in
+# as they are, so the core builds new dicts and never writes to one it was
+# given (LinTerms are memo keys).
 # ---------------------------------------------------------------------------
 
 IRow = tuple[dict, int, str]
@@ -380,13 +384,10 @@ def _isubst(rows, divs, v, expr_cs: dict, expr_c0: int, scale: int = 1):
 
 
 def _ielim(rows: list[IRow], divs: list[IDiv], v: str, depth: int = 0):
-    """Exact integer elimination of v; yields normalized (rows, divs) cases."""
+    """Exact integer elimination of v from a case ``_inorm`` has
+    normalized; yields normalized (rows, divs) cases."""
     if depth > 12:
         raise RecursionError("integer elimination did not converge")
-    norm = _inorm(rows, divs)
-    if norm is None:
-        return []
-    rows, divs = norm
     if not any(v in cs for cs, _, _ in rows) and not any(v in cs for _, cs, _ in divs):
         return [(rows, divs)]
 
@@ -398,8 +399,9 @@ def _ielim(rows: list[IRow], divs: list[IDiv], v: str, depth: int = 0):
         # one name per depth never meets another split's variable
         w = f"_q{depth}"
         for r in range(m):
-            srows, sdivs = _isubst(rows, divs, v, {w: m}, r)
-            out.extend(_ielim(srows, sdivs, w, depth + 1))
+            case = _inorm(*_isubst(rows, divs, v, {w: m}, r))
+            if case is not None:
+                out.extend(_ielim(*case, w, depth + 1))
         return out
 
     eq_idx = [i for i, (cs, c0, rel) in enumerate(rows) if rel == EQ and cs.get(v)]
@@ -477,8 +479,9 @@ def _ielim(rows: list[IRow], divs: list[IDiv], v: str, depth: int = 0):
         for r in range(top + 1):
             eq_cs = dict(lcs)
             eq_cs[v] = -b  # b*v == lcs.x + lc0 + r  ->  lcs.x + lc0 + r - b*v == 0
-            case_rows = rows + [(eq_cs, lc0 + r, EQ)]
-            _add_new_cases(out, seen, _ielim(case_rows, divs, v, depth + 1))
+            case = _inorm(rows + [(eq_cs, lc0 + r, EQ)], divs)
+            if case is not None:
+                _add_new_cases(out, seen, _ielim(*case, v, depth + 1))
     return out
 
 
@@ -505,11 +508,14 @@ def _add_new_cases(out: list, seen: set, cases) -> None:
 
 
 def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()) -> Dnf:
-    """Eliminate every target variable, adding v >= 0 rows for nonneg ones."""
+    """Eliminate every target variable, adding v >= 0 rows for nonneg ones.
+    The input is normalized once here; ``_ielim`` hands back normalized
+    cases, which the next target takes as they are."""
     rows, divs = _to_irows(conj)
     for v in nonneg:
         rows.append(({v: -1}, 0, LE))
-    work = [(rows, divs)]
+    case = _inorm(rows, divs)
+    work = [] if case is None else [case]
     for v in targets:
         nxt: list = []
         seen: set = set()

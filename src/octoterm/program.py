@@ -27,7 +27,11 @@ exact WNT of the unique cycle relation or the union of the WNTs of the
 octagonalized transition-invariant disjuncts, and pulls the result back
 through the reflexive-transitive summary from the initial state.  The
 initial state of a flat program needs no pull-back: its one cycle is its
-only way back, and the cycle's WNT is closed under pre-image.
+only way back, and the cycle's WNT is closed under pre-image.  The summary
+from the initial state is computed only when it is used: to pull back a
+nonempty WNT, or as the reach of a transition-invariant state other than
+the initial one.  At the initial state the transition invariant is that
+same summary, computed once.
 """
 
 from __future__ import annotations
@@ -104,7 +108,9 @@ def _canonical(variables, conj: Conj, params) -> LinRel:
     return LinRel(tuple(variables), conj, names)
 
 
+@lru_cache(maxsize=_MEMO)
 def identity_member(variables: tuple[str, ...]) -> LinRel:
+    """x' = x over ``variables``, one object per tuple."""
     rows = [(LinTerm({v + "'": 1, v: -1}), EQ) for v in variables]
     return LinRel(variables, Conj.make(rows))
 
@@ -739,10 +745,11 @@ def _summary(
     for t in p.transitions:
         if t.source in live and t.target in live:
             add_edge(t.source, t.target, _label_members(t.label, variables))
-    ident_in = identity_member(variables)
-    ident_out = identity_member(variables)
-    add_edge(IN, q_in, [ident_in])
-    add_edge(q_out, OUT, [ident_out])
+    # the copy edges hold the one identity object, and no composition
+    # returns it, so ``is`` tells a copy edge's member apart
+    ident = identity_member(variables)
+    add_edge(IN, q_in, [ident])
+    add_edge(q_out, OUT, [ident])
 
     exact = True
     exhausted = False
@@ -784,13 +791,7 @@ def _summary(
                         mids = [m1] + _dedupe(through)
                     for m2 in out_ms:
                         for mm in mids:
-                            if (
-                                a == IN
-                                and b == OUT
-                                and mm is m1
-                                and m1 is ident_in
-                                and m2 is ident_out
-                            ):
+                            if a == IN and b == OUT and mm is m1 is ident and m2 is ident:
                                 # zero-length run q_in -> q_out through the
                                 # copy edges only; the summary is the strict
                                 # transitive relation
@@ -842,7 +843,14 @@ def _image(members: list[LinRel], target: Dnf, variables, forward: bool,
 
 
 def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
-    """Over-approximate non-termination precondition (exact on flat inputs)."""
+    """Over-approximate non-termination precondition (exact on flat inputs).
+
+    ``_summary(init, q)`` runs only when its members are used: to pull a
+    nonempty WNT of q back, or as the reach of a transition-invariant q
+    other than init.  The pre-image of an empty DNF is empty whatever the
+    summary, so a skipped summary loses nothing; it spends no budget and
+    leaves ``exact`` and ``budget_exhausted`` alone, like a loop off the
+    paths of a summary.  No (source, target) summary runs twice."""
     budgets = budgets or Budgets()
     variables = p.variables
     n = len(variables)
@@ -852,6 +860,19 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     per_state = []
     exact = True
     exhausted = False
+    summaries: dict[tuple[str, str], list[LinRel]] = {}
+
+    def summary(q_in: str, q_out: str) -> list[LinRel]:
+        """``_summary(p, q_in, q_out)``, computed at most once; its flags
+        join the result's only when it is computed."""
+        nonlocal exact, exhausted
+        if (q_in, q_out) not in summaries:
+            members, ex, bx = _summary(p, q_in, q_out, budgets)
+            exact = exact and ex
+            exhausted = exhausted or bx
+            summaries[q_in, q_out] = members
+        return summaries[q_in, q_out]
+
     # Every infinite run visits some analyzed state infinitely often as
     # long as the analyzed set hits every elementary cycle, so a greedy
     # cycle cover keeps both soundness and the flat-exactness argument.
@@ -877,10 +898,6 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
         # at the initial state of a flat program P+(q, q) = C+ for its one
         # cycle C, and C+ pulls the exact WNT of C back into itself
         pull_back = not (flat and single is not None and q == p.init)
-        if pull_back:
-            members_star, ex, bx = _summary(p, p.init, q, budgets)
-            exact = exact and ex
-            exhausted = exhausted or bx
         w_dnf = Dnf()
         method = "tinv"
         if single is not None:
@@ -892,12 +909,10 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 for c in finite_monoid_wnt(payload, list(variables)):
                     w_dnf.add(c)
         else:
-            members, ex, bx = _summary(p, q, q, budgets)
-            exact = exact and ex
-            exhausted = exhausted or bx
+            members = summary(q, q)
             reach_dnf = Dnf([Conj.make([])])
             if q != p.init:
-                reach_dnf = _image(members_star, reach_dnf, variables,
+                reach_dnf = _image(summary(p.init, q), reach_dnf, variables,
                                    forward=True, include_identity=False)
             reach_oct = oct_hull([c.to_linsys() for c in reach_dnf], variables)
             reach = Conj.make(oct_rows(reach_oct, variables))
@@ -908,8 +923,11 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 o, _ = member_to_octagon(LinRel(variables, merged, m.params))
                 if not o.is_bottom:
                     w_dnf.add(Conj.make(oct_rows(oct_wnt(o, n).set, variables)))
-        contrib = (_image(members_star, w_dnf, variables, forward=False,
-                          include_identity=(q == p.init)) if pull_back else w_dnf)
+        # the pre-image of an empty DNF is empty, whatever the summary
+        contrib = w_dnf
+        if pull_back and not w_dnf.is_false:
+            contrib = _image(summary(p.init, q), w_dnf, variables, forward=False,
+                             include_identity=(q == p.init))
         per_state.append((q, method, w_dnf))
         for c in contrib:
             result.add(c)

@@ -3,11 +3,13 @@ and the oracles that only tests call."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import mul
+from pathlib import Path
 from typing import Sequence
 
 from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate
@@ -50,6 +52,15 @@ PERIODIC_ATOMS = [
     (1, 7, -1, 3, 0),   # x4' - x4 <= 0
     (1, 6, -1, 3, 0),   # x3' - x4 <= 0
 ]
+
+
+def perfbench_gen():
+    """The benchmark's request generators, ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def periodic_relation() -> Octagon:
@@ -545,6 +556,107 @@ def reference_star_members(loops, variables, budgets: Budgets):
         hull, len(variables), budgets.max_prefix, budgets.max_period
     )
     return tuple(_union_members(closure, variables)), False, True
+
+
+def reference_ielim(rows, divs, v: str, depth: int = 0):
+    """``presburger._ielim`` as it was when it normalized every case on
+    entry, whoever built it, so each case a previous step had normalized
+    was normalized again."""
+    from math import lcm
+
+    from octoterm.presburger import _add_new_cases, _case_key, _finish, _inorm, _isubst
+
+    if depth > 12:
+        raise RecursionError("integer elimination did not converge")
+    norm = _inorm(rows, divs)
+    if norm is None:
+        return []
+    rows, divs = norm
+    if not any(v in cs for cs, _, _ in rows) and not any(v in cs for _, cs, _ in divs):
+        return [(rows, divs)]
+    div_mods = [m for m, cs, _ in divs if v in cs]
+    if div_mods:
+        m = lcm(*div_mods)
+        out = []
+        w = f"_q{depth}"
+        for r in range(m):
+            srows, sdivs = _isubst(rows, divs, v, {w: m}, r)
+            out.extend(reference_ielim(srows, sdivs, w, depth + 1))
+        return out
+    eq_idx = [i for i, (cs, c0, rel) in enumerate(rows) if rel == EQ and cs.get(v)]
+    if eq_idx:
+        pick = min(eq_idx, key=lambda i: abs(rows[i][0][v]))
+        cs, c0, _ = rows[pick]
+        c = cs[v]
+        if c < 0:
+            cs, c0, c = {w: -cc for w, cc in cs.items()}, -c0, -c
+        rest_cs = {w: -cc for w, cc in cs.items() if w != v}
+        rest_c0 = -c0
+        base_rows = [r for i, r in enumerate(rows) if i != pick]
+        if c == 1:
+            return _finish(*_isubst(base_rows, divs, v, rest_cs, rest_c0))
+        nrows = [(rcs, rc0, rel) if not rcs.get(v, 0)
+                 else ({w: c * cc for w, cc in rcs.items()}, c * rc0, rel)
+                 for rcs, rc0, rel in base_rows]
+        ndivs = [(m, dcs, dc0) if not dcs.get(v, 0)
+                 else (m * c, {w: c * cc for w, cc in dcs.items()}, c * dc0)
+                 for m, dcs, dc0 in divs]
+        nrows, ndivs = _isubst(nrows, ndivs, v, rest_cs, rest_c0, scale=c)
+        ndivs.append((c, rest_cs, rest_c0))
+        return _finish(nrows, ndivs)
+    lowers, uppers, rest = [], [], []
+    for cs, c0, rel in rows:
+        c = cs.get(v, 0)
+        if not c:
+            rest.append((cs, c0, rel))
+        elif c > 0:
+            uppers.append((c, {w: -cc for w, cc in cs.items() if w != v}, -c0))
+        else:
+            lowers.append((-c, {w: cc for w, cc in cs.items() if w != v}, c0))
+    if not lowers or not uppers:
+        return _finish(rest, divs)
+
+    def shadow(extra: int):
+        srows = list(rest)
+        for b, lcs, lc0 in lowers:
+            for a, ucs, uc0 in uppers:
+                cs2: dict = {}
+                for w, cc in lcs.items():
+                    cs2[w] = cs2.get(w, 0) + a * cc
+                for w, cc in ucs.items():
+                    cs2[w] = cs2.get(w, 0) - b * cc
+                srows.append((cs2, a * lc0 - b * uc0 + extra * (a - 1) * (b - 1), LE))
+        return srows
+
+    if all(a == 1 or b == 1 for b, _, _ in lowers for a, _, _ in uppers):
+        return _finish(shadow(0), divs)
+    out = _finish(shadow(1), divs)
+    seen = {_case_key(piece) for piece in out}
+    a_max = max(a for a, _, _ in uppers)
+    for b, lcs, lc0 in lowers:
+        for r in range((a_max * b - a_max - b) // a_max + 1):
+            eq_cs = dict(lcs)
+            eq_cs[v] = -b
+            case_rows = rows + [(eq_cs, lc0 + r, EQ)]
+            _add_new_cases(out, seen, reference_ielim(case_rows, divs, v, depth + 1))
+    return out
+
+
+def reference_eliminate_all(conj: Conj, targets, nonneg=()) -> Dnf:
+    """``presburger.eliminate_all`` over ``reference_ielim``: the input is
+    not normalized until the first target's elimination does it."""
+    from octoterm.presburger import _add_new_cases, _conj, _to_irows
+
+    rows, divs = _to_irows(conj)
+    rows += [({v: -1}, 0, LE) for v in nonneg]
+    work = [(rows, divs)]
+    for v in targets:
+        nxt: list = []
+        seen: set = set()
+        for rs, ds in work:
+            _add_new_cases(nxt, seen, reference_ielim(rs, ds, v))
+        work = nxt
+    return Dnf(_conj(rs, ds) for rs, ds in work)
 
 
 def _reference_failure(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:

@@ -13,9 +13,15 @@ from octoterm.presburger import (
     conj_implies,
     eliminate_all,
 )
+from octoterm import program as program_module
 from octoterm.program import nt_program, parse_program, transitive_relation
 
-from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM
+from helpers import (
+    BRANCHING_PROGRAM,
+    TWO_PHASE_PROGRAM,
+    perfbench_gen,
+    reference_eliminate_all,
+)
 
 x = LinTerm.var("x")
 y = LinTerm.var("y")
@@ -378,3 +384,116 @@ def test_case_deduplication_is_list_equality_in_first_seen_order():
         if case not in want:
             want.append(case)
     assert out == want == [b, a, b_swapped_rows]
+
+
+# -- the normalization contract of exact elimination --------------------------
+
+
+def _ordered(case):
+    """A (rows, divs) case with each coefficient dict as its item list, so
+    that equality sees the order of the coefficients as well."""
+    rows, divs = case
+    return ([(list(cs.items()), c0, rel) for cs, c0, rel in rows],
+            [(m, list(cs.items()), c0) for m, cs, c0 in divs])
+
+
+def _random_case(rng, names, moduli=range(-1, 7), factors=(1, 1, 2, 3, 6)):
+    """Raw rows with zero coefficients and common factors > 1, and raw
+    divisibility atoms, some of them trivial or unsatisfiable."""
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        g = rng.choice(factors)
+        cs = {v: g * rng.randint(-3, 3) for v in rng.sample(names, rng.randint(0, len(names)))}
+        rows.append((cs, rng.randint(-8, 8), rng.choice((LE, LE, EQ))))
+    divs = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        cs = {v: rng.randint(-6, 6) for v in rng.sample(names, rng.randint(0, 2))}
+        divs.append((rng.choice(moduli), cs, rng.randint(-6, 6)))
+    return rows, divs
+
+
+def test_inorm_is_idempotent():
+    rng = random.Random(31)
+    seen = {"unsat": 0, "empty": 0, "eq": 0, "div": 0, "gcd": 0}
+    for _ in range(3000):
+        rows, divs = _random_case(rng, ["x", "y", "z"])
+        norm = presburger._inorm(rows, divs)
+        if norm is None:
+            seen["unsat"] += 1
+            continue
+        assert _ordered(presburger._inorm(*norm)) == _ordered(norm), (rows, divs)
+        seen["empty"] += norm == ([], [])
+        seen["eq"] += any(rel == EQ for _, _, rel in norm[0])
+        seen["div"] += bool(norm[1])
+        seen["gcd"] += any(gcd(*cs.values()) > 1 for cs, _, _ in rows if any(cs.values()))
+    assert min(seen.values()) >= 100, seen
+
+
+def _raw_conj(rows, divs) -> Conj:
+    """The conjunct of the raw rows and atoms, not normalized."""
+    return Conj(tuple((LinTerm(cs, c0), rel) for cs, c0, rel in rows),
+                tuple(DivAtom(m, LinTerm(cs, c0)) for m, cs, c0 in divs))
+
+
+def _cases(d: Dnf) -> list:
+    return [_ordered(presburger._to_irows(c)) for c in d]
+
+
+def test_eliminate_all_matches_normalizing_on_entry(monkeypatch):
+    # the reference normalizes every case when it enters an elimination;
+    # eliminate_all normalizes its input once and each case it builds once
+    built = {"residue": 0, "splinter": 0}
+    real = presburger._ielim
+
+    def spy(rows, divs, v, depth=0):
+        # every case comes in normalized
+        assert _ordered(presburger._inorm(rows, divs)) == _ordered((rows, divs))
+        if depth:
+            built["residue" if v.startswith("_q") else "splinter"] += 1
+        return real(rows, divs, v, depth)
+
+    monkeypatch.setattr(presburger, "_ielim", spy)
+    rng = random.Random(37)
+    params = ["k1", "k2", "k3"]
+    split = 0
+    for _ in range(400):
+        rows, divs = _random_case(rng, ["x", "y"] + params, range(2, 5), (1, 1, 1, 2))
+        conj = _raw_conj(rows, divs)
+        targets = rng.sample(params, rng.randint(1, 3))
+        nonneg = [v for v in targets if rng.random() < 0.5]
+        got = eliminate_all(conj, targets, nonneg)
+        want = reference_eliminate_all(conj, targets, nonneg)
+        assert _cases(got) == _cases(want), (conj, targets, nonneg)
+        split += len(got) > 1
+    assert split >= 10 and min(built.values()) >= 20, (split, built)
+
+
+def _clear_memos():
+    for module in (program_module, presburger):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_program_eliminations_match_normalizing_on_entry(monkeypatch):
+    # every elimination of member_cases, _image and _compose_members on the
+    # `programs` requests of seeds 5-6
+    calls = []
+
+    def spy(conj, targets, nonneg=()):
+        calls.append((conj, list(targets), list(nonneg)))
+        return eliminate_all(conj, targets, nonneg)
+
+    gen = perfbench_gen()
+    _clear_memos()
+    monkeypatch.setattr(program_module, "eliminate_all", spy)
+    for seed in (5, 6):
+        for r in gen.make_requests("programs", seed, 1):
+            p = parse_program(r["text"])
+            nt_program(p)
+            transitive_relation(p, r["head"], r["head"])
+    _clear_memos()
+    assert len(calls) >= 100, len(calls)
+    for conj, targets, nonneg in calls:
+        want = reference_eliminate_all(conj, targets, nonneg)
+        assert _cases(eliminate_all(conj, targets, nonneg)) == _cases(want), conj

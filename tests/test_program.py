@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -32,6 +30,7 @@ from helpers import (
     BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
     eliminate_params,
+    perfbench_gen,
     reach_set,
     reference_star_members,
     seven_branch_relations,
@@ -598,6 +597,64 @@ def test_nt_program_pulls_back_a_cycle_at_the_initial_state_that_meets_others():
         assert res.precondition.eval({"x": x}), x
 
 
+# a's loop terminates, so a's WNT is empty and nothing is pulled back
+# through P+(s0, a); with these budgets that summary would be inexact
+EX1_PROGRAM = """
+vars x; init s0;
+s0 -> a : x' == x;
+a -> a : x >= -100 && x' >= x + 1 && x' <= x + 2 && x' <= 100;
+s0 -> b : x' == x;
+b -> b : x >= 1 && x' == x;
+"""
+
+
+def test_nt_program_skips_the_summary_of_an_empty_wnt():
+    from octoterm.oracle import BoxDomain, program_live_starts
+
+    p = parse_program(EX1_PROGRAM)
+    budgets = Budgets(max_prefix=2, max_period=1)
+    assert not transitive_relation(p, "s0", "a", budgets)[1]
+    res = nt_program(p, budgets)
+    assert [(q, method, w.is_false) for q, method, w in res.per_state] == [
+        ("a", "single-cycle", True), ("b", "single-cycle", False)]
+    assert res.exact and not res.budget_exhausted
+    box = BoxDomain.cube(1, -8, 8)
+    starts = program_live_starts(p, box)
+    assert starts == {(x,) for x in range(1, 9)}
+    for (x,) in box.points():
+        assert res.precondition.eval({"x": x}) == ((x,) in starts), x
+
+
+def _summary_calls(p, monkeypatch) -> list[tuple[str, str]]:
+    """The (source, target) of each ``_summary`` call of a warm
+    ``nt_program(p)``."""
+    nt_program(p)
+    calls = []
+    real = program_module._summary
+
+    def spy(program, q_in, q_out, budgets):
+        calls.append((q_in, q_out))
+        return real(program, q_in, q_out, budgets)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(program_module, "_summary", spy)
+        nt_program(p)
+    return calls
+
+
+def test_nt_program_pulls_back_only_a_nonempty_wnt(monkeypatch):
+    # the one-phase ramp's loop at l1 terminates: only l2's WNT y == y0 is
+    # pulled back
+    p = parse_program(perfbench_gen().ramp_program(random.Random(7), 1)["text"])
+    assert _summary_calls(p, monkeypatch) == [("l0", "l2")]
+
+
+def test_nt_program_computes_each_summary_once(monkeypatch, branching):
+    # at the initial state the transition invariant P+(l1, l1) is also the
+    # summary the WNT is pulled back through
+    assert _summary_calls(branching, monkeypatch) == [("l1", "l1")]
+
+
 # -- composition through the closed member matrices ---------------------------
 
 
@@ -871,15 +928,6 @@ def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width
     assert fell >= 3, fell
 
 
-def _perfbench_gen():
-    """The benchmark's request generators, ``perfbench/gen.py``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def _branching(step: int) -> str:
     return BRANCHING_PROGRAM.replace("x' == x - 1", f"x' == x - {step}")
 
@@ -906,7 +954,7 @@ def _loop_sets(programs) -> list[tuple]:
 def test_generator_saturation_matches_all_pairs():
     programs = [(_branching(step), "l1") for step in (1, 2, 3, 4)]
     programs += [(TWO_PHASE_PROGRAM, "l2"),
-                 (_perfbench_gen().ramp_program(random.Random(3), 3)["text"], "l1")]
+                 (perfbench_gen().ramp_program(random.Random(3), 3)["text"], "l1")]
     loop_sets = _loop_sets(programs)
     assert len(loop_sets) >= 8 and max(len(loops) for loops, *_ in loop_sets) == 6
     for args in loop_sets:
@@ -935,7 +983,7 @@ def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
     from octoterm.octagon import oct_meet_raw, tight_close
     from octoterm.program import _compose_members, _member_param_matrix, _normalize_member
 
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     texts = [r["text"] for seed in (5, 6) for r in gen.make_requests("programs", seed, 1)]
     texts += [_branching(2), _branching(3)]
     seen, closed, current = [], set(), []
@@ -987,7 +1035,7 @@ def test_composed_members_pass_the_member_lp():
         for a in members:
             for b in members:
                 spy(a, b)
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     _clear_memos()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(program_module, "compose_members", spy)
