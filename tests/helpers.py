@@ -54,6 +54,16 @@ PERIODIC_ATOMS = [
 ]
 
 
+def clear_memos():
+    """Empty every memo of ``program`` and ``presburger``."""
+    from octoterm import presburger, program
+
+    for module in (program, presburger):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
 def perfbench_gen():
     """The benchmark's request generators, ``perfbench/gen.py``."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"

@@ -19,6 +19,7 @@ from octoterm.program import nt_program, parse_program, transitive_relation
 from helpers import (
     BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
+    clear_memos,
     perfbench_gen,
     reference_eliminate_all,
 )
@@ -468,13 +469,6 @@ def test_eliminate_all_matches_normalizing_on_entry(monkeypatch):
     assert split >= 10 and min(built.values()) >= 20, (split, built)
 
 
-def _clear_memos():
-    for module in (program_module, presburger):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
 def test_program_eliminations_match_normalizing_on_entry(monkeypatch):
     # every elimination of member_cases, _image and _compose_members on the
     # `programs` requests of seeds 5-6
@@ -485,14 +479,14 @@ def test_program_eliminations_match_normalizing_on_entry(monkeypatch):
         return eliminate_all(conj, targets, nonneg)
 
     gen = perfbench_gen()
-    _clear_memos()
+    clear_memos()
     monkeypatch.setattr(program_module, "eliminate_all", spy)
     for seed in (5, 6):
         for r in gen.make_requests("programs", seed, 1):
             p = parse_program(r["text"])
             nt_program(p)
             transitive_relation(p, r["head"], r["head"])
-    _clear_memos()
+    clear_memos()
     assert len(calls) >= 100, len(calls)
     for conj, targets, nonneg in calls:
         want = reference_eliminate_all(conj, targets, nonneg)

@@ -29,6 +29,7 @@ from octoterm.program import (
 from helpers import (
     BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
+    clear_memos,
     eliminate_params,
     perfbench_gen,
     reach_set,
@@ -409,13 +410,6 @@ l1 -> l2 : x < 0 && id(x, y);
 """
 
 
-def _clear_memos():
-    for module in (program_module, presburger_module):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
 @pytest.mark.parametrize(
     "text, head",
     [
@@ -443,7 +437,7 @@ def test_memo_tables_do_not_change_results(text, head):
     # out the budgets would hand it their summaries
     warm = [analyze(b) for b in budgets]
     for b, want in zip(budgets, warm):
-        _clear_memos()
+        clear_memos()
         assert analyze(b) == want
     for _, *summaries in warm:
         for members, _ in summaries:
@@ -819,7 +813,7 @@ def test_composition_closes_each_member_once(monkeypatch):
         return real(m, pivots)
 
     monkeypatch.setattr(program_module, "param_fw", spy)
-    _clear_memos()
+    clear_memos()
     x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
     p = LinTerm.var("_p0")
     a = LinRel(("x", "y"), Conj.make([(x1 - x - p, LE), (x - x1 + p, LE),
@@ -852,7 +846,7 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
                         spy("conj_poly", presburger_module.conj_poly))
     monkeypatch.setattr(linarith.PolyhedronLP, "__init__",
                         spy("PolyhedronLP", linarith.PolyhedronLP.__init__))
-    _clear_memos()
+    clear_memos()
     x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
     b = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - x, LE), (y1 - y - 1, LE)]))
     c = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - x1, LE)]))
@@ -910,8 +904,8 @@ def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width
     rng = random.Random(101 + n)
     members = _random_members(rng, n)
     monkeypatch.setattr(pdbm, "MAX_ANTICHAIN", 1)
-    _clear_memos()
-    request.addfinalizer(_clear_memos)  # the capped closures stay out of the memos
+    clear_memos()
+    request.addfinalizer(clear_memos)  # the capped closures stay out of the memos
     names = ["x", "y"][:n]
     names += [v + "'" for v in names]
     box = [dict(zip(names, pt))
@@ -1004,7 +998,7 @@ def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
 
     monkeypatch.setattr(program_module, "_compose_param_oct", compose_spy)
     monkeypatch.setattr(program_module, "param_fw", fw_spy)
-    _clear_memos()
+    clear_memos()
     for text in texts:
         nt_program(parse_program(text))
     refuted = 0
@@ -1036,13 +1030,13 @@ def test_composed_members_pass_the_member_lp():
             for b in members:
                 spy(a, b)
     gen = perfbench_gen()
-    _clear_memos()
+    clear_memos()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(program_module, "compose_members", spy)
         for seed in (5, 6):
             for r in gen.make_requests("programs", seed, 1):
                 nt_program(parse_program(r["text"]))
-    _clear_memos()
+    clear_memos()
     checked = list(dict.fromkeys(checked))
     for m in checked:
         conj = Conj.make(m.system().rows)
@@ -1106,7 +1100,7 @@ def _record_entries(monkeypatch):
         return m
 
     monkeypatch.setattr(program_module, "_member_from_entries", spy)
-    _clear_memos()
+    clear_memos()
     return calls
 
 
