@@ -459,13 +459,17 @@ def sufficient_termination(rel: AffineRel, names: list[str] | None = None) -> Dn
     For each guard row and residue, the row value after kL+r steps is a
     polynomial in k with coefficients linear in the start state; any state
     making the leading surviving coefficient negative (all higher ones
-    zero) violates the guard eventually and therefore terminates.
+    zero) violates the guard eventually and therefore terminates.  An
+    empty guard takes no step, so every state terminates.
     """
     a_h, c_h = homogenize(rel)
     closed = poly_matrix_power(a_h)
     n_h = rel.n_vars + 1
     if names is None:
         names = [f"x{i}" for i in range(rel.n_vars)]
+    guard = Conj.make((LinTerm({v: -ci for v, ci in zip(names, c)}, d), LE) for c, d in rel.guard)
+    if guard is None or not guard.rationally_feasible():
+        return Dnf([Conj.make([])])
     dnf = Dnf()
 
     for c_row in c_h:

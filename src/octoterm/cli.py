@@ -19,29 +19,26 @@ import os
 import sys
 
 from .affine import (
-    AffineRel,
     NotPolynomiallyBounded,
     finite_monoid_wnt,
     is_finite_monoid,
     is_polynomially_bounded,
-    mat,
     sufficient_termination,
 )
 from .closure import kleene_pre_sequence, reflexive_transitive_closure
-from .dbm import INF
 from .grammar import (
     FragmentError,
     ParseError,
     _tokenize,
+    as_affine,
     div_str,
     parse_formula,
+    parse_rows,
     row_str,
     terms_str,
 )
 from .linarith import LinTerm
-from .octagon import (
-    Octagon, oct_decode, oct_encode, oct_eq, oct_exists, relation_names, tight_close,
-)
+from .octagon import Octagon, oct_decode, oct_encode, oct_eq, relation_names, tight_close
 from .presburger import Conj, Dnf
 from .program import (
     Budgets,
@@ -50,7 +47,6 @@ from .program import (
     nt_program,
     parse_program,
     is_flat,
-    Flat,
 )
 from .ranking import NotWellFounded, prove_termination
 from .term_oct import fast_power, var_names, wnt
@@ -252,19 +248,12 @@ def _read_input(arg: str) -> str:
 def cmd_affine(args) -> int:
     text = _read_input(args.input)
     variables = _collect_vars(text)
-    disjuncts = parse_formula(text, variables)
-    rels = []
-    for d in disjuncts:
-        if isinstance(d, AffineRel):
-            rels.append(d)
-        else:
-            conv = _octagon_to_affine(d, len(variables))
-            if conv is None:
-                raise FragmentError("relation is not a deterministic affine update")
-            rels.append(conv)
-    if len(rels) != 1:
+    dnf = parse_rows(text, variables)
+    if len(dnf) != 1:
         raise FragmentError("affine analyses need a conjunctive relation")
-    rel = rels[0]
+    rel = as_affine(dnf[0], variables)
+    if rel is None:
+        raise FragmentError("relation is not a deterministic affine update")
     if args.subcommand == "check":
         fm = is_finite_monoid(rel.a)
         pb = is_polynomially_bounded(rel.a)
@@ -290,65 +279,16 @@ def cmd_affine(args) -> int:
     raise AssertionError(args.subcommand)
 
 
-def _octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
-    """Deterministic octagonal relations (x' = +-x + c per variable) convert.
-
-    The update rows come from the tight closure, or from the encoded
-    relation when its guard is unsatisfiable; the guard is then the empty
-    set (the single row 0 >= 1).
-    """
-    closed = tight_close(o)
-    src = o if closed.is_bottom else closed
-    if src.is_bottom:
-        return None
-    rows = src.dbm.rows
-    a = []
-    b = []
-    for i in range(n):
-        # x'_i - x_j == c for some j with both bounds finite
-        found = None
-        pi = 2 * (n + i)
-        for j in range(n):
-            up = rows[pi][2 * j]
-            dn = rows[2 * j][pi]
-            if up != INF and dn != INF and up == -dn:
-                found = (j, 1, up)
-                break
-            up2 = rows[pi][2 * j + 1]
-            dn2 = rows[2 * j + 1][pi]
-            if up2 != INF and dn2 != INF and up2 == -dn2:
-                found = (j, -1, up2)
-                break
-        if found is None:
-            return None
-        j, s, c = found
-        row = [0] * n
-        row[j] = s
-        a.append(tuple(row))
-        b.append(c)
-    if closed.is_bottom:
-        return AffineRel(n, mat(a), tuple(b), (((0,) * n, 1),))
-    guard = []
-    proj = oct_exists(closed, range(n, 2 * n))
-    for si, i, sj, j, c in oct_decode(proj):
-        gr = [0] * n
-        gr[i] -= si
-        gr[j] -= sj
-        guard.append((tuple(gr), -c))
-    return AffineRel(n, mat(a), tuple(b), tuple(guard))
-
-
 def cmd_prog(args) -> int:
     program = parse_program(_read_input(args.input))
     budgets = Budgets(args.max_prefix, args.max_period, args.max_disjuncts)
     names = list(program.variables)
     if args.subcommand == "flat":
         res = is_flat(program)
-        flat = isinstance(res, Flat)
-        payload = {"flat": flat}
-        if not flat:
+        payload = {"flat": bool(res)}
+        if not res:
             payload["reason"] = res.reason
-        _emit(args, payload, "flat" if flat else f"not flat: {res.reason}")
+        _emit(args, payload, "flat" if res else f"not flat: {res.reason}")
         return EXIT_OK
     if args.subcommand == "summary":
         for state in (args.source, args.target):

@@ -14,9 +14,12 @@ time.  A program file is
     init l1;
     l1 -> l2 : <formula>;
 
-with ``#`` or ``//`` line comments.  Each disjunct of a parsed formula is
-classified as an octagonal relation when every atom fits ``+-u +-v <= c``
-and as a deterministic affine update with linear guard otherwise; labels
+with ``#`` or ``//`` line comments.  A formula is parsed once, straight
+into its DNF: a list of disjuncts, each a list of rows ``(t, rel)`` read
+``t <= 0``, ``t == 0`` or, for ``rel == "%m"``, ``m | t`` (``parse_rows``).
+Each disjunct of a label is classified once (``_classify``): as an
+octagonal relation when every row fits ``+-u +-v <= c``, else as a
+deterministic affine update with linear guard (``as_affine``); labels
 outside both fragments are rejected.
 """
 
@@ -74,7 +77,7 @@ def _tokenize(text: str) -> list[_Tok]:
     return out
 
 
-# formula AST: ("atom", rows) | ("and", a, b) | ("or", a, b)
+Row = tuple[LinTerm, str]
 
 
 class _Parser:
@@ -119,21 +122,23 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def formula(self):
-        node = self.conjunction()
+    def formula(self) -> list[list[Row]]:
+        """The formula's DNF, disjuncts in the order the text distributes."""
+        dnf = self.conjunction()
         while self.at_op("||"):
             self.take("||")
-            node = ("or", node, self.conjunction())
-        return node
+            dnf = dnf + self.conjunction()
+        return dnf
 
-    def conjunction(self):
-        node = self.atom_or_group()
+    def conjunction(self) -> list[list[Row]]:
+        dnf = self.atom_or_group()
         while self.at_op("&&"):
             self.take("&&")
-            node = ("and", node, self.atom_or_group())
-        return node
+            right = self.atom_or_group()
+            dnf = [a + b for a in dnf for b in right]
+        return dnf
 
-    def atom_or_group(self):
+    def atom_or_group(self) -> list[list[Row]]:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of formula", *self.where(None))
@@ -142,21 +147,19 @@ class _Parser:
             save = self.i
             self.take("(")
             try:
-                node = self.formula()
+                dnf = self.formula()
                 self.take(")")
-                return node
+                return dnf
             except ParseError:
                 self.i = save
         if t.kind == "name" and t.text == "id":
-            return self.id_macro()
+            return [self.id_macro()]
         if t.kind == "name" and t.text in ("true", "false"):
             self.take()
-            if t.text == "true":
-                return ("atom", [])
-            return ("atom", [(LinTerm({}, 1), LE)])
+            return [[] if t.text == "true" else [(LinTerm({}, 1), LE)]]
         return self.atom()
 
-    def id_macro(self):
+    def id_macro(self) -> list[Row]:
         self.take("id")
         self.take("(")
         rows = []
@@ -170,9 +173,9 @@ class _Parser:
                 continue
             break
         self.take(")")
-        return ("atom", rows)
+        return rows
 
-    def atom(self):
+    def atom(self) -> list[list[Row]]:
         lhs = self.expr()
         if self.at_op("%"):
             # divisibility atom: <expr> % m == r
@@ -180,7 +183,7 @@ class _Parser:
             m = int(self.take(kind="int").text)
             self.take("==")
             r = int(self.take(kind="int").text)
-            return ("atom", [(lhs - r, f"%{m}")])
+            return [[(lhs - r, f"%{m}")]]
         t = self.peek()
         if t is None or t.kind != "op" or t.text not in ("<=", ">=", "<", ">", "==", "!="):
             raise ParseError("expected comparison operator", *self.where(t))
@@ -190,17 +193,17 @@ class _Parser:
         if self.at_op("%"):
             raise ParseError("'%' only allowed as '<expr> % m == r'", *self.where(self.peek()))
         if op == "<=":
-            return ("atom", [(d, LE)])
+            return [[(d, LE)]]
         if op == ">=":
-            return ("atom", [(-d, LE)])
+            return [[(-d, LE)]]
         if op == "<":
-            return ("atom", [(d + 1, LE)])
+            return [[(d + 1, LE)]]
         if op == ">":
-            return ("atom", [(-d + 1, LE)])
+            return [[(-d + 1, LE)]]
         if op == "==":
-            return ("atom", [(d, EQ)])
+            return [[(d, EQ)]]
         # over the integers: d <= -1 or d >= 1
-        return ("or", ("atom", [(d + 1, LE)]), ("atom", [(-d + 1, LE)]))
+        return [[(d + 1, LE)], [(-d + 1, LE)]]
 
     def expr(self) -> LinTerm:
         term = self.signed_term()
@@ -264,23 +267,13 @@ def _check_reserved(name: str, tok: _Tok) -> None:
         )
 
 
-def _dnf(node) -> list[list[tuple[LinTerm, str]]]:
-    if node[0] == "atom":
-        return [list(node[1])]
-    if node[0] == "or":
-        return _dnf(node[1]) + _dnf(node[2])
-    left = _dnf(node[1])
-    right = _dnf(node[2])
-    return [a + b for a in left for b in right]
-
-
 # -- classification ---------------------------------------------------------
 
 
 Disjunct = Octagon | AffineRel
 
 
-def _as_octagon(rows, variables: list[str]) -> Octagon | None:
+def _as_octagon(rows: list[Row], variables: list[str]) -> Octagon | None:
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
     index.update({v + "'": n + i for i, v in enumerate(variables)})
@@ -297,20 +290,18 @@ def _as_octagon(rows, variables: list[str]) -> Octagon | None:
     atoms = rows_to_atoms(varying, index)
     if atoms is None:
         return None
-    if empty and not atoms:
-        return bottom(2 * n)
-    o = oct_encode(atoms, 2 * n)
-    if empty:
-        # keep the other atoms (the update rows) readable and mark the guard
-        # empty: a negative diagonal entry makes every closure bottom
-        o.dbm.rows[0][0] = -1
-    return o
+    return bottom(2 * n) if empty else oct_encode(atoms, 2 * n)
 
 
-def _as_affine(rows, variables: list[str]) -> AffineRel | None:
+def as_affine(rows: list[Row], variables: list[str]) -> AffineRel | None:
+    """The disjunct as a deterministic affine update with a linear guard,
+    or None.  Each variable's update is read as written: a row
+    ``x' == e``, ``id(x)``, or two opposite inequalities ``x' <= e`` and
+    ``x' >= e``.  The rows without a primed variable make the guard."""
     n = len(variables)
     updates: dict[str, LinTerm] = {}
     guard_rows = []
+    bounds = {t for t, rel in rows if rel == LE}
     for t, rel in rows:
         if rel.startswith("%"):
             return None
@@ -322,6 +313,8 @@ def _as_affine(rows, variables: list[str]) -> AffineRel | None:
             else:
                 guard_rows.append((t, LE))
             continue
+        if rel == LE and -t in bounds:
+            rel = EQ
         if rel != EQ or len(primed) != 1:
             return None
         p = primed[0]
@@ -329,10 +322,8 @@ def _as_affine(rows, variables: list[str]) -> AffineRel | None:
         if abs(c) != 1:
             return None
         rest = (t - LinTerm({p: c})) * -c
-        base = p[:-1]
-        if base in updates:
+        if updates.setdefault(p[:-1], rest) != rest:
             return None
-        updates[base] = rest
     if set(updates) != set(variables):
         return None
     a = []
@@ -350,16 +341,36 @@ def _as_affine(rows, variables: list[str]) -> AffineRel | None:
     return AffineRel(n, mat(a), tuple(b), tuple(guard))
 
 
+def _classify(rows: list[Row], variables: list[str]) -> Disjunct:
+    """The disjunct as an octagonal relation, else as an affine update."""
+    d = _as_octagon(rows, variables)
+    if d is None:
+        d = as_affine(rows, variables)
+    if d is None:
+        raise FragmentError(
+            "disjunct is neither octagonal nor a deterministic affine update: "
+            + "; ".join(div_str(t, int(rel[1:])) if rel.startswith("%") else row_str(t, rel)
+                        for t, rel in rows)
+        )
+    return d
+
+
+def parse_rows(text: str, variables: list[str]) -> list[list[Row]]:
+    """Tokenize and parse a formula into its DNF: one list of rows per
+    disjunct."""
+    p = _Parser(_tokenize(text), variables)
+    dnf = p.formula()
+    p.finish()
+    return dnf
+
+
 def parse_formula(text: str, variables: list[str]) -> list[Disjunct]:
     """Parse into a DNF of octagonal / affine disjuncts.
 
     Unmentioned primed variables are unconstrained (havoc) in octagonal
     disjuncts; affine disjuncts must update every variable.
     """
-    p = _Parser(_tokenize(text), variables)
-    node = p.formula()
-    p.finish()
-    return _labels(node, variables)
+    return [_classify(rows, variables) for rows in parse_rows(text, variables)]
 
 
 def _coef_str(c: int, v: str) -> str:
@@ -396,44 +407,16 @@ def div_str(t: LinTerm, modulus: int) -> str:
     return f"{terms_str(t)} % {modulus} == {r}"
 
 
-def _labels(node, variables: list[str]) -> list[Disjunct]:
-    """Classify each disjunct of a parsed formula as octagonal or affine."""
-    out: list[Disjunct] = []
-    for rows in _dnf(node):
-        o = _as_octagon(rows, variables)
-        if o is not None:
-            out.append(o)
-            continue
-        a = _as_affine(rows, variables)
-        if a is not None:
-            out.append(a)
-            continue
-        raise FragmentError(
-            "disjunct is neither octagonal nor a deterministic affine update: "
-            + "; ".join(div_str(t, int(rel[1:])) if rel.startswith("%") else row_str(t, rel)
-                        for t, rel in rows)
-        )
-    return out
-
-
 def parse_condition(text: str, variables: list[str]):
     """Parse a state formula into DNF of (rows, divisibility) pairs.
 
     Unlike transition labels, conditions admit arbitrary linear atoms and
     divisibility atoms ``expr % m == r``.
     """
-    p = _Parser(_tokenize(text), variables)
-    node = p.formula()
-    p.finish()
     out = []
-    for rows in _dnf(node):
-        plain = []
-        divs = []
-        for t, rel in rows:
-            if rel.startswith("%"):
-                divs.append((int(rel[1:]), t))
-            else:
-                plain.append((t, rel))
+    for rows in parse_rows(text, variables):
+        plain = [(t, rel) for t, rel in rows if not rel.startswith("%")]
+        divs = [(int(rel[1:]), t) for t, rel in rows if rel.startswith("%")]
         out.append((plain, divs))
     return out
 
@@ -472,7 +455,7 @@ def parse_program_text(text: str) -> ProgramText:
         p.take("->")
         dst = p.take(kind="name").text
         p.take(":")
-        node = p.formula()
+        label = tuple(_classify(rows, p.vars) for rows in p.formula())
         p.take(";")
-        transitions.append((src, dst, tuple(_labels(node, p.vars))))
+        transitions.append((src, dst, label))
     return ProgramText(tuple(p.vars), init, tuple(transitions))

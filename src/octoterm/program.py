@@ -529,6 +529,9 @@ class Flat(NamedTuple):
 class NotFlat(NamedTuple):
     reason: str
 
+    def __bool__(self) -> bool:
+        return False  # a one-field tuple is truthy; a negative verdict is not
+
 
 def _cycle_relation(p: Program, cycle: list[Transition]) -> list[LinRel]:
     """Composition of the labels around a cycle, as summary members."""
@@ -855,7 +858,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     variables = p.variables
     n = len(variables)
     cycles = elementary_cycles(p)
-    flat = isinstance(is_flat(p), Flat)
+    flat = bool(is_flat(p))
     result = Dnf()
     per_state = []
     exact = True

@@ -12,6 +12,7 @@ from operator import mul
 from pathlib import Path
 from typing import Sequence
 
+from octoterm.affine import AffineRel, mat
 from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
 from octoterm.octagon import (
@@ -20,8 +21,10 @@ from octoterm.octagon import (
     halving_consistent,
     lift_set_to_relation,
     oct_compose,
+    oct_decode,
     oct_encode,
     oct_eq,
+    oct_exists,
     oct_leq,
     oct_meet_raw,
     pre_image_set,
@@ -806,3 +809,54 @@ def random_poly_bounded_matrix(rng: random.Random, n: int):
         for row in m:
             row[q] -= e * row[p]
     return tuple(tuple(row) for row in m)
+
+
+def reference_octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
+    """The affine reading of a deterministic octagonal relation (x' = +-x + c
+    per variable), decoded from its DBM: the reference for
+    ``grammar.as_affine``, which reads the rows as written.
+
+    The update rows come from the tight closure, or from the encoded
+    relation when its guard is unsatisfiable; the guard is then the empty
+    set (the single row 0 >= 1).  Otherwise the guard is the closure's
+    projection onto the unprimed variables.
+    """
+    closed = tight_close(o)
+    src = o if closed.is_bottom else closed
+    if src.is_bottom:
+        return None
+    rows = src.dbm.rows
+    a = []
+    b = []
+    for i in range(n):
+        # x'_i - x_j == c for some j with both bounds finite
+        found = None
+        pi = 2 * (n + i)
+        for j in range(n):
+            up = rows[pi][2 * j]
+            dn = rows[2 * j][pi]
+            if up != INF and dn != INF and up == -dn:
+                found = (j, 1, up)
+                break
+            up2 = rows[pi][2 * j + 1]
+            dn2 = rows[2 * j + 1][pi]
+            if up2 != INF and dn2 != INF and up2 == -dn2:
+                found = (j, -1, up2)
+                break
+        if found is None:
+            return None
+        j, s, c = found
+        row = [0] * n
+        row[j] = s
+        a.append(tuple(row))
+        b.append(c)
+    if closed.is_bottom:
+        return AffineRel(n, mat(a), tuple(b), (((0,) * n, 1),))
+    guard = []
+    proj = oct_exists(closed, range(n, 2 * n))
+    for si, i, sj, j, c in oct_decode(proj):
+        gr = [0] * n
+        gr[i] -= si
+        gr[j] -= sj
+        guard.append((tuple(gr), -c))
+    return AffineRel(n, mat(a), tuple(b), tuple(guard))

@@ -1,6 +1,7 @@
 import random
 import signal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -23,6 +24,8 @@ from octoterm.affine import (
     trajectory_offsets,
     _unity_order,
 )
+from octoterm.grammar import as_affine, parse_rows
+from octoterm.presburger import Conj, Dnf
 
 from helpers import (
     random_poly_bounded_matrix,
@@ -328,3 +331,26 @@ def test_char_poly_against_determinant():
             ]
             val = sum(c * x ** d for d, c in enumerate(got))
             assert val == _det(m)
+
+
+def _runs(rel: AffineRel, point, steps: int) -> bool:
+    """Whether the loop takes ``steps`` steps from ``point``."""
+    for _ in range(steps):
+        if not rel.guard_holds(point):
+            return False
+        point = rel.apply(point)
+    return True
+
+
+def test_an_empty_guard_terminates_everywhere():
+    # the seed-35 draw of the benchmark's loops workload: x1 - x0 >= 0 and
+    # x0 - x1 >= 2 have no common point, yet its per-row conditions covered
+    # the space with four disjuncts
+    seed35 = AffineRel(2, mat([[1, 1], [0, 1]]), (1, 0), (((-1, 1), 0), ((1, -1), 2)))
+    (rows,) = parse_rows("x' == -x && y' == y && x >= 1 && x <= 0", ["x", "y"])
+    flip = as_affine(rows, ["x", "y"])
+    for rel in (seed35, flip):
+        dnf = sufficient_termination(rel)
+        assert dnf == Dnf([Conj.make([])])
+        for p in product(range(-6, 7), repeat=rel.n_vars):
+            assert dnf.eval(dict(zip(["x0", "x1"], p))) and not _runs(rel, p, 1)

@@ -1,14 +1,27 @@
+import random
+from itertools import product
+
 import pytest
 
-from octoterm.affine import AffineRel
+from octoterm.affine import (
+    AffineRel,
+    finite_monoid_wnt,
+    is_finite_monoid,
+    is_polynomially_bounded,
+    sufficient_termination,
+)
 from octoterm.grammar import (
     FragmentError,
     ParseError,
+    as_affine,
     parse_condition,
     parse_formula,
     parse_program_text,
+    parse_rows,
 )
 from octoterm.octagon import Octagon, oct_decode, oct_eq, tight_close
+
+from helpers import perfbench_gen, reference_octagon_to_affine
 
 
 def test_octagonal_atoms():
@@ -72,10 +85,9 @@ def test_true_false_literals():
     assert not tight_close(ds[0]).is_bottom
     ds = parse_formula("false", ["x"])
     assert ds[0].is_bottom
-    # a constant-false row keeps the other atoms, in either order
+    # a constant-false row empties an octagonal disjunct, in either order
     for text in ("x' == -x && 1 <= 0", "1 <= 0 && x' == -x"):
-        o = parse_formula(text, ["x"])[0]
-        assert not o.is_bottom and tight_close(o).is_bottom
+        assert parse_formula(text, ["x"])[0].is_bottom
     for text in ("x' == 2*x && 1 <= 0", "1 <= 0 && x' == 2*x"):
         assert isinstance(parse_formula(text, ["x"])[0], AffineRel)
 
@@ -156,3 +168,86 @@ def test_end_of_condition_reports_the_position():
     with pytest.raises(ParseError, match="end of expression") as err:
         parse_condition("x +", ["x"])
     assert (err.value.line, err.value.col) == (1, 4)
+
+
+def test_affine_reads_two_opposite_inequalities_as_one_update():
+    (rows,) = parse_rows("x' <= x + 1 && x' >= x + 1 && x >= 0", ["x"])
+    assert as_affine(rows, ["x"]) == AffineRel(1, ((1,),), (1,), (((1,), 0),))
+    # an update the rows only imply, through the guard, is not read
+    (rows,) = parse_rows("x' <= y && y <= x && x' >= x && y' == y", ["x", "y"])
+    assert as_affine(rows, ["x", "y"]) is None
+
+
+def _octagonal_update_text(rng: random.Random, names: list[str]) -> str:
+    """x_i' = +-x_j + c for each variable, some written as two opposite
+    inequalities, under 0-2 octagonal guard rows no two of which bound a
+    form from both sides (so the guard implies no equality between the
+    variables); a quarter of the guards are made empty."""
+    parts = []
+    for v in names:
+        e = f"{rng.choice(('', '-'))}{rng.choice(names)} + {rng.randint(-2, 2)}"
+        if rng.random() < 0.3:
+            parts += [f"{v}' <= {e}", f"{v}' >= {e}"]
+        else:
+            parts.append(f"{v}' == {e}")
+    forms = set()
+    for _ in range(rng.randint(0, 2)):
+        form = tuple(sorted((u, rng.choice((1, -1))) for u in
+                            rng.sample(names, rng.randint(1, min(2, len(names))))))
+        if tuple((u, -s) for u, s in form) in forms:
+            continue
+        forms.add(form)
+        lhs = " ".join(f"{'+' if s > 0 else '-'} {u}" for u, s in form)
+        parts.append(f"{lhs} <= {rng.randint(-2, 2)}")
+    if rng.random() < 0.25:
+        v, c = rng.choice(names), rng.randint(-2, 2)
+        parts += [f"{v} >= {c + 1}", f"{v} <= {c}"]
+    rng.shuffle(parts)
+    return " && ".join(parts)
+
+
+def _check_affine_reading(text: str, names: list[str]) -> None:
+    """``as_affine`` on the written rows against the reference decoder of
+    the encoded octagon: the same update, the same guard points on a box,
+    and the same WNT and sufficient termination sets there."""
+    (rows,) = parse_rows(text, names)
+    (o,) = parse_formula(text, names)
+    rel = as_affine(rows, names)
+    ref = reference_octagon_to_affine(o, len(names))
+    assert rel is not None and ref is not None, text
+    assert (rel.a, rel.b) == (ref.a, ref.b), text
+    box = list(product(range(-5, 6), repeat=len(names)))
+    assert [rel.guard_holds(p) for p in box] == [ref.guard_holds(p) for p in box], text
+    analyses = []
+    if is_finite_monoid(rel.a):
+        analyses.append(finite_monoid_wnt)
+    if is_polynomially_bounded(rel.a):
+        analyses.append(sufficient_termination)
+    for analysis in analyses:
+        got, want = analysis(rel, names), analysis(ref, names)
+        for p in box:
+            point = dict(zip(names, p))
+            assert got.eval(point) == want.eval(point), (text, analysis.__name__, p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_affine_reading_matches_the_octagon_decoder(seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        names = ["x", "y", "z"][:rng.randint(1, 3)]
+        _check_affine_reading(_octagonal_update_text(rng, names), names)
+
+
+def test_affine_reading_matches_the_octagon_decoder_on_the_cli_workload():
+    gen = perfbench_gen()
+    checked = 0
+    for seed in range(1, 21):
+        for req in gen.make_requests("cli", seed, 5):
+            if req["argv"][0] != "affine":
+                continue
+            text = req["argv"][2]
+            names = list(gen.NAMES[:req["ref"]["n"]])
+            if isinstance(parse_formula(text, names)[0], Octagon):
+                _check_affine_reading(text, names)
+                checked += 1
+    assert checked

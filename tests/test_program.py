@@ -93,6 +93,12 @@ def test_flatness(branching, two_phase):
     assert isinstance(is_flat(single), Flat)
 
 
+def test_flat_verdict_truth_value(branching, two_phase):
+    # a one-field NotFlat tuple was truthy: ``if is_flat(p)`` held for all p
+    assert not is_flat(branching)
+    assert is_flat(two_phase)
+
+
 def test_elementary_cycles(branching):
     cycles = elementary_cycles(branching)
     assert len(cycles) == 3
