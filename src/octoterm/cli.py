@@ -29,6 +29,7 @@ from .closure import kleene_pre_sequence, reflexive_transitive_closure
 from .grammar import (
     FragmentError,
     ParseError,
+    _NAME_START,
     _tokenize,
     as_affine,
     div_str,
@@ -60,7 +61,7 @@ EXIT_BUDGET = 4
 def _collect_vars(text: str) -> list[str]:
     """The names the grammar's lexer reads, unprimed and sorted; words in
     comments are not names."""
-    names = {t.text.rstrip("'") for t in _tokenize(text) if t.kind == "name"}
+    names = {t.rstrip("'") for t in _tokenize(text)[0] if t[:1] in _NAME_START}
     return sorted(names - {"id", "true", "false"})
 
 

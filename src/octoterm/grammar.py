@@ -14,9 +14,14 @@ time.  A program file is
     init l1;
     l1 -> l2 : <formula>;
 
-with ``#`` or ``//`` line comments.  A formula is parsed once, straight
-into its DNF: a list of disjuncts, each a list of rows ``(t, rel)`` read
-``t <= 0``, ``t == 0`` or, for ``rel == "%m"``, ``m | t`` (``parse_rows``).
+with ``#`` or ``//`` line comments.  A text is lexed in one pass of one
+pattern into token texts and offsets (``_tokenize``); a line and column
+are computed from an offset only when a ``ParseError`` is built.  A
+formula is parsed once, straight into its DNF: a list of disjuncts, each
+a list of rows ``(t, rel)`` read ``t <= 0``, ``t == 0`` or, for
+``rel == "%m"``, ``m | t`` (``parse_rows``).  Each atom adds the signed
+coefficients of both sides into one dict and builds each of its rows
+from it once.
 Each disjunct of a label is classified once (``_classify``): as an
 octagonal relation when every row fits ``+-u +-v <= c``, else as a
 deterministic affine update with linear guard (``as_affine``); labels
@@ -45,118 +50,127 @@ class FragmentError(ValueError):
     """Formula parses but is neither octagonal nor affine."""
 
 
+# One pattern lexes a whole text.  A comment runs to the end of its line, and
+# a line ends wherever ``str.splitlines`` ends one; any other non-blank
+# character that starts no token is a bad token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*'?)"
-    r"|(?P<op><=|>=|==|!=|->|&&|\|\||[-+*<>(),;:%]))"
+    r"(?:#|//)[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*"
+    r"|(\d+|[A-Za-z_][A-Za-z_0-9]*'?|<=|>=|==|!=|->|&&|\|\||[-+*<>(),;:%])"
+    r"|(\S)"
 )
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_COMPARE = frozenset(("<=", ">=", "<", ">", "==", "!="))
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+def _where(text: str, offset: int) -> tuple[int, int]:
+    """Line and column (from 1) of ``text[offset]``."""
+    lines = (text[:offset] + "_").splitlines()
+    return len(lines), len(lines[-1])
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = re.split(r"#|//", line, maxsplit=1)[0]
-        pos = 0
-        while pos < len(body):
-            m = _TOKEN_RE.match(body, pos)
-            if m is None or m.end() == pos:
-                if body[pos:].strip():
-                    raise ParseError(f"bad token {body[pos:].strip()[:10]!r}", lineno, pos + 1)
-                break
-            pos = m.end()
-            for kind in ("int", "name", "op"):
-                if m.group(kind) is not None:
-                    out.append(_Tok(kind, m.group(kind), lineno, m.start(kind) + 1))
-                    break
-    return out
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """Token texts and their offsets, then the sentinel ``""`` at the end
+    of the last token (offset 0 when there is none)."""
+    texts = []
+    offsets = []
+    bad = None
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if k == 1:
+            texts.append(m[1])
+            offsets.append(m.start())
+        elif k == 2:
+            bad = m.start()
+            break
+    end = offsets[-1] + len(texts[-1]) if texts else 0
+    if bad is not None:
+        # reported from the end of the last token on its line (else from the
+        # line's start), up to a comment
+        _, col = _where(text, bad)
+        at = max(bad - col + 1, end)
+        body = re.split(r"#|//", text[at:].splitlines()[0], maxsplit=1)[0]
+        raise ParseError(f"bad token {body.strip()[:10]!r}", *_where(text, at))
+    texts.append("")
+    offsets.append(end)
+    return texts, offsets
 
 
 Row = tuple[LinTerm, str]
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], variables: list[str]):
-        self.toks = toks
+    """Recursive descent over the token texts; ``toks[i] == ""`` at the end."""
+
+    def __init__(self, text: str, variables: list[str]):
+        self.text = text
+        self.toks, self.offsets = _tokenize(text)
         self.i = 0
         self.vars = variables
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """The error at token ``at`` (by default the current one)."""
+        return ParseError(message, *_where(self.text, self.offsets[self.i if at is None else at]))
 
-    def where(self, t: _Tok | None) -> tuple[int, int]:
-        """Line and column of t; for t None (the input ended), just past the
-        last token, or line 1, column 1 when there is none."""
-        if t is not None:
-            return t.line, t.col
-        if not self.toks:
-            return 1, 1
-        last = self.toks[-1]
-        return last.line, last.col + len(last.text)
-
-    def take(self, text: str | None = None, kind: str | None = None) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"unexpected end of input (wanted {text or kind})",
-                             *self.where(None))
-        if text is not None and t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        if kind is not None and t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text!r}", t.line, t.col)
+    def take(self, text: str) -> None:
+        tok = self.toks[self.i]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}" if tok
+                             else f"unexpected end of input (wanted {text})")
         self.i += 1
-        return t
+
+    def take_kind(self, kind: str) -> str:
+        """The current token, which must be a name or an int."""
+        tok = self.toks[self.i]
+        if not tok:
+            raise self.error(f"unexpected end of input (wanted {kind})")
+        ok = tok[0] in _NAME_START if kind == "name" else tok[0].isdecimal()
+        if not ok:
+            raise self.error(f"expected {kind}, found {tok!r}")
+        self.i += 1
+        return tok
 
     def finish(self) -> None:
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-
-    def at_op(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "op" and t.text == text
+        tok = self.toks[self.i]
+        if tok:
+            raise self.error(f"trailing input {tok!r}")
 
     # -- formulas -----------------------------------------------------------
 
     def formula(self) -> list[list[Row]]:
         """The formula's DNF, disjuncts in the order the text distributes."""
         dnf = self.conjunction()
-        while self.at_op("||"):
-            self.take("||")
-            dnf = dnf + self.conjunction()
+        while self.toks[self.i] == "||":
+            self.i += 1
+            dnf += self.conjunction()
         return dnf
 
     def conjunction(self) -> list[list[Row]]:
         dnf = self.atom_or_group()
-        while self.at_op("&&"):
-            self.take("&&")
+        while self.toks[self.i] == "&&":
+            self.i += 1
             right = self.atom_or_group()
             dnf = [a + b for a in dnf for b in right]
         return dnf
 
     def atom_or_group(self) -> list[list[Row]]:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of formula", *self.where(None))
-        if self.at_op("("):
+        tok = self.toks[self.i]
+        if not tok:
+            raise self.error("unexpected end of formula")
+        if tok == "(":
             # could be a parenthesized formula; try it
             save = self.i
-            self.take("(")
+            self.i += 1
             try:
                 dnf = self.formula()
                 self.take(")")
                 return dnf
             except ParseError:
                 self.i = save
-        if t.kind == "name" and t.text == "id":
+        if tok == "id":
             return [self.id_macro()]
-        if t.kind == "name" and t.text in ("true", "false"):
-            self.take()
-            return [[] if t.text == "true" else [(LinTerm({}, 1), LE)]]
+        if tok == "true" or tok == "false":
+            self.i += 1
+            return [[] if tok == "true" else [(LinTerm({}, 1), LE)]]
         return self.atom()
 
     def id_macro(self) -> list[Row]:
@@ -164,107 +178,114 @@ class _Parser:
         self.take("(")
         rows = []
         while True:
-            tok = self.take(kind="name")
-            name = tok.text
-            self._check_var(name, tok)
+            name = self.take_kind("name")
+            self._check_var(name, self.i - 1)
             rows.append((LinTerm({name + "'": 1, name: -1}), EQ))
-            if self.at_op(","):
-                self.take(",")
-                continue
-            break
+            if self.toks[self.i] != ",":
+                break
+            self.i += 1
         self.take(")")
         return rows
 
     def atom(self) -> list[list[Row]]:
-        lhs = self.expr()
-        if self.at_op("%"):
+        """One comparison or divisibility atom; each of its rows is built
+        once, from the coefficients of lhs - rhs."""
+        coeffs: dict[str, int] = {}
+        const = self.expr(coeffs, 1)
+        op = self.toks[self.i]
+        if op == "%":
             # divisibility atom: <expr> % m == r
-            self.take("%")
-            m = int(self.take(kind="int").text)
+            self.i += 1
+            m = int(self.take_kind("int"))
             self.take("==")
-            r = int(self.take(kind="int").text)
-            return [[(lhs - r, f"%{m}")]]
-        t = self.peek()
-        if t is None or t.kind != "op" or t.text not in ("<=", ">=", "<", ">", "==", "!="):
-            raise ParseError("expected comparison operator", *self.where(t))
-        op = self.take().text
-        rhs = self.expr()
-        d = lhs - rhs
-        if self.at_op("%"):
-            raise ParseError("'%' only allowed as '<expr> % m == r'", *self.where(self.peek()))
+            r = int(self.take_kind("int"))
+            return [[(LinTerm(coeffs, const - r), f"%{m}")]]
+        if op not in _COMPARE:
+            raise self.error("expected comparison operator")
+        self.i += 1
+        const += self.expr(coeffs, -1)
+        if self.toks[self.i] == "%":
+            raise self.error("'%' only allowed as '<expr> % m == r'")
         if op == "<=":
-            return [[(d, LE)]]
-        if op == ">=":
-            return [[(-d, LE)]]
-        if op == "<":
-            return [[(d + 1, LE)]]
-        if op == ">":
-            return [[(-d + 1, LE)]]
+            return [[(LinTerm(coeffs, const), LE)]]
         if op == "==":
-            return [[(d, EQ)]]
+            return [[(LinTerm(coeffs, const), EQ)]]
+        if op == "<":
+            return [[(LinTerm(coeffs, const + 1), LE)]]
+        neg = {v: -c for v, c in coeffs.items()}
+        if op == ">=":
+            return [[(LinTerm(neg, -const), LE)]]
+        if op == ">":
+            return [[(LinTerm(neg, 1 - const), LE)]]
         # over the integers: d <= -1 or d >= 1
-        return [[(d + 1, LE)], [(-d + 1, LE)]]
+        return [[(LinTerm(coeffs, const + 1), LE)], [(LinTerm(neg, 1 - const), LE)]]
 
-    def expr(self) -> LinTerm:
-        term = self.signed_term()
+    def expr(self, coeffs: dict[str, int], sign: int) -> int:
+        """Add ``sign`` times the expression's coefficients into ``coeffs``
+        and return ``sign`` times its constant."""
+        const = self.signed_term(coeffs, sign)
+        toks = self.toks
         while True:
-            if self.at_op("+"):
-                self.take("+")
-                term = term + self.signed_term()
-            elif self.at_op("-"):
-                self.take("-")
-                term = term - self.signed_term()
+            tok = toks[self.i]
+            if tok == "+":
+                self.i += 1
+                const += self.signed_term(coeffs, sign)
+            elif tok == "-":
+                self.i += 1
+                const += self.signed_term(coeffs, -sign)
             else:
-                return term
+                return const
 
-    def signed_term(self) -> LinTerm:
-        sign = 1
-        while self.at_op("-") or self.at_op("+"):
-            if self.take().text == "-":
+    def signed_term(self, coeffs: dict[str, int], sign: int) -> int:
+        toks = self.toks
+        tok = toks[self.i]
+        while tok == "-" or tok == "+":
+            if tok == "-":
                 sign = -sign
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of expression", *self.where(None))
-        if t.kind == "int":
-            self.take()
-            value = int(t.text)
-            if self.at_op("*"):
-                self.take("*")
-                name = self.take(kind="name").text
-                self._check_var(name, t)
-                return LinTerm({name: sign * value})
-            # juxtaposition: 2x
-            nt = self.peek()
-            if nt is not None and nt.kind == "name":
-                self.take()
-                self._check_var(nt.text, nt)
-                return LinTerm({nt.text: sign * value})
-            return LinTerm({}, sign * value)
-        if t.kind == "name":
-            self.take()
-            self._check_var(t.text, t)
-            return LinTerm({t.text: sign})
-        if self.at_op("("):
-            self.take("(")
-            inner = self.expr()
+            self.i += 1
+            tok = toks[self.i]
+        if not tok:
+            raise self.error("unexpected end of expression")
+        at = self.i
+        self.i += 1
+        if tok[0] in _NAME_START:
+            self._check_var(tok, at)
+            coeffs[tok] = coeffs.get(tok, 0) + sign
+            return 0
+        if tok[0].isdecimal():
+            value = sign * int(tok)
+            if toks[self.i] == "*":
+                self.i += 1
+                name = self.take_kind("name")
+                self._check_var(name, at)
+            elif toks[self.i][:1] in _NAME_START:
+                # juxtaposition: 2x
+                name = toks[self.i]
+                self.i += 1
+                self._check_var(name, self.i - 1)
+            else:
+                return value
+            coeffs[name] = coeffs.get(name, 0) + value
+            return 0
+        if tok == "(":
+            const = self.expr(coeffs, sign)
             self.take(")")
-            return sign * inner
-        raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+            return const
+        raise self.error(f"unexpected token {tok!r}", at)
 
-    def _check_var(self, name: str, tok: _Tok) -> None:
+    def _check_var(self, name: str, at: int) -> None:
+        """Token ``at`` names ``name``, which must be a declared variable."""
         base = name[:-1] if name.endswith("'") else name
-        _check_reserved(base, tok)
+        self._check_reserved(base, at)
         if base not in self.vars:
-            raise ParseError(f"undeclared variable {base!r}", tok.line, tok.col)
+            raise self.error(f"undeclared variable {base!r}", at)
 
-
-def _check_reserved(name: str, tok: _Tok) -> None:
-    """Names starting with '_' are the analyses' own (parameters _p0, _p1,
-    ..., midpoints, split variables); a program variable may not take one."""
-    if name.startswith("_"):
-        raise ParseError(
-            f"variable {name!r} starts with '_', which is reserved", tok.line, tok.col
-        )
+    def _check_reserved(self, name: str, at: int) -> None:
+        """Names starting with '_' are the analyses' own (parameters _p0,
+        _p1, ..., midpoints, split variables); a program variable may not
+        take one."""
+        if name.startswith("_"):
+            raise self.error(f"variable {name!r} starts with '_', which is reserved", at)
 
 
 # -- classification ---------------------------------------------------------
@@ -356,9 +377,9 @@ def _classify(rows: list[Row], variables: list[str]) -> Disjunct:
 
 
 def parse_rows(text: str, variables: list[str]) -> list[list[Row]]:
-    """Tokenize and parse a formula into its DNF: one list of rows per
+    """Lex and parse a formula into its DNF: one list of rows per
     disjunct."""
-    p = _Parser(_tokenize(text), variables)
+    p = _Parser(text, variables)
     dnf = p.formula()
     p.finish()
     return dnf
@@ -433,27 +454,27 @@ def parse_program_text(text: str) -> ProgramText:
     Every formula is parsed from the file's own tokens, so an error in it
     reports its line and column in the file.
     """
-    p = _Parser(_tokenize(text), [])
+    p = _Parser(text, [])
 
     def declare() -> None:
-        t = p.take(kind="name")
-        _check_reserved(t.text, t)
-        p.vars.append(t.text)
+        name = p.take_kind("name")
+        p._check_reserved(name, p.i - 1)
+        p.vars.append(name)
 
     p.take("vars")
     declare()
-    while p.at_op(","):
-        p.take(",")
+    while p.toks[p.i] == ",":
+        p.i += 1
         declare()
     p.take(";")
     p.take("init")
-    init = p.take(kind="name").text
+    init = p.take_kind("name")
     p.take(";")
     transitions = []
-    while p.peek() is not None:
-        src = p.take(kind="name").text
+    while p.toks[p.i]:
+        src = p.take_kind("name")
         p.take("->")
-        dst = p.take(kind="name").text
+        dst = p.take_kind("name")
         p.take(":")
         label = tuple(_classify(rows, p.vars) for rows in p.formula())
         p.take(";")

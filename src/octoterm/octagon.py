@@ -35,7 +35,6 @@ from .dbm import (
     dbm_leq,
     dbm_min,
     dbm_project,
-    ext_min,
     fw_close,
 )
 from .linarith import LE, LinSys, LinTerm, PolyhedronLP, Row, term_of_pair
@@ -116,14 +115,17 @@ def row_atom(coeffs: Sequence[tuple[int, int]], bound):
 
 def rows_to_atoms(rows: Iterable[Row], index: dict[str, int]) -> list[OctAtom] | None:
     """Atoms of integer rows ``t <= 0`` / ``t == 0`` over the variables
-    numbered by ``index``; None when some row is not octagonal."""
+    numbered by ``index``; None when some row is not octagonal.  An ``==``
+    row also gives the atom of its negated pairs."""
     atoms = []
     for t, rel in rows:
-        for tt in (t,) if rel == LE else (t, -t):
-            atom = row_atom([(index[v], c) for v, c in tt.coeffs.items()], -tt.const)
-            if atom is None:
-                return None
-            atoms.append(atom)
+        pairs = [(index[v], c) for v, c in t.coeffs.items()]
+        atom = row_atom(pairs, -t.const)
+        if atom is None:
+            return None
+        atoms.append(atom)
+        if rel != LE:
+            atoms.append(row_atom([(i, -c) for i, c in pairs], t.const))
     return atoms
 
 
@@ -135,9 +137,14 @@ def atom_entry(si: int, i: int, sj: int, j: int) -> tuple[int, int]:
 
 
 def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
-    """Build the (raw, unclosed) coherent DBM of a list of octagonal atoms."""
-    m = Dbm.unconstrained(2 * num_vars)
-    rows = m.rows
+    """Build the (raw, unclosed) coherent DBM of a list of octagonal atoms.
+
+    An atom's entry (p, q) and its twin are off the diagonal: p == q only
+    for ``x_i - x_i``, which is rejected."""
+    dim = 2 * num_vars
+    rows = [[INF] * dim for _ in range(dim)]
+    for p, r in enumerate(rows):
+        r[p] = 0
     for si, i, sj, j, c in atoms:
         if not (0 <= i < num_vars and 0 <= j < num_vars):
             raise ValueError("variable index out of range")
@@ -146,14 +153,12 @@ def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
         if i == j and si != sj:
             raise ValueError("x_i - x_i atoms are not octagonal constraints")
         p, q = atom_entry(si, i, sj, j)
-        for a, b in ((p, q), (_bar(q), _bar(p))):
-            if a == b:
-                if c < 0:
-                    # unsatisfiable atom on a zero difference
-                    rows[a][a] = ext_min(rows[a][a], c)
-                continue
-            rows[a][b] = ext_min(rows[a][b], c)
-    return Octagon(num_vars, m, tight=False)
+        if c < rows[p][q]:
+            rows[p][q] = c
+        # and its coherent twin (bar q, bar p)
+        if c < rows[q ^ 1][p ^ 1]:
+            rows[q ^ 1][p ^ 1] = c
+    return Octagon(num_vars, Dbm(rows), tight=False)
 
 
 def _finite_entries(o: Octagon):

@@ -5,18 +5,21 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import mul
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from octoterm.affine import AffineRel, mat
-from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate
+from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate, ext_min
+from octoterm.grammar import ParseError, ProgramText, _classify
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
 from octoterm.octagon import (
     Octagon,
+    atom_entry,
     bottom,
     halving_consistent,
     lift_set_to_relation,
@@ -28,6 +31,7 @@ from octoterm.octagon import (
     oct_leq,
     oct_meet_raw,
     pre_image_set,
+    row_atom,
     tight_close,
 )
 from octoterm.pdbm import ExtParamDbm, glue, param_fw
@@ -860,3 +864,288 @@ def reference_octagon_to_affine(o: Octagon, n: int) -> AffineRel | None:
         gr[j] -= sj
         guard.append((tuple(gr), -c))
     return AffineRel(n, mat(a), tuple(b), tuple(guard))
+
+
+# -- the line-by-line lexer and token-object parser, the reference for the
+# one-pass ``grammar._tokenize`` and its parser -------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*'?)"
+    r"|(?P<op><=|>=|==|!=|->|&&|\|\||[-+*<>(),;:%]))"
+)
+
+
+class _Tok(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> list[_Tok]:
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = re.split(r"#|//", line, maxsplit=1)[0]
+        pos = 0
+        while pos < len(body):
+            m = _REFERENCE_TOKEN_RE.match(body, pos)
+            if m is None or m.end() == pos:
+                if body[pos:].strip():
+                    raise ParseError(f"bad token {body[pos:].strip()[:10]!r}", lineno, pos + 1)
+                break
+            pos = m.end()
+            for kind in ("int", "name", "op"):
+                if m.group(kind) is not None:
+                    out.append(_Tok(kind, m.group(kind), lineno, m.start(kind) + 1))
+                    break
+    return out
+
+
+class _ReferenceParser:
+    def __init__(self, toks: list[_Tok], variables: list[str]):
+        self.toks = toks
+        self.i = 0
+        self.vars = variables
+
+    def peek(self) -> _Tok | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def where(self, t: _Tok | None) -> tuple[int, int]:
+        if t is not None:
+            return t.line, t.col
+        if not self.toks:
+            return 1, 1
+        last = self.toks[-1]
+        return last.line, last.col + len(last.text)
+
+    def take(self, text: str | None = None, kind: str | None = None) -> _Tok:
+        t = self.peek()
+        if t is None:
+            raise ParseError(f"unexpected end of input (wanted {text or kind})",
+                             *self.where(None))
+        if text is not None and t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if kind is not None and t.kind != kind:
+            raise ParseError(f"expected {kind}, found {t.text!r}", t.line, t.col)
+        self.i += 1
+        return t
+
+    def finish(self) -> None:
+        t = self.peek()
+        if t is not None:
+            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+
+    def at_op(self, text: str) -> bool:
+        t = self.peek()
+        return t is not None and t.kind == "op" and t.text == text
+
+    def formula(self):
+        dnf = self.conjunction()
+        while self.at_op("||"):
+            self.take("||")
+            dnf = dnf + self.conjunction()
+        return dnf
+
+    def conjunction(self):
+        dnf = self.atom_or_group()
+        while self.at_op("&&"):
+            self.take("&&")
+            right = self.atom_or_group()
+            dnf = [a + b for a in dnf for b in right]
+        return dnf
+
+    def atom_or_group(self):
+        t = self.peek()
+        if t is None:
+            raise ParseError("unexpected end of formula", *self.where(None))
+        if self.at_op("("):
+            save = self.i
+            self.take("(")
+            try:
+                dnf = self.formula()
+                self.take(")")
+                return dnf
+            except ParseError:
+                self.i = save
+        if t.kind == "name" and t.text == "id":
+            return [self.id_macro()]
+        if t.kind == "name" and t.text in ("true", "false"):
+            self.take()
+            return [[] if t.text == "true" else [(LinTerm({}, 1), LE)]]
+        return self.atom()
+
+    def id_macro(self):
+        self.take("id")
+        self.take("(")
+        rows = []
+        while True:
+            tok = self.take(kind="name")
+            name = tok.text
+            self._check_var(name, tok)
+            rows.append((LinTerm({name + "'": 1, name: -1}), EQ))
+            if self.at_op(","):
+                self.take(",")
+                continue
+            break
+        self.take(")")
+        return rows
+
+    def atom(self):
+        lhs = self.expr()
+        if self.at_op("%"):
+            self.take("%")
+            m = int(self.take(kind="int").text)
+            self.take("==")
+            r = int(self.take(kind="int").text)
+            return [[(lhs - r, f"%{m}")]]
+        t = self.peek()
+        if t is None or t.kind != "op" or t.text not in ("<=", ">=", "<", ">", "==", "!="):
+            raise ParseError("expected comparison operator", *self.where(t))
+        op = self.take().text
+        rhs = self.expr()
+        d = lhs - rhs
+        if self.at_op("%"):
+            raise ParseError("'%' only allowed as '<expr> % m == r'", *self.where(self.peek()))
+        if op == "<=":
+            return [[(d, LE)]]
+        if op == ">=":
+            return [[(-d, LE)]]
+        if op == "<":
+            return [[(d + 1, LE)]]
+        if op == ">":
+            return [[(-d + 1, LE)]]
+        if op == "==":
+            return [[(d, EQ)]]
+        return [[(d + 1, LE)], [(-d + 1, LE)]]
+
+    def expr(self) -> LinTerm:
+        term = self.signed_term()
+        while True:
+            if self.at_op("+"):
+                self.take("+")
+                term = term + self.signed_term()
+            elif self.at_op("-"):
+                self.take("-")
+                term = term - self.signed_term()
+            else:
+                return term
+
+    def signed_term(self) -> LinTerm:
+        sign = 1
+        while self.at_op("-") or self.at_op("+"):
+            if self.take().text == "-":
+                sign = -sign
+        t = self.peek()
+        if t is None:
+            raise ParseError("unexpected end of expression", *self.where(None))
+        if t.kind == "int":
+            self.take()
+            value = int(t.text)
+            if self.at_op("*"):
+                self.take("*")
+                name = self.take(kind="name").text
+                self._check_var(name, t)
+                return LinTerm({name: sign * value})
+            nt = self.peek()
+            if nt is not None and nt.kind == "name":
+                self.take()
+                self._check_var(nt.text, nt)
+                return LinTerm({nt.text: sign * value})
+            return LinTerm({}, sign * value)
+        if t.kind == "name":
+            self.take()
+            self._check_var(t.text, t)
+            return LinTerm({t.text: sign})
+        if self.at_op("("):
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return sign * inner
+        raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+
+    def _check_var(self, name: str, tok: _Tok) -> None:
+        base = name[:-1] if name.endswith("'") else name
+        _reference_check_reserved(base, tok)
+        if base not in self.vars:
+            raise ParseError(f"undeclared variable {base!r}", tok.line, tok.col)
+
+
+def _reference_check_reserved(name: str, tok: _Tok) -> None:
+    if name.startswith("_"):
+        raise ParseError(
+            f"variable {name!r} starts with '_', which is reserved", tok.line, tok.col
+        )
+
+
+def reference_parse_rows(text: str, variables: list[str]):
+    """``grammar.parse_rows`` over the reference lexer and parser."""
+    p = _ReferenceParser(reference_tokenize(text), variables)
+    dnf = p.formula()
+    p.finish()
+    return dnf
+
+
+def reference_parse_program_text(text: str) -> ProgramText:
+    """``grammar.parse_program_text`` over the reference lexer and parser;
+    each label is classified as soon as it is read, as there."""
+    p = _ReferenceParser(reference_tokenize(text), [])
+
+    def declare() -> None:
+        t = p.take(kind="name")
+        _reference_check_reserved(t.text, t)
+        p.vars.append(t.text)
+
+    p.take("vars")
+    declare()
+    while p.at_op(","):
+        p.take(",")
+        declare()
+    p.take(";")
+    p.take("init")
+    init = p.take(kind="name").text
+    p.take(";")
+    transitions = []
+    while p.peek() is not None:
+        src = p.take(kind="name").text
+        p.take("->")
+        dst = p.take(kind="name").text
+        p.take(":")
+        label = tuple(_classify(rows, p.vars) for rows in p.formula())
+        p.take(";")
+        transitions.append((src, dst, label))
+    return ProgramText(tuple(p.vars), init, tuple(transitions))
+
+
+# -- the atom-list encoder, the reference for ``octagon.rows_to_atoms`` and
+# ``octagon.oct_encode`` -------------------------------------------------------
+
+
+def reference_rows_to_atoms(rows, index: dict[str, int]):
+    atoms = []
+    for t, rel in rows:
+        for tt in (t,) if rel == LE else (t, -t):
+            atom = row_atom([(index[v], c) for v, c in tt.coeffs.items()], -tt.const)
+            if atom is None:
+                return None
+            atoms.append(atom)
+    return atoms
+
+
+def reference_oct_encode(atoms, num_vars: int) -> Octagon:
+    m = Dbm.unconstrained(2 * num_vars)
+    rows = m.rows
+    for si, i, sj, j, c in atoms:
+        if not (0 <= i < num_vars and 0 <= j < num_vars):
+            raise ValueError("variable index out of range")
+        if si not in (-1, 1) or sj not in (-1, 1):
+            raise ValueError("atom signs must be +-1")
+        if i == j and si != sj:
+            raise ValueError("x_i - x_i atoms are not octagonal constraints")
+        p, q = atom_entry(si, i, sj, j)
+        for a, b in ((p, q), (q ^ 1, p ^ 1)):
+            if a == b:
+                if c < 0:
+                    rows[a][a] = ext_min(rows[a][a], c)
+                continue
+            rows[a][b] = ext_min(rows[a][b], c)
+    return Octagon(num_vars, m, tight=False)

@@ -21,7 +21,15 @@ from octoterm.grammar import (
 )
 from octoterm.octagon import Octagon, oct_decode, oct_eq, tight_close
 
-from helpers import perfbench_gen, reference_octagon_to_affine
+from octoterm.cli import _collect_vars
+
+from helpers import (
+    perfbench_gen,
+    reference_octagon_to_affine,
+    reference_parse_program_text,
+    reference_parse_rows,
+    reference_tokenize,
+)
 
 
 def test_octagonal_atoms():
@@ -251,3 +259,97 @@ def test_affine_reading_matches_the_octagon_decoder_on_the_cli_workload():
                 _check_affine_reading(text, names)
                 checked += 1
     assert checked
+
+
+def _parser_corpus():
+    """The program texts and (formula, variables) pairs the benchmark sends,
+    seeds 1-20: the ``programs`` workload, the ``cli`` workload's relation,
+    affine and program texts, and each program's labels."""
+    gen = perfbench_gen()
+    programs = {}
+    formulas = {}
+    for seed in range(1, 21):
+        reqs = gen.make_requests("programs", seed, 1) + gen.make_requests("cli", seed, 5)
+        for req in reqs:
+            if req["kind"] == "prog":
+                programs[req["text"]] = None
+            elif req["argv"][0] == "prog":
+                programs[req["argv"][-1]] = None
+            else:
+                formulas[req["argv"][2], tuple(gen.NAMES[:req["ref"]["n"]])] = None
+    for text in programs:
+        names = None
+        for line in text.splitlines():
+            if line.startswith("vars "):
+                names = tuple(v.strip() for v in line[5:].rstrip(";").split(","))
+            elif " : " in line:
+                formulas[line.split(" : ", 1)[1].rstrip(";"), names] = None
+    return list(programs), list(formulas)
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """The text with its line ends, blanks and comments rewritten, and
+    perhaps a token deleted or a stray '$', '@', '/', comment or line end
+    inserted."""
+    try:
+        toks = reference_tokenize(text)
+    except ParseError:
+        toks = []
+    if toks and rng.random() < 0.25:
+        starts = [0]
+        for line in text.splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        t = rng.choice(toks)
+        at = starts[t.line - 1] + t.col - 1
+        text = text[:at] + text[at + len(t.text):]
+    eol = rng.choice(("\n", "\r\n", "\r", "\f", "\x85"))
+    out = []
+    for c in text:
+        if c == "\n":
+            c = rng.choice(("", "", " # x' <= 1 ", "\t// y;")) + rng.choice((c, eol, eol))
+        out.append(c)
+    text = "".join(out)
+    if rng.random() < 0.3:
+        text = text.replace(" ", "\t") if rng.random() < 0.5 else text.replace(" ", " \t", 3)
+    if rng.random() < 0.4:
+        at = rng.randrange(len(text) + 1)
+        edit = rng.choice(("$", "@", "/", " # c", " // c", eol, eol + "  "))
+        text = text[:at] + edit + text[at:]
+    return text
+
+
+def _outcome(parse, *args):
+    """The parse, or the error's type, message, line and column."""
+    try:
+        return parse(*args)
+    except (ParseError, FragmentError) as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def _names_read(text: str):
+    """The reference lexer's names, as ``cli._collect_vars`` reads them."""
+    names = {t.text.rstrip("'") for t in reference_tokenize(text) if t.kind == "name"}
+    return sorted(names - {"id", "true", "false"})
+
+
+def test_parser_matches_the_reference_on_the_workloads_and_their_mutants():
+    """The one-pass lexer and its parser against the line-by-line lexer and
+    the token-object parser: the same DNF rows (or classified program), or
+    the same error at the same line and column, on every workload text and
+    on mutants of each."""
+    rng = random.Random(33)
+    programs, formulas = _parser_corpus()
+    later_line_errors = 0
+    for text in programs:
+        for mutant in [text] + [_mutant(text, rng) for _ in range(12)]:
+            want = _outcome(reference_parse_program_text, mutant)
+            assert _outcome(parse_program_text, mutant) == want, repr(mutant)
+            assert _outcome(_collect_vars, mutant) == _outcome(_names_read, mutant), repr(mutant)
+            if isinstance(want, tuple) and want[0] is ParseError and want[2] > 1:
+                later_line_errors += any(c in mutant for c in "\r\f\x85")
+    for text, names in formulas:
+        for mutant in [text] + [_mutant(text, rng) for _ in range(4)]:
+            want = _outcome(reference_parse_rows, mutant, list(names))
+            assert _outcome(parse_rows, mutant, list(names)) == want, (repr(mutant), names)
+    # errors past a line end other than "\n" were compared
+    assert later_line_errors >= 20

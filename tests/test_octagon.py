@@ -28,6 +28,8 @@ from helpers import (
     TIGHT_EXAMPLE_GOLDEN,
     periodic_relation,
     random_oct_relation,
+    reference_oct_encode,
+    reference_rows_to_atoms,
     tight_example_relation,
 )
 
@@ -364,3 +366,72 @@ def test_operations_leave_their_operands_unchanged():
     assert kinds == {"empty operand", "negative cycle", "halving", "live"}
     for x, rows in made:
         assert _rows(x) == rows
+
+
+def _encoder_rows(rng: random.Random, names: list[str]):
+    """Seeded rows for the encoder: mostly octagonal (one variable with
+    coefficient +-1 or +-2, or two with +-1), some ``==``, some repeated
+    with another constant, some constant and some with a third variable
+    or a coefficient 3."""
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        if rows and rng.random() < 0.2:
+            t, rel = rng.choice(rows)
+            rows.append((LinTerm(t.coeffs, t.const + rng.randint(-2, 2)), rel))
+            continue
+        shape = rng.random()
+        if shape < 0.05:
+            coeffs = {}
+        elif shape < 0.1:
+            coeffs = {v: rng.choice((1, -1, 3)) for v in rng.sample(names, min(3, len(names)))}
+        elif shape < 0.45 or len(names) == 1:
+            coeffs = {rng.choice(names): rng.choice((1, -1, 2, -2, 3))}
+        else:
+            coeffs = {v: rng.choice((1, -1)) for v in rng.sample(names, 2)}
+        rows.append((LinTerm(coeffs, rng.randint(-3, 3)), rng.choice((LE, LE, EQ))))
+    return rows
+
+
+def test_encoder_matches_the_reference():
+    """``rows_to_atoms`` and ``oct_encode`` against the atom-list reference:
+    both reject a row, or both give the same raw octagon."""
+    rng = random.Random(33)
+    encoded = 0
+    for _ in range(600):
+        names = ["x", "y", "x'", "y'"][:rng.randint(1, 4)]
+        index = {v: i for i, v in enumerate(names)}
+        rows = _encoder_rows(rng, names)
+        got = rows_to_atoms(rows, index)
+        want = reference_rows_to_atoms(rows, index)
+        assert (got is None) == (want is None), rows
+        if got is None:
+            continue
+        encoded += 1
+        assert oct_encode(got, len(names)) == reference_oct_encode(want, len(names)), rows
+    assert encoded >= 300
+    # raw atoms: unary ones with c < 0, and one atom repeated with another bound
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        atoms = []
+        for _ in range(rng.randint(0, 5)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            si = rng.choice((1, -1))
+            sj = si if i == j else rng.choice((1, -1))
+            atoms.append((si, i, sj, j, rng.randint(-4, 4)))
+        if atoms:
+            atoms.append(atoms[0][:4] + (atoms[0][4] - 1,))
+        assert oct_encode(atoms, n) == reference_oct_encode(atoms, n), atoms
+
+
+@pytest.mark.parametrize("atom, message", [
+    ((1, 0, 1, 2, 0), "out of range"),
+    ((1, -1, 1, 0, 0), "out of range"),
+    ((2, 0, 1, 1, 0), "signs"),
+    ((1, 0, 0, 1, 0), "signs"),
+    ((1, 1, -1, 1, 0), "x_i - x_i"),
+])
+def test_encode_rejects_what_is_not_an_octagonal_atom(atom, message):
+    with pytest.raises(ValueError, match=message):
+        oct_encode([(1, 0, 1, 1, 0), atom], 2)
+    with pytest.raises(ValueError, match=message):
+        reference_oct_encode([(1, 0, 1, 1, 0), atom], 2)
