@@ -50,13 +50,14 @@ class FragmentError(ValueError):
     """Formula parses but is neither octagonal nor affine."""
 
 
-# One pattern lexes a whole text.  A comment runs to the end of its line, and
-# a line ends wherever ``str.splitlines`` ends one; any other non-blank
-# character that starts no token is a bad token.
+# One pattern lexes a whole text.  Each match skips blanks, then reads a
+# comment, a token, a bad token (any other non-blank character) or the end
+# of the text, so no blank is tried as the start of a match.  A comment runs
+# to the end of its line, and a line ends wherever ``str.splitlines`` ends one.
 _TOKEN_RE = re.compile(
-    r"(?:#|//)[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*"
+    r"\s*(?:(?:#|//)[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*"
     r"|(\d+|[A-Za-z_][A-Za-z_0-9]*'?|<=|>=|==|!=|->|&&|\|\||[-+*<>(),;:%])"
-    r"|(\S)"
+    r"|(\S)|\Z)"
 )
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _COMPARE = frozenset(("<=", ">=", "<", ">", "==", "!="))
@@ -73,14 +74,15 @@ def _tokenize(text: str) -> tuple[list[str], list[int]]:
     of the last token (offset 0 when there is none)."""
     texts = []
     offsets = []
+    text_of, offset_of = texts.append, offsets.append
     bad = None
     for m in _TOKEN_RE.finditer(text):
         k = m.lastindex
         if k == 1:
-            texts.append(m[1])
-            offsets.append(m.start())
+            text_of(m[1])
+            offset_of(m.start(1))
         elif k == 2:
-            bad = m.start()
+            bad = m.start(2)
             break
     end = offsets[-1] + len(texts[-1]) if texts else 0
     if bad is not None:
@@ -276,8 +278,8 @@ class _Parser:
     def _check_var(self, name: str, at: int) -> None:
         """Token ``at`` names ``name``, which must be a declared variable."""
         base = name[:-1] if name.endswith("'") else name
-        self._check_reserved(base, at)
-        if base not in self.vars:
+        if base not in self.vars or base.startswith("_"):
+            self._check_reserved(base, at)
             raise self.error(f"undeclared variable {base!r}", at)
 
     def _check_reserved(self, name: str, at: int) -> None:

@@ -152,7 +152,9 @@ def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
             raise ValueError("atom signs must be +-1")
         if i == j and si != sj:
             raise ValueError("x_i - x_i atoms are not octagonal constraints")
-        p, q = atom_entry(si, i, sj, j)
+        # atom_entry(si, i, sj, j), inline
+        p = 2 * i if si == 1 else 2 * i + 1
+        q = 2 * j if sj == -1 else 2 * j + 1
         if c < rows[p][q]:
             rows[p][q] = c
         # and its coherent twin (bar q, bar p)
