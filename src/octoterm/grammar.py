@@ -74,13 +74,13 @@ def _tokenize(text: str) -> tuple[list[str], list[int]]:
     of the last token (offset 0 when there is none)."""
     texts = []
     offsets = []
-    text_of, offset_of = texts.append, offsets.append
+    add_text, add_offset = texts.append, offsets.append
     bad = None
     for m in _TOKEN_RE.finditer(text):
         k = m.lastindex
         if k == 1:
-            text_of(m[1])
-            offset_of(m.start(1))
+            add_text(m[1])
+            add_offset(m.start(1))
         elif k == 2:
             bad = m.start(2)
             break
