@@ -17,7 +17,7 @@ Relations over N program variables are octagons over 2N variables, ordered
 x_0..x_{N-1}, x'_0..x'_{N-1} (``relation_names``).
 
 Linear rows become atoms through ``row_atom`` (the one octagonal-row
-classifier) and atoms become dual entries through ``atom_entry``;
+classifier) and atoms become dual entries through ``oct_encode``;
 ``oct_rows`` turns an octagon back into rows, and ``oct_hull`` is the one
 octagonal hull of octagons and polyhedra.
 """
@@ -129,13 +129,6 @@ def rows_to_atoms(rows: Iterable[Row], index: dict[str, int]) -> list[OctAtom] |
     return atoms
 
 
-def atom_entry(si: int, i: int, sj: int, j: int) -> tuple[int, int]:
-    """Dual entry (p, q) of ``si*x_i + sj*x_j``: u_p - u_q with
-    p = dual(si, i) and q = dual(-sj, j); its coherent twin is
-    (bar q, bar p)."""
-    return (_pos(i) if si == 1 else _neg(i)), (_pos(j) if sj == -1 else _neg(j))
-
-
 def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
     """Build the (raw, unclosed) coherent DBM of a list of octagonal atoms.
 
@@ -152,7 +145,7 @@ def oct_encode(atoms: Iterable[OctAtom], num_vars: int) -> Octagon:
             raise ValueError("atom signs must be +-1")
         if i == j and si != sj:
             raise ValueError("x_i - x_i atoms are not octagonal constraints")
-        # atom_entry(si, i, sj, j), inline
+        # si*x_i + sj*x_j is u_p - u_q with p = dual(si, i), q = dual(-sj, j)
         p = 2 * i if si == 1 else 2 * i + 1
         q = 2 * j if sj == -1 else 2 * j + 1
         if c < rows[p][q]:

@@ -15,19 +15,22 @@ enough to agree with the plain Floyd-Warshall closure through the same
 pivots at every parameter valuation where the instantiated matrix is
 consistent; at inconsistent valuations some diagonal entry evaluates
 negative.  It takes the pivots to close through, as the plain kernel of
-``dbm`` does: the composition of two closed parametric relations closes
-their glued matrix through the middle block only, like
-``dbm.closed_glued_rows``.  Every entry of a closed operand already
-stands for a whole path of that operand, so in the glued matrix it is one
-edge, and lengths start at 1 again.
+``dbm`` does.
 
-The kernels are sparse, as the plain Floyd-Warshall kernel is: ``param_fw``, ``glue`` and
-``param_tighten`` work only on the cells that hold a bound, and call
-``min_terms`` only on a cell of two tuples or more.  A pivot round of
-``param_fw`` lists the nonempty cells of the pivot row once, and again
-after the pivot's own row, which may change them; a pivot whose only
-cycle is the empty path leaves its row and column as they are.  The
-entries, their order and ``capped`` are those of the dense loops.
+The summary members of ``program`` are built from these matrices
+(``ExtParamDbm.affine`` for an accelerated loop, ``from_dbm`` for a plain
+octagon) and read back with ``term_bound``; they compose by integer
+elimination, not by a parametric closure.  ``param_fw`` has no caller in
+the package: the tests replay certificates with it, and the benchmark's
+trace spans name it.
+
+The closure kernel is sparse, as the plain Floyd-Warshall kernel is: it
+works only on the cells that hold a bound, and calls ``min_terms`` only on
+a cell of two tuples or more.  A pivot round lists the nonempty cells of
+the pivot row once, and again after the pivot's own row, which may change
+them; a pivot whose only cycle is the empty path leaves its row and column
+as they are.  The entries, their order and ``capped`` are those of the
+dense loops.
 
 ``min_terms`` is one sorted Pareto sweep for both terms and pairs.  It
 sorts the unique tuples and compares each one only with the tuples already
@@ -94,24 +97,6 @@ class ExtParamDbm:
             e.append([() if b == INF else ((b, *(0 if rr[j] == INF else rr[j] for rr in rrows)),)
                       for j, b in enumerate(brow)])
         return cls(base.dim, len(rates), e)
-
-
-def glue(a: ExtParamDbm, b: ExtParamDbm) -> ExtParamDbm:
-    """The 3-block matrix over (x, x', x'') of the composition of two
-    relation matrices over (x, x') with the same parameters: a on the first
-    two blocks, b on the last two, and the middle block the pointwise
-    minimum of a's primed and b's unprimed block."""
-    blk = a.dim // 2
-    pad = [()] * blk
-    glued = [[*ra, *pad] for ra in a.entries[:blk]]
-    for ra, rb in zip(a.entries[blk:], b.entries[:blk]):
-        mid = []
-        for x, y in zip(ra[blk:], rb[:blk]):
-            both = x + y
-            mid.append(min_terms(both) if len(both) > 1 else both)
-        glued.append([*ra[:blk], *mid, *rb[blk:]])
-    glued += [[*pad, *rb] for rb in b.entries[blk:]]
-    return ExtParamDbm(3 * blk, a.nparams, glued)
 
 
 def param_fw(m: ExtParamDbm, pivots: Sequence[int] | None = None) -> ExtParamDbm:
@@ -183,51 +168,3 @@ def param_fw(m: ExtParamDbm, pivots: Sequence[int] | None = None) -> ExtParamDbm
     entries = [[tuple([p[:-1] for p in cell]) if cell else () for cell in row]
                for row in work]
     return ExtParamDbm(dim, m.nparams, entries, capped)
-
-
-def param_tighten(entries, dim: int, keep: Sequence[int] | None = None) -> list:
-    """Parametric tight closure of closed entries, one matrix per case.
-
-    Tightening halves the (p, bar p) entries: m[p][q] = min(m[p][q],
-    floor(m[p][bar p] / 2) + floor(m[bar q][q] / 2)).  Halving a term with
-    an odd rate needs the parameter's parity, so such parameters are split
-    (k -> 2k+r, one case per residue r), which keeps every floor exact.
-
-    Only the cells between indices of ``keep`` (default: every index) and
-    the diagonal cells are tightened; the others are None.  A caller that
-    erases the other indices still reads their diagonal, which carries the
-    emptiness of the matrix.  ``keep`` must hold p ^ 1 with every p.
-    """
-    for p in range(dim):
-        for t in entries[p][p ^ 1]:
-            for pi in range(1, len(t)):
-                if t[pi] % 2 != 0:
-                    cases = []
-                    for r in (0, 1):
-                        sub = [
-                            [tuple((u[0] + u[pi] * r, *u[1:pi], 2 * u[pi], *u[pi + 1:])
-                                   for u in cell) for cell in row]
-                            for row in entries
-                        ]
-                        cases.extend(param_tighten(sub, dim, keep))
-                    return cases
-    halves = [[tuple(x // 2 for x in t) for t in entries[p][p ^ 1]] for p in range(dim)]
-
-    def tight(p: int, q: int) -> tuple[Term, ...]:
-        terms = entries[p][q]
-        if halves[p] and halves[q ^ 1]:
-            terms = (*terms, *(tuple(map(add, h1, h2))
-                               for h1 in halves[p] for h2 in halves[q ^ 1]))
-        return min_terms(terms) if len(terms) > 1 else tuple(terms)
-
-    kept = range(dim) if keep is None else keep
-    tightened = [[None] * dim for _ in range(dim)]
-    for p in kept:
-        row = tightened[p]
-        for q in kept:
-            row[q] = tight(p, q)
-    for p in range(dim):
-        if tightened[p][p] is None:
-            tightened[p][p] = tight(p, p)
-    return [tightened]
-

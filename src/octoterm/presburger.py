@@ -2,7 +2,8 @@
 
 A conjunct is a set of integer-coefficient rows ``t <= 0`` / ``t == 0``
 plus divisibility atoms ``m | t``.  Existential quantification over an
-integer variable is exact (Omega-test style): equalities substitute,
+integer variable is exact (Omega-test style): the normalizer pairs
+opposite inequalities that meet into an equality, equalities substitute,
 divisibility atoms split the variable by residue, and inequality pairs
 use the real shadow when some coefficient is 1, otherwise the dark
 shadow plus finitely many splinter cases.
@@ -290,9 +291,12 @@ def _inorm(rows: list[IRow], divs: list[IDiv]):
     """Normal form of a conjunct; None if it is syntactically unsat.
 
     A row is divided by the gcd of its coefficients (an inequality rounds
-    its constant up, an equality the gcd does not divide is unsat).
-    Equalities come first, once each; then one ``<=`` row per coefficient
-    vector, the tightest, in first-seen order.  An atom m | t is divided
+    its constant up, an equality the gcd does not divide is unsat).  The
+    tightest ``<=`` row per coefficient vector is kept; a kept row and the
+    kept row of the negated vector are unsat when their bounds cross, and
+    become one equality, in the first row's orientation, when they meet.
+    Equalities come first, once each, the given ones before the paired
+    ones; then the ``<=`` rows, in first-seen order.  An atom m | t is divided
     by gcd(m, t), its coefficients and constant are reduced mod m, and
     atoms that always hold (m in (0, 1), or t = 0 mod m) are dropped.
     """
@@ -319,6 +323,18 @@ def _inorm(rows: list[IRow], divs: list[IDiv]):
                     return None
                 cs = {v: c // g for v, c in cs.items()}
                 c0 //= g
+            eqs.append((cs, c0))
+    # opposite rows t + c <= 0 and -t + d <= 0 cross when c + d > 0 and
+    # meet in t + c == 0 when c + d == 0 (the Omega test's pairing)
+    for key in list(best_le):
+        opp = tuple((v, -c) for v, c in key)
+        if key not in best_le or opp not in best_le:
+            continue
+        (c0, cs), (d0, _) = best_le[key], best_le[opp]
+        if c0 + d0 > 0:
+            return None
+        if c0 + d0 == 0:
+            del best_le[key], best_le[opp]
             eqs.append((cs, c0))
     out_rows: list[IRow] = []
     seen = set()

@@ -13,14 +13,14 @@ All summary members are kept as linear-row systems over the program
 variables, their primed copies, and nonnegative integer parameters (one
 per accelerated loop on the path), plus divisibility atoms.  The
 parameters are named ``_p0, _p1, ...`` by position, so equal relations are
-equal members and the memo tables below serve every later call.  Tight
-octagons are integer-hull exact, so composing members by exact integer
-elimination of the midpoint variables loses nothing, and an empty tight
-octagon of midpoint bounds proves a composition empty before any closure.
-Each question about members is asked one way: emptiness by the exact
-parameter elimination of ``member_cases`` (``compose_members`` says why
-that suffices), inclusion by ``conj_implies`` on those cases, and images
-by ``_image``.
+equal members and the memo tables below serve every later call.  Members
+compose by exact integer elimination of the midpoint variables (Presburger
+elimination, as in the paper), which loses nothing; the one shortcut is a
+pair of parameter-free octagonal members, which compose as tight octagons,
+integer-hull exact.  Each question about members is asked one way:
+emptiness by the exact parameter elimination of ``member_cases``
+(``compose_members`` says why that suffices), inclusion by
+``conj_implies`` on those cases, and images by ``_image``.
 
 The non-termination precondition takes, per control state, either the
 exact WNT of the unique cycle relation or the union of the WNTs of the
@@ -42,31 +42,20 @@ from typing import NamedTuple
 
 from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat_vec
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
-from .dbm import INF, Dbm
 from .grammar import parse_program_text
 from .linarith import EQ, LE, LinSys, LinTerm, term_of_pair
 from .octagon import (
     Octagon,
-    atom_entry,
     bottom,
     oct_compose,
     oct_encode,
     oct_hull,
-    oct_meet_raw,
     oct_rows,
     relation_names,
-    row_atom,
     rows_to_atoms,
     tight_close,
 )
-from .pdbm import (
-    ExtParamDbm,
-    glue,
-    min_terms,
-    param_fw,
-    param_tighten,
-    term_bound,
-)
+from .pdbm import ExtParamDbm, term_bound
 from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
@@ -181,9 +170,11 @@ def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
-    """Exact relational composition; several members because integer
-    elimination of the midpoint variables may split into finitely many
-    cases.
+    """Exact relational composition, by one of two paths.  Two
+    parameter-free octagonal members compose as tight octagons
+    (``_compose_octagon_pair``); every other pair goes through exact
+    integer elimination of the midpoint variables (``_compose_members``),
+    which may split into finitely many members.
 
     Every member returned has a rational point at p >= 0, and no separate
     emptiness test runs:
@@ -194,170 +185,33 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
       splits by an affine substitution), and ``Dnf.add`` drops every case
       with no rational point.  So a member with no rational point at
       p >= 0 has no case and normalizes to nothing.
-    - A parameter-free member from ``_member_from_entries`` has only
-      constant diagonal terms, all >= 0, since a term with a nonzero rate
-      would name a parameter; so its tight closed matrix is consistent.
+    - A member of ``_compose_octagon_pair`` comes from a nonempty tight
+      octagon, which has an integer point.
     - A parameter-free case of ``_compose_members`` passed ``Dnf.add``,
       on the same rows."""
-    out = _compose_param_oct(a, b)
+    out = _compose_octagon_pair(a, b)
     if out is None:
         out = _compose_members(a, b)
     return tuple(n for m in out for n in _normalize_member(m))
 
 
-# -- parametric-octagonal composition via the parametric closure ------------
-
-
-@lru_cache(maxsize=_MEMO)
-def _member_param_matrix(m: LinRel):
-    """The closed dual 4N matrix of m: term tuples ``(const, *rates)``, one
-    rate per parameter of m, closed by ``param_fw``; with it the
-    ``_block_bounds`` octagons of its unprimed and its primed block.  None
-    when a row is not octagonal, a parameter leaves the bounds, m has
-    divisibility atoms, or the closure is capped.  Each member is thus
-    closed, and its bounds read, once, however many compositions it takes
-    part in."""
-    if m.conj.divs:
-        return None
-    index = {v: i for i, v in enumerate(relation_names(m.variables))}
-    pidx = {p: i + 1 for i, p in enumerate(m.params)}
-    dim = 2 * len(index)
-    cells: list[list[list]] = [[[] for _ in range(dim)] for _ in range(dim)]
-    for t, rel in m.conj.rows:
-        for tt in (t,) if rel == LE else (t, -t):
-            var_part = []
-            bound = [-tt.const] + [0] * len(pidx)
-            for v, c in tt.coeffs.items():
-                if v in pidx:
-                    bound[pidx[v]] = -c
-                elif v in index:
-                    var_part.append((index[v], c))
-                else:
-                    return None
-            if not var_part:
-                # pure parameter constraint 0 <= bound, kept on a diagonal
-                cells[0][0].append(tuple(bound))
-                continue
-            atom = row_atom(var_part, 1)  # the bound's scale: 1, or 2 for a unit row
-            if atom is None:
-                return None
-            p, q = atom_entry(*atom[:4])
-            term = tuple(atom[4] * c for c in bound)
-            cells[p][q].append(term)
-            cells[q ^ 1][p ^ 1].append(term)
-    closed = param_fw(ExtParamDbm(dim, len(pidx), cells))
-    if closed.capped:
-        return None
-    # shared by every caller of the memo
-    entries = tuple(tuple(row) for row in closed.entries)
-    return entries, _block_bounds(entries, 0, dim // 2), _block_bounds(entries, dim // 2, dim)
-
-
-def _block_bounds(entries, lo: int, hi: int) -> Octagon:
-    """The octagon of the block ``[lo, hi)`` of closed entries that holds at
-    every valuation: per cell the least constant of its terms whose rates
-    are all <= 0, since such a term is at most its constant at p >= 0;
-    INF when the cell has none."""
-    return Octagon((hi - lo) // 2, Dbm([
-        [min((t[0] for t in cell if max(t[1:], default=0) <= 0), default=INF)
-         for cell in row[lo:hi]] for row in entries[lo:hi]]))
-
-
-def _octagon_pair(a: LinRel, b: LinRel) -> tuple[Octagon, Octagon] | None:
-    """The tight octagons of a and b when both are parameter-free
-    octagonal members without divisibility atoms; None otherwise."""
+def _compose_octagon_pair(a: LinRel, b: LinRel) -> list[LinRel] | None:
+    """Composition of two parameter-free octagonal members without
+    divisibility atoms as tight octagons (``oct_compose``); None for any
+    other pair.  The member's rows are the path-reduced entries of the
+    result: a nonempty tight octagon is integer-consistent, so no
+    feasibility test runs."""
     oa, exact = member_to_octagon(a, exact_only=True)
     if not exact:
         return None
     ob, exact = member_to_octagon(b, exact_only=True)
-    return (oa, ob) if exact else None
-
-
-def _compose_param_oct(a: LinRel, b: LinRel):
-    """Composition through the (parametric) closure; None when not eligible.
-
-    Two parameter-free octagonal members compose as tight octagons
-    (``oct_compose``), and the member's rows are the path-reduced entries
-    of the result: a nonempty tight octagon is integer-consistent, so no
-    feasibility test runs.  Any other pair of octagonal members goes
-    through the parametric closure below.
-
-    The closed matrices of a and b are glued over (x, x', x'') and closed
-    through the 2N middle pivots only, the parametric
-    ``dbm.closed_glued_rows``.
-    That suffices.  At a valuation where both operands are consistent, an
-    edge of the glued graph joins two vertices of one operand, and a run of
-    edges of one operand is no shorter than its closed direct edge; so
-    every path shortens to one whose intermediate vertices lie in the
-    middle block, and every negative cycle, which cannot stay inside one
-    operand, to one over middle vertices alone, which turns a middle
-    diagonal entry negative.  At a valuation where an operand is
-    inconsistent, its own closed diagonal is already negative in the glued
-    matrix.
-
-    The middle block is erased after tightening, so only the kept entries
-    and the middle diagonal are tightened; those diagonal terms are kept as
-    parameter rows ``0 <= t`` on the diagonal: they carry the emptiness of
-    the composition.  A negative constant there drops the member in
-    ``_member_from_entries``; a member that is empty at every valuation
-    without one (parameter bounds on two diagonals that no path joins)
-    keeps those rows, and ``compose_members`` drops it when it eliminates
-    the parameters.  The path-reduced rows are no longer closed;
-    ``_member_param_matrix`` closes them again.
-
-    Before any of that, the ``_block_bounds`` of a's primed block and of
-    b's unprimed block are met and tightly closed; bottom means the
-    composition is empty.  That is sound: at a valuation where a is
-    consistent, its closed block is the closed projection of a onto x',
-    and each bound kept is at least that block's entry, so every x' of a
-    lies in the block octagon of a; likewise every x of b in that of b.  A
-    midpoint lies in both, and a tight octagon is empty exactly when it has
-    no integer point.  Without this test the empty members reach parameter
-    elimination (step-2 BRANCHING took 46 s instead of 0.26 s).
-    """
-    octs = _octagon_pair(a, b)
-    if octs is not None:
-        o = oct_compose(*octs, len(a.variables))
-        if o.is_bottom:
-            return []
-        m = _member_from_entries(ExtParamDbm.from_dbm(o.dbm).entries, 0, a.variables)
-        return [] if m is None else [m]
-    ma = _member_param_matrix(a)
-    if ma is None:
+    if not exact:
         return None
-    mb = _member_param_matrix(b)
-    if mb is None:
-        return None
-    (ea, _, a_post), (eb, b_pre, _) = ma, mb
-    if tight_close(oct_meet_raw(a_post, b_pre)).is_bottom:
+    o = oct_compose(oa, ob, len(a.variables))
+    if o.is_bottom:
         return []
-    # a's parameters first, then b's: positions keep them apart
-    na, nb = len(a.params), len(b.params)
-    np_ = na + nb
-
-    def lift(entries, before: int, after: int) -> ExtParamDbm:
-        pad_a, pad_b = (0,) * before, (0,) * after
-        return ExtParamDbm(len(entries), np_, [
-            [tuple((t[0], *pad_a, *t[1:], *pad_b) for t in cell) for cell in row]
-            for row in entries
-        ])
-
-    # dual matrix dim is 4N over (x, x'); the unprimed block is 2N wide
-    blk = 2 * len(a.variables)
-    dim3 = 3 * blk
-    closed = param_fw(glue(lift(ea, 0, nb), lift(eb, na, 0)), range(blk, 2 * blk))
-    if closed.capped:
-        return None
-    keep = list(range(blk)) + list(range(2 * blk, dim3))
-    out = []
-    for entries in param_tighten(closed.entries, dim3, keep):
-        erased = [[entries[p][q] for q in keep] for p in keep]
-        erased[0][0] = min_terms(erased[0][0] + sum(
-            (entries[p][p] for p in range(blk, 2 * blk)), ()))
-        mem = _member_from_entries(erased, np_, a.variables)
-        if mem is not None:
-            out.append(mem)
-    return out
+    m = _member_from_entries(ExtParamDbm.from_dbm(o.dbm).entries, 0, a.variables)
+    return [] if m is None else [m]
 
 
 def _path_reduced(entries) -> list[list[tuple]]:
@@ -403,8 +257,8 @@ def _member_from_entries(entries, nparams, variables) -> LinRel | None:
 
 
 def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
-    """Composition by exact integer elimination of the midpoints, for the
-    pairs the parametric closure does not take."""
+    """Composition by exact integer elimination of the midpoints, for
+    every pair that is not two parameter-free octagons."""
     variables = a.variables
     # the midpoints are eliminated below, so their names never leave here
     mids = {v: f"_m_{v}" for v in variables}

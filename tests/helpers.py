@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -19,7 +19,6 @@ from octoterm.grammar import ParseError, ProgramText, _classify
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
 from octoterm.octagon import (
     Octagon,
-    atom_entry,
     bottom,
     halving_consistent,
     lift_set_to_relation,
@@ -34,7 +33,7 @@ from octoterm.octagon import (
     row_atom,
     tight_close,
 )
-from octoterm.pdbm import ExtParamDbm, glue, param_fw
+from octoterm.pdbm import ExtParamDbm, min_terms, param_fw
 from octoterm.presburger import Conj, Dnf, conj_implies
 from octoterm.program import (
     Budgets,
@@ -69,6 +68,26 @@ def clear_memos():
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
+
+
+def call_within(limit: int, what: str, fn, *args):
+    """fn(*args) under a SIGALRM alarm of ``limit`` seconds, and its wall
+    time: a return to non-convergence fails the test instead of hanging it."""
+    import signal
+    import time
+
+    def expire(signum, frame):
+        raise AssertionError(f"{what} did not finish within {limit}s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(limit)
+    t0 = time.time()
+    try:
+        res = fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    return res, time.time() - t0
 
 
 def perfbench_gen():
@@ -676,6 +695,79 @@ def reference_eliminate_all(conj: Conj, targets, nonneg=()) -> Dnf:
     return Dnf(_conj(rs, ds) for rs, ds in work)
 
 
+# -- the parametric glue and tightening -----------------------------------
+#
+# The composition of two closed parametric relations, as the certificate
+# replay below and the tightening reference of test_closure build it.  The
+# package composes summary members by integer elimination instead, so these
+# kernels live here.
+
+
+def glue(a: ExtParamDbm, b: ExtParamDbm) -> ExtParamDbm:
+    """The 3-block matrix over (x, x', x'') of the composition of two
+    relation matrices over (x, x') with the same parameters: a on the first
+    two blocks, b on the last two, and the middle block the pointwise
+    minimum of a's primed and b's unprimed block."""
+    blk = a.dim // 2
+    pad = [()] * blk
+    glued = [[*ra, *pad] for ra in a.entries[:blk]]
+    for ra, rb in zip(a.entries[blk:], b.entries[:blk]):
+        mid = []
+        for x, y in zip(ra[blk:], rb[:blk]):
+            both = x + y
+            mid.append(min_terms(both) if len(both) > 1 else both)
+        glued.append([*ra[:blk], *mid, *rb[blk:]])
+    glued += [[*pad, *rb] for rb in b.entries[blk:]]
+    return ExtParamDbm(3 * blk, a.nparams, glued)
+
+
+def param_tighten(entries, dim: int, keep: Sequence[int] | None = None) -> list:
+    """Parametric tight closure of closed entries, one matrix per case.
+
+    Tightening halves the (p, bar p) entries: m[p][q] = min(m[p][q],
+    floor(m[p][bar p] / 2) + floor(m[bar q][q] / 2)).  Halving a term with
+    an odd rate needs the parameter's parity, so such parameters are split
+    (k -> 2k+r, one case per residue r), which keeps every floor exact.
+
+    Only the cells between indices of ``keep`` (default: every index) and
+    the diagonal cells are tightened; the others are None.  A caller that
+    erases the other indices still reads their diagonal, which carries the
+    emptiness of the matrix.  ``keep`` must hold p ^ 1 with every p.
+    """
+    for p in range(dim):
+        for t in entries[p][p ^ 1]:
+            for pi in range(1, len(t)):
+                if t[pi] % 2 != 0:
+                    cases = []
+                    for r in (0, 1):
+                        sub = [
+                            [tuple((u[0] + u[pi] * r, *u[1:pi], 2 * u[pi], *u[pi + 1:])
+                                   for u in cell) for cell in row]
+                            for row in entries
+                        ]
+                        cases.extend(param_tighten(sub, dim, keep))
+                    return cases
+    halves = [[tuple(x // 2 for x in t) for t in entries[p][p ^ 1]] for p in range(dim)]
+
+    def tight(p: int, q: int) -> tuple[Term, ...]:
+        terms = entries[p][q]
+        if halves[p] and halves[q ^ 1]:
+            terms = (*terms, *(tuple(map(add, h1, h2))
+                               for h1 in halves[p] for h2 in halves[q ^ 1]))
+        return min_terms(terms) if len(terms) > 1 else tuple(terms)
+
+    kept = range(dim) if keep is None else keep
+    tightened = [[None] * dim for _ in range(dim)]
+    for p in kept:
+        row = tightened[p]
+        for q in kept:
+            row[q] = tight(p, q)
+    for p in range(dim):
+        if tightened[p][p] is None:
+            tightened[p][p] = tight(p, p)
+    return [tightened]
+
+
 def _reference_failure(closed: ExtParamDbm, base: Dbm, rate: Dbm) -> int | None:
     """Least k >= 0 at which the parametric replay of base + k*rate fails,
     or None: a diagonal term goes negative, or an outer entry's terms stop
@@ -1129,6 +1221,13 @@ def reference_rows_to_atoms(rows, index: dict[str, int]):
                 return None
             atoms.append(atom)
     return atoms
+
+
+def atom_entry(si: int, i: int, sj: int, j: int) -> tuple[int, int]:
+    """Dual entry (p, q) of ``si*x_i + sj*x_j``: u_p - u_q with
+    p = dual(si, i) and q = dual(-sj, j); its coherent twin is
+    (bar q, bar p)."""
+    return (2 * i if si == 1 else 2 * i + 1), (2 * j if sj == -1 else 2 * j + 1)
 
 
 def reference_oct_encode(atoms, num_vars: int) -> Octagon:

@@ -50,6 +50,7 @@ from helpers import (
     BRANCHING_PROGRAM,
     TIGHT_EXAMPLE_GOLDEN,
     TWO_PHASE_PROGRAM,
+    call_within,
     entails,
     eval_at,
     is_bounded_below,
@@ -229,23 +230,8 @@ def test_acceptance_4_program_goldens():
 
 
 def _nt_program_within(program, limit: int, what: str):
-    """nt_program under a SIGALRM alarm, and its wall time: a return to
-    non-convergence fails the test instead of hanging it."""
-    import signal
-    import time
-
-    def expire(signum, frame):
-        raise AssertionError(f"{what} did not finish within {limit}s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(limit)
-    t0 = time.time()
-    try:
-        res = nt_program(program)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    return res, time.time() - t0
+    """nt_program under an alarm, and its wall time."""
+    return call_within(limit, what, nt_program, program)
 
 
 def test_acceptance_4_step2_branching_converges():
@@ -278,12 +264,14 @@ def test_acceptance_4_far_exit_branching_converges(c0):
 
 
 @pytest.mark.parametrize("step, c0, c1", [(3, 0, 0), (4, 0, 0), (5, 0, 0), (3, 1, 0),
-                                          (4, -2, 2)])
+                                          (4, -2, 2), (2, 2, 0), (2, 3, 0), (2, 6, 0)])
 def test_acceptance_4_long_step_branching_converges(step, c0, c1):
     # from round 3 on, saturation adds a two-parameter member contained in
     # its predecessor at equal parameter values; eliminating the parameters
     # splits it mod step into cases no single old case covers, so only the
-    # parametric subsumption test lets it reach its fixpoint
+    # parametric subsumption test lets it reach its fixpoint.  Step 2 with
+    # c0 >= 2 finishes only when opposite rows pair into equalities and the
+    # members compose by elimination alone.
     program = parse_program(BRANCHING_PROGRAM.replace("x' == x - 1", f"x' == x - {step}")
                             .replace("x != 0", f"x != {c0}").replace("x == 0", f"x == {c0}")
                             .replace("y > 0", f"y > {c1}").replace("y <= 0", f"y <= {c1}"))
@@ -294,6 +282,38 @@ def test_acceptance_4_long_step_branching_converges(step, c0, c1):
         for y in range(-12, 13):
             assert res.precondition.eval({"x": x, "y": y}) == (x != c0)
     report(4, f"{what} yields exactly x != {c0} with no budget exhausted "
+              f"({elapsed:.2f}s)")
+
+
+# Random two-variable programs with a self-loop of step 2, which ran past
+# 10 s while members composed through the parametric closure.
+STEP_2_FUZZ_PROGRAMS = [
+    "vars x, y; init s0; s1 -> s1 : x' == x + -2 && y - x <= 2 && x != -2 && y' == y; "
+    "s1 -> s1 : x >= 0 && x' == x; s0 -> s1 : y != -1 && x >= 1 && y <= 1 && x' == x && "
+    "y' == y; s0 -> s1 : x != 0 && x' == x && y' == y;",
+    "vars x, y; init s0; s1 -> s0 : y' == y + -2 && x' == x; s1 -> s1 : y' == y + -2 && "
+    "x' == x; s0 -> s0 : x' == x + -2 && y - x <= 1 && y' == y; s0 -> s1 : y' == y + -2 && "
+    "x <= -1 && x' == x;",
+]
+
+
+@pytest.mark.parametrize("index", range(len(STEP_2_FUZZ_PROGRAMS)))
+def test_acceptance_4_step_2_fuzz_programs_converge(index):
+    from octoterm.oracle import program_live_starts
+
+    program = parse_program(STEP_2_FUZZ_PROGRAMS[index])
+    what = f"step-2 fuzz program {index}"
+    res, elapsed = _nt_program_within(program, 20, what)
+    live = program_live_starts(program, BoxDomain.cube(2, -4, 4))
+    if index == 1:
+        # every edge moves x or y by -2, so no run stays in a box; from s0
+        # with x <= -1, s0 -> s1 and then the s1 self-loop run forever
+        assert not live
+        live = {(x, y) for x in range(-4, 0) for y in range(-4, 5)}
+    assert live
+    for x, y in live:
+        assert res.precondition.eval({"x": x, "y": y}), (x, y)
+    report(4, f"{what}: the precondition holds at {len(live)} live starts "
               f"({elapsed:.2f}s)")
 
 

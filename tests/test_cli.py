@@ -10,7 +10,7 @@ import octoterm
 from octoterm.cli import main
 from octoterm.grammar import parse_condition
 
-from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM
+from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM, call_within, clear_memos
 
 
 def run(capsys, *argv):
@@ -231,6 +231,19 @@ def test_prog_summary(tmp_path, capsys):
     code, out, _ = run(capsys, "prog", "summary", "--from", "l2", "--to", "l2", str(f))
     assert code == 0
     assert out
+
+
+def test_prog_summary_of_step_2_branching_into_l2_is_fast(capsys):
+    # P+(l1, l2) of step-2 BRANCHING ran past 15 s while members composed
+    # through the parametric closure; by elimination, with opposite rows
+    # paired, it takes a fraction of a second, cold
+    text = BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2")
+    argv = ["--format", "json", "prog", "summary", "--from", "l1", "--to", "l2", text]
+    clear_memos()
+    code, elapsed = call_within(10, "prog summary --from l1 --to l2", main, argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["exact"] is True and data["members"]
+    assert elapsed < 1, elapsed
 
 
 def test_prog_analyze_two_phase_json_roundtrip(tmp_path, capsys):

@@ -22,12 +22,13 @@ from octoterm.octagon import (
     oct_leq,
     tight_close,
 )
-from octoterm.pdbm import ExtParamDbm, param_tighten
+from octoterm.pdbm import ExtParamDbm
 from octoterm.term_oct import wnt
 
 import helpers
 from helpers import (
     flip_decrement_relation,
+    param_tighten,
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
@@ -445,8 +446,8 @@ def test_plain_replay_matches_the_parametric_replay(monkeypatch):
 
 def test_middle_block_replay_matches_every_pivot(monkeypatch):
     """The parametric replay closes the glued matrix through the 2N middle
-    pivots, as ``program._compose_param_oct`` closes a glued composition;
-    the closure through every pivot must give the same (accepted, dead) on
+    pivots, as ``dbm.closed_glued_rows`` closes a glued composition; the
+    closure through every pivot must give the same (accepted, dead) on
     every candidate where neither is capped.  Where the closure through
     every pivot hits the antichain cap and the middle block does not, the
     middle block's acceptance must predict the powers."""
@@ -579,7 +580,7 @@ def test_powers_compose_by_their_exponents():
 
 
 def test_tight_lines_match_the_parametric_tightening():
-    """``_tight_lines`` gives the cells of ``pdbm.param_tighten`` on base +
+    """``_tight_lines`` gives the cells of ``helpers.param_tighten`` on base +
     j*step with even halved slopes: one line where one is least at every
     j, both in order where they cross, () where neither is finite."""
     rng = random.Random(47)

@@ -82,7 +82,8 @@ def _ref_div_normalized(m: int, term: LinTerm):
 
 
 def _ref_make(rows, divs):
-    """(rows, divs) as the Fraction normalizer built them; None when unsat."""
+    """(rows, divs) as the Fraction normalizer built them, with opposite
+    rows paired as ``_inorm`` pairs them; None when unsat."""
     out_rows = []
     seen = set()
     best_le: dict = {}
@@ -116,6 +117,18 @@ def _ref_make(rows, divs):
         if key not in seen:
             seen.add(key)
             out_rows.append((t, EQ))
+    # t <= -c and t >= d: empty when d > -c, t == -c when d == -c
+    for key in list(best_le):
+        opp = frozenset((v, -c) for v, c in key)
+        if key in best_le and opp in best_le:
+            t, u = best_le[key], best_le[opp]
+            if t.const + u.const > 0:
+                return None
+            if t.const + u.const == 0:
+                del best_le[key], best_le[opp]
+                if (key, t.const) not in seen:
+                    seen.add((key, t.const))
+                    out_rows.append((t, EQ))
     out_rows.extend((t, LE) for t in best_le.values())
     out_divs = []
     for d in divs:
@@ -140,6 +153,8 @@ def test_make_matches_fraction_normalizer():
     for _ in range(3000):
         vectors = [{v: _rand_coef(rng) for v in rng.sample(names, rng.randint(0, 3))}
                    for _ in range(rng.randint(1, 3))]
+        # negated vectors make opposite rows that cross or meet
+        vectors += [{v: -c for v, c in cs.items()} for cs in vectors]
         # shared coefficient vectors make rows that collapse to one
         rows = [(LinTerm(rng.choice(vectors), _rand_coef(rng)), rng.choice((LT, LE, LE, EQ)))
                 for _ in range(rng.randint(0, 5))]
@@ -312,8 +327,9 @@ def test_conj_implies_divisibility_from_rows():
     # m | m': 4 | x + 2y gives 2 | x, but 3 | x does not
     assert conj_implies(Conj.make([], [DivAtom(4, x + 2 * y)]), Conj.make([], [DivAtom(2, x)]))
     assert not conj_implies(Conj.make([], [DivAtom(3, x)]), Conj.make([], [DivAtom(2, x)]))
-    # a rationally empty a implies anything
-    empty = Conj.make([(x + y, LE), (1 - x - y, LE)])
+    # a rationally empty a implies anything; Conj.make would see that the
+    # two rows cross and give None, so the conjunct is built as it stands
+    empty = Conj(((x + y, LE), (1 - x - y, LE)))
     assert conj_implies(empty, Conj.make([], [DivAtom(3, x + 1)]))
 
 
@@ -427,6 +443,63 @@ def test_inorm_is_idempotent():
         seen["eq"] += any(rel == EQ for _, _, rel in norm[0])
         seen["div"] += bool(norm[1])
         seen["gcd"] += any(gcd(*cs.values()) > 1 for cs, _, _ in rows if any(cs.values()))
+    assert min(seen.values()) >= 100, seen
+
+
+def test_inorm_rows_that_cross_are_unsat():
+    # x + y <= 1 and x + y >= 2
+    assert presburger._inorm([({"x": 1, "y": 1}, -1, LE), ({"x": -1, "y": -1}, 2, LE)], []) is None
+    # after the gcd, 2x + 2y <= 1 is x + y <= 0, and 3x + 3y >= 2 is x + y >= 1
+    assert Conj.make([(2 * x + 2 * y - 1, LE), (2 - 3 * x - 3 * y, LE)]) is None
+
+
+def test_inorm_rows_that_meet_give_one_equality():
+    # x - 2y <= 3 and x - 2y >= 3, next to y <= 0: one == row, in the
+    # orientation of the first row, before the <= rows
+    rows = [({"x": 1, "y": -2}, -3, LE), ({"y": 1}, 0, LE), ({"x": -1, "y": 2}, 3, LE)]
+    assert presburger._inorm(rows, []) == ([({"x": 1, "y": -2}, -3, EQ), ({"y": 1}, 0, LE)], [])
+    # the tightest row of each vector pairs, and the looser ones go with it
+    c = Conj.make([(x - 5, LE), (x - 3, LE), (3 - x, LE), (1 - x, LE)])
+    assert c.rows == ((x - 3, EQ),)
+    # an equality the pair repeats is kept once
+    assert Conj.make([(x - 3, EQ), (x - 3, LE), (3 - x, LE)]).rows == ((x - 3, EQ),)
+    # rows that leave room stay two rows
+    assert Conj.make([(x - 3, LE), (2 - x, LE)]).rows == ((x - 3, LE), (2 - x, LE))
+
+
+def test_inorm_pairing_is_idempotent_and_keeps_the_set():
+    # rows over a few coefficient vectors and their negations, scaled by
+    # common factors: the normal form is a fixpoint, no two of its <= rows
+    # cross or meet, and it holds on a box exactly where the rows hold
+    rng = random.Random(43)
+    names = ["x", "y", "z"]
+    box = [dict(zip(names, pt)) for pt in product(range(-3, 4), repeat=3)]
+    seen = {"unsat": 0, "paired": 0, "opposite": 0}
+    for _ in range(2000):
+        vectors = [{v: rng.randint(-3, 3) for v in rng.sample(names, rng.randint(1, 3))}
+                   for _ in range(rng.randint(1, 3))]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            f = rng.choice((1, 1, 2, 3)) * rng.choice((1, -1))
+            cs = {v: f * c for v, c in rng.choice(vectors).items()}
+            rows.append((cs, f * rng.randint(-2, 2), rng.choice((LE, LE, LE, LE, EQ))))
+        raw = _raw_conj(rows, [])
+        norm = presburger._inorm(rows, [])
+        if norm is None:
+            seen["unsat"] += 1
+            assert not any(raw.eval(pt) for pt in box), rows
+            continue
+        assert _ordered(presburger._inorm(*norm)) == _ordered(norm), rows
+        conj = presburger._conj(*norm)
+        assert all(raw.eval(pt) == conj.eval(pt) for pt in box), rows
+        le = {tuple(sorted(cs.items())): c0 for cs, c0, rel in norm[0] if rel == LE}
+        for key, c0 in le.items():
+            opp = tuple((v, -c) for v, c in key)
+            if opp in le:
+                assert c0 + le[opp] < 0, rows
+                seen["opposite"] += 1
+        seen["paired"] += (sum(rel == EQ for _, _, rel in norm[0])
+                           > sum(rel == EQ for _, _, rel in rows))
     assert min(seen.values()) >= 100, seen
 
 

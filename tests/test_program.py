@@ -483,9 +483,8 @@ def test_members_are_named_by_position():
 
 @pytest.mark.parametrize("divisible", [False, True], ids=["param-oct", "elimination"])
 def test_composed_parameters_stay_apart(divisible):
-    # x' = x + 2k then x' = x + 3j: every step but 1 is reachable.  A
-    # divisibility atom sends the composition through integer elimination
-    # instead of the parametric closure.
+    # x' = x + 2k then x' = x + 3j: every step but 1 is reachable, with and
+    # without a divisibility atom; both pairs compose by integer elimination
     from octoterm.linarith import EQ, LinTerm
     from octoterm.presburger import Conj, DivAtom
 
@@ -692,7 +691,7 @@ def _search_eval(members, point, bound):
 
 @pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
 def test_compose_members_matches_elimination_on_a_box(n, width, bound):
-    from octoterm.program import _compose_members, _compose_param_oct
+    from octoterm.program import _compose_members, _compose_octagon_pair
 
     rng = random.Random(61 + n)
     members = _random_members(rng, n)
@@ -701,140 +700,24 @@ def test_compose_members_matches_elimination_on_a_box(n, width, bound):
     box = [dict(zip(names, pt))
            for pt in itertools.product(range(-width, width + 1), repeat=2 * n)]
     pairs = [(a, b) for a in members for b in members]
-    param_oct = empty = 0
+    octagon_pairs = empty = 0
     for a, b in rng.sample(pairs, 40):
         got = compose_members(a, b)
         want = _compose_members(a, b)
-        param_oct += _compose_param_oct(a, b) is not None
+        octagon_pairs += _compose_octagon_pair(a, b) is not None
         empty += not want
         if not want:
             assert not got
             continue
         for pt in box:
             assert _search_eval(got, pt, bound) == _search_eval(want, pt, bound), (a, b, pt)
-    assert param_oct >= 30 and empty >= 3, (param_oct, empty)
-
-
-def _unclosed_param_matrix(m: LinRel):
-    """The member's dual matrix, unclosed: the operand of the
-    full-closure reference below."""
-    from octoterm.linarith import LE
-    from octoterm.octagon import atom_entry, row_atom
-    from octoterm.pdbm import min_terms
-
-    if m.conj.divs:
-        return None
-    names = list(m.variables) + [v + "'" for v in m.variables]
-    index = {v: i for i, v in enumerate(names)}
-    pidx = {p: i + 1 for i, p in enumerate(m.params)}
-    dim = 2 * len(index)
-    cells = [[[] for _ in range(dim)] for _ in range(dim)]
-    for t, rel in m.conj.rows:
-        for tt in (t,) if rel == LE else (t, -t):
-            var_part = []
-            bound = [-tt.const] + [0] * len(pidx)
-            for v, c in tt.coeffs.items():
-                if v in pidx:
-                    bound[pidx[v]] = -c
-                else:
-                    var_part.append((index[v], c))
-            if not var_part:
-                cells[0][0].append(tuple(bound))
-                continue
-            atom = row_atom(var_part, 1)
-            if atom is None:
-                return None
-            p, q = atom_entry(*atom[:4])
-            term = tuple(atom[4] * c for c in bound)
-            cells[p][q].append(term)
-            cells[q ^ 1][p ^ 1].append(term)
-    for p in range(dim):
-        cells[p][p].append((0,) * (len(pidx) + 1))
-    return [[min_terms(cell) for cell in row] for row in cells]
-
-
-def _full_closure_compose(a: LinRel, b: LinRel):
-    """Composition through the full closure of the glued unclosed matrices,
-    with the middle block erased whole; and whether every tightened middle
-    diagonal term is nonnegative, so that erasing it lost nothing."""
-    from octoterm.pdbm import ExtParamDbm, glue, param_fw, param_tighten
-    from octoterm.program import _member_from_entries
-
-    ea, eb = _unclosed_param_matrix(a), _unclosed_param_matrix(b)
-    if ea is None or eb is None:
-        return None, True
-    na, nb = len(a.params), len(b.params)
-
-    def lift(entries, before, after):
-        return ExtParamDbm(len(entries), na + nb, [
-            [tuple((t[0], *(0,) * before, *t[1:], *(0,) * after) for t in cell)
-             for cell in row] for row in entries])
-
-    closed = param_fw(glue(lift(ea, 0, nb), lift(eb, na, 0)))
-    if closed.capped:
-        return None, True
-    blk = 2 * len(a.variables)
-    keep = list(range(blk)) + list(range(2 * blk, 3 * blk))
-    out, consistent = [], True
-    for entries in param_tighten(closed.entries, 3 * blk):
-        consistent &= all(min(t) >= 0 for p in range(blk, 2 * blk) for t in entries[p][p])
-        erased = [[entries[p][q] for q in keep] for p in keep]
-        mem = _member_from_entries(erased, na + nb, a.variables)
-        if mem is not None:
-            out.append(mem)
-    return out, consistent
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_compose_param_oct_matches_the_full_closure(n):
-    from octoterm.program import _compose_param_oct
-
-    rng = random.Random(71 + n)
-    members = _random_members(rng, n) + _random_members(rng, n)
-    compared = skipped = free = 0
-    for a in members:
-        for b in members:
-            want, consistent = _full_closure_compose(a, b)
-            if not consistent:
-                skipped += 1
-                continue
-            compared += 1
-            # parameter-free pairs take oct_compose, the others param_fw
-            free += not a.params and not b.params
-            assert _compose_param_oct(a, b) == want, (a, b)
-    assert compared >= 100 and skipped >= 3 and free >= 250, (compared, skipped, free)
-
-
-def test_composition_closes_each_member_once(monkeypatch):
-    # the members enter the glued matrix closed, and the glued matrix is
-    # closed through the 2N middle pivots only
-    from octoterm.linarith import LE, LinTerm
-    from octoterm.presburger import Conj
-
-    calls = []
-    real = program_module.param_fw
-
-    def spy(m, pivots=None):
-        calls.append((m.dim, None if pivots is None else list(pivots)))
-        return real(m, pivots)
-
-    monkeypatch.setattr(program_module, "param_fw", spy)
-    clear_memos()
-    x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
-    p = LinTerm.var("_p0")
-    a = LinRel(("x", "y"), Conj.make([(x1 - x - p, LE), (x - x1 + p, LE),
-                                       (y1 - y, LE), (y - y1, LE)]), ("_p0",))
-    b = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - x, LE), (y1 - y - 1, LE)]))
-    c = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - x1, LE)]))
-    assert compose_members(a, b) and compose_members(a, c)
-    assert sorted(calls, key=str) == sorted(
-        [(8, None)] * 3 + [(12, [4, 5, 6, 7])] * 2, key=str)
+    assert octagon_pairs >= 15 and empty >= 3, (octagon_pairs, empty)
 
 
 def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
     # two parameter-free octagonal members compose by oct_compose and
-    # compare as tight octagons in conj_implies: no parametric closure, no
-    # LP, no row entailment
+    # compare as tight octagons in conj_implies: no elimination, no LP, no
+    # row entailment
     from octoterm import linarith
     from octoterm.linarith import LE, LinTerm
     from octoterm.presburger import Conj
@@ -847,7 +730,8 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(program_module, "param_fw", spy("param_fw", program_module.param_fw))
+    monkeypatch.setattr(program_module, "eliminate_all",
+                        spy("eliminate_all", program_module.eliminate_all))
     monkeypatch.setattr(presburger_module, "conj_poly",
                         spy("conj_poly", presburger_module.conj_poly))
     monkeypatch.setattr(linarith.PolyhedronLP, "__init__",
@@ -902,10 +786,11 @@ def test_member_subsumed_agrees_with_conj_implies(n):
 
 @pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
 def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width, bound):
-    # with antichains capped at one term, wide cells cap the parametric
-    # closure, and compose_members falls back to elimination
+    # every pair but two parameter-free octagons composes by elimination,
+    # so the antichain cap of the parametric DBMs leaves composition alone:
+    # at a cap of one term, compose_members still agrees with elimination
     from octoterm import pdbm
-    from octoterm.program import _compose_members, _compose_param_oct
+    from octoterm.program import _compose_members, _compose_octagon_pair
 
     rng = random.Random(101 + n)
     members = _random_members(rng, n)
@@ -919,7 +804,7 @@ def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width
     fell = 0
     for a in members:
         for b in members:
-            if (not a.params and not b.params) or _compose_param_oct(a, b) is not None:
+            if _compose_octagon_pair(a, b) is not None:
                 continue
             fell += 1
             got, want = compose_members(a, b), _compose_members(a, b)
@@ -977,47 +862,6 @@ def test_step_2_branching_saturation_extends_by_generators(monkeypatch):
     assert len(calls) <= 54, len(calls)
 
 
-def test_octagon_bounds_refute_only_empty_compositions(monkeypatch):
-    # every pair whose block bounds meet in an empty tight octagon composes
-    # to nothing by exact elimination too, and never reaches the closure
-    from octoterm.octagon import oct_meet_raw, tight_close
-    from octoterm.program import _compose_members, _member_param_matrix, _normalize_member
-
-    gen = perfbench_gen()
-    texts = [r["text"] for seed in (5, 6) for r in gen.make_requests("programs", seed, 1)]
-    texts += [_branching(2), _branching(3)]
-    seen, closed, current = [], set(), []
-    real_compose, real_fw = program_module._compose_param_oct, program_module.param_fw
-
-    def compose_spy(a, b):
-        seen.append((a, b))
-        current.append((a, b))
-        try:
-            return real_compose(a, b)
-        finally:
-            current.pop()
-
-    def fw_spy(m, pivots=None):
-        if pivots is not None:
-            closed.add(current[-1])
-        return real_fw(m, pivots)
-
-    monkeypatch.setattr(program_module, "_compose_param_oct", compose_spy)
-    monkeypatch.setattr(program_module, "param_fw", fw_spy)
-    clear_memos()
-    for text in texts:
-        nt_program(parse_program(text))
-    refuted = 0
-    for a, b in dict.fromkeys(seen):
-        ma, mb = _member_param_matrix(a), _member_param_matrix(b)
-        if ma is None or mb is None or not tight_close(oct_meet_raw(ma[2], mb[1])).is_bottom:
-            continue
-        refuted += 1
-        assert (a, b) not in closed, (a, b)
-        assert all(_normalize_member(m) == () for m in _compose_members(a, b)), (a, b)
-    assert refuted >= 80 and closed, refuted
-
-
 def test_composed_members_pass_the_member_lp():
     # the reference for the emptiness argument of compose_members: every
     # member it returns has a rational point with its parameters >= 0,
@@ -1052,19 +896,15 @@ def test_composed_members_pass_the_member_lp():
 
 
 def test_empty_parametric_composition_is_dropped():
-    # _p0 <= 1 and y' - y == _p0 >= 3 sit on the diagonals of x and of y,
-    # which no path joins: no diagonal term is negative at every valuation,
-    # so the composition keeps a member, and only the parameter elimination
-    # of _normalize_member sees that it is empty
+    # _p0 <= 1 and y' - y == _p0 >= 3 hold together at no parameter: the
+    # elimination of the midpoints leaves no case with a rational point
     from octoterm.linarith import EQ, LE, LinTerm
     from octoterm.presburger import Conj
-    from octoterm.program import _compose_param_oct
 
     y, y1, p = LinTerm.var("y"), LinTerm.var("y'"), LinTerm.var("_p0")
     a = LinRel(("x", "y"), Conj.make([(y1 - y - p, EQ), (p - 1, LE), (y - y1 + 3, LE)]),
                ("_p0",))
     ident = identity_member(("x", "y"))
-    assert len(_compose_param_oct(a, ident)) == 1
     assert compose_members(a, ident) == ()
 
 
@@ -1112,7 +952,9 @@ def _record_entries(monkeypatch):
 
 def test_path_reduction_keeps_one_row_of_a_zero_cycle():
     # x == y, x <= z, y <= z: each z row follows from the other one and
-    # x == y, so dropping every path-implied term at once would lose z
+    # x == y, so dropping every path-implied term at once would lose z.
+    # Conj.make pairs x - y <= 0 and y - x <= 0 into one == row.
+    from octoterm.linarith import EQ
     from octoterm.octagon import oct_encode, tight_close
     from octoterm.pdbm import ExtParamDbm
     from octoterm.program import _member_from_entries, _path_reduced
@@ -1134,7 +976,9 @@ def test_path_reduction_keeps_one_row_of_a_zero_cycle():
     assert bool(reduced[0][4] or reduced[5][1]) != bool(reduced[2][4] or reduced[5][3])
     full = _all_term_conj(entries, 0, variables)
     member = _member_from_entries(entries, 0, variables)
-    assert len(member.conj.rows) == 3 < len(full.rows) == 4
+    assert len(member.conj.rows) == 2 < len(full.rows) == 3
+    assert member.conj.rows[0] == (LinTerm({"x": 1, "y": -1}), EQ)
+    assert [rel for _, rel in full.rows] == [EQ, LE, LE]
     for pt in itertools.product(range(-3, 4), repeat=3):
         val = dict(zip(variables, pt), **{"x'": 0, "y'": 0, "z'": 0})
         assert member.conj.eval(val) == full.eval(val), val
@@ -1142,15 +986,17 @@ def test_path_reduction_keeps_one_row_of_a_zero_cycle():
 
 @pytest.mark.parametrize("n, width, bound", [(1, 4, 4), (2, 2, 2)])
 def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound):
-    # members of random closures and their compositions: the rows of every
-    # term and the path-reduced rows agree at every point of the box, the
-    # parameters included
+    # members of random closures and the compositions of parameter-free
+    # members, the two kinds of member built from a matrix: the rows of
+    # every term and the path-reduced rows agree at every point of the box,
+    # the parameters included
     from octoterm.program import _path_reduced
 
     calls = _record_entries(monkeypatch)
     rng = random.Random(83 + n)
     members = _random_members(rng, n) + _random_members(rng, n)
-    for a, b in rng.sample([(a, b) for a in members for b in members], 80):
+    free = [m for m in members if not m.params]
+    for a, b in rng.sample([(a, b) for a in free for b in free], 80):
         compose_members(a, b)
     variables = ("x", "y")[:n]
     names = list(variables) + [v + "'" for v in variables]
@@ -1176,5 +1022,5 @@ def test_path_reduction_shrinks_the_widest_two_phase_member(monkeypatch):
     nt_program(parse_program(TWO_PHASE_PROGRAM))
     counts = [(len(_all_term_conj(e, k, v).rows), len(m.conj.rows))
               for e, k, v, m in calls if m is not None]
-    assert max(counts) == (36, 14)
+    assert max(counts) == (14, 7)
     assert all(reduced <= full for full, reduced in counts)
