@@ -33,7 +33,7 @@ from octoterm.octagon import (
     row_atom,
     tight_close,
 )
-from octoterm.pdbm import ExtParamDbm, min_terms, param_fw
+from octoterm.pdbm import ExtParamDbm, Term, min_terms, param_fw
 from octoterm.presburger import Conj, Dnf, conj_implies
 from octoterm.program import (
     Budgets,
