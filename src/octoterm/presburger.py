@@ -111,8 +111,9 @@ class Conj(NamedTuple):
 
 
 # Entries per memo table, as in ``program``.  Three rounds of the `programs`
-# benchmark fill at most 188 (the octagon memo), so they evict nothing
-# while a long-lived process stays bounded.
+# benchmark (seed 5, one process) fill at most 374 (the octagon memo; 278
+# after one round), so they evict nothing while a long-lived process stays
+# bounded.
 _MEMO = 1024
 
 

@@ -20,7 +20,9 @@ pair of parameter-free octagonal members, which compose as tight octagons,
 integer-hull exact.  Each question about members is asked one way:
 emptiness by the exact parameter elimination of ``member_cases``
 (``compose_members`` says why that suffices), inclusion by
-``conj_implies`` on those cases, and images by ``_image``.
+``conj_implies`` on those cases, and images by ``_image``, which
+memoizes the image of each conjunct through each member per (member,
+conjunct, direction) in ``_member_image``.
 
 The non-termination precondition takes, per control state, either the
 exact WNT of the unique cycle relation or the union of the WNTs of the
@@ -60,8 +62,9 @@ from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
-# most 551 (member_subsumed, seeds 5-12, one fresh process each), so a
-# round evicts nothing while a long-lived process stays bounded.
+# most 611 (member_subsumed, seeds 5-12, one fresh process each; the image
+# memo `_member_image` at most 49), so a round evicts nothing while a
+# long-lived process stays bounded.
 _MEMO = 1024
 
 
@@ -408,7 +411,9 @@ def _dedupe(members: list[LinRel]) -> list[LinRel]:
 
 def _cycle_single_class(p: Program, cycle: list[Transition]):
     """(kind, payload) when the composed cycle label is a single conjunctive
-    octagonal or finite-monoid affine relation; None otherwise."""
+    octagonal or finite-monoid affine relation; None otherwise.  A cycle
+    whose composed relation is empty is the empty octagon: no run goes
+    round it, and its WNT is exactly empty."""
     if all(len(t.label) == 1 for t in cycle) and all(
         isinstance(t.label[0], AffineRel) for t in cycle
     ):
@@ -419,6 +424,8 @@ def _cycle_single_class(p: Program, cycle: list[Transition]):
         if a is not None and is_finite_monoid(a.a):
             return ("affine", a)
     members = _cycle_relation(p, cycle)
+    if not members:
+        return ("octagon", bottom(2 * len(p.variables)))
     if len(members) == 1:
         o, exact = member_to_octagon(members[0], exact_only=True)
         if exact:
@@ -677,26 +684,36 @@ class PrecondResult(NamedTuple):
     budget_exhausted: bool = False
 
 
-def _image(members: list[LinRel], target: Dnf, variables, forward: bool,
+def _image(members: list[LinRel], target: Dnf, forward: bool,
            include_identity: bool) -> Dnf:
     """Image of a DNF over x through summary members, and through the
     identity when asked: the post-image when ``forward``, else the
     pre-image."""
     out = Dnf()
-    primed = {v: LinTerm({v + "'": 1}) for v in variables}
-    unprimed = {v + "'": LinTerm({v: 1}) for v in variables}
-    gone = list(variables if forward else unprimed)
     for conj in target:
         if include_identity:
             out.add(conj)
-        shifted = conj if forward else conj.subst(primed)
         for m in members:
-            merged = Conj.make(m.conj.rows + shifted.rows, m.conj.divs + shifted.divs)
-            if merged is None:
-                continue
-            for c in eliminate_all(merged, gone + list(m.params), nonneg=list(m.params)):
-                out.add(c.subst(unprimed) if forward else c)
+            for c in _member_image(m, conj, forward):
+                out.add(c)
     return out
+
+
+@lru_cache(maxsize=_MEMO)
+def _member_image(m: LinRel, conj: Conj, forward: bool) -> tuple[Conj, ...]:
+    """Cases of the image of one conjunct over x through one member: the
+    member's other side and its parameters eliminated exactly, primed
+    names read back as x for a post-image."""
+    variables = m.variables
+    unprimed = {v + "'": LinTerm({v: 1}) for v in variables}
+    if not forward:
+        conj = conj.subst({v: LinTerm({v + "'": 1}) for v in variables})
+    merged = Conj.make(m.conj.rows + conj.rows, m.conj.divs + conj.divs)
+    if merged is None:
+        return ()
+    gone = list(variables if forward else unprimed)
+    cases = eliminate_all(merged, gone + list(m.params), nonneg=list(m.params))
+    return tuple(c.subst(unprimed) if forward else c for c in cases)
 
 
 def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
@@ -769,8 +786,8 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             members = summary(q, q)
             reach_dnf = Dnf([Conj.make([])])
             if q != p.init:
-                reach_dnf = _image(summary(p.init, q), reach_dnf, variables,
-                                   forward=True, include_identity=False)
+                reach_dnf = _image(summary(p.init, q), reach_dnf, forward=True,
+                                   include_identity=False)
             reach_oct = oct_hull([c.to_linsys() for c in reach_dnf], variables)
             reach = Conj.make(oct_rows(reach_oct, variables))
             for m in members if reach is not None else []:
@@ -783,7 +800,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
         # the pre-image of an empty DNF is empty, whatever the summary
         contrib = w_dnf
         if pull_back and not w_dnf.is_false:
-            contrib = _image(summary(p.init, q), w_dnf, variables, forward=False,
+            contrib = _image(summary(p.init, q), w_dnf, forward=False,
                              include_identity=(q == p.init))
         per_state.append((q, method, w_dnf))
         for c in contrib:

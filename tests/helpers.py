@@ -167,6 +167,23 @@ l7 -> l1 : id(x,y);
 l1 -> l8 : x == 0 && id(x,y);
 """
 
+# BRANCHING with x' == x - 2: the l1 cycle through l4 keeps x's parity
+STEP_2_BRANCHING_PROGRAM = BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2")
+
+
+def one_phase_ramp(step: str) -> str:
+    """A one-phase ramp: x climbs to m0 while y moves by ``step`` 1."""
+    return (
+        "vars x, y, y0, m0;\n"
+        "init l0;\n"
+        "l0 -> l1 : y0' == y && id(x, y, m0);\n"
+        f"l1 -> l1 : x < m0 && x' == x + 1 && y' == y {step} 1 && id(y0, m0);\n"
+        "l1 -> l2 : x >= m0 && id(x, y, y0, m0);\n"
+        "l2 -> l2 : y == y0 && id(x, y, y0, m0);\n"
+        "l2 -> l3 : y != y0 && id(x, y, y0, m0);\n"
+    )
+
+
 TWO_PHASE_PROGRAM = """
 vars x, y, y0, m, n;
 init l1;
@@ -386,7 +403,7 @@ def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
 def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
     """Post-image of the universal set under P*(init, q), as a DNF over x."""
     members, exact = transitive_relation(p, p.init, q, budgets)
-    return _image(members, Dnf([Conj.make([])]), p.variables, True, q == p.init), exact
+    return _image(members, Dnf([Conj.make([])]), True, q == p.init), exact
 
 
 def eliminate_params(u, variables) -> Dnf:

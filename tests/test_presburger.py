@@ -373,6 +373,7 @@ def test_conj_implies_divisibility_differential():
 def test_memos_are_bounded():
     for fn in (presburger._conj_octagon, presburger._rational_witness, presburger.conj_poly):
         assert fn.cache_info().maxsize is not None
+    assert program_module._member_image.cache_info().maxsize == program_module._MEMO
 
 
 def test_dnf_pruning():

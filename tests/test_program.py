@@ -7,7 +7,7 @@ from octoterm import program as program_module
 from octoterm import presburger as presburger_module
 from octoterm.grammar import FragmentError, ParseError
 from octoterm.linarith import LE, LinTerm
-from octoterm.presburger import Conj
+from octoterm.presburger import Conj, eliminate_all
 from octoterm.program import (
     Budgets,
     Flat,
@@ -28,9 +28,11 @@ from octoterm.program import (
 
 from helpers import (
     BRANCHING_PROGRAM,
+    STEP_2_BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
     clear_memos,
     eliminate_params,
+    one_phase_ramp,
     perfbench_gen,
     reach_set,
     reference_star_members,
@@ -91,6 +93,18 @@ def test_flatness(branching, two_phase):
     assert isinstance(is_flat(two_phase), Flat)
     single = parse_program("vars x;\ninit a;\na -> a : x >= 0 && x' == x - 1;\n")
     assert isinstance(is_flat(single), Flat)
+    # a cycle no run goes round composes to the empty relation: it is the
+    # empty octagon, with an exactly empty WNT, and keeps the program flat
+    for text, precondition in [
+        ("vars x;\ninit a;\na -> a : false;\n", "false"),
+        ("vars x;\ninit a;\na -> b : x >= 1 && x' == x;\nb -> a : x <= 0 && x' == x;\n"
+         "a -> c : x' == x;\nc -> c : x' == x - 1;\n", "(true)"),
+    ]:
+        p = parse_program(text)
+        assert isinstance(is_flat(p), Flat)
+        res = nt_program(p)
+        assert res.flat and res.exact
+        assert repr(res.precondition) == precondition
 
 
 def test_flat_verdict_truth_value(branching, two_phase):
@@ -382,19 +396,6 @@ def test_eliminate_params_of_closure_union():
             assert dnf.eval({"x": x, "x'": x2}) == want, (x, x2)
 
 
-def _ramp(step: str) -> str:
-    """A one-phase ramp: x climbs to m0 while y moves by step 1."""
-    return (
-        "vars x, y, y0, m0;\n"
-        "init l0;\n"
-        "l0 -> l1 : y0' == y && id(x, y, m0);\n"
-        f"l1 -> l1 : x < m0 && x' == x + 1 && y' == y {step} 1 && id(y0, m0);\n"
-        "l1 -> l2 : x >= m0 && id(x, y, y0, m0);\n"
-        "l2 -> l2 : y == y0 && id(x, y, y0, m0);\n"
-        "l2 -> l3 : y != y0 && id(x, y, y0, m0);\n"
-    )
-
-
 # two loops with coupled counters: their members keep loop parameters
 COUPLED_PROGRAM = """
 vars x, y;
@@ -421,8 +422,8 @@ l1 -> l2 : x < 0 && id(x, y);
     [
         (BRANCHING_PROGRAM, "l1"),
         (TWO_PHASE_PROGRAM, "l2"),
-        (_ramp("+"), "l1"),
-        (_ramp("-"), "l1"),
+        (one_phase_ramp("+"), "l1"),
+        (one_phase_ramp("-"), "l1"),
         (COUPLED_PROGRAM, "l2"),
         (SWAP_PROGRAM, "l1"),
     ],
@@ -451,6 +452,36 @@ def test_memo_tables_do_not_change_results(text, head):
                 assert m.params == tuple(f"_p{i}" for i in range(len(m.params)))
     assert not warm[0][0].budget_exhausted
     assert warm[2][0].budget_exhausted
+
+
+def test_a_repeated_program_runs_no_elimination(monkeypatch):
+    # the image of each conjunct through each summary member is memoized, so
+    # a second analysis of the same text eliminates nothing
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eliminate_all(*args, **kwargs)
+
+    monkeypatch.setattr(program_module, "eliminate_all", spy)
+    for text in (one_phase_ramp("+"), TWO_PHASE_PROGRAM, STEP_2_BRANCHING_PROGRAM):
+        clear_memos()
+        first = repr(nt_program(parse_program(text)))
+        assert calls
+        calls.clear()
+        assert repr(nt_program(parse_program(text))) == first
+        assert calls == []
+
+
+def test_image_memo_keeps_the_direction_apart():
+    # q's reach is the post-image of true through the a -> q member, and
+    # q's WNT, also true, is pulled back through the same member: the two
+    # images of one (member, conjunct) pair are its range and its domain
+    p = parse_program("vars x;\ninit a;\na -> q : x >= 5;\nq -> q : x' == x;\n"
+                      "q -> q : x' == x + 1;\n")
+    res = nt_program(p)
+    assert repr(res.per_state) == "[('q', 'tinv', (true))]"
+    assert repr(res.precondition) == "(-1*x + 5 <= 0)"
 
 
 def test_swap_period_budget_is_exhausted():

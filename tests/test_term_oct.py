@@ -15,7 +15,7 @@ from octoterm.octagon import (
     tight_close,
     top,
 )
-from octoterm.program import nt_program, parse_program
+from octoterm.program import nt_program, parse_program, transitive_relation
 from octoterm.ranking import WellFounded, prove_termination
 from octoterm.term_oct import (
     WntResult,
@@ -26,9 +26,11 @@ from octoterm.term_oct import (
 
 from helpers import (
     BRANCHING_PROGRAM,
+    STEP_2_BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
     flip_decrement_relation,
     local_recurrence_holds,
+    one_phase_ramp,
     periodic_relation,
     random_guarded_relation,
     random_oct_relation,
@@ -385,13 +387,18 @@ def test_results_do_not_depend_on_process_history():
     rels = [(random_guarded_relation(rng, n), n) for n in (1, 1, 2, 2, 3)]
     rels += [(r, 2) for r in seven_branch_relations()[:3]]
     rels.append((tight_close(rels[2][0]), rels[2][1]))  # the same WNT entry
-    items = [("oct", r) for r in rels] + [("prog", BRANCHING_PROGRAM),
-                                          ("prog", TWO_PHASE_PROGRAM)]
+    programs = [BRANCHING_PROGRAM, TWO_PHASE_PROGRAM, one_phase_ramp("+"),
+                one_phase_ramp("-"), STEP_2_BRANCHING_PROGRAM]
+    items = [("oct", r) for r in rels] + [("prog", text) for text in programs]
 
     def result(item):
         kind, x = item
         if kind == "prog":
-            return repr(nt_program(parse_program(x)).precondition)
+            p = parse_program(x)
+            res = nt_program(p)
+            summaries = [transitive_relation(p, p.init, q) for q, _, _ in res.per_state]
+            return repr((res.precondition, res.per_state, res.exact,
+                         res.budget_exhausted, summaries))
         rel, n = x
         return repr((wnt(rel, n), prove_termination(rel, n),
                      reflexive_transitive_closure(rel, n),
