@@ -48,6 +48,7 @@ from octoterm.term_oct import fast_power, is_well_founded, wnt
 
 from helpers import (
     BRANCHING_PROGRAM,
+    STEP_2_BRANCHING_PROGRAM,
     TIGHT_EXAMPLE_GOLDEN,
     TWO_PHASE_PROGRAM,
     call_within,
@@ -237,7 +238,7 @@ def _nt_program_within(program, limit: int, what: str):
 def test_acceptance_4_step2_branching_converges():
     # step 2 puts parity atoms into the loop summaries; saturation reaches
     # its fixpoint only when subsumption sees through them
-    program = parse_program(BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2"))
+    program = parse_program(STEP_2_BRANCHING_PROGRAM)
     res, elapsed = _nt_program_within(program, 20, "step-2 BRANCHING")
     assert not res.budget_exhausted
     for x in range(-10, 11):

@@ -10,7 +10,13 @@ import octoterm
 from octoterm.cli import main
 from octoterm.grammar import parse_condition
 
-from helpers import BRANCHING_PROGRAM, TWO_PHASE_PROGRAM, call_within, clear_memos
+from helpers import (
+    BRANCHING_PROGRAM,
+    STEP_2_BRANCHING_PROGRAM,
+    TWO_PHASE_PROGRAM,
+    call_within,
+    clear_memos,
+)
 
 
 def run(capsys, *argv):
@@ -237,7 +243,7 @@ def test_prog_summary_of_step_2_branching_into_l2_is_fast(capsys):
     # P+(l1, l2) of step-2 BRANCHING ran past 15 s while members composed
     # through the parametric closure; by elimination, with opposite rows
     # paired, it takes a fraction of a second, cold
-    text = BRANCHING_PROGRAM.replace("x' == x - 1", "x' == x - 2")
+    text = STEP_2_BRANCHING_PROGRAM
     argv = ["--format", "json", "prog", "summary", "--from", "l1", "--to", "l2", text]
     clear_memos()
     code, elapsed = call_within(10, "prog summary --from l1 --to l2", main, argv)
