@@ -13,7 +13,8 @@ analyses build.  Composition of two closed relations glues their rows
 into the plain row lists of a 3-block matrix over (v, v', v''), closes
 them in place through the middle block only, and slices the outer blocks
 out once (``closed_glued_rows``, ``compose_closed``).  A ``Dbm`` keeps the
-row lists it is given, so no step copies a matrix it has just built.
+row lists it is given, so no step copies a matrix it has just built, and
+keeps its hash once computed, so a memo lookup walks its rows once.
 """
 
 from __future__ import annotations
@@ -35,13 +36,17 @@ class Dbm:
     caller passes lists it has just built.  Instances are treated as
     immutable once built; code writes in place only into rows it has just
     built (``_close``, ``octagon.oct_encode``), never into an operand's.
+    So the hash, the hash of the tuple of row tuples, is computed on first
+    use and kept in a slot, as ``LinTerm`` keeps its own.  It hashes only
+    ints and INF, so it does not depend on ``PYTHONHASHSEED``.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_hash")
 
     def __init__(self, rows: list[list]):
         self.dim = len(rows)
         self.rows = rows
+        self._hash = None
         for r in rows:
             if len(r) != self.dim:
                 raise ValueError("DBM must be square")
@@ -57,7 +62,10 @@ class Dbm:
         return isinstance(other, Dbm) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(tuple(tuple(r) for r in self.rows))
+        return h
 
     def __repr__(self) -> str:
         def fmt(v):

@@ -59,10 +59,11 @@ def _neg(i: int) -> int:
 class Octagon:
     """num_vars variables; ``dbm`` is None exactly for the empty octagon.
 
-    Treated as immutable, like ``Dbm``: a value and a memo key.
+    Treated as immutable, like ``Dbm``: a value and a memo key, whose hash
+    is computed on first use and kept in a slot.
     """
 
-    __slots__ = ("num_vars", "dbm", "tight")
+    __slots__ = ("num_vars", "dbm", "tight", "_hash")
 
     def __init__(self, num_vars: int, dbm: Dbm | None, tight: bool = False):
         if dbm is not None and dbm.dim != 2 * num_vars:
@@ -70,6 +71,7 @@ class Octagon:
         self.num_vars = num_vars
         self.dbm = dbm
         self.tight = tight
+        self._hash = None
 
     @property
     def is_bottom(self) -> bool:
@@ -80,7 +82,10 @@ class Octagon:
             (self.num_vars, self.dbm, self.tight) == (other.num_vars, other.dbm, other.tight))
 
     def __hash__(self):
-        return hash((self.num_vars, self.dbm, self.tight))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.num_vars, self.dbm, self.tight))
+        return h
 
     def __repr__(self) -> str:
         return f"Octagon(num_vars={self.num_vars!r}, dbm={self.dbm!r}, tight={self.tight!r})"

@@ -188,6 +188,20 @@ def _modules_loaded_at_startup() -> set[str]:
     return set(out.split())
 
 
+@pytest.mark.parametrize("argv", [["prog", "analyze", BRANCHING_PROGRAM],
+                                  ["rel", "closure", "x >= 0 && x' == x - 1"]],
+                         ids=["prog_analyze_branching", "rel_closure_readme_loop"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    src = str(Path(octoterm.__file__).resolve().parents[1])
+    outs = set()
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outs.add(subprocess.run([sys.executable, "-m", "octoterm.cli", *argv], env=env,
+                                check=True, capture_output=True).stdout)
+    assert len(outs) == 1
+
+
 def test_startup_does_not_import_numpy():
     assert "numpy" not in _modules_loaded_at_startup()
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -5,8 +6,9 @@ import pytest
 
 from octoterm import program as program_module
 from octoterm import presburger as presburger_module
-from octoterm.grammar import FragmentError, ParseError
+from octoterm.grammar import FragmentError, ParseError, parse_program_text
 from octoterm.linarith import LE, LinTerm
+from octoterm.octagon import Octagon
 from octoterm.presburger import Conj, eliminate_all
 from octoterm.program import (
     Budgets,
@@ -471,6 +473,58 @@ def test_a_repeated_program_runs_no_elimination(monkeypatch):
         calls.clear()
         assert repr(nt_program(parse_program(text))) == first
         assert calls == []
+
+
+# an octagonal edge into the rotation's affine self-loop
+AFFINE_LABEL_PROGRAM = ("vars x, y; init a; a -> b : x >= 0 && id(x, y);"
+                        " b -> b : x' == y && y' == -x - y && x >= 0;")
+
+
+def _label_contents(p):
+    """A deep copy of what every label holds: each octagon's tight flag and
+    DBM rows, and each affine step as it is."""
+    return [[(d.tight, copy.deepcopy(d.dbm and d.dbm.rows)) if isinstance(d, Octagon)
+             else copy.deepcopy(d) for d in t.label] for t in p.transitions]
+
+
+def _analysis(p):
+    """nt_program, then transitive_relation from init to each analysed state."""
+    res = nt_program(p)
+    summaries = [transitive_relation(p, p.init, q) for q, _, _ in res.per_state]
+    return repr(is_flat(p)), repr(res), repr(summaries)
+
+
+@pytest.mark.parametrize("text", [BRANCHING_PROGRAM, TWO_PHASE_PROGRAM, one_phase_ramp("+"),
+                                  one_phase_ramp("-"), STEP_2_BRANCHING_PROGRAM,
+                                  AFFINE_LABEL_PROGRAM],
+                         ids=["branching", "two_phase", "ramp_up", "ramp_down",
+                              "step_2_branching", "affine_label"])
+def test_the_shared_program_is_never_written(text):
+    # a repeated text is one Program object, so an analysis that wrote into
+    # a label would change every later analysis of the text
+    p = parse_program(text)
+    before = _label_contents(p)
+    first = _analysis(p)
+    assert _label_contents(p) == before
+    assert parse_program(text) is p
+    clear_memos()
+    fresh = parse_program(text)
+    assert fresh == p and fresh is not p
+    assert _analysis(fresh) == first
+
+
+def test_a_repeated_text_is_parsed_once(monkeypatch):
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return parse_program_text(text)
+
+    monkeypatch.setattr(program_module, "parse_program_text", spy)
+    clear_memos()
+    text = one_phase_ramp("+")
+    p = parse_program(text)
+    assert parse_program(text) is p and calls == [text]
 
 
 def test_image_memo_keeps_the_direction_apart():

@@ -11,7 +11,7 @@ import itertools
 from octoterm import prove_termination, reflexive_transitive_closure, wnt
 from octoterm.affine import AffineRel, mat
 from octoterm.closure import ParamOct
-from octoterm.dbm import Dbm
+from octoterm.dbm import INF, Dbm
 from octoterm.linarith import LE, LinTerm
 from octoterm.octagon import Octagon, oct_encode
 from octoterm.presburger import Conj, DivAtom
@@ -47,6 +47,34 @@ def _values():
 def test_values_hash_as_their_field_tuples():
     for value, fields in _values():
         assert hash(value) == hash(fields), type(value).__name__
+
+
+def test_a_dbm_and_an_octagon_hash_once():
+    walks = []
+
+    class CountingRows(list):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    m = Dbm(CountingRows([[0, 1], [INF, 0]]))
+    walks.clear()  # the constructor checks that the rows are square
+    assert hash(m) == hash(((0, 1), (INF, 0))) and len(walks) == 1
+    hash(m)
+    assert len(walks) == 1
+    hashes = []
+
+    class CountingDbm(Dbm):
+        __slots__ = ()
+
+        def __hash__(self):
+            hashes.append(1)
+            return super().__hash__()
+
+    o = Octagon(1, CountingDbm([[0, 1], [INF, 0]]))
+    assert hash(o) == hash((1, o.dbm, False)) and len(hashes) == 2
+    hash(o)
+    assert len(hashes) == 2
 
 
 def test_values_of_two_classes_are_never_equal():
