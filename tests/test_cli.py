@@ -176,14 +176,19 @@ def test_affine_commands(capsys):
     assert code == 0 and out == "true"
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this octoterm."""
+    src = str(Path(octoterm.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _modules_loaded_at_startup() -> set[str]:
     """The modules a fresh interpreter holds after ``import octoterm.cli``."""
-    src = str(Path(octoterm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, octoterm, octoterm.cli; print(*sys.modules)"],
-        env=env, check=True, capture_output=True, text=True,
+        env=_child_env(), check=True, capture_output=True, text=True,
     ).stdout
     return set(out.split())
 
@@ -192,13 +197,10 @@ def _modules_loaded_at_startup() -> set[str]:
                                   ["rel", "closure", "x >= 0 && x' == x - 1"]],
                          ids=["prog_analyze_branching", "rel_closure_readme_loop"])
 def test_output_does_not_depend_on_the_hash_seed(argv):
-    src = str(Path(octoterm.__file__).resolve().parents[1])
-    outs = set()
-    for seed in ("0", "1", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        outs.add(subprocess.run([sys.executable, "-m", "octoterm.cli", *argv], env=env,
-                                check=True, capture_output=True).stdout)
+    outs = {subprocess.run([sys.executable, "-m", "octoterm.cli", *argv],
+                           env=_child_env(PYTHONHASHSEED=seed), check=True,
+                           capture_output=True).stdout
+            for seed in ("0", "1", "12345")}
     assert len(outs) == 1
 
 
