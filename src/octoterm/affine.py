@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .linarith import EQ, LE, LT, LinTerm
@@ -42,15 +42,15 @@ def identity(n: int) -> Matrix:
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
-    out = identity(len(a))
+    out = None
     base = a
     while e:
         if e & 1:
-            out = mat_mul(out, base)
+            out = base if out is None else mat_mul(out, base)
         e >>= 1
         if e:
             base = mat_mul(base, base)
-    return out
+    return identity(len(a)) if out is None else out
 
 
 class AffineRel(NamedTuple):
@@ -95,19 +95,32 @@ def _order_lcm(n: int) -> int:
     return out
 
 
-def is_finite_monoid(a: Matrix) -> bool:
-    """True iff the set of powers of A is finite.
-
-    The nilpotent part dies by the dimension and the orders of
-    root-of-unity eigenvalues divide L = lcm{d : totient(d) <= N}, so the
-    monoid is finite exactly when A^(N+L) = A^N.
-    """
+def _kills(a: Matrix, L: int, k: int) -> bool:
+    """Whether A^N (A^L - I)^k = 0, N the dimension of A.  When it holds,
+    the trace of A^L counts the nonzero eigenvalues, all L-th roots of
+    unity: a trace outside [0, N] fails before (A^L - I)^k multiplies the
+    bits of a growing A^L by k."""
     n = len(a)
-    if n == 0:
-        return True
-    L = _order_lcm(n)
-    an = mat_pow(a, n)
-    return mat_mul(an, mat_pow(a, L)) == an
+    step = mat_pow(a, L)
+    if not 0 <= sum(step[i][i] for i in range(n)) <= n:
+        return False
+    out = mat_pow(a, n)  # times A^L - I, k times or until it is 0
+    for _ in range(k):
+        if not any(map(any, out)):
+            break
+        out = tuple(tuple(map(sub, x, y)) for x, y in zip(mat_mul(out, step), out))
+    return not any(map(any, out))
+
+
+def is_finite_monoid(a: Matrix) -> bool:
+    """True iff the set of powers of A is finite: ``_kills`` with k = 1 at
+    L = ``_order_lcm(N)``, that is A^(N+L) = A^N, which makes the powers
+    repeat.  Conversely, if A^(B+C) = A^B, the minimal polynomial divides
+    x^B (x^C - 1): its factor x^e has e <= N, and its nonzero roots are
+    simple roots of unity whose orders divide L (see ``_unity_order``), so
+    it divides x^N (x^L - 1).
+    """
+    return _kills(a, _order_lcm(len(a)), 1)
 
 
 def power_cycle(a: Matrix, bound: int = 512):
@@ -145,9 +158,8 @@ def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
     """
     if not is_finite_monoid(rel.a):
         raise ValueError("matrix does not generate a finite monoid")
-    cyc = power_cycle(rel.a)
-    assert cyc is not None
-    B, C = cyc
+    # A^(N+L) = A^N, so the powers repeat by step N + L
+    B, C = power_cycle(rel.a, rel.n_vars + _order_lcm(rel.n_vars) + 1)
     powers = [identity(rel.n_vars)]  # A^0 .. A^(B+C-1)
     for _ in range(B + C - 1):
         powers.append(mat_mul(powers[-1], rel.a))
@@ -209,133 +221,30 @@ def homogenize(rel: AffineRel) -> tuple[Matrix, tuple[tuple[int, ...], ...]]:
 # ---------------------------------------------------------------------------
 
 
-def char_poly(a: Matrix) -> list[Fraction]:
-    """Coefficients of det(xI - A), ascending order, by Faddeev-LeVerrier.
-
-    Over an integer matrix every M_k and c_k is an integer (c_(n-k) is a
-    coefficient of the characteristic polynomial), so the division by k is
-    exact and the recurrence runs in ints.
-    """
-    n = len(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A*M_{k-1} + c_{n-k+1} I ; c_{n-k} = -tr(A*M_k)/k
-        m = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            m[i][i] += coeffs[n - k + 1]
-        tr = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier division is not exact"
-        coeffs[n - k] = -tr // k
-    return [Fraction(c) for c in coeffs]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(v != 0 for v in num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        q[shift] = factor
-        for i, dv in enumerate(den):
-            num[shift + i] -= factor * dv
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b and any(v != 0 for v in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-def _x_power_mod(e: int, m: list[int]) -> list[int]:
-    """x^e modulo the monic integer polynomial m (coefficients ascending),
-    by square-and-multiply; the residue has deg(m) coefficients."""
-    d = len(m) - 1
-
-    def reduce(p: list[int]) -> list[int]:
-        for top in range(len(p) - 1, d - 1, -1):
-            c = p[top]
-            if c:
-                for i in range(d + 1):
-                    p[top - d + i] -= c * m[i]
-        return (p + [0] * d)[:d]
-
-    def times(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return reduce(out)
-
-    acc, base = reduce([1]), reduce([0, 1])
-    while e:
-        if e & 1:
-            acc = times(acc, base)
-        e >>= 1
-        if e:
-            base = times(base, base)
-    return acc
-
-
 def _unity_order(a: Matrix) -> int | None:
-    """Smallest L with every nonzero eigenvalue an L-th root of unity.
+    """Smallest M with every nonzero eigenvalue an M-th root of unity: the
+    least divisor M of L = ``_order_lcm(N)`` with A^N (A^M - I)^N = 0
+    (``_kills`` with k = N); None when L fails.
 
-    char(A) = x^m q(x) with q(0) != 0; the squarefree part sf of q must
-    divide x^L - 1 (repeated root-of-unity eigenvalues are allowed, so the
-    divisibility is tested on the radical).  The L that work are the
-    multiples of the order of x modulo sf.  A root-of-unity eigenvalue
-    has an order d with totient(d) <= N, so when any L works, M =
-    ``_order_lcm(N)`` does: x^M = 1 modulo sf is tested by square-and-
-    multiply, and the order is M stripped of each prime factor p (all are
-    at most N + 1) while x^(L/p) = 1 still holds.  None when no such L
-    exists.
+    The identity is exact.  On the generalized eigenspace of a nonzero
+    eigenvalue with lambda^M = 1, A^M - I is nilpotent of index at most N,
+    and A^N kills the generalized eigenspace of 0.  Conversely, an
+    eigenvector of eigenvalue lambda is sent to lambda^N (lambda^M - 1)^N
+    times itself.  So the M that pass are the multiples of the order, the
+    lcm of the orders d of the nonzero eigenvalues.  The d-th cyclotomic
+    polynomial divides the characteristic one, so totient(d) <= N and the
+    order divides L, unless some nonzero eigenvalue is no root of unity.
     """
     n = len(a)
-    if n == 0:
-        return 1
-    p = char_poly(a)
-    while p and p[0] == 0:
-        p = p[1:]
-    if not p or len(p) == 1:
-        return 1  # nilpotent: no nonzero eigenvalues
-    q = p
-    sf = _poly_divmod(q, _poly_gcd(q, _poly_deriv(q)))[0] if len(q) > 1 else q
-    # a monic factor of the monic integer q has integer coefficients
-    sf = [int(c) for c in sf]
-    one = _x_power_mod(0, sf)
     L = _order_lcm(n)
-    if _x_power_mod(L, sf) != one:
+    if not _kills(a, L, n):
         return None
-    # every prime factor p of M has p - 1 | totient(d) <= N for some d
-    for prime in (p for p in range(2, n + 2) if _totient(p) == p - 1):
-        while L % prime == 0 and _x_power_mod(L // prime, sf) == one:
-            L //= prime
-    return L
+    return next(m for m in range(1, L + 1) if L % m == 0 and _kills(a, m, n))
 
 
 def is_polynomially_bounded(a: Matrix) -> bool:
-    return _unity_order(a) is not None
+    """``_kills`` with k = N at L = ``_order_lcm(N)``: see ``_unity_order``."""
+    return _kills(a, _order_lcm(len(a)), len(a))
 
 
 class PolyClosedForm(NamedTuple):

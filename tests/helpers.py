@@ -13,7 +13,7 @@ from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from octoterm.affine import AffineRel, mat
+from octoterm.affine import AffineRel, Matrix, mat
 from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate, ext_min
 from octoterm.grammar import ParseError, ProgramText, _classify
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
@@ -195,6 +195,26 @@ l5 -> l8 : x >= n && id(x, y, m, n, y0);
 l8 -> l8 : y == y0 && id(x, y, m, n, y0);
 l8 -> l10 : y != y0 && id(x, y, m, n, y0);
 """
+
+
+def _cycle_rows(cycles) -> list[str]:
+    """``xi' == xj`` for each variable index i and its successor j round
+    each of the cycles."""
+    return [f"x{i}' == x{j}" for cyc in map(list, cycles)
+            for i, j in zip(cyc, cyc[1:] + cyc[:1])]
+
+
+# x' = P x for the permutation P of 23 variables with cycles of lengths 3,
+# 5, 7 and 8: its powers first repeat at the 840th, past a scan of 512
+ORDER_840_LOOP = " && ".join(
+    _cycle_rows([range(0, 3), range(3, 8), range(8, 15), range(15, 23)]) + ["x0 >= 0"])
+
+# the same with the 3-cycle replaced by the order-3 rotation x0' = x1,
+# x1' = -x0 - x1, which is not octagonal, so the label stays affine
+ORDER_840_PROGRAM = "vars {}; init a; a -> a : {};".format(
+    ", ".join(f"x{i}" for i in range(22)),
+    " && ".join(["x0' == x1", "x1' == -x0 - x1"]
+                + _cycle_rows([range(2, 7), range(7, 14), range(14, 22)]) + ["x0 >= 0"]))
 
 
 def random_oct_relation(rng: random.Random, n_vars: int, max_coef: int = 4,
@@ -499,11 +519,70 @@ def reference_poly_matrix_power(a):
     return polys, prefix
 
 
+def char_poly(a: Matrix) -> list[Fraction]:
+    """Coefficients of det(xI - A), ascending order, by Faddeev-LeVerrier.
+
+    Over an integer matrix every M_k and c_k is an integer (c_(n-k) is a
+    coefficient of the characteristic polynomial), so the division by k is
+    exact and the recurrence runs in ints.
+    """
+    n = len(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A*M_{k-1} + c_{n-k+1} I ; c_{n-k} = -tr(A*M_k)/k
+        m = [
+            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        tr = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
+        assert tr % k == 0, "Faddeev-LeVerrier division is not exact"
+        coeffs[n - k] = -tr // k
+    return [Fraction(c) for c in coeffs]
+
+
+def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(v != 0 for v in num):
+        if num[-1] == 0:
+            num.pop()
+            continue
+        shift = len(num) - len(den)
+        factor = num[-1] / den[-1]
+        q[shift] = factor
+        for i, dv in enumerate(den):
+            num[shift + i] -= factor * dv
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
+    return [p[i] * i for i in range(1, len(p))]
+
+
+def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = list(a), list(b)
+    while b and any(v != 0 for v in b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [v / lead for v in a]
+    return a
+
+
 def reference_unity_order(a):
-    """``affine._unity_order`` by trying every L up to ``_order_lcm(N)``:
-    the least L with x^L - 1 divisible by the squarefree part of the
-    characteristic polynomial (its factor x^m dropped), by long division."""
-    from octoterm.affine import _order_lcm, _poly_deriv, _poly_divmod, _poly_gcd, char_poly
+    """``affine._unity_order`` by the characteristic polynomial: the least L
+    up to ``_order_lcm(N)`` with x^L = 1 modulo the squarefree part of the
+    characteristic polynomial (its factor x^m dropped), the residue of x^L
+    taken one power of x at a time by long division."""
+    from octoterm.affine import _order_lcm
 
     n = len(a)
     if n == 0:
@@ -511,13 +590,13 @@ def reference_unity_order(a):
     p = char_poly(a)
     while p and p[0] == 0:
         p = p[1:]
-    if not p or len(p) == 1:
+    if len(p) == 1:
         return 1
     sf = _poly_divmod(p, _poly_gcd(p, _poly_deriv(p)))[0]
+    residue = [Fraction(1)]
     for L in range(1, _order_lcm(n) + 1):
-        xl1 = [Fraction(0)] * (L + 1)
-        xl1[0], xl1[L] = Fraction(-1), Fraction(1)
-        if not _poly_divmod(xl1, sf)[1]:
+        residue = _poly_divmod([Fraction(0)] + residue, sf)[1]
+        if residue == [Fraction(1)]:
             return L
     return None
 

@@ -9,7 +9,6 @@ from octoterm import affine
 from octoterm.affine import (
     AffineRel,
     NotPolynomiallyBounded,
-    char_poly,
     finite_monoid_wnt,
     homogenize,
     identity,
@@ -25,9 +24,13 @@ from octoterm.affine import (
     _unity_order,
 )
 from octoterm.grammar import as_affine, parse_rows
+from octoterm.linarith import LE, LinTerm
 from octoterm.presburger import Conj, Dnf
 
 from helpers import (
+    ORDER_840_LOOP,
+    call_within,
+    char_poly,
     random_poly_bounded_matrix,
     reference_poly_matrix_power,
     reference_unity_order,
@@ -112,6 +115,18 @@ def test_finite_monoid_wnt_vs_trajectory_simulation():
     assert cases >= 40
 
 
+def test_finite_monoid_wnt_past_a_power_cycle_of_512():
+    # the scan for the power cycle is bounded by N + _order_lcm(N) + 1,
+    # which the identity A^(N+L) = A^N guarantees; a bound of 512 gave up
+    # before the repeat at 840 and failed an assertion
+    names = [f"x{i}" for i in range(23)]
+    (rows,) = parse_rows(ORDER_840_LOOP, names)
+    rel = as_affine(rows, names)
+    assert is_finite_monoid(rel.a) and power_cycle(rel.a, 1000) == (0, 840)
+    d, _ = call_within(30, "finite_monoid_wnt", finite_monoid_wnt, rel, names)
+    assert d == Dnf([Conj.make([(LinTerm({v: -1}), LE) for v in names[:3]])])
+
+
 def test_homogenize_shape():
     rel = AffineRel(2, mat([[1, 2], [0, 1]]), (3, -1), (((1, 0), 2),))
     a_h, c_h = homogenize(rel)
@@ -173,9 +188,11 @@ def test_poly_matrix_power_rejects_growth():
 def test_poly_matrix_power_detects_a_corrupted_sample(monkeypatch):
     # A = [[1, 1], [0, 1]] (N = 2, L = 1): the prefix takes N + L = 3
     # products, and the samples A^k, k = 2..6, four more; a wrong value at
-    # any sample, interpolated or extra, breaks the degree bound
+    # any sample, interpolated or extra, breaks the degree bound.  The
+    # products are counted from the first prefix one: those of
+    # ``_unity_order`` run on the real product, uncounted
     a = mat([[1, 1], [0, 1]])
-    real = affine.mat_mul
+    real, real_order = affine.mat_mul, affine._unity_order
     for bad in range(4, 8):
         calls = []
 
@@ -186,25 +203,44 @@ def test_poly_matrix_power_detects_a_corrupted_sample(monkeypatch):
                 out = ((out[0][0], out[0][1] + 1),) + out[1:]
             return out
 
+        def uncounted_order(m):
+            monkeypatch.setattr(affine, "mat_mul", real)
+            order = real_order(m)
+            monkeypatch.setattr(affine, "mat_mul", corrupt)
+            return order
+
+        monkeypatch.setattr(affine, "_unity_order", uncounted_order)
         monkeypatch.setattr(affine, "mat_mul", corrupt)
         with pytest.raises(AssertionError, match="degree bound violated"):
             poly_matrix_power(a)
     monkeypatch.setattr(affine, "mat_mul", real)
+    monkeypatch.setattr(affine, "_unity_order", real_order)
     assert poly_matrix_power(a).polys == [[[[1], [0, 1]], [[0], [1]]]]
 
 
 def test_unity_order_matches_the_divisibility_loop():
     rng = random.Random(53)
     seen = set()
-    for t in range(400):
-        if t % 2:
-            a = random_poly_bounded_matrix(rng, rng.randint(1, 4))
+    for t in range(480):
+        if t % 4 == 3:
+            # the update of a random affine loop over 4 or 5 variables,
+            # homogenized to N = 5 or 6 as ``affine terminate`` does
+            n = rng.randint(4, 5)
+            if rng.random() < 0.5:
+                a = random_poly_bounded_matrix(rng, n)
+            else:
+                a = mat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            b = tuple(rng.randint(-2, 2) for _ in range(n))
+            a = homogenize(AffineRel(n, a, b, ()))[0]
+        elif t % 2:
+            a = random_poly_bounded_matrix(rng, rng.randint(1, 6))
         else:
-            # mostly growing; the reference tries all 120 L at N = 4
-            n = 4 if t % 40 == 0 else rng.randint(1, 3)
+            # mostly growing; the reference tries all 120 L at N = 4 and 5
+            n = rng.randint(4, 5) if t % 40 == 0 else rng.randint(1, 3)
             a = mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         got = _unity_order(a)
         assert got == reference_unity_order(a)
+        assert is_polynomially_bounded(a) == (got is not None)
         seen.add(got)
     assert None in seen and {1, 2, 3, 4, 6} <= seen
 

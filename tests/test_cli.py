@@ -12,6 +12,7 @@ from octoterm.grammar import parse_condition
 
 from helpers import (
     BRANCHING_PROGRAM,
+    ORDER_840_LOOP,
     STEP_2_BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
     call_within,
@@ -174,6 +175,14 @@ def test_affine_commands(capsys):
     assert code == 0 and out == "false"
     code, out, _ = run(capsys, "affine", "terminate", loop)
     assert code == 0 and out == "true"
+
+
+def test_affine_wnt_past_a_power_cycle_of_512(capsys):
+    # a finite monoid of order 840: exit 0 with the exact WNT, not a
+    # traceback from a power-cycle scan that gave up at 512
+    (code, out, _), _ = call_within(30, "affine wnt", run, capsys, "affine", "wnt",
+                                    ORDER_840_LOOP)
+    assert code == 0 and out == "-x0 <= 0 && -x1 <= 0 && -x2 <= 0"
 
 
 def _child_env(**extra) -> dict:

@@ -148,3 +148,22 @@ def test_names_the_benchmark_reads_exist():
         missing += [f"spans.WRAPPED: octoterm.{mod}.{name}" for name in names
                     if not callable(getattr(module, name, None))]
     assert not missing, missing
+
+
+def test_no_characteristic_polynomial_code():
+    # the affine fragments are decided by the matrix identity
+    # A^N (A^L - I)^k = 0; the characteristic polynomial and its polynomial
+    # algebra are only the tests' reference for the root-of-unity order
+    moved = {"char_poly", "_poly_divmod", "_poly_deriv", "_poly_gcd", "_x_power_mod"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = {node.id}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names & moved]
+    assert not found, found

@@ -30,8 +30,10 @@ from octoterm.program import (
 
 from helpers import (
     BRANCHING_PROGRAM,
+    ORDER_840_PROGRAM,
     STEP_2_BRANCHING_PROGRAM,
     TWO_PHASE_PROGRAM,
+    call_within,
     clear_memos,
     eliminate_params,
     one_phase_ramp,
@@ -636,6 +638,18 @@ def test_nt_program_single_affine_cycle_keeps_the_program_names():
     for x, y in starts:
         assert res.precondition.eval({"x": x, "y": y})
         assert w_dnf.eval({"x": x, "y": y})
+
+
+def test_nt_program_single_affine_cycle_past_a_power_cycle_of_512():
+    # the cycle's finite monoid has order 840: the single-cycle WNT scans
+    # its powers past 512 instead of failing an assertion
+    res, _ = call_within(30, "nt_program", nt_program, parse_program(ORDER_840_PROGRAM))
+    ((state, method, w_dnf),) = res.per_state
+    assert (state, method) == ("a", "single-cycle") and res.exact
+    # x0 = x1 = 0 is the one fixed point of the rotation inside x0 >= 0
+    for x0, x1 in itertools.product(range(-3, 4), repeat=2):
+        point = {f"x{i}": 0 for i in range(22)} | {"x0": x0, "x1": x1}
+        assert w_dnf.eval(point) == (x0 == x1 == 0)
 
 
 def test_nt_program_cycle_at_the_initial_state_needs_no_pull_back():
