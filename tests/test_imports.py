@@ -160,10 +160,11 @@ def test_no_characteristic_polynomial_code():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = {node.name}
+                name = node.name
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                names = {node.id}
+                name = node.id
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names & moved]
+            if name in moved:
+                found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, found
