@@ -123,29 +123,30 @@ def is_finite_monoid(a: Matrix) -> bool:
     return _kills(a, _order_lcm(len(a)), 1)
 
 
-def power_cycle(a: Matrix, bound: int = 512):
-    """(prefix, period) of the power sequence; None if no repeat in bound."""
-    seen: dict[Matrix, int] = {}
-    cur = identity(len(a))
-    for i in range(bound):
-        if cur in seen:
-            start = seen[cur]
-            return start, i - start
-        seen[cur] = i
-        cur = mat_mul(cur, a)
-    return None
+def pull_back(guard, a: Matrix, b: tuple[int, ...]):
+    """The guard rows c.x' >= d pulled back through x' = A x + b: the rows
+    (c.A, d - c.b) on x."""
+    cols = tuple(zip(*a))
+    return tuple(
+        (tuple(sum(map(mul, c, col)) for col in cols), d - sum(map(mul, c, b)))
+        for c, d in guard
+    )
 
 
-def trajectory_offsets(rel: AffineRel, upto: int) -> list[tuple[int, ...]]:
-    """s_k = sum_{j<k} A^j b for k = 0..upto."""
-    n = rel.n_vars
-    out = [tuple(0 for _ in range(n))]
-    power = identity(n)
-    for _ in range(upto):
-        step = mat_vec(power, rel.b)
-        out.append(tuple(x + y for x, y in zip(out[-1], step)))
-        power = mat_mul(power, rel.a)
-    return out
+def guard_rows(guard, names) -> list[tuple[LinTerm, str]]:
+    """The guard rows c.x >= d over ``names``, as d - c.x <= 0."""
+    return [(LinTerm({v: -ci for v, ci in zip(names, c)}, d), LE) for c, d in guard]
+
+
+def compose_affine(first: AffineRel, then: AffineRel) -> AffineRel:
+    """``first`` then ``then``: x' = A'A x + (A'b + b'), guarded by the
+    first guard and the second pulled back through the first update."""
+    return AffineRel(
+        first.n_vars,
+        mat_mul(then.a, first.a),
+        tuple(x + y for x, y in zip(mat_vec(then.a, first.b), then.b)),
+        first.guard + pull_back(then.guard, first.a, first.b),
+    )
 
 
 def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
@@ -158,13 +159,22 @@ def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
     """
     if not is_finite_monoid(rel.a):
         raise ValueError("matrix does not generate a finite monoid")
-    # A^(N+L) = A^N, so the powers repeat by step N + L
-    B, C = power_cycle(rel.a, rel.n_vars + _order_lcm(rel.n_vars) + 1)
-    powers = [identity(rel.n_vars)]  # A^0 .. A^(B+C-1)
-    for _ in range(B + C - 1):
-        powers.append(mat_mul(powers[-1], rel.a))
+    n = rel.n_vars
+    # one walk of the powers up to the first repeat A^(B+C) = A^B, which
+    # A^(N+L) = A^N bounds; a dict keeps them in order, A^k at index k
+    seen: dict[Matrix, int] = {}
+    power = identity(n)
+    while power not in seen:
+        seen[power] = len(seen)
+        power = mat_mul(power, rel.a)
+    powers = list(seen)  # A^0 .. A^(B+C-1)
+    B = seen[power]
+    C = len(powers) - B
+    s = [(0,) * n]  # s_(k+1) = s_k + A^k b, with A^k = A^(k-C) once k >= B + C
+    for k in range(B + 2 * C):
+        step = mat_vec(powers[k if k < B + C else k - C], rel.b)
+        s.append(tuple(x + y for x, y in zip(s[-1], step)))
     # verify the derived offset identity  s_(k+C) = s_k + A^k s_C
-    s = trajectory_offsets(rel, B + 2 * C + 1)
     for k in range(B + C):
         lhs = s[k + C]
         rhs = tuple(
@@ -173,36 +183,14 @@ def finite_monoid_wnt(rel: AffineRel, names: list[str] | None = None) -> Dnf:
         if lhs != rhs:
             raise AssertionError("trajectory offset identity failed")
     if names is None:
-        names = [f"x{i}" for i in range(rel.n_vars)]
+        names = [f"x{i}" for i in range(n)]
     rows = []
-
-    def guard_rows_at(power: Matrix, offset):
-        out = []
-        for c, d in rel.guard:
-            # c . (power x + offset) >= d
-            coeffs = {}
-            for j in range(rel.n_vars):
-                coef = sum(c[i] * power[i][j] for i in range(rel.n_vars))
-                coeffs[names[j]] = coeffs.get(names[j], 0) + coef
-            const = sum(ci * oi for ci, oi in zip(c, offset))
-            # row form: d - c.power.x - const <= 0
-            out.append((LinTerm({k: -v for k, v in coeffs.items()}, d - const), LE))
-        return out
-
-    for k in range(B):
-        rows.extend(guard_rows_at(powers[k], s[k]))
-    for i in range(C):
-        power = powers[B + i]
-        drift = mat_vec(power, s[C])
-        for (c, d), row in zip(rel.guard, guard_rows_at(power, s[B + i])):
-            slope = sum(ci * di for ci, di in zip(c, drift))
-            if slope < 0:
-                return Dnf()  # the row eventually fails from every state
-            rows.append(row)
-    conj = Conj.make(rows)
-    dnf = Dnf()
-    dnf.add(conj)
-    return dnf
+    for k in range(B + C):
+        pulled = pull_back(rel.guard, powers[k], s[k])
+        if k >= B and any(sum(map(mul, c, s[C])) < 0 for c, _ in pulled):
+            return Dnf()  # the row eventually fails from every state
+        rows.extend(guard_rows(pulled, names))
+    return Dnf([Conj.make(rows)])
 
 
 def homogenize(rel: AffineRel) -> tuple[Matrix, tuple[tuple[int, ...], ...]]:
@@ -376,7 +364,7 @@ def sufficient_termination(rel: AffineRel, names: list[str] | None = None) -> Dn
     n_h = rel.n_vars + 1
     if names is None:
         names = [f"x{i}" for i in range(rel.n_vars)]
-    guard = Conj.make((LinTerm({v: -ci for v, ci in zip(names, c)}, d), LE) for c, d in rel.guard)
+    guard = Conj.make(guard_rows(rel.guard, names))
     if guard is None or not guard.rationally_feasible():
         return Dnf([Conj.make([])])
     dnf = Dnf()

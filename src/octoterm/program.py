@@ -38,11 +38,11 @@ same summary, computed once.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, le
 from typing import NamedTuple
 
-from .affine import AffineRel, finite_monoid_wnt, is_finite_monoid, mat_mul, mat_vec
+from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
 from .grammar import parse_program_text
 from .linarith import EQ, LE, LinSys, LinTerm, term_of_pair
@@ -127,9 +127,7 @@ def member_from_affine_step(a: AffineRel, variables: tuple[str, ...]) -> LinRel 
     for i, v in enumerate(variables):
         upd = LinTerm({variables[j]: a.a[i][j] for j in range(a.n_vars)}, a.b[i])
         rows.append((LinTerm({v + "'": 1}) - upd, EQ))
-    for c, d in a.guard:
-        t = LinTerm({variables[j]: -c[j] for j in range(a.n_vars)}, d)
-        rows.append((t, LE))
+    rows.extend(guard_rows(a.guard, variables))
     conj = Conj.make(rows)
     return None if conj is None else LinRel(variables, conj)
 
@@ -422,11 +420,8 @@ def _cycle_single_class(p: Program, cycle: list[Transition]):
     if all(len(t.label) == 1 for t in cycle) and all(
         isinstance(t.label[0], AffineRel) for t in cycle
     ):
-        a = None
-        for t in cycle:
-            r = t.label[0]
-            a = r if a is None else _compose_affine(a, r)
-        if a is not None and is_finite_monoid(a.a):
+        a = reduce(compose_affine, (t.label[0] for t in cycle))
+        if is_finite_monoid(a.a):
             return ("affine", a)
     members = _cycle_relation(p, cycle)
     if not members:
@@ -436,19 +431,6 @@ def _cycle_single_class(p: Program, cycle: list[Transition]):
         if exact:
             return ("octagon", o)
     return None
-
-
-def _compose_affine(a: AffineRel, b: AffineRel) -> AffineRel:
-    # (x -> Ax+b with guard Ga) then (x -> A'x+b' with guard Gb):
-    # composite update A'A x + (A'b + b'), guard Ga(x) and Gb(Ax+b)
-    a2 = mat_mul(b.a, a.a)
-    b2 = tuple(x + y for x, y in zip(mat_vec(b.a, a.b), b.b))
-    guard = list(a.guard)
-    for c, d in b.guard:
-        row = tuple(sum(c[i] * a.a[i][j] for i in range(a.n_vars)) for j in range(a.n_vars))
-        shift = sum(ci * bi for ci, bi in zip(c, a.b))
-        guard.append((row, d - shift))
-    return AffineRel(a.n_vars, a2, b2, tuple(guard))
 
 
 def is_flat(p: Program):

@@ -13,7 +13,7 @@ from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from octoterm.affine import AffineRel, Matrix, mat
+from octoterm.affine import AffineRel, Matrix, identity, mat, mat_mul, mat_vec
 from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate, ext_min
 from octoterm.grammar import ParseError, ProgramText, _classify
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
@@ -599,6 +599,31 @@ def reference_unity_order(a):
         if residue == [Fraction(1)]:
             return L
     return None
+
+
+def power_cycle(a: Matrix, bound: int = 512):
+    """(prefix, period) of the power sequence; None if no repeat in bound."""
+    seen: dict[Matrix, int] = {}
+    cur = identity(len(a))
+    for i in range(bound):
+        if cur in seen:
+            start = seen[cur]
+            return start, i - start
+        seen[cur] = i
+        cur = mat_mul(cur, a)
+    return None
+
+
+def trajectory_offsets(rel: AffineRel, upto: int) -> list[tuple[int, ...]]:
+    """s_k = sum_{j<k} A^j b for k = 0..upto."""
+    n = rel.n_vars
+    out = [tuple(0 for _ in range(n))]
+    power = identity(n)
+    for _ in range(upto):
+        step = mat_vec(power, rel.b)
+        out.append(tuple(x + y for x, y in zip(out[-1], step)))
+        power = mat_mul(power, rel.a)
+    return out
 
 
 def reference_wnt(rel: Octagon, N: int) -> WntResult:

@@ -15,7 +15,6 @@ from octoterm.affine import (
     mat,
     mat_pow,
     poly_matrix_power,
-    power_cycle,
     sufficient_termination,
 )
 from octoterm.closure import PeriodCertificate, detect_period, kleene_pre_sequence
@@ -56,6 +55,7 @@ from helpers import (
     eval_at,
     is_bounded_below,
     periodic_relation,
+    power_cycle,
     random_guarded_relation,
     random_oct_relation,
     seven_branch_relations,

@@ -9,6 +9,7 @@ from octoterm import affine
 from octoterm.affine import (
     AffineRel,
     NotPolynomiallyBounded,
+    compose_affine,
     finite_monoid_wnt,
     homogenize,
     identity,
@@ -18,9 +19,7 @@ from octoterm.affine import (
     mat_mul,
     mat_pow,
     poly_matrix_power,
-    power_cycle,
     sufficient_termination,
-    trajectory_offsets,
     _unity_order,
 )
 from octoterm.grammar import as_affine, parse_rows
@@ -31,9 +30,11 @@ from helpers import (
     ORDER_840_LOOP,
     call_within,
     char_poly,
+    power_cycle,
     random_poly_bounded_matrix,
     reference_poly_matrix_power,
     reference_unity_order,
+    trajectory_offsets,
 )
 
 
@@ -125,6 +126,63 @@ def test_finite_monoid_wnt_past_a_power_cycle_of_512():
     assert is_finite_monoid(rel.a) and power_cycle(rel.a, 1000) == (0, 840)
     d, _ = call_within(30, "finite_monoid_wnt", finite_monoid_wnt, rel, names)
     assert d == Dnf([Conj.make([(LinTerm({v: -1}), LE) for v in names[:3]])])
+
+
+def test_finite_monoid_wnt_walks_the_powers_once(monkeypatch):
+    # one walk of A^0 .. A^(B+C) after the products of is_finite_monoid:
+    # B + C = 840 products on the order-840 loop (3,422 in all when the
+    # powers were walked three times)
+    names = [f"x{i}" for i in range(23)]
+    (rows,) = parse_rows(ORDER_840_LOOP, names)
+    rel = as_affine(rows, names)
+    B, C = power_cycle(rel.a, 1000)
+    real = affine.mat_mul
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(affine, "mat_mul", counted)
+    assert is_finite_monoid(rel.a)
+    monoid = len(calls)
+    calls.clear()
+    call_within(30, "finite_monoid_wnt", finite_monoid_wnt, rel, names)
+    assert len(calls) <= monoid + B + C, (monoid, B, C, len(calls))
+
+
+def test_compose_affine_is_one_step_of_each():
+    # x' = A'(A x + b) + b', where x satisfies the first guard and A x + b
+    # the second, checked point by point on a box
+    rng = random.Random(38)
+    empty = (AffineRel(1, mat([[1]]), (1,), (((1,), 0),)),
+             AffineRel(1, mat([[1]]), (0,), (((-1,), 0),)))  # x >= 0, then x + 1 <= 0
+    pairs = [empty]
+    for _ in range(150):
+        n = rng.randint(1, 3)
+
+        def draw():
+            a = mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            b = tuple(rng.randint(-2, 2) for _ in range(n))
+            guard = tuple((tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 3))
+                          for _ in range(rng.randint(0, 2)))
+            return AffineRel(n, a, b, guard)
+
+        pairs.append((draw(), draw()))
+    held = []
+    for first, then in pairs:
+        both = compose_affine(first, then)
+        assert both.n_vars == first.n_vars
+        count = 0
+        for p in product(range(-3, 4), repeat=first.n_vars):
+            step = first.apply(p)
+            holds = first.guard_holds(p) and then.guard_holds(step)
+            assert both.guard_holds(p) == holds, (first, then, p)
+            if holds:
+                assert both.apply(p) == then.apply(step), (first, then, p)
+                count += 1
+        held.append(count)
+    assert held[0] == 0 and sum(held[1:]) > 0
 
 
 def test_homogenize_shape():

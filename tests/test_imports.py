@@ -150,11 +150,8 @@ def test_names_the_benchmark_reads_exist():
     assert not missing, missing
 
 
-def test_no_characteristic_polynomial_code():
-    # the affine fragments are decided by the matrix identity
-    # A^N (A^L - I)^k = 0; the characteristic polynomial and its polynomial
-    # algebra are only the tests' reference for the root-of-unity order
-    moved = {"char_poly", "_poly_divmod", "_poly_deriv", "_poly_gcd", "_x_power_mod"}
+def _package_defines(names: set[str]) -> list[str]:
+    """Where a package module defines or assigns one of ``names``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -165,6 +162,24 @@ def test_no_characteristic_polynomial_code():
                 name = node.id
             else:
                 continue
-            if name in moved:
+            if name in names:
                 found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_no_characteristic_polynomial_code():
+    # the affine fragments are decided by the matrix identity
+    # A^N (A^L - I)^k = 0; the characteristic polynomial and its polynomial
+    # algebra are only the tests' reference for the root-of-unity order
+    moved = {"char_poly", "_poly_divmod", "_poly_deriv", "_poly_gcd", "_x_power_mod"}
+    found = _package_defines(moved)
+    assert not found, found
+
+
+def test_one_power_walk_and_one_guard_pull_back():
+    # finite_monoid_wnt walks the powers of A once, and affine composes two
+    # affine relations by its one pull-back of a guard; the former power
+    # and offset walks are only the tests' references
+    gone = {"power_cycle", "trajectory_offsets", "_compose_affine"}
+    found = _package_defines(gone)
     assert not found, found

@@ -23,7 +23,11 @@ medians further apart than the base's interquartile distance.  Per
 workload it also records each side's runs whose verdicts the benchmark
 judged wrong and failed requests (``verdicts``), and the script exits 1
 when any run was judged wrong or the head failed more requests than the
-base: a gain measured on wrong outputs is no gain.
+base: a gain measured on wrong outputs is no gain.  The file's header
+names both commits, the run length, the Python and numpy versions, and
+the ``PYTHONDONTWRITEBYTECODE`` and ``PYTHONHASHSEED`` that the runs
+inherit (null when unset): with the first unset, a ``cli`` process may
+find bytecode that an earlier one compiled.
 
 With ``--trace-seed S``, each side also runs ``perfbench/run.py --trace 1``
 once per workload on seed S, and the file keeps both sides' per-layer
@@ -39,12 +43,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path.cwd()
@@ -60,6 +66,14 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def numpy_version() -> str | None:
+    """The installed numpy's version, read without importing numpy."""
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -131,7 +145,10 @@ def main() -> int:
     roots = {"base": workdir / "base", "head": workdir / "head"}
     report = {"base": extract(args.base, roots["base"]),
               "head": extract(args.head, roots["head"]),
-              "seconds": args.seconds, "python": sys.version.split()[0], "workloads": {}}
+              "seconds": args.seconds, "python": sys.version.split()[0],
+              "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+              "PYTHONHASHSEED": os.environ.get("PYTHONHASHSEED"),
+              "numpy": numpy_version(), "workloads": {}}
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
