@@ -17,12 +17,11 @@ consistent; at inconsistent valuations some diagonal entry evaluates
 negative.  It takes the pivots to close through, as the plain kernel of
 ``dbm`` does.
 
-The summary members of ``program`` are built from these matrices
-(``ExtParamDbm.affine`` for an accelerated loop, ``from_dbm`` for a plain
-octagon) and read back with ``term_bound``; they compose by integer
-elimination, not by a parametric closure.  ``param_fw`` has no caller in
-the package: the tests replay certificates with it, and the benchmark's
-trace spans name it.
+No analysis of the package uses this module: ``program`` builds its
+summary members from plain dual matrices, and they compose by integer
+elimination, not by a parametric closure.  The tests replay certificates
+with ``param_fw`` on matrices built by ``ExtParamDbm.affine`` and
+``from_dbm``, and the benchmark's trace spans name ``param_fw``.
 
 The closure kernel is sparse, as the plain Floyd-Warshall kernel is: it
 works only on the cells that hold a bound, and calls ``min_terms`` only on
@@ -46,7 +45,6 @@ from operator import add, le
 from typing import Iterable, Sequence
 
 from .dbm import INF, Dbm
-from .linarith import LinTerm
 
 MAX_ANTICHAIN = 64
 
@@ -64,11 +62,6 @@ def min_terms(items: Iterable[Term]) -> tuple[Term, ...]:
         else:
             keep.append(t)
     return tuple(keep)
-
-
-def term_bound(t: Term, param_names: Sequence[str]) -> LinTerm:
-    """The term as a linear term over the named parameters."""
-    return LinTerm(dict(zip(param_names, t[1:])), t[0])
 
 
 class ExtParamDbm:

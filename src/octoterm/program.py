@@ -13,16 +13,19 @@ All summary members are kept as linear-row systems over the program
 variables, their primed copies, and nonnegative integer parameters (one
 per accelerated loop on the path), plus divisibility atoms.  The
 parameters are named ``_p0, _p1, ...`` by position, so equal relations are
-equal members and the memo tables below serve every later call.  Members
-compose by exact integer elimination of the midpoint variables (Presburger
-elimination, as in the paper), which loses nothing; the one shortcut is a
-pair of parameter-free octagonal members, which compose as tight octagons,
-integer-hull exact.  Each question about members is asked one way:
-emptiness by the exact parameter elimination of ``member_cases``
-(``compose_members`` says why that suffices), inclusion by
-``conj_implies`` on those cases, and images by ``_image``, which
-memoizes the image of each conjunct through each member per (member,
-conjunct, direction) in ``_member_image``.
+equal members and the memo tables below serve every later call.  An
+octagonal label, an accelerated loop's plain and parametric octagons, and
+the composition of two octagonal members all become members through one
+builder, ``_member_from_dbm``, which writes the path-reduced rows of a
+closed tight dual matrix.  Members compose by exact integer elimination of
+the midpoint variables (Presburger elimination, as in the paper), which
+loses nothing; the one shortcut is a pair of parameter-free octagonal
+members, which compose as tight octagons, integer-hull exact.  Each
+question about members is asked one way: emptiness by the exact parameter
+elimination of ``member_cases`` (``compose_members`` says why that
+suffices), inclusion by ``conj_implies`` on those cases, and images by
+``_image``, which memoizes the image of each conjunct through each member
+per (member, conjunct, direction) in ``_member_image``.
 
 The non-termination precondition takes, per control state, either the
 exact WNT of the unique cycle relation or the union of the WNTs of the
@@ -39,12 +42,12 @@ same summary, computed once.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import add, le
 from typing import NamedTuple
 
 from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
-from .grammar import parse_program_text
+from .dbm import INF, Dbm
+from .grammar import as_affine, parse_program_text
 from .linarith import EQ, LE, LinSys, LinTerm, term_of_pair
 from .octagon import (
     Octagon,
@@ -57,7 +60,6 @@ from .octagon import (
     rows_to_atoms,
     tight_close,
 )
-from .pdbm import ExtParamDbm, term_bound
 from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
@@ -109,17 +111,54 @@ def identity_member(variables: tuple[str, ...]) -> LinRel:
 
 
 def member_from_octagon(o: Octagon, variables: tuple[str, ...]) -> LinRel | None:
-    conj = Conj.make(oct_rows(tight_close(o), relation_names(variables)))
-    return None if conj is None else LinRel(variables, conj)
+    t = tight_close(o)
+    return None if t.is_bottom else _member_from_dbm(t.dbm, None, None, variables)
 
 
 def member_from_param_oct(po: ParamOct, variables: tuple[str, ...]) -> LinRel:
-    entries = ExtParamDbm.affine(po.base, [po.rate]).entries
-    if po.k_max is not None:
-        entries[0][0] += ((po.k_max, -1),)  # the row _p0 <= k_max
-    m = _member_from_entries(entries, 1, variables)
+    m = _member_from_dbm(po.base, po.rate, po.k_max, variables)
     assert m is not None
     return m
+
+
+def _member_from_dbm(base: Dbm, rate: Dbm | None, k_max: int | None,
+                     variables: tuple[str, ...]) -> LinRel | None:
+    """The member of the closed tight dual matrix base + _p0*rate (a plain
+    octagon when rate is None), led by the row _p0 <= k_max when k_max is
+    set; None when a diagonal cell is a negative constant.
+
+    Cell (p, q) is the line (c, r), u_p - u_q <= c + r*_p0, or nothing where
+    the base is INF.  Path-implied lines give no row (Larsen, Larsson,
+    Pettersson, Yi, RTSS 1997): an off-diagonal line goes when kept lines a
+    of (p, k) and b of (k, q), k not in {p, q}, have a + b <= it in both
+    components, so their rows imply it at every _p0 >= 0.  One line goes at
+    a time, against the lines still kept, so a zero cycle (x = y) keeps one
+    of two equivalent rows.  Diagonal lines all stay."""
+    names = relation_names(variables)
+    p0 = LinTerm.var("_p0")
+    rates = rate.rows if rate is not None else [[0] * base.dim] * base.dim
+    cells = [[None if c == INF else (c, 0 if r == INF else r) for c, r in zip(brow, rrow)]
+             for brow, rrow in zip(base.rows, rates)]
+    rows = [] if k_max is None else [(p0 - k_max, LE)]
+    for p, row in enumerate(cells):
+        for q, line in enumerate(row):
+            if line is None:
+                continue
+            c, r = line
+            if p == q:
+                if r == 0:
+                    if c < 0:
+                        return None
+                    continue
+                rows.append((p0 * -r - c, LE))
+            elif any(a[0] + b[0] <= c and a[1] + b[1] <= r
+                     for k, a in enumerate(row) if a and k != p and k != q
+                     for b in (cells[k][q],) if b):
+                row[q] = None
+            else:
+                rows.append((term_of_pair(p, q, names, -c) - p0 * r, LE))
+    conj = Conj.make(rows)
+    return None if conj is None else _canonical(variables, conj, ("_p0",))
 
 
 def member_from_affine_step(a: AffineRel, variables: tuple[str, ...]) -> LinRel | None:
@@ -163,8 +202,7 @@ def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
     outs = []
     for c in member_cases(m):
         lr = LinRel(m.variables, c)
-        _, exact = member_to_octagon(lr, exact_only=True)
-        if not exact:
+        if _exact_octagon(lr) is None:
             return (m,)
         outs.append(lr)
     return tuple(outs)
@@ -200,62 +238,13 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
 def _compose_octagon_pair(a: LinRel, b: LinRel) -> list[LinRel] | None:
     """Composition of two parameter-free octagonal members without
     divisibility atoms as tight octagons (``oct_compose``); None for any
-    other pair.  The member's rows are the path-reduced entries of the
-    result: a nonempty tight octagon is integer-consistent, so no
+    other pair.  A nonempty tight octagon is integer-consistent, so no
     feasibility test runs."""
-    oa, exact = member_to_octagon(a, exact_only=True)
-    if not exact:
+    oa, ob = _exact_octagon(a), _exact_octagon(b)
+    if oa is None or ob is None:
         return None
-    ob, exact = member_to_octagon(b, exact_only=True)
-    if not exact:
-        return None
-    o = oct_compose(oa, ob, len(a.variables))
-    if o.is_bottom:
-        return []
-    m = _member_from_entries(ExtParamDbm.from_dbm(o.dbm).entries, 0, a.variables)
+    m = member_from_octagon(oct_compose(oa, ob, len(a.variables)), a.variables)
     return [] if m is None else [m]
-
-
-def _path_reduced(entries) -> list[list[tuple]]:
-    """The cells of a closed parametric dual matrix without path-implied
-    terms (Larsen, Larsson, Pettersson, Yi, RTSS 1997): an off-diagonal
-    term t of (p, q) goes when kept terms a of (p, k) and b of (k, q), k
-    not in {p, q}, have a + b <= t in every component, so their rows imply
-    it at all parameters >= 0.  One term goes at a time, against the terms
-    still kept, so a zero cycle (x = y) keeps one of two equivalent rows.
-    Diagonal terms all stay."""
-    kept = [list(row) for row in entries]
-    for p, row in enumerate(kept):
-        for q, cell in enumerate(row):
-            if p == q:
-                continue
-            for t in cell:
-                if any(all(map(le, map(add, a, b), t))
-                       for k, ak in enumerate(row) if ak and k != p and k != q
-                       for a in ak for b in kept[k][q]):
-                    row[q] = tuple(s for s in row[q] if s != t)
-    return kept
-
-
-def _member_from_entries(entries, nparams, variables) -> LinRel | None:
-    """Member rows from the ``_path_reduced`` terms of a closed tight
-    parametric dual matrix; None when a diagonal term is a negative
-    constant."""
-    names = relation_names(variables)
-    params = _param_names(nparams)
-    rows = []
-    for p, row in enumerate(_path_reduced(entries)):
-        for q, cell in enumerate(row):
-            for t in cell:
-                bound = term_bound(t, params)
-                lin = -bound if p == q else term_of_pair(p, q, names) - bound
-                if lin.is_constant():
-                    if lin.const > 0:
-                        return None
-                    continue
-                rows.append((lin, LE))
-    conj = Conj.make(rows)
-    return None if conj is None else _canonical(variables, conj, params)
 
 
 def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
@@ -282,27 +271,30 @@ def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
 
 
 @lru_cache(maxsize=_MEMO)
-def member_to_octagon(m: LinRel, exact_only: bool = False) -> tuple[Octagon, bool]:
+def _exact_octagon(m: LinRel) -> Octagon | None:
+    """The tight octagon of a member that converts exactly: no parameters,
+    no divisibility atoms and only octagonal rows; None for any other."""
+    if m.params or m.conj.divs:
+        return None
+    names = relation_names(m.variables)
+    atoms = rows_to_atoms(m.conj.rows, {v: i for i, v in enumerate(names)})
+    return None if atoms is None else tight_close(oct_encode(atoms, len(names)))
+
+
+@lru_cache(maxsize=_MEMO)
+def member_to_octagon(m: LinRel) -> tuple[Octagon, bool]:
     """Octagonal hull of a member (exact flag when nothing was lost).
 
-    Parameter-free members without divisibility atoms whose rows are all
-    octagonal convert exactly; anything else is hulled by rational suprema
-    of the octagonal terms over the lifted polyhedron (parameters kept
-    nonnegative), floored, which equal the suprema over its projection.
-    Either way the result is the tight hull of the member's integer
-    points.  With ``exact_only`` a member that does not convert exactly
-    gives bottom and no hull.  The exact conversion is memoized under
-    ``exact_only=True`` alone, so each member is converted once.
+    A member that ``_exact_octagon`` converts is exact; anything else is
+    hulled by rational suprema of the octagonal terms over the lifted
+    polyhedron (parameters kept nonnegative), floored, which equal the
+    suprema over its projection.  Either way the result is the tight hull
+    of the member's integer points.
     """
-    names = relation_names(m.variables)
-    if not exact_only:
-        o, exact = member_to_octagon(m, exact_only=True)
-        return (o, True) if exact else (oct_hull([m.system()], names), False)
-    if not m.params and not m.conj.divs:
-        atoms = rows_to_atoms(m.conj.rows, {v: i for i, v in enumerate(names)})
-        if atoms is not None:
-            return tight_close(oct_encode(atoms, len(names))), True
-    return bottom(len(names)), False
+    o = _exact_octagon(m)
+    if o is not None:
+        return o, True
+    return oct_hull([m.system()], relation_names(m.variables)), False
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +408,24 @@ def _cycle_single_class(p: Program, cycle: list[Transition]):
     """(kind, payload) when the composed cycle label is a single conjunctive
     octagonal or finite-monoid affine relation; None otherwise.  A cycle
     whose composed relation is empty is the empty octagon: no run goes
-    round it, and its WNT is exactly empty."""
-    if all(len(t.label) == 1 for t in cycle) and all(
-        isinstance(t.label[0], AffineRel) for t in cycle
-    ):
-        a = reduce(compose_affine, (t.label[0] for t in cycle))
-        if is_finite_monoid(a.a):
-            return ("affine", a)
+    round it, and its WNT is exactly empty.  In a cycle of one-disjunct
+    labels with an affine one, each octagonal label that is a deterministic
+    update (``as_affine`` of its rows) composes as an affine relation."""
+    labels = [t.label[0] for t in cycle if len(t.label) == 1]
+    if len(labels) == len(cycle) and any(isinstance(d, AffineRel) for d in labels):
+        names = relation_names(p.variables)
+        rels = [d if isinstance(d, AffineRel) else as_affine(oct_rows(d, names), p.variables)
+                for d in labels]
+        if None not in rels:
+            a = reduce(compose_affine, rels)
+            if is_finite_monoid(a.a):
+                return ("affine", a)
     members = _cycle_relation(p, cycle)
     if not members:
         return ("octagon", bottom(2 * len(p.variables)))
     if len(members) == 1:
-        o, exact = member_to_octagon(members[0], exact_only=True)
-        if exact:
+        o = _exact_octagon(members[0])
+        if o is not None:
             return ("octagon", o)
     return None
 

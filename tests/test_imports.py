@@ -183,3 +183,20 @@ def test_one_power_walk_and_one_guard_pull_back():
     gone = {"power_cycle", "trajectory_offsets", "_compose_affine"}
     found = _package_defines(gone)
     assert not found, found
+
+
+def test_program_builds_members_without_pdbm():
+    # one builder turns a closed dual matrix into a summary member, and a
+    # member converts exactly to an octagon through one memoized function
+    import inspect
+
+    from octoterm import program
+
+    tree = ast.parse((PACKAGE / "program.py").read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [m for m in imported if m and m.split(".")[-1] == "pdbm"], imported
+    found = _package_defines({"term_bound", "_member_from_entries"})
+    assert not found, found
+    assert "exact_only" not in inspect.signature(program.member_to_octagon).parameters

@@ -668,6 +668,32 @@ def test_nt_program_cycle_at_the_initial_state_needs_no_pull_back():
         assert res.precondition.eval(dict(zip(p.variables, pt))) == (pt in starts), pt
 
 
+# the affine edge and the guarded identity, a deterministic octagonal
+# update, compose into x' = x, y' = y guarded by x >= 0 and x + y >= 0
+MIXED_CYCLE_PROGRAM = """
+vars x, y; init a;
+a -> b : x' == x + y && y' == -y;
+b -> a : x >= 0 && x' == x && y' == y;
+"""
+
+
+def test_cycle_of_an_affine_and_an_octagonal_label_is_flat_and_exact():
+    from octoterm.oracle import BoxDomain, program_live_starts
+
+    p = parse_program(MIXED_CYCLE_PROGRAM)
+    assert is_flat(p)
+    res = nt_program(p)
+    assert res.flat and res.exact and not res.budget_exhausted
+    ((conj,),) = [list(res.precondition)]
+    x, y = LinTerm.var("x"), LinTerm.var("y")
+    assert set(conj.rows) == {(-x, LE), (-x - y, LE)} and not conj.divs
+    box = BoxDomain.cube(2, -3, 3)
+    starts = program_live_starts(p, box)
+    for pt in box.points():
+        if abs(sum(pt)) <= 3:  # the run stays in the box
+            assert res.precondition.eval(dict(zip(p.variables, pt))) == (pt in starts), pt
+
+
 # q -> r -> q is q's one cycle, but r -> m -> r climbs to x = 5 before
 # it, and m -> n -> m takes m first in the cycle cover: P+(q, q) is more
 # than the cycle's powers, so q's WNT x >= 5 must still be pulled back
@@ -875,7 +901,7 @@ def test_member_subsumed_agrees_with_conj_implies(n):
         for b in free:
             got = member_subsumed(a, b)
             included += got
-            octs = (member_to_octagon(a, exact_only=True), member_to_octagon(b, exact_only=True))
+            octs = (member_to_octagon(a), member_to_octagon(b))
             assert all(exact for _, exact in octs)
             assert got == conj_implies(a.conj, b.conj) == oct_leq(*(o for o, _ in octs)), (a, b)
             if got:
@@ -1010,12 +1036,25 @@ def test_empty_parametric_composition_is_dropped():
 # -- path-reduced member rows -------------------------------------------------
 
 
+def _cells(base, rate, k_max):
+    """The builder's matrix as cells of terms (c, r), c + r*_p0, one per
+    finite base entry (rate None gives r = 0), with _p0 <= k_max as the
+    term (k_max, -1) of cell (0, 0)."""
+    from octoterm.dbm import INF
+
+    rates = rate.rows if rate is not None else [[0] * base.dim] * base.dim
+    cells = [[() if c == INF else ((c, 0 if r == INF else r),) for c, r in zip(brow, rrow)]
+             for brow, rrow in zip(base.rows, rates)]
+    if k_max is not None:
+        cells[0][0] += ((k_max, -1),)
+    return cells
+
+
 def _all_term_conj(cells, nparams, variables):
     """The rows of every term of a dual matrix, none left out: the
     reference for the path reduction.  None when a diagonal term is a
     negative constant."""
     from octoterm.linarith import term_of_pair
-    from octoterm.pdbm import term_bound
 
     names = list(variables) + [v + "'" for v in variables]
     params = [f"_p{i}" for i in range(nparams)]
@@ -1023,7 +1062,7 @@ def _all_term_conj(cells, nparams, variables):
     for p, row in enumerate(cells):
         for q, cell in enumerate(row):
             for t in cell:
-                bound = term_bound(t, params)
+                bound = LinTerm(dict(zip(params, t[1:])), t[0])
                 lin = -bound if p == q else term_of_pair(p, q, names) - bound
                 if lin.is_constant():
                     if lin.const > 0:
@@ -1033,18 +1072,18 @@ def _all_term_conj(cells, nparams, variables):
     return Conj.make(rows)
 
 
-def _record_entries(monkeypatch):
-    """Spy on the member builder: the list of (entries, nparams, variables,
-    member) it is called with from now on, memos cleared."""
+def _record_builds(monkeypatch):
+    """Spy on the member builder: the list of (cells, nparams, variables,
+    member) of each build from now on, memos cleared."""
     calls = []
-    real = program_module._member_from_entries
+    real = program_module._member_from_dbm
 
-    def spy(entries, nparams, variables):
-        m = real(entries, nparams, variables)
-        calls.append((entries, nparams, variables, m))
+    def spy(base, rate, k_max, variables):
+        m = real(base, rate, k_max, variables)
+        calls.append((_cells(base, rate, k_max), int(rate is not None), variables, m))
         return m
 
-    monkeypatch.setattr(program_module, "_member_from_entries", spy)
+    monkeypatch.setattr(program_module, "_member_from_dbm", spy)
     clear_memos()
     return calls
 
@@ -1055,13 +1094,13 @@ def test_path_reduction_keeps_one_row_of_a_zero_cycle():
     # Conj.make pairs x - y <= 0 and y - x <= 0 into one == row.
     from octoterm.linarith import EQ
     from octoterm.octagon import oct_encode, tight_close
-    from octoterm.pdbm import ExtParamDbm
-    from octoterm.program import _member_from_entries, _path_reduced
+    from octoterm.program import _member_from_dbm
 
     variables = ("x", "y", "z")
     o = oct_encode([(1, 0, -1, 1, 0), (-1, 0, 1, 1, 0), (1, 0, -1, 2, 0),
                     (1, 1, -1, 2, 0)], 6)
-    entries = ExtParamDbm.from_dbm(tight_close(o).dbm).entries
+    base = tight_close(o).dbm
+    cells = _cells(base, None, None)
 
     def path_implied(cells, p, q):
         return any(a[0] + b[0] <= cells[p][q][0][0]
@@ -1070,11 +1109,11 @@ def test_path_reduction_keeps_one_row_of_a_zero_cycle():
 
     # cell (p, q) bounds u_p - u_q, with u_0 = x, u_2 = y, u_4 = z and
     # u_5 = -z: x - z sits in (0, 4) and (5, 1), y - z in (2, 4) and (5, 3)
-    assert path_implied(entries, 0, 4) and path_implied(entries, 2, 4)
-    reduced = _path_reduced(entries)
-    assert bool(reduced[0][4] or reduced[5][1]) != bool(reduced[2][4] or reduced[5][3])
-    full = _all_term_conj(entries, 0, variables)
-    member = _member_from_entries(entries, 0, variables)
+    assert path_implied(cells, 0, 4) and path_implied(cells, 2, 4)
+    member = _member_from_dbm(base, None, None, variables)
+    rows = member.conj.rows
+    assert ((LinTerm({"x": 1, "z": -1}), LE) in rows) != ((LinTerm({"y": 1, "z": -1}), LE) in rows)
+    full = _all_term_conj(cells, 0, variables)
     assert len(member.conj.rows) == 2 < len(full.rows) == 3
     assert member.conj.rows[0] == (LinTerm({"x": 1, "y": -1}), EQ)
     assert [rel for _, rel in full.rows] == [EQ, LE, LE]
@@ -1083,15 +1122,30 @@ def test_path_reduction_keeps_one_row_of_a_zero_cycle():
         assert member.conj.eval(val) == full.eval(val), val
 
 
+def test_identity_composes_to_each_octagonal_label_member():
+    # a label member and a composed member come from one builder, so the
+    # identity composed with a label member gives that member back
+    gen = perfbench_gen()
+    checked = set()
+    for seed in range(5, 13):
+        for r in gen.make_requests("programs", seed, 1):
+            p = parse_program(r["text"])
+            ident = identity_member(p.variables)
+            for d in (d for t in p.transitions for d in t.label if isinstance(d, Octagon)):
+                m = member_from_octagon(d, p.variables)
+                if m is not None and m not in checked:
+                    assert compose_members(ident, m) == (m,), (r["id"], m)
+                    checked.add(m)
+    assert len(checked) >= 40, len(checked)
+
+
 @pytest.mark.parametrize("n, width, bound", [(1, 4, 4), (2, 2, 2)])
 def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound):
     # members of random closures and the compositions of parameter-free
     # members, the two kinds of member built from a matrix: the rows of
     # every term and the path-reduced rows agree at every point of the box,
     # the parameters included
-    from octoterm.program import _path_reduced
-
-    calls = _record_entries(monkeypatch)
+    calls = _record_builds(monkeypatch)
     rng = random.Random(83 + n)
     members = _random_members(rng, n) + _random_members(rng, n)
     free = [m for m in members if not m.params]
@@ -1100,9 +1154,9 @@ def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound)
     variables = ("x", "y")[:n]
     names = list(variables) + [v + "'" for v in variables]
     full_rows = reduced_rows = 0
-    for entries, nparams, _, member in calls:
-        full = _all_term_conj(entries, nparams, variables)
-        reduced = _all_term_conj(_path_reduced(entries), nparams, variables)
+    for cells, nparams, _, member in calls:
+        full = _all_term_conj(cells, nparams, variables)
+        reduced = None if member is None else member.conj
         assert (full is None) == (reduced is None) == (member is None)
         if full is None:
             continue
@@ -1112,12 +1166,12 @@ def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound)
         for xs in itertools.product(range(-width, width + 1), repeat=2 * n):
             for ks in itertools.product(range(bound + 1), repeat=nparams):
                 val = {**dict(zip(names, xs)), **dict(zip(params, ks))}
-                assert full.eval(val) == reduced.eval(val), (entries, val)
+                assert full.eval(val) == reduced.eval(val), (cells, val)
     assert len(calls) >= 60 and reduced_rows < full_rows, (len(calls), reduced_rows, full_rows)
 
 
 def test_path_reduction_shrinks_the_widest_two_phase_member(monkeypatch):
-    calls = _record_entries(monkeypatch)
+    calls = _record_builds(monkeypatch)
     nt_program(parse_program(TWO_PHASE_PROGRAM))
     counts = [(len(_all_term_conj(e, k, v).rows), len(m.conj.rows))
               for e, k, v, m in calls if m is not None]
