@@ -36,7 +36,11 @@ only way back, and the cycle's WNT is closed under pre-image.  The summary
 from the initial state is computed only when it is used: to pull back a
 nonempty WNT, or as the reach of a transition-invariant state other than
 the initial one.  At the initial state the transition invariant is that
-same summary, computed once.
+same summary, computed once.  What depends only on the program (cycles,
+flatness, cycle cover, single-cycle WNTs) is memoized per program in
+``_plan``, and each summary per (program, ends, budgets) in ``_summary``,
+so a repeated program costs memo lookups, the pull-backs and the
+transition-invariant WNTs.
 """
 
 from __future__ import annotations
@@ -65,9 +69,10 @@ from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
 # most 611 (member_subsumed, seeds 5-12, one fresh process each; the image
-# memo `_member_image` at most 49, the parse memo 6-7 distinct texts of 24
-# requests, and 25 after 100 rounds of seed 5 or 6), so a round evicts
-# nothing while a long-lived process stays bounded.
+# memo `_member_image` at most 49, the parse memo and the plan memo `_plan`
+# 6-7 distinct texts of 24 requests, the summary memo `_summary` 10-11, and
+# after 100 rounds of seed 5 the parse and plan memos 25, `_summary` 32), so
+# a round evicts nothing while a long-lived process stays bounded.
 _MEMO = 1024
 
 
@@ -385,7 +390,7 @@ class NotFlat(NamedTuple):
         return False  # a one-field tuple is truthy; a negative verdict is not
 
 
-def _cycle_relation(p: Program, cycle: list[Transition]) -> list[LinRel]:
+def _cycle_relation(p: Program, cycle: tuple[Transition, ...]) -> list[LinRel]:
     """Composition of the labels around a cycle, as summary members."""
     members = _label_members(cycle[0].label, p.variables)
     for t in cycle[1:]:
@@ -404,7 +409,7 @@ def _dedupe(members: list[LinRel]) -> list[LinRel]:
     return out
 
 
-def _cycle_single_class(p: Program, cycle: list[Transition]):
+def _cycle_single_class(p: Program, cycle: tuple[Transition, ...]):
     """(kind, payload) when the composed cycle label is a single conjunctive
     octagonal or finite-monoid affine relation; None otherwise.  A cycle
     whose composed relation is empty is the empty octagon: no run goes
@@ -431,10 +436,10 @@ def _cycle_single_class(p: Program, cycle: list[Transition]):
 
 
 def is_flat(p: Program):
-    return _flatness(p, elementary_cycles(p))
+    return _plan(p).flat
 
 
-def _flatness(p: Program, cycles: list[list[Transition]]):
+def _flatness(p: Program, cycles: tuple[tuple[Transition, ...], ...]):
     """``is_flat`` over the program's elementary cycles, once enumerated."""
     counts: dict[str, int] = {s: 0 for s in p.states}
     for cyc in cycles:
@@ -450,6 +455,69 @@ def _flatness(p: Program, cycles: list[list[Transition]]):
                 % cyc[0].source
             )
     return Flat()
+
+
+class _StatePlan(NamedTuple):
+    """One state of the cycle cover: the single-cycle class of its one
+    cycle (None when it has several or the class is none), whether its WNT
+    is pulled back through P+(init, q), and the single-cycle WNT."""
+
+    state: str
+    single: tuple | None
+    pull_back: bool
+    wnt: tuple[Conj, ...]
+
+
+class _Plan(NamedTuple):
+    """What ``nt_program`` needs of a program whatever the budgets."""
+
+    cycles: tuple[tuple[Transition, ...], ...]
+    flat: Flat | NotFlat
+    states: tuple[_StatePlan, ...]
+
+
+@lru_cache(maxsize=_MEMO)
+def _plan(p: Program) -> _Plan:
+    """The elementary cycles, the flatness verdict and the states of a
+    greedy cycle cover with their single-cycle WNTs, once per program.
+
+    Every infinite run visits some analyzed state infinitely often as long
+    as the analyzed set hits every elementary cycle, so a greedy cycle
+    cover keeps both soundness and the flat-exactness argument."""
+    cycles = tuple(tuple(c) for c in elementary_cycles(p))
+    flat = _flatness(p, cycles)
+    chosen: list[str] = []
+    uncovered = list(range(len(cycles)))
+    while uncovered:
+        best = max(
+            sorted(p.states),
+            key=lambda s: sum(
+                1 for i in uncovered if any(t.source == s for t in cycles[i])
+            ),
+        )
+        hits = [i for i in uncovered if any(t.source == best for t in cycles[i])]
+        if not hits:
+            break
+        chosen.append(best)
+        uncovered = [i for i in uncovered if i not in hits]
+    variables = p.variables
+    states = []
+    for q in sorted(chosen):
+        q_cycles = [c for c in cycles if any(t.source == q for t in c)]
+        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
+        # at the initial state of a flat program P+(q, q) = C+ for its one
+        # cycle C, and C+ pulls the exact WNT of C back into itself
+        pull_back = not (flat and single is not None and q == p.init)
+        w_dnf = Dnf()
+        if single is not None:
+            kind, payload = single
+            if kind == "octagon":
+                w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, len(variables)).set, variables)))
+            else:
+                for c in finite_monoid_wnt(payload, list(variables)):
+                    w_dnf.add(c)
+        states.append(_StatePlan(q, single, pull_back, tuple(w_dnf)))
+    return _Plan(cycles, flat, tuple(states))
 
 
 # -- self-loop closure and state elimination ----------------------------------
@@ -557,12 +625,13 @@ def transitive_relation(
     fired (always the case on flat programs within budget).
     """
     members, exact, _ = _summary(p, q_in, q_out, budgets or Budgets())
-    return members, exact
+    return list(members), exact
 
 
+@lru_cache(maxsize=_MEMO)
 def _summary(
     p: Program, q_in: str, q_out: str, budgets: Budgets
-) -> tuple[list[LinRel], bool, bool]:
+) -> tuple[tuple[LinRel, ...], bool, bool]:
     """transitive_relation's members and exact flag, and whether an
     acceleration or disjunct budget ran out on the way.  Only the states
     on some q_in -> q_out path are eliminated: a loop elsewhere adds no
@@ -658,7 +727,7 @@ def _summary(
                     exact = False
                     exhausted = True
                 add_edge(a, b, combined)
-    return edges.get((IN, OUT), []), exact, exhausted
+    return tuple(edges.get((IN, OUT), ())), exact, exhausted
 
 
 class PrecondResult(NamedTuple):
@@ -707,26 +776,29 @@ def _member_image(m: LinRel, conj: Conj, forward: bool) -> tuple[Conj, ...]:
 def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     """Over-approximate non-termination precondition (exact on flat inputs).
 
-    ``_summary(init, q)`` runs only when its members are used: to pull a
-    nonempty WNT of q back, or as the reach of a transition-invariant q
-    other than init.  The pre-image of an empty DNF is empty whatever the
-    summary, so a skipped summary loses nothing; it spends no budget and
-    leaves ``exact`` and ``budget_exhausted`` alone, like a loop off the
-    paths of a summary.  No (source, target) summary runs twice."""
+    The cycles, the flatness verdict, the cycle cover and the single-cycle
+    WNTs come from the program's memoized ``_plan``; what remains here
+    depends on the budgets.  ``_summary(init, q)`` runs only when its
+    members are used: to pull a nonempty WNT of q back, or as the reach of
+    a transition-invariant q other than init.  The pre-image of an empty
+    DNF is empty whatever the summary, so a skipped summary loses nothing;
+    it spends no budget and leaves ``exact`` and ``budget_exhausted``
+    alone, like a loop off the paths of a summary.  No (source, target)
+    summary runs twice in one call, and ``_summary`` is memoized, so none
+    runs twice per process while its memo entry lives."""
     budgets = budgets or Budgets()
+    plan = _plan(p)
     variables = p.variables
     n = len(variables)
-    cycles = elementary_cycles(p)
-    flat = bool(_flatness(p, cycles))
     result = Dnf()
     per_state = []
     exact = True
     exhausted = False
-    summaries: dict[tuple[str, str], list[LinRel]] = {}
+    summaries: dict[tuple[str, str], tuple[LinRel, ...]] = {}
 
-    def summary(q_in: str, q_out: str) -> list[LinRel]:
-        """``_summary(p, q_in, q_out)``, computed at most once; its flags
-        join the result's only when it is computed."""
+    def summary(q_in: str, q_out: str) -> tuple[LinRel, ...]:
+        """``_summary(p, q_in, q_out)``, looked up at most once; its flags
+        join the result's only when it is used."""
         nonlocal exact, exhausted
         if (q_in, q_out) not in summaries:
             members, ex, bx = _summary(p, q_in, q_out, budgets)
@@ -735,41 +807,12 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             summaries[q_in, q_out] = members
         return summaries[q_in, q_out]
 
-    # Every infinite run visits some analyzed state infinitely often as
-    # long as the analyzed set hits every elementary cycle, so a greedy
-    # cycle cover keeps both soundness and the flat-exactness argument.
-    chosen: list[str] = []
-    uncovered = list(range(len(cycles)))
-    while uncovered:
-        best = max(
-            sorted(p.states),
-            key=lambda s: sum(
-                1 for i in uncovered if any(t.source == s for t in cycles[i])
-            ),
-        )
-        hits = [i for i in uncovered if any(t.source == best for t in cycles[i])]
-        if not hits:
-            break
-        chosen.append(best)
-        uncovered = [i for i in uncovered if i not in hits]
-    for q in sorted(chosen):
-        q_cycles = [c for c in cycles if any(t.source == q for t in c)]
-        if not q_cycles:
-            continue
-        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
-        # at the initial state of a flat program P+(q, q) = C+ for its one
-        # cycle C, and C+ pulls the exact WNT of C back into itself
-        pull_back = not (flat and single is not None and q == p.init)
-        w_dnf = Dnf()
+    for s in plan.states:
+        q = s.state
+        w_dnf = Dnf(s.wnt)
         method = "tinv"
-        if single is not None:
+        if s.single is not None:
             method = "single-cycle"
-            kind, payload = single
-            if kind == "octagon":
-                w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, n).set, variables)))
-            else:
-                for c in finite_monoid_wnt(payload, list(variables)):
-                    w_dnf.add(c)
         else:
             members = summary(q, q)
             reach_dnf = Dnf([Conj.make([])])
@@ -787,7 +830,7 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                     w_dnf.add(Conj.make(oct_rows(oct_wnt(o, n).set, variables)))
         # the pre-image of an empty DNF is empty, whatever the summary
         contrib = w_dnf
-        if pull_back and not w_dnf.is_false:
+        if s.pull_back and not w_dnf.is_false:
             contrib = _image(summary(p.init, q), w_dnf, forward=False,
                              include_identity=(q == p.init))
         per_state.append((q, method, w_dnf))
@@ -795,9 +838,10 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
             result.add(c)
     # the precision claim of the method only covers flat inputs with every
     # closure certified; the flag under-approximates actual exactness
+    flat = bool(plan.flat)
     return PrecondResult(p, result, per_state, flat, exact and flat, exhausted)
 
 
-def _rotate_to(q: str, cycle: list[Transition]) -> list[Transition]:
+def _rotate_to(q: str, cycle: tuple[Transition, ...]) -> tuple[Transition, ...]:
     idx = next(i for i, t in enumerate(cycle) if t.source == q)
     return cycle[idx:] + cycle[:idx]

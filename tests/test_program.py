@@ -477,6 +477,72 @@ def test_a_repeated_program_runs_no_elimination(monkeypatch):
         assert calls == []
 
 
+def _round(programs) -> list[str]:
+    """repr of is_flat, nt_program and the head summary of each program."""
+    return [repr((is_flat(p), nt_program(p), transitive_relation(p, head, head)))
+            for p, head in programs]
+
+
+def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
+    # the cycles, the flatness verdict and the single-cycle WNTs are
+    # memoized per program, and each summary per (program, ends, budgets):
+    # a second round enumerates no cycle, saturates no loop and eliminates
+    # nothing
+    programs = [(parse_program(BRANCHING_PROGRAM), "l1"),
+                (parse_program(one_phase_ramp("+")), "l1")]
+    clear_memos()
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for module, name in [(program_module, "elementary_cycles"),
+                         (program_module, "_star_members"),
+                         (program_module, "eliminate_all"),
+                         (presburger_module, "eliminate_all")]:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    first = _round(programs)
+    assert {"elementary_cycles", "_star_members", "eliminate_all"} <= set(calls)
+    calls.clear()
+    assert _round(programs) == first
+    assert calls == []
+
+
+def test_a_memo_hands_out_nothing_to_write(branching):
+    # each call gets its own precondition, per-state list and member list,
+    # so writing into them leaves the next call's result alone
+    x_le_7 = Conj.make([(LinTerm({"x": 1}, -7), LE)])
+    for p, head in [(branching, "l1"), (parse_program(one_phase_ramp("+")), "l1")]:
+        res = nt_program(p)
+        members, _ = transitive_relation(p, head, head)
+        want = repr((res, members))
+        res.precondition.add(x_le_7)
+        for _, _, w in res.per_state:
+            w.add(x_le_7)
+        res.per_state.append(res.per_state[0])
+        members.append(identity_member(p.variables))
+        assert repr((res, members)) != want
+        assert repr((nt_program(p), transitive_relation(p, head, head)[0])) == want
+
+
+def test_budgets_are_part_of_the_memo_keys():
+    # the default run fills the plan and summary memos first; the
+    # budget-limited run still gets its own summary flags
+    p = parse_program(EX1_PROGRAM)
+    budgets = Budgets(max_prefix=2, max_period=1)
+    nt_program(p)
+    assert transitive_relation(p, "s0", "a")[1]
+    res = nt_program(p, budgets)
+    assert not transitive_relation(p, "s0", "a", budgets)[1]
+    assert [(q, method, w.is_false) for q, method, w in res.per_state] == [
+        ("a", "single-cycle", True), ("b", "single-cycle", False)]
+    assert res.exact and not res.budget_exhausted
+    assert transitive_relation(p, "s0", "a")[1]
+
+
 # an octagonal edge into the rotation's affine self-loop
 AFFINE_LABEL_PROGRAM = ("vars x, y; init a; a -> b : x >= 0 && id(x, y);"
                         " b -> b : x' == y && y' == -x - y && x >= 0;")
@@ -910,18 +976,14 @@ def test_member_subsumed_agrees_with_conj_implies(n):
 
 
 @pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
-def test_capped_closure_falls_back_to_elimination(monkeypatch, request, n, width, bound):
-    # every pair but two parameter-free octagons composes by elimination,
-    # so the antichain cap of the parametric DBMs leaves composition alone:
-    # at a cap of one term, compose_members still agrees with elimination
-    from octoterm import pdbm
+def test_capped_closure_falls_back_to_elimination(n, width, bound):
+    # every pair but two parameter-free octagons composes by elimination:
+    # on the integer points of a box, compose_members agrees with
+    # _compose_members on each such pair of plain and accelerated members
     from octoterm.program import _compose_members, _compose_octagon_pair
 
     rng = random.Random(101 + n)
     members = _random_members(rng, n)
-    monkeypatch.setattr(pdbm, "MAX_ANTICHAIN", 1)
-    clear_memos()
-    request.addfinalizer(clear_memos)  # the capped closures stay out of the memos
     names = ["x", "y"][:n]
     names += [v + "'" for v in names]
     box = [dict(zip(names, pt))
@@ -944,7 +1006,9 @@ def _branching(step: int) -> str:
 
 def _loop_sets(programs) -> list[tuple]:
     """The arguments of every ``_star_members`` call that ``nt_program``
-    and the head summary of each (text, head) make."""
+    and the head summary of each (text, head) make, from cold memos: a
+    memoized summary calls no ``_star_members``."""
+    clear_memos()
     seen = []
     real = program_module._star_members
 

@@ -15,10 +15,13 @@ its own ``src`` and its own ``perfbench/gen.py``:
 - the ``cli`` requests of seeds 5-44: exit code, stdout and stderr of
   ``cli.main`` with ``--format text`` and ``--format json``.
 
-One round of each workload per seed.  The script prints every item whose
-output differs, or that only one side has, and exits 1 if there is any;
-it exits 0 when every item is the same.  Nothing under ``perfbench/`` is
-changed.  Standard library only.
+One round of each workload per seed.  Each side then computes the
+``programs`` items a second time in the same process, in reverse order,
+so every one of them meets the memos that all the others filled.  The
+script prints every item whose output differs between the sides, or that
+only one side has, and every item whose repeat differs from its first
+output on either side; it exits 1 if there is any, and 0 otherwise.
+Nothing under ``perfbench/`` is changed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,21 +41,31 @@ from bench_pairs import extract  # noqa: E402
 SEEDS = {"programs": range(5, 13), "loops": range(5, 9), "cli": range(5, 45)}
 
 
-def _outputs(tree: Path) -> dict[str, str]:
-    """Item id -> output text, for the request set on the tree's sources."""
+def _program_outputs(ot, requests) -> dict[str, str]:
+    """Item id -> output text, for ``programs`` requests in the given order."""
+    out = {}
+    for r in requests:
+        p = ot.parse_program(r["text"])
+        out[r["id"] + "/is_flat"] = repr(ot.is_flat(p))
+        out[r["id"] + "/nt_program"] = repr(ot.nt_program(p))
+        out[r["id"] + "/transitive_relation"] = repr(
+            ot.transitive_relation(p, r["head"], r["head"]))
+    return out
+
+
+def _outputs(tree: Path) -> tuple[dict[str, str], list[str]]:
+    """Item id -> output text, for the request set on the tree's sources;
+    and the ``programs`` items whose repeat differs from their first output."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import gen
     import octoterm as ot
     from octoterm import cli
     from octoterm.affine import mat
 
-    out = {}
-    for r in (r for s in SEEDS["programs"] for r in gen.make_requests("programs", s, 1)):
-        p = ot.parse_program(r["text"])
-        out[r["id"] + "/is_flat"] = repr(ot.is_flat(p))
-        out[r["id"] + "/nt_program"] = repr(ot.nt_program(p))
-        out[r["id"] + "/transitive_relation"] = repr(
-            ot.transitive_relation(p, r["head"], r["head"]))
+    requests = [r for s in SEEDS["programs"] for r in gen.make_requests("programs", s, 1)]
+    out = _program_outputs(ot, requests)
+    again = _program_outputs(ot, requests[::-1])
+    repeats = [k for k, v in out.items() if again[k] != v]
     for r in (r for s in SEEDS["loops"] for r in gen.make_requests("loops", s, 1)):
         if r["kind"] == "oct":
             n = r["n"]
@@ -75,11 +88,11 @@ def _outputs(tree: Path) -> dict[str, str]:
                     code = exc.code
             out[f"{r['id']}/cli-{fmt}"] = json.dumps(
                 {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()})
-    return out
+    return out, repeats
 
 
-def _run_side(tree: Path) -> dict[str, str]:
-    """The outputs of one tree, from a fresh process."""
+def _run_side(tree: Path) -> tuple[dict[str, str], list[str]]:
+    """The outputs of one tree and its differing repeats, from a fresh process."""
     proc = subprocess.run([sys.executable, __file__, "--emit", str(tree)], cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -101,19 +114,23 @@ def main() -> int:
     if args.base is None:
         ap.error("--base is required")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="same_outputs_"))
-    sides = {}
+    sides, repeats = {}, 0
     for side, rev in (("base", args.base), ("head", args.head)):
         tree = workdir / side
         sha = extract(rev, tree)
         print(f"{side}: {sha}", flush=True)
-        sides[side] = _run_side(tree)
+        sides[side], differ = _run_side(tree)
+        for k in differ:
+            print(f"{side} repeat differs: {k}")
+        repeats += len(differ)
     base, head = sides["base"], sides["head"]
     differ = [k for k in dict.fromkeys([*base, *head]) if base.get(k) != head.get(k)]
     for k in differ:
         print(f"differs: {k}\n  base: {base.get(k, '(missing)')[:400]}\n"
               f"  head: {head.get(k, '(missing)')[:400]}")
-    print(f"{len(differ)} of {len(set(base) | set(head))} items differ")
-    return 1 if differ else 0
+    print(f"{len(differ)} of {len(set(base) | set(head))} items differ; "
+          f"{repeats} repeats differ from their first output")
+    return 1 if differ or repeats else 0
 
 
 if __name__ == "__main__":
