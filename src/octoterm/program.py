@@ -810,10 +810,10 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     for s in plan.states:
         q = s.state
         w_dnf = Dnf(s.wnt)
-        method = "tinv"
         if s.single is not None:
             method = "single-cycle"
         else:
+            method = "tinv"
             members = summary(q, q)
             reach_dnf = Dnf([Conj.make([])])
             if q != p.init:
