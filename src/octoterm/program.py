@@ -14,18 +14,16 @@ variables, their primed copies, and nonnegative integer parameters (one
 per accelerated loop on the path), plus divisibility atoms.  The
 parameters are named ``_p0, _p1, ...`` by position, so equal relations are
 equal members and the memo tables below serve every later call.  An
-octagonal label, an accelerated loop's plain and parametric octagons, and
-the composition of two octagonal members all become members through one
-builder, ``_member_from_dbm``, which writes the path-reduced rows of a
-closed tight dual matrix.  Members compose by exact integer elimination of
-the midpoint variables (Presburger elimination, as in the paper), which
-loses nothing; the one shortcut is a pair of parameter-free octagonal
-members, which compose as tight octagons, integer-hull exact.  Each
-question about members is asked one way: emptiness by the exact parameter
-elimination of ``member_cases`` (``compose_members`` says why that
-suffices), inclusion by ``conj_implies`` on those cases, and images by
-``_image``, which memoizes the image of each conjunct through each member
-per (member, conjunct, direction) in ``_member_image``.
+octagonal label and an accelerated loop's plain and parametric octagons
+become members through one builder, ``_member_from_dbm``, which writes the
+path-reduced rows of a closed tight dual matrix.  Members compose one way:
+by exact integer elimination of the midpoint variables (Presburger
+elimination, as in the paper), which loses nothing.  Each question about
+members is asked one way: emptiness by the exact parameter elimination of
+``member_cases`` (``compose_members`` says why that suffices), inclusion by
+``conj_implies`` on those cases, and images by ``_image``, which memoizes
+the image of each conjunct through each member per (member, conjunct,
+direction) in ``_member_image``.
 
 The non-termination precondition takes, per control state, either the
 exact WNT of the unique cycle relation or the union of the WNTs of the
@@ -56,7 +54,6 @@ from .linarith import EQ, LE, LinSys, LinTerm, term_of_pair
 from .octagon import (
     Octagon,
     bottom,
-    oct_compose,
     oct_encode,
     oct_hull,
     oct_rows,
@@ -64,7 +61,7 @@ from .octagon import (
     rows_to_atoms,
     tight_close,
 )
-from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all
+from .presburger import Conj, DivAtom, Dnf, antichain_add, conj_implies, eliminate_all
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
@@ -199,7 +196,8 @@ def member_subsumed(a: LinRel, b: LinRel) -> bool:
 @lru_cache(maxsize=_MEMO)
 def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
     """Trade the parametric form for parameter-free cases when every case
-    is octagonal: those compose and compare through the DBM fast paths.
+    is octagonal, so loop parameters do not pile up through compositions:
+    composing a member with k parameters and one with l gives k + l.
     Members whose projection leaves the octagonal fragment (coupled loop
     counters) stay parametric."""
     if not m.params:
@@ -215,64 +213,37 @@ def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
 
 @lru_cache(maxsize=_MEMO)
 def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
-    """Exact relational composition, by one of two paths.  Two
-    parameter-free octagonal members compose as tight octagons
-    (``_compose_octagon_pair``); every other pair goes through exact
-    integer elimination of the midpoint variables (``_compose_members``),
-    which may split into finitely many members.
+    """Exact relational composition, by integer elimination of the
+    midpoint variables, which may split into finitely many members.  The
+    midpoints take the place of a's primed and b's unprimed names, b's
+    parameters follow a's, and the merged conjunct is normalized once.
 
     Every member returned has a rational point at p >= 0, and no separate
     emptiness test runs:
+    - A parameter-free case passed ``Dnf.add`` in ``eliminate_all``,
+      which drops every case with no rational point.
     - A parametric member goes through ``_normalize_member``, so through
       ``member_cases``: exact elimination of its parameters at p >= 0.
       Each step maps a system with no rational point to systems with none
       (real and dark shadows, splinters with one more equality, residue
       splits by an affine substitution), and ``Dnf.add`` drops every case
       with no rational point.  So a member with no rational point at
-      p >= 0 has no case and normalizes to nothing.
-    - A member of ``_compose_octagon_pair`` comes from a nonempty tight
-      octagon, which has an integer point.
-    - A parameter-free case of ``_compose_members`` passed ``Dnf.add``,
-      on the same rows."""
-    out = _compose_octagon_pair(a, b)
-    if out is None:
-        out = _compose_members(a, b)
-    return tuple(n for m in out for n in _normalize_member(m))
-
-
-def _compose_octagon_pair(a: LinRel, b: LinRel) -> list[LinRel] | None:
-    """Composition of two parameter-free octagonal members without
-    divisibility atoms as tight octagons (``oct_compose``); None for any
-    other pair.  A nonempty tight octagon is integer-consistent, so no
-    feasibility test runs."""
-    oa, ob = _exact_octagon(a), _exact_octagon(b)
-    if oa is None or ob is None:
-        return None
-    m = member_from_octagon(oct_compose(oa, ob, len(a.variables)), a.variables)
-    return [] if m is None else [m]
-
-
-def _compose_members(a: LinRel, b: LinRel) -> list[LinRel]:
-    """Composition by exact integer elimination of the midpoints, for
-    every pair that is not two parameter-free octagons."""
+      p >= 0 has no case and normalizes to nothing."""
     variables = a.variables
     # the midpoints are eliminated below, so their names never leave here
     mids = {v: f"_m_{v}" for v in variables}
     sub_a = {v + "'": LinTerm({mids[v]: 1}) for v in variables}
     sub_b = {v: LinTerm({mids[v]: 1}) for v in variables}
-    ca = a.conj.subst(sub_a)
     # b's parameters follow a's: _p<i> becomes _p<len(a.params) + i>
     params = _param_names(len(a.params) + len(b.params))
-    shifted = params[len(a.params):]
-    sub_b.update({p: LinTerm({q: 1}) for p, q in zip(b.params, shifted)})
-    cb = b.conj.subst(sub_b)
-    if ca is None or cb is None:
-        return []
-    merged = Conj.make(ca.rows + cb.rows, ca.divs + cb.divs)
+    sub_b.update({p: LinTerm({q: 1}) for p, q in zip(b.params, params[len(a.params):])})
+    sides = ((a.conj, sub_a), (b.conj, sub_b))
+    merged = Conj.make([(t.subst(sub), rel) for c, sub in sides for t, rel in c.rows],
+                       [DivAtom(d.modulus, d.term.subst(sub)) for c, sub in sides for d in c.divs])
     if merged is None:
-        return []
-    return [_canonical(variables, conj, params)
-            for conj in eliminate_all(merged, list(mids.values()))]
+        return ()
+    return tuple(n for conj in eliminate_all(merged, list(mids.values()))
+                 for n in _normalize_member(_canonical(variables, conj, params)))
 
 
 @lru_cache(maxsize=_MEMO)
@@ -578,7 +549,10 @@ def _star_members(
     candidate, each extension of the candidate is subsumed by the same
     extension of o.  After r rounds the words of up to r + 1 generators are
     covered, so the 16-round cap bounds words at 17 generators (not at
-    2^16, as composing members with members would)."""
+    2^16, as composing members with members would).
+
+    One loop whose acceleration is exact needs no round: its generators
+    are R+ itself, and R+ composed with R+ adds nothing to R+."""
     exact = True
     exhausted = False
     base: list[LinRel] = []
@@ -588,6 +562,8 @@ def _star_members(
         exhausted = exhausted or bx
         base.extend(acc)
     gens = _dedupe(base)
+    if len(loops) == 1 and exact:
+        return tuple(gens), exact, exhausted
     members = list(gens)
     frontier = list(gens)
     rounds = 0

@@ -6,16 +6,7 @@ from dataclasses import dataclass
 from octoterm import closure as closure_module
 from octoterm import pdbm
 from octoterm.dbm import INF, Dbm, fw_close
-from octoterm.linarith import LE, LinTerm
 from octoterm.pdbm import MAX_ANTICHAIN, ExtParamDbm, min_terms, param_fw
-from octoterm.presburger import Conj
-from octoterm.program import (
-    LinRel,
-    _compose_members,
-    _compose_octagon_pair,
-    _normalize_member,
-    compose_members,
-)
 
 from helpers import eval_at, glue, param_tighten, reference_verify_dbm_certificate
 
@@ -455,20 +446,6 @@ def test_capped_closure_rejects_certificate(monkeypatch):
     monkeypatch.setattr(pdbm, "MAX_ANTICHAIN", 1)
     assert reference_verify_dbm_certificate(cache, 1, 1, rates) is None
     assert closure_module._verify_dbm_certificate(cache, 1, 1, rates) == (True, None)
-
-
-def test_capped_composition_falls_back_to_elimination():
-    # x' - x <= i - i*_p0 for i = 0..69: one entry of 70 incomparable terms,
-    # past MAX_ANTICHAIN, composes by elimination like any parametric member
-    x, x1, p = LinTerm.var("x"), LinTerm.var("x'"), LinTerm.var("_p0")
-    rows = [(x1 - x - i + i * p, LE) for i in range(MAX_ANTICHAIN + 6)]
-    rows.append((x - x1, LE))
-    a = LinRel(("x",), Conj.make(rows), ("_p0",))
-    b = LinRel(("x",), Conj.make([(x1 - x, LE), (x - x1, LE)]))
-    assert _compose_octagon_pair(a, b) is None
-    want = _compose_members(a, b)
-    assert want and compose_members(a, b) == tuple(
-        n for m in want for n in _normalize_member(m))
 
 
 # ---------------------------------------------------------------------------

@@ -544,7 +544,7 @@ def test_eliminate_all_matches_normalizing_on_entry(monkeypatch):
 
 
 def test_program_eliminations_match_normalizing_on_entry(monkeypatch):
-    # every elimination of member_cases, _image and _compose_members on the
+    # every elimination of member_cases, _image and compose_members on the
     # `programs` requests of seeds 5-6
     calls = []
 

@@ -871,48 +871,51 @@ def _random_members(rng, n):
     return plain + accelerated
 
 
-def _search_eval(members, point, bound):
-    """Does a member hold at the point for some parameters in 0..bound?"""
-    for m in members:
-        for ks in itertools.product(range(bound + 1), repeat=len(m.params)):
-            if m.conj.eval({**point, **dict(zip(m.params, ks))}):
-                return True
-    return False
+@pytest.mark.parametrize("n", [1, 2])
+def test_parameter_free_octagons_compose_as_the_octagon_algebra(n):
+    # the reference for the one composition path: on parameter-free
+    # octagonal members, eliminating the midpoints gives at most one
+    # member, exactly octagonal and equal to oct_compose of the two tight
+    # octagons, which is integer-exact
+    from octoterm.octagon import oct_compose, oct_leq, tight_close
 
-
-@pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
-def test_compose_members_matches_elimination_on_a_box(n, width, bound):
-    from octoterm.program import _compose_members, _compose_octagon_pair
-
-    rng = random.Random(61 + n)
-    members = _random_members(rng, n)
-    names = ["x", "y"][:n]
-    names += [v + "'" for v in names]
-    box = [dict(zip(names, pt))
-           for pt in itertools.product(range(-width, width + 1), repeat=2 * n)]
-    pairs = [(a, b) for a in members for b in members]
-    octagon_pairs = empty = 0
-    for a, b in rng.sample(pairs, 40):
-        got = compose_members(a, b)
-        want = _compose_members(a, b)
-        octagon_pairs += _compose_octagon_pair(a, b) is not None
-        empty += not want
-        if not want:
-            assert not got
-            continue
-        for pt in box:
-            assert _search_eval(got, pt, bound) == _search_eval(want, pt, bound), (a, b, pt)
-    assert octagon_pairs >= 15 and empty >= 3, (octagon_pairs, empty)
+    rng = random.Random(71 + n)
+    free = [m for m in _random_members(rng, n) + _random_members(rng, n) if not m.params]
+    nonempty = empty = 0
+    for a in free:
+        for b in free:
+            got = compose_members(a, b)
+            want = tight_close(oct_compose(member_to_octagon(a)[0], member_to_octagon(b)[0], n))
+            assert len(got) <= 1, (a, b, got)
+            if not got:
+                assert want.is_bottom, (a, b)
+                empty += 1
+                continue
+            o, exact = member_to_octagon(got[0])
+            assert exact and oct_leq(o, want) and oct_leq(want, o), (a, b, got)
+            nonempty += 1
+    assert nonempty >= 15 and empty >= 3, (nonempty, empty)
 
 
 def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
-    # two parameter-free octagonal members compose by oct_compose and
-    # compare as tight octagons in conj_implies: no elimination, no LP, no
-    # row entailment
+    # two parameter-free octagonal members compose to a parameter-free
+    # octagonal member and compare as tight octagons in conj_implies: no
+    # elimination, no LP, no row entailment
     from octoterm import linarith
     from octoterm.linarith import LE, LinTerm
     from octoterm.presburger import Conj
 
+    x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
+    b = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - x, LE), (y1 - y - 1, LE)]))
+    c = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - x1, LE)]))
+    # bc is x <= y, x' <= min(y + 1, 3), y' <= x'; cb is y <= 3, x' <= y,
+    # y' <= y + 1
+    bc = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - y - 1, LE), (x1 - 3, LE),
+                                       (y1 - x1, LE)]))
+    cb = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - y - 1, LE)]))
+    for got, want in ((compose_members(b, c), bc), (compose_members(c, b), cb)):
+        (m,) = got
+        assert not m.params and member_to_octagon(m) == member_to_octagon(want)
     calls = []
 
     def spy(name, real):
@@ -928,21 +931,11 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
     monkeypatch.setattr(linarith.PolyhedronLP, "__init__",
                         spy("PolyhedronLP", linarith.PolyhedronLP.__init__))
     clear_memos()
-    x, y, x1, y1 = (LinTerm.var(v) for v in ("x", "y", "x'", "y'"))
-    b = LinRel(("x", "y"), Conj.make([(x - y, LE), (x1 - x, LE), (y1 - y - 1, LE)]))
-    c = LinRel(("x", "y"), Conj.make([(y - 3, LE), (x1 - y, LE), (y1 - x1, LE)]))
-    (bc,) = compose_members(b, c)
-    (cb,) = compose_members(c, b)
-    assert not bc.params and not cb.params
     assert member_subsumed(bc, bc) and not member_subsumed(bc, cb)
     assert calls == []
-    # bc is x <= y, x' <= min(y + 1, 3), y' <= x': the midpoint searched
-    # over a box agrees
-    names = ("x", "y", "x'", "y'")
-    for x0, y0, x2, y2 in itertools.product(range(-4, 5), repeat=4):
-        via = any(x0 <= y0 and mx <= x0 and my <= y0 + 1 and my <= 3 and x2 <= my
-                  and y2 <= x2 for mx in range(-9, 10) for my in range(-9, 10))
-        assert bc.conj.eval(dict(zip(names, (x0, y0, x2, y2)))) == via
+    # x = y = 4, x' = y' = 3 is in bc and not in cb (y <= 3 fails)
+    pt = {"x": 4, "y": 4, "x'": 3, "y'": 3}
+    assert bc.conj.eval(pt) and not cb.conj.eval(pt)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -973,31 +966,6 @@ def test_member_subsumed_agrees_with_conj_implies(n):
             if got:
                 assert all(b.conj.eval(pt) for pt in box if a.conj.eval(pt)), (a, b)
     assert len(free) >= 100 and included >= 500, (len(free), included)
-
-
-@pytest.mark.parametrize("n, width, bound", [(1, 4, 12), (2, 2, 6)])
-def test_capped_closure_falls_back_to_elimination(n, width, bound):
-    # every pair but two parameter-free octagons composes by elimination:
-    # on the integer points of a box, compose_members agrees with
-    # _compose_members on each such pair of plain and accelerated members
-    from octoterm.program import _compose_members, _compose_octagon_pair
-
-    rng = random.Random(101 + n)
-    members = _random_members(rng, n)
-    names = ["x", "y"][:n]
-    names += [v + "'" for v in names]
-    box = [dict(zip(names, pt))
-           for pt in itertools.product(range(-width, width + 1), repeat=2 * n)]
-    fell = 0
-    for a in members:
-        for b in members:
-            if _compose_octagon_pair(a, b) is not None:
-                continue
-            fell += 1
-            got, want = compose_members(a, b), _compose_members(a, b)
-            for pt in box:
-                assert _search_eval(got, pt, bound) == _search_eval(want, pt, bound), (a, b, pt)
-    assert fell >= 3, fell
 
 
 def _branching(step: int) -> str:
@@ -1033,6 +1001,30 @@ def test_generator_saturation_matches_all_pairs():
     assert len(loop_sets) >= 8 and max(len(loops) for loops, *_ in loop_sets) == 6
     for args in loop_sets:
         assert repr(program_module._star_members(*args)) == repr(reference_star_members(*args))
+
+
+def test_one_exactly_accelerated_loop_makes_no_saturation_round(monkeypatch):
+    # ex1's loop at a is octagonal and its closure certifies, so its
+    # accelerated members are R+ and _star_members composes nothing
+    p = parse_program(EX1_PROGRAM)
+    (loop,) = [t for t in p.transitions if t.source == t.target == "a"]
+    loops = program_module._label_members(loop.label, p.variables)
+    calls = []
+    real = program_module.compose_members
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    clear_memos()
+    monkeypatch.setattr(program_module, "compose_members", spy)
+    members, exact, exhausted = program_module._star_members(loops, p.variables, Budgets())
+    assert len(loops) == 1 and members and exact and not exhausted
+    assert calls == []
+    # an inexact closure still saturates
+    budgets = Budgets(max_prefix=2, max_period=1)
+    assert not program_module._star_members(loops, p.variables, budgets)[1]
+    assert calls
 
 
 def test_step_2_branching_saturation_extends_by_generators(monkeypatch):
@@ -1152,6 +1144,14 @@ def _record_builds(monkeypatch):
     return calls
 
 
+def _member_of_oct_compose(a, b):
+    """The member of the tight composition of two exact octagonal members."""
+    from octoterm.octagon import oct_compose
+
+    o = oct_compose(member_to_octagon(a)[0], member_to_octagon(b)[0], len(a.variables))
+    return member_from_octagon(o, a.variables)
+
+
 def test_path_reduction_keeps_one_row_of_a_zero_cycle():
     # x == y, x <= z, y <= z: each z row follows from the other one and
     # x == y, so dropping every path-implied term at once would lose z.
@@ -1205,8 +1205,8 @@ def test_identity_composes_to_each_octagonal_label_member():
 
 @pytest.mark.parametrize("n, width, bound", [(1, 4, 4), (2, 2, 2)])
 def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound):
-    # members of random closures and the compositions of parameter-free
-    # members, the two kinds of member built from a matrix: the rows of
+    # members of random closures, and of the octagon compositions of
+    # parameter-free members, whose closed matrices are wide: the rows of
     # every term and the path-reduced rows agree at every point of the box,
     # the parameters included
     calls = _record_builds(monkeypatch)
@@ -1214,7 +1214,7 @@ def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound)
     members = _random_members(rng, n) + _random_members(rng, n)
     free = [m for m in members if not m.params]
     for a, b in rng.sample([(a, b) for a in free for b in free], 80):
-        compose_members(a, b)
+        _member_of_oct_compose(a, b)
     variables = ("x", "y")[:n]
     names = list(variables) + [v + "'" for v in variables]
     full_rows = reduced_rows = 0
@@ -1235,8 +1235,21 @@ def test_path_reduced_rows_equal_all_rows_on_a_box(monkeypatch, n, width, bound)
 
 
 def test_path_reduction_shrinks_the_widest_two_phase_member(monkeypatch):
+    # the analysis builds the members of labels and closures, and the
+    # octagon compositions of the parameter-free pairs it composes
+    pairs = []
+    real = program_module.compose_members
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(program_module, "compose_members", spy)
     calls = _record_builds(monkeypatch)
     nt_program(parse_program(TWO_PHASE_PROGRAM))
+    for a, b in dict.fromkeys(pairs):
+        if member_to_octagon(a)[1] and member_to_octagon(b)[1]:
+            _member_of_oct_compose(a, b)
     counts = [(len(_all_term_conj(e, k, v).rows), len(m.conj.rows))
               for e, k, v, m in calls if m is not None]
     assert max(counts) == (14, 7)

@@ -17,28 +17,83 @@ its own ``src`` and its own ``perfbench/gen.py``:
 
 One round of each workload per seed.  Each side then computes the
 ``programs`` items a second time in the same process, in reverse order,
-so every one of them meets the memos that all the others filled.  The
-script prints every item whose output differs between the sides, or that
-only one side has, and every item whose repeat differs from its first
-output on either side; it exits 1 if there is any, and 0 otherwise.
-Nothing under ``perfbench/`` is changed.  Standard library only.
+so every one of them meets the memos that all the others filled.
+
+An item can differ by its ``repr`` alone: the same set, written with other
+rows.  So each side also fingerprints every ``programs`` precondition and
+summary, and the result of each ``prog analyze`` and ``prog summary``
+command.  A set's fingerprint is its membership bit string over sample
+points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
+points drawn from it with a fixed seed.  A summary's parameters are
+eliminated first (``member_cases``).  An ``nt_program`` fingerprint holds
+the flags, the precondition and each state's WNT; a command's also holds
+its exit code and stderr.
+
+The script prints every item whose output differs between the sides, or
+that only one side has: as a ``repr`` change when both sides have equal
+fingerprints for it, else as a differing set.  It also prints every item
+whose repeat differs from its first output on either side.  It exits 1
+if a set or a repeat differs, and 0 otherwise.  Nothing under
+``perfbench/`` is changed.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import extract  # noqa: E402
 
 SEEDS = {"programs": range(5, 13), "loops": range(5, 9), "cli": range(5, 45)}
+# a fingerprint samples [-RADIUS, RADIUS]^k: all of it up to EXHAUSTIVE
+# coordinates, else SAMPLES seeded points of it
+RADIUS, EXHAUSTIVE, SAMPLES = 5, 4, 4000
+
+
+@lru_cache(maxsize=None)
+def _points(k: int) -> tuple[tuple[int, ...], ...]:
+    box = range(-RADIUS, RADIUS + 1)
+    if k <= EXHAUSTIVE:
+        return tuple(itertools.product(box, repeat=k))
+    rng = random.Random(k)
+    return tuple(tuple(rng.choice(box) for _ in range(k)) for _ in range(SAMPLES))
+
+
+def _bits(names, holds) -> str:
+    """The membership bits of a set over the sample points, as the count
+    of members, the count of points and a digest of the bit string."""
+    bits = "".join("1" if holds(dict(zip(names, pt))) else "0" for pt in _points(len(names)))
+    return f"{bits.count('1')}/{len(bits)}:{hashlib.sha256(bits.encode()).hexdigest()[:16]}"
+
+
+def _nt_fingerprint(ot, p) -> str:
+    res = ot.nt_program(p)
+    xs = list(p.variables)
+    return json.dumps({
+        "flat": res.flat, "exact": res.exact, "budget_exhausted": res.budget_exhausted,
+        "precondition": _bits(xs, res.precondition.eval),
+        "per_state": [[q, method, _bits(xs, w.eval)] for q, method, w in res.per_state]})
+
+
+def _summary_fingerprint(ot, p, q_in: str, q_out: str) -> str:
+    from octoterm.program import member_cases
+
+    members, exact = ot.transitive_relation(p, q_in, q_out)
+    cases = [c for m in members for c in member_cases(m)]
+    names = list(p.variables) + [v + "'" for v in p.variables]
+    return json.dumps({"exact": exact,
+                       "summary": _bits(names, lambda v: any(c.eval(v) for c in cases))})
 
 
 def _program_outputs(ot, requests) -> dict[str, str]:
@@ -53,9 +108,10 @@ def _program_outputs(ot, requests) -> dict[str, str]:
     return out
 
 
-def _outputs(tree: Path) -> tuple[dict[str, str], list[str]]:
+def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
     """Item id -> output text, for the request set on the tree's sources;
-    and the ``programs`` items whose repeat differs from their first output."""
+    the ``programs`` items whose repeat differs from their first output;
+    and item id -> fingerprint, for the items that have one."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import gen
     import octoterm as ot
@@ -66,6 +122,21 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str]]:
     out = _program_outputs(ot, requests)
     again = _program_outputs(ot, requests[::-1])
     repeats = [k for k, v in out.items() if again[k] != v]
+    memo: dict[tuple, str] = {}
+
+    def fingerprint(text: str, ends: tuple[str, str] | None) -> str:
+        """The fingerprint of nt_program (ends None) or of the summary
+        between the ends, once per program text."""
+        if (text, ends) not in memo:
+            p = ot.parse_program(text)
+            memo[text, ends] = (_nt_fingerprint(ot, p) if ends is None
+                                else _summary_fingerprint(ot, p, *ends))
+        return memo[text, ends]
+
+    fps = {}
+    for r in requests:
+        fps[r["id"] + "/nt_program"] = fingerprint(r["text"], None)
+        fps[r["id"] + "/transitive_relation"] = fingerprint(r["text"], (r["head"],) * 2)
     for r in (r for s in SEEDS["loops"] for r in gen.make_requests("loops", s, 1)):
         if r["kind"] == "oct":
             n = r["n"]
@@ -86,13 +157,20 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str]]:
                     code = cli.main(["--format", fmt, *r["argv"]])
                 except SystemExit as exc:  # argparse exits on a usage error
                     code = exc.code
-            out[f"{r['id']}/cli-{fmt}"] = json.dumps(
+            item = f"{r['id']}/cli-{fmt}"
+            out[item] = json.dumps(
                 {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()})
-    return out, repeats
+            argv = r["argv"]
+            if argv[:2] in (["prog", "analyze"], ["prog", "summary"]):
+                ends = None if argv[1] == "analyze" else (argv[3], argv[5])
+                fps[item] = json.dumps({"exit": code, "stderr": stderr.getvalue(),
+                                        "result": fingerprint(argv[-1], ends)})
+    return out, repeats, fps
 
 
-def _run_side(tree: Path) -> tuple[dict[str, str], list[str]]:
-    """The outputs of one tree and its differing repeats, from a fresh process."""
+def _run_side(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
+    """The outputs of one tree, its differing repeats and its fingerprints,
+    from a fresh process."""
     proc = subprocess.run([sys.executable, __file__, "--emit", str(tree)], cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -114,23 +192,30 @@ def main() -> int:
     if args.base is None:
         ap.error("--base is required")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="same_outputs_"))
-    sides, repeats = {}, 0
+    sides, fps, repeats = {}, {}, 0
     for side, rev in (("base", args.base), ("head", args.head)):
         tree = workdir / side
         sha = extract(rev, tree)
         print(f"{side}: {sha}", flush=True)
-        sides[side], differ = _run_side(tree)
+        sides[side], differ, fps[side] = _run_side(tree)
         for k in differ:
             print(f"{side} repeat differs: {k}")
         repeats += len(differ)
     base, head = sides["base"], sides["head"]
     differ = [k for k in dict.fromkeys([*base, *head]) if base.get(k) != head.get(k)]
-    for k in differ:
+    same_set = [k for k in differ if k in fps["base"] and fps["base"][k] == fps["head"].get(k)]
+    for k in same_set:
+        print(f"repr differs, same set: {k}")
+    sets = [k for k in differ if k not in same_set]
+    for k in sets:
         print(f"differs: {k}\n  base: {base.get(k, '(missing)')[:400]}\n"
               f"  head: {head.get(k, '(missing)')[:400]}")
-    print(f"{len(differ)} of {len(set(base) | set(head))} items differ; "
+        if k in fps["base"] or k in fps["head"]:
+            print(f"  fingerprints: {fps['base'].get(k)} / {fps['head'].get(k)}")
+    print(f"{len(differ)} of {len(set(base) | set(head))} items differ: "
+          f"{len(same_set)} by repr only, {len(sets)} otherwise; "
           f"{repeats} repeats differ from their first output")
-    return 1 if differ or repeats else 0
+    return 1 if sets or repeats else 0
 
 
 if __name__ == "__main__":
