@@ -845,7 +845,7 @@ def test_nt_program_computes_each_summary_once(monkeypatch, branching):
     assert _summary_calls(branching, monkeypatch) == [("l1", "l1")]
 
 
-# -- composition through the closed member matrices ---------------------------
+# -- composition by elimination of the midpoints ------------------------------
 
 
 def _random_members(rng, n):
@@ -933,9 +933,12 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
     clear_memos()
     assert member_subsumed(bc, bc) and not member_subsumed(bc, cb)
     assert calls == []
-    # x = y = 4, x' = y' = 3 is in bc and not in cb (y <= 3 fails)
-    pt = {"x": 4, "y": 4, "x'": 3, "y'": 3}
-    assert bc.conj.eval(pt) and not cb.conj.eval(pt)
+    # the midpoint searched over a box agrees with bc
+    names = ("x", "y", "x'", "y'")
+    for x0, y0, x2, y2 in itertools.product(range(-4, 5), repeat=4):
+        via = any(x0 <= y0 and mx <= x0 and my <= y0 + 1 and my <= 3 and x2 <= my
+                  and y2 <= x2 for mx in range(-9, 10) for my in range(-9, 10))
+        assert bc.conj.eval(dict(zip(names, (x0, y0, x2, y2)))) == via
 
 
 @pytest.mark.parametrize("n", [1, 2])
