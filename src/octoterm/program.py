@@ -25,26 +25,30 @@ members is asked one way: emptiness by the exact parameter elimination of
 the image of each conjunct through each member per (member, conjunct,
 direction) in ``_member_image``.
 
-The non-termination precondition takes, per control state, either the
-exact WNT of the unique cycle relation or the union of the WNTs of the
-octagonalized transition-invariant disjuncts, and pulls the result back
-through the reflexive-transitive summary from the initial state.  The
-initial state of a flat program needs no pull-back: its one cycle is its
-only way back, and the cycle's WNT is closed under pre-image.  The summary
-from the initial state is computed only when it is used: to pull back a
-nonempty WNT, or as the reach of a transition-invariant state other than
-the initial one.  At the initial state the transition invariant is that
-same summary, computed once.  What depends only on the program (cycles,
-flatness, cycle cover, single-cycle WNTs) is memoized per program in
-``_plan``, and each summary per (program, ends, budgets) in ``_summary``,
-so a repeated program costs memo lookups, the pull-backs and the
-transition-invariant WNTs.
+The non-termination precondition takes, per state of a cycle cover,
+either the exact WNT of the unique cycle relation or the union of the WNTs
+of the octagonalized transition-invariant disjuncts.  One backward pass
+pulls them all back to the initial state: it solves
+X_q = W_q | U_{q -> r} pre_label(X_r) over the strongly connected
+components that the initial state reaches, sinks first, through the
+labels of the edges between components and through the summaries from a
+component's entries to its states, so it builds sets over x only.  The
+initial state of a flat program needs no pull-back of its own WNT: its
+one cycle is its only way back, and the cycle's WNT is closed under
+pre-image.  An empty set is pulled back through no summary, and an
+entry's set of more than ``max_disjuncts`` conjuncts becomes its
+octagonal hull.  The summary from the initial state to q is computed only
+as the reach of a transition-invariant state q other than the initial
+one.  What depends only on the program (cycles, flatness, cycle cover,
+single-cycle WNTs) is memoized per program in ``_plan``, each summary per
+(program, ends, budgets) in ``_summary``, and the analysis per (program,
+budgets) in ``_analysis``, so a repeated program costs memo lookups.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
 from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
@@ -65,11 +69,12 @@ from .presburger import Conj, DivAtom, Dnf, antichain_add, conj_implies, elimina
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
-# most 611 (member_subsumed, seeds 5-12, one fresh process each; the image
-# memo `_member_image` at most 49, the parse memo and the plan memo `_plan`
-# 6-7 distinct texts of 24 requests, the summary memo `_summary` 10-11, and
-# after 100 rounds of seed 5 the parse and plan memos 25, `_summary` 32), so
-# a round evicts nothing while a long-lived process stays bounded.
+# most 580 (member_subsumed, seeds 5-12, one fresh process each; the image
+# memo `_member_image` at most 67, the parse memo, the plan memo `_plan` and
+# the analysis memo `_analysis` 6-7 distinct texts of 24 requests, the
+# summary memo `_summary` 12-13, and after 100 rounds of seed 5 the parse,
+# plan and analysis memos 25, `_summary` 37), so a round evicts nothing
+# while a long-lived process stays bounded.
 _MEMO = 1024
 
 
@@ -430,8 +435,13 @@ def _flatness(p: Program, cycles: tuple[tuple[Transition, ...], ...]):
 
 class _StatePlan(NamedTuple):
     """One state of the cycle cover: the single-cycle class of its one
-    cycle (None when it has several or the class is none), whether its WNT
-    is pulled back through P+(init, q), and the single-cycle WNT."""
+    cycle (None when it has several or the class is none), whether the
+    backward pass ``_pull_back`` pulls its WNT back through P+(q, q) where
+    it enters q's strongly connected component at q, and the single-cycle
+    WNT.  The initial state of a flat program skips that pull-back: there
+    P+(q, q) = C+ for its one cycle C, and C+ pulls the exact WNT of C back
+    into itself.  Every other nonempty WNT is pulled back through the
+    summaries of its component, whose flags join the result's."""
 
     state: str
     single: tuple | None
@@ -476,8 +486,6 @@ def _plan(p: Program) -> _Plan:
     for q in sorted(chosen):
         q_cycles = [c for c in cycles if any(t.source == q for t in c)]
         single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
-        # at the initial state of a flat program P+(q, q) = C+ for its one
-        # cycle C, and C+ pulls the exact WNT of C back into itself
         pull_back = not (flat and single is not None and q == p.init)
         w_dnf = Dnf()
         if single is not None:
@@ -604,6 +612,20 @@ def transitive_relation(
     return list(members), exact
 
 
+def _reach(p: Program, start: str, forward: bool) -> set[str]:
+    """The states some path from ``start`` visits (to it, when not
+    ``forward``), ``start`` included."""
+    seen, todo = {start}, [start]
+    while todo:
+        s = todo.pop()
+        for t in p.transitions:
+            a, b = (t.source, t.target) if forward else (t.target, t.source)
+            if a == s and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
 @lru_cache(maxsize=_MEMO)
 def _summary(
     p: Program, q_in: str, q_out: str, budgets: Budgets
@@ -616,18 +638,7 @@ def _summary(
     if missing:
         raise ValueError("the program has no state " + ", ".join(map(repr, missing)))
 
-    def reach(start: str, forward: bool) -> set[str]:
-        seen, todo = {start}, [start]
-        while todo:
-            s = todo.pop()
-            for t in p.transitions:
-                a, b = (t.source, t.target) if forward else (t.target, t.source)
-                if a == s and b not in seen:
-                    seen.add(b)
-                    todo.append(b)
-        return seen
-
-    live = reach(q_in, True) & reach(q_out, False)
+    live = _reach(p, q_in, True) & _reach(p, q_out, False)
     variables = p.variables
     IN, OUT = "__in__", "__out__"
     edges: dict[tuple[str, str], list[LinRel]] = {}
@@ -717,12 +728,13 @@ class PrecondResult(NamedTuple):
     budget_exhausted: bool = False
 
 
-def _image(members: list[LinRel], target: Dnf, forward: bool,
-           include_identity: bool) -> Dnf:
-    """Image of a DNF over x through summary members, and through the
+def _image(members: tuple[LinRel, ...], target: Iterable[Conj], forward: bool,
+           include_identity: bool, out: Dnf | None = None) -> Dnf:
+    """Image of conjuncts over x through summary members, and through the
     identity when asked: the post-image when ``forward``, else the
-    pre-image."""
-    out = Dnf()
+    pre-image.  It is added to ``out`` (a new DNF when None), which is
+    returned: only the DNF that keeps a conjunct prunes it."""
+    out = Dnf() if out is None else out
     for conj in target:
         if include_identity:
             out.add(conj)
@@ -752,37 +764,65 @@ def _member_image(m: LinRel, conj: Conj, forward: bool) -> tuple[Conj, ...]:
 def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     """Over-approximate non-termination precondition (exact on flat inputs).
 
-    The cycles, the flatness verdict, the cycle cover and the single-cycle
-    WNTs come from the program's memoized ``_plan``; what remains here
-    depends on the budgets.  ``_summary(init, q)`` runs only when its
-    members are used: to pull a nonempty WNT of q back, or as the reach of
-    a transition-invariant q other than init.  The pre-image of an empty
-    DNF is empty whatever the summary, so a skipped summary loses nothing;
-    it spends no budget and leaves ``exact`` and ``budget_exhausted``
-    alone, like a loop off the paths of a summary.  No (source, target)
-    summary runs twice in one call, and ``_summary`` is memoized, so none
-    runs twice per process while its memo entry lives."""
+    The sets come from ``_analysis``, memoized per (program, budgets), as
+    fresh ``Dnf``s.  The flags join those of the summaries it used, read
+    from the summary memo, and its own hull: a skipped summary spends no
+    budget and leaves ``exact`` and ``budget_exhausted`` alone, like a loop
+    off the paths of a summary."""
     budgets = budgets or Budgets()
+    a = _analysis(p, budgets)
+    exact, exhausted = not a.hulled, a.hulled
+    for q_in, q_out in a.summaries:
+        _, ex, bx = _summary(p, q_in, q_out, budgets)
+        exact = exact and ex
+        exhausted = exhausted or bx
+    per_state = [(q, method, _dnf(w)) for q, method, w in a.per_state]
+    # the precision claim of the method only covers flat inputs with every
+    # closure certified; the flag under-approximates actual exactness
+    flat = bool(_plan(p).flat)
+    return PrecondResult(p, _dnf(a.precondition), per_state, flat, exact and flat, exhausted)
+
+
+def _dnf(conjs: tuple[Conj, ...]) -> Dnf:
+    """A fresh ``Dnf`` of conjuncts that a ``Dnf`` pruned: none is pruned
+    again."""
+    out = Dnf()
+    out.conjs = list(conjs)
+    return out
+
+
+class _Analysis(NamedTuple):
+    """``nt_program``'s sets as conjunct tuples, the ends of the summaries
+    they used, in order of first use, and whether the backward pass hulled
+    a set."""
+
+    precondition: tuple[Conj, ...]
+    per_state: tuple[tuple[str, str, tuple[Conj, ...]], ...]
+    summaries: tuple[tuple[str, str], ...]
+    hulled: bool
+
+
+@lru_cache(maxsize=_MEMO)
+def _analysis(p: Program, budgets: Budgets) -> _Analysis:
+    """The WNT of each cover state and their pull-back to the initial state.
+
+    The cycles, the flatness verdict, the cycle cover and the single-cycle
+    WNTs come from the program's memoized ``_plan``.  A transition-invariant
+    state q takes the WNTs of the octagonalized members of P+(q, q), each
+    met with the octagonal hull of q's reach, the post-image of P+(init, q)
+    (everything at q = init).  ``_pull_back`` then pulls every WNT back."""
     plan = _plan(p)
     variables = p.variables
     n = len(variables)
-    result = Dnf()
-    per_state = []
-    exact = True
-    exhausted = False
-    summaries: dict[tuple[str, str], tuple[LinRel, ...]] = {}
+    used: dict[tuple[str, str], tuple[LinRel, ...]] = {}
 
     def summary(q_in: str, q_out: str) -> tuple[LinRel, ...]:
-        """``_summary(p, q_in, q_out)``, looked up at most once; its flags
-        join the result's only when it is used."""
-        nonlocal exact, exhausted
-        if (q_in, q_out) not in summaries:
-            members, ex, bx = _summary(p, q_in, q_out, budgets)
-            exact = exact and ex
-            exhausted = exhausted or bx
-            summaries[q_in, q_out] = members
-        return summaries[q_in, q_out]
+        if (q_in, q_out) not in used:
+            used[q_in, q_out] = _summary(p, q_in, q_out, budgets)[0]
+        return used[q_in, q_out]
 
+    per_state = []
+    seeds: dict[str, tuple[Dnf, bool]] = {}
     for s in plan.states:
         q = s.state
         w_dnf = Dnf(s.wnt)
@@ -804,18 +844,66 @@ def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
                 o, _ = member_to_octagon(LinRel(variables, merged, m.params))
                 if not o.is_bottom:
                     w_dnf.add(Conj.make(oct_rows(oct_wnt(o, n).set, variables)))
-        # the pre-image of an empty DNF is empty, whatever the summary
-        contrib = w_dnf
-        if s.pull_back and not w_dnf.is_false:
-            contrib = _image(summary(p.init, q), w_dnf, forward=False,
-                             include_identity=(q == p.init))
-        per_state.append((q, method, w_dnf))
-        for c in contrib:
-            result.add(c)
-    # the precision claim of the method only covers flat inputs with every
-    # closure certified; the flag under-approximates actual exactness
-    flat = bool(plan.flat)
-    return PrecondResult(p, result, per_state, flat, exact and flat, exhausted)
+        per_state.append((q, method, tuple(w_dnf)))
+        seeds[q] = (w_dnf, s.pull_back)
+    x_init, hulled = _pull_back(p, seeds, summary, budgets.max_disjuncts)
+    return _Analysis(tuple(x_init), tuple(per_state), tuple(used), hulled)
+
+
+def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
+               max_disjuncts: int) -> tuple[Dnf, bool]:
+    """X_init in the least solution of X_q = W_q | U_{q -> r} pre_label(X_r),
+    that is U_q pre_{P*(init, q)}(W_q) over the seeds (state: WNT,
+    ``pull_back``), and whether a set was hulled.
+
+    The states init reaches are solved one strongly connected component
+    (SCC) at a time, sinks first, so only sets over x are built (Tarjan,
+    JACM 1981; Bardin, Finkel, Leroux, Schnoebelen, ATVA 2005).  In an SCC
+    C, Y_r is r's WNT with the pre-images of X_s through each edge r -> s
+    that leaves C.  Only C's entries need X: init and the targets of edges
+    into C.  An entry takes X_e = Y_e | U_r pre_{P+(e, r)}(Y_r) over the r
+    in C, each P+(e, r) a summary within C, where an empty Y_r costs no
+    summary; at r = e a WNT whose ``pull_back`` is False is left out of
+    Y_r, being closed under that pre-image.  An X_e of more than
+    ``max_disjuncts`` conjuncts becomes its octagonal hull."""
+    variables = p.variables
+    live = _reach(p, p.init, True)
+    reach = {s: _reach(p, s, True) for s in p.states if s in live}
+    sccs: dict[str, list[str]] = {}
+    for s in reach:
+        sccs.setdefault(next(h for h in reach if h in reach[s] and s in reach[h]), []).append(s)
+    x: dict[str, Dnf] = {}
+    hulled = False
+    unseeded = (Dnf(), True)
+    # a state reaches more states than any state of a later SCC does
+    for scc in sorted(sccs.values(), key=lambda c: len(reach[c[0]])):
+        looped = any(t.source in scc and t.target in scc for t in p.transitions)
+        exits = {r: Dnf() for r in scc}
+        for t in p.transitions:
+            if t.source in exits and t.target not in scc and x[t.target]:
+                _image(_label_members(t.label, variables), x[t.target], forward=False,
+                       include_identity=False, out=exits[t.source])
+        for e in scc:
+            if e != p.init and not any(t.target == e and t.source in live and t.source not in scc
+                                       for t in p.transitions):
+                continue
+            x_e = Dnf()
+            for r in scc if looped else [e]:
+                w, pull = seeds.get(r, unseeded)
+                y = [*w, *exits[r]]
+                if r == e and not pull:
+                    for c in w:
+                        x_e.add(c)
+                    y = exits[r]
+                if y:
+                    _image(summary(e, r) if looped else (), y, forward=False,
+                           include_identity=(r == e), out=x_e)
+            if len(x_e) > max_disjuncts:
+                x_e = Dnf([Conj.make(oct_rows(oct_hull([c.to_linsys() for c in x_e], variables),
+                                              variables))])
+                hulled = True
+            x[e] = x_e
+    return x[p.init], hulled
 
 
 def _rotate_to(q: str, cycle: tuple[Transition, ...]) -> tuple[Transition, ...]:

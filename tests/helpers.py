@@ -90,13 +90,22 @@ def call_within(limit: int, what: str, fn, *args):
     return res, time.time() - t0
 
 
+def _perfbench_module(name: str):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_gen():
     """The benchmark's request generators, ``perfbench/gen.py``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+    return _perfbench_module("gen")
+
+
+def perfbench_check():
+    """The benchmark's reference checks, ``perfbench/check.py``."""
+    return _perfbench_module("check")
 
 
 def periodic_relation() -> Octagon:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from helpers import (
     TWO_PHASE_PROGRAM,
     call_within,
     clear_memos,
+    perfbench_gen,
 )
 
 
@@ -203,8 +205,12 @@ def _modules_loaded_at_startup() -> set[str]:
 
 
 @pytest.mark.parametrize("argv", [["prog", "analyze", BRANCHING_PROGRAM],
+                                  ["prog", "analyze", TWO_PHASE_PROGRAM],
+                                  ["prog", "analyze",
+                                   perfbench_gen().ramp_program(random.Random(2), 2)["text"]],
                                   ["rel", "closure", "x >= 0 && x' == x - 1"]],
-                         ids=["prog_analyze_branching", "rel_closure_readme_loop"])
+                         ids=["prog_analyze_branching", "prog_analyze_two_phase",
+                              "prog_analyze_two_phase_ramp", "rel_closure_readme_loop"])
 def test_output_does_not_depend_on_the_hash_seed(argv):
     outs = {subprocess.run([sys.executable, "-m", "octoterm.cli", *argv],
                            env=_child_env(PYTHONHASHSEED=seed), check=True,

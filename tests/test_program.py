@@ -37,6 +37,7 @@ from helpers import (
     clear_memos,
     eliminate_params,
     one_phase_ramp,
+    perfbench_check,
     perfbench_gen,
     reach_set,
     reference_star_members,
@@ -834,15 +835,115 @@ def _summary_calls(p, monkeypatch) -> list[tuple[str, str]]:
 
 def test_nt_program_pulls_back_only_a_nonempty_wnt(monkeypatch):
     # the one-phase ramp's loop at l1 terminates: only l2's WNT y == y0 is
-    # pulled back
+    # pulled back, through l2's loop closure and then through l1's; the
+    # edges l0 -> l1 and l1 -> l2 take label pre-images, and nothing builds
+    # a summary from the initial state
     p = parse_program(perfbench_gen().ramp_program(random.Random(7), 1)["text"])
-    assert _summary_calls(p, monkeypatch) == [("l0", "l2")]
+    assert _summary_calls(p, monkeypatch) == [("l2", "l2"), ("l1", "l1")]
 
 
 def test_nt_program_computes_each_summary_once(monkeypatch, branching):
     # at the initial state the transition invariant P+(l1, l1) is also the
     # summary the WNT is pulled back through
     assert _summary_calls(branching, monkeypatch) == [("l1", "l1")]
+
+
+def _reference_requests():
+    """Benchmark requests with a reference precondition: the ramps with one
+    to five phases, golden BRANCHING at x steps 1-3, and TWO_PHASE."""
+    gen = perfbench_gen()
+    reqs = [gen.ramp_program(random.Random(k), k) for k in range(1, 6)]
+    reqs += [gen.branching_program(None, step) for step in (1, 2, 3)]
+    return reqs + [gen.golden_two_phase()]
+
+
+@pytest.mark.parametrize("req", _reference_requests(),
+                         ids=[f"ramp-{k}" for k in range(1, 6)]
+                         + [f"branching-step-{s}" for s in (1, 2, 3)] + ["two-phase"])
+def test_backward_pass_matches_the_references(req):
+    # the pass pulls each WNT back through the labels between components
+    # and the closures within them: the precondition is the reference set
+    check = perfbench_check()
+    props = req["props"]
+    res = nt_program(parse_program(req["text"]))
+    pre = res.precondition
+    if req["family"] == "ramp":
+        k = props["phases"]
+        for x, *bounds in itertools.product(range(-2, 3), repeat=k + 1):
+            vals = dict(zip([f"m{i}" for i in range(k)], bounds), x=x, y=x % 3, y0=-1)
+            assert pre.eval(vals) == check.ramp_nonterminating(props["dirs"], x, bounds), vals
+    elif req["family"] == "branching":
+        for x, y in itertools.product(range(-6, 7), repeat=2):
+            assert pre.eval({"x": x, "y": y}) == (x != props["c0"]), (x, y)
+    else:
+        for x, m, n in itertools.product(range(-5, 6), repeat=3):
+            vals = {"x": x, "y": 0, "y0": 0, "m": m, "n": n}
+            assert pre.eval(vals) == check.two_phase_golden(x, m, n), vals
+    # the branching family is not flat, so its result is never marked exact
+    flat = props["flat"]
+    assert (res.flat, res.exact, res.budget_exhausted) == (flat, flat, False)
+
+
+RANDOM_BOX = 3
+
+
+def _random_label(rng: random.Random, boxed: bool) -> str:
+    """An octagonal label over x, y: an update row per variable and up to
+    two guards; ``boxed`` keeps x, y, x' and y' in [-RANDOM_BOX, RANDOM_BOX]."""
+    parts = []
+    for v, w in (("x", "y"), ("y", "x")):
+        c = rng.randint(-2, 2)
+        parts.append(rng.choice([f"{v}' == {v}", f"{v}' == {v} + {c}", f"{v}' == {w}",
+                                 f"{v}' == {w} + {c}", f"{v}' <= {v} + {c}",
+                                 f"{v}' >= {v} + {c}", f"{v}' + {v} == {c}"]))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(("x", "y"), 2)
+        c = rng.randint(-2, 2)
+        parts.append(rng.choice([f"{a} >= {c}", f"{a} <= {c}", f"{a} - {b} <= {c}",
+                                 f"{a} + {b} >= {c}", f"{a} != {c}"]))
+    if boxed:
+        parts += [f"{v} >= -{RANDOM_BOX} && {v} <= {RANDOM_BOX}" for v in ("x", "y", "x'", "y'")]
+    return " && ".join(parts)
+
+
+def _random_program(rng: random.Random, boxed: bool) -> str:
+    """One to three states in a chain s0 -> s1 -> s2, each with a self-loop
+    four times in five and each chain edge with a back edge one time in four."""
+    n = rng.randint(1, 3)
+    lines = ["vars x, y;", "init s0;"]
+    for i in range(n):
+        if rng.random() < 0.8:
+            lines.append(f"s{i} -> s{i} : {_random_label(rng, boxed)};")
+        if i + 1 < n:
+            lines.append(f"s{i} -> s{i + 1} : {_random_label(rng, boxed)};")
+            if rng.random() < 0.25:
+                lines.append(f"s{i + 1} -> s{i} : {_random_label(rng, boxed)};")
+    return "\n".join(lines)
+
+
+def test_random_programs_against_the_box_oracle():
+    # an in-box infinite run is a real one, so every start the oracle finds
+    # live satisfies the precondition.  Box guards on both sides of every
+    # label keep every run in the box, where the oracle is exact: there an
+    # exact result equals the oracle's live starts
+    from octoterm.oracle import BoxDomain, program_live_starts
+
+    rng = random.Random(0)
+    box = BoxDomain.cube(2, -RANDOM_BOX, RANDOM_BOX)
+    compared = 0
+    for i in range(40):
+        boxed = i % 2 == 0
+        text = _random_program(rng, boxed)
+        p = parse_program(text)
+        res, _ = call_within(20, f"nt_program on draw {i}", nt_program, p)
+        starts = program_live_starts(p, box)
+        for pt in box.points():
+            holds = res.precondition.eval(dict(zip(p.variables, pt)))
+            assert holds or pt not in starts, (text, pt)
+            if boxed and res.exact:
+                assert holds == (pt in starts), (text, pt)
+        compared += boxed and res.exact and 0 < len(starts) < len(box.points())
+    assert compared >= 5
 
 
 # -- composition by elimination of the midpoints ------------------------------
@@ -1255,5 +1356,5 @@ def test_path_reduction_shrinks_the_widest_two_phase_member(monkeypatch):
             _member_of_oct_compose(a, b)
     counts = [(len(_all_term_conj(e, k, v).rows), len(m.conj.rows))
               for e, k, v, m in calls if m is not None]
-    assert max(counts) == (14, 7)
+    assert max(counts) == (9, 6)
     assert all(reduced <= full for full, reduced in counts)

@@ -25,7 +25,10 @@ summary, and the result of each ``prog analyze`` and ``prog summary``
 command.  A set's fingerprint is its membership bit string over sample
 points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
 points drawn from it with a fixed seed.  A summary's parameters are
-eliminated first (``member_cases``).  An ``nt_program`` fingerprint holds
+eliminated first (``member_cases``), and its drawn points take each primed
+coordinate within 1 of the unprimed one, most often equal to it: drawn
+uniformly, fewer than 20 of 4,000 points fell in a summary such as the
+ramp loops' x' = x + k && y' = y + k && m' = m.  An ``nt_program`` fingerprint holds
 the flags, the precondition and each state's WNT; a command's also holds
 its exit code and stderr.
 
@@ -57,23 +60,35 @@ from bench_pairs import extract  # noqa: E402
 
 SEEDS = {"programs": range(5, 13), "loops": range(5, 9), "cli": range(5, 45)}
 # a fingerprint samples [-RADIUS, RADIUS]^k: all of it up to EXHAUSTIVE
-# coordinates, else SAMPLES seeded points of it
+# coordinates, else SAMPLES seeded points of it.  A summary's sample draws
+# its primed half as x + d, d from STEPS, so that thin members such as
+# x' = x or x' = x + 1 && y' = y - 1 hold at some of its points.
 RADIUS, EXHAUSTIVE, SAMPLES = 5, 4, 4000
+STEPS = (0, 0, 0, 1, -1)
 
 
 @lru_cache(maxsize=None)
-def _points(k: int) -> tuple[tuple[int, ...], ...]:
+def _points(k: int, primed: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The sample of k coordinates; with ``primed``, the first half are
+    the unprimed names and the second half their primed copies."""
     box = range(-RADIUS, RADIUS + 1)
     if k <= EXHAUSTIVE:
         return tuple(itertools.product(box, repeat=k))
     rng = random.Random(k)
-    return tuple(tuple(rng.choice(box) for _ in range(k)) for _ in range(SAMPLES))
+    if not primed:
+        return tuple(tuple(rng.choice(box) for _ in range(k)) for _ in range(SAMPLES))
+    out = []
+    for _ in range(SAMPLES):
+        xs = [rng.choice(box) for _ in range(k // 2)]
+        out.append(tuple(xs + [x + rng.choice(STEPS) for x in xs]))
+    return tuple(out)
 
 
-def _bits(names, holds) -> str:
+def _bits(names, holds, primed: bool = False) -> str:
     """The membership bits of a set over the sample points, as the count
     of members, the count of points and a digest of the bit string."""
-    bits = "".join("1" if holds(dict(zip(names, pt))) else "0" for pt in _points(len(names)))
+    bits = "".join("1" if holds(dict(zip(names, pt))) else "0"
+                   for pt in _points(len(names), primed))
     return f"{bits.count('1')}/{len(bits)}:{hashlib.sha256(bits.encode()).hexdigest()[:16]}"
 
 
@@ -93,7 +108,8 @@ def _summary_fingerprint(ot, p, q_in: str, q_out: str) -> str:
     cases = [c for m in members for c in member_cases(m)]
     names = list(p.variables) + [v + "'" for v in p.variables]
     return json.dumps({"exact": exact,
-                       "summary": _bits(names, lambda v: any(c.eval(v) for c in cases))})
+                       "summary": _bits(names, lambda v: any(c.eval(v) for c in cases),
+                                        primed=True)})
 
 
 def _program_outputs(ot, requests) -> dict[str, str]:
