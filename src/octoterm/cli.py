@@ -355,11 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conditional termination analysis for integer loops and programs",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--max-prefix", type=_at_least(1), default=64,
+    defaults = Budgets()
+    ap.add_argument("--max-prefix", type=_at_least(1), default=defaults.max_prefix,
                     help="periodicity detection prefix budget")
-    ap.add_argument("--max-period", type=_at_least(1), default=64,
+    ap.add_argument("--max-period", type=_at_least(1), default=defaults.max_period,
                     help="periodicity detection period budget")
-    ap.add_argument("--max-disjuncts", type=_at_least(1), default=256,
+    ap.add_argument("--max-disjuncts", type=_at_least(1), default=defaults.max_disjuncts,
                     help="summary disjunct cap before hull-merge")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -21,9 +21,8 @@ by exact integer elimination of the midpoint variables (Presburger
 elimination, as in the paper), which loses nothing.  Each question about
 members is asked one way: emptiness by the exact parameter elimination of
 ``member_cases`` (``compose_members`` says why that suffices), inclusion by
-``conj_implies`` on those cases, and images by ``_image``, which memoizes
-the image of each conjunct through each member per (member, conjunct,
-direction) in ``_member_image``.
+``conj_implies`` on those cases, and images by ``_image``, which takes
+the image of each conjunct through each member by one exact elimination.
 
 The non-termination precondition takes, per state of a cycle cover,
 either the exact WNT of the unique cycle relation or the union of the WNTs
@@ -39,10 +38,11 @@ pre-image.  An empty set is pulled back through no summary, and an
 entry's set of more than ``max_disjuncts`` conjuncts becomes its
 octagonal hull.  The summary from the initial state to q is computed only
 as the reach of a transition-invariant state q other than the initial
-one.  What depends only on the program (cycles, flatness, cycle cover,
-single-cycle WNTs) is memoized per program in ``_plan``, each summary per
-(program, ends, budgets) in ``_summary``, and the analysis per (program,
-budgets) in ``_analysis``, so a repeated program costs memo lookups.
+one.  Each public question has one memo, keyed by its arguments: the
+parse per text in ``parse_program``, the flatness verdict per program in
+``is_flat``, each summary per (program, ends, budgets) in ``_summary``,
+and the whole analysis, its flags included, per (program, budgets) in
+``_analysis``, so a repeated program costs one memo lookup.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ from .presburger import Conj, DivAtom, Dnf, antichain_add, conj_implies, elimina
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
-# most 580 (member_subsumed, seeds 5-12, one fresh process each; the image
-# memo `_member_image` at most 67, the parse memo, the plan memo `_plan` and
-# the analysis memo `_analysis` 6-7 distinct texts of 24 requests, the
-# summary memo `_summary` 12-13, and after 100 rounds of seed 5 the parse,
-# plan and analysis memos 25, `_summary` 37), so a round evicts nothing
-# while a long-lived process stays bounded.
+# most 580 (member_subsumed, seeds 5-12, one fresh process each; the parse
+# memo, `is_flat` and the analysis memo `_analysis` 6-7 distinct texts of
+# 24 requests, the summary memo `_summary` 12-13, and after 100 rounds of
+# seed 5 the parse, flatness and analysis memos 25, `_summary` 37), so a
+# round evicts nothing while a long-lived process stays bounded.
 _MEMO = 1024
 
 
@@ -198,7 +197,6 @@ def member_subsumed(a: LinRel, b: LinRel) -> bool:
     return all(any(conj_implies(ca, c) for c in cb) for ca in member_cases(a))
 
 
-@lru_cache(maxsize=_MEMO)
 def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
     """Trade the parametric form for parameter-free cases when every case
     is octagonal, so loop parameters do not pile up through compositions:
@@ -411,12 +409,12 @@ def _cycle_single_class(p: Program, cycle: tuple[Transition, ...]):
     return None
 
 
-def is_flat(p: Program):
-    return _plan(p).flat
-
-
-def _flatness(p: Program, cycles: tuple[tuple[Transition, ...], ...]):
-    """``is_flat`` over the program's elementary cycles, once enumerated."""
+@lru_cache(maxsize=_MEMO)
+def is_flat(p: Program) -> Flat | NotFlat:
+    """Whether no state lies on two elementary cycles and every cycle
+    composes inside the octagonal or finite-monoid fragment, once per
+    program."""
+    cycles = [tuple(c) for c in elementary_cycles(p)]
     counts: dict[str, int] = {s: 0 for s in p.states}
     for cyc in cycles:
         for t in cyc:
@@ -433,40 +431,14 @@ def _flatness(p: Program, cycles: tuple[tuple[Transition, ...], ...]):
     return Flat()
 
 
-class _StatePlan(NamedTuple):
-    """One state of the cycle cover: the single-cycle class of its one
-    cycle (None when it has several or the class is none), whether the
-    backward pass ``_pull_back`` pulls its WNT back through P+(q, q) where
-    it enters q's strongly connected component at q, and the single-cycle
-    WNT.  The initial state of a flat program skips that pull-back: there
-    P+(q, q) = C+ for its one cycle C, and C+ pulls the exact WNT of C back
-    into itself.  Every other nonempty WNT is pulled back through the
-    summaries of its component, whose flags join the result's."""
-
-    state: str
-    single: tuple | None
-    pull_back: bool
-    wnt: tuple[Conj, ...]
-
-
-class _Plan(NamedTuple):
-    """What ``nt_program`` needs of a program whatever the budgets."""
-
-    cycles: tuple[tuple[Transition, ...], ...]
-    flat: Flat | NotFlat
-    states: tuple[_StatePlan, ...]
-
-
-@lru_cache(maxsize=_MEMO)
-def _plan(p: Program) -> _Plan:
-    """The elementary cycles, the flatness verdict and the states of a
-    greedy cycle cover with their single-cycle WNTs, once per program.
+def _cycle_cover(p: Program) -> list[tuple[str, list[tuple[Transition, ...]]]]:
+    """The states of a greedy cycle cover, sorted, each with the elementary
+    cycles through it.
 
     Every infinite run visits some analyzed state infinitely often as long
     as the analyzed set hits every elementary cycle, so a greedy cycle
     cover keeps both soundness and the flat-exactness argument."""
-    cycles = tuple(tuple(c) for c in elementary_cycles(p))
-    flat = _flatness(p, cycles)
+    cycles = [tuple(c) for c in elementary_cycles(p)]
     chosen: list[str] = []
     uncovered = list(range(len(cycles)))
     while uncovered:
@@ -481,22 +453,7 @@ def _plan(p: Program) -> _Plan:
             break
         chosen.append(best)
         uncovered = [i for i in uncovered if i not in hits]
-    variables = p.variables
-    states = []
-    for q in sorted(chosen):
-        q_cycles = [c for c in cycles if any(t.source == q for t in c)]
-        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
-        pull_back = not (flat and single is not None and q == p.init)
-        w_dnf = Dnf()
-        if single is not None:
-            kind, payload = single
-            if kind == "octagon":
-                w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, len(variables)).set, variables)))
-            else:
-                for c in finite_monoid_wnt(payload, list(variables)):
-                    w_dnf.add(c)
-        states.append(_StatePlan(q, single, pull_back, tuple(w_dnf)))
-    return _Plan(cycles, flat, tuple(states))
+    return [(q, [c for c in cycles if any(t.source == q for t in c)]) for q in sorted(chosen)]
 
 
 # -- self-loop closure and state elimination ----------------------------------
@@ -539,7 +496,6 @@ def _union_members(u: ParamOctUnion, variables: tuple[str, ...]) -> list[LinRel]
     return out
 
 
-@lru_cache(maxsize=_MEMO)
 def _star_members(
     loops: tuple[LinRel, ...], variables: tuple[str, ...], budgets: Budgets
 ) -> tuple[tuple[LinRel, ...], bool, bool]:
@@ -744,7 +700,6 @@ def _image(members: tuple[LinRel, ...], target: Iterable[Conj], forward: bool,
     return out
 
 
-@lru_cache(maxsize=_MEMO)
 def _member_image(m: LinRel, conj: Conj, forward: bool) -> tuple[Conj, ...]:
     """Cases of the image of one conjunct over x through one member: the
     member's other side and its parameters eliminated exactly, primed
@@ -764,79 +719,72 @@ def _member_image(m: LinRel, conj: Conj, forward: bool) -> tuple[Conj, ...]:
 def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:
     """Over-approximate non-termination precondition (exact on flat inputs).
 
-    The sets come from ``_analysis``, memoized per (program, budgets), as
-    fresh ``Dnf``s.  The flags join those of the summaries it used, read
-    from the summary memo, and its own hull: a skipped summary spends no
-    budget and leaves ``exact`` and ``budget_exhausted`` alone, like a loop
-    off the paths of a summary."""
-    budgets = budgets or Budgets()
-    a = _analysis(p, budgets)
-    exact, exhausted = not a.hulled, a.hulled
-    for q_in, q_out in a.summaries:
-        _, ex, bx = _summary(p, q_in, q_out, budgets)
-        exact = exact and ex
-        exhausted = exhausted or bx
-    per_state = [(q, method, _dnf(w)) for q, method, w in a.per_state]
-    # the precision claim of the method only covers flat inputs with every
-    # closure certified; the flag under-approximates actual exactness
-    flat = bool(_plan(p).flat)
-    return PrecondResult(p, _dnf(a.precondition), per_state, flat, exact and flat, exhausted)
+    The result comes from ``_analysis``, memoized per (program, budgets),
+    with fresh ``Dnf``s and a fresh per-state list."""
+    a = _analysis(p, budgets or Budgets())
+    per_state = [(q, method, _copy(w)) for q, method, w in a.per_state]
+    return PrecondResult(p, _copy(a.precondition), per_state, a.flat, a.exact,
+                         a.budget_exhausted)
 
 
-def _dnf(conjs: tuple[Conj, ...]) -> Dnf:
-    """A fresh ``Dnf`` of conjuncts that a ``Dnf`` pruned: none is pruned
-    again."""
+def _copy(d: Dnf) -> Dnf:
+    """A fresh ``Dnf`` of the conjuncts of one: none is pruned again."""
     out = Dnf()
-    out.conjs = list(conjs)
+    out.conjs = list(d.conjs)
     return out
 
 
-class _Analysis(NamedTuple):
-    """``nt_program``'s sets as conjunct tuples, the ends of the summaries
-    they used, in order of first use, and whether the backward pass hulled
-    a set."""
-
-    precondition: tuple[Conj, ...]
-    per_state: tuple[tuple[str, str, tuple[Conj, ...]], ...]
-    summaries: tuple[tuple[str, str], ...]
-    hulled: bool
+def _hull_conj(conjs: Iterable[Conj], variables: tuple[str, ...]) -> Conj | None:
+    """The octagonal hull of conjuncts over x, as one conjunct."""
+    return Conj.make(oct_rows(oct_hull([c.to_linsys() for c in conjs], variables), variables))
 
 
 @lru_cache(maxsize=_MEMO)
-def _analysis(p: Program, budgets: Budgets) -> _Analysis:
-    """The WNT of each cover state and their pull-back to the initial state.
+def _analysis(p: Program, budgets: Budgets) -> PrecondResult:
+    """The WNT of each state of the cycle cover, their pull-back to the
+    initial state, and the flags.
 
-    The cycles, the flatness verdict, the cycle cover and the single-cycle
-    WNTs come from the program's memoized ``_plan``.  A transition-invariant
-    state q takes the WNTs of the octagonalized members of P+(q, q), each
-    met with the octagonal hull of q's reach, the post-image of P+(init, q)
-    (everything at q = init).  ``_pull_back`` then pulls every WNT back."""
-    plan = _plan(p)
+    A state with one cycle whose composed relation is a single octagonal
+    or finite-monoid affine relation takes that relation's exact WNT.  A
+    transition-invariant state q takes the WNTs of the octagonalized
+    members of P+(q, q), each met with the octagonal hull of q's reach,
+    the post-image of P+(init, q) (everything at q = init).  ``_pull_back``
+    then pulls every WNT back; the initial state of a flat program skips
+    the pull-back of its own WNT, since there P+(q, q) = C+ for its one
+    cycle C, and C+ pulls the exact WNT of C back into itself.
+
+    The flags join those of the summaries the analysis used, as each is
+    first used, and whether the pass hulled a set: a skipped summary
+    spends no budget and leaves ``exact`` and ``budget_exhausted`` alone,
+    like a loop off the paths of a summary.  The precision claim of the
+    method only covers flat inputs with every closure certified, so
+    ``exact`` under-approximates actual exactness."""
     variables = p.variables
     n = len(variables)
+    flat = bool(is_flat(p))
     used: dict[tuple[str, str], tuple[LinRel, ...]] = {}
+    exact, exhausted = True, False
 
     def summary(q_in: str, q_out: str) -> tuple[LinRel, ...]:
+        nonlocal exact, exhausted
         if (q_in, q_out) not in used:
-            used[q_in, q_out] = _summary(p, q_in, q_out, budgets)[0]
+            used[q_in, q_out], ex, bx = _summary(p, q_in, q_out, budgets)
+            exact, exhausted = exact and ex, exhausted or bx
         return used[q_in, q_out]
 
     per_state = []
     seeds: dict[str, tuple[Dnf, bool]] = {}
-    for s in plan.states:
-        q = s.state
-        w_dnf = Dnf(s.wnt)
-        if s.single is not None:
-            method = "single-cycle"
-        else:
+    for q, q_cycles in _cycle_cover(p):
+        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
+        w_dnf = Dnf()
+        if single is None:
             method = "tinv"
             members = summary(q, q)
             reach_dnf = Dnf([Conj.make([])])
             if q != p.init:
                 reach_dnf = _image(summary(p.init, q), reach_dnf, forward=True,
                                    include_identity=False)
-            reach_oct = oct_hull([c.to_linsys() for c in reach_dnf], variables)
-            reach = Conj.make(oct_rows(reach_oct, variables))
+            reach = _hull_conj(reach_dnf, variables)
             for m in members if reach is not None else []:
                 merged = Conj.make(m.conj.rows + reach.rows, m.conj.divs)
                 if merged is None:
@@ -844,10 +792,19 @@ def _analysis(p: Program, budgets: Budgets) -> _Analysis:
                 o, _ = member_to_octagon(LinRel(variables, merged, m.params))
                 if not o.is_bottom:
                     w_dnf.add(Conj.make(oct_rows(oct_wnt(o, n).set, variables)))
-        per_state.append((q, method, tuple(w_dnf)))
-        seeds[q] = (w_dnf, s.pull_back)
+        else:
+            method = "single-cycle"
+            kind, payload = single
+            if kind == "octagon":
+                w_dnf.add(Conj.make(oct_rows(oct_wnt(payload, n).set, variables)))
+            else:
+                for c in finite_monoid_wnt(payload, list(variables)):
+                    w_dnf.add(c)
+        per_state.append((q, method, w_dnf))
+        seeds[q] = (w_dnf, not (flat and single is not None and q == p.init))
     x_init, hulled = _pull_back(p, seeds, summary, budgets.max_disjuncts)
-    return _Analysis(tuple(x_init), tuple(per_state), tuple(used), hulled)
+    return PrecondResult(p, x_init, per_state, flat, exact and not hulled and flat,
+                         exhausted or hulled)
 
 
 def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
@@ -899,8 +856,7 @@ def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
                     _image(summary(e, r) if looped else (), y, forward=False,
                            include_identity=(r == e), out=x_e)
             if len(x_e) > max_disjuncts:
-                x_e = Dnf([Conj.make(oct_rows(oct_hull([c.to_linsys() for c in x_e], variables),
-                                              variables))])
+                x_e = Dnf([_hull_conj(x_e, variables)])
                 hulled = True
             x[e] = x_e
     return x[p.init], hulled

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import octoterm
-from octoterm.cli import main
+from octoterm.cli import build_parser, main
 from octoterm.grammar import parse_condition
+from octoterm.program import Budgets
 
 from helpers import (
     BRANCHING_PROGRAM,
@@ -144,6 +145,11 @@ def test_budget_exit_code(capsys):
         "x2 - x1' <= -1 && x3 - x2' <= 0 && x1 - x3' <= 0 && x4' - x4 <= 0 && x3' - x4 <= 0",
     )
     assert code == 4
+
+
+def test_budget_flags_default_to_the_budgets():
+    args = build_parser().parse_args(["prog", "analyze", "vars x; init a; a -> a : x' == x;"])
+    assert Budgets(args.max_prefix, args.max_period, args.max_disjuncts) == Budgets()
 
 
 def test_affine_commands(capsys):

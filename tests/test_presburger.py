@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from octoterm import presburger
+from octoterm import octagon, presburger, term_oct
 from octoterm.affine import AffineRel, mat, sufficient_termination
 from octoterm.linarith import EQ, LE, LT, LinTerm
 from octoterm.presburger import (
@@ -371,9 +371,13 @@ def test_conj_implies_divisibility_differential():
 
 
 def test_memos_are_bounded():
-    for fn in (presburger._conj_octagon, presburger._rational_witness, presburger.conj_poly):
-        assert fn.cache_info().maxsize is not None
-    assert program_module._member_image.cache_info().maxsize == program_module._MEMO
+    # every lru_cache of the modules that memoize, re-exports included
+    memos = {fn for module in (program_module, presburger, term_oct, octagon)
+             for fn in vars(module).values() if hasattr(fn, "cache_info")}
+    assert {presburger._conj_octagon, program_module._summary, term_oct._wnt_tight,
+            octagon._tight_closed} <= memos
+    for fn in memos:
+        assert fn.cache_info().maxsize is not None, fn.__qualname__
 
 
 def test_dnf_pruning():

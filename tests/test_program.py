@@ -485,9 +485,9 @@ def _round(programs) -> list[str]:
 
 
 def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
-    # the cycles, the flatness verdict and the single-cycle WNTs are
-    # memoized per program, and each summary per (program, ends, budgets):
-    # a second round enumerates no cycle, saturates no loop and eliminates
+    # the flatness verdict is memoized per program, the analysis per
+    # (program, budgets) and each summary per (program, ends, budgets): a
+    # second round enumerates no cycle, saturates no loop and eliminates
     # nothing
     programs = [(parse_program(BRANCHING_PROGRAM), "l1"),
                 (parse_program(one_phase_ramp("+")), "l1")]
@@ -512,6 +512,34 @@ def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
     assert calls == []
 
 
+def test_a_warm_analysis_reads_no_summary(monkeypatch):
+    # the analysis memo holds the flags with the sets: a warm call asks no
+    # summary and enumerates no cycle, and a summary evicted from its memo
+    # is not rebuilt to read its flags again
+    calls = []
+
+    def spy(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for text in (BRANCHING_PROGRAM, one_phase_ramp("+")):
+        p = parse_program(text)
+        want = nt_program(p)
+        summary_memo = program_module._summary
+        with monkeypatch.context() as mp:
+            for name in ("_summary", "elementary_cycles", "_star_members"):
+                mp.setattr(program_module, name, spy(name, getattr(program_module, name)))
+            assert repr(nt_program(p)) == repr(want)
+            summary_memo.cache_clear()
+            res = nt_program(p)
+        assert repr(res) == repr(want)
+        assert (res.flat, res.exact, res.budget_exhausted) == (
+            want.flat, want.exact, want.budget_exhausted)
+        assert calls == []
+
+
 def test_a_memo_hands_out_nothing_to_write(branching):
     # each call gets its own precondition, per-state list and member list,
     # so writing into them leaves the next call's result alone
@@ -530,7 +558,7 @@ def test_a_memo_hands_out_nothing_to_write(branching):
 
 
 def test_budgets_are_part_of_the_memo_keys():
-    # the default run fills the plan and summary memos first; the
+    # the default run fills the analysis and summary memos first; the
     # budget-limited run still gets its own summary flags
     p = parse_program(EX1_PROGRAM)
     budgets = Budgets(max_prefix=2, max_period=1)
@@ -817,9 +845,10 @@ def test_nt_program_skips_the_summary_of_an_empty_wnt():
 
 
 def _summary_calls(p, monkeypatch) -> list[tuple[str, str]]:
-    """The (source, target) of each ``_summary`` call of a warm
-    ``nt_program(p)``."""
+    """The (source, target) of each ``_summary`` call of ``nt_program(p)``
+    once its analysis memo is cleared, with the summaries memoized."""
     nt_program(p)
+    program_module._analysis.cache_clear()
     calls = []
     real = program_module._summary
 
@@ -1143,7 +1172,7 @@ def test_step_2_branching_saturation_extends_by_generators(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(program_module, "compose_members", spy)
-    program_module._star_members.__wrapped__(*args)
+    program_module._star_members(*args)
     assert len(calls) <= 54, len(calls)
 
 
