@@ -524,10 +524,10 @@ def test_a_warm_analysis_reads_no_summary(monkeypatch):
             return real(*args)
         return counted
 
+    summary_memo = program_module._summary
     for text in (BRANCHING_PROGRAM, one_phase_ramp("+")):
         p = parse_program(text)
         want = nt_program(p)
-        summary_memo = program_module._summary
         with monkeypatch.context() as mp:
             for name in ("_summary", "elementary_cycles", "_star_members"):
                 mp.setattr(program_module, name, spy(name, getattr(program_module, name)))
