@@ -46,6 +46,10 @@ from .octagon import (
     top,
 )
 
+# The default budgets of the period scan, the largest prefix b and period
+# c it tries.  ``program.Budgets`` and so the CLI default to them too.
+MAX_PREFIX = MAX_PERIOD = 64
+
 
 class NotStarConsistent(NamedTuple):
     """R dies at ``power`` and no period certificate covers a live power:
@@ -512,8 +516,8 @@ def _certify(cache: _PowerCache, b: int, c: int):
 def detect_period(
     rel: Octagon,
     n_program_vars: int,
-    max_b: int = 64,
-    max_c: int = 64,
+    max_b: int = MAX_PREFIX,
+    max_c: int = MAX_PERIOD,
     cache: _PowerCache | None = None,
 ):
     """Certificate for the tight power sequence, or NotStarConsistent, or
@@ -564,8 +568,8 @@ def kleene_pre_sequence(rel: Octagon, n: int, n_program_vars: int) -> list[Octag
 def reflexive_transitive_closure(
     rel: Octagon,
     n_program_vars: int,
-    max_b: int = 64,
-    max_c: int = 64,
+    max_b: int = MAX_PREFIX,
+    max_c: int = MAX_PERIOD,
 ) -> ParamOctUnion:
     """R* as identity plus finitely many plain/parametric octagons.
 

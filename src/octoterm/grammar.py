@@ -444,14 +444,21 @@ def parse_condition(text: str, variables: list[str]):
     return out
 
 
-class ProgramText(NamedTuple):
+class Transition(NamedTuple):
+    source: str
+    target: str
+    label: tuple[Disjunct, ...]
+
+
+class Program(NamedTuple):
     variables: tuple[str, ...]
+    states: tuple[str, ...]  # by first mention; init last when no edge names it
     init: str
-    transitions: tuple[tuple[str, str, tuple[Disjunct, ...]], ...]  # (src, dst, label)
+    transitions: tuple[Transition, ...]
 
 
-def parse_program_text(text: str) -> ProgramText:
-    """Split a program file into declarations and parsed transition labels.
+def parse_program_text(text: str) -> Program:
+    """The program of a file: its declarations and classified labels.
 
     Every formula is parsed from the file's own tokens, so an error in it
     reports its line and column in the file.
@@ -472,6 +479,7 @@ def parse_program_text(text: str) -> ProgramText:
     p.take("init")
     init = p.take_kind("name")
     p.take(";")
+    states = {}
     transitions = []
     while p.toks[p.i]:
         src = p.take_kind("name")
@@ -480,5 +488,7 @@ def parse_program_text(text: str) -> ProgramText:
         p.take(":")
         label = tuple(_classify(rows, p.vars) for rows in p.formula())
         p.take(";")
-        transitions.append((src, dst, label))
-    return ProgramText(tuple(p.vars), init, tuple(transitions))
+        states[src] = states[dst] = None
+        transitions.append(Transition(src, dst, label))
+    states[init] = None
+    return Program(tuple(p.vars), tuple(states), init, tuple(transitions))

@@ -129,11 +129,23 @@ def _conj_octagon(c: Conj):
 
 
 @lru_cache(maxsize=_MEMO)
-def _rational_witness(c: Conj):
-    """A cached rational model of the rows (None when infeasible), read off
-    the conjunct's cached LP.  Callers only prune with it or read a value
-    the rows fix, so any model serves."""
-    return conj_poly(c).model()
+def _integer_witness(c: Conj) -> tuple[int, dict[str, int]] | None:
+    """A cached rational model of the rows as (den, numerators), den > 0 the
+    least common denominator of its values and numerators[v] = den * v:
+    None when the rows are infeasible.  The model is read off the
+    conjunct's cached LP, and a row t is evaluated at it as den * t, all in
+    ints.  Callers only prune with it or read a value the rows fix, so any
+    model serves."""
+    model = conj_poly(c).model()
+    if model is None:
+        return None
+    den = lcm(*(q.denominator for q in model.values()))
+    return den, {v: q.numerator * (den // q.denominator) for v, q in model.items()}
+
+
+def _scaled_eval(t: LinTerm, den: int, nums: Mapping[str, int]) -> int:
+    """den * t at the point nums / den, a variable nums lacks read as 0."""
+    return t.const * den + sum(c * nums.get(v, 0) for v, c in t.coeffs.items())
 
 
 @lru_cache(maxsize=_MEMO)
@@ -147,17 +159,18 @@ def _div_implied(a: Conj, d: DivAtom) -> bool:
     of a with m | m', a's rows fix t - s (less the coefficients m divides,
     which are multiples of m at every integer point) to a constant c with
     m | c.  Then t = s + c (mod m) at every integer point of a."""
-    w = _rational_witness(a)
+    w = _integer_witness(a)
     if w is None:
         return True  # no rational point, so no integer point
+    den, nums = w
     m = d.modulus
     for s in [LinTerm()] + [e.term for e in a.divs if e.modulus % m == 0]:
         diff = d.term - s
         diff = LinTerm({v: c for v, c in diff.coeffs.items() if c % m}, diff.const)
-        if any(v not in w for v in diff.coeffs):
+        if any(v not in nums for v in diff.coeffs):
             continue  # a's rows leave the variable free
-        c = diff.eval(w)
-        if c.denominator != 1 or c.numerator % m:
+        c, rest = divmod(_scaled_eval(diff, den, nums), den)
+        if rest or c % m:
             continue
         poly = conj_poly(a)
         if poly.entails_le(diff - c) and poly.entails_le(c - diff):
@@ -187,11 +200,12 @@ def conj_implies(a: Conj, b: Conj) -> bool:
             return False
         drop = [i for i, v in enumerate(names_a) if v not in names_b]
         return oct_leq(oct_exists(oct_a, drop), oct_b)
-    # cheap rejection: a rational point of a must satisfy b's rows
-    w = _rational_witness(a)
+    # cheap rejection: a rational point of a must satisfy b's rows, and
+    # den > 0 keeps the sign of each row's value
+    w = _integer_witness(a)
     if w is not None:
         for t, rel in b.rows:
-            val = t.const + sum(c * w.get(v, 0) for v, c in t.coeffs.items())
+            val = _scaled_eval(t, *w)
             if (rel == LE and val > 0) or (rel == EQ and val != 0):
                 return False
     poly = conj_poly(a)

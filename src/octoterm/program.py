@@ -51,9 +51,9 @@ from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple
 
 from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
-from .closure import ParamOct, ParamOctUnion, reflexive_transitive_closure
+from .closure import MAX_PERIOD, MAX_PREFIX, ParamOct, ParamOctUnion, reflexive_transitive_closure
 from .dbm import INF, Dbm
-from .grammar import as_affine, parse_program_text
+from .grammar import Program, Transition, as_affine, parse_program_text
 from .linarith import EQ, LE, LinSys, LinTerm, term_of_pair
 from .octagon import (
     Octagon,
@@ -281,37 +281,12 @@ def member_to_octagon(m: LinRel) -> tuple[Octagon, bool]:
 # ---------------------------------------------------------------------------
 
 
-class Transition(NamedTuple):
-    source: str
-    target: str
-    label: tuple
-
-
-class Program(NamedTuple):
-    variables: tuple[str, ...]
-    states: tuple[str, ...]
-    init: str
-    transitions: tuple[Transition, ...]
-
-
 @lru_cache(maxsize=_MEMO)
 def parse_program(text: str) -> Program:
     """The program of a text, parsed once: a repeated text gives the same
     ``Program`` object, so its labels hit the memos below by identity.
     Nothing writes a program or its labels after the parse."""
-    pt = parse_program_text(text)
-    variables = pt.variables
-    states = []
-    transitions = []
-    for src, dst, label in pt.transitions:
-        for s in (src, dst):
-            if s not in states:
-                states.append(s)
-        transitions.append(Transition(src, dst, label))
-    init = pt.init
-    if init not in states:
-        states.append(init)
-    return Program(variables, tuple(states), init, tuple(transitions))
+    return parse_program_text(text)
 
 
 @lru_cache(maxsize=_MEMO)
@@ -460,8 +435,8 @@ def _cycle_cover(p: Program) -> list[tuple[str, list[tuple[Transition, ...]]]]:
 
 
 class Budgets(NamedTuple):
-    max_prefix: int = 64
-    max_period: int = 64
+    max_prefix: int = MAX_PREFIX
+    max_period: int = MAX_PERIOD
     max_disjuncts: int = 256
 
 

@@ -15,12 +15,13 @@ second LP and no composition.  ``synthesize_lrf`` runs the same LP on any
 relation.  Both turn its rational solution into an integer witness the
 same way.
 
-Each of the two systems a witness is read from, the tight rows of the
-relation and those of its domain, gets one ``PolyhedronLP``: the exact
-decrease and lower bound are warm-started ``sup``s on it, and the closing
-check of both ranking conditions runs on the same two tableaux.  The public
-``verify_lrf`` builds its own, so it checks a witness independently of the
-search that found it.
+A witness is read from one ``PolyhedronLP`` over the tight rows of the
+relation: the exact decrease and lower bound are warm-started ``sup``s on
+it, and the closing check of both ranking conditions runs on the same
+tableau.  f is over the unprimed variables, so its infimum over the
+relation is its infimum over the relation's domain, and no tableau over
+the domain is needed.  The public ``verify_lrf`` builds its own tableau,
+so it checks a witness independently of the search that found it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import ceil
 from typing import NamedTuple
 
 from .linarith import LinTerm, PolyhedronLP
-from .octagon import Octagon, pre_image_set, tight_close
+from .octagon import Octagon, tight_close
 from .term_oct import oct_to_linsys, rank_lp, var_names, witness, wnt
 
 
@@ -75,30 +76,24 @@ def _integer_lrf(v: Octagon, r: dict[str, Fraction] | None,
     if r is None:
         return None
     f = LinTerm(r).scale_to_integers()
-    rel_lp, dom_lp = PolyhedronLP(oct_to_linsys(v, var_names(N))), _domain_lp(v, N)
+    lp = PolyhedronLP(oct_to_linsys(v, var_names(N)))
     # exact integer decrease inf(f - f') and lower bound inf f for the
     # scaled function, as sups of their negations
-    delta = rel_lp.sup(_primed(f, N) - f)
+    delta = lp.sup(_primed(f, N) - f)
     assert delta is not None and delta < 0
     decrease_val = ceil(-delta)  # f is integer-valued on integer points
-    low = dom_lp.sup(-f)
+    low = lp.sup(-f)
     assert low is not None
     h = ceil(-low)
     found = RankingWitness(v, f, max(1, decrease_val), h)
-    assert _ranks(rel_lp, dom_lp, f, found.decrease, h, N)
+    assert _ranks(lp, f, found.decrease, h, N)
     return found
 
 
-def _domain_lp(v: Octagon, N: int) -> PolyhedronLP:
-    """The tableau over the tight rows of the domain of v (non-empty)."""
-    return PolyhedronLP(oct_to_linsys(pre_image_set(v, N), var_names(N)[:N]))
-
-
-def _ranks(rel_lp: PolyhedronLP, dom_lp: PolyhedronLP, f: LinTerm, decrease: int,
-           h: int, N: int) -> bool:
-    """f(x) - f(x') >= decrease on the relation, and f(x) >= h on its domain."""
-    return (rel_lp.entails_le(_primed(f, N) - f + decrease)
-            and dom_lp.entails_le(LinTerm({}, h) - f))
+def _ranks(lp: PolyhedronLP, f: LinTerm, decrease: int, h: int, N: int) -> bool:
+    """f(x) - f(x') >= decrease and f(x) >= h on the relation of lp."""
+    return (lp.entails_le(_primed(f, N) - f + decrease)
+            and lp.entails_le(LinTerm({}, h) - f))
 
 
 def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: int) -> bool:
@@ -107,8 +102,7 @@ def verify_lrf(v: Octagon, f: LinTerm, decrease: int, h: int, n_program_vars: in
     v = tight_close(v)
     if v.is_bottom:
         return True
-    rel_lp = PolyhedronLP(oct_to_linsys(v, var_names(N)))
-    return _ranks(rel_lp, _domain_lp(v, N), f, decrease, h, N)
+    return _ranks(PolyhedronLP(oct_to_linsys(v, var_names(N))), f, decrease, h, N)
 
 
 class WellFounded(NamedTuple):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from octoterm.affine import AffineRel, Matrix, identity, mat, mat_mul, mat_vec
 from octoterm.dbm import INF, Dbm, compose_closed, dbm_add_rate, ext_min
-from octoterm.grammar import ParseError, ProgramText, _classify
+from octoterm.grammar import ParseError, Program, Transition, _classify
 from octoterm.linarith import EQ, LE, LT, LinSys, LinTerm, PolyhedronLP, lp_feasible
 from octoterm.octagon import (
     Octagon,
@@ -420,13 +420,22 @@ def local_recurrence_holds(rel: Octagon, n_program_vars: int) -> bool:
     return oct_leq(w, pre)
 
 
-def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
-    """f has a rational infimum on the domain of the relation v."""
+def domain_sup(v: Octagon, obj: LinTerm, n_program_vars: int) -> Fraction | None:
+    """The supremum of obj, over the unprimed variables, on the tight rows
+    of the domain of the relation v: None when the domain is empty or obj
+    is unbounded there.  The projection bound that ``ranking`` reads off
+    v's own rows."""
     proj = pre_image_set(tight_close(v), n_program_vars)
     if proj.is_bottom:
-        return True
+        return None
     sys = oct_to_linsys(proj, var_names(n_program_vars)[: n_program_vars])
-    return PolyhedronLP(sys).sup(-f) is not None
+    return PolyhedronLP(sys).sup(obj)
+
+
+def is_bounded_below(v: Octagon, f: LinTerm, n_program_vars: int) -> bool:
+    """f has a rational infimum on the domain of the relation v."""
+    return (pre_image_set(tight_close(v), n_program_vars).is_bottom
+            or domain_sup(v, -f, n_program_vars) is not None)
 
 
 def reach_set(p: Program, q: str, budgets: Budgets | None = None) -> tuple[Dnf, bool]:
@@ -806,6 +815,38 @@ def reference_ielim(rows, divs, v: str, depth: int = 0):
             case_rows = rows + [(eq_cs, lc0 + r, EQ)]
             _add_new_cases(out, seen, reference_ielim(case_rows, divs, v, depth + 1))
     return out
+
+
+def reference_conj_implies(a: Conj, b: Conj) -> bool:
+    """``presburger.conj_implies`` for a conjunct a whose rows are not all
+    octagonal, on a fresh tableau of a's rows and without the early
+    rejection at a model.  A divisibility atom m | t of b holds when a has
+    it or a's rows fix t - s, for s = 0 or an atom m' | s of a with m | m',
+    to a multiple of m (coefficients m divides left out): the value is read
+    at a rational model of a, evaluated in Fractions."""
+    poly = PolyhedronLP(a.to_linsys())
+    w = poly.model()
+
+    def fixed_multiple(d) -> bool:
+        if w is None:
+            return True
+        m = d.modulus
+        for s in [LinTerm()] + [e.term for e in a.divs if e.modulus % m == 0]:
+            diff = d.term - s
+            diff = LinTerm({v: c for v, c in diff.coeffs.items() if c % m}, diff.const)
+            if any(v not in w for v in diff.coeffs):
+                continue
+            c = diff.eval(w)
+            if (c.denominator == 1 and c.numerator % m == 0
+                    and poly.entails_le(diff - c) and poly.entails_le(c - diff)):
+                return True
+        return False
+
+    if not all(d in a.divs or fixed_multiple(d) for d in b.divs):
+        return False
+    avars = a.variables()
+    return all(all(v in avars for v in t.coeffs) and poly.entails_le(t)
+               and (rel != EQ or poly.entails_le(-t)) for t, rel in b.rows)
 
 
 def reference_eliminate_all(conj: Conj, targets, nonneg=()) -> Dnf:
@@ -1307,9 +1348,11 @@ def reference_parse_rows(text: str, variables: list[str]):
     return dnf
 
 
-def reference_parse_program_text(text: str) -> ProgramText:
+def reference_parse_program_text(text: str) -> Program:
     """``grammar.parse_program_text`` over the reference lexer and parser;
-    each label is classified as soon as it is read, as there."""
+    each label is classified as soon as it is read, as there.  The states
+    are listed in order of first mention, the initial state last when no
+    transition names it."""
     p = _ReferenceParser(reference_tokenize(text), [])
 
     def declare() -> None:
@@ -1334,8 +1377,12 @@ def reference_parse_program_text(text: str) -> ProgramText:
         p.take(":")
         label = tuple(_classify(rows, p.vars) for rows in p.formula())
         p.take(";")
-        transitions.append((src, dst, label))
-    return ProgramText(tuple(p.vars), init, tuple(transitions))
+        transitions.append(Transition(src, dst, label))
+    states = []
+    for s in [q for t in transitions for q in (t.source, t.target)] + [init]:
+        if s not in states:
+            states.append(s)
+    return Program(tuple(p.vars), tuple(states), init, tuple(transitions))
 
 
 # -- the atom-list encoder, the reference for ``octagon.rows_to_atoms`` and

@@ -21,6 +21,7 @@ from helpers import (
     TWO_PHASE_PROGRAM,
     clear_memos,
     perfbench_gen,
+    reference_conj_implies,
     reference_eliminate_all,
 )
 
@@ -368,6 +369,56 @@ def test_conj_implies_divisibility_differential():
                 assert b.eval(val), (a, b, val)
     # the semantic path is exercised, not just the syntactic one
     assert implied >= 10
+
+
+def test_integer_witness_and_conj_implies_against_fractions():
+    """On seeded conjuncts with a row that is not octagonal, and with
+    divisibility atoms: the integer witness (den, numerators) has den the
+    least common denominator, and den * t satisfies every row t of its
+    conjunct; ``conj_implies`` agrees with the reference that reads its
+    model in Fractions.  b keeps some of a's rows, weakens or combines
+    others, and builds its atoms as in the differential test above, so
+    both answers occur, and atoms hold beyond a's own."""
+    rng = random.Random(41)
+    names = ["x", "y", "z"]
+    verdicts = {True: 0, False: 0}
+    implied = 0
+    for _ in range(300):
+        vs = names[: rng.randint(2, 3)]
+
+        def term():
+            return LinTerm({v: rng.randint(-3, 3) for v in vs}, rng.randint(-4, 4))
+
+        eqs = [term() for _ in range(rng.randint(0, 1))]
+        rows = [(t, EQ) for t in eqs] + [(term(), LE) for _ in range(rng.randint(1, 3))]
+        rows.append((2 * x + y - rng.randint(0, 9), LE))
+        divs = [DivAtom(rng.choice((2, 3, 4)), term()) for _ in range(rng.randint(0, 2))]
+        a = Conj.make(rows, divs)
+        if a is None or presburger._conj_octagon(a) is not None:
+            continue
+        w = presburger._integer_witness(a)
+        if w is not None:
+            den, nums = w
+            assert den > 0 and gcd(den, *nums.values()) == 1
+            for t, rel in a.rows:
+                val = den * t.const + sum(c * nums[v] for v, c in t.coeffs.items())
+                assert val <= 0 and (rel == LE or val == 0), (a, t)
+        kept = rng.sample(a.rows, rng.randint(0, len(a.rows)))
+        kept += [(t - rng.randint(0, 2), rel) for t, rel in rng.sample(a.rows, 1)]
+        kept += [(term(), LE) for _ in range(rng.randint(0, 1))]
+        m = rng.choice((2, 3))
+        t = rng.choice([LinTerm()] + [d.term for d in a.divs])
+        for e in eqs:
+            t = t + rng.randint(-1, 1) * e
+        t = t + m * term() + rng.randint(0, m - 1)
+        b = Conj.make(kept, rng.sample(a.divs, rng.randint(0, len(a.divs))) + [DivAtom(m, t)])
+        if b is None:
+            continue
+        got = conj_implies(a, b)
+        assert got == reference_conj_implies(a, b), (a, b)
+        verdicts[got] += 1
+        implied += got and any(d not in a.divs for d in b.divs)
+    assert min(verdicts.values()) >= 20 and implied >= 10, (verdicts, implied)
 
 
 def test_memos_are_bounded():

@@ -1,4 +1,5 @@
 import random
+from math import ceil
 
 import pytest
 
@@ -19,6 +20,7 @@ from octoterm.ranking import (
 from octoterm.term_oct import is_well_founded, wnt
 
 from helpers import (
+    domain_sup,
     entails,
     is_bounded_below,
     periodic_relation,
@@ -160,9 +162,7 @@ def test_wrs_preserved_by_witness():
         assert oct_eq(wnt(r, 2).set, wnt(wit, 2).set)
 
 
-def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
-    # Farkas's tableau, then one over the witness rows and one over their
-    # projection, which the decrease, the bound and the check all share
+def _count_tableaux(monkeypatch) -> list:
     built = []
     real = linarith.PolyhedronLP.__init__
 
@@ -171,20 +171,53 @@ def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(linarith.PolyhedronLP, "__init__", spy)
-    rng = random.Random(23)
+    return built
+
+
+def _ranked_witnesses(seed: int, count: int):
+    """(W, N) for the seeded well-founded relations with a non-empty W."""
+    rng = random.Random(seed)
     rels = [(guarded_decrement(), 1)]
-    rels += [(random_guarded_relation(rng, 1 + t % 3), 1 + t % 3) for t in range(30)]
-    found = 0
+    rels += [(random_guarded_relation(rng, 1 + t % 3), 1 + t % 3) for t in range(count)]
     for r, N in rels:
-        if not is_well_founded(r, N):
-            continue
-        v = witness_relation(r, N)
-        if v.is_bottom:
-            continue
+        if is_well_founded(r, N):
+            v = witness_relation(r, N)
+            if not v.is_bottom:
+                yield v, N
+
+
+def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
+    # Farkas's tableau, then one over the witness rows, which the
+    # decrease, the bound and the check all share; verify_lrf builds one
+    built = _count_tableaux(monkeypatch)
+    found = 0
+    for v, N in _ranked_witnesses(23, 30):
         built.clear()
-        if isinstance(synthesize_lrf(v, N), RankingWitness):
-            assert len(built) == 3
+        w = synthesize_lrf(v, N)
+        if isinstance(w, RankingWitness):
+            assert len(built) == 2
+            built.clear()
+            assert verify_lrf(v, w.function, w.decrease, w.lower_bound, N)
+            assert len(built) == 1
             found += 1
+    assert found > 5
+
+
+def test_lower_bound_is_the_bound_over_the_projection():
+    # f is over the unprimed variables, so its infimum over the tight rows
+    # of W is its infimum over the tight rows of W's domain
+    rng = random.Random(31)
+    found = 0
+    for v, N in _ranked_witnesses(37, 40):
+        w = synthesize_lrf(v, N)
+        if not isinstance(w, RankingWitness):
+            continue
+        found += 1
+        assert w.lower_bound == ceil(-domain_sup(v, -w.function, N))
+        lp = linarith.PolyhedronLP(oct_to_linsys(v, var_names(N)))
+        for _ in range(5):
+            g = LinTerm({f"x{i}": rng.randint(-3, 3) for i in range(N)})
+            assert lp.sup(g) == domain_sup(v, g, N)
     assert found > 5
 
 
