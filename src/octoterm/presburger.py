@@ -130,12 +130,10 @@ def _conj_octagon(c: Conj):
 
 @lru_cache(maxsize=_MEMO)
 def _integer_witness(c: Conj) -> tuple[int, dict[str, int]] | None:
-    """A cached rational model of the rows as (den, numerators), den > 0 the
-    least common denominator of its values and numerators[v] = den * v:
-    None when the rows are infeasible.  The model is read off the
-    conjunct's cached LP, and a row t is evaluated at it as den * t, all in
-    ints.  Callers only prune with it or read a value the rows fix, so any
-    model serves."""
+    """A cached rational model of the rows (None when infeasible), read off
+    the conjunct's cached LP, as its least common denominator den and the
+    integer numerators den * v.  Callers only prune with it or read a value
+    the rows fix, so any model serves."""
     model = conj_poly(c).model()
     if model is None:
         return None
@@ -144,7 +142,8 @@ def _integer_witness(c: Conj) -> tuple[int, dict[str, int]] | None:
 
 
 def _scaled_eval(t: LinTerm, den: int, nums: Mapping[str, int]) -> int:
-    """den * t at the point nums / den, a variable nums lacks read as 0."""
+    """den * t, in ints and of t's sign, at the point nums / den (a variable
+    nums lacks read as 0)."""
     return t.const * den + sum(c * nums.get(v, 0) for v, c in t.coeffs.items())
 
 
@@ -200,8 +199,7 @@ def conj_implies(a: Conj, b: Conj) -> bool:
             return False
         drop = [i for i, v in enumerate(names_a) if v not in names_b]
         return oct_leq(oct_exists(oct_a, drop), oct_b)
-    # cheap rejection: a rational point of a must satisfy b's rows, and
-    # den > 0 keeps the sign of each row's value
+    # cheap rejection: a rational point of a must satisfy b's rows
     w = _integer_witness(a)
     if w is not None:
         for t, rel in b.rows:
