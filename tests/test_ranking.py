@@ -162,18 +162,6 @@ def test_wrs_preserved_by_witness():
         assert oct_eq(wnt(r, 2).set, wnt(wit, 2).set)
 
 
-def _count_tableaux(monkeypatch) -> list:
-    built = []
-    real = linarith.PolyhedronLP.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(1)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(linarith.PolyhedronLP, "__init__", spy)
-    return built
-
-
 def _ranked_witnesses(seed: int, count: int):
     """(W, N) for the seeded well-founded relations with a non-empty W."""
     rng = random.Random(seed)
@@ -189,7 +177,14 @@ def _ranked_witnesses(seed: int, count: int):
 def test_synthesize_lrf_builds_one_tableau_per_system(monkeypatch):
     # Farkas's tableau, then one over the witness rows, which the
     # decrease, the bound and the check all share; verify_lrf builds one
-    built = _count_tableaux(monkeypatch)
+    built = []
+    real = linarith.PolyhedronLP.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linarith.PolyhedronLP, "__init__", spy)
     found = 0
     for v, N in _ranked_witnesses(23, 30):
         built.clear()
