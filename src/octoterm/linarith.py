@@ -80,15 +80,6 @@ class LinTerm:
             total += c * valuation[v]
         return total
 
-    def subst(self, assignment: Mapping[str, "LinTerm"]) -> "LinTerm":
-        out = LinTerm({}, self.const)
-        for v, c in self.coeffs.items():
-            if v in assignment:
-                out = out + c * assignment[v]
-            else:
-                out = out + LinTerm({v: c})
-        return out
-
     def scale_to_integers(self) -> "LinTerm":
         """The term times the positive lcm of its denominators, over ints."""
         den = lcm(self.const.denominator, *(c.denominator for c in self.coeffs.values()))

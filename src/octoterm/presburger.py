@@ -68,7 +68,8 @@ class Conj(NamedTuple):
         for d in divs:
             t = _int_term(d.term)
             idivs.append((d.modulus, t.coeffs, t.const))
-        return _from_irows(irows, idivs)
+        norm = _inorm(irows, idivs)
+        return None if norm is None else _conj(*norm)
 
     def variables(self) -> set[str]:
         vs = set()
@@ -99,10 +100,25 @@ class Conj(NamedTuple):
             return not o[1].is_bottom
         return conj_poly(self).feasible
 
-    def subst(self, assignment: Mapping[str, LinTerm]) -> "Conj | None":
-        rows = [(t.subst(assignment), rel) for t, rel in self.rows]
-        divs = [DivAtom(d.modulus, d.term.subst(assignment)) for d in self.divs]
-        return Conj.make(rows, divs)
+    def irows(self, mapping: Mapping[str, str] | None = None) -> tuple[list[IRow], list[IDiv]]:
+        """The rows and atoms as the int rows of ``eliminate_rows``, each
+        variable v written ``mapping.get(v, v)``.  Without a mapping the
+        coefficient dicts are handed on as they are."""
+        def cs(t: LinTerm) -> dict:
+            return (t.coeffs if mapping is None
+                    else {mapping.get(v, v): c for v, c in t.coeffs.items()})
+
+        return ([(cs(t), t.const, rel) for t, rel in self.rows],
+                [(d.modulus, cs(d.term), d.term.const) for d in self.divs])
+
+    def rename(self, mapping: Mapping[str, str]) -> "Conj":
+        """The conjunct with each variable v written ``mapping.get(v, v)``, for
+        a renaming injective on its variables (else ValueError), which keeps
+        a normalized conjunct normalized: nothing is normalized again."""
+        names = self.variables()
+        if len({mapping.get(v, v) for v in names}) != len(names):
+            raise ValueError(f"renaming {sorted(names)} by {mapping} is not injective")
+        return _conj(*self.irows(mapping))
 
     def __repr__(self):
         bits = [f"{t} {rel} 0" for t, rel in self.rows]
@@ -269,22 +285,17 @@ class Dnf:
 # (modulus, {var: coef}, const).  ``_inorm`` is the one normalizer of a
 # conjunct: ``Conj.make`` and every elimination case end in it.  ``_ielim``
 # takes a case ``_inorm`` has normalized and normalizes each case it builds
-# once: ``eliminate_all`` normalizes its input, a residue split or a
+# once: ``eliminate_rows`` normalizes its input, a residue split or a
 # splinter normalizes the case it recurses on, and ``_finish`` every case
-# it returns.  ``_inorm`` is idempotent, so that is all the normalizing
-# there is.  The coefficient dicts of a conjunct's LinTerms are handed in
-# as they are, so the core builds new dicts and never writes to one it was
-# given (LinTerms are memo keys).
+# it returns.  ``program`` renames the conjuncts it merges by
+# ``Conj.irows`` and hands the merged rows in unnormalized, so each is
+# normalized once, on entry, as in the Omega test.  The coefficient dicts
+# of a conjunct's LinTerms are handed in as they are, so the core builds
+# new dicts and never writes to one it was given (LinTerms are memo keys).
 # ---------------------------------------------------------------------------
 
 IRow = tuple[dict, int, str]
 IDiv = tuple[int, dict, int]
-
-
-def _to_irows(conj: Conj) -> tuple[list[IRow], list[IDiv]]:
-    rows = [(t.coeffs, t.const, rel) for t, rel in conj.rows]
-    divs = [(d.modulus, d.term.coeffs, d.term.const) for d in conj.divs]
-    return rows, divs
 
 
 def _conj(rows: list[IRow], divs: list[IDiv]) -> Conj:
@@ -293,11 +304,6 @@ def _conj(rows: list[IRow], divs: list[IDiv]) -> Conj:
         tuple((LinTerm(cs, c0), rel) for cs, c0, rel in rows),
         tuple(DivAtom(m, LinTerm(cs, c0)) for m, cs, c0 in divs),
     )
-
-
-def _from_irows(rows: list[IRow], divs: list[IDiv]) -> Conj | None:
-    norm = _inorm(rows, divs)
-    return None if norm is None else _conj(*norm)
 
 
 def _inorm(rows: list[IRow], divs: list[IDiv]):
@@ -536,13 +542,10 @@ def _add_new_cases(out: list, seen: set, cases) -> None:
             out.append(case)
 
 
-def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()) -> Dnf:
-    """Eliminate every target variable, adding v >= 0 rows for nonneg ones.
-    The input is normalized once here; ``_ielim`` hands back normalized
-    cases, which the next target takes as they are."""
-    rows, divs = _to_irows(conj)
-    for v in nonneg:
-        rows.append(({v: -1}, 0, LE))
+def eliminate_rows(rows: list[IRow], divs: list[IDiv], targets: Sequence[str]) -> Dnf:
+    """Eliminate every target variable from the conjunct of int rows and
+    atoms.  The rows are normalized once here; ``_ielim`` hands back
+    normalized cases, which the next target takes as they are."""
     case = _inorm(rows, divs)
     work = [] if case is None else [case]
     for v in targets:
@@ -555,3 +558,9 @@ def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()
     for rs, ds in work:
         out.add(_conj(rs, ds))
     return out
+
+
+def eliminate_all(conj: Conj, targets: Sequence[str], nonneg: Sequence[str] = ()) -> Dnf:
+    """Eliminate every target variable, adding v >= 0 rows for nonneg ones."""
+    rows, divs = conj.irows()
+    return eliminate_rows(rows + [({v: -1}, 0, LE) for v in nonneg], divs, targets)

@@ -65,7 +65,7 @@ from .octagon import (
     rows_to_atoms,
     tight_close,
 )
-from .presburger import Conj, DivAtom, Dnf, antichain_add, conj_implies, eliminate_all
+from .presburger import Conj, Dnf, antichain_add, conj_implies, eliminate_all, eliminate_rows
 from .term_oct import wnt as oct_wnt
 
 # Entries per memo table.  One round of the `programs` benchmark fills at
@@ -105,7 +105,7 @@ def _canonical(variables, conj: Conj, params) -> LinRel:
     used = [p for p in params if p in conj.variables()]
     names = _param_names(len(used))
     if used != list(names):
-        conj = conj.subst({p: LinTerm({q: 1}) for p, q in zip(used, names)})
+        conj = conj.rename(dict(zip(used, names)))
     return LinRel(tuple(variables), conj, names)
 
 
@@ -218,12 +218,13 @@ def _normalize_member(m: LinRel) -> tuple[LinRel, ...]:
 def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
     """Exact relational composition, by integer elimination of the
     midpoint variables, which may split into finitely many members.  The
-    midpoints take the place of a's primed and b's unprimed names, b's
-    parameters follow a's, and the merged conjunct is normalized once.
+    midpoints take the place of a's primed and b's unprimed names and b's
+    parameters follow a's, renamed on the int rows (``Conj.irows``), and
+    ``eliminate_rows`` normalizes the merged rows once.
 
     Every member returned has a rational point at p >= 0, and no separate
     emptiness test runs:
-    - A parameter-free case passed ``Dnf.add`` in ``eliminate_all``,
+    - A parameter-free case passed ``Dnf.add`` in ``eliminate_rows``,
       which drops every case with no rational point.
     - A parametric member goes through ``_normalize_member``, so through
       ``member_cases``: exact elimination of its parameters at p >= 0.
@@ -235,17 +236,11 @@ def compose_members(a: LinRel, b: LinRel) -> tuple[LinRel, ...]:
     variables = a.variables
     # the midpoints are eliminated below, so their names never leave here
     mids = {v: f"_m_{v}" for v in variables}
-    sub_a = {v + "'": LinTerm({mids[v]: 1}) for v in variables}
-    sub_b = {v: LinTerm({mids[v]: 1}) for v in variables}
-    # b's parameters follow a's: _p<i> becomes _p<len(a.params) + i>
     params = _param_names(len(a.params) + len(b.params))
-    sub_b.update({p: LinTerm({q: 1}) for p, q in zip(b.params, params[len(a.params):])})
-    sides = ((a.conj, sub_a), (b.conj, sub_b))
-    merged = Conj.make([(t.subst(sub), rel) for c, sub in sides for t, rel in c.rows],
-                       [DivAtom(d.modulus, d.term.subst(sub)) for c, sub in sides for d in c.divs])
-    if merged is None:
-        return ()
-    return tuple(n for conj in eliminate_all(merged, list(mids.values()))
+    rows, divs = a.conj.irows({v + "'": mid for v, mid in mids.items()})
+    b_rows, b_divs = b.conj.irows({**mids, **dict(zip(b.params, params[len(a.params):]))})
+    cases = eliminate_rows(rows + b_rows, divs + b_divs, list(mids.values()))
+    return tuple(n for conj in cases
                  for n in _normalize_member(_canonical(variables, conj, params)))
 
 
@@ -677,18 +672,16 @@ def _image(members: tuple[LinRel, ...], target: Iterable[Conj], forward: bool,
 
 def _member_image(m: LinRel, conj: Conj, forward: bool) -> tuple[Conj, ...]:
     """Cases of the image of one conjunct over x through one member: the
-    member's other side and its parameters eliminated exactly, primed
-    names read back as x for a post-image."""
-    variables = m.variables
-    unprimed = {v + "'": LinTerm({v: 1}) for v in variables}
-    if not forward:
-        conj = conj.subst({v: LinTerm({v + "'": 1}) for v in variables})
-    merged = Conj.make(m.conj.rows + conj.rows, m.conj.divs + conj.divs)
-    if merged is None:
-        return ()
-    gone = list(variables if forward else unprimed)
-    cases = eliminate_all(merged, gone + list(m.params), nonneg=list(m.params))
-    return tuple(c.subst(unprimed) if forward else c for c in cases)
+    member's rows, the conjunct's (over x' for a pre-image) and p >= 0 for
+    each parameter go to ``eliminate_rows`` unnormalized, which eliminates
+    the other side and the parameters; a post-image is renamed back to x."""
+    primed = {v: v + "'" for v in m.variables}
+    rows, divs = m.conj.irows()
+    c_rows, c_divs = conj.irows(None if forward else primed)
+    cases = eliminate_rows(rows + c_rows + [({p: -1}, 0, LE) for p in m.params], divs + c_divs,
+                           [*(m.variables if forward else primed.values()), *m.params])
+    unprimed = {v: u for u, v in primed.items()}
+    return tuple(c.rename(unprimed) if forward else c for c in cases)
 
 
 def nt_program(p: Program, budgets: Budgets | None = None) -> PrecondResult:

@@ -34,7 +34,7 @@ from octoterm.octagon import (
     tight_close,
 )
 from octoterm.pdbm import ExtParamDbm, Term, min_terms, param_fw
-from octoterm.presburger import Conj, Dnf, conj_implies
+from octoterm.presburger import Conj, DivAtom, Dnf, conj_implies
 from octoterm.program import (
     Budgets,
     Program,
@@ -849,12 +849,26 @@ def reference_conj_implies(a: Conj, b: Conj) -> bool:
                and (rel != EQ or poly.entails_le(-t)) for t, rel in b.rows)
 
 
+def reference_rename(conj: Conj, mapping) -> Conj | None:
+    """``Conj.subst`` as it was, on a renaming: each term rebuilt by
+    ``LinTerm`` arithmetic with every variable v read as mapping.get(v, v),
+    and the rows and atoms normalized again by ``Conj.make``."""
+    def sub(t: LinTerm) -> LinTerm:
+        out = LinTerm({}, t.const)
+        for v, c in t.coeffs.items():
+            out = out + c * LinTerm({mapping.get(v, v): 1})
+        return out
+
+    return Conj.make([(sub(t), rel) for t, rel in conj.rows],
+                     [DivAtom(d.modulus, sub(d.term)) for d in conj.divs])
+
+
 def reference_eliminate_all(conj: Conj, targets, nonneg=()) -> Dnf:
     """``presburger.eliminate_all`` over ``reference_ielim``: the input is
     not normalized until the first target's elimination does it."""
-    from octoterm.presburger import _add_new_cases, _conj, _to_irows
+    from octoterm.presburger import _add_new_cases, _conj
 
-    rows, divs = _to_irows(conj)
+    rows, divs = conj.irows()
     rows += [({v: -1}, 0, LE) for v in nonneg]
     work = [(rows, divs)]
     for v in targets:

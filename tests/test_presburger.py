@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from octoterm import octagon, presburger, term_oct
+import pytest
+
+from octoterm import octagon, presburger, ranking, term_oct
 from octoterm.affine import AffineRel, mat, sufficient_termination
 from octoterm.linarith import EQ, LE, LT, LinTerm
 from octoterm.presburger import (
@@ -23,6 +25,7 @@ from helpers import (
     perfbench_gen,
     reference_conj_implies,
     reference_eliminate_all,
+    reference_rename,
 )
 
 x = LinTerm.var("x")
@@ -423,10 +426,10 @@ def test_integer_witness_and_conj_implies_against_fractions():
 
 def test_memos_are_bounded():
     # every lru_cache of the modules that memoize, re-exports included
-    memos = {fn for module in (program_module, presburger, term_oct, octagon)
+    memos = {fn for module in (program_module, presburger, term_oct, octagon, ranking)
              for fn in vars(module).values() if hasattr(fn, "cache_info")}
     assert {presburger._conj_octagon, program_module._summary, term_oct._wnt_tight,
-            octagon._tight_closed} <= memos
+            octagon._tight_closed, ranking._prove_tight} <= memos
     for fn in memos:
         assert fn.cache_info().maxsize is not None, fn.__qualname__
 
@@ -566,7 +569,7 @@ def _raw_conj(rows, divs) -> Conj:
 
 
 def _cases(d: Dnf) -> list:
-    return [_ordered(presburger._to_irows(c)) for c in d]
+    return [_ordered(c.irows()) for c in d]
 
 
 def test_eliminate_all_matches_normalizing_on_entry(monkeypatch):
@@ -600,16 +603,18 @@ def test_eliminate_all_matches_normalizing_on_entry(monkeypatch):
 
 def test_program_eliminations_match_normalizing_on_entry(monkeypatch):
     # every elimination of member_cases, _image and compose_members on the
-    # `programs` requests of seeds 5-6
+    # `programs` requests of seeds 5-6, at the row-level entry they share
     calls = []
+    real = presburger.eliminate_rows
 
-    def spy(conj, targets, nonneg=()):
-        calls.append((conj, list(targets), list(nonneg)))
-        return eliminate_all(conj, targets, nonneg)
+    def spy(rows, divs, targets):
+        calls.append((_raw_conj(rows, divs), list(targets)))
+        return real(rows, divs, targets)
 
     gen = perfbench_gen()
     clear_memos()
-    monkeypatch.setattr(program_module, "eliminate_all", spy)
+    monkeypatch.setattr(presburger, "eliminate_rows", spy)
+    monkeypatch.setattr(program_module, "eliminate_rows", spy)
     for seed in (5, 6):
         for r in gen.make_requests("programs", seed, 1):
             p = parse_program(r["text"])
@@ -617,6 +622,75 @@ def test_program_eliminations_match_normalizing_on_entry(monkeypatch):
             transitive_relation(p, r["head"], r["head"])
     clear_memos()
     assert len(calls) >= 100, len(calls)
-    for conj, targets, nonneg in calls:
-        want = reference_eliminate_all(conj, targets, nonneg)
-        assert _cases(eliminate_all(conj, targets, nonneg)) == _cases(want), conj
+    for conj, targets in calls:
+        want = reference_eliminate_all(conj, targets)
+        assert _cases(real(*conj.irows(), targets)) == _cases(want), conj
+
+
+def test_merges_are_normalized_once_and_build_no_conjunct(monkeypatch):
+    # a cold compose_members and a cold _member_image, forward and
+    # backward, hand their merged rows to one _inorm before the first
+    # _ielim, and build no conjunct by Conj.make
+    p = parse_program(TWO_PHASE_PROGRAM)
+    # a loop member into l2 and one through l2's loop to l5: b's parameter
+    # follows a's in the composition
+    a = next(m for m in transitive_relation(p, "l1", "l2")[0] if m.params)
+    b = next(m for m in transitive_relation(p, "l2", "l5")[0] if m.params)
+    target = Conj.make([(LinTerm.var("x") - LinTerm.var("n"), LE)])
+    events, made = [], []
+    real_inorm, real_ielim, real_make = presburger._inorm, presburger._ielim, Conj.make.__func__
+
+    def inorm(rows, divs):
+        events.append("inorm")
+        return real_inorm(rows, divs)
+
+    def ielim(rows, divs, v, depth=0):
+        events.append("ielim")
+        return real_ielim(rows, divs, v, depth)
+
+    def make(cls, rows, divs=()):
+        made.append(rows)
+        return real_make(cls, rows, divs)
+
+    monkeypatch.setattr(presburger, "_inorm", inorm)
+    monkeypatch.setattr(presburger, "_ielim", ielim)
+    monkeypatch.setattr(Conj, "make", classmethod(make))
+    runs = [lambda: program_module.compose_members(a, b),
+            lambda: program_module._member_image(b, target, True),
+            lambda: program_module._member_image(b, target, False)]
+    for run in runs:
+        clear_memos()
+        events.clear()
+        assert run()
+        assert events[:2] == ["inorm", "ielim"], events[:5]
+        assert made == []
+
+
+def test_rename_matches_substituting_and_normalizing():
+    # on normalized conjuncts with divisibility atoms, an injective
+    # renaming equals the old path: substitute, then Conj.make again
+    rng = random.Random(47)
+    names = ["x", "y", "z"]
+    seen = {"div": 0, "moved": 0, "eq": 0}
+    for _ in range(2000):
+        norm = presburger._inorm(*_random_case(rng, names))
+        if norm is None:
+            continue
+        conj = presburger._conj(*norm)
+        image = rng.sample(names + ["u", "w", "x'", "_p0"], len(names))
+        mapping = {v: t for v, t in zip(names, image) if rng.random() < 0.8}
+        if len({mapping.get(v, v) for v in conj.variables()}) < len(conj.variables()):
+            with pytest.raises(ValueError):
+                conj.rename(mapping)
+            continue
+        got, want = conj.rename(mapping), reference_rename(conj, mapping)
+        assert got == want and repr(got) == repr(want), (conj, mapping)
+        seen["div"] += bool(conj.divs)
+        seen["eq"] += any(rel == EQ for _, rel in conj.rows)
+        seen["moved"] += any(mapping.get(v, v) != v for v in conj.variables())
+    assert min(seen.values()) >= 100, seen
+    # a renaming that sends two of the conjunct's variables to one name
+    conj = Conj.make([(x - y, LE)], [DivAtom(3, x + 1)])
+    for mapping in ({"x": "y"}, {"x": "u", "y": "u"}):
+        with pytest.raises(ValueError):
+            conj.rename(mapping)

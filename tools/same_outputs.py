@@ -124,6 +124,26 @@ def _program_outputs(ot, requests) -> dict[str, str]:
     return out
 
 
+def _loop_outputs(ot, requests) -> dict[str, str]:
+    """Item id -> output text, for ``loops`` requests."""
+    from octoterm.affine import mat
+
+    out = {}
+    for r in requests:
+        if r["kind"] == "oct":
+            n = r["n"]
+            rel = ot.oct_encode([tuple(a) for a in r["atoms"]], 2 * n)
+            out[r["id"] + "/wnt"] = repr(ot.wnt(rel, n))
+            out[r["id"] + "/prove_termination"] = repr(ot.prove_termination(rel, n))
+            out[r["id"] + "/closure"] = repr(ot.reflexive_transitive_closure(rel, n))
+        else:
+            rel = ot.AffineRel(r["n"], mat(r["a"]), tuple(r["b"]),
+                               tuple((tuple(c), d) for c, d in r["guard"]))
+            wnt = ot.finite_monoid_wnt if ot.is_finite_monoid(rel.a) else ot.sufficient_termination
+            out[r["id"] + "/" + wnt.__name__] = repr(wnt(rel))
+    return out
+
+
 def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
     """Item id -> output text, for the request set on the tree's sources;
     the ``programs`` items whose repeat differs from their first output;
@@ -132,7 +152,6 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
     import gen
     import octoterm as ot
     from octoterm import cli
-    from octoterm.affine import mat
 
     requests = [r for s in SEEDS["programs"] for r in gen.make_requests("programs", s, 1)]
     out = _program_outputs(ot, requests)
@@ -153,18 +172,8 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
     for r in requests:
         fps[r["id"] + "/nt_program"] = fingerprint(r["text"], None)
         fps[r["id"] + "/transitive_relation"] = fingerprint(r["text"], (r["head"],) * 2)
-    for r in (r for s in SEEDS["loops"] for r in gen.make_requests("loops", s, 1)):
-        if r["kind"] == "oct":
-            n = r["n"]
-            rel = ot.oct_encode([tuple(a) for a in r["atoms"]], 2 * n)
-            out[r["id"] + "/wnt"] = repr(ot.wnt(rel, n))
-            out[r["id"] + "/prove_termination"] = repr(ot.prove_termination(rel, n))
-            out[r["id"] + "/closure"] = repr(ot.reflexive_transitive_closure(rel, n))
-        else:
-            rel = ot.AffineRel(r["n"], mat(r["a"]), tuple(r["b"]),
-                               tuple((tuple(c), d) for c, d in r["guard"]))
-            wnt = ot.finite_monoid_wnt if ot.is_finite_monoid(rel.a) else ot.sufficient_termination
-            out[r["id"] + "/" + wnt.__name__] = repr(wnt(rel))
+    out.update(_loop_outputs(ot, [r for s in SEEDS["loops"]
+                                  for r in gen.make_requests("loops", s, 1)]))
     for r in (r for s in SEEDS["cli"] for r in gen.make_requests("cli", s, 1)):
         for fmt in ("text", "json"):
             stdout, stderr = io.StringIO(), io.StringIO()
