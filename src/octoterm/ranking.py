@@ -27,13 +27,12 @@ so it checks a witness independently of the search that found it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil
 from typing import NamedTuple
 
 from .linarith import LinTerm, PolyhedronLP
 from .octagon import Octagon, tight_close
-from .term_oct import _MEMO, oct_to_linsys, rank_lp, var_names, witness, wnt
+from .term_oct import oct_to_linsys, rank_lp, var_names, witness, wnt
 
 
 class RankingWitness(NamedTuple):
@@ -120,14 +119,9 @@ def prove_termination(rel: Octagon, n_program_vars: int):
     If the weakest non-termination set is empty, a ranking function must
     exist on the witness relation; failing to find one indicates a bug and
     aborts loudly.  The witness and its LP come from ``term_oct``'s memo,
-    which ``wnt`` has filled whenever it decided by them, and the proof is
-    computed once per tight relation and N, like ``wnt``.
+    which ``wnt`` has filled whenever it decided by them.
     """
-    return _prove_tight(tight_close(rel), n_program_vars)
-
-
-@lru_cache(maxsize=_MEMO)
-def _prove_tight(rel: Octagon, N: int):
+    N = n_program_vars
     res = wnt(rel, N)
     if not res.set.is_bottom:
         return NotWellFounded(res.set)

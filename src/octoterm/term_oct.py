@@ -72,8 +72,8 @@ from .octagon import (
     tight_close,
 )
 
-# Entries in the WNT memo, the witness memo and ``ranking``'s proof memo,
-# as in ``program`` and ``presburger``.
+# Entries in the WNT memo and in the witness memo, as in ``program`` and
+# ``presburger``.
 _MEMO = 1024
 # Entries in the square store: the relations one request works on.
 _SQUARE_MEMO = 4

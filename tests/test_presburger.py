@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from octoterm import octagon, presburger, ranking, term_oct
+from octoterm import octagon, presburger, term_oct
 from octoterm.affine import AffineRel, mat, sufficient_termination
 from octoterm.linarith import EQ, LE, LT, LinTerm
 from octoterm.presburger import (
@@ -426,10 +426,10 @@ def test_integer_witness_and_conj_implies_against_fractions():
 
 def test_memos_are_bounded():
     # every lru_cache of the modules that memoize, re-exports included
-    memos = {fn for module in (program_module, presburger, term_oct, octagon, ranking)
+    memos = {fn for module in (program_module, presburger, term_oct, octagon)
              for fn in vars(module).values() if hasattr(fn, "cache_info")}
     assert {presburger._conj_octagon, program_module._summary, term_oct._wnt_tight,
-            octagon._tight_closed, ranking._prove_tight} <= memos
+            octagon._tight_closed} <= memos
     for fn in memos:
         assert fn.cache_info().maxsize is not None, fn.__qualname__
 

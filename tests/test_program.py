@@ -9,7 +9,7 @@ from octoterm import presburger as presburger_module
 from octoterm.grammar import FragmentError, ParseError, parse_program_text
 from octoterm.linarith import LE, LinTerm
 from octoterm.octagon import Octagon
-from octoterm.presburger import Conj, eliminate_all
+from octoterm.presburger import Conj
 from octoterm.program import (
     Budgets,
     Flat,
@@ -463,12 +463,16 @@ def test_a_repeated_program_runs_no_elimination(monkeypatch):
     # the image of each conjunct through each summary member is memoized, so
     # a second analysis of the same text eliminates nothing
     calls = []
+    real = presburger_module.eliminate_rows
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         calls.append(args)
-        return eliminate_all(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(program_module, "eliminate_all", spy)
+    # the row-level entry of every elimination: member_cases (through
+    # eliminate_all), compose_members and _member_image
+    monkeypatch.setattr(presburger_module, "eliminate_rows", spy)
+    monkeypatch.setattr(program_module, "eliminate_rows", spy)
     for text in (one_phase_ramp("+"), TWO_PHASE_PROGRAM, STEP_2_BRANCHING_PROGRAM):
         clear_memos()
         first = repr(nt_program(parse_program(text)))
@@ -502,11 +506,11 @@ def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
 
     for module, name in [(program_module, "elementary_cycles"),
                          (program_module, "_star_members"),
-                         (program_module, "eliminate_all"),
-                         (presburger_module, "eliminate_all")]:
+                         (program_module, "eliminate_rows"),
+                         (presburger_module, "eliminate_rows")]:
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     first = _round(programs)
-    assert {"elementary_cycles", "_star_members", "eliminate_all"} <= set(calls)
+    assert {"elementary_cycles", "_star_members", "eliminate_rows"} <= set(calls)
     calls.clear()
     assert _round(programs) == first
     assert calls == []
@@ -1054,8 +1058,9 @@ def test_parameter_free_octagons_compose_and_compare_as_octagons(monkeypatch):
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(program_module, "eliminate_all",
-                        spy("eliminate_all", program_module.eliminate_all))
+    for module in (program_module, presburger_module):
+        monkeypatch.setattr(module, "eliminate_rows",
+                            spy("eliminate_rows", presburger_module.eliminate_rows))
     monkeypatch.setattr(presburger_module, "conj_poly",
                         spy("conj_poly", presburger_module.conj_poly))
     monkeypatch.setattr(linarith.PolyhedronLP, "__init__",

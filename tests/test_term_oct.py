@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from octoterm import octagon, presburger, program, ranking, term_oct
+from octoterm import octagon, presburger, program, term_oct
 from octoterm.closure import reflexive_transitive_closure
 from octoterm.octagon import (
     bottom,
@@ -145,7 +145,7 @@ def test_wnt_fixpoint_property_pre_containment():
 
 
 def _clear_memos():
-    for module in (octagon, term_oct, program, presburger, ranking):
+    for module in (octagon, term_oct, program, presburger):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
@@ -204,27 +204,6 @@ def test_prove_termination_reuses_the_wnt(monkeypatch):
     # an equal relation in another syntax hits the same entry
     wnt(tight_close(r), 1)
     assert len(store) == 3 and term_oct._wnt_tight.cache_info().hits == 2
-
-
-def test_a_repeated_proof_solves_no_lp(monkeypatch):
-    # the proof is memoized per tight relation and N, like the wnt: a
-    # repeat, in the same or another syntax, builds no tableau
-    built = []
-    real = ranking.PolyhedronLP
-
-    def spy(sys):
-        built.append(sys)
-        return real(sys)
-
-    monkeypatch.setattr(ranking, "PolyhedronLP", spy)
-    _clear_memos()
-    r = enc([(1, 0, -1, 1, 1), (-1, 0, 1, 1, -1), (-1, 0, -1, 0, 0)], 2)  # x >= 0, x' = x - 1
-    first = prove_termination(r, 1)
-    assert isinstance(first, WellFounded) and len(built) == 1
-    assert prove_termination(r, 1) is first
-    assert prove_termination(tight_close(r), 1) is first
-    assert len(built) == 1
-    assert ranking._prove_tight.cache_info().maxsize == term_oct._MEMO
 
 
 def test_prove_termination_composes_no_square_that_wnt_drew(monkeypatch):

@@ -1,27 +1,34 @@
-"""Cold rounds of one workload on two trees, one fresh process per seed.
+"""Cold rounds of one workload on two commits, one fresh process per seed.
 
-    python3 tools/cold_rounds.py --base DIR [--head DIR] \
+    python3 tools/cold_rounds.py --base REV [--head REV] \
         --workload programs|loops --seeds 5 6 7 8 9 10 11 12 [--reps 8]
 
-Run from the root of the repository.  ``DIR`` is a checkout, such as a
-``git archive`` of an earlier commit; ``--head`` defaults to this
-repository.  A process imports ``octoterm`` from ``DIR/src`` and the
-benchmark's worker from ``DIR/perfbench``, and runs one round of a seed,
-``gen.make_requests(workload, seed, 1)``, through ``worker.analyze`` as the
-benchmark's worker does, without the check that follows each request
-there.  So every request meets the memos of that round only.  The round's
-wall time is divided by the mean of ``worker.calibrate()`` just before and
-just after it, and multiplied by the median of every calibration taken,
-so that it reads in seconds of a machine of steady speed.
+Run from the root of the repository.  Both commits (``--head`` defaults to
+``HEAD``; commit the change first) are extracted, as
+``tools/bench_pairs.py`` does, by its ``extract``, into a temporary
+directory that is removed at the end.  A process imports ``octoterm`` from its
+side's ``src`` and the benchmark's worker from its ``perfbench``, and runs
+one round of a seed, ``gen.make_requests(workload, seed, 1)``, through
+``worker.analyze`` as the benchmark's worker does, without the check that
+follows each request there.  So every request meets the memos of that
+round only.  The round's wall time is divided by the mean of
+``worker.calibrate()`` just before and just after it, and multiplied by
+the median of every calibration taken, so that it reads in seconds of a
+machine of steady speed.
 
-A repetition runs every seed once on each tree, and the tree that goes
-first alternates from one process to the next.  A tree's time in a
-repetition is the sum over the seeds.  The script prints each tree's
+What this measures that ``bench_pairs`` does not: a ``programs`` run of
+the benchmark reads one cold round, of one seed, per 20 s run, and a
+``loops`` run's metrics are mostly its warm rounds.  Here every timed
+round is cold, and a repetition sums the cold rounds of many seeds.
+
+A repetition runs every seed once on each side, and the side that goes
+first alternates from one process to the next.  A side's time in a
+repetition is the sum over the seeds.  The script prints each side's
 median and quartiles over the repetitions and how many repetitions the
 head won.  After the timed round, each process reads the outputs of its
 requests again, as ``tools/same_outputs.py`` writes them, and hashes them
 into the seed's fingerprint.  Every seed whose fingerprints differ
-between the trees, or between the repetitions of one tree, is printed,
+between the sides, or between the repetitions of one side, is printed,
 and the script then exits 1: a speed-up from changed outputs is no
 speed-up.  Nothing under ``perfbench/`` is changed.  Standard library
 only.
@@ -36,13 +43,13 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import extract, quartiles  # noqa: E402
 from same_outputs import _loop_outputs, _program_outputs  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _emit(tree: Path, workload: str, seed: int) -> dict:
@@ -77,14 +84,14 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
 
 
 def _spread(xs: list[float]) -> str:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return f"median {med:.3f} s (quartiles {q1:.3f}-{q3:.3f})"
+    q = quartiles(xs)
+    return f"median {q['median']:.3f} s (quartiles {q['q1']:.3f}-{q['q3']:.3f})"
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", type=Path, help="the tree to compare against")
-    ap.add_argument("--head", type=Path, default=ROOT, help="the tree to compare")
+    ap.add_argument("--base", help="the commit to compare against")
+    ap.add_argument("--head", default="HEAD", help="the commit to compare")
     ap.add_argument("--workload", choices=("programs", "loops"), required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--reps", type=int, default=8, help="repetitions (at least 2)")
@@ -97,26 +104,29 @@ def main() -> int:
         ap.error("--base is required")
     if args.reps < 2:
         ap.error("--reps must be at least 2")
-    trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     runs = []  # (repetition, side, seed, result)
-    turn = 0
-    for rep in range(args.reps):
-        for seed in args.seeds:
-            sides = ("base", "head") if turn % 2 == 0 else ("head", "base")
-            turn += 1
-            for side in sides:
-                runs.append((rep, side, seed, _run(trees[side], args.workload, seed)))
-        print(f"repetition {rep + 1} of {args.reps} done", flush=True)
+    with tempfile.TemporaryDirectory(prefix="cold_rounds_") as work:
+        trees = {side: Path(work) / side for side in ("base", "head")}
+        shas = {side: extract(rev, trees[side])
+                for side, rev in (("base", args.base), ("head", args.head))}
+        turn = 0
+        for rep in range(args.reps):
+            for seed in args.seeds:
+                sides = ("base", "head") if turn % 2 == 0 else ("head", "base")
+                turn += 1
+                for side in sides:
+                    runs.append((rep, side, seed, _run(trees[side], args.workload, seed)))
+            print(f"repetition {rep + 1} of {args.reps} done", flush=True)
     cal_ref = statistics.median(res["cal_s"] for *_, res in runs)
-    totals = {side: [0.0] * args.reps for side in trees}
+    totals = {side: [0.0] * args.reps for side in shas}
     prints: dict[tuple[str, int], set[str]] = {}
     for rep, side, seed, res in runs:
         totals[side][rep] += res["seconds"] * cal_ref / res["cal_s"]
         prints.setdefault((side, seed), set()).add(res["fingerprint"])
     print(f"{args.workload}, seeds {' '.join(map(str, args.seeds))}, {args.reps} repetitions, "
           f"times at a calibration of {cal_ref * 1e3:.2f} ms")
-    for side, tree in trees.items():
-        print(f"{side} {tree}: {_spread(totals[side])}")
+    for side in shas:
+        print(f"{side} {shas[side][:12]}: {_spread(totals[side])}")
     won = sum(h < b for b, h in zip(totals["base"], totals["head"]))
     print(f"head faster in {won} of {args.reps} repetitions")
     differ = 0
