@@ -214,7 +214,7 @@ def conj_implies(a: Conj, b: Conj) -> bool:
         if not set(names_b) <= set(names_a):
             return False
         drop = [i for i, v in enumerate(names_a) if v not in names_b]
-        return oct_leq(oct_exists(oct_a, drop), oct_b)
+        return oct_leq(oct_exists(oct_a, drop) if drop else oct_a, oct_b)
     # cheap rejection: a rational point of a must satisfy b's rows
     w = _integer_witness(a)
     if w is not None:

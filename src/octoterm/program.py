@@ -24,31 +24,31 @@ members is asked one way: emptiness by the exact parameter elimination of
 ``conj_implies`` on those cases, and images by ``_image``, which takes
 the image of each conjunct through each member by one exact elimination.
 
-The non-termination precondition takes, per state of a cycle cover,
-either the exact WNT of the unique cycle relation or the union of the WNTs
-of the octagonalized transition-invariant disjuncts.  One backward pass
-pulls them all back to the initial state: it solves
-X_q = W_q | U_{q -> r} pre_label(X_r) over the strongly connected
-components that the initial state reaches, sinks first, through the
-labels of the edges between components and through the summaries from a
-component's entries to its states, so it builds sets over x only.  The
-initial state of a flat program needs no pull-back of its own WNT: its
-one cycle is its only way back, and the cycle's WNT is closed under
-pre-image.  An empty set is pulled back through no summary, and an
-entry's set of more than ``max_disjuncts`` conjuncts becomes its
-octagonal hull.  The summary from the initial state to q is computed only
-as the reach of a transition-invariant state q other than the initial
-one.  Each public question has one memo, keyed by its arguments: the
-parse per text in ``parse_program``, the flatness verdict per program in
-``is_flat``, each summary per (program, ends, budgets) in ``_summary``,
-and the whole analysis, its flags included, per (program, budgets) in
-``_analysis``, so a repeated program costs one memo lookup.
+One pass over the states and edges, ``_structure``, finds the strongly
+connected components (SCCs) without listing the elementary cycles, which
+can be exponentially many.  A program is flat when each SCC is at most
+one simple cycle whose composed label stays in the octagonal or
+finite-monoid fragment.  The same pass picks a cycle cover and classifies
+each cover state's one cycle once.  The non-termination precondition
+takes, per cover state, either the exact WNT of that cycle's relation or
+the union of the WNTs of the octagonalized transition-invariant
+disjuncts.  One backward pass, ``_pull_back``, pulls them all back to the
+initial state over the SCCs that it reaches, so it builds sets over x
+only.  The summary from the initial state to q is computed only as the
+reach of a transition-invariant state q other than the initial one.
+Each public question has one memo, keyed by its arguments: the parse per
+text in ``parse_program``, the structure and the flatness verdict per
+program in ``_structure`` and ``is_flat``, each summary per (program,
+ends, budgets) in ``_summary``, and the whole analysis, its flags
+included, per (program, budgets) in ``_analysis``, so a repeated program
+costs one memo lookup.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, reduce
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
 from .closure import MAX_PERIOD, MAX_PREFIX, ParamOct, ParamOctUnion, reflexive_transitive_closure
@@ -297,29 +297,7 @@ def _label_members(label: tuple, variables: tuple[str, ...]) -> tuple[LinRel, ..
     return tuple(out)
 
 
-# -- elementary cycles -------------------------------------------------------
-
-
-def elementary_cycles(p: Program) -> list[list[Transition]]:
-    """All elementary cycles, as edge sequences (parallel edges distinct)."""
-    cycles = []
-    order = {s: i for i, s in enumerate(p.states)}
-    by_src: dict[str, list[Transition]] = {}
-    for t in p.transitions:
-        by_src.setdefault(t.source, []).append(t)
-
-    def dfs(start: str, node: str, path: list[Transition], seen: set[str]):
-        for t in by_src.get(node, []):
-            if t.target == start:
-                cycles.append(path + [t])
-            elif t.target not in seen and order[t.target] > order[start]:
-                seen.add(t.target)
-                dfs(start, t.target, path + [t], seen)
-                seen.remove(t.target)
-
-    for s in p.states:
-        dfs(s, s, [], {s})
-    return cycles
+# -- program structure ---------------------------------------------------------
 
 
 class Flat(NamedTuple):
@@ -379,51 +357,116 @@ def _cycle_single_class(p: Program, cycle: tuple[Transition, ...]):
     return None
 
 
+def _components(roots: Iterable[str], succ: Callable[[str], Iterable[str]]) -> list[list[str]]:
+    """The strongly connected components of the states the roots reach by
+    ``succ``, a state's successors, sinks first, by one depth-first search
+    (Tarjan, SIAM J. Comput. 1972) that keeps its path on a list."""
+    index, low, stack, comps = {}, {}, [], []  # low: of the states of open components
+    path: list[tuple[str, Iterator[str], int]] = []  # (state, successors left, stack place)
+
+    def enter(v: str) -> None:
+        index[v] = low[v] = len(index)
+        path.append((v, iter(succ(v)), len(stack)))
+        stack.append(v)
+
+    for root in roots:
+        if root not in index:
+            enter(root)
+        while path:
+            v, ws, pos = path[-1]
+            for w in ws:
+                if w not in index:
+                    enter(w)
+                    break
+                if w in low:
+                    low[v] = min(low[v], low[w])
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    comps.append(stack[pos:])
+                    del stack[pos:]
+                    for w in comps[-1]:
+                        del low[w]
+                elif path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[v])
+    return comps
+
+
+def _only_cycle(q: str, inside: set[str], out: dict[str, list[Transition]]
+                ) -> tuple[Transition, ...] | None:
+    """The one elementary cycle through q within ``inside``, from q; None
+    when a depth-first search from q finds a second one, or first follows
+    10,000 edges more than ``inside`` has states (a simple cycle has not)."""
+    found, steps = [], 10_000 + len(inside)
+
+    def walk(path: tuple[Transition, ...], seen: frozenset) -> None:
+        nonlocal steps
+        for t in out[path[-1].target if path else q]:
+            if t.target == q:
+                found.append((*path, t))
+            elif t.target in inside and t.target not in seen and steps > 0:
+                steps -= 1
+                walk((*path, t), seen | {t.target})
+            if len(found) > 1:
+                return
+
+    walk((), frozenset((q,)))
+    return found[0] if len(found) == 1 and steps > 0 else None
+
+
+class _Structure(NamedTuple):
+    sccs: tuple[tuple[str, ...], ...]  # the SCCs init reaches, sinks first
+    verdict: Flat | NotFlat
+    cover: tuple[tuple[str, tuple | None], ...]  # (state, its one cycle's class), sorted
+
+
+@lru_cache(maxsize=_MEMO)
+def _structure(p: Program) -> _Structure:
+    """The SCCs init reaches, sinks first, each in ``p.states`` order; the
+    flatness verdict (the paper: no nested loops), which holds when no SCC
+    has more edges than states and each simple cycle composes in the
+    octagonal or finite-monoid fragment; and a cycle cover.  A simple cycle
+    gives its sorted-first state, any other SCC a state with a self-loop or
+    else the most edges in times out, sorted-first on ties, and then the
+    cover of what is left.  A cover state keeps the ``_cycle_single_class``
+    of its cycle when ``_only_cycle`` finds one."""
+    order = {s: i for i, s in enumerate(p.states)}
+    out: dict[str, list[Transition]] = {s: [] for s in p.states}
+    for t in p.transitions:
+        out[t.source].append(t)
+    # init is the first root, so the SCCs it reaches end with its own
+    sccs = [sorted(c, key=order.__getitem__)
+            for c in _components([p.init, *p.states], lambda s: (t.target for t in out[s]))]
+    home = {s: c for c in map(set, sccs) for s in c}
+    picked, todo = [], [home[c[0]] for c in sccs]
+    while todo:
+        keep = todo.pop()
+        for c in map(set, _components(sorted(keep), lambda s: (
+                t.target for t in out[s] if t.target in keep))):
+            inner = [t for s in c for t in out[s] if t.target in c]
+            if len(inner) == len(c):
+                picked.append(min(c))
+            elif inner:
+                ins, outs = Counter(t.target for t in inner), Counter(t.source for t in inner)
+                picked.append(max(sorted(c), key=lambda s: (
+                    any(t.target == s for t in out[s]), ins[s] * outs[s])))
+                todo.append(c - {picked[-1]})
+    cycles = {q: _only_cycle(q, home[q], out) for q in sorted(picked)}
+    cover = {q: c and _cycle_single_class(p, c) for q, c in cycles.items()}
+    reasons = [f"state {s} lies on two or more cycles of the strongly connected component "
+               f"{{{', '.join(sorted(home[s], key=order.__getitem__))}}}" for s in p.states
+               if sum(t.target in home[s] for t in out[s]) > 1] or [
+        f"cycle through {s} composes outside the octagonal/finite-monoid fragment"
+        for s in p.states if cover.get(min(home[s]), ()) is None]
+    live = next(i for i, c in enumerate(sccs) if p.init in c) + 1
+    return _Structure(tuple(map(tuple, sccs[:live])),
+                      NotFlat(reasons[0]) if reasons else Flat(), tuple(cover.items()))
+
+
 @lru_cache(maxsize=_MEMO)
 def is_flat(p: Program) -> Flat | NotFlat:
-    """Whether no state lies on two elementary cycles and every cycle
-    composes inside the octagonal or finite-monoid fragment, once per
-    program."""
-    cycles = [tuple(c) for c in elementary_cycles(p)]
-    counts: dict[str, int] = {s: 0 for s in p.states}
-    for cyc in cycles:
-        for t in cyc:
-            counts[t.source] += 1
-    for s, n in counts.items():
-        if n > 1:
-            return NotFlat(f"state {s} lies on {n} elementary cycles")
-    for cyc in cycles:
-        if _cycle_single_class(p, cyc) is None:
-            return NotFlat(
-                "cycle through %s composes outside the octagonal/finite-monoid fragment"
-                % cyc[0].source
-            )
-    return Flat()
-
-
-def _cycle_cover(p: Program) -> list[tuple[str, list[tuple[Transition, ...]]]]:
-    """The states of a greedy cycle cover, sorted, each with the elementary
-    cycles through it.
-
-    Every infinite run visits some analyzed state infinitely often as long
-    as the analyzed set hits every elementary cycle, so a greedy cycle
-    cover keeps both soundness and the flat-exactness argument."""
-    cycles = [tuple(c) for c in elementary_cycles(p)]
-    chosen: list[str] = []
-    uncovered = list(range(len(cycles)))
-    while uncovered:
-        best = max(
-            sorted(p.states),
-            key=lambda s: sum(
-                1 for i in uncovered if any(t.source == s for t in cycles[i])
-            ),
-        )
-        hits = [i for i in uncovered if any(t.source == best for t in cycles[i])]
-        if not hits:
-            break
-        chosen.append(best)
-        uncovered = [i for i in uncovered if i not in hits]
-    return [(q, [c for c in cycles if any(t.source == q for t in c)]) for q in sorted(chosen)]
+    """The flatness verdict of ``_structure``, kept per program."""
+    return _structure(p).verdict
 
 
 # -- self-loop closure and state elimination ----------------------------------
@@ -483,7 +526,8 @@ def _star_members(
     candidate, each extension of the candidate is subsumed by the same
     extension of o.  After r rounds the words of up to r + 1 generators are
     covered, so the 16-round cap bounds words at 17 generators (not at
-    2^16, as composing members with members would).
+    2^16, as composing members with members would).  A round keeps the old
+    members that no new one subsumes, and then the new ones.
 
     One loop whose acceleration is exact needs no round: its generators
     are R+ itself, and R+ composed with R+ adds nothing to R+."""
@@ -514,7 +558,7 @@ def _star_members(
                     new.append(cand)
         if not new:
             return tuple(_dedupe(members)), exact, exhausted
-        members = _dedupe(members + new)
+        members = [o for o in members if not any(member_subsumed(o, c) for c in new)] + new
         frontier = new
         if len(members) > budgets.max_disjuncts:
             break
@@ -538,20 +582,6 @@ def transitive_relation(
     return list(members), exact
 
 
-def _reach(p: Program, start: str, forward: bool) -> set[str]:
-    """The states some path from ``start`` visits (to it, when not
-    ``forward``), ``start`` included."""
-    seen, todo = {start}, [start]
-    while todo:
-        s = todo.pop()
-        for t in p.transitions:
-            a, b = (t.source, t.target) if forward else (t.target, t.source)
-            if a == s and b not in seen:
-                seen.add(b)
-                todo.append(b)
-    return seen
-
-
 @lru_cache(maxsize=_MEMO)
 def _summary(
     p: Program, q_in: str, q_out: str, budgets: Budgets
@@ -564,7 +594,13 @@ def _summary(
     if missing:
         raise ValueError("the program has no state " + ", ".join(map(repr, missing)))
 
-    live = _reach(p, q_in, True) & _reach(p, q_out, False)
+    # the states some path from q_in visits and some path to q_out visits
+    fwd, bwd = {s: [] for s in p.states}, {s: [] for s in p.states}
+    for t in p.transitions:
+        fwd[t.source].append(t.target)
+        bwd[t.target].append(t.source)
+    live = (set().union(*_components([q_in], fwd.get))
+            & set().union(*_components([q_out], bwd.get)))
     variables = p.variables
     IN, OUT = "__in__", "__out__"
     edges: dict[tuple[str, str], list[LinRel]] = {}
@@ -742,8 +778,7 @@ def _analysis(p: Program, budgets: Budgets) -> PrecondResult:
 
     per_state = []
     seeds: dict[str, tuple[Dnf, bool]] = {}
-    for q, q_cycles in _cycle_cover(p):
-        single = _cycle_single_class(p, _rotate_to(q, q_cycles[0])) if len(q_cycles) == 1 else None
+    for q, single in _structure(p).cover:
         w_dnf = Dnf()
         if single is None:
             method = "tinv"
@@ -782,26 +817,23 @@ def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
     ``pull_back``), and whether a set was hulled.
 
     The states init reaches are solved one strongly connected component
-    (SCC) at a time, sinks first, so only sets over x are built (Tarjan,
-    JACM 1981; Bardin, Finkel, Leroux, Schnoebelen, ATVA 2005).  In an SCC
-    C, Y_r is r's WNT with the pre-images of X_s through each edge r -> s
-    that leaves C.  Only C's entries need X: init and the targets of edges
-    into C.  An entry takes X_e = Y_e | U_r pre_{P+(e, r)}(Y_r) over the r
-    in C, each P+(e, r) a summary within C, where an empty Y_r costs no
-    summary; at r = e a WNT whose ``pull_back`` is False is left out of
-    Y_r, being closed under that pre-image.  An X_e of more than
-    ``max_disjuncts`` conjuncts becomes its octagonal hull."""
+    (SCC) at a time, sinks first as ``_structure`` lists them, so only sets
+    over x are built (Tarjan, JACM 1981; Bardin, Finkel, Leroux,
+    Schnoebelen, ATVA 2005).  In an SCC C, Y_r is r's WNT with the
+    pre-images of X_s through each edge r -> s that leaves C.  Only C's
+    entries need X: init and the targets of edges into C.  An entry takes
+    X_e = Y_e | U_r pre_{P+(e, r)}(Y_r) over the r in C, each P+(e, r) a
+    summary within C, where an empty Y_r costs no summary; at r = e a WNT
+    whose ``pull_back`` is False is left out of Y_r, being closed under
+    that pre-image.  An X_e of more than ``max_disjuncts`` conjuncts
+    becomes its octagonal hull."""
     variables = p.variables
-    live = _reach(p, p.init, True)
-    reach = {s: _reach(p, s, True) for s in p.states if s in live}
-    sccs: dict[str, list[str]] = {}
-    for s in reach:
-        sccs.setdefault(next(h for h in reach if h in reach[s] and s in reach[h]), []).append(s)
+    sccs = _structure(p).sccs
+    live = {s for scc in sccs for s in scc}
     x: dict[str, Dnf] = {}
     hulled = False
     unseeded = (Dnf(), True)
-    # a state reaches more states than any state of a later SCC does
-    for scc in sorted(sccs.values(), key=lambda c: len(reach[c[0]])):
+    for scc in sccs:
         looped = any(t.source in scc and t.target in scc for t in p.transitions)
         exits = {r: Dnf() for r in scc}
         for t in p.transitions:
@@ -829,7 +861,3 @@ def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
             x[e] = x_e
     return x[p.init], hulled
 
-
-def _rotate_to(q: str, cycle: tuple[Transition, ...]) -> tuple[Transition, ...]:
-    idx = next(i for i, t in enumerate(cycle) if t.source == q)
-    return cycle[idx:] + cycle[:idx]

@@ -733,6 +733,125 @@ def reference_star_members(loops, variables, budgets: Budgets):
     return tuple(_union_members(closure, variables)), False, True
 
 
+
+def reference_dedupe_star_members(loops, variables, budgets: Budgets):
+    """``program._star_members`` as it was when each round rebuilt the
+    antichain of all members (``_dedupe(members + new)``), where a round now
+    only drops the old members that a new one subsumes."""
+    from octoterm.closure import reflexive_transitive_closure
+    from octoterm.octagon import oct_hull
+    from octoterm.program import _accelerate_member, _dedupe, compose_members, member_to_octagon
+
+    exact = True
+    exhausted = False
+    base = []
+    for m in loops:
+        acc, ex, bx = _accelerate_member(m, budgets)
+        exact = exact and ex
+        exhausted = exhausted or bx
+        base.extend(acc)
+    gens = _dedupe(base)
+    if len(loops) == 1 and exact:
+        return tuple(gens), exact, exhausted
+    members = list(gens)
+    frontier = list(gens)
+    rounds = 0
+    while frontier and rounds < 16:
+        rounds += 1
+        new = []
+        for g in gens:
+            for b in frontier:
+                for cand in compose_members(b, g):
+                    if any(member_subsumed(cand, o) for o in members):
+                        continue
+                    if any(member_subsumed(cand, o) for o in new):
+                        continue
+                    new.append(cand)
+        if not new:
+            return tuple(_dedupe(members)), exact, exhausted
+        members = _dedupe(members + new)
+        frontier = new
+        if len(members) > budgets.max_disjuncts:
+            break
+    hull = oct_hull([member_to_octagon(m)[0] for m in loops])
+    closure = reflexive_transitive_closure(
+        hull, len(variables), budgets.max_prefix, budgets.max_period
+    )
+    return tuple(_union_members(closure, variables)), False, True
+
+
+def elementary_cycles(p: Program) -> list[list[Transition]]:
+    """All elementary cycles, as edge sequences (parallel edges distinct),
+    each from its first state in ``p.states`` order (Johnson's listing, SIAM
+    J. Comput. 1975, without its pruning): there can be exponentially many."""
+    cycles = []
+    order = {s: i for i, s in enumerate(p.states)}
+    by_src: dict[str, list[Transition]] = {}
+    for t in p.transitions:
+        by_src.setdefault(t.source, []).append(t)
+
+    def dfs(start: str, node: str, path: list[Transition], seen: set[str]):
+        for t in by_src.get(node, []):
+            if t.target == start:
+                cycles.append(path + [t])
+            elif t.target not in seen and order[t.target] > order[start]:
+                seen.add(t.target)
+                dfs(start, t.target, path + [t], seen)
+                seen.remove(t.target)
+
+    for s in p.states:
+        dfs(s, s, [], {s})
+    return cycles
+
+
+def reference_cycle_cover(p: Program) -> list[tuple[str, list[tuple[Transition, ...]]]]:
+    """``program._structure``'s cover as a greedy pass over the listed
+    elementary cycles: the state on the most uncovered cycles, sorted-first
+    on ties, until every cycle is covered; the states sorted, each with the
+    cycles through it."""
+    cycles = [tuple(c) for c in elementary_cycles(p)]
+    chosen: list[str] = []
+    uncovered = list(range(len(cycles)))
+    while uncovered:
+        best = max(sorted(p.states),
+                   key=lambda s: sum(1 for i in uncovered if any(t.source == s for t in cycles[i])))
+        chosen.append(best)
+        uncovered = [i for i in uncovered if all(t.source != best for t in cycles[i])]
+    return [(q, [c for c in cycles if any(t.source == q for t in c)]) for q in sorted(chosen)]
+
+
+def reference_is_flat(p: Program) -> bool:
+    """``program.is_flat``'s verdict from the listed elementary cycles: no
+    state on two of them, and each, from its first state in ``p.states``
+    order, composes inside the octagonal or finite-monoid fragment."""
+    from octoterm.program import _cycle_single_class
+
+    cycles = [tuple(c) for c in elementary_cycles(p)]
+    sources = [t.source for c in cycles for t in c]
+    return (len(sources) == len(set(sources))
+            and all(_cycle_single_class(p, c) is not None for c in cycles))
+
+
+def is_acyclic(states, transitions) -> bool:
+    """Whether the edges between ``states`` close no cycle, so that no
+    strongly connected component of them is cyclic: Kahn's topological
+    sort removes every state."""
+    out: dict[str, list[str]] = {s: [] for s in states}
+    indeg = dict.fromkeys(out, 0)
+    for t in transitions:
+        if t.source in out and t.target in out:
+            out[t.source].append(t.target)
+            indeg[t.target] += 1
+    ready = [s for s, d in indeg.items() if d == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for s in out[ready.pop()]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    return removed == len(out)
+
 def reference_ielim(rows, divs, v: str, depth: int = 0):
     """``presburger._ielim`` as it was when it normalized every case on
     entry, whoever built it, so each case a previous step had normalized

@@ -16,7 +16,6 @@ from octoterm.program import (
     LinRel,
     NotFlat,
     compose_members,
-    elementary_cycles,
     identity_member,
     is_flat,
     member_cases,
@@ -35,11 +34,16 @@ from helpers import (
     TWO_PHASE_PROGRAM,
     call_within,
     clear_memos,
+    elementary_cycles,
     eliminate_params,
+    is_acyclic,
     one_phase_ramp,
     perfbench_check,
     perfbench_gen,
     reach_set,
+    reference_cycle_cover,
+    reference_dedupe_star_members,
+    reference_is_flat,
     reference_star_members,
     seven_branch_relations,
 )
@@ -94,7 +98,8 @@ def test_parse_errors():
 def test_flatness(branching, two_phase):
     res = is_flat(branching)
     assert isinstance(res, NotFlat)
-    assert "3 elementary cycles" in res.reason
+    assert res.reason == ("state l2 lies on two or more cycles of the strongly connected "
+                          "component {l1, l2, l3, l4, l5, l6, l7}")
     assert isinstance(is_flat(two_phase), Flat)
     single = parse_program("vars x;\ninit a;\na -> a : x >= 0 && x' == x - 1;\n")
     assert isinstance(is_flat(single), Flat)
@@ -116,12 +121,6 @@ def test_flat_verdict_truth_value(branching, two_phase):
     # a one-field NotFlat tuple was truthy: ``if is_flat(p)`` held for all p
     assert not is_flat(branching)
     assert is_flat(two_phase)
-
-
-def test_elementary_cycles(branching):
-    cycles = elementary_cycles(branching)
-    assert len(cycles) == 3
-    assert all(any(t.source == "l1" for t in c) for c in cycles)
 
 
 def test_branching_summary_matches_listed_relations(branching):
@@ -489,10 +488,10 @@ def _round(programs) -> list[str]:
 
 
 def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
-    # the flatness verdict is memoized per program, the analysis per
-    # (program, budgets) and each summary per (program, ends, budgets): a
-    # second round enumerates no cycle, saturates no loop and eliminates
-    # nothing
+    # the flatness verdict and the structure are memoized per program, the
+    # analysis per (program, budgets) and each summary per (program, ends,
+    # budgets): a second round builds no structure, saturates no loop and
+    # eliminates nothing
     programs = [(parse_program(BRANCHING_PROGRAM), "l1"),
                 (parse_program(one_phase_ramp("+")), "l1")]
     clear_memos()
@@ -504,13 +503,13 @@ def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
             return real(*args, **kwargs)
         return counted
 
-    for module, name in [(program_module, "elementary_cycles"),
+    for module, name in [(program_module, "_structure"),
                          (program_module, "_star_members"),
                          (program_module, "eliminate_rows"),
                          (presburger_module, "eliminate_rows")]:
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     first = _round(programs)
-    assert {"elementary_cycles", "_star_members", "eliminate_rows"} <= set(calls)
+    assert {"_structure", "_star_members", "eliminate_rows"} <= set(calls)
     calls.clear()
     assert _round(programs) == first
     assert calls == []
@@ -518,7 +517,7 @@ def test_a_repeated_program_reads_its_plan_and_summaries(monkeypatch):
 
 def test_a_warm_analysis_reads_no_summary(monkeypatch):
     # the analysis memo holds the flags with the sets: a warm call asks no
-    # summary and enumerates no cycle, and a summary evicted from its memo
+    # summary and builds no structure, and a summary evicted from its memo
     # is not rebuilt to read its flags again
     calls = []
 
@@ -533,7 +532,7 @@ def test_a_warm_analysis_reads_no_summary(monkeypatch):
         p = parse_program(text)
         want = nt_program(p)
         with monkeypatch.context() as mp:
-            for name in ("_summary", "elementary_cycles", "_star_members"):
+            for name in ("_summary", "_structure", "_star_members"):
                 mp.setattr(program_module, name, spy(name, getattr(program_module, name)))
             assert repr(nt_program(p)) == repr(want)
             summary_memo.cache_clear()
@@ -978,6 +977,127 @@ def test_random_programs_against_the_box_oracle():
         compared += boxed and res.exact and 0 < len(starts) < len(box.points())
     assert compared >= 5
 
+
+
+# -- the structure pass -------------------------------------------------------
+
+
+def test_elementary_cycles(branching):
+    # the listing that the structure pass replaced, kept as its reference
+    cycles = elementary_cycles(branching)
+    assert len(cycles) == 3
+    assert all(any(t.source == "l1" for t in c) for c in cycles)
+
+
+def _structure_texts() -> list[str]:
+    """The named programs of these tests, the ``programs`` requests of
+    seeds 5-100 and the 40 draws of seeds 0 and 1 of ``_random_program``."""
+    texts = [BRANCHING_PROGRAM, STEP_2_BRANCHING_PROGRAM, TWO_PHASE_PROGRAM, ORDER_840_PROGRAM,
+             one_phase_ramp("+"), one_phase_ramp("-"), COUPLED_PROGRAM, SWAP_PROGRAM,
+             AFFINE_LABEL_PROGRAM, DYING_LOOP_PROGRAM, ROTATION_PROGRAM, MIXED_CYCLE_PROGRAM,
+             MEETING_CYCLES_PROGRAM, EX1_PROGRAM]
+    gen = perfbench_gen()
+    texts += [r["text"] for seed in range(5, 101) for r in gen.make_requests("programs", seed, 1)]
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        texts += [_random_program(rng, i % 2 == 0) for i in range(40)]
+    return list(dict.fromkeys(texts))
+
+
+def test_the_structure_agrees_with_the_listed_cycles():
+    # the verdict is the one of the listed elementary cycles; every cycle
+    # meets the cover, which is the greedy one on a flat program; and a
+    # cover state takes its cycle's class exactly when one cycle passes it
+    texts = _structure_texts()
+    assert len(texts) >= 100
+    for text in texts:
+        p = parse_program(text)
+        flat = bool(is_flat(p))
+        assert flat == reference_is_flat(p), text
+        cover = program_module._structure(p).cover
+        states = [q for q, _ in cover]
+        cycles = [tuple(c) for c in elementary_cycles(p)]
+        assert all(any(t.source in states for t in c) for c in cycles), text
+        if flat:
+            assert states == [q for q, _ in reference_cycle_cover(p)], text
+        for q, single in cover:
+            through = [c for c in cycles if any(t.source == q for t in c)]
+            if len(through) != 1:
+                assert single is None, text
+                continue
+            i = next(i for i, t in enumerate(through[0]) if t.source == q)
+            want = program_module._cycle_single_class(p, through[0][i:] + through[0][:i])
+            assert repr(single) == repr(want), text
+
+
+@pytest.mark.parametrize("n", [9, 30])
+def test_a_complete_program_gets_its_structure_without_listing_cycles(n):
+    # n states, one edge per ordered pair: 125,664 elementary cycles at
+    # n = 9, which the greedy cover over the listed cycles took 79 s over
+    text = "vars x; init s0;\n" + "".join(
+        f"s{a} -> s{b} : x' == x + 1;\n" for a in range(n) for b in range(n) if a != b)
+    p = parse_program(text)
+    structure, _ = call_within(2, f"the structure of {n} states", program_module._structure, p)
+    assert isinstance(structure.verdict, NotFlat)
+    cover = {q for q, _ in structure.cover}
+    assert all(single is None for _, single in structure.cover)
+    assert not is_acyclic(p.states, p.transitions)
+    assert is_acyclic([s for s in p.states if s not in cover], p.transitions)
+
+
+
+@pytest.mark.parametrize("k, one", [(3, True), (7, False)])
+def test_the_search_for_a_second_cycle_stops_at_its_cap(k, one):
+    # q lies on one cycle, q -> a -> u -> q, but the search from q also
+    # walks every simple path of the k complete states hung on a: at k = 7
+    # those are more than the cap, so q takes the transition-invariant path
+    ks = [f"k{i}" for i in range(k)]
+    text = "vars x; init q;\nq -> a : x' == x;\na -> u : x' == x;\nu -> q : x' == x;\n" + "".join(
+        f"{a} -> {b} : x' == x;\n" for a in ["a", *ks] for b in ["a", *ks] if a != b)
+    p = parse_program(text)
+    through = [tuple(c) for c in elementary_cycles(p) if any(t.source == "q" for t in c)]
+    assert len(through) == 1
+    out = {s: [t for t in p.transitions if t.source == s] for s in p.states}
+    assert program_module._only_cycle("q", set(p.states), out) == (through[0] if one else None)
+
+def test_a_cold_analysis_classifies_each_cycle_once(monkeypatch):
+    # is_flat and the analysis read one classification per cycle, where
+    # each classified the cycles of the cover again
+    p = parse_program(TWO_PHASE_PROGRAM)
+    calls = []
+    real = program_module._cycle_single_class
+
+    def spy(p, cycle):
+        calls.append(cycle)
+        return real(p, cycle)
+
+    clear_memos()
+    monkeypatch.setattr(program_module, "_cycle_single_class", spy)
+    assert nt_program(p).exact
+    assert sorted(c[0].source for c in calls) == sorted(
+        c[0].source for c in elementary_cycles(p)) == ["l2", "l5", "l8"]
+
+
+def test_an_incremental_round_keeps_the_members_of_a_full_dedupe(monkeypatch):
+    # a round keeps the old members no new one subsumes, then the new ones,
+    # where the full re-dedupe sorted all of them again; member_subsumed is
+    # not transitive, so the two antichains are compared, not assumed equal
+    saturations = []
+    real = program_module._star_members
+
+    def spy(*args):
+        saturations.append(args)
+        return real(*args)
+
+    rng = random.Random(0)
+    clear_memos()
+    monkeypatch.setattr(program_module, "_star_members", spy)
+    for i in range(40):
+        p = parse_program(_random_program(rng, i % 2 == 0))
+        call_within(20, f"nt_program on draw {i}", nt_program, p)
+    assert len(saturations) >= 20
+    for args in saturations:
+        assert real(*args) == reference_dedupe_star_members(*args), args
 
 # -- composition by elimination of the midpoints ------------------------------
 

@@ -26,8 +26,10 @@ first alternates from one process to the next.  A side's time in a
 repetition is the sum over the seeds.  The script prints each side's
 median and quartiles over the repetitions and how many repetitions the
 head won.  After the timed round, each process reads the outputs of its
-requests again, as ``tools/same_outputs.py`` writes them, and hashes them
-into the seed's fingerprint.  Every seed whose fingerprints differ
+requests again, as ``tools/same_outputs.py`` writes them, with each
+flatness verdict read as ``same_outputs`` fingerprints it (whether the
+program is flat, not the ``NotFlat`` reason), and hashes them into the
+seed's fingerprint.  Every seed whose fingerprints differ
 between the sides, or between the repetitions of one side, is printed,
 and the script then exits 1: a speed-up from changed outputs is no
 speed-up.  Nothing under ``perfbench/`` is changed.  Standard library
@@ -49,7 +51,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import extract, quartiles  # noqa: E402
-from same_outputs import _loop_outputs, _program_outputs  # noqa: E402
+from same_outputs import _flat_fingerprint, _loop_outputs, _program_outputs  # noqa: E402
 
 
 def _emit(tree: Path, workload: str, seed: int) -> dict:
@@ -68,6 +70,9 @@ def _emit(tree: Path, workload: str, seed: int) -> dict:
     seconds = time.perf_counter() - start
     cal = (cal_before + worker.calibrate()) / 2
     outputs = (_program_outputs if workload == "programs" else _loop_outputs)(ot, requests)
+    if workload == "programs":
+        outputs.update({r["id"] + "/is_flat": _flat_fingerprint(ot, ot.parse_program(r["text"]))
+                        for r in requests})
     digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
     return {"seconds": seconds, "cal_s": cal, "fingerprint": digest[:16]}
 

@@ -20,9 +20,10 @@ One round of each workload per seed.  Each side then computes the
 so every one of them meets the memos that all the others filled.
 
 An item can differ by its ``repr`` alone: the same set, written with other
-rows.  So each side also fingerprints every ``programs`` precondition and
-summary, and the result of each ``prog analyze`` and ``prog summary``
-command.  A set's fingerprint is its membership bit string over sample
+rows.  So each side also fingerprints every ``programs`` flatness verdict,
+precondition and summary, and the result of each ``prog analyze`` and
+``prog summary`` command.  A verdict's fingerprint is whether the program
+is flat, so a ``NotFlat`` reason written otherwise is a ``repr`` change.  A set's fingerprint is its membership bit string over sample
 points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
 points drawn from it with a fixed seed.  A summary's parameters are
 eliminated first (``member_cases``), and its drawn points take each primed
@@ -90,6 +91,10 @@ def _bits(names, holds, primed: bool = False) -> str:
     bits = "".join("1" if holds(dict(zip(names, pt))) else "0"
                    for pt in _points(len(names), primed))
     return f"{bits.count('1')}/{len(bits)}:{hashlib.sha256(bits.encode()).hexdigest()[:16]}"
+
+
+def _flat_fingerprint(ot, p) -> str:
+    return json.dumps({"flat": bool(ot.is_flat(p))})
 
 
 def _nt_fingerprint(ot, p) -> str:
@@ -170,6 +175,7 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
 
     fps = {}
     for r in requests:
+        fps[r["id"] + "/is_flat"] = _flat_fingerprint(ot, ot.parse_program(r["text"]))
         fps[r["id"] + "/nt_program"] = fingerprint(r["text"], None)
         fps[r["id"] + "/transitive_relation"] = fingerprint(r["text"], (r["head"],) * 2)
     out.update(_loop_outputs(ot, [r for s in SEEDS["loops"]
