@@ -21,9 +21,10 @@ so every one of them meets the memos that all the others filled.
 
 An item can differ by its ``repr`` alone: the same set, written with other
 rows.  So each side also fingerprints every ``programs`` flatness verdict,
-precondition and summary, and the result of each ``prog analyze`` and
-``prog summary`` command.  A verdict's fingerprint is whether the program
-is flat, so a ``NotFlat`` reason written otherwise is a ``repr`` change.  A set's fingerprint is its membership bit string over sample
+precondition and summary, and the result of each ``prog analyze``, ``prog
+summary`` and ``prog flat`` command.  A verdict's fingerprint is whether
+the program is flat, so a ``NotFlat`` reason written otherwise is a
+``repr`` change.  A set's fingerprint is its membership bit string over sample
 points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
 points drawn from it with a fixed seed.  A summary's parameters are
 eliminated first (``member_cases``), and its drawn points take each primed
@@ -196,6 +197,9 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
                 ends = None if argv[1] == "analyze" else (argv[3], argv[5])
                 fps[item] = json.dumps({"exit": code, "stderr": stderr.getvalue(),
                                         "result": fingerprint(argv[-1], ends)})
+            elif argv[:2] == ["prog", "flat"]:
+                fps[item] = json.dumps({"exit": code, "stderr": stderr.getvalue(), "result":
+                                        _flat_fingerprint(ot, ot.parse_program(argv[-1]))})
     return out, repeats, fps
 
 
