@@ -398,19 +398,21 @@ def _only_cycle(q: str, inside: set[str], out: dict[str, list[Transition]]
     when a depth-first search from q finds a second one, or first follows
     10,000 edges more than ``inside`` has states (a simple cycle has not)."""
     found, steps = [], 10_000 + len(inside)
-
-    def walk(path: tuple[Transition, ...], seen: frozenset) -> None:
-        nonlocal steps
-        for t in out[path[-1].target if path else q]:
-            if t.target == q:
-                found.append((*path, t))
-            elif t.target in inside and t.target not in seen and steps > 0:
-                steps -= 1
-                walk((*path, t), seen | {t.target})
-            if len(found) > 1:
-                return
-
-    walk((), frozenset((q,)))
+    path: list[Transition] = []
+    seen, work = {q}, [iter(out[q])]  # the states on the path, and each one's edges left
+    while work and len(found) < 2:
+        t = next(work[-1], None)
+        if t is None:
+            work.pop()
+            if path:
+                seen.discard(path.pop().target)
+        elif t.target == q:
+            found.append((*path, t))
+        elif t.target in inside and t.target not in seen and steps > 0:
+            steps -= 1
+            path.append(t)
+            seen.add(t.target)
+            work.append(iter(out[t.target]))
     return found[0] if len(found) == 1 and steps > 0 else None
 
 
