@@ -733,7 +733,6 @@ def reference_star_members(loops, variables, budgets: Budgets):
     return tuple(_union_members(closure, variables)), False, True
 
 
-
 def reference_dedupe_star_members(loops, variables, budgets: Budgets):
     """``program._star_members`` as it was when each round rebuilt the
     antichain of all members (``_dedupe(members + new)``), where a round now
@@ -782,8 +781,8 @@ def reference_dedupe_star_members(loops, variables, budgets: Budgets):
 
 def elementary_cycles(p: Program) -> list[list[Transition]]:
     """All elementary cycles, as edge sequences (parallel edges distinct),
-    each from its first state in ``p.states`` order (Johnson's listing, SIAM
-    J. Comput. 1975, without its pruning): there can be exponentially many."""
+    each from its first state in ``p.states`` order.  There can be
+    exponentially many, so only tests list them."""
     cycles = []
     order = {s: i for i, s in enumerate(p.states)}
     by_src: dict[str, list[Transition]] = {}
@@ -805,10 +804,10 @@ def elementary_cycles(p: Program) -> list[list[Transition]]:
 
 
 def reference_cycle_cover(p: Program) -> list[tuple[str, list[tuple[Transition, ...]]]]:
-    """``program._structure``'s cover as a greedy pass over the listed
-    elementary cycles: the state on the most uncovered cycles, sorted-first
-    on ties, until every cycle is covered; the states sorted, each with the
-    cycles through it."""
+    """A greedy cycle cover over the listed elementary cycles, the one
+    ``program._structure`` gives a flat program: the state on the most
+    uncovered cycles, sorted-first on ties, until every cycle is covered;
+    the states sorted, each with the cycles through it."""
     cycles = [tuple(c) for c in elementary_cycles(p)]
     chosen: list[str] = []
     uncovered = list(range(len(cycles)))
@@ -851,6 +850,7 @@ def is_acyclic(states, transitions) -> bool:
             if indeg[s] == 0:
                 ready.append(s)
     return removed == len(out)
+
 
 def reference_ielim(rows, divs, v: str, depth: int = 0):
     """``presburger._ielim`` as it was when it normalized every case on
