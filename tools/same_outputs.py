@@ -24,8 +24,8 @@ rows.  So each side also fingerprints every ``programs`` flatness verdict,
 precondition and summary, and the result of each ``prog analyze``, ``prog
 summary`` and ``prog flat`` command.  A verdict's fingerprint is whether
 the program is flat, so a ``NotFlat`` reason written otherwise is a
-``repr`` change.  A set's fingerprint is its membership bit string over sample
-points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
+``repr`` change.  A set's fingerprint is its membership bit string over
+sample points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
 points drawn from it with a fixed seed.  A summary's parameters are
 eliminated first (``member_cases``), and its drawn points take each primed
 coordinate within 1 of the unprimed one, most often equal to it: drawn
