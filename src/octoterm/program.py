@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
@@ -392,6 +393,15 @@ def _components(roots: Iterable[str], succ: Callable[[str], Iterable[str]]) -> l
     return comps
 
 
+def _out_edges(p: Program) -> dict[str, list[Transition]]:
+    """Each state's outgoing transitions, in program order: the one edge
+    index that every graph walk below reads."""
+    out: dict[str, list[Transition]] = {s: [] for s in p.states}
+    for t in p.transitions:
+        out[t.source].append(t)
+    return out
+
+
 def _only_cycle(q: str, inside: set[str], out: dict[str, list[Transition]]
                 ) -> tuple[Transition, ...] | None:
     """The one elementary cycle through q within ``inside``, from q; None
@@ -433,9 +443,7 @@ def _structure(p: Program) -> _Structure:
     cover of what is left.  A cover state keeps the ``_cycle_single_class``
     of its cycle when ``_only_cycle`` finds one."""
     order = {s: i for i, s in enumerate(p.states)}
-    out: dict[str, list[Transition]] = {s: [] for s in p.states}
-    for t in p.transitions:
-        out[t.source].append(t)
+    out = _out_edges(p)
     # init is the first root, so the SCCs it reaches end with its own
     sccs = [sorted(c, key=order.__getitem__)
             for c in _components([p.init, *p.states], lambda s: (t.target for t in out[s]))]
@@ -591,26 +599,30 @@ def _summary(
     """transitive_relation's members and exact flag, and whether an
     acceleration or disjunct budget ran out on the way.  Only the states
     on some q_in -> q_out path are eliminated: a loop elsewhere adds no
-    run, so it spends no budget and leaves ``exact`` alone."""
+    run, so it spends no budget and leaves ``exact`` alone.  The states
+    come from the edge index ``_out_edges``, and a step of the elimination
+    (Tarjan, JACM 1981) reads the edges of the state it eliminates only."""
     missing = [s for s in dict.fromkeys((q_in, q_out)) if s not in p.states]
     if missing:
         raise ValueError("the program has no state " + ", ".join(map(repr, missing)))
 
-    # the states some path from q_in visits and some path to q_out visits
-    fwd, bwd = {s: [] for s in p.states}, {s: [] for s in p.states}
-    for t in p.transitions:
-        fwd[t.source].append(t.target)
-        bwd[t.target].append(t.source)
-    live = (set().union(*_components([q_in], fwd.get))
-            & set().union(*_components([q_out], bwd.get)))
+    # the components q_in reaches come sinks first, so one is on a path to
+    # q_out when it holds q_out or has an edge into a component kept before
+    out = _out_edges(p)
+    live: set[str] = set()
+    for c in _components([q_in], lambda s: (t.target for t in out[s])):
+        if q_out in c or any(t.target in live for s in c for t in out[s]):
+            live.update(c)
     variables = p.variables
     IN, OUT = "__in__", "__out__"
-    edges: dict[tuple[str, str], list[LinRel]] = {}
+    # succ[a][b] is pred[b][a], the members of a -> b; edges stay in the order added
+    succ: dict[str, dict[str, list[LinRel]]] = {s: {} for s in (IN, OUT, q_in, q_out, *live)}
+    pred: dict[str, dict[str, list[LinRel]]] = {s: {} for s in succ}
 
     def add_edge(a: str, b: str, members: list[LinRel]):
         if not members:
             return
-        cur = edges.setdefault((a, b), [])
+        cur = succ[a].setdefault(b, pred[b].setdefault(a, []))
         for m in members:
             antichain_add(cur, m, member_subsumed)
 
@@ -623,33 +635,34 @@ def _summary(
     add_edge(IN, q_in, [ident])
     add_edge(q_out, OUT, [ident])
 
+    def weight(s: str) -> tuple[int, str]:
+        return (sum(len(v) for a, v in pred[s].items() if a != s)
+                * sum(len(v) for b, v in succ[s].items() if b != s), s)
+
     exact = True
     exhausted = False
-    remaining = [s for s in p.states if s in live]
-    while remaining:
-        remaining.sort(
-            key=lambda s: (
-                sum(len(v) for (a, b), v in edges.items() if b == s and a != s)
-                * sum(len(v) for (a, b), v in edges.items() if a == s and b != s),
-                s,
-            )
-        )
-        q = remaining.pop(0)
-        loops = edges.pop((q, q), [])
+    # the least weight goes first; a state whose edges change is pushed again
+    heap = [weight(s) for s in p.states if s in live]
+    heapify(heap)
+    while heap:
+        w, q = heappop(heap)
+        if q not in succ or (w, q) != weight(q):
+            continue
+        outgoing = succ.pop(q)
+        loops = outgoing.pop(q, [])
         if loops:
             t_members, ex, bx = _star_members(tuple(loops), variables, budgets)
             exact = exact and ex
             exhausted = exhausted or bx
         else:
             t_members = []
-        incoming = [(a, ms) for (a, b), ms in list(edges.items()) if b == q]
-        outgoing = [(b, ms) for (a, b), ms in list(edges.items()) if a == q]
+        incoming = [(a, ms) for a, ms in pred.pop(q).items() if a != q]
+        for a, _ in incoming:
+            del succ[a][q]
+        for b in outgoing:
+            del pred[b][q]
         for a, in_ms in incoming:
-            del edges[(a, q)]
-        for b, out_ms in outgoing:
-            del edges[(q, b)]
-        for a, in_ms in incoming:
-            for b, out_ms in outgoing:
+            for b, out_ms in outgoing.items():
                 combined: list[LinRel] = []
                 for m1 in in_ms:
                     # the direct route stays separate from the loop routes:
@@ -678,7 +691,9 @@ def _summary(
                     exact = False
                     exhausted = True
                 add_edge(a, b, combined)
-    return tuple(edges.get((IN, OUT), ())), exact, exhausted
+        for s in {a for a, _ in incoming}.union(outgoing) - {IN, OUT}:
+            heappush(heap, weight(s))
+    return tuple(succ[IN].get(OUT, ())), exact, exhausted
 
 
 class PrecondResult(NamedTuple):
@@ -831,20 +846,22 @@ def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
     becomes its octagonal hull."""
     variables = p.variables
     sccs = _structure(p).sccs
-    live = {s for scc in sccs for s in scc}
+    out = _out_edges(p)
+    home = {s: i for i, scc in enumerate(sccs) for s in scc}
+    entries = {p.init} | {t.target for s in home for t in out[s] if home[t.target] != home[s]}
     x: dict[str, Dnf] = {}
     hulled = False
     unseeded = (Dnf(), True)
-    for scc in sccs:
-        looped = any(t.source in scc and t.target in scc for t in p.transitions)
+    for i, scc in enumerate(sccs):
+        looped = any(home[t.target] == i for r in scc for t in out[r])
         exits = {r: Dnf() for r in scc}
-        for t in p.transitions:
-            if t.source in exits and t.target not in scc and x[t.target]:
-                _image(_label_members(t.label, variables), x[t.target], forward=False,
-                       include_identity=False, out=exits[t.source])
+        for r in scc:
+            for t in out[r]:
+                if home[t.target] != i and x[t.target]:
+                    _image(_label_members(t.label, variables), x[t.target], forward=False,
+                           include_identity=False, out=exits[r])
         for e in scc:
-            if e != p.init and not any(t.target == e and t.source in live and t.source not in scc
-                                       for t in p.transitions):
+            if e not in entries:
                 continue
             x_e = Dnf()
             for r in scc if looped else [e]:

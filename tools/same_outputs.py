@@ -8,6 +8,13 @@ does, and each side runs the request set below in one fresh process, with
 its own ``src`` and its own ``perfbench/gen.py``:
 - the ``programs`` requests of seeds 5-12: ``repr`` of ``is_flat``,
   ``nt_program`` and ``transitive_relation`` at the request's head;
+- a fixed list of graph shapes (``SHAPES``): chains of 20 and 200 states,
+  a ladder with cross edges, a ring with a chord, and a program whose
+  stray state, which init does not reach, has an edge into a reachable
+  component.  Each is asked the same, with ``transitive_relation``
+  between the ends it lists, so the check covers orders in which the
+  summaries and the backward pass walk the edges that no benchmark draw
+  exercises;
 - the ``loops`` requests of seeds 5-8: ``repr`` of each result
   (``wnt``, ``prove_termination`` and ``reflexive_transitive_closure`` of
   an octagonal loop; ``finite_monoid_wnt`` or ``sufficient_termination``
@@ -16,12 +23,13 @@ its own ``src`` and its own ``perfbench/gen.py``:
   ``cli.main`` with ``--format text`` and ``--format json``.
 
 One round of each workload per seed.  Each side then computes the
-``programs`` items a second time in the same process, in reverse order,
-so every one of them meets the memos that all the others filled.
+``programs`` and graph-shape items a second time in the same process, in
+reverse order, so every one of them meets the memos that all the others
+filled.  On the sources of ``617a9a9`` the set has 1,934 items.
 
 An item can differ by its ``repr`` alone: the same set, written with other
-rows.  So each side also fingerprints every ``programs`` flatness verdict,
-precondition and summary, and the result of each ``prog analyze``, ``prog
+rows.  So each side also fingerprints every ``programs`` and graph-shape
+flatness verdict, precondition and summary, and the result of each ``prog analyze``, ``prog
 summary`` and ``prog flat`` command.  A verdict's fingerprint is whether
 the program is flat, so a ``NotFlat`` reason written otherwise is a
 ``repr`` change.  A set's fingerprint is its membership bit string over
@@ -69,6 +77,51 @@ RADIUS, EXHAUSTIVE, SAMPLES = 5, 4, 4000
 STEPS = (0, 0, 0, 1, -1)
 
 
+def _shape(name: str, init: str, edges, ends) -> dict:
+    """A graph-shape request: edges (source, target, label) over x, y, and
+    the (q_in, q_out) of each summary asked."""
+    text = f"vars x, y;\ninit {init};\n" + "".join(f"{a} -> {b} : {lab};\n" for a, b, lab in edges)
+    return {"id": f"shape-{name}", "text": text, "ends": ends}
+
+
+def _chain(k: int) -> dict:
+    """s0 -> ... -> sk, and a self-loop at sk that runs forever from y >= 0."""
+    edges = [(f"s{i}", f"s{i + 1}", "x' == x + 1 && y' == y") for i in range(k)]
+    edges.append((f"s{k}", f"s{k}", "x' == x && y' == y + 1 && y >= 0"))
+    return _shape(f"chain-{k}", "s0", edges, [("s0", f"s{k}"), ("s0", f"s{k // 2}"),
+                                              (f"s{k}", f"s{k}")])
+
+
+def _ladder(n: int) -> dict:
+    """Rails a0 -> ... -> an and b0 -> ... -> bn, rungs ai -> bi, cross
+    edges bi -> a(i+1), and a self-loop at bn: many paths, one cycle."""
+    edges = [e for i in range(n) for e in (
+        (f"a{i}", f"a{i + 1}", "x' == x + 1 && y' == y"),
+        (f"b{i}", f"b{i + 1}", "x' == x && y' == y + 1"),
+        (f"a{i}", f"b{i}", "x' == x && y' == y"),
+        (f"b{i}", f"a{i + 1}", "x' == x && y' == y"))]
+    edges += [(f"a{n}", f"b{n}", "x' == x && y' == y"),
+              (f"b{n}", f"b{n}", "x' == x && y' == y + 1 && x >= 0")]
+    return _shape(f"ladder-{n}", "a0", edges, [("a0", f"b{n}"), ("a0", f"a{n}"), ("b0", f"a{n}")])
+
+
+def _ring(n: int) -> dict:
+    """r0 -> ... -> r(n-1) -> r0 and a chord r0 -> r(n/2): two cycles
+    through r0, so not flat."""
+    edges = [(f"r{i}", f"r{i + 1}", "x' == x + 1 && y' == y") for i in range(n - 1)]
+    edges += [(f"r{n - 1}", "r0", "x' == x + 1 && y' == y && x <= 10"),
+              ("r0", f"r{n // 2}", f"x' == x - {n // 2} && y' == y + 1")]
+    return _shape(f"ring-{n}", "r0", edges, [("r0", "r0"), (f"r{n // 2}", "r1")])
+
+
+# z, which init does not reach, enters the component {b, c} at c, which no
+# other edge enters from outside it: c is no entry of the backward pass
+SHAPES = [_chain(20), _chain(200), _ladder(4), _ring(6), _shape("stray", "a", [
+    ("a", "b", "x' == x + 1 && y' == y"), ("b", "c", "x' == x && y' == y"),
+    ("c", "b", "x' == x && y' == y"), ("z", "c", "x' == x - 1 && y' == y")],
+    [("a", "c"), ("z", "b"), ("c", "c")])]
+
+
 @lru_cache(maxsize=None)
 def _points(k: int, primed: bool = False) -> tuple[tuple[int, ...], ...]:
     """The sample of k coordinates; with ``primed``, the first half are
@@ -107,6 +160,12 @@ def _nt_fingerprint(ot, p) -> str:
         "per_state": [[q, method, _bits(xs, w.eval)] for q, method, w in res.per_state]})
 
 
+def _ends(r: dict) -> list[tuple[str, str]]:
+    """The summaries asked of a request: a graph shape's listed ends, a
+    ``programs`` request's head to itself."""
+    return r.get("ends") or [(r["head"], r["head"])]
+
+
 def _summary_fingerprint(ot, p, q_in: str, q_out: str) -> str:
     from octoterm.program import member_cases
 
@@ -119,14 +178,16 @@ def _summary_fingerprint(ot, p, q_in: str, q_out: str) -> str:
 
 
 def _program_outputs(ot, requests) -> dict[str, str]:
-    """Item id -> output text, for ``programs`` requests in the given order."""
+    """Item id -> output text, for ``programs`` requests or graph shapes in
+    the given order."""
     out = {}
     for r in requests:
         p = ot.parse_program(r["text"])
         out[r["id"] + "/is_flat"] = repr(ot.is_flat(p))
         out[r["id"] + "/nt_program"] = repr(ot.nt_program(p))
-        out[r["id"] + "/transitive_relation"] = repr(
-            ot.transitive_relation(p, r["head"], r["head"]))
+        for q_in, q_out in _ends(r):
+            out[f"{r['id']}/transitive_relation/{q_in}-{q_out}"] = repr(
+                ot.transitive_relation(p, q_in, q_out))
     return out
 
 
@@ -160,6 +221,7 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
     from octoterm import cli
 
     requests = [r for s in SEEDS["programs"] for r in gen.make_requests("programs", s, 1)]
+    requests += SHAPES
     out = _program_outputs(ot, requests)
     again = _program_outputs(ot, requests[::-1])
     repeats = [k for k, v in out.items() if again[k] != v]
@@ -178,7 +240,8 @@ def _outputs(tree: Path) -> tuple[dict[str, str], list[str], dict[str, str]]:
     for r in requests:
         fps[r["id"] + "/is_flat"] = _flat_fingerprint(ot, ot.parse_program(r["text"]))
         fps[r["id"] + "/nt_program"] = fingerprint(r["text"], None)
-        fps[r["id"] + "/transitive_relation"] = fingerprint(r["text"], (r["head"],) * 2)
+        for ends in _ends(r):
+            fps[f"{r['id']}/transitive_relation/{ends[0]}-{ends[1]}"] = fingerprint(r["text"], ends)
     out.update(_loop_outputs(ot, [r for s in SEEDS["loops"]
                                   for r in gen.make_requests("loops", s, 1)]))
     for r in (r for s in SEEDS["cli"] for r in gen.make_requests("cli", s, 1)):
