@@ -24,10 +24,11 @@ members is asked one way: emptiness by the exact parameter elimination of
 ``conj_implies`` on those cases, and images by ``_image``, which takes
 the image of each conjunct through each member by one exact elimination.
 
-One pass over the states and edges, ``_structure``, finds the strongly
-connected components (SCCs) without listing the elementary cycles, which
-can be exponentially many.  A program is flat when each SCC is at most
-one simple cycle whose composed label stays in the octagonal or
+Every graph walk reads one index of each state's outgoing edges,
+``_out_edges``, and no step of one scans every edge.  One pass over it,
+``_structure``, finds the strongly connected components (SCCs) without
+listing the elementary cycles.  A program is flat when each SCC is at
+most one simple cycle whose composed label stays in the octagonal or
 finite-monoid fragment.  The same pass picks a cycle cover and classifies
 each cover state's one cycle once.  The non-termination precondition
 takes, per cover state, either the exact WNT of that cycle's relation or
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .affine import AffineRel, compose_affine, finite_monoid_wnt, guard_rows, is_finite_monoid
@@ -394,8 +395,7 @@ def _components(roots: Iterable[str], succ: Callable[[str], Iterable[str]]) -> l
 
 
 def _out_edges(p: Program) -> dict[str, list[Transition]]:
-    """Each state's outgoing transitions, in program order: the one edge
-    index that every graph walk below reads."""
+    """Each state's outgoing transitions in program order: the one edge index."""
     out: dict[str, list[Transition]] = {s: [] for s in p.states}
     for t in p.transitions:
         out[t.source].append(t)
@@ -599,15 +599,15 @@ def _summary(
     """transitive_relation's members and exact flag, and whether an
     acceleration or disjunct budget ran out on the way.  Only the states
     on some q_in -> q_out path are eliminated: a loop elsewhere adds no
-    run, so it spends no budget and leaves ``exact`` alone.  The states
-    come from the edge index ``_out_edges``, and a step of the elimination
-    (Tarjan, JACM 1981) reads the edges of the state it eliminates only."""
+    run, so it spends no budget and leaves ``exact`` alone.  It reads the
+    per-state edge index ``_out_edges``, as ``_pull_back`` does, and a
+    step of the elimination (Tarjan, JACM 1981) reads only its state's
+    edges: no step scans every edge."""
     missing = [s for s in dict.fromkeys((q_in, q_out)) if s not in p.states]
     if missing:
         raise ValueError("the program has no state " + ", ".join(map(repr, missing)))
 
-    # the components q_in reaches come sinks first, so one is on a path to
-    # q_out when it holds q_out or has an edge into a component kept before
+    # components come sinks first: one is on a path if it holds q_out or enters a kept one
     out = _out_edges(p)
     live: set[str] = set()
     for c in _components([q_in], lambda s: (t.target for t in out[s])):
@@ -620,11 +620,8 @@ def _summary(
     pred: dict[str, dict[str, list[LinRel]]] = {s: {} for s in succ}
 
     def add_edge(a: str, b: str, members: list[LinRel]):
-        if not members:
-            return
-        cur = succ[a].setdefault(b, pred[b].setdefault(a, []))
-        for m in members:
-            antichain_add(cur, m, member_subsumed)
+        for m in members:  # an edge is made with its first member
+            antichain_add(succ[a].setdefault(b, pred[b].setdefault(a, [])), m, member_subsumed)
 
     for t in p.transitions:
         if t.source in live and t.target in live:
@@ -639,11 +636,9 @@ def _summary(
         return (sum(len(v) for a, v in pred[s].items() if a != s)
                 * sum(len(v) for b, v in succ[s].items() if b != s), s)
 
-    exact = True
-    exhausted = False
-    # the least weight goes first; a state whose edges change is pushed again
-    heap = [weight(s) for s in p.states if s in live]
-    heapify(heap)
+    exact, exhausted = True, False
+    # a sorted list is a heap; a state whose edges change is pushed again
+    heap = sorted(weight(s) for s in live)
     while heap:
         w, q = heappop(heap)
         if q not in succ or (w, q) != weight(q):
@@ -668,12 +663,7 @@ def _summary(
                     # the direct route stays separate from the loop routes:
                     # deduping them together could let a (possibly skipped)
                     # pass-through member swallow genuine loop compositions
-                    mids = [m1]
-                    if t_members:
-                        through = []
-                        for tm in t_members:
-                            through.extend(compose_members(m1, tm))
-                        mids = [m1] + _dedupe(through)
+                    mids = [m1] + _dedupe([c for tm in t_members for c in compose_members(m1, tm)])
                     for m2 in out_ms:
                         for mm in mids:
                             if a == IN and b == OUT and mm is m1 is ident and m2 is ident:
@@ -685,11 +675,9 @@ def _summary(
                 combined = _dedupe(combined)
                 if len(combined) > budgets.max_disjuncts:
                     hulled = member_from_octagon(
-                        oct_hull([member_to_octagon(m)[0] for m in combined]), variables
-                    )
-                    combined = [hulled] if hulled is not None else []
-                    exact = False
-                    exhausted = True
+                        oct_hull([member_to_octagon(m)[0] for m in combined]), variables)
+                    combined = [] if hulled is None else [hulled]
+                    exact, exhausted = False, True
                 add_edge(a, b, combined)
         for s in {a for a, _ in incoming}.union(outgoing) - {IN, OUT}:
             heappush(heap, weight(s))
@@ -836,14 +824,15 @@ def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
     The states init reaches are solved one strongly connected component
     (SCC) at a time, sinks first as ``_structure`` lists them, so only sets
     over x are built (Tarjan, JACM 1981; Bardin, Finkel, Leroux,
-    Schnoebelen, ATVA 2005).  In an SCC C, Y_r is r's WNT with the
-    pre-images of X_s through each edge r -> s that leaves C.  Only C's
-    entries need X: init and the targets of edges into C.  An entry takes
-    X_e = Y_e | U_r pre_{P+(e, r)}(Y_r) over the r in C, each P+(e, r) a
-    summary within C, where an empty Y_r costs no summary; at r = e a WNT
-    whose ``pull_back`` is False is left out of Y_r, being closed under
-    that pre-image.  An X_e of more than ``max_disjuncts`` conjuncts
-    becomes its octagonal hull."""
+    Schnoebelen, ATVA 2005).  The edges come from the per-state index
+    ``_out_edges``, as the summaries' do: no step scans every edge.  In an
+    SCC C, Y_r is r's WNT with the pre-images of X_s through each edge
+    r -> s that leaves C.  Only the entries need X: init and the targets of
+    edges between SCCs.  An entry takes X_e = Y_e | U_r pre_{P+(e, r)}(Y_r)
+    over the r in C, each P+(e, r) a summary within C, where an empty Y_r
+    costs no summary; at r = e a WNT whose ``pull_back`` is False is left
+    out of Y_r, being closed under that pre-image.  An X_e of more than
+    ``max_disjuncts`` conjuncts becomes its octagonal hull."""
     variables = p.variables
     sccs = _structure(p).sccs
     out = _out_edges(p)
@@ -855,11 +844,9 @@ def _pull_back(p: Program, seeds: dict[str, tuple[Dnf, bool]], summary,
     for i, scc in enumerate(sccs):
         looped = any(home[t.target] == i for r in scc for t in out[r])
         exits = {r: Dnf() for r in scc}
-        for r in scc:
-            for t in out[r]:
-                if home[t.target] != i and x[t.target]:
-                    _image(_label_members(t.label, variables), x[t.target], forward=False,
-                           include_identity=False, out=exits[r])
+        for t in [t for r in scc for t in out[r] if home[t.target] != i and x[t.target]]:
+            _image(_label_members(t.label, variables), x[t.target], forward=False,
+                   include_identity=False, out=exits[t.source])
         for e in scc:
             if e not in entries:
                 continue

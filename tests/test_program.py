@@ -7,7 +7,7 @@ import pytest
 from octoterm import program as program_module
 from octoterm import presburger as presburger_module
 from octoterm.grammar import FragmentError, ParseError, parse_program_text
-from octoterm.linarith import LE, LinTerm
+from octoterm.linarith import EQ, LE, LinTerm
 from octoterm.octagon import Octagon
 from octoterm.presburger import Conj
 from octoterm.program import (
@@ -880,6 +880,33 @@ def test_nt_program_computes_each_summary_once(monkeypatch, branching):
     assert _summary_calls(branching, monkeypatch) == [("l1", "l1")]
 
 
+# z, which init does not reach, has an edge into the component {b, c} at
+# c, which no other edge enters from outside the component
+STRAY_EDGE_PROGRAM = """
+vars x;
+init a;
+a -> b : x' == x + 1;
+b -> c : id(x);
+c -> b : id(x);
+z -> c : x' == x - 1;
+"""
+
+
+def test_an_edge_from_a_state_init_does_not_reach_makes_no_entry(monkeypatch):
+    # the backward pass solves X only at init and the targets of edges
+    # between the components init reaches: c stays no entry, so no summary
+    # starts there, and the stray edge changes neither the calls nor the result
+    p = parse_program(STRAY_EDGE_PROGRAM)
+    q = parse_program(STRAY_EDGE_PROGRAM.replace("z -> c : x' == x - 1;\n", ""))
+    assert "z" in p.states and "z" not in q.states
+    calls = _summary_calls(p, monkeypatch)
+    assert calls == _summary_calls(q, monkeypatch) == [("b", "b")]
+    res, ref = nt_program(p), nt_program(q)
+    assert (res.flat, res.exact, res.budget_exhausted) == (ref.flat, ref.exact,
+                                                           ref.budget_exhausted)
+    assert repr(res.precondition) == repr(ref.precondition) == "(true)"
+
+
 def _reference_requests():
     """Benchmark requests with a reference precondition: the ramps with one
     to five phases, golden BRANCHING at x steps 1-3, and TWO_PHASE."""
@@ -1057,8 +1084,38 @@ def test_the_search_for_a_second_cycle_stops_at_its_cap(k, one):
     p = parse_program(text)
     through = [tuple(c) for c in elementary_cycles(p) if any(t.source == "q" for t in c)]
     assert len(through) == 1
-    out = {s: [t for t in p.transitions if t.source == s] for s in p.states}
+    out = program_module._out_edges(p)
     assert program_module._only_cycle("q", set(p.states), out) == (through[0] if one else None)
+
+
+def _chain(k: int) -> str:
+    """s0 -> s1 -> ... -> sk, each edge x' == x + 1."""
+    return "vars x; init s0;\n" + "".join(f"s{i} -> s{i + 1} : x' == x + 1;\n" for i in range(k))
+
+
+def test_a_summary_along_an_800_state_chain_reads_each_state_s_edges():
+    # each elimination step reads its own state's edges, where it scanned
+    # every edge of the program per remaining state (16.5 s at 800 states)
+    p = parse_program(_chain(800))
+    (members, exact), _ = call_within(3, "the summary of an 800-state chain",
+                                      transitive_relation, p, "s0", "s800")
+    want = LinRel(("x",), Conj.make([(LinTerm({"x'": 1, "x": -1}, -800), EQ)]))
+    assert exact and len(members) == 1
+    assert member_subsumed(members[0], want) and member_subsumed(want, members[0])
+    assert [member_eval(members[0], {"x": 3, "x'": x1}) for x1 in (802, 803, 804)] == [
+        False, True, False]
+
+
+def test_the_backward_pass_over_an_8000_state_chain_reads_each_state_s_edges():
+    # 7,999 chain edges into a self-loop x' == x at s7999: every run is
+    # infinite, and the pass pulls true back through each edge once, where
+    # it scanned every edge per component and per state (12 s at 8,000)
+    p = parse_program(_chain(7999) + "s7999 -> s7999 : id(x);\n")
+    assert len(p.states) == 8000
+    res, _ = call_within(3, "nt_program on an 8000-state chain", nt_program, p)
+    assert [repr(c) for c in res.precondition] == ["true"]
+    assert (res.flat, res.exact, res.budget_exhausted) == (True, True, False)
+
 
 def test_a_cold_analysis_classifies_each_cycle_once(monkeypatch):
     # is_flat and the analysis read one classification per cycle, where
