@@ -675,9 +675,11 @@ def _summary(
                 combined = _dedupe(combined)
                 if len(combined) > budgets.max_disjuncts:
                     hulled = member_from_octagon(
-                        oct_hull([member_to_octagon(m)[0] for m in combined]), variables)
-                    combined = [] if hulled is None else [hulled]
-                    exact, exhausted = False, True
+                        oct_hull([member_to_octagon(m)[0] for m in combined]), variables
+                    )
+                    combined = [hulled] if hulled is not None else []
+                    exact = False
+                    exhausted = True
                 add_edge(a, b, combined)
         for s in {a for a, _ in incoming}.union(outgoing) - {IN, OUT}:
             heappush(heap, weight(s))
