@@ -601,8 +601,8 @@ def _summary(
     on some q_in -> q_out path are eliminated: a loop elsewhere adds no
     run, so it spends no budget and leaves ``exact`` alone.  It reads the
     per-state edge index ``_out_edges``, as ``_pull_back`` does, and a
-    step of the elimination (Tarjan, JACM 1981) reads only its state's
-    edges: no step scans every edge."""
+    step of the elimination (Tarjan, JACM 1981) reads only the edges of
+    its state and of their ends: no step scans every edge."""
     missing = [s for s in dict.fromkeys((q_in, q_out)) if s not in p.states]
     if missing:
         raise ValueError("the program has no state " + ", ".join(map(repr, missing)))
