@@ -1094,8 +1094,8 @@ def _chain(k: int) -> str:
 
 
 def test_a_summary_along_an_800_state_chain_reads_each_state_s_edges():
-    # each elimination step reads its own state's edges, where it scanned
-    # every edge of the program per remaining state (16.5 s at 800 states)
+    # each elimination step reads the edges of its state and their ends,
+    # where it scanned every edge of the program per remaining state
     p = parse_program(_chain(800))
     (members, exact), _ = call_within(3, "the summary of an 800-state chain",
                                       transitive_relation, p, "s0", "s800")
@@ -1109,7 +1109,7 @@ def test_a_summary_along_an_800_state_chain_reads_each_state_s_edges():
 def test_the_backward_pass_over_an_8000_state_chain_reads_each_state_s_edges():
     # 7,999 chain edges into a self-loop x' == x at s7999: every run is
     # infinite, and the pass pulls true back through each edge once, where
-    # it scanned every edge per component and per state (12 s at 8,000)
+    # it scanned every edge per component and per state
     p = parse_program(_chain(7999) + "s7999 -> s7999 : id(x);\n")
     assert len(p.states) == 8000
     res, _ = call_within(3, "nt_program on an 8000-state chain", nt_program, p)

@@ -29,18 +29,18 @@ filled.  The set has 1,944 items.
 
 An item can differ by its ``repr`` alone: the same set, written with other
 rows.  So each side also fingerprints every ``programs`` and graph-shape
-flatness verdict, precondition and summary, and the result of each ``prog analyze``, ``prog
-summary`` and ``prog flat`` command.  A verdict's fingerprint is whether
-the program is flat, so a ``NotFlat`` reason written otherwise is a
-``repr`` change.  A set's fingerprint is its membership bit string over
-sample points: every point of [-5, 5]^k up to k = 4 coordinates, else 4,000
-points drawn from it with a fixed seed.  A summary's parameters are
-eliminated first (``member_cases``), and its drawn points take each primed
-coordinate within 1 of the unprimed one, most often equal to it: drawn
-uniformly, fewer than 20 of 4,000 points fell in a summary such as the
-ramp loops' x' = x + k && y' = y + k && m' = m.  An ``nt_program`` fingerprint holds
-the flags, the precondition and each state's WNT; a command's also holds
-its exit code and stderr.
+flatness verdict, precondition and summary, and the result of each ``prog
+analyze``, ``prog summary`` and ``prog flat`` command.  A verdict's
+fingerprint is whether the program is flat, so a ``NotFlat`` reason
+written otherwise is a ``repr`` change.  A set's fingerprint is its
+membership bit string over sample points: every point of [-5, 5]^k up to
+k = 4 coordinates, else 4,000 points drawn from it with a fixed seed.  A
+summary's parameters are eliminated first (``member_cases``), and its
+drawn points take each primed coordinate within 1 of the unprimed one,
+most often equal to it: drawn uniformly, fewer than 20 of 4,000 points
+fell in a summary such as the ramp loops' x' = x + k && y' = y + k &&
+m' = m.  An ``nt_program`` fingerprint holds the flags, the precondition
+and each state's WNT; a command's also holds its exit code and stderr.
 
 The script prints every item whose output differs between the sides, or
 that only one side has: as a ``repr`` change when both sides have equal
